@@ -28,11 +28,11 @@ from .definitions import Declaration, DefinitionFile, parse_file
 from .errors import (DefinitionError, DefinitionSyntaxError, DimensionMismatch,
                      FieldMismatch, HopfkitError, VerificationFailed)
 from .hopf import verify_hopf, check_cocommutative, unit_counit_map
-from .linalg import Field, LinearOp
+from .linalg import LinearOp
 from .rb import (RotaBaxterOp, central_image_witness,
                  descendent_antipode_inverse_witness, verify_rb)
-from .serialize import (digest, document, dump_document, field_to_json,
-                        hopf_to_decl, map_entries, map_to_decl)
+from .serialize import (digest, document, dump_document, field_from_json,
+                        field_to_json, hopf_to_decl, map_entries, map_to_decl)
 
 CHECK_CONDITIONS = ("op-module", "symmetric", "prop44", "prop48", "prop49",
                     "central-image", "lemma218")
@@ -426,10 +426,12 @@ def main(argv=None) -> int:
     p.add_argument("file")
 
     args = parser.parse_args(argv)
-    field_override = None
-    if args.field is not None:
-        field_override = Field(0) if args.field == "rational" \
-            else Field(int(args.field))
+    try:
+        field_override = (None if args.field is None
+                          else field_from_json(args.field))
+    except ValueError as exc:
+        print(f"error: bad --field: {exc}", file=sys.stderr)
+        return 2
 
     try:
         defs = parse_file(args.file, field_override)

@@ -6,7 +6,7 @@ tolerance.  Sparse containers are kept canonical (no stored zeros), so
 equality of elements and maps is structural.
 
 All values are immutable after construction and safe to share; the solver
-uses Gaussian elimination with exact first-nonzero pivoting.
+uses sparse Gauss-Jordan elimination with exact pivots.
 """
 
 from __future__ import annotations
@@ -23,14 +23,31 @@ Label = Hashable
 Scalar = object  # Fraction (rational mode) or int (prime-field mode)
 
 
+# Miller-Rabin with these bases is deterministic for n < 3.3 * 10**24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MODULUS_CAP = 2 ** 64
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -41,6 +58,8 @@ class Field:
     p: int = 0
 
     def __post_init__(self):
+        if self.p >= _MODULUS_CAP:
+            raise ValueError(f"field modulus must be below 2**64, got {self.p}")
         if self.p != 0 and not _is_prime(self.p):
             raise ValueError(f"field modulus must be 0 (rationals) or prime, got {self.p}")
 
@@ -341,44 +360,72 @@ def flip_tensor(space_ab: BasedSpace, space_ba: BasedSpace,
 def _eliminate(rows: list[dict], ncols: int, field: Field) -> list[tuple[int, int]]:
     """In-place Gauss-Jordan on sparse rows (dicts col -> scalar).
 
-    Pivots are chosen as the first row with a nonzero entry in the first
-    unsolved column (exact arithmetic needs no magnitude heuristics).
-    Columns >= ncols are treated as augmentation and never pivoted.
-    Returns the list of (row, col) pivots.
+    Columns are pivoted in order.  A column -> rows occurrence index
+    records every row that gains an entry in a column (rows whose entry
+    later cancels are skipped when the column comes up), so a pivot finds
+    its candidates and eliminates only in the rows that hold its column.
+    A processed column never fills in again, so its list is dropped.  The
+    pivot is the shortest not-yet-pivoted row holding the column (ties to
+    the lowest row), which limits fill-in; exact arithmetic needs no
+    magnitude heuristics.  The reduced row echelon form is unique, so the
+    pivot columns, the pivot rows and whether a non-pivot row keeps a
+    nonzero augmented entry do not depend on that choice.  Columns >= ncols
+    are treated as augmentation and never pivoted.
+
+    On return the pivot rows come first, in pivot order, followed by the
+    other rows in their original order.  Returns the list of (row, col)
+    pivots.
     """
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    nrows = len(rows)
+    p = field.p
+    if p:
+        for k, row in enumerate(rows):
+            rows[k] = {c: v % p for c, v in row.items() if v % p}
+    occurs: dict[int, list] = {}
+    for k, row in enumerate(rows):
+        for c in row:
+            if c < ncols:
+                occurs.setdefault(c, []).append(k)
+    pivoted = bytearray(len(rows))
+    order: list[tuple[int, int]] = []
     for col in range(ncols):
-        pivot_row = -1
-        for k in range(r, nrows):
-            if rows[k].get(col, 0) != 0:
-                pivot_row = k
-                break
-        if pivot_row < 0:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][col])
-        rows[r] = {c: field.mul(inv, v) for c, v in rows[r].items()}
-        prow = rows[r]
-        for k in range(nrows):
-            if k == r:
-                continue
-            factor = rows[k].get(col, 0)
-            if factor == 0:
-                continue
-            row_k = rows[k]
-            for c, v in prow.items():
-                nv = field.sub(row_k.get(c, 0), field.mul(factor, v))
-                if nv == 0:
-                    row_k.pop(c, None)
-                else:
-                    row_k[c] = nv
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
+        if len(order) == len(rows):
             break
-    return pivots
+        holders = [k for k in occurs.pop(col, ()) if col in rows[k]]
+        candidates = [k for k in holders if not pivoted[k]]
+        if not candidates:
+            continue
+        r = min(candidates, key=lambda k: (len(rows[k]), k))
+        pivoted[r] = 1
+        inv = field.inv(rows[r][col])
+        if p:
+            prow = {c: v * inv % p for c, v in rows[r].items()}
+        else:
+            prow = {c: v * inv for c, v in rows[r].items()}
+        rows[r] = prow
+        for k in holders:
+            row_k = rows[k]
+            factor = row_k.get(col)
+            if k == r or factor is None:
+                continue
+            for c, v in prow.items():
+                old = row_k.get(c)
+                if old is None:
+                    nv = -factor * v
+                    row_k[c] = nv % p if p else nv
+                    if c < ncols:
+                        occurs.setdefault(c, []).append(k)
+                    continue
+                nv = old - factor * v
+                if p:
+                    nv %= p
+                if nv:
+                    row_k[c] = nv
+                else:
+                    del row_k[c]
+        order.append((r, col))
+    rows[:] = ([rows[r] for r, _ in order]
+               + [row for k, row in enumerate(rows) if not pivoted[k]])
+    return [(pos, col) for pos, (_, col) in enumerate(order)]
 
 
 def solve(a: LinearOp, b: Element) -> Element:

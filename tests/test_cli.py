@@ -320,6 +320,12 @@ def test_field_flag_switches_to_prime_field(f2_file, capsys):
     assert "field: 7" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", ["6", "abc", str(2 ** 64 + 13)])
+def test_bad_field_flag_exits_two(f2_file, bad, capsys):
+    assert cli.main(["verify", f2_file, "--field", bad]) == 2
+    assert capsys.readouterr().err.startswith("error: bad --field: ")
+
+
 def test_cocycle_and_brace_declarations(tmp_path, capsys):
     # brace from rb construction; cocycle via matrices is exercised through
     # the canonical identity cocycle of the flip brace

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hopfkit as hk
 from hopfkit import fixtures as fx
@@ -11,9 +12,12 @@ from hopfkit import groups as gr
 from hopfkit.errors import AxiomFails, UnvalidatedInput
 from hopfkit.hopf import (adjoint_action, check_module_bialgebra,
                           curry_action, end_algebra, scalar_space,
-                          trivial_action, uncurry_action, unit_counit_map)
-from hopfkit.linalg import (BasedSpace, Element, LinearOp, QQ, tensor_index,
-                            tensor_space)
+                          transport_hopf, trivial_action, uncurry_action,
+                          unit_counit_map)
+from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ,
+                            tensor_index, tensor_space)
+
+ORACLE = settings(max_examples=20, deadline=None, database=None)
 
 
 def inversion_action_z2_on_z3():
@@ -83,6 +87,83 @@ def test_verify_hopf_bad_antipode_fails_at_r(f2):
     fail = report["antipode"]
     assert not fail.passed
     assert fail.witness.at == ("r",)
+
+
+# -- associativity kernel against an element-level sweep -------------------------
+
+def reference_associativity(h):
+    """(at, lhs, rhs) of the first failing basis triple, or None."""
+    for i in range(h.dim):
+        for j in range(h.dim):
+            for k in range(h.dim):
+                lhs = h.product(h.mul_basis(i, j), h.basis(k))
+                rhs = h.product(h.basis(i), h.mul_basis(j, k))
+                if lhs != rhs:
+                    return ((h.label(i), h.label(j), h.label(k)),
+                            str(lhs), str(rhs))
+    return None
+
+
+def assert_associativity_matches_reference(h, mul_cols):
+    h = hk.hopf_from_structure(h.space, LinearOp(h.hh, h.space, mul_cols),
+                               h.unit, h.comul, h.counit, h.antipode)
+    check = hk.verify_hopf(h)["associativity"]
+    expected = reference_associativity(h)
+    assert check.passed == (expected is None)
+    if expected is not None:
+        w = check.witness
+        assert (w.at, w.lhs, w.rhs) == expected
+
+
+@ORACLE
+@given(group=st.sampled_from([gr.cyclic(4), gr.dihedral(3)]),
+       field=st.sampled_from([QQ, Field(7)]), data=st.data())
+def test_associativity_kernel_group_table_swap(group, field, data):
+    h = hk.group_algebra(group, field)
+    cols = list(h.mul.columns)
+    a, b = (data.draw(st.integers(0, len(cols) - 1)) for _ in range(2))
+    cols[a], cols[b] = cols[b], cols[a]
+    assert_associativity_matches_reference(h, cols)
+
+
+@ORACLE
+@given(field=st.sampled_from([QQ, Field(7)]), data=st.data())
+def test_associativity_kernel_scaled_single_terms(field, data):
+    """e_a e_b = f(a) f(b) / f(ab) e_ab is associative for every f; over
+    F_7 the two sides' coefficient products agree only mod 7.  f(e) != 1
+    keeps a non-unit coefficient, so the table path cannot apply."""
+    group = gr.dihedral(3)
+    h = hk.group_algebra(group, field)
+    f = [field.of(data.draw(st.integers(2 if g == group.identity else 1, 6)))
+         for g in range(group.order)]
+    cols = []
+    for a in range(group.order):
+        for b in range(group.order):
+            ab = group.table[a][b]
+            c = field.mul(field.mul(f[a], f[b]), field.inv(f[ab]))
+            cols.append(h.space.basis(ab).scale(c))
+    if data.draw(st.booleans()):
+        pos = data.draw(st.integers(0, len(cols) - 1))
+        cols[pos] = cols[pos].scale(field.of(data.draw(st.integers(2, 6))))
+    assert_associativity_matches_reference(h, cols)
+
+
+@ORACLE
+@given(pos=st.integers(0, 8), idx=st.integers(0, 2),
+       delta=st.fractions(min_value=-2, max_value=2, max_denominator=3))
+def test_associativity_kernel_dense_transport(pos, idx, delta):
+    h = hk.group_algebra(gr.cyclic(3))
+    space = BasedSpace(("u", "v", "w"))
+    p = LinearOp(h.space, space, [
+        Element(space, {0: Fraction(1), 1: Fraction(1, 2), 2: Fraction(-1)}),
+        Element(space, {0: Fraction(2, 3), 1: Fraction(1), 2: Fraction(1)}),
+        Element(space, {0: Fraction(-1), 1: Fraction(1, 3), 2: Fraction(2)})])
+    dense = transport_hopf(h, p)
+    cols = list(dense.mul.columns)
+    coeffs = dict(cols[pos].coeffs)
+    coeffs[idx] = coeffs.get(idx, 0) + delta
+    cols[pos] = Element(space, coeffs)
+    assert_associativity_matches_reference(dense, cols)
 
 
 def test_dim_one_hopf_algebra():

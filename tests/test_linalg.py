@@ -1,13 +1,17 @@
 """Exact arithmetic, tensor products, kron, inversion and solving."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfkit.errors import NonUniqueSolution, NoSolution, SingularMap
 from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ, invert,
-                            kron, solve, tensor_elem, tensor_space)
+                            kron, rank, solve, tensor_elem, tensor_space)
+
+ORACLE = settings(max_examples=40, deadline=None, database=None)
 
 
 def random_fraction(rng):
@@ -31,6 +35,34 @@ def test_prime_field_arithmetic():
         assert f.mul(a, f.inv(a)) == 1
     with pytest.raises(ValueError):
         Field(6)
+
+
+def test_large_prime_modulus_accepted_at_once():
+    start = time.perf_counter()
+    f = Field(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert f.mul(f.inv(3), 3) == 1
+
+
+@pytest.mark.parametrize("modulus", [561, 41041, 2 ** 64 + 13])
+def test_carmichael_and_oversized_moduli_rejected(modulus):
+    with pytest.raises(ValueError):
+        Field(modulus)
+
+
+def test_modulus_check_matches_trial_division():
+    def accepted(n):
+        try:
+            Field(n)
+        except ValueError:
+            return False
+        return True
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    for n in range(-2, 5000):
+        assert accepted(n) == (n == 0 or trial(n))
 
 
 def test_field_parse_render_round_trip():
@@ -219,3 +251,86 @@ def test_prime_field_space_round_trip():
     v = Element(a, {0: 2, 1: 1})
     assert (u + v).coeffs == {}  # 3+2 = 0 and 4+1 = 0 mod 5
     assert u.scale(2).coeffs == {0: 1, 1: 3}
+
+
+# -- elimination against a dense reference ---------------------------------------
+
+def dense_rank(field, matrix):
+    """Rank of a list-of-rows matrix by textbook dense Gauss-Jordan."""
+    m = [list(row) for row in matrix]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((k for k in range(r, len(m)) if m[k][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = field.inv(m[r][col])
+        m[r] = [field.mul(inv, v) for v in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][col] != 0:
+                factor = m[k][col]
+                m[k] = [field.sub(a, field.mul(factor, b))
+                        for a, b in zip(m[k], m[r])]
+        r += 1
+    return r
+
+
+# Mostly zeros, so that rows hold one or two entries as in the solver's
+# largest systems, with enough variety to hit every rank.
+SPARSE_ENTRIES = st.sampled_from([(0, 1)] * 8 + [(1, 1), (-1, 1), (2, 1),
+                                                 (-3, 1), (1, 2), (-2, 3)])
+
+
+def draw_matrix(data, field, nrows, ncols):
+    return [[field.of(num, den) for num, den in
+             data.draw(st.lists(SPARSE_ENTRIES, min_size=ncols, max_size=ncols))]
+            for _ in range(nrows)]
+
+
+def draw_vector(data, space):
+    row = draw_matrix(data, space.field, 1, space.dim)[0]
+    return Element(space, dict(enumerate(row)))
+
+
+def as_map(field, matrix, ncols):
+    dom = BasedSpace(tuple(f"x{j}" for j in range(ncols)), field)
+    cod = BasedSpace(tuple(f"y{i}" for i in range(len(matrix))), field)
+    return LinearOp(dom, cod, [Element(cod, {i: row[j] for i, row in enumerate(matrix)})
+                               for j in range(ncols)])
+
+
+@ORACLE
+@given(field=st.sampled_from([QQ, Field(7)]), n=st.integers(1, 8), data=st.data())
+def test_invert_and_rank_match_dense_reference(field, n, data):
+    matrix = draw_matrix(data, field, n, n)
+    f = as_map(field, matrix, n)
+    expected = dense_rank(field, matrix)
+    assert rank(f) == expected
+    if expected < n:
+        with pytest.raises(SingularMap):
+            invert(f)
+        return
+    g = invert(f)
+    assert f.compose(g).is_identity()
+    assert g.compose(f).is_identity()
+
+
+@ORACLE
+@given(field=st.sampled_from([QQ, Field(7)]), nrows=st.integers(1, 10),
+       ncols=st.integers(1, 8), consistent=st.booleans(), data=st.data())
+def test_solve_matches_dense_reference(field, nrows, ncols, consistent, data):
+    matrix = draw_matrix(data, field, nrows, ncols)
+    a = as_map(field, matrix, ncols)
+    b = a(draw_vector(data, a.domain)) if consistent else draw_vector(data, a.codomain)
+    rank_a = dense_rank(field, matrix)
+    rank_ab = dense_rank(field, [row + [b.coefficient(i)]
+                                 for i, row in enumerate(matrix)])
+    if rank_ab > rank_a:
+        with pytest.raises(NoSolution):
+            solve(a, b)
+    elif rank_a < ncols:
+        with pytest.raises(NonUniqueSolution) as exc:
+            solve(a, b)
+        assert exc.value.nullity == ncols - rank_a
+    else:
+        assert a(solve(a, b)) == b
