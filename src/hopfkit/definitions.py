@@ -25,6 +25,13 @@ from .serialize import field_from_json, label_from_json
 KINDS = ("group", "hopf", "map", "action", "rb", "brace", "smash",
          "factorization", "cocycle")
 
+# Largest declared group order and explicit Hopf basis length.  Checked
+# before any table is built: a group of order n costs an n^2 table and an
+# n^3 associativity check, a basis of length d allocates d^2 product
+# columns.  256 leaves room for re-reading derived carriers such as the
+# 144-dimensional embedding ambient of D6.
+MAX_DECLARED_SIZE = 256
+
 
 @dataclass
 class Declaration:
@@ -146,17 +153,28 @@ def _build(kind, name, raw, seen, field, path) -> Declaration:
 
 # -- groups ------------------------------------------------------------------------
 
+def _check_size(n: int, what: str, path):
+    if n > MAX_DECLARED_SIZE:
+        raise DefinitionSyntaxError(
+            f"{what} {n} exceeds the limit of {MAX_DECLARED_SIZE}", path)
+
+
 def _group_from_spec(raw, path) -> gr.FiniteGroup:
     if "table" in raw:
         table = raw["table"]
         if not isinstance(table, list):
             raise DefinitionSyntaxError("table must be a list of rows", path)
+        _check_size(len(table), "group order", path)
         labels = raw.get("labels") or [f"g{i}" for i in range(len(table))]
         return gr.FiniteGroup(tuple(tuple(r) for r in table), tuple(labels))
     if "cyclic" in raw:
-        return gr.cyclic(int(raw["cyclic"]))
+        n = int(raw["cyclic"])
+        _check_size(n, "group order", path)
+        return gr.cyclic(n)
     if "dihedral" in raw:
-        return gr.dihedral(int(raw["dihedral"]))
+        n = int(raw["dihedral"])
+        _check_size(2 * n, "group order", path)
+        return gr.dihedral(n)
     if "symmetric" in raw:
         return gr.symmetric(int(raw["symmetric"]))
     if raw.get("quaternion"):
@@ -186,6 +204,10 @@ def _group_from_permutations(gens, path) -> gr.FiniteGroup:
                 if q not in elems:
                     elems.add(q)
                     nxt.append(q)
+                    if len(elems) > MAX_DECLARED_SIZE:
+                        raise DefinitionSyntaxError(
+                            "permutations generate more than "
+                            f"{MAX_DECLARED_SIZE} elements", path)
         frontier = nxt
     order = sorted(elems)
     index = {p: i for i, p in enumerate(order)}
@@ -214,6 +236,9 @@ def _build_hopf(name, raw, seen, field, path) -> Declaration:
     for key in ("basis", "mul", "unit", "comul", "counit", "antipode"):
         if key not in raw:
             raise DefinitionSyntaxError(f"hopf declaration missing '{key}'", path)
+    if not isinstance(raw["basis"], list):
+        raise DefinitionSyntaxError("hopf 'basis' must be a list of labels", path)
+    _check_size(len(raw["basis"]), "basis length", path)
     labels = tuple(label_from_json(lab) for lab in raw["basis"])
     space = BasedSpace(labels, field)
     dim = space.dim

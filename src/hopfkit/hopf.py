@@ -36,11 +36,11 @@ def scalar_space(field: Field) -> BasedSpace:
 
 def apply2(op: LinearOp, x: Element, y: Element) -> Element:
     """Apply a map defined on a tensor-square domain to x ⊗ y without
-    materializing the tensor element."""
+    materializing the tensor element.  The coefficient products are left
+    unreduced: ``accumulate`` reduces them modulo p over F_p."""
     dim_y = y.space.dim
-    field = op.codomain.field
     return accumulate(op.codomain,
-                      ((field.mul(cx, cy), op.columns[tensor_index(i, j, dim_y)])
+                      ((cx * cy, op.columns[tensor_index(i, j, dim_y)])
                        for i, cx in x.coeffs.items()
                        for j, cy in y.coeffs.items()))
 
@@ -139,29 +139,23 @@ class HopfAlgebraData:
         return terms
 
     def tensor_square_product(self, u: Element, v: Element) -> Element:
-        """Componentwise product on H ⊗ H: (a⊗b)(c⊗d) = ac ⊗ bd."""
-        field = self.field
+        """Componentwise product on H ⊗ H: (a⊗b)(c⊗d) = ac ⊗ bd, summed by
+        ``accumulate`` as the terms ``coeff * e_i ⊗ bd`` over e_i in ac."""
         dim = self.dim
-        out: dict = {}
-        for pu, cu in u.coeffs.items():
-            a, b = tensor_split(pu, dim)
-            for pv, cv in v.coeffs.items():
-                c, d = tensor_split(pv, dim)
-                w = field.mul(cu, cv)
-                left = self.mul_basis(a, c)
-                right = self.mul_basis(b, d)
-                for i, ci in left.coeffs.items():
-                    base = i * dim
-                    wi = field.mul(w, ci)
-                    for j, cj in right.coeffs.items():
-                        key = base + j
-                        nv = field.add(out.get(key, field.zero),
-                                       field.mul(wi, cj))
-                        if nv == 0:
-                            out.pop(key, None)
-                        else:
-                            out[key] = nv
-        return Element(self.hh, out, _canonical=True)
+        hh = self.hh
+
+        def terms():
+            for pu, cu in u.coeffs.items():
+                a, b = tensor_split(pu, dim)
+                for pv, cv in v.coeffs.items():
+                    c, d = tensor_split(pv, dim)
+                    w = cu * cv
+                    right = self.mul_basis(b, d).coeffs.items()
+                    for i, ci in self.mul_basis(a, c).coeffs.items():
+                        base = i * dim
+                        yield w * ci, Element(hh, {base + j: cj for j, cj in right},
+                                              _canonical=True)
+        return accumulate(hh, terms())
 
     def require_validated(self):
         if not self.validated:

@@ -1,18 +1,28 @@
 """Exact sparse linear algebra over the rationals or a prime field.
 
-Scalars are ``fractions.Fraction`` in rational mode and plain ints reduced
-into ``[0, p)`` in prime-field mode; every operation is exact with zero
-tolerance.  Sparse containers are kept canonical (no stored zeros), so
-equality of elements and maps is structural.
+Rational scalars are plain ``int`` when integral and ``fractions.Fraction``
+otherwise; prime-field scalars are ints reduced into ``[0, p)``.  Every
+operation is exact with zero tolerance.  Mixed ``int``/``Fraction``
+arithmetic may leave a ``Fraction`` with denominator 1; it equals and
+hashes like the ``int``, so sparse containers, which are kept canonical
+(no stored zeros), still compare structurally.
 
-All values are immutable after construction and safe to share; the solver
-uses sparse Gauss-Jordan elimination with exact pivots.
+:func:`accumulate` is the one summation kernel for ``coeff * element``
+terms.  Over Q it keeps an integer numerator and a denominator per output
+index, adds directly when the denominators agree and otherwise cross-
+multiplies through one ``gcd``, and reduces each output coefficient once
+at the end; over F_p it reduces ``acc + coeff * c`` modulo p.
+
+Values are meant to be left unchanged once validated and shared, but this
+is a convention that is not enforced yet: ``Element.coeffs`` is a plain
+dict.  The solver uses sparse Gauss-Jordan elimination with exact pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Hashable, Iterable
 
 from .errors import (DimensionMismatch, FieldMismatch, NoSolution,
@@ -20,7 +30,8 @@ from .errors import (DimensionMismatch, FieldMismatch, NoSolution,
 from .report import label_str
 
 Label = Hashable
-Scalar = object  # Fraction (rational mode) or int (prime-field mode)
+# Rational mode: int when integral, else Fraction.  Prime-field mode: int in [0, p).
+Scalar = object
 
 
 # Miller-Rabin with these bases is deterministic for n < 3.3 * 10**24.
@@ -51,6 +62,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rational(num: int, den: int) -> Scalar:
+    """num/den as an int when den divides num, else as a reduced Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 @dataclass(frozen=True)
 class Field:
     """The rationals (``p == 0``) or the prime field F_p."""
@@ -63,18 +79,14 @@ class Field:
         if self.p != 0 and not _is_prime(self.p):
             raise ValueError(f"field modulus must be 0 (rationals) or prime, got {self.p}")
 
-    @property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.p == 0 else 0
-
-    @property
-    def one(self) -> Scalar:
-        return Fraction(1) if self.p == 0 else 1
+    zero = 0
+    one = 1
 
     def of(self, num: int, den: int = 1) -> Scalar:
         """Build a field element from an integer or a reduced fraction."""
         if self.p == 0:
-            return Fraction(num, den)
+            q = Fraction(num, den)
+            return q.numerator if q.denominator == 1 else q
         if den % self.p == 0:
             raise ZeroDivisionError("denominator divisible by the modulus")
         val = (num % self.p) * pow(den % self.p, self.p - 2, self.p)
@@ -95,12 +107,13 @@ class Field:
     def inv(self, a: Scalar) -> Scalar:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a) if self.p == 0 else pow(a, self.p - 2, self.p)
+        if self.p == 0:
+            return _rational(a.denominator, a.numerator)
+        return pow(a, self.p - 2, self.p)
 
     def render(self, a: Scalar) -> str:
         if self.p == 0:
-            f = Fraction(a)
-            return f"{f.numerator}/{f.denominator}"
+            return f"{a.numerator}/{a.denominator}"
         return str(a % self.p)
 
     def parse(self, text: str) -> Scalar:
@@ -157,10 +170,19 @@ class Element:
     def __init__(self, space: BasedSpace, coeffs: dict, *, _canonical: bool = False):
         if not _canonical:
             dim = space.dim
+            field = space.field
+            p = field.p
             clean = {}
             for i, c in coeffs.items():
                 if not 0 <= i < dim:
                     raise DimensionMismatch(f"coefficient index {i} out of range")
+                if type(c) is not int:
+                    if not isinstance(c, (int, Fraction)):
+                        raise TypeError(f"scalar {c!r} is neither an int "
+                                        "nor a Fraction")
+                    c = field.of(c.numerator, c.denominator)
+                elif p:
+                    c %= p
                 if c != 0:
                     clean[i] = c
             coeffs = clean
@@ -219,19 +241,48 @@ class Element:
 
 
 def accumulate(space: BasedSpace, terms: Iterable[tuple[Scalar, Element]]) -> Element:
-    """Sum ``coeff * element`` terms into one canonical element."""
-    field = space.field
-    out: dict = {}
+    """Sum ``coeff * element`` terms into one canonical element.
+
+    Over F_p each coefficient is reduced as it is summed.  Over Q every
+    output index keeps an integer numerator and a positive denominator: a
+    term with the same denominator is added directly, any other one is
+    brought to the least common denominator through one ``gcd``, and each
+    sum is reduced once at the end (an int when it is integral).
+    """
+    p = space.field.p
+    if p:
+        acc: dict = {}
+        get = acc.get
+        for coeff, elem in terms:
+            if coeff == 0:
+                continue
+            for i, c in elem.coeffs.items():
+                v = (get(i, 0) + coeff * c) % p
+                if v:
+                    acc[i] = v
+                else:
+                    acc.pop(i, None)
+        return Element(space, acc, _canonical=True)
+    num: dict = {}
+    den: dict = {}
     for coeff, elem in terms:
         if coeff == 0:
             continue
+        cn, cd = coeff.numerator, coeff.denominator
         for i, c in elem.coeffs.items():
-            v = field.add(out.get(i, 0), field.mul(coeff, c))
-            if v == 0:
-                out.pop(i, None)
+            tn, td = cn * c.numerator, cd * c.denominator
+            d = den.get(i)
+            if d is None:
+                num[i] = tn
+                den[i] = td
+            elif d == td:
+                num[i] += tn
             else:
-                out[i] = v
-    return Element(space, out, _canonical=True)
+                g = gcd(d, td)
+                num[i] = num[i] * (td // g) + tn * (d // g)
+                den[i] = d // g * td
+    return Element(space, {i: n if den[i] == 1 else _rational(n, den[i])
+                           for i, n in num.items() if n}, _canonical=True)
 
 
 class LinearOp:

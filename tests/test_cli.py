@@ -1,13 +1,14 @@
 """Definition-file parsing, CLI commands, determinism, round trips."""
 
 import json
+import time
 
 import pytest
 
 import hopfkit as hk
 from hopfkit import cli
 from hopfkit import fixtures as fx
-from hopfkit.definitions import parse_text
+from hopfkit.definitions import MAX_DECLARED_SIZE, parse_text
 from hopfkit.errors import (DefinitionSyntaxError, DimensionMismatch,
                             UnknownReference)
 
@@ -158,6 +159,28 @@ def test_parse_error_exit_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert cli.main(["verify", str(path)]) == 2
+
+
+OVERSIZED = {
+    "cyclic": {"kind": "group", "name": "G", "group": {"cyclic": 10 ** 9}},
+    "dihedral": {"kind": "group", "name": "G", "group": {"dihedral": 10 ** 9}},
+    # S6 has order 720: the closure has to stop at the cap.
+    "permutations": {"kind": "group", "name": "G", "group": {
+        "permutations": [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]}},
+    "basis": {"kind": "hopf", "name": "H",
+              "basis": [f"b{i}" for i in range(MAX_DECLARED_SIZE + 1)],
+              "mul": [], "unit": [], "comul": [], "counit": [], "antipode": []},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_declarations_exit_two_before_allocating(tmp_path, capsys, case):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"version": 1, "declarations": [OVERSIZED[case]]}))
+    start = time.perf_counter()
+    assert cli.main(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_check_prop49_identity_map_witness(tmp_path, capsys):

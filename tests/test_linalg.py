@@ -1,5 +1,6 @@
 """Exact arithmetic, tensor products, kron, inversion and solving."""
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfkit.errors import NonUniqueSolution, NoSolution, SingularMap
-from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ, invert,
-                            kron, rank, solve, tensor_elem, tensor_space)
+from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ,
+                            accumulate, invert, kron, rank, solve, tensor_elem,
+                            tensor_space)
+from hopfkit.serialize import map_entries
 
 ORACLE = settings(max_examples=40, deadline=None, database=None)
 
@@ -236,6 +239,30 @@ def test_element_rejects_out_of_range_index():
         Element(a, {5: Fraction(1)})
 
 
+def test_element_reduces_prime_field_scalars():
+    space = BasedSpace(("x", "y"), Field(7))
+    e = Element(space, {0: 7, 1: 8})
+    assert e == space.basis(1)
+    assert e.coeffs == {1: 1}
+    assert str(e) == "1*y"
+    assert Element(space, {0: -1, 1: Fraction(1, 2)}).coeffs == {0: 6, 1: 4}
+
+
+def test_element_stores_integral_rationals_as_int():
+    space = BasedSpace(("x", "y"))
+    e = Element(space, {0: Fraction(4, 2), 1: Fraction(1, 2)})
+    assert e.coeffs == {0: 2, 1: Fraction(1, 2)}
+    assert type(e.coeffs[0]) is int
+    assert type(e.coeffs[1]) is Fraction
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)])
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
+def test_element_refuses_non_exact_scalars(field, bad):
+    with pytest.raises(TypeError):
+        Element(BasedSpace(("x", "y"), field), {0: bad})
+
+
 def test_tensor_space_field_mismatch():
     from hopfkit.errors import FieldMismatch
     a = BasedSpace(("x",), Field(5))
@@ -334,3 +361,79 @@ def test_solve_matches_dense_reference(field, nrows, ncols, consistent, data):
         assert exc.value.nullity == ncols - rank_a
     else:
         assert a(solve(a, b)) == b
+
+
+# -- the accumulate kernel against Fraction-only references ---------------------
+
+ACC_DIM = 4
+# Coprime denominators, negatives and zero; ints and Fractions mixed.
+ACC_RATIONAL = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 7])))
+
+
+def draw_terms(data, scalars, field):
+    space = BasedSpace(tuple(f"x{i}" for i in range(ACC_DIM)), field)
+    terms = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        coeff = data.draw(scalars)
+        coeffs = data.draw(st.dictionaries(st.integers(0, ACC_DIM - 1), scalars,
+                                           max_size=ACC_DIM))
+        if field.p:
+            coeffs = {i: c % field.p for i, c in coeffs.items()}
+        # Built canonical directly, so Fraction(n, 1) entries stay as drawn.
+        elem = Element(space, {i: c for i, c in coeffs.items() if c},
+                       _canonical=True)
+        terms.append((coeff, elem))
+        if data.draw(st.booleans()):
+            terms.append((-coeff, elem))   # cancels the term just added
+    return space, terms
+
+
+@ORACLE
+@given(data=st.data())
+def test_accumulate_matches_fraction_reference_over_q(data):
+    space, terms = draw_terms(data, ACC_RATIONAL, QQ)
+    ref: dict = {}
+    for coeff, elem in terms:
+        for i, c in elem.coeffs.items():
+            ref[i] = ref.get(i, Fraction(0)) + Fraction(coeff) * Fraction(c)
+    ref = {i: v for i, v in ref.items() if v != 0}
+    got = accumulate(space, terms).coeffs
+    assert got == ref
+    assert all(v != 0 for v in got.values())
+    for v in got.values():
+        assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+@ORACLE
+@given(data=st.data())
+def test_accumulate_matches_reduced_reference_over_f7(data):
+    space, terms = draw_terms(data, st.integers(-10, 10), Field(7))
+    ref: dict = {}
+    for coeff, elem in terms:
+        for i, c in elem.coeffs.items():
+            ref[i] = (ref.get(i, 0) + coeff * c) % 7
+    ref = {i: v for i, v in ref.items() if v}
+    got = accumulate(space, terms).coeffs
+    assert got == ref
+    assert all(type(v) is int and 0 < v < 7 for v in got.values())
+
+
+def test_int_and_fraction_scalars_render_identically():
+    space = BasedSpace(("x", "y", "z"))
+    values = [3, -2, 1, 7]
+
+    def build(scalar):
+        cols = [{0: scalar(3), 2: scalar(-2)}, {1: scalar(1)},
+                {0: scalar(7), 1: scalar(-2)}]
+        return LinearOp(space, space,
+                        [Element(space, c, _canonical=True) for c in cols])
+
+    ints, fracs = build(int), build(Fraction)
+    assert type(fracs.columns[1].coeffs[1]) is Fraction
+    assert ints == fracs
+    assert [QQ.render(v) for v in values] == \
+        [QQ.render(Fraction(v)) for v in values]
+    assert json.dumps(map_entries(ints)).encode() == \
+        json.dumps(map_entries(fracs)).encode()
