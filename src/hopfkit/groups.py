@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 
 from .errors import (BudgetExceeded, DimensionMismatch, IdentityFails,
                      InternalTheoremViolation)
@@ -51,11 +52,17 @@ class FiniteGroup:
             if len(found) != 1:
                 raise DimensionMismatch("inverses are not unique")
             inv.append(found[0])
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
+        # associativity row by row: (ab)c over all c is row ab, and
+        # a(bc) over all c is row a read at the entries of row b; rows
+        # are tuples so that they compare equal to itemgetter results
+        rows = [tuple(row) for row in self.table]
+        if n > 1:  # itemgetter of one index returns a scalar
+            getters = [itemgetter(*row) for row in rows]
+            for a, row_a in enumerate(rows):
+                for b, get_b in enumerate(getters):
+                    if get_b(row_a) != rows[row_a[b]]:
+                        c = next(c for c in range(n)
+                                 if rows[row_a[b]][c] != row_a[rows[b][c]])
                         raise DimensionMismatch(
                             f"table is not associative at ({a},{b},{c})")
         object.__setattr__(self, "identity", ident)
@@ -244,13 +251,18 @@ def _rb_group_witness(g: FiniteGroup, table, a: int, b: int) -> Witness | None:
 def verify_rb_group(g: FiniteGroup, table) -> RBGroupOp:
     """Sweep the Rota-Baxter group identity over all pairs."""
     table = tuple(table)
-    if len(table) != g.order or any(not 0 <= x < g.order for x in table):
+    n = g.order
+    if len(table) != n or min(table) < 0 or max(table) >= n:
         raise DimensionMismatch("operator table must map indices to indices")
-    for a in range(g.order):
-        for b in range(g.order):
-            w = _rb_group_witness(g, table, a, b)
-            if w is not None:
-                raise IdentityFails("rota-baxter-group", w)
+    tab, inv = g.table, g.inverse
+    for a in range(n):
+        ba = table[a]
+        row_aba, row_ba, inv_ba = tab[tab[a][ba]], tab[ba], inv[ba]
+        for b in range(n):
+            # B(a)B(b) against B(a B(a) b B(a)^{-1})
+            if row_ba[table[b]] != table[row_aba[tab[b][inv_ba]]]:
+                raise IdentityFails("rota-baxter-group",
+                                    _rb_group_witness(g, table, a, b))
     return RBGroupOp(g, table)
 
 
@@ -300,55 +312,79 @@ def skew_brace_from_rb_group(b: RBGroupOp) -> SkewBrace:
 def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RBGroupOp]:
     """All Rota-Baxter operators on g, by pruned depth-first search.
 
-    The identity forces B(e) = e; partial assignments are propagated
-    through every pair whose inner argument is already determined, so the
-    search never expands an inconsistent branch.  ``budget`` bounds the
-    number of search nodes; exceeding it raises ``BudgetExceeded`` with
-    the partial result list attached.
+    The identity forces B(e) = e.  Every partial assignment the search
+    expands is closed under the identity: each pair (a, b) of assigned
+    elements fixes B(a B(a) b B(a)^{-1}) = B(a)B(b), so the search never
+    expands an inconsistent branch.  Closure is kept by worklist
+    propagation: assigning B(x) checks only the pairs that involve x or
+    an element deduced from it, against every assigned element, reading
+    the Cayley table directly.  This reaches the same closure as
+    re-scanning every assigned pair until nothing changes, so the search
+    tree and its node count are those of a full re-scan.  ``budget``
+    bounds the number of search nodes; exceeding it raises
+    ``BudgetExceeded`` with the partial result list attached.  Every
+    operator found is re-checked by the full sweep of ``verify_rb_group``.
     """
     n = g.order
+    tab, inv = g.table, g.inverse
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def propagate(table: dict[int, int]) -> dict[int, int] | None:
-        """Close a partial assignment under the identity; None on conflict."""
-        table = dict(table)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(table):
-                for b in list(table):
-                    ba, bb = table[a], table[b]
-                    inner = g.mul(g.mul(a, ba), g.mul(b, g.inv(ba)))
-                    val = g.mul(ba, bb)
-                    if inner in table:
-                        if table[inner] != val:
-                            return None
-                    else:
-                        table[inner] = val
-                        changed = True
-        return table
+    def propagate(vals: list[int | None], dom: list[int], x: int, val: int):
+        """Assign B(x) = val on a copy of a closed partial table and close
+        it again; ``vals[y]`` is B(y) or None, ``dom`` lists the assigned
+        elements.  Returns the new (vals, dom), or None on conflict."""
+        vals = vals[:]
+        dom = dom[:]
+        vals[x] = val
+        dom.append(x)
+        work = [x]
+        while work:
+            a = work.pop()
+            ba = vals[a]
+            row_a, row_ba = tab[a], tab[ba]
+            row_aba, inv_ba = tab[row_a[ba]], inv[ba]
+            for b in dom:
+                bb = vals[b]
+                # pair (a, b)
+                inner = row_aba[tab[b][inv_ba]]
+                cur = vals[inner]
+                if cur is None:
+                    vals[inner] = row_ba[bb]
+                    dom.append(inner)
+                    work.append(inner)
+                elif cur != row_ba[bb]:
+                    return None
+                # pair (b, a)
+                inner = tab[tab[b][bb]][row_a[inv[bb]]]
+                cur = vals[inner]
+                if cur is None:
+                    vals[inner] = tab[bb][ba]
+                    dom.append(inner)
+                    work.append(inner)
+                elif cur != tab[bb][ba]:
+                    return None
+        return vals, dom
 
-    def dfs(table: dict[int, int]):
+    def dfs(vals: list[int | None], dom: list[int]):
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceeded(
                 f"search budget {budget} exceeded on {g.name}",
                 [RBGroupOp(g, t) for t in found])
-        missing = [x for x in range(n) if x not in table]
-        if not missing:
-            found.append(tuple(table[x] for x in range(n)))
+        if len(dom) == n:
+            found.append(tuple(vals))
             return
-        x = missing[0]
+        x = vals.index(None)
         for val in range(n):
-            table[x] = val
-            result = propagate(table)
+            result = propagate(vals, dom, x, val)
             if result is not None:
-                dfs(result)
-            del table[x]
+                dfs(*result)
 
-    dfs({g.identity: g.identity})
+    root = [None] * n
+    root[g.identity] = g.identity
+    dfs(root, [g.identity])
     found.sort()
     return [verify_rb_group(g, t) for t in found]
 

@@ -1,5 +1,6 @@
 """Finite groups, Rota-Baxter group operators, skew braces, enumeration."""
 
+import random
 from itertools import product
 
 import pytest
@@ -17,6 +18,134 @@ def all_rb_ops_brute_force(g):
                for a in range(g.order) for b in range(g.order)):
             ops.append(table)
     return sorted(ops)
+
+
+def reference_enumeration(g, budget=None):
+    """Independent oracle: the pruned search with full-rescan propagation.
+
+    Every propagation pass re-checks all assigned pairs through
+    ``g.mul``/``g.inv`` until nothing changes.  Returns the sorted tables
+    and the number of search nodes; raises ``BudgetExceeded`` with the
+    partial operators when ``budget`` is exceeded.
+    """
+    n = g.order
+    found = []
+    nodes = 0
+
+    def propagate(table):
+        table = dict(table)
+        changed = True
+        while changed:
+            changed = False
+            for a in list(table):
+                for b in list(table):
+                    ba, bb = table[a], table[b]
+                    inner = g.mul(g.mul(a, ba), g.mul(b, g.inv(ba)))
+                    val = g.mul(ba, bb)
+                    if inner in table:
+                        if table[inner] != val:
+                            return None
+                    else:
+                        table[inner] = val
+                        changed = True
+        return table
+
+    def dfs(table):
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise gr.BudgetExceeded(
+                f"search budget {budget} exceeded on {g.name}",
+                [gr.RBGroupOp(g, t) for t in found])
+        missing = [x for x in range(n) if x not in table]
+        if not missing:
+            found.append(tuple(table[x] for x in range(n)))
+            return
+        x = missing[0]
+        for val in range(n):
+            table[x] = val
+            result = propagate(table)
+            if result is not None:
+                dfs(result)
+            del table[x]
+
+    dfs({g.identity: g.identity})
+    return sorted(found), nodes
+
+
+def relabel(g, perm):
+    """The same group with element x renamed perm[x]."""
+    n = g.order
+    table = [[0] * n for _ in range(n)]
+    labels = [None] * n
+    for a in range(n):
+        labels[perm[a]] = g.labels[a]
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[g.table[a][b]]
+    return gr.FiniteGroup(tuple(map(tuple, table)), tuple(labels), g.name)
+
+
+def endomorphisms(g):
+    """Independent oracle: every endomorphism of g, from generator images.
+
+    A choice of images for a generating set extends along right
+    multiplication by the generators; it is a homomorphism exactly when
+    no edge x -> x s of the Cayley graph meets a conflict.
+    """
+    n = g.order
+    gens, span = [], {g.identity}
+    for x in range(n):
+        if x in span:
+            continue
+        gens.append(x)
+        frontier = list(span)
+        while frontier:
+            y = frontier.pop()
+            for s in gens:
+                z = g.table[y][s]
+                if z not in span:
+                    span.add(z)
+                    frontier.append(z)
+    homs = []
+    for images in product(range(n), repeat=len(gens)):
+        phi = [None] * n
+        phi[g.identity] = g.identity
+        frontier = [g.identity]
+        ok = True
+        while frontier and ok:
+            y = frontier.pop()
+            for s, t in zip(gens, images):
+                z, w = g.table[y][s], g.table[phi[y]][t]
+                if phi[z] is None:
+                    phi[z] = w
+                    frontier.append(z)
+                elif phi[z] != w:
+                    ok = False
+                    break
+        if ok:
+            homs.append(tuple(phi))
+    return sorted(homs)
+
+
+def first_associativity_failure(table):
+    n = len(table)
+    for a, b, c in product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return a, b, c
+    return None
+
+
+def first_rb_witness(g, table):
+    for a, b in product(range(g.order), repeat=2):
+        w = gr._rb_group_witness(g, table, a, b)
+        if w is not None:
+            return w
+    return None
+
+
+c2, c4 = gr.cyclic(2), gr.cyclic(4)
+z2_cubed = gr.direct_product(gr.direct_product(c2, c2), c2)
+z4_z4 = gr.direct_product(c4, c4)
 
 
 # -- constructors -----------------------------------------------------------------
@@ -72,6 +201,37 @@ def test_bad_table_rejected():
         gr.FiniteGroup(((0, 1), (0, 1)), ("e", "g"))  # not a Latin square
 
 
+# a loop of order 5: a Latin square with identity 0 and unique inverses
+# that is not associative
+LOOP5 = ((0, 1, 2, 3, 4),
+         (1, 0, 3, 4, 2),
+         (2, 4, 0, 1, 3),
+         (3, 2, 4, 0, 1),
+         (4, 3, 1, 2, 0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_non_associative_table_names_first_triple(seed):
+    rng = random.Random(seed)
+    perm = list(range(5))
+    rng.shuffle(perm)
+    table = [[0] * 5 for _ in range(5)]
+    for a, b in product(range(5), repeat=2):
+        table[perm[a]][perm[b]] = perm[LOOP5[a][b]]
+    expected = first_associativity_failure(table)
+    assert expected is not None
+    with pytest.raises(DimensionMismatch) as exc:
+        gr.FiniteGroup(tuple(map(tuple, table)), tuple("abcde"))
+    assert str(exc.value) == "table is not associative at (%d,%d,%d)" % expected
+
+
+def test_associativity_check_accepts_groups():
+    assert gr.cyclic(1).inverse == (0,)
+    assert gr.FiniteGroup([[0, 1], [1, 0]], ("e", "g")).inverse == (0, 1)
+    for g in (gr.symmetric(4), gr.dihedral(5), gr.quaternion_group()):
+        assert first_associativity_failure(g.table) is None
+
+
 # -- Rota-Baxter group operators ----------------------------------------------------
 
 def test_trivial_and_inverse_operators_valid(s3):
@@ -86,6 +246,43 @@ def test_identity_map_fails_on_s3(s3):
     with pytest.raises(IdentityFails) as exc:
         gr.verify_rb_group(s3, tuple(range(6)))
     assert exc.value.witness.at == ("r", "s")
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Z4xZ4"])
+def test_perturbed_table_witness_is_first_failing_pair(name):
+    g = {"S3": gr.dihedral(3), "D4": gr.dihedral(4), "Z4xZ4": z4_z4}[name]
+    rng = random.Random(name)
+    ops = gr.enumerate_rb_group_ops(g)
+    for op in rng.sample(ops, min(6, len(ops))):
+        for _ in range(4):
+            table = list(op.table)
+            x = rng.randrange(g.order)
+            table[x] = (table[x] + rng.randrange(1, g.order)) % g.order
+            expected = first_rb_witness(g, table)
+            if expected is None:
+                assert gr.verify_rb_group(g, table).table == tuple(table)
+                continue
+            with pytest.raises(IdentityFails) as exc:
+                gr.verify_rb_group(g, table)
+            assert exc.value.witness == expected
+
+
+def test_verify_rb_group_on_every_map_of_small_groups(s3):
+    for g in (gr.cyclic(4), gr.dihedral(2), gr.cyclic(5), s3):
+        for table in product(range(g.order), repeat=g.order):
+            expected = first_rb_witness(g, table)
+            if expected is None:
+                assert gr.verify_rb_group(g, table).table == table
+                continue
+            with pytest.raises(IdentityFails) as exc:
+                gr.verify_rb_group(g, table)
+            assert exc.value.witness == expected
+
+
+def test_verify_rb_group_rejects_malformed_tables(s3):
+    for table in ((0,) * 5, (0,) * 7, (0, 1, 2, 3, 4, 6), (0, 1, 2, -1, 4, 5)):
+        with pytest.raises(DimensionMismatch):
+            gr.verify_rb_group(s3, table)
 
 
 def test_skew_brace_from_inverse_operator_is_opposite(s3):
@@ -146,6 +343,76 @@ def test_enumeration_s3_contains_standard_ops(s3):
 def test_budget_exceeded_carries_partials(s3):
     with pytest.raises(gr.BudgetExceeded):
         gr.enumerate_rb_group_ops(s3, budget=2)
+
+
+ORACLE_GROUPS = {
+    "D4": lambda: gr.dihedral(4),
+    "Q8": gr.quaternion_group,
+    "Z2xZ4": lambda: gr.direct_product(c2, c4),
+    "Z2^3": lambda: z2_cubed,
+    "D6": lambda: gr.dihedral(6),
+    "S3xZ2": lambda: gr.direct_product(gr.dihedral(3), c2),
+    "D8": lambda: gr.dihedral(8),
+    "Z4xZ4": lambda: z4_z4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_enumeration_matches_full_rescan_reference(name):
+    g = ORACLE_GROUPS[name]()
+    rng = random.Random(name)
+    for shuffled in (False, True):
+        perm = list(range(g.order))
+        if shuffled:
+            rng.shuffle(perm)
+        h = relabel(g, perm)
+        expected, _ = reference_enumeration(h)
+        assert [op.table for op in gr.enumerate_rb_group_ops(h)] == expected
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_budget_trips_where_full_rescan_reference_does(n):
+    g = gr.dihedral(n)
+    tables, nodes = reference_enumeration(g)
+    for budget in range(1, nodes + 1):
+        try:
+            reference_enumeration(g, budget)
+        except gr.BudgetExceeded as exc:
+            expected = [op.table for op in exc.partial]
+        else:
+            expected = None
+        try:
+            ops = gr.enumerate_rb_group_ops(g, budget)
+        except gr.BudgetExceeded as exc:
+            assert expected is not None, budget
+            assert [op.table for op in exc.partial] == expected
+        else:
+            assert expected is None, budget
+            assert [op.table for op in ops] == tables
+    with pytest.raises(gr.BudgetExceeded):
+        gr.enumerate_rb_group_ops(g, nodes - 1)
+
+
+def shipped_abelian_groups():
+    """One shipped construction of each abelian group of order <= 16,
+    except Z2^4 (65536 operators)."""
+    c = gr.cyclic
+    d = gr.direct_product
+    groups = [c(n) for n in range(1, 17)]
+    groups += [gr.dihedral(2), d(c2, c4), z2_cubed, d(c(3), c(3)),
+               d(c2, c(6)), d(c2, c(8)), z4_z4, d(d(c2, c2), c4)]
+    return groups
+
+
+@pytest.mark.parametrize("g", shipped_abelian_groups(), ids=str)
+def test_abelian_operators_are_the_endomorphisms(g):
+    assert g.is_abelian()
+    homs = endomorphisms(g)
+    assert [op.table for op in gr.enumerate_rb_group_ops(g)] == homs
+    if g is z2_cubed:
+        assert len(homs) == 512
+    if g is z4_z4:
+        assert len(homs) == 256
 
 
 # -- lifting and cross-level consistency --------------------------------------------------
