@@ -14,7 +14,7 @@ from .errors import (CompatibilityFails, ConstructionInvalid,
                      DimensionMismatch, HopfAxiomFails, HopfkitError,
                      HypothesisFails, InternalTheoremViolation,
                      NotExactFactorization, SingularMap)
-from .hopf import (HopfAlgebraData, ModuleAction, apply2,
+from .hopf import (HopfAlgebraData, ModuleAction, adjoint_map, apply2,
                    check_cocommutative, check_module_bialgebra,
                    convolution_inverse, opposite_hopf, require_cocommutative,
                    scalar_space, sub_hopf_indices, verify_hopf)
@@ -63,18 +63,28 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
             fail = report.first_failure()
             raise HopfAxiomFails(fail.name, fail.witness, structure=name)
 
+    # rhs = Σ (a_(1) ∘ b) S(a_(2)) (a_(3) ∘ c).  Coassociativity of the
+    # verified coproduct splits the legs as Δ(x) ⊗ y over (x, y) in Δ(a),
+    # so rhs = Σ_x left[x][b] (Σ_y w (y ∘ c)) with one product per x.
     dim = dot.dim
     s = dot.antipode
+    left = [[accumulate(dot.space, (
+                (w, dot.product(circle.mul_basis(x1, b), s.columns[x2]))
+                for w, (x1, x2) in dot.sweedler(x, 2)))
+             for b in range(dim)] for x in range(dim)]
+    one = dot.field.one
     for a in range(dim):
-        legs = dot.sweedler(a, 3)
+        legs: dict = {}
+        for w, (x, y) in dot.sweedler(a, 2):
+            legs.setdefault(x, []).append((w, y))
+        right = [[(x, accumulate(dot.space, ((w, circle.mul_basis(y, c))
+                                             for w, y in terms)))
+                  for x, terms in legs.items()] for c in range(dim)]
         for b in range(dim):
             for c in range(dim):
                 lhs = apply2(circle.mul, dot.basis(a), dot.mul_basis(b, c))
                 rhs = accumulate(dot.space, (
-                    (w, dot.product_many([circle.mul_basis(a1, b),
-                                          s.columns[a2],
-                                          circle.mul_basis(a3, c)]))
-                    for w, (a1, a2, a3) in legs))
+                    (one, dot.product(left[x][b], r)) for x, r in right[c]))
                 if lhs != rhs:
                     raise CompatibilityFails(
                         "brace compatibility fails",
@@ -376,42 +386,45 @@ def check_symmetric_sufficient(br: HopfBrace) -> bool:
     return symmetric_sufficient_witness(br) is None
 
 
-def adjoint_apply(h: HopfAlgebraData, u: Element, x: Element) -> Element:
-    """u ▷ x = u_(1) x S(u_(2)) extended bilinearly in u."""
-    terms = []
-    for i, ci in u.coeffs.items():
-        for c, (g1, g2) in h.sweedler(i, 2):
-            terms.append((h.field.mul(ci, c),
-                          h.product_many([h.basis(g1), x,
-                                          h.antipode.columns[g2]])))
-    return accumulate(h.space, terms)
-
-
 def rb_symmetric_sufficient_witness(h: HopfAlgebraData,
                                     b: LinearOp) -> Witness | None:
     h.require_validated()
     t = descendent_antipode(h, b)
+    ad = adjoint_map(h)
     dim = h.dim
+    one = h.field.one
+    bm = [b(col) for col in h.mul.columns]
+    bt = [b(col) for col in t.columns]
+    actors: dict = {}      # (a2 b2, a3) -> B(a2 b2) B(T(a3))
     for a in range(dim):
         legs_a = h.sweedler(a, 3)
         for bb in range(dim):
             legs_b = h.sweedler(bb, 2)
+            # ▷ is linear in the actor: sum the actors of each outer
+            # factor a b_(1) (lhs) and a_(1) b_(1) (rhs) before acting
+            lhs_terms: dict = {}
+            for w, (b1, b2) in legs_b:
+                lhs_terms.setdefault((a, b1), []).append((w, b.columns[b2]))
+            rhs_terms: dict = {}
+            for wa, (a1, a2, a3) in legs_a:
+                for wb, (b1, b2) in legs_b:
+                    key = (a2 * dim + b2, a3)
+                    actor = actors.get(key)
+                    if actor is None:
+                        actor = actors[key] = h.product(bm[key[0]], bt[a3])
+                    rhs_terms.setdefault((a1, b1), []).append((wa * wb, actor))
+            lhs_actors = [(h.mul_basis(x, y), accumulate(h.space, terms))
+                          for (x, y), terms in lhs_terms.items()]
+            rhs_actors = [(h.mul_basis(x, y), accumulate(h.space, terms))
+                          for (x, y), terms in rhs_terms.items()]
             for c in range(dim):
+                e_c = h.basis(c)
                 lhs = accumulate(h.space, (
-                    (w, h.product_many([h.basis(a), h.basis(b1),
-                                        adjoint_apply(h, b.columns[b2],
-                                                      h.basis(c))]))
-                    for w, (b1, b2) in legs_b))
-                terms = []
-                for wa, (a1, a2, a3) in legs_a:
-                    bta = b(t.columns[a3])
-                    for wb, (b1, b2) in legs_b:
-                        actor = h.product(b(h.mul_basis(a2, b2)), bta)
-                        terms.append((h.field.mul(wa, wb),
-                                      h.product_many([h.basis(a1), h.basis(b1),
-                                                      adjoint_apply(h, actor,
-                                                                    h.basis(c))])))
-                rhs = accumulate(h.space, terms)
+                    (one, h.product(outer, apply2(ad, u, e_c)))
+                    for outer, u in lhs_actors))
+                rhs = accumulate(h.space, (
+                    (one, h.product(outer, apply2(ad, u, e_c)))
+                    for outer, u in rhs_actors))
                 if lhs != rhs:
                     return Witness((h.label(a), h.label(bb), h.label(c)),
                                    str(lhs), str(rhs))
@@ -430,14 +443,15 @@ def check_rb_symmetric_sufficient(h: HopfAlgebraData, b: LinearOp) -> bool:
 
 def rb_op_module_witness(h: HopfAlgebraData, b: LinearOp) -> Witness | None:
     h.require_validated()
+    ad = adjoint_map(h)
     dim = h.dim
     for a in range(dim):
         for bb in range(dim):
             left_actor = b(h.mul_basis(bb, a))
             right_actor = h.product(b.columns[a], b.columns[bb])
             for c in range(dim):
-                lhs = adjoint_apply(h, left_actor, h.basis(c))
-                rhs = adjoint_apply(h, right_actor, h.basis(c))
+                lhs = apply2(ad, left_actor, h.basis(c))
+                rhs = apply2(ad, right_actor, h.basis(c))
                 if lhs != rhs:
                     return Witness((h.label(a), h.label(bb), h.label(c)),
                                    str(lhs), str(rhs))

@@ -29,7 +29,9 @@ KINDS = ("group", "hopf", "map", "action", "rb", "brace", "smash",
 # before any table is built: a group of order n costs an n^2 table and an
 # n^3 associativity check, a basis of length d allocates d^2 product
 # columns.  256 leaves room for re-reading derived carriers such as the
-# 144-dimensional embedding ambient of D6.
+# 144-dimensional embedding ambient of D6.  It also caps the degree of
+# permutation generators, which every closure step copies; no group is
+# lost, since a group of order n acts faithfully on n points.
 MAX_DECLARED_SIZE = 256
 
 
@@ -185,14 +187,18 @@ def _group_from_spec(raw, path) -> gr.FiniteGroup:
 
 
 def _group_from_permutations(gens, path) -> gr.FiniteGroup:
-    if not isinstance(gens, list) or not gens:
-        raise DefinitionSyntaxError("permutations must be a non-empty list", path)
+    if not isinstance(gens, list) or not gens or \
+            not all(isinstance(g, list) for g in gens):
+        raise DefinitionSyntaxError(
+            "permutations must be a non-empty list of lists", path)
     degree = len(gens[0])
-    gens = [tuple(g) for g in gens]
+    _check_size(degree, "permutation degree", path)
     for g in gens:
-        if sorted(g) != list(range(degree)):
+        if len(g) != degree or any(type(x) is not int for x in g) \
+                or sorted(g) != list(range(degree)):
             raise DefinitionSyntaxError(
-                f"{list(g)} is not a permutation of 0..{degree - 1}", path)
+                f"{g} is not a permutation of 0..{degree - 1}", path)
+    gens = [tuple(g) for g in gens]
     ident = tuple(range(degree))
     elems = {ident}
     frontier = [ident]
@@ -213,7 +219,10 @@ def _group_from_permutations(gens, path) -> gr.FiniteGroup:
     index = {p: i for i, p in enumerate(order)}
     table = tuple(tuple(index[tuple(p[q[i]] for i in range(degree))]
                         for q in order) for p in order)
-    labels = tuple("".join(str(x) for x in p) for p in order)
+    # one-line images "021"; above degree 10 two-digit points would make
+    # labels collide, so the points are joined with dots there
+    sep = "" if degree <= 10 else "."
+    labels = tuple(sep.join(str(x) for x in p) for p in order)
     return gr.FiniteGroup(table, labels, "perm-group")
 
 

@@ -494,21 +494,6 @@ def _basis_permutation_map(h, table):
     return LinearOp(h.space, h.space, [h.space.basis(j) for j in table])
 
 
-def group_automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms of g by brute force over generator images
-    (intended for small orders)."""
-    n = g.order
-    auts = []
-    from itertools import permutations
-    for perm in permutations(range(n)):
-        if perm[g.identity] != g.identity:
-            continue
-        if all(perm[g.mul(a, bb)] == g.mul(perm[a], perm[bb])
-               for a in range(n) for bb in range(n)):
-            auts.append(perm)
-    return auts
-
-
 def conjugation_automorphism(g: FiniteGroup, by: int) -> tuple[int, ...]:
     return tuple(g.conj(by, x) for x in range(g.order))
 

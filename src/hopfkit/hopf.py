@@ -700,16 +700,22 @@ def trivial_action(actor: HopfAlgebraData, carrier: HopfAlgebraData) -> ModuleAc
     return module_action(actor, carrier, LinearOp(dom, carrier.space, cols))
 
 
-def adjoint_action(h: HopfAlgebraData) -> ModuleAction:
-    """g ⊳ x = g_(1) x S(g_(2)), the adjoint action of H on itself."""
+def adjoint_map(h: HopfAlgebraData) -> LinearOp:
+    """g ⊳ x = g_(1) x S(g_(2)) as a map H ⊗ H -> H, without the module
+    checks; evaluate it on elements with :func:`apply2`."""
     cols = []
     for a in range(h.dim):
+        legs = h.sweedler(a, 2)
         for i in range(h.dim):
             cols.append(accumulate(h.space, (
-                (c, h.product_many([h.basis(g1), h.basis(i),
-                                    h.antipode.columns[g2]]))
-                for c, (g1, g2) in h.sweedler(a, 2))))
-    return module_action(h, h, LinearOp(h.hh, h.space, cols))
+                (c, h.product(h.mul_basis(g1, i), h.antipode.columns[g2]))
+                for c, (g1, g2) in legs)))
+    return LinearOp(h.hh, h.space, cols)
+
+
+def adjoint_action(h: HopfAlgebraData) -> ModuleAction:
+    """g ⊳ x = g_(1) x S(g_(2)), the adjoint action of H on itself."""
+    return module_action(h, h, adjoint_map(h))
 
 
 # -- Hopf subalgebras -----------------------------------------------------------

@@ -34,10 +34,6 @@ class MatchedPair:
     ract: LinearOp                 # K ⊗ H -> K   (x ↼ a)
 
 
-def _lact_basis(m_or_tuple, x: int, a: int, dim_h: int):
-    return m_or_tuple.columns[tensor_index(x, a, dim_h)]
-
-
 def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
                         lact: LinearOp, ract: LinearOp) -> MatchedPair:
     """Sweep every module-coalgebra and compatibility axiom; the first
@@ -167,7 +163,6 @@ def matched_pair_from_rb(b: RotaBaxterOp) -> MatchedPair:
     b.require_validated()
     h = b.carrier
     dim = h.dim
-    field = h.field
     hb = descend(b).hopf
 
     lact_cols = []
@@ -180,9 +175,16 @@ def matched_pair_from_rb(b: RotaBaxterOp) -> MatchedPair:
                 for c, left, right in wings)))
     lact = LinearOp(h.hh, h.space, lact_cols)
 
-    def la(x: int, a: int) -> Element:
-        return lact.columns[tensor_index(x, a, dim)]
-
+    # S∘B∘lact, S∘lact and B∘lact as tables over the dim² action columns.
+    # Each distinct left factor S(B(u1)) S(u2) is turned into its left
+    # multiplication map and each right factor x3 u3 B(u4) is formed once
+    # per call, so a term costs one map application.
+    lcols = lact.columns
+    sbl = [h.antipode(b.map(u)) for u in lcols]
+    sl = [h.antipode(u) for u in lcols]
+    bl = [b.map(u) for u in lcols]
+    lefts: dict = {}
+    rights: dict = {}
     ract_cols = []
     for x in range(dim):
         legs_x = h.sweedler(x, 5)
@@ -190,13 +192,19 @@ def matched_pair_from_rb(b: RotaBaxterOp) -> MatchedPair:
             terms = []
             for cx, (x1, x2, x3, x4, x5) in legs_x:
                 for ca, (a1, a2, a3, a4) in h.sweedler(a, 4):
-                    u1 = la(x1, a1)
-                    u2 = la(x2, a2)
-                    u3 = la(x4, a3)
-                    u4 = la(x5, a4)
-                    terms.append((field.mul(cx, ca), h.product_many(
-                        [h.antipode(b.map(u1)), h.antipode(u2), h.basis(x3),
-                         u3, b.map(u4)])))
+                    k1, k2 = x1 * dim + a1, x2 * dim + a2
+                    left = lefts.get((k1, k2))
+                    if left is None:
+                        factor = h.product(sbl[k1], sl[k2])
+                        left = lefts[k1, k2] = LinearOp.from_function(
+                            h.space, h.space,
+                            lambda j: h.product(factor, h.basis(j)))
+                    k3, k4 = x4 * dim + a3, x5 * dim + a4
+                    right = rights.get((x3, k3, k4))
+                    if right is None:
+                        right = rights[x3, k3, k4] = h.product_many(
+                            [h.basis(x3), lcols[k3], bl[k4]])
+                    terms.append((cx * ca, left(right)))
             ract_cols.append(accumulate(h.space, terms))
     ract = LinearOp(h.hh, h.space, ract_cols)
     return verify_matched_pair(hb, hb, lact, ract)

@@ -20,7 +20,7 @@ from .errors import (ConstructionInvalid, DimensionMismatch, HopfkitError,
 from .hopf import (HopfAlgebraData, check_bialgebra_automorphism,
                    check_coalgebra_morphism, require_cocommutative,
                    verify_hopf)
-from .linalg import Element, LinearOp, accumulate, invert
+from .linalg import Element, LinearOp, accumulate, invert, tensor_index
 from .report import AxiomReport, Witness
 
 
@@ -54,15 +54,6 @@ def _coalgebra_map_witness(h: HopfAlgebraData, b: LinearOp) -> Witness | None:
     return None
 
 
-def rb_identity_rhs(h: HopfAlgebraData, b: LinearOp, x: int, y: Element) -> Element:
-    """B( x_(1) B(x_(2)) y S(B(x_(3))) ) for a basis index x."""
-    inner = accumulate(h.space, (
-        (c, h.product_many([h.basis(x1), b.columns[x2], y,
-                            h.antipode(b.columns[x3])]))
-        for c, (x1, x2, x3) in h.sweedler(x, 3)))
-    return b(inner)
-
-
 def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     """Check the coalgebra-morphism property and the Rota-Baxter identity
     on all basis pairs."""
@@ -72,11 +63,12 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     w = _coalgebra_map_witness(h, b)
     if w is not None:
         raise NotCoalgebraMap("operator is not a coalgebra map", w)
+    circ = _circle_mul(h, b)     # x ∘_B y = x_(1) B(x_(2)) y S(B(x_(3)))
     for x in range(h.dim):
         bx = b.columns[x]
         for y in range(h.dim):
             lhs = h.product(bx, b.columns[y])
-            rhs = rb_identity_rhs(h, b, x, h.basis(y))
+            rhs = b(circ.columns[tensor_index(x, y, h.dim)])
             if lhs != rhs:
                 raise RBIdentityFails(
                     "Rota-Baxter identity fails",
@@ -131,15 +123,26 @@ def circle_product_element(h: HopfAlgebraData, b: LinearOp,
 
 
 def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
+    """g ∘_B x = g_(1) B(g_(2)) x S(B(g_(3))).  Coassociativity splits the
+    legs as Δ(y) ⊗ z over (y, z) in Δ(g): each y gives one left factor
+    y_(1) B(y_(2)), and its right factors S(B(z)) are summed first."""
+    dim = h.dim
+    one = h.field.one
+    left = [accumulate(h.space, ((c, h.product(h.basis(y1), b.columns[y2]))
+                                 for c, (y1, y2) in h.sweedler(y, 2)))
+            for y in range(dim)]
+    sb = [h.antipode(col) for col in b.columns]
     cols = []
-    for g in range(h.dim):
-        wings = [(c, h.product(h.basis(g1), b.columns[g2]),
-                  h.antipode(b.columns[g3]))
-                 for c, (g1, g2, g3) in h.sweedler(g, 3)]
-        for x in range(h.dim):
+    for g in range(dim):
+        groups: dict = {}
+        for c, (y, z) in h.sweedler(g, 2):
+            groups.setdefault(y, []).append((c, sb[z]))
+        wings = [(left[y], accumulate(h.space, terms))
+                 for y, terms in groups.items()]
+        for x in range(dim):
             cols.append(accumulate(h.space, (
-                (c, h.product(h.product(left, h.basis(x)), right))
-                for c, left, right in wings)))
+                (one, h.product(h.product(lft, h.basis(x)), rgt))
+                for lft, rgt in wings)))
     return LinearOp(h.hh, h.space, cols)
 
 

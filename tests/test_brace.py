@@ -1,13 +1,23 @@
 """Hopf braces: verification, derived action, embedding, symmetry suite."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
+from hopfkit.brace import rb_op_module_witness, rb_symmetric_sufficient_witness
 from hopfkit.errors import (CompatibilityFails, HopfAxiomFails,
                             HypothesisFails, NotExactFactorization)
-from hopfkit.linalg import LinearOp, tensor_index
+from hopfkit.hopf import apply2, transport_hopf
+from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
+                            accumulate, invert, tensor_index)
+from hopfkit.rb import descendent_antipode
+from hopfkit.report import Witness
+
+ORACLE = settings(max_examples=10, deadline=None, database=None)
 
 
 def conjugation_action(f2):
@@ -263,3 +273,180 @@ def test_factorization_trivial_part_gives_dot(f2):
 def test_factorization_wrong_sizes_rejected(f2):
     with pytest.raises(NotExactFactorization):
         hk.brace_from_exact_factorization(f2, ["e", "s"], ["e", "rs"])
+
+
+# -- oracles: the sweeps term by term ----------------------------------------------------
+
+def reference_compatibility_witness(dot, circle):
+    """First failing triple of a ∘ (bc) = (a_(1)∘b) S(a_(2)) (a_(3)∘c), the
+    right side summed term by term over the three-leg coproduct of a."""
+    dim = dot.dim
+    s = dot.antipode
+    for a in range(dim):
+        legs = dot.sweedler(a, 3)
+        for b in range(dim):
+            for c in range(dim):
+                lhs = apply2(circle.mul, dot.basis(a), dot.mul_basis(b, c))
+                rhs = accumulate(dot.space, (
+                    (w, dot.product_many([circle.mul_basis(a1, b),
+                                          s.columns[a2],
+                                          circle.mul_basis(a3, c)]))
+                    for w, (a1, a2, a3) in legs))
+                if lhs != rhs:
+                    return Witness((dot.label(a), dot.label(b), dot.label(c)),
+                                   str(lhs), str(rhs))
+    return None
+
+
+def adjoint_apply(h, u, x):
+    """u ▷ x = u_(1) x S(u_(2)), expanded over the basis terms of u."""
+    terms = []
+    for i, ci in u.coeffs.items():
+        for c, (g1, g2) in h.sweedler(i, 2):
+            terms.append((h.field.mul(ci, c),
+                          h.product_many([h.basis(g1), x,
+                                          h.antipode.columns[g2]])))
+    return accumulate(h.space, terms)
+
+
+def reference_prop48(h, b):
+    t = descendent_antipode(h, b)
+    dim = h.dim
+    for a in range(dim):
+        legs_a = h.sweedler(a, 3)
+        for bb in range(dim):
+            legs_b = h.sweedler(bb, 2)
+            for c in range(dim):
+                lhs = accumulate(h.space, (
+                    (w, h.product_many([h.basis(a), h.basis(b1),
+                                        adjoint_apply(h, b.columns[b2],
+                                                      h.basis(c))]))
+                    for w, (b1, b2) in legs_b))
+                terms = []
+                for wa, (a1, a2, a3) in legs_a:
+                    bta = b(t.columns[a3])
+                    for wb, (b1, b2) in legs_b:
+                        actor = h.product(b(h.mul_basis(a2, b2)), bta)
+                        terms.append((h.field.mul(wa, wb),
+                                      h.product_many([h.basis(a1), h.basis(b1),
+                                                      adjoint_apply(h, actor,
+                                                                    h.basis(c))])))
+                rhs = accumulate(h.space, terms)
+                if lhs != rhs:
+                    return Witness((h.label(a), h.label(bb), h.label(c)),
+                                   str(lhs), str(rhs))
+    return None
+
+
+def reference_prop49(h, b):
+    dim = h.dim
+    for a in range(dim):
+        for bb in range(dim):
+            left_actor = b(h.mul_basis(bb, a))
+            right_actor = h.product(b.columns[a], b.columns[bb])
+            for c in range(dim):
+                lhs = adjoint_apply(h, left_actor, h.basis(c))
+                rhs = adjoint_apply(h, right_actor, h.basis(c))
+                if lhs != rhs:
+                    return Witness((h.label(a), h.label(bb), h.label(c)),
+                                   str(lhs), str(rhs))
+    return None
+
+
+def basis_change(h, columns):
+    """The map sending the group basis to the basis whose k-th vector has
+    the coordinates ``columns[k]``; a first column {0: 1} keeps the unit
+    as the first basis vector."""
+    space = BasedSpace(tuple(f"w{k}" for k in range(h.dim)), h.field)
+    return invert(LinearOp(space, h.space,
+                           [Element(h.space, col) for col in columns]))
+
+
+DENSE_Z3 = [{0: 1},
+            {0: Fraction(1, 2), 1: 1, 2: Fraction(1, 3)},
+            {0: -1, 1: 1, 2: 2}]
+DENSE_Z4 = [{0: 1},
+            {0: Fraction(1, 2), 1: 1, 2: -1, 3: Fraction(2, 3)},
+            {0: 1, 1: Fraction(-1, 3), 2: 2, 3: 1},
+            {0: -1, 1: 1, 2: Fraction(1, 2), 3: 3}]
+
+
+def test_compatibility_sweep_matches_reference_on_valid_braces():
+    h = fx.f2()
+    p = basis_change(h, [{0: 1}, {1: 1}, {2: 1, 5: 1}, {3: 1}, {4: 1},
+                         {2: 1, 5: -1}])
+    k = transport_hopf(h, p)
+    for op in gr.enumerate_rb_group_ops(gr.dihedral(3)):
+        lift = gr.lift_to_group_algebra(op)
+        b_k = hk.verify_rb(k, p.compose(lift.map).compose(invert(p)))
+        circle = hk.descend(b_k).hopf
+        assert reference_compatibility_witness(k, circle) is None
+        assert hk.verify_brace(k, circle).validated
+
+
+@ORACLE
+@given(sigma=st.sampled_from([(0, 2, 1, 3), (0, 1, 3, 2), (0, 2, 3, 1),
+                              (0, 3, 1, 2)]),
+       field=st.sampled_from([QQ, Field(7)]))
+def test_compatibility_witness_matches_reference_on_dense_z4(sigma, field):
+    # relabelling Z4 along a bijection that fixes e but is no automorphism
+    # gives a second group structure on the same coalgebra; both are moved
+    # to a dense basis whose first vector is still e, so every triple
+    # (e, b, c) holds and the first failure lies further in
+    z4 = hk.group_algebra(gr.cyclic(4), field)
+    inv = [sigma.index(i) for i in range(4)]
+    cols = [z4.space.basis(sigma[(inv[i] + inv[j]) % 4])
+            for i in range(4) for j in range(4)]
+    anti = LinearOp(z4.space, z4.space,
+                    [z4.space.basis(sigma[-inv[i] % 4]) for i in range(4)])
+    circle = hk.hopf_from_structure(z4.space, LinearOp(z4.hh, z4.space, cols),
+                                    z4.unit, z4.comul, z4.counit, anti)
+    assert hk.verify_hopf(circle).passed
+    p = basis_change(z4, DENSE_Z4)
+    dot_k, circle_k = transport_hopf(z4, p), transport_hopf(circle, p)
+    want = reference_compatibility_witness(dot_k, circle_k)
+    assert want is not None and want.at[0] != "w0"
+    with pytest.raises(CompatibilityFails) as exc:
+        hk.verify_brace(dot_k, circle_k)
+    assert exc.value.witness == want
+
+
+def perturbed(b, col, row, delta):
+    cols = list(b.columns)
+    coeffs = dict(cols[col].coeffs)
+    coeffs[row] = coeffs.get(row, 0) + delta
+    cols[col] = Element(b.codomain, coeffs)
+    return LinearOp(b.domain, b.codomain, cols)
+
+
+DELTAS = st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool)
+
+
+@ORACLE
+@given(col=st.integers(1, 2), row=st.integers(0, 2), delta=DELTAS)
+def test_adjoint_witnesses_match_reference_on_dense_z3(col, row, delta):
+    # the inversion operator moved to a dense basis of Q[Z3] whose first
+    # vector is e, with one entry off a column other than B(e)
+    h = hk.group_algebra(gr.cyclic(3))
+    p = basis_change(h, DENSE_Z3)
+    k = transport_hopf(h, p)
+    b = perturbed(p.compose(h.antipode).compose(invert(p)), col, row, delta)
+    assert rb_symmetric_sufficient_witness(k, b) == reference_prop48(k, b)
+    assert rb_op_module_witness(k, b) == reference_prop49(k, b)
+
+
+@ORACLE
+@given(col=st.integers(0, 5), row=st.integers(0, 5), delta=DELTAS,
+       base=st.sampled_from(["inv", "eps"]))
+def test_adjoint_witnesses_match_reference_on_s3(f2, col, row, delta, base):
+    b = f2.antipode if base == "inv" else fx.b_eps(f2).map
+    b = perturbed(b, col, row, delta)
+    assert rb_symmetric_sufficient_witness(f2, b) == reference_prop48(f2, b)
+    assert rb_op_module_witness(f2, b) == reference_prop49(f2, b)
+
+
+def test_adjoint_verdicts_match_reference_across_s3_corpus(f2):
+    for op in gr.enumerate_rb_group_ops(gr.dihedral(3)):
+        b = gr.lift_to_group_algebra(op).map
+        assert rb_symmetric_sufficient_witness(f2, b) == reference_prop48(f2, b)
+        assert rb_op_module_witness(f2, b) == reference_prop49(f2, b)

@@ -123,6 +123,25 @@ def test_parse_permutation_group():
     assert defs["S3"].obj.order == 6
 
 
+def test_permutation_labels_distinct_above_degree_ten():
+    # without a separator (0,11,1,3,...,10,2) and (0,1,11,3,...,10,2) both
+    # render as 01113456789102
+    gens = [[0, 2, 1] + list(range(3, 12)), [0, 1, 11] + list(range(3, 11)) + [2]]
+    doc = json.dumps({"version": 1, "declarations": [
+        {"kind": "hopf", "name": "A", "group_algebra": {"permutations": gens}}]})
+    h = parse_text(doc)["A"].obj
+    assert h.dim == 6 and h.validated
+    assert "0.11.1.3.4.5.6.7.8.9.10.2" in h.space.labels
+    assert "0.1.11.3.4.5.6.7.8.9.10.2" in h.space.labels
+
+
+def test_permutation_labels_unchanged_up_to_degree_ten():
+    doc = json.dumps({"version": 1, "declarations": [
+        {"kind": "group", "name": "G", "group": {"permutations": [
+            [1, 0, 2, 3, 4, 5, 6, 7, 8, 9]]}}]})
+    assert parse_text(doc)["G"].obj.labels == ("0123456789", "1023456789")
+
+
 def test_parse_prime_field_override():
     from hopfkit.linalg import Field
     defs = parse_text(F2_BINV, Field(5))
@@ -167,6 +186,9 @@ OVERSIZED = {
     # S6 has order 720: the closure has to stop at the cap.
     "permutations": {"kind": "group", "name": "G", "group": {
         "permutations": [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]}},
+    # a single 10^6-cycle: refused on its degree before it is copied
+    "permutation-degree": {"kind": "group", "name": "G", "group": {
+        "permutations": [list(range(1, 10 ** 6)) + [0]]}},
     "basis": {"kind": "hopf", "name": "H",
               "basis": [f"b{i}" for i in range(MAX_DECLARED_SIZE + 1)],
               "mul": [], "unit": [], "comul": [], "counit": [], "antipode": []},
@@ -180,6 +202,16 @@ def test_oversized_declarations_exit_two_before_allocating(tmp_path, capsys, cas
     start = time.perf_counter()
     assert cli.main(["verify", str(path)]) == 2
     assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("gens", [[5], [[0, 1], 3], [[0.0, 1]], [[True, 0]],
+                                  [[0, 1], [0, 1, 2]]], ids=str)
+def test_malformed_permutations_exit_two(tmp_path, capsys, gens):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": 1, "declarations": [
+        {"kind": "group", "name": "G", "group": {"permutations": gens}}]}))
+    assert cli.main(["verify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -1,12 +1,16 @@
 """Matched pairs, Yang-Baxter maps, and brace reconstruction."""
 
+from fractions import Fraction
+
 import pytest
 
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit.errors import AxiomFails
-from hopfkit.linalg import LinearOp, tensor_index, tensor_space
+from hopfkit.hopf import transport_hopf
+from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
+                            accumulate, invert, tensor_index, tensor_space)
 
 
 def test_trivial_actions_form_matched_pair(f2):
@@ -139,3 +143,69 @@ def test_brace_round_trip_across_corpus():
         br = hk.brace_from_matched_pair(m, circle)
         assert br.dot.mul == lift.carrier.mul
         assert br.dot.antipode == lift.carrier.antipode
+
+
+# -- oracle: the actions term by term ---------------------------------------------------
+
+def reference_actions(b):
+    """The lact and ract columns of matched_pair_from_rb, with every map
+    applied and every five-factor product formed inside each pair of
+    Sweedler terms of x and a."""
+    h = b.carrier
+    dim = h.dim
+    field = h.field
+    lact = []
+    for x in range(dim):
+        wings = [(c, b.map.columns[x1], h.antipode(b.map.columns[x2]))
+                 for c, (x1, x2) in h.sweedler(x, 2)]
+        for a in range(dim):
+            lact.append(accumulate(h.space, (
+                (c, h.product_many([left, h.basis(a), right]))
+                for c, left, right in wings)))
+    ract = []
+    for x in range(dim):
+        for a in range(dim):
+            terms = []
+            for cx, (x1, x2, x3, x4, x5) in h.sweedler(x, 5):
+                for ca, (a1, a2, a3, a4) in h.sweedler(a, 4):
+                    u1 = lact[tensor_index(x1, a1, dim)]
+                    u2 = lact[tensor_index(x2, a2, dim)]
+                    u3 = lact[tensor_index(x4, a3, dim)]
+                    u4 = lact[tensor_index(x5, a4, dim)]
+                    terms.append((field.mul(cx, ca), h.product_many(
+                        [h.antipode(b.map(u1)), h.antipode(u2), h.basis(x3),
+                         u3, b.map(u4)])))
+            ract.append(accumulate(h.space, terms))
+    return lact, ract
+
+
+def transported_op(group, field, columns, op):
+    """The lift of a group-level Rota-Baxter operator, moved to the basis
+    whose k-th vector has the coordinates ``columns[k]``."""
+    h = hk.group_algebra(group, field)
+    space = BasedSpace(tuple(f"w{k}" for k in range(h.dim)), field)
+    p = invert(LinearOp(space, h.space,
+                        [Element(h.space, col) for col in columns]))
+    k = transport_hopf(h, p)
+    return hk.verify_rb(k, p.compose(op(h)).compose(invert(p)))
+
+
+# Z2 with both basis vectors spread over e and g; S3 with r2, r2s mixed
+DENSE_Z2 = [{0: Fraction(1), 1: Fraction(1, 2)}, {0: Fraction(-2, 3), 1: 1}]
+MIXED_S3 = [{0: 1}, {1: 1}, {2: 1, 5: 1}, {3: 1}, {4: 1}, {2: 1, 5: -1}]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+@pytest.mark.parametrize("group, columns, op", [
+    (gr.cyclic(2), DENSE_Z2, lambda h: h.antipode),
+    (gr.cyclic(2), DENSE_Z2, lambda h: fx.b_eps(h).map),
+    (gr.dihedral(3), MIXED_S3, lambda h: h.antipode),
+    (gr.dihedral(3), MIXED_S3, lambda h: fx.b_eps(h).map),
+], ids=["Z2-inv", "Z2-eps", "S3-inv", "S3-eps"])
+def test_actions_match_term_by_term_reference(field, group, columns, op):
+    b = transported_op(group, field, columns, op)
+    assert len(b.carrier.comul.columns[b.carrier.dim - 1].coeffs) > 1
+    m = hk.matched_pair_from_rb(b)
+    lact, ract = reference_actions(b)
+    assert list(m.lact.columns) == lact
+    assert list(m.ract.columns) == ract

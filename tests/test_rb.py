@@ -1,12 +1,17 @@
 """Rota-Baxter verification, transforms, and the descendent Hopf algebra."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit.errors import NotAutomorphism, RBIdentityFails
-from hopfkit.linalg import LinearOp
+from hopfkit.hopf import transport_hopf
+from hopfkit.linalg import BasedSpace, Element, LinearOp, accumulate, invert
+from hopfkit.report import Witness
 
 
 def corpus_order_le_6():
@@ -31,6 +36,44 @@ def test_identity_map_fails_with_witness(f2):
     assert w.at == ("r", "s")
     assert w.lhs == "1/1*rs"
     assert w.rhs == "1/1*s"
+
+
+def reference_rb_witness(h, b):
+    """First pair (x, y) with B(x) B(y) != B(x_(1) B(x_(2)) y S(B(x_(3)))),
+    the right side summed term by term over the three-leg coproduct."""
+    for x in range(h.dim):
+        for y in range(h.dim):
+            lhs = h.product(b.columns[x], b.columns[y])
+            rhs = b(accumulate(h.space, (
+                (c, h.product_many([h.basis(x1), b.columns[x2], h.basis(y),
+                                    h.antipode(b.columns[x3])]))
+                for c, (x1, x2, x3) in h.sweedler(x, 3))))
+            if lhs != rhs:
+                return Witness((h.label(x), h.label(y)), str(lhs), str(rhs))
+    return None
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(group=st.sampled_from([gr.cyclic(3), gr.dihedral(3)]), data=st.data())
+def test_rb_witness_matches_reference_on_transported_group_maps(group, data):
+    # any map of group elements lifts to a coalgebra map, so the sweep of
+    # the identity itself decides; the basis mixes the first three vectors
+    h = hk.group_algebra(group)
+    table = data.draw(st.lists(st.integers(0, group.order - 1),
+                               min_size=group.order, max_size=group.order))
+    space = BasedSpace(tuple(f"w{k}" for k in range(h.dim)))
+    cols = [{0: 1, 1: Fraction(1, 2), 2: -1}, {0: 1, 1: 1, 2: Fraction(1, 3)},
+            {0: -1, 1: 1, 2: 2}] + [{k: 1} for k in range(3, h.dim)]
+    p = invert(LinearOp(space, h.space, [Element(h.space, c) for c in cols]))
+    k = transport_hopf(h, p)
+    b = p.compose(gr.lift_map(h, table)).compose(invert(p))
+    want = reference_rb_witness(k, b)
+    if want is None:
+        assert hk.verify_rb(k, b).validated
+    else:
+        with pytest.raises(RBIdentityFails) as exc:
+            hk.verify_rb(k, b)
+        assert exc.value.witness == want
 
 
 def test_b_eps_valid_on_any_carrier(f1, f2):
