@@ -27,7 +27,8 @@ from . import rb as rb_mod
 from .definitions import Declaration, DefinitionFile, parse_file
 from .errors import (DefinitionError, DefinitionSyntaxError, DimensionMismatch,
                      FieldMismatch, HopfkitError, VerificationFailed)
-from .hopf import verify_hopf, check_cocommutative, unit_counit_map
+from .hopf import (check_cocommutative, coalgebra_morphism_witness,
+                   unit_counit_map, verify_hopf)
 from .linalg import LinearOp
 from .rb import (RotaBaxterOp, central_image_witness,
                  descendent_antipode_inverse_witness, verify_rb)
@@ -145,7 +146,7 @@ def run_checks(defs: DefinitionFile) -> tuple[list[dict], dict]:
         elif decl.kind == "map":
             if decl.on is not None:
                 carrier = defs[decl.on].obj
-                w = rb_mod._coalgebra_map_witness(carrier, decl.obj)
+                w = coalgebra_morphism_witness(decl.obj, carrier, carrier)
                 add(f"{decl.name}.coalgebra-morphism", w)
                 if decl.rota_baxter:
                     add_outcome(f"{decl.name}.rota-baxter",

@@ -4,7 +4,10 @@ constructors, module actions and convolution inverses.
 Every carrier is finite-dimensional with exact scalars.  Identities are
 verified by sweeping all basis tuples, which suffices by multilinearity;
 failed sweeps report the lexicographically first failing tuple together
-with both evaluated sides.
+with both evaluated sides.  The :func:`verify_hopf` sweeps run on the int
+columns of :func:`~hopfkit.linalg.scaled_columns` and compare the two
+sides in ints (modulo p over F_p); only the first failing tuple is
+evaluated as elements, to render its witness.
 
 Sweedler conventions: ``sweedler(i, n)`` expands the (n-1)-fold iterated
 comultiplication of the i-th basis vector as a list of (coefficient,
@@ -21,8 +24,8 @@ from .errors import (ConstructionInvalid, DimensionMismatch,
                      InternalTheoremViolation, NotCocommutative,
                      NotConvolutionInvertible, UnvalidatedInput)
 from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, accumulate,
-                     flip_tensor, tensor_elem, tensor_index, tensor_space,
-                     tensor_split, rank)
+                     flip_tensor, scaled_columns, tensor_elem, tensor_index,
+                     tensor_space, tensor_split, rank)
 from .report import AxiomReport, Witness
 
 if TYPE_CHECKING:
@@ -174,22 +177,25 @@ def _witness(h: HopfAlgebraData, at: tuple[int, ...], lhs, rhs) -> Witness:
     return Witness(labels, str(lhs), str(rhs))
 
 
-def _associativity_failure(h: HopfAlgebraData) -> tuple[int, int, int] | None:
-    """The lexicographically first basis triple (i, j, k) with
-    (e_i e_j) e_k != e_i (e_j e_k), or None when ``mul`` is associative.
+def _nonzero(diff: dict, p: int) -> bool:
+    """Whether a scaled difference has a nonzero entry, modulo p over F_p."""
+    return any(v % p if p else v for v in diff.values())
 
-    Runs on plain ``(index, coeff)`` tuples of the ``mul`` columns.  When
-    every column holds exactly one term with coefficient one, ``mul`` is an
-    index table ``tab`` and both sides are single basis vectors, so
-    comparing ``tab[tab[ij]k]`` with ``tab[i tab[jk]]`` as ints is exact.
-    Otherwise both sides are summed exactly into one difference and
-    tested for zero, modulo p over F_p.
+
+def _associativity_failure(dim: int, p: int,
+                           mul: list) -> tuple[int, int, int] | None:
+    """The lexicographically first basis triple (i, j, k) with
+    (e_i e_j) e_k != e_i (e_j e_k), or None when the product is associative.
+
+    ``mul`` holds the scaled int columns of the product.  When every column
+    holds exactly one term with coefficient one, ``mul`` is an index table
+    ``tab`` and both sides are single basis vectors (with the same factor),
+    so comparing ``tab[tab[ij]k]`` with ``tab[i tab[jk]]`` as ints is exact.
+    Otherwise both sides, which carry the same scale, are summed into one
+    difference.
     """
-    dim = h.dim
-    cols = [tuple(col.coeffs.items()) for col in h.mul.columns]
-    one = h.field.one
-    if all(len(col) == 1 and col[0][1] == one for col in cols):
-        tab = [col[0][0] for col in cols]
+    if all(len(col) == 1 and col[0][1] == 1 for col in mul):
+        tab = [col[0][0] for col in mul]
         for i in range(dim):
             row_i = tab[i * dim:(i + 1) * dim]
             for j in range(dim):
@@ -199,20 +205,19 @@ def _associativity_failure(h: HopfAlgebraData) -> tuple[int, int, int] | None:
                 if lhs != rhs:
                     return i, j, next(k for k in range(dim) if lhs[k] != rhs[k])
         return None
-    p = h.field.p
     for i in range(dim):
-        row_i = cols[i * dim:(i + 1) * dim]
+        row_i = mul[i * dim:(i + 1) * dim]
         for j in range(dim):
-            left = cols[i * dim + j]
+            left = mul[i * dim + j]
             for k in range(dim):
                 diff: dict = {}
                 for a, c in left:
-                    for b, d in cols[a * dim + k]:
+                    for b, d in mul[a * dim + k]:
                         diff[b] = diff.get(b, 0) + c * d
-                for a, c in cols[j * dim + k]:
+                for a, c in mul[j * dim + k]:
                     for b, d in row_i[a]:
                         diff[b] = diff.get(b, 0) - c * d
-                if any(v % p if p else v for v in diff.values()):
+                if _nonzero(diff, p):
                     return i, j, k
     return None
 
@@ -223,103 +228,167 @@ def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
     Report lines: associativity, unit, coassociativity, counit,
     bialgebra-compatibility (Δ and ε are algebra maps), antipode.
 
-    Associativity is swept by :func:`_associativity_failure` on index
-    tables rather than through ``product``; only the failing triple, if
-    any, is evaluated as elements to render its witness.
+    Every sweep runs on the int columns of :func:`scaled_columns`.  Per
+    basis tuple each comparison sums ``lhs·s_r − rhs·s_l`` into an int
+    dict, where ``s_l`` and ``s_r`` are the common denominators the two
+    sides carry, and tests it for zero (modulo p over F_p).  Tuples are
+    visited in lexicographic order; only the first failing one is
+    evaluated as elements, to render its witness with both sides (for the
+    one-element sweeps, the side that failed).
     """
     report = AxiomReport()
     dim = h.dim
+    p = h.field.p
+    dm, mul = scaled_columns(h.mul)
+    dc, comul = scaled_columns(h.comul)
+    ds, anti = scaled_columns(h.antipode)
+    de, eps_cols = scaled_columns(h.counit)
+    eps = [col[0][1] if col else 0 for col in eps_cols]
+    du, (unit,) = scaled_columns(LinearOp(scalar_space(h.field), h.space,
+                                          [h.unit]))
 
     w = None
-    at = _associativity_failure(h)
+    at = _associativity_failure(dim, p, mul)
     if at is not None:
         i, j, k = at
         w = _witness(h, at, h.product(h.mul_basis(i, j), h.basis(k)),
                      h.product(h.basis(i), h.mul_basis(j, k)))
     report.add("associativity", w)
 
+    # 1·e_i and e_i·1 carry du·dm.
     w = None
     for i in range(dim):
-        e = h.basis(i)
-        if h.product(h.unit, e) != e or h.product(e, h.unit) != e:
-            w = _witness(h, (i,), h.product(h.unit, e), e)
+        left = {i: -du * dm}
+        right = {i: -du * dm}
+        for a, u in unit:
+            for b, c in mul[a * dim + i]:
+                left[b] = left.get(b, 0) + u * c
+            for b, c in mul[i * dim + a]:
+                right[b] = right.get(b, 0) + u * c
+        if _nonzero(left, p) or _nonzero(right, p):
+            e = h.basis(i)
+            side = (h.product(h.unit, e) if _nonzero(left, p)
+                    else h.product(e, h.unit))
+            w = _witness(h, (i,), side, e)
             break
     report.add("unit", w)
 
+    # Both iterated coproducts carry dc², indexed flat in H⊗H⊗H.
     w = None
     for i in range(dim):
-        left: dict = {}
-        right: dict = {}
-        for pair_idx, c in h.comul.columns[i].coeffs.items():
-            a, b = tensor_split(pair_idx, dim)
-            for sub_idx, c2 in h.comul.columns[a].coeffs.items():
-                x, y = tensor_split(sub_idx, dim)
-                key = (x, y, b)
-                left[key] = h.field.add(left.get(key, h.field.zero),
-                                        h.field.mul(c, c2))
-            for sub_idx, c2 in h.comul.columns[b].coeffs.items():
-                x, y = tensor_split(sub_idx, dim)
-                key = (a, x, y)
-                right[key] = h.field.add(right.get(key, h.field.zero),
-                                         h.field.mul(c, c2))
-        left = {k: v for k, v in left.items() if v != 0}
-        right = {k: v for k, v in right.items() if v != 0}
-        if left != right:
+        diff: dict = {}
+        for pair, c in comul[i]:
+            a, b = divmod(pair, dim)
+            for sub, c2 in comul[a]:
+                key = sub * dim + b
+                diff[key] = diff.get(key, 0) + c * c2
+            base = a * dim * dim
+            for sub, c2 in comul[b]:
+                key = base + sub
+                diff[key] = diff.get(key, 0) - c * c2
+        if _nonzero(diff, p):
             w = _witness(h, (i,), "(Δ⊗id)Δ", "(id⊗Δ)Δ")
             break
     report.add("coassociativity", w)
 
+    # (ε⊗id)Δ(e_i) and (id⊗ε)Δ(e_i) carry dc·de.
     w = None
     for i in range(dim):
-        lhs = accumulate(h.space,
-                         ((h.field.mul(c, h._eps[tensor_split(p, dim)[0]]),
-                           h.basis(tensor_split(p, dim)[1]))
-                          for p, c in h.comul.columns[i].coeffs.items()))
-        rhs = accumulate(h.space,
-                         ((h.field.mul(c, h._eps[tensor_split(p, dim)[1]]),
-                           h.basis(tensor_split(p, dim)[0]))
-                          for p, c in h.comul.columns[i].coeffs.items()))
-        if lhs != h.basis(i) or rhs != h.basis(i):
-            w = _witness(h, (i,), lhs, h.basis(i))
+        left = {i: -dc * de}
+        right = {i: -dc * de}
+        for pair, c in comul[i]:
+            a, b = divmod(pair, dim)
+            left[b] = left.get(b, 0) + c * eps[a]
+            right[a] = right.get(a, 0) + c * eps[b]
+        if _nonzero(left, p) or _nonzero(right, p):
+            terms = [(c, *tensor_split(q, dim))
+                     for q, c in h.comul.columns[i].coeffs.items()]
+            if _nonzero(left, p):
+                side = accumulate(h.space, ((h.field.mul(c, h._eps[a]),
+                                             h.basis(b)) for c, a, b in terms))
+            else:
+                side = accumulate(h.space, ((h.field.mul(c, h._eps[b]),
+                                             h.basis(a)) for c, a, b in terms))
+            w = _witness(h, (i,), side, h.basis(i))
             break
     report.add("counit", w)
 
+    # Δ(e_i e_j) carries dm·dc and Δ(e_i)Δ(e_j) carries dc²·dm², so the
+    # left side is scaled by dc·dm; ε(e_i e_j)·de is compared with
+    # ε(e_i)ε(e_j)·dm.
     w = None
-    unit_ok = (h.comul(h.unit) == tensor_elem(h.hh, h.unit, h.unit)
-               and h.counit_scalar(h.unit) == h.field.one)
-    if not unit_ok:
-        w = Witness(("1",), str(h.comul(h.unit)), "1⊗1")
+    comul_unit = h.comul(h.unit)
+    if comul_unit != tensor_elem(h.hh, h.unit, h.unit):
+        w = Witness(("1",), str(comul_unit), "1⊗1")
+    elif h.counit_scalar(h.unit) != h.field.one:
+        w = Witness(("1",), str(h.counit_scalar(h.unit)), str(h.field.one))
     else:
+        scale = dc * dm
+        legs = [[(*divmod(pair, dim), c) for pair, c in col] for col in comul]
         for i in range(dim):
-            di = h.comul.columns[i]
             for j in range(dim):
-                prod = h.mul_basis(i, j)
-                lhs = h.comul(prod)
-                rhs = h.tensor_square_product(di, h.comul.columns[j])
-                if lhs != rhs:
-                    w = _witness(h, (i, j), lhs, rhs)
+                prod = mul[i * dim + j]
+                diff: dict = {}
+                for k, c in prod:
+                    c *= scale
+                    for pair, c2 in comul[k]:
+                        diff[pair] = diff.get(pair, 0) + c * c2
+                for a, b, ca in legs[i]:
+                    for c, d, cc in legs[j]:
+                        right = mul[b * dim + d]
+                        wt = ca * cc
+                        for x, cx in mul[a * dim + c]:
+                            base = x * dim
+                            wx = wt * cx
+                            for y, cy in right:
+                                key = base + y
+                                diff[key] = diff.get(key, 0) - wx * cy
+                if _nonzero(diff, p):
+                    w = _witness(h, (i, j), h.comul(h.mul_basis(i, j)),
+                                 h.tensor_square_product(h.comul.columns[i],
+                                                         h.comul.columns[j]))
                     break
-                if h.counit_scalar(prod) != h.field.mul(h._eps[i], h._eps[j]):
-                    w = _witness(h, (i, j), h.counit_scalar(prod),
+                eps_diff = (sum(c * eps[k] for k, c in prod) * de
+                            - eps[i] * eps[j] * dm)
+                if eps_diff % p if p else eps_diff:
+                    w = _witness(h, (i, j), h.counit_scalar(h.mul_basis(i, j)),
                                  h.field.mul(h._eps[i], h._eps[j]))
                     break
             if w:
                 break
     report.add("bialgebra-compatibility", w)
 
+    # S(e_a) e_b carries ds·dm, so each side carries dc·ds·dm; the target
+    # ε(e_i)1 carries de·du.
     w = None
+    lscale = de * du
+    rscale = dc * ds * dm
     for i in range(dim):
-        target = h.unit.scale(h._eps[i])
-        lhs = accumulate(h.space, (
-            (c, h.product(h.antipode(h.basis(tensor_split(p, dim)[0])),
-                          h.basis(tensor_split(p, dim)[1])))
-            for p, c in h.comul.columns[i].coeffs.items()))
-        rhs = accumulate(h.space, (
-            (c, h.product(h.basis(tensor_split(p, dim)[0]),
-                          h.antipode(h.basis(tensor_split(p, dim)[1]))))
-            for p, c in h.comul.columns[i].coeffs.items()))
-        if lhs != target or rhs != target:
-            w = _witness(h, (i,), lhs if lhs != target else rhs, target)
+        left = {k: -eps[i] * u * rscale for k, u in unit}
+        right = dict(left)
+        for pair, c in comul[i]:
+            a, b = divmod(pair, dim)
+            c *= lscale
+            for x, sx in anti[a]:
+                cx = c * sx
+                for y, m in mul[x * dim + b]:
+                    left[y] = left.get(y, 0) + cx * m
+            for x, sx in anti[b]:
+                cx = c * sx
+                for y, m in mul[a * dim + x]:
+                    right[y] = right.get(y, 0) + cx * m
+        if _nonzero(left, p) or _nonzero(right, p):
+            terms = [(c, *tensor_split(q, dim))
+                     for q, c in h.comul.columns[i].coeffs.items()]
+            if _nonzero(left, p):
+                side = accumulate(h.space, (
+                    (c, h.product(h.antipode(h.basis(a)), h.basis(b)))
+                    for c, a, b in terms))
+            else:
+                side = accumulate(h.space, (
+                    (c, h.product(h.basis(a), h.antipode(h.basis(b))))
+                    for c, a, b in terms))
+            w = _witness(h, (i,), side, h.unit.scale(h._eps[i]))
             break
     report.add("antipode", w)
 
@@ -480,13 +549,11 @@ def opposite_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
 
 # -- morphism checks -----------------------------------------------------------
 
-def check_coalgebra_morphism(f: LinearOp, h: HopfAlgebraData,
-                             k: HopfAlgebraData) -> bool:
-    """Δ_K ∘ f = (f⊗f) ∘ Δ_H and ε_K ∘ f = ε_H on all basis elements."""
-    h.require_validated()
-    k.require_validated()
-    if f.domain != h.space or f.codomain != k.space:
-        raise DimensionMismatch("map does not go from H to K")
+def coalgebra_morphism_witness(f: LinearOp, h: HopfAlgebraData,
+                               k: HopfAlgebraData) -> Witness | None:
+    """The first basis element e_i of H with Δ_K(f(e_i)) != (f⊗f)Δ_H(e_i)
+    or ε_K(f(e_i)) != ε_H(e_i), with both sides, or None when f is a
+    coalgebra map.  Neither structure needs to be validated."""
     for i in range(h.dim):
         lhs = k.comul(f.columns[i])
         rhs = accumulate(k.hh, (
@@ -494,10 +561,21 @@ def check_coalgebra_morphism(f: LinearOp, h: HopfAlgebraData,
                             f.columns[tensor_split(p, h.dim)[1]]))
             for p, c in h.comul.columns[i].coeffs.items()))
         if lhs != rhs:
-            return False
+            return Witness((h.label(i),), str(lhs), str(rhs))
         if k.counit_scalar(f.columns[i]) != h._eps[i]:
-            return False
-    return True
+            return Witness((h.label(i),), str(k.counit_scalar(f.columns[i])),
+                           str(h._eps[i]))
+    return None
+
+
+def check_coalgebra_morphism(f: LinearOp, h: HopfAlgebraData,
+                             k: HopfAlgebraData) -> bool:
+    """Δ_K ∘ f = (f⊗f) ∘ Δ_H and ε_K ∘ f = ε_H on all basis elements."""
+    h.require_validated()
+    k.require_validated()
+    if f.domain != h.space or f.codomain != k.space:
+        raise DimensionMismatch("map does not go from H to K")
+    return coalgebra_morphism_witness(f, h, k) is None
 
 
 def check_bialgebra_automorphism(phi: LinearOp, h: HopfAlgebraData) -> bool:

@@ -12,6 +12,9 @@ terms.  Over Q it keeps an integer numerator and a denominator per output
 index, adds directly when the denominators agree and otherwise cross-
 multiplies through one ``gcd``, and reduces each output coefficient once
 at the end; over F_p it reduces ``acc + coeff * c`` modulo p.
+:func:`scaled_columns` gives a map's columns as ints over one common
+denominator (1 over F_p), for sweeps that compare the two sides of an
+identity in ints only.
 
 Values are meant to be left unchanged once validated and shared, but this
 is a convention that is not enforced yet: ``Element.coeffs`` is a plain
@@ -350,6 +353,27 @@ class LinearOp:
         return (self.domain == self.codomain
                 and all(col.coeffs == {i: self.domain.field.one}
                         for i, col in enumerate(self.columns)))
+
+
+def scaled_columns(op: LinearOp) -> tuple[int, list[tuple]]:
+    """Every column of ``op`` as a tuple of ``(index, int)`` pairs over one
+    common denominator ``den``: column j is (1/den) Σ n e_i.
+
+    Over Q ``den`` is the lcm of the op's denominators, so identities
+    between products of columns can be compared in ints once each side is
+    multiplied by the other side's scale.  Over F_p ``den`` is 1 and the
+    reduced ints are used as stored.
+    """
+    if op.codomain.field.p:
+        return 1, [tuple(col.coeffs.items()) for col in op.columns]
+    den = 1
+    for col in op.columns:
+        for c in col.coeffs.values():
+            d = c.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+    return den, [tuple((i, c.numerator * (den // c.denominator))
+                       for i, c in col.coeffs.items()) for col in op.columns]
 
 
 # -- tensor products ---------------------------------------------------------

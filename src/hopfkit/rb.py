@@ -18,8 +18,8 @@ from .errors import (ConstructionInvalid, DimensionMismatch, HopfkitError,
                      InternalTheoremViolation, NotAutomorphism,
                      NotCoalgebraMap, RBIdentityFails)
 from .hopf import (HopfAlgebraData, check_bialgebra_automorphism,
-                   check_coalgebra_morphism, require_cocommutative,
-                   verify_hopf)
+                   check_coalgebra_morphism, coalgebra_morphism_witness,
+                   require_cocommutative, verify_hopf)
 from .linalg import Element, LinearOp, accumulate, invert, tensor_index
 from .report import AxiomReport, Witness
 
@@ -38,29 +38,13 @@ class RotaBaxterOp:
             raise UnvalidatedInput("Rota-Baxter operator was never verified")
 
 
-def _coalgebra_map_witness(h: HopfAlgebraData, b: LinearOp) -> Witness | None:
-    from .linalg import tensor_elem, tensor_split
-    for i in range(h.dim):
-        lhs = h.comul(b.columns[i])
-        rhs = accumulate(h.hh, (
-            (c, tensor_elem(h.hh, b.columns[tensor_split(p, h.dim)[0]],
-                            b.columns[tensor_split(p, h.dim)[1]]))
-            for p, c in h.comul.columns[i].coeffs.items()))
-        if lhs != rhs:
-            return Witness((h.label(i),), str(lhs), str(rhs))
-        if h.counit_scalar(b.columns[i]) != h._eps[i]:
-            return Witness((h.label(i),), str(h.counit_scalar(b.columns[i])),
-                           str(h._eps[i]))
-    return None
-
-
 def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     """Check the coalgebra-morphism property and the Rota-Baxter identity
     on all basis pairs."""
     require_cocommutative(h)
     if b.domain != h.space or b.codomain != h.space:
         raise DimensionMismatch("operator must be an endomap of the carrier")
-    w = _coalgebra_map_witness(h, b)
+    w = coalgebra_morphism_witness(b, h, h)
     if w is not None:
         raise NotCoalgebraMap("operator is not a coalgebra map", w)
     circ = _circle_mul(h, b)     # x ∘_B y = x_(1) B(x_(2)) y S(B(x_(3)))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,15 +10,19 @@ from hypothesis import given, settings, strategies as st
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
+from hopfkit.definitions import parse_file
 from hopfkit.errors import AxiomFails, UnvalidatedInput
 from hopfkit.hopf import (adjoint_action, check_module_bialgebra,
                           curry_action, end_algebra, scalar_space,
                           transport_hopf, trivial_action, uncurry_action,
                           unit_counit_map)
 from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ,
-                            tensor_index, tensor_space)
+                            accumulate, tensor_elem, tensor_index,
+                            tensor_space, tensor_split)
+from hopfkit.report import AxiomReport, Witness
 
 ORACLE = settings(max_examples=20, deadline=None, database=None)
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 
 
 def inversion_action_z2_on_z3():
@@ -32,10 +37,10 @@ def inversion_action_z2_on_z3():
     return hk.module_action(k, h, act)
 
 
-def sweedler_four_dim():
+def sweedler_four_dim(field=QQ):
     """A 4-dimensional non-cocommutative Hopf algebra: basis 1, g, x, gx
     with g^2 = 1, x^2 = 0, xg = -gx, Δ(g) = g⊗g, Δ(x) = x⊗1 + g⊗x."""
-    sp = BasedSpace(("1", "g", "x", "gx"), QQ)
+    sp = BasedSpace(("1", "g", "x", "gx"), field)
     hh = tensor_space(sp, sp)
     one = Fraction(1)
 
@@ -57,7 +62,7 @@ def sweedler_four_dim():
         Element(hh, {tensor_index(2, 0, 4): one, tensor_index(1, 2, 4): one}),
         Element(hh, {tensor_index(3, 1, 4): one, tensor_index(0, 3, 4): one}),
     ]
-    ssp = scalar_space(QQ)
+    ssp = scalar_space(field)
     counit_cols = [ssp.basis(0), ssp.basis(0), ssp.zero(), ssp.zero()]
     anti_cols = [e((0, one)), e((1, one)), e((3, Fraction(-1))), e((2, one))]
     h = hk.hopf_from_structure(sp, LinearOp(hh, sp, mul_cols), sp.basis(0),
@@ -164,6 +169,231 @@ def test_associativity_kernel_dense_transport(pos, idx, delta):
     coeffs[idx] = coeffs.get(idx, 0) + delta
     cols[pos] = Element(space, coeffs)
     assert_associativity_matches_reference(dense, cols)
+
+
+# -- every sweep against element-level per-tuple sweeps ---------------------------
+
+def reference_verify_hopf(h):
+    """Every Hopf axiom swept tuple by tuple on elements, in the report
+    format of verify_hopf; the unit, counit and ε(1) witnesses show the
+    side that failed."""
+    report = AxiomReport()
+    dim, field = h.dim, h.field
+
+    def wit(at, lhs, rhs):
+        return Witness(tuple(h.label(i) for i in at), str(lhs), str(rhs))
+
+    expected = reference_associativity(h)
+    report.add("associativity", expected and Witness(*expected))
+
+    w = None
+    for i in range(dim):
+        e = h.basis(i)
+        left, right = h.product(h.unit, e), h.product(e, h.unit)
+        if left != e or right != e:
+            w = wit((i,), left if left != e else right, e)
+            break
+    report.add("unit", w)
+
+    w = None
+    for i in range(dim):
+        left, right = {}, {}
+        for pair, c in h.comul.columns[i].coeffs.items():
+            a, b = tensor_split(pair, dim)
+            for sub, c2 in h.comul.columns[a].coeffs.items():
+                x, y = tensor_split(sub, dim)
+                left[(x, y, b)] = field.add(left.get((x, y, b), 0),
+                                            field.mul(c, c2))
+            for sub, c2 in h.comul.columns[b].coeffs.items():
+                x, y = tensor_split(sub, dim)
+                right[(a, x, y)] = field.add(right.get((a, x, y), 0),
+                                             field.mul(c, c2))
+        if ({k: v for k, v in left.items() if v != 0}
+                != {k: v for k, v in right.items() if v != 0}):
+            w = wit((i,), "(Δ⊗id)Δ", "(id⊗Δ)Δ")
+            break
+    report.add("coassociativity", w)
+
+    w = None
+    for i in range(dim):
+        terms = [(c, *tensor_split(q, dim))
+                 for q, c in h.comul.columns[i].coeffs.items()]
+        lhs = accumulate(h.space, ((field.mul(c, h._eps[a]), h.basis(b))
+                                   for c, a, b in terms))
+        rhs = accumulate(h.space, ((field.mul(c, h._eps[b]), h.basis(a))
+                                   for c, a, b in terms))
+        if lhs != h.basis(i) or rhs != h.basis(i):
+            w = wit((i,), lhs if lhs != h.basis(i) else rhs, h.basis(i))
+            break
+    report.add("counit", w)
+
+    w = None
+    if h.comul(h.unit) != tensor_elem(h.hh, h.unit, h.unit):
+        w = Witness(("1",), str(h.comul(h.unit)), "1⊗1")
+    elif h.counit_scalar(h.unit) != field.one:
+        w = Witness(("1",), str(h.counit_scalar(h.unit)), str(field.one))
+    else:
+        for i in range(dim):
+            for j in range(dim):
+                prod = h.mul_basis(i, j)
+                lhs = h.comul(prod)
+                rhs = h.tensor_square_product(h.comul.columns[i],
+                                              h.comul.columns[j])
+                if lhs != rhs:
+                    w = wit((i, j), lhs, rhs)
+                    break
+                if h.counit_scalar(prod) != field.mul(h._eps[i], h._eps[j]):
+                    w = wit((i, j), h.counit_scalar(prod),
+                            field.mul(h._eps[i], h._eps[j]))
+                    break
+            if w:
+                break
+    report.add("bialgebra-compatibility", w)
+
+    w = None
+    for i in range(dim):
+        target = h.unit.scale(h._eps[i])
+        terms = [(c, *tensor_split(q, dim))
+                 for q, c in h.comul.columns[i].coeffs.items()]
+        lhs = accumulate(h.space, ((c, h.product(h.antipode(h.basis(a)),
+                                                 h.basis(b)))
+                                   for c, a, b in terms))
+        rhs = accumulate(h.space, ((c, h.product(h.basis(a),
+                                                 h.antipode(h.basis(b))))
+                                   for c, a, b in terms))
+        if lhs != target or rhs != target:
+            w = wit((i,), lhs if lhs != target else rhs, target)
+            break
+    report.add("antipode", w)
+    return report
+
+
+def assert_verify_matches_reference(h):
+    expected = reference_verify_hopf(h)
+    report = hk.verify_hopf(h)
+    assert str(report) == str(expected)
+    assert h.validated == expected.passed
+
+
+FIELDS = [QQ, Field(7)]
+
+
+def dense_z2(field=QQ):
+    h = hk.group_algebra(gr.cyclic(2), field)
+    space = BasedSpace(("u", "v"), field)
+    return transport_hopf(h, LinearOp(h.space, space, [
+        Element(space, {0: Fraction(1), 1: Fraction(-1, 3)}),
+        Element(space, {0: Fraction(1, 2), 1: Fraction(2)})]))
+
+
+def dense_z3(field=QQ):
+    h = hk.group_algebra(gr.cyclic(3), field)
+    space = BasedSpace(("u", "v", "w"), field)
+    return transport_hopf(h, LinearOp(h.space, space, [
+        Element(space, {0: Fraction(1), 1: Fraction(1, 2), 2: Fraction(-1)}),
+        Element(space, {0: Fraction(2, 3), 1: Fraction(1), 2: Fraction(1)}),
+        Element(space, {0: Fraction(-1), 1: Fraction(1, 3), 2: Fraction(2)})]))
+
+
+def carriers(field):
+    """The shipped fixtures, group algebras and dense transported carriers."""
+    out = [fx.f1(field), fx.f2(field), sweedler_four_dim(field),
+           hk.group_algebra(gr.trivial_group(), field),
+           hk.group_algebra(gr.cyclic(4), field),
+           hk.group_algebra(gr.direct_product(gr.cyclic(2), gr.cyclic(2)),
+                            field),
+           hk.group_algebra(gr.quaternion_group(), field),
+           dense_z2(field), dense_z3(field)]
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        defs = parse_file(path, field)
+        out += [d.obj for d in defs.declarations if d.kind == "hopf"]
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_verify_hopf_matches_reference_on_carriers(field):
+    for h in carriers(field):
+        assert_verify_matches_reference(h)
+
+
+def z3(field):
+    return hk.group_algebra(gr.cyclic(3), field)
+
+
+def perturbed(h, part, col, row, offset):
+    """h with one entry of one structure map moved by ``offset``."""
+    maps = {"mul": h.mul, "comul": h.comul, "counit": h.counit,
+            "antipode": h.antipode}
+    unit = h.unit
+    if part == "unit":
+        coeffs = dict(unit.coeffs)
+        coeffs[row % h.dim] = coeffs.get(row % h.dim, 0) + offset
+        unit = Element(h.space, coeffs)
+    else:
+        op = maps[part]
+        cols = list(op.columns)
+        c = cols[col % len(cols)]
+        r = row % op.codomain.dim
+        coeffs = dict(c.coeffs)
+        coeffs[r] = coeffs.get(r, 0) + offset
+        cols[col % len(cols)] = Element(op.codomain, coeffs)
+        maps[part] = LinearOp(op.domain, op.codomain, cols)
+    return hk.hopf_from_structure(h.space, maps["mul"], unit, maps["comul"],
+                                  maps["counit"], maps["antipode"])
+
+
+@ORACLE
+@given(field=st.sampled_from(FIELDS), data=st.data(),
+       part=st.sampled_from(["mul", "unit", "comul", "counit", "antipode"]),
+       col=st.integers(0, 80), row=st.integers(0, 80),
+       offset=st.one_of(st.integers(1, 6),
+                        st.fractions(min_value=-2, max_value=2,
+                                     max_denominator=3).filter(bool)))
+def test_verify_hopf_matches_reference_on_perturbations(field, data, part,
+                                                        col, row, offset):
+    base = data.draw(st.sampled_from([fx.f1, z3, fx.f2, dense_z2, dense_z3]))
+    h = perturbed(base(field), part, col, row, offset)
+    assert_verify_matches_reference(h)
+
+
+def z2_with(part, index, value):
+    """Q[Z2] with one entry of ``mul`` or ``comul`` replaced."""
+    h = fx.f1()
+    op = getattr(h, part)
+    cols = list(op.columns)
+    cols[index] = value
+    maps = {"mul": h.mul, "comul": h.comul,
+            part: LinearOp(op.domain, op.codomain, cols)}
+    return hk.hopf_from_structure(h.space, maps["mul"], h.unit, maps["comul"],
+                                  h.counit, h.antipode)
+
+
+def test_unit_witness_shows_failing_right_side():
+    # g·e := e, so 1·g = g holds and only g·1 = e fails
+    h = fx.f1()
+    bad = z2_with("mul", tensor_index(1, 0, 2), h.basis(0))
+    assert ("FAIL  unit  [at (g): lhs = 1/1*e, rhs = 1/1*g]"
+            in str(hk.verify_hopf(bad)))
+
+
+def test_counit_witness_shows_failing_right_side():
+    # Δ(g) := e⊗g, so (ε⊗id)Δ(g) = g holds and only (id⊗ε)Δ(g) = e fails
+    h = fx.f1()
+    bad = z2_with("comul", 1, Element(h.hh, {tensor_index(0, 1, 2): 1}))
+    assert ("FAIL  counit  [at (g): lhs = 1/1*e, rhs = 1/1*g]"
+            in str(hk.verify_hopf(bad)))
+
+
+def test_compatibility_witness_shows_counit_of_unit():
+    # ε(e) := 2 while Δ(e) = e⊗e, so ε(1) = 2 is set against 1
+    h = hk.group_algebra(gr.cyclic(3))
+    ssp = scalar_space(QQ)
+    counit = LinearOp(h.space, ssp,
+                      [ssp.basis(0).scale(2), *h.counit.columns[1:]])
+    bad = hk.hopf_from_structure(h.space, h.mul, h.unit, h.comul, counit,
+                                 h.antipode)
+    assert ("FAIL  bialgebra-compatibility  [at (1): lhs = 2, rhs = 1]"
+            in str(hk.verify_hopf(bad)))
 
 
 def test_dim_one_hopf_algebra():

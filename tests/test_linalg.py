@@ -4,14 +4,15 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfkit.errors import NonUniqueSolution, NoSolution, SingularMap
 from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ,
-                            accumulate, invert, kron, rank, solve, tensor_elem,
-                            tensor_space)
+                            accumulate, invert, kron, rank, scaled_columns,
+                            solve, tensor_elem, tensor_space)
 from hopfkit.serialize import map_entries
 
 ORACLE = settings(max_examples=40, deadline=None, database=None)
@@ -437,3 +438,29 @@ def test_int_and_fraction_scalars_render_identically():
         [QQ.render(Fraction(v)) for v in values]
     assert json.dumps(map_entries(ints)).encode() == \
         json.dumps(map_entries(fracs)).encode()
+
+
+# -- scaled int columns ----------------------------------------------------------
+
+@ORACLE
+@given(data=st.data())
+def test_scaled_columns_match_fraction_columns_over_q(data):
+    space = BasedSpace(tuple(f"x{i}" for i in range(ACC_DIM)))
+    cols = [Element(space, data.draw(st.dictionaries(
+        st.integers(0, ACC_DIM - 1), ACC_RATIONAL, max_size=ACC_DIM)))
+        for _ in range(data.draw(st.integers(1, 4)))]
+    op = LinearOp(BasedSpace(tuple(range(len(cols)))), space, cols)
+    den, scaled = scaled_columns(op)
+    dens = [c.denominator for col in cols for c in col.coeffs.values()]
+    assert den == lcm(1, *dens)
+    for col, pairs in zip(cols, scaled):
+        assert all(type(n) is int for _, n in pairs)
+        assert {i: Fraction(n, den) for i, n in pairs} == col.coeffs
+
+
+def test_scaled_columns_over_prime_field_are_stored_ints():
+    f7 = Field(7)
+    space = BasedSpace(("x", "y"), f7)
+    op = LinearOp(space, space, [Element(space, {0: 3, 1: Fraction(1, 2)}),
+                                 Element(space, {1: -1})])
+    assert scaled_columns(op) == (1, [((0, 3), (1, 4)), ((1, 6),)])
