@@ -14,10 +14,11 @@ from .errors import (CompatibilityFails, ConstructionInvalid,
                      DimensionMismatch, HopfAxiomFails, HopfkitError,
                      HypothesisFails, InternalTheoremViolation,
                      NotExactFactorization, SingularMap)
-from .hopf import (HopfAlgebraData, ModuleAction, adjoint_map, apply2,
-                   check_cocommutative, check_module_bialgebra,
-                   convolution_inverse, opposite_hopf, require_cocommutative,
-                   scalar_space, sub_hopf_indices, verify_hopf)
+from .hopf import (HopfAlgebraData, ModuleAction, _multiplicative_witness,
+                   adjoint_map, apply2, check_cocommutative,
+                   check_module_bialgebra, convolution_inverse, first_witness,
+                   opposite_hopf, require_cocommutative, sub_hopf_indices,
+                   tensor_coalgebra, verify_hopf)
 from .linalg import (BasedSpace, Element, LinearOp, accumulate, invert,
                      rank, tensor_elem, tensor_index, tensor_space,
                      tensor_split)
@@ -165,24 +166,23 @@ def derived_action(br: HopfBrace) -> BraceAction:
             f"derived action is not a module bialgebra: {report.first_failure()}")
     dim = dot.dim
     t = circle.antipode
-    for a in range(dim):
-        for b in range(dim):
-            circ = accumulate(dot.space, (
-                (w, dot.product(dot.basis(a1),
-                                act.columns[tensor_index(a2, b, dim)]))
-                for w, (a1, a2) in dot.sweedler(a, 2)))
-            if circ != circle.mul_basis(a, b):
-                raise InternalTheoremViolation(
-                    f"reconstruction a∘b = a1(a2⇀b) fails at "
-                    f"({dot.label(a)},{dot.label(b)})")
-            dotp = accumulate(dot.space, (
-                (w, apply2(circle.mul, dot.basis(a1),
-                           apply2(act, t.columns[a2], dot.basis(b))))
-                for w, (a1, a2) in dot.sweedler(a, 2)))
-            if dotp != dot.mul_basis(a, b):
-                raise InternalTheoremViolation(
-                    f"reconstruction ab = a1∘(T(a2)⇀b) fails at "
-                    f"({dot.label(a)},{dot.label(b)})")
+    pairs = (dot.space, dot.space)
+    w = first_witness(pairs, lambda a, b: (
+        accumulate(dot.space, ((c, dot.product(dot.basis(a1),
+                                               act.columns[tensor_index(a2, b, dim)]))
+                               for c, (a1, a2) in dot.sweedler(a, 2))),
+        circle.mul_basis(a, b)))
+    if w is not None:
+        raise InternalTheoremViolation(
+            f"reconstruction a∘b = a1(a2⇀b) fails at ({w.at[0]},{w.at[1]})")
+    w = first_witness(pairs, lambda a, b: (
+        accumulate(dot.space, ((c, apply2(circle.mul, dot.basis(a1),
+                                          apply2(act, t.columns[a2], dot.basis(b))))
+                               for c, (a1, a2) in dot.sweedler(a, 2))),
+        dot.mul_basis(a, b)))
+    if w is not None:
+        raise InternalTheoremViolation(
+            f"reconstruction ab = a1∘(T(a2)⇀b) fails at ({w.at[0]},{w.at[1]})")
     return BraceAction(br, act)
 
 
@@ -216,10 +216,8 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
     act = derived_action_map(br)
     dim = dot.dim
     g2 = tensor_space(dot.space, dot.space)
-    g2g2 = tensor_space(g2, g2)
     t = circle.antipode
     s = dot.antipode
-    field = dot.field
 
     mul_cols = []
     for p in range(g2.dim):
@@ -233,22 +231,6 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
                                             act.columns[tensor_index(x2, tt, dim)])))
                 for w, (x1, x2) in legs)))
 
-    comul_cols = []
-    counit_cols = []
-    ssp = scalar_space(field)
-    for p in range(g2.dim):
-        x, y = tensor_split(p, dim)
-        out: dict = {}
-        for px, cx in dot.comul.columns[x].coeffs.items():
-            x1, x2 = tensor_split(px, dim)
-            for py, cy in dot.comul.columns[y].coeffs.items():
-                y1, y2 = tensor_split(py, dim)
-                idx = tensor_index(tensor_index(x1, y1, dim),
-                                   tensor_index(x2, y2, dim), g2.dim)
-                out[idx] = field.mul(cx, cy)
-        comul_cols.append(Element(g2g2, out, _canonical=True))
-        counit_cols.append(ssp.basis(0).scale(field.mul(dot._eps[x], dot._eps[y])))
-
     anti_cols = []
     for p in range(g2.dim):
         x, y = tensor_split(p, dim)
@@ -259,11 +241,10 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
                                    dot.product(dot.basis(x3), sy))))
             for w, (x1, x2, x3) in dot.sweedler(x, 3))))
 
-    ambient = HopfAlgebraData(g2, LinearOp(tensor_space(g2, g2), g2, mul_cols),
+    comul, counit = tensor_coalgebra(dot, dot)
+    ambient = HopfAlgebraData(g2, LinearOp(comul.codomain, g2, mul_cols),
                               tensor_elem(g2, dot.unit, dot.unit),
-                              LinearOp(g2, g2g2, comul_cols),
-                              LinearOp(g2, ssp, counit_cols),
-                              LinearOp(g2, g2, anti_cols))
+                              comul, counit, LinearOp(g2, g2, anti_cols))
     report = verify_hopf(ambient)
     if not report.passed:
         fail = report.first_failure()
@@ -288,20 +269,18 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
         raise ConstructionInvalid("embedding", "psi is not injective")
     if psi(dot.unit) != ambient.unit:
         raise ConstructionInvalid("embedding", "psi does not preserve the unit")
-    for g in range(dim):
-        for x in range(dim):
-            lhs = psi(dot.mul_basis(g, x))
-            if lhs != ambient.product(psi.columns[g], psi.columns[x]):
-                raise ConstructionInvalid(
-                    "embedding", f"psi not multiplicative for the dot product "
-                    f"at ({dot.label(g)},{dot.label(x)})")
-            lhs = psi(circle.mul_basis(g, x))
-            rhs = circle_product_element(ambient, b_map,
-                                         psi.columns[g], psi.columns[x])
-            if lhs != rhs:
-                raise ConstructionInvalid(
-                    "embedding", f"psi not multiplicative for the circle "
-                    f"product at ({dot.label(g)},{dot.label(x)})")
+    w = _multiplicative_witness(psi, dot, ambient)
+    if w is not None:
+        raise ConstructionInvalid(
+            "embedding", f"psi not multiplicative for the dot product "
+            f"at ({w.at[0]},{w.at[1]})")
+    w = first_witness((dot.space, dot.space), lambda g, x: (
+        psi(circle.mul_basis(g, x)),
+        circle_product_element(ambient, b_map, psi.columns[g], psi.columns[x])))
+    if w is not None:
+        raise ConstructionInvalid(
+            "embedding", f"psi not multiplicative for the circle "
+            f"product at ({w.at[0]},{w.at[1]})")
     return RbEmbedding(ambient, rbop, psi)
 
 
@@ -313,17 +292,9 @@ def op_module_witness(br: HopfBrace) -> Witness | None:
     dot = br.dot
     act = derived_action_map(br)
     dim = dot.dim
-    for a in range(dim):
-        for b in range(dim):
-            ba = dot.mul_basis(b, a)
-            for c in range(dim):
-                lhs = apply2(act, ba, dot.basis(c))
-                rhs = apply2(act, dot.basis(a),
-                             act.columns[tensor_index(b, c, dim)])
-                if lhs != rhs:
-                    return Witness((dot.label(a), dot.label(b), dot.label(c)),
-                                   str(lhs), str(rhs))
-    return None
+    return first_witness((dot.space, dot.space, dot.space), lambda a, b, c: (
+        apply2(act, dot.mul_basis(b, a), dot.basis(c)),
+        apply2(act, dot.basis(a), act.columns[tensor_index(b, c, dim)])))
 
 
 def check_op_module(br: HopfBrace) -> bool:
@@ -354,28 +325,23 @@ def symmetric_sufficient_witness(br: HopfBrace) -> Witness | None:
     act = derived_action_map(br)
     dim = dot.dim
     t = circle.antipode
-    for a in range(dim):
-        legs_a = dot.sweedler(a, 3)
-        for b in range(dim):
-            legs_b = dot.sweedler(b, 2)
-            for c in range(dim):
-                lhs = accumulate(dot.space, (
-                    (w, dot.product_many([dot.basis(a), dot.basis(b1),
-                                          act.columns[tensor_index(b2, c, dim)]]))
-                    for w, (b1, b2) in legs_b))
-                terms = []
-                for wa, (a1, a2, a3) in legs_a:
-                    inner = apply2(act, t.columns[a3], dot.basis(c))
-                    for wb, (b1, b2) in legs_b:
-                        outer = apply2(act, dot.mul_basis(a2, b2), inner)
-                        terms.append((dot.field.mul(wa, wb),
-                                      dot.product_many([dot.basis(a1),
-                                                        dot.basis(b1), outer])))
-                rhs = accumulate(dot.space, terms)
-                if lhs != rhs:
-                    return Witness((dot.label(a), dot.label(b), dot.label(c)),
-                                   str(lhs), str(rhs))
-    return None
+
+    def sides(a, b, c):
+        legs_b = dot.sweedler(b, 2)
+        lhs = accumulate(dot.space, (
+            (w, dot.product_many([dot.basis(a), dot.basis(b1),
+                                  act.columns[tensor_index(b2, c, dim)]]))
+            for w, (b1, b2) in legs_b))
+        terms = []
+        for wa, (a1, a2, a3) in dot.sweedler(a, 3):
+            inner = apply2(act, t.columns[a3], dot.basis(c))
+            for wb, (b1, b2) in legs_b:
+                outer = apply2(act, dot.mul_basis(a2, b2), inner)
+                terms.append((dot.field.mul(wa, wb),
+                              dot.product_many([dot.basis(a1),
+                                                dot.basis(b1), outer])))
+        return lhs, accumulate(dot.space, terms)
+    return first_witness((dot.space, dot.space, dot.space), sides)
 
 
 def check_symmetric_sufficient(br: HopfBrace) -> bool:
@@ -445,17 +411,13 @@ def rb_op_module_witness(h: HopfAlgebraData, b: LinearOp) -> Witness | None:
     h.require_validated()
     ad = adjoint_map(h)
     dim = h.dim
-    for a in range(dim):
-        for bb in range(dim):
-            left_actor = b(h.mul_basis(bb, a))
-            right_actor = h.product(b.columns[a], b.columns[bb])
-            for c in range(dim):
-                lhs = apply2(ad, left_actor, h.basis(c))
-                rhs = apply2(ad, right_actor, h.basis(c))
-                if lhs != rhs:
-                    return Witness((h.label(a), h.label(bb), h.label(c)),
-                                   str(lhs), str(rhs))
-    return None
+    # B(b a) and B(a) B(b), once per pair (a, b)
+    left = [b(h.mul_basis(bb, a)) for a in range(dim) for bb in range(dim)]
+    right = [h.product(b.columns[a], b.columns[bb])
+             for a in range(dim) for bb in range(dim)]
+    return first_witness((h.space, h.space, h.space), lambda a, bb, c: (
+        apply2(ad, left[a * dim + bb], h.basis(c)),
+        apply2(ad, right[a * dim + bb], h.basis(c))))
 
 
 def check_rb_op_module(h: HopfAlgebraData, b: LinearOp) -> bool:
@@ -471,28 +433,7 @@ def brace_from_op_action(h: HopfAlgebraData, act: LinearOp) -> HopfBrace:
     T(a) = S(a_(1)) ⇀ S(a_(2))."""
     require_cocommutative(h)
     dim = h.dim
-
-    for a in range(dim):
-        legs = h.sweedler(a, 2)
-        for b in range(dim):
-            u = accumulate(h.space, (
-                (w, h.product(h.basis(a1), act.columns[tensor_index(a2, b, dim)]))
-                for w, (a1, a2) in legs))
-            for c in range(dim):
-                lhs = apply2(act, u, h.basis(c))
-                rhs = apply2(act, h.mul_basis(b, a), h.basis(c))
-                if lhs != rhs:
-                    raise HypothesisFails(
-                        "a1(a2⇀b)⇀c = (ba)⇀c",
-                        Witness((h.label(a), h.label(b), h.label(c)),
-                                str(lhs), str(rhs)))
-
-    report = check_module_bialgebra(ModuleAction(opposite_hopf(h), h, act))
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid("module-bialgebra",
-                                  f"{fail.name}: {fail.witness}")
-
+    # a ∘ b = a_(1) (a_(2) ⇀ b), also the left actor of the hypothesis
     circle_cols = []
     for a in range(dim):
         legs = h.sweedler(a, 2)
@@ -500,6 +441,19 @@ def brace_from_op_action(h: HopfAlgebraData, act: LinearOp) -> HopfBrace:
             circle_cols.append(accumulate(h.space, (
                 (w, h.product(h.basis(a1), act.columns[tensor_index(a2, b, dim)]))
                 for w, (a1, a2) in legs)))
+
+    w = first_witness((h.space, h.space, h.space), lambda a, b, c: (
+        apply2(act, circle_cols[a * dim + b], h.basis(c)),
+        apply2(act, h.mul_basis(b, a), h.basis(c))))
+    if w is not None:
+        raise HypothesisFails("a1(a2⇀b)⇀c = (ba)⇀c", w)
+
+    report = check_module_bialgebra(ModuleAction(opposite_hopf(h), h, act))
+    if not report.passed:
+        fail = report.first_failure()
+        raise ConstructionInvalid("module-bialgebra",
+                                  f"{fail.name}: {fail.witness}")
+
     t_cols = []
     s = h.antipode
     for a in range(dim):

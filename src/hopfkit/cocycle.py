@@ -19,13 +19,12 @@ from .brace import HopfBrace, derived_action_map, embed_into_rb, verify_brace
 from .errors import (ConstructionInvalid, DimensionMismatch, IdentityFails,
                      InternalTheoremViolation, NotCoalgebraMap)
 from .hopf import (HopfAlgebraData, ModuleAction, apply2,
-                   check_coalgebra_morphism, module_algebra_report,
-                   module_coalgebra_report, check_module_bialgebra,
-                   scalar_space, verify_hopf)
+                   check_coalgebra_morphism, first_witness,
+                   module_algebra_report, module_coalgebra_report,
+                   check_module_bialgebra, tensor_coalgebra, verify_hopf)
 from .linalg import (Element, LinearOp, accumulate, invert, tensor_elem,
-                     tensor_index, tensor_space, tensor_split)
+                     tensor_space, tensor_split)
 from .rb import RotaBaxterOp, verify_rb
-from .report import Witness
 
 
 @dataclass
@@ -61,20 +60,14 @@ def verify_relative_rb(k: HopfAlgebraData, h: HopfAlgebraData,
         raise ConstructionInvalid("module-bialgebra", f"{fail.name}: {fail.witness}")
     if not check_coalgebra_morphism(tau, k, h):
         raise NotCoalgebraMap("tau is not a coalgebra morphism")
-    for a in range(k.dim):
-        legs = k.sweedler(a, 2)
-        ta = tau.columns[a]
-        for b in range(k.dim):
-            lhs = h.product(ta, tau.columns[b])
-            inner = accumulate(k.space, (
-                (w, k.product(k.basis(a1),
-                              apply2(action.act, tau.columns[a2], k.basis(b))))
-                for w, (a1, a2) in legs))
-            rhs = tau(inner)
-            if lhs != rhs:
-                raise IdentityFails(
-                    "relative-rota-baxter",
-                    Witness((k.label(a), k.label(b)), str(lhs), str(rhs)))
+    w = first_witness((k.space, k.space), lambda a, b: (
+        h.product(tau.columns[a], tau.columns[b]),
+        tau(accumulate(k.space, (
+            (c, k.product(k.basis(a1),
+                          apply2(action.act, tau.columns[a2], k.basis(b))))
+            for c, (a1, a2) in k.sweedler(a, 2))))))
+    if w is not None:
+        raise IdentityFails("relative-rota-baxter", w)
     return RelativeRB(k, h, action, tau)
 
 
@@ -95,18 +88,14 @@ def verify_cocycle(h: HopfAlgebraData, a: HopfAlgebraData,
     if not check_coalgebra_morphism(pi, h, a):
         raise NotCoalgebraMap("pi is not a coalgebra morphism")
     pi_inv = invert(pi)
-    for x in range(h.dim):
-        legs = h.sweedler(x, 2)
-        for y in range(h.dim):
-            lhs = pi(h.mul_basis(x, y))
-            rhs = accumulate(a.space, (
-                (w, a.product(pi.columns[x1],
-                              apply2(action.act, h.basis(x2), pi.columns[y])))
-                for w, (x1, x2) in legs))
-            if lhs != rhs:
-                raise IdentityFails(
-                    "cocycle",
-                    Witness((h.label(x), h.label(y)), str(lhs), str(rhs)))
+    w = first_witness((h.space, h.space), lambda x, y: (
+        pi(h.mul_basis(x, y)),
+        accumulate(a.space, (
+            (c, a.product(pi.columns[x1],
+                          apply2(action.act, h.basis(x2), pi.columns[y])))
+            for c, (x1, x2) in h.sweedler(x, 2)))))
+    if w is not None:
+        raise IdentityFails("cocycle", w)
     return Cocycle(h, a, action, pi, pi_inv)
 
 
@@ -165,9 +154,7 @@ def rb_hopf_from_cocycle(c: Cocycle) -> CocycleRb:
     h, a = c.source, c.target
     pi, pi_inv = c.pi, c.pi_inverse
     dim = a.dim
-    field = a.field
     aa = tensor_space(a.space, a.space)
-    aaaa = tensor_space(aa, aa)
     s_h = h.antipode
     s_a = a.antipode
 
@@ -187,22 +174,6 @@ def rb_hopf_from_cocycle(c: Cocycle) -> CocycleRb:
                                                             a.basis(t))])))
                 for w, (x1, x2, x3) in legs)))
 
-    comul_cols = []
-    counit_cols = []
-    ssp = scalar_space(field)
-    for p in range(aa.dim):
-        x, y = tensor_split(p, dim)
-        out: dict = {}
-        for px, cx in a.comul.columns[x].coeffs.items():
-            x1, x2 = tensor_split(px, dim)
-            for py, cy in a.comul.columns[y].coeffs.items():
-                y1, y2 = tensor_split(py, dim)
-                idx = tensor_index(tensor_index(x1, y1, dim),
-                                   tensor_index(x2, y2, dim), aa.dim)
-                out[idx] = field.mul(cx, cy)
-        comul_cols.append(Element(aaaa, out, _canonical=True))
-        counit_cols.append(ssp.basis(0).scale(field.mul(a._eps[x], a._eps[y])))
-
     t_map = pi.compose(s_h).compose(pi_inv)
     anti_cols = []
     for p in range(aa.dim):
@@ -214,11 +185,10 @@ def rb_hopf_from_cocycle(c: Cocycle) -> CocycleRb:
                                          pi_inv(a.product(a.basis(x3), sy))))))
             for w, (x1, x2, x3) in a.sweedler(x, 3))))
 
-    ambient = HopfAlgebraData(aa, LinearOp(tensor_space(aa, aa), aa, mul_cols),
+    comul, counit = tensor_coalgebra(a, a)
+    ambient = HopfAlgebraData(aa, LinearOp(comul.codomain, aa, mul_cols),
                               tensor_elem(aa, a.unit, a.unit),
-                              LinearOp(aa, aaaa, comul_cols),
-                              LinearOp(aa, ssp, counit_cols),
-                              LinearOp(aa, aa, anti_cols))
+                              comul, counit, LinearOp(aa, aa, anti_cols))
     report = verify_hopf(ambient)
     if not report.passed:
         fail = report.first_failure()

@@ -434,10 +434,32 @@ def _build_smash(name, raw, seen, field, path) -> Declaration:
 
 def _build_factorization(name, raw, seen, field, path) -> Declaration:
     refs = {"ambient": _resolve(seen, raw.get("ambient"), ("hopf",), path, name)}
+    labels = refs["ambient"].obj.space.labels
     for key in ("h", "l", "m"):
         if not isinstance(raw.get(key), list):
             raise DefinitionSyntaxError(f"factorization needs label list '{key}'",
                                         path)
+        for lab in raw[key]:
+            if lab not in labels:
+                raise DefinitionSyntaxError(
+                    f"'{key}' label {lab!r} is not a basis label of the ambient",
+                    path)
+    spec = raw.get("middle_rb", "inversion")     # absent: no operator to build
+    if isinstance(spec, dict) and "images" in spec:
+        images = spec["images"]
+        if not isinstance(images, dict):
+            raise DefinitionSyntaxError("middle_rb 'images' must be an object",
+                                        path)
+        for lab in raw["l"]:
+            if lab not in images:
+                raise DefinitionSyntaxError(
+                    f"middle_rb images miss the L label {lab!r}", path)
+            if images[lab] not in raw["l"]:
+                raise DefinitionSyntaxError(
+                    f"middle_rb image {images[lab]!r} of {lab!r} is not in L",
+                    path)
+    elif spec not in ("inversion", "unit-counit"):
+        raise DefinitionSyntaxError(f"unrecognized middle_rb spec {spec!r}", path)
     return Declaration("factorization", name, raw, refs=refs)
 
 

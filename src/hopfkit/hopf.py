@@ -4,10 +4,14 @@ constructors, module actions and convolution inverses.
 Every carrier is finite-dimensional with exact scalars.  Identities are
 verified by sweeping all basis tuples, which suffices by multilinearity;
 failed sweeps report the lexicographically first failing tuple together
-with both evaluated sides.  The :func:`verify_hopf` sweeps run on the int
-columns of :func:`~hopfkit.linalg.scaled_columns` and compare the two
-sides in ints (modulo p over F_p); only the first failing tuple is
-evaluated as elements, to render its witness.
+with both evaluated sides.  Every element-level sweep in the package goes
+through :func:`first_witness`; every check that a map is a coalgebra map
+goes through :func:`coalgebra_map_failures`, and the middle-flip
+coalgebra of H ⊗ K is built once, by :func:`tensor_coalgebra`.  The
+:func:`verify_hopf` sweeps run on the int columns of
+:func:`~hopfkit.linalg.scaled_columns` and compare the two sides in ints
+(modulo p over F_p); only the first failing tuple is evaluated as
+elements, to render its witness.
 
 Sweedler conventions: ``sweedler(i, n)`` expands the (n-1)-fold iterated
 comultiplication of the i-th basis vector as a list of (coefficient,
@@ -17,6 +21,7 @@ index-tuple) terms, with iterates applied to the leftmost leg, i.e.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
@@ -170,6 +175,18 @@ class HopfAlgebraData:
                 and self.unit == other.unit and self.comul == other.comul
                 and self.counit == other.counit
                 and self.antipode == other.antipode)
+
+
+def first_witness(spaces, sides) -> Witness | None:
+    """The lexicographically first basis tuple ``at``, one index per based
+    space in ``spaces``, where ``lhs, rhs = sides(*at)`` differ, as a
+    Witness with both sides rendered; None when they agree everywhere."""
+    for at in itertools.product(*(range(s.dim) for s in spaces)):
+        lhs, rhs = sides(*at)
+        if lhs != rhs:
+            return Witness(tuple(s.labels[i] for s, i in zip(spaces, at)),
+                           str(lhs), str(rhs))
+    return None
 
 
 def _witness(h: HopfAlgebraData, at: tuple[int, ...], lhs, rhs) -> Witness:
@@ -447,16 +464,42 @@ def hopf_from_structure(space: BasedSpace, mul: LinearOp, unit: Element,
     return HopfAlgebraData(space, mul, unit, comul, counit, antipode)
 
 
+def tensor_coalgebra(h: HopfAlgebraData,
+                     k: HopfAlgebraData) -> tuple[LinearOp, LinearOp]:
+    """The middle-flip coalgebra of H ⊗ K as ``(comul, counit)``:
+    Δ(x⊗y) = (x_(1)⊗y_(1)) ⊗ (x_(2)⊗y_(2)) and ε(x⊗y) = ε(x)ε(y)."""
+    field = h.field
+    space = tensor_space(h.space, k.space)
+    square = tensor_space(space, space)
+    dim_h, dim_k, dim = h.dim, k.dim, space.dim
+    one = scalar_space(field).basis(0)
+    comul_cols = []
+    counit_cols = []
+    for i in range(dim_h):
+        for j in range(dim_k):
+            out: dict = {}
+            for pi, ci in h.comul.columns[i].coeffs.items():
+                h1, h2 = tensor_split(pi, dim_h)
+                for pj, cj in k.comul.columns[j].coeffs.items():
+                    k1, k2 = tensor_split(pj, dim_k)
+                    idx = tensor_index(tensor_index(h1, k1, dim_k),
+                                       tensor_index(h2, k2, dim_k), dim)
+                    out[idx] = field.mul(ci, cj)
+            comul_cols.append(Element(square, out, _canonical=True))
+            counit_cols.append(one.scale(field.mul(h._eps[i], k._eps[j])))
+    return (LinearOp(space, square, comul_cols),
+            LinearOp(space, one.space, counit_cols))
+
+
 def tensor_hopf(h: HopfAlgebraData, k: HopfAlgebraData) -> HopfAlgebraData:
     """Tensor product Hopf algebra with componentwise multiplication and
     the middle-flip tensor comultiplication."""
     require_cocommutative(h)
     require_cocommutative(k)
-    field = h.field
-    if field != k.field:
+    if h.field != k.field:
         raise DimensionMismatch("tensor factors over different fields")
-    space = tensor_space(h.space, k.space)
-    hh = tensor_space(space, space)
+    comul, counit = tensor_coalgebra(h, k)
+    space = comul.domain
     dim_k = k.dim
     dim = space.dim
 
@@ -466,33 +509,14 @@ def tensor_hopf(h: HopfAlgebraData, k: HopfAlgebraData) -> HopfAlgebraData:
         for q in range(dim):
             a, b = tensor_split(q, dim_k)
             mul_cols.append(tensor_elem(space, h.mul_basis(i, a), k.mul_basis(j, b)))
-
-    comul_cols = []
-    for p in range(dim):
-        i, j = tensor_split(p, dim_k)
-        out: dict = {}
-        for pi, ci in h.comul.columns[i].coeffs.items():
-            h1, h2 = tensor_split(pi, h.dim)
-            for pj, cj in k.comul.columns[j].coeffs.items():
-                k1, k2 = tensor_split(pj, k.dim)
-                idx = tensor_index(tensor_index(h1, k1, dim_k),
-                                   tensor_index(h2, k2, dim_k), dim)
-                out[idx] = field.mul(ci, cj)
-        comul_cols.append(Element(hh, out, _canonical=True))
-
-    ssp = scalar_space(field)
-    counit_cols = []
     anti_cols = []
     for p in range(dim):
         i, j = tensor_split(p, dim_k)
-        counit_cols.append(ssp.basis(0).scale(field.mul(h._eps[i], k._eps[j])))
         anti_cols.append(tensor_elem(space, h.antipode.columns[i],
                                      k.antipode.columns[j]))
 
-    out = HopfAlgebraData(space, LinearOp(hh, space, mul_cols),
-                          tensor_elem(space, h.unit, k.unit),
-                          LinearOp(space, hh, comul_cols),
-                          LinearOp(space, ssp, counit_cols),
+    out = HopfAlgebraData(space, LinearOp(comul.codomain, space, mul_cols),
+                          tensor_elem(space, h.unit, k.unit), comul, counit,
                           LinearOp(space, space, anti_cols))
     report = verify_hopf(out)
     if not report.passed:
@@ -549,23 +573,56 @@ def opposite_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
 
 # -- morphism checks -----------------------------------------------------------
 
+def coalgebra_map_failures(f: LinearOp, source: tuple[LinearOp, LinearOp],
+                           target: tuple[LinearOp, LinearOp]):
+    """Sweep Δ_t ∘ f = (f⊗f) ∘ Δ_s and ε_t ∘ f = ε_s over the basis of the
+    domain of f, where ``source`` and ``target`` are ``(comul, counit)``
+    pairs.  Returns ``(comul, counit)``: the first failing basis index of
+    each identity as ``(i, lhs, rhs)``, or None where it holds.  The
+    counit sides are scalars.  Callers that report one failure take the
+    lower index, the comultiplication winning a tie."""
+    (s_comul, s_counit), (t_comul, t_counit) = source, target
+    cols = f.columns
+    n = len(cols)
+    square = t_comul.codomain
+    comul = counit = None
+    for i, col in enumerate(cols):
+        if comul is None:
+            lhs = t_comul(col)
+            rhs = accumulate(square, (
+                (c, tensor_elem(square, cols[p // n], cols[p % n]))
+                for p, c in s_comul.columns[i].coeffs.items()))
+            if lhs != rhs:
+                comul = (i, lhs, rhs)
+        if counit is None:
+            lhs = t_counit(col).coefficient(0)
+            rhs = s_counit.columns[i].coefficient(0)
+            if lhs != rhs:
+                counit = (i, lhs, rhs)
+        if comul and counit:
+            break
+    return comul, counit
+
+
+def _earliest(fails):
+    """``(k, fail)`` for the failure of :func:`coalgebra_map_failures` at
+    the lower index, k = 0 for the comultiplication (which wins a tie) and
+    1 for the counit; None when both hold."""
+    found = [(k, fail) for k, fail in enumerate(fails) if fail]
+    return min(found, key=lambda kf: kf[1][0], default=None)
+
+
 def coalgebra_morphism_witness(f: LinearOp, h: HopfAlgebraData,
                                k: HopfAlgebraData) -> Witness | None:
     """The first basis element e_i of H with Δ_K(f(e_i)) != (f⊗f)Δ_H(e_i)
     or ε_K(f(e_i)) != ε_H(e_i), with both sides, or None when f is a
     coalgebra map.  Neither structure needs to be validated."""
-    for i in range(h.dim):
-        lhs = k.comul(f.columns[i])
-        rhs = accumulate(k.hh, (
-            (c, tensor_elem(k.hh, f.columns[tensor_split(p, h.dim)[0]],
-                            f.columns[tensor_split(p, h.dim)[1]]))
-            for p, c in h.comul.columns[i].coeffs.items()))
-        if lhs != rhs:
-            return Witness((h.label(i),), str(lhs), str(rhs))
-        if k.counit_scalar(f.columns[i]) != h._eps[i]:
-            return Witness((h.label(i),), str(k.counit_scalar(f.columns[i])),
-                           str(h._eps[i]))
-    return None
+    first = _earliest(coalgebra_map_failures(f, (h.comul, h.counit),
+                                             (k.comul, k.counit)))
+    if first is None:
+        return None
+    i, lhs, rhs = first[1]
+    return Witness((h.label(i),), str(lhs), str(rhs))
 
 
 def check_coalgebra_morphism(f: LinearOp, h: HopfAlgebraData,
@@ -584,11 +641,8 @@ def check_bialgebra_automorphism(phi: LinearOp, h: HopfAlgebraData) -> bool:
         return False
     if phi(h.unit) != h.unit:
         return False
-    for i in range(h.dim):
-        fi = phi.columns[i]
-        for j in range(h.dim):
-            if phi(h.mul_basis(i, j)) != h.product(fi, phi.columns[j]):
-                return False
+    if _multiplicative_witness(phi, h, h) is not None:
+        return False
     return rank(phi) == h.dim
 
 
@@ -606,10 +660,14 @@ def check_hopf_isomorphism(f: LinearOp, h: HopfAlgebraData,
     for i in range(h.dim):
         if f(h.antipode.columns[i]) != k.antipode(f.columns[i]):
             return False
-        for j in range(h.dim):
-            if f(h.mul_basis(i, j)) != k.product(f.columns[i], f.columns[j]):
-                return False
-    return True
+    return _multiplicative_witness(f, h, k) is None
+
+
+def _multiplicative_witness(f: LinearOp, h: HopfAlgebraData,
+                            k: HopfAlgebraData) -> Witness | None:
+    """First basis pair (i, j) with f(e_i e_j) != f(e_i) f(e_j)."""
+    return first_witness((h.space, h.space), lambda i, j: (
+        f(h.mul_basis(i, j)), k.product(f.columns[i], f.columns[j])))
 
 
 # -- module actions -------------------------------------------------------------
@@ -650,97 +708,39 @@ def module_action(actor: HopfAlgebraData, carrier: HopfAlgebraData,
 
 def _module_axioms(action: ModuleAction, report: AxiomReport):
     k, h = action.actor, action.carrier
-    w = None
-    for i in range(h.dim):
-        got = action.of(k.unit, h.basis(i))
-        if got != h.basis(i):
-            w = Witness((h.label(i),), str(got), str(h.basis(i)))
-            break
-    report.add("module-unit", w)
-
-    w = None
-    for a in range(k.dim):
-        for b in range(k.dim):
-            prod = k.mul_basis(a, b)
-            for i in range(h.dim):
-                lhs = action.of(prod, h.basis(i))
-                rhs = action.of(k.basis(a), action.basis(b, i))
-                if lhs != rhs:
-                    w = Witness((k.label(a), k.label(b), h.label(i)),
-                                str(lhs), str(rhs))
-                    break
-            if w:
-                break
-        if w:
-            break
-    report.add("module-associativity", w)
+    report.add("module-unit", first_witness(
+        (h.space,), lambda i: (action.of(k.unit, h.basis(i)), h.basis(i))))
+    report.add("module-associativity", first_witness(
+        (k.space, k.space, h.space),
+        lambda a, b, i: (action.of(k.mul_basis(a, b), h.basis(i)),
+                         action.of(k.basis(a), action.basis(b, i)))))
 
 
 def _module_algebra_axioms(action: ModuleAction, report: AxiomReport):
     k, h = action.actor, action.carrier
-    w = None
-    for a in range(k.dim):
-        ka = k.basis(a)
-        for i in range(h.dim):
-            for j in range(h.dim):
-                lhs = action.of(ka, h.mul_basis(i, j))
-                rhs = accumulate(h.space, (
-                    (c, h.product(action.basis(tensor_split(p, k.dim)[0], i),
-                                  action.basis(tensor_split(p, k.dim)[1], j)))
-                    for p, c in k.comul.columns[a].coeffs.items()))
-                if lhs != rhs:
-                    w = Witness((k.label(a), h.label(i), h.label(j)),
-                                str(lhs), str(rhs))
-                    break
-            if w:
-                break
-        if w:
-            break
-    report.add("module-algebra-product", w)
 
-    w = None
-    for a in range(k.dim):
-        got = action.of(k.basis(a), h.unit)
-        want = h.unit.scale(k._eps[a])
-        if got != want:
-            w = Witness((k.label(a),), str(got), str(want))
-            break
-    report.add("module-algebra-unit", w)
+    def product(a, i, j):
+        rhs = accumulate(h.space, (
+            (c, h.product(action.basis(x1, i), action.basis(x2, j)))
+            for c, (x1, x2) in k.sweedler(a, 2)))
+        return action.of(k.basis(a), h.mul_basis(i, j)), rhs
+    report.add("module-algebra-product",
+               first_witness((k.space, h.space, h.space), product))
+    report.add("module-algebra-unit", first_witness(
+        (k.space,), lambda a: (action.of(k.basis(a), h.unit),
+                               h.unit.scale(k._eps[a]))))
 
 
 def _module_coalgebra_axioms(action: ModuleAction, report: AxiomReport):
     k, h = action.actor, action.carrier
-    w = None
-    for a in range(k.dim):
-        for i in range(h.dim):
-            lhs = h.comul(action.basis(a, i))
-            rhs_terms = []
-            for pk, ck in k.comul.columns[a].coeffs.items():
-                k1, k2 = tensor_split(pk, k.dim)
-                for ph, ch in h.comul.columns[i].coeffs.items():
-                    h1, h2 = tensor_split(ph, h.dim)
-                    rhs_terms.append((h.field.mul(ck, ch),
-                                      tensor_elem(h.hh, action.basis(k1, h1),
-                                                  action.basis(k2, h2))))
-            rhs = accumulate(h.hh, rhs_terms)
-            if lhs != rhs:
-                w = Witness((k.label(a), h.label(i)), str(lhs), str(rhs))
-                break
-        if w:
-            break
-    report.add("module-coalgebra-comul", w)
-
-    w = None
-    for a in range(k.dim):
-        for i in range(h.dim):
-            got = h.counit_scalar(action.basis(a, i))
-            want = h.field.mul(k._eps[a], h._eps[i])
-            if got != want:
-                w = Witness((k.label(a), h.label(i)), str(got), str(want))
-                break
-        if w:
-            break
-    report.add("module-coalgebra-counit", w)
+    fails = coalgebra_map_failures(action.act, tensor_coalgebra(k, h),
+                                   (h.comul, h.counit))
+    for name, fail in zip(("module-coalgebra-comul", "module-coalgebra-counit"),
+                          fails):
+        if fail:
+            a, i = tensor_split(fail[0], h.dim)
+            fail = Witness((k.label(a), h.label(i)), str(fail[1]), str(fail[2]))
+        report.add(name, fail)
 
 
 def check_module_bialgebra(action: ModuleAction) -> AxiomReport:

@@ -23,6 +23,7 @@ dict.  The solver uses sparse Gauss-Jordan elimination with exact pivots.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -384,8 +385,7 @@ def tensor_space(a: BasedSpace, b: BasedSpace) -> BasedSpace:
     this fixed order."""
     if a.field != b.field:
         raise FieldMismatch("tensor factors over different fields")
-    labels = tuple((la, lb) for la in a.labels for lb in b.labels)
-    return BasedSpace(labels, a.field)
+    return BasedSpace(tuple(itertools.product(a.labels, b.labels)), a.field)
 
 
 def tensor_index(i: int, j: int, dim_b: int) -> int:

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 from .brace import HopfBrace, verify_brace
 from .errors import (AxiomFails, ConstructionInvalid, DimensionMismatch,
                      HypothesisFails, InternalTheoremViolation, BraidFails)
-from .hopf import HopfAlgebraData, apply2, require_cocommutative, verify_hopf
+from .hopf import (HopfAlgebraData, _earliest, apply2, coalgebra_map_failures,
+                   first_witness, require_cocommutative, tensor_coalgebra,
+                   verify_hopf)
 from .linalg import (Element, LinearOp, accumulate, invert, tensor_elem,
                      tensor_index, tensor_space, tensor_split)
-from .rb import RotaBaxterOp, descend
+from .rb import RotaBaxterOp, descend, rb_action_map
 from .report import Witness
 
 
@@ -45,8 +47,8 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
         raise DimensionMismatch("left action must map K⊗H to H")
     if ract.domain != kh or ract.codomain != k.space:
         raise DimensionMismatch("right action must map K⊗H to K")
-    dim_h, dim_k = h.dim, k.dim
-    field = h.field
+    dim_h = h.dim
+    source = tensor_coalgebra(k, h)
 
     def la(x: int, a: int) -> Element:
         return lact.columns[tensor_index(x, a, dim_h)]
@@ -54,101 +56,55 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
     def ra(x: int, a: int) -> Element:
         return ract.columns[tensor_index(x, a, dim_h)]
 
-    def fail(tag: str, at, lhs, rhs):
-        raise AxiomFails(tag, Witness(at, str(lhs), str(rhs)))
+    def sweep(tag: str, spaces, sides):
+        w = first_witness(spaces, sides)
+        if w is not None:
+            raise AxiomFails(tag, w)
 
-    for a in range(dim_h):
-        got = apply2(lact, k.unit, h.basis(a))
-        if got != h.basis(a):
-            fail("left-module-unit", (h.label(a),), got, h.basis(a))
-    for x in range(dim_k):
-        for y in range(dim_k):
-            prod = k.mul_basis(x, y)
-            for a in range(dim_h):
-                lhs = apply2(lact, prod, h.basis(a))
-                rhs = apply2(lact, k.basis(x), la(y, a))
-                if lhs != rhs:
-                    fail("left-module-associativity",
-                         (k.label(x), k.label(y), h.label(a)), lhs, rhs)
-    for x in range(dim_k):
-        for a in range(dim_h):
-            lhs = h.comul(la(x, a))
-            rhs = accumulate(h.hh, (
-                (field.mul(cx, ca), tensor_elem(h.hh, la(x1, a1), la(x2, a2)))
-                for cx, (x1, x2) in k.sweedler(x, 2)
-                for ca, (a1, a2) in h.sweedler(a, 2)))
-            if lhs != rhs:
-                fail("left-module-coalgebra", (k.label(x), h.label(a)), lhs, rhs)
-            got = h.counit_scalar(la(x, a))
-            want = field.mul(k._eps[x], h._eps[a])
-            if got != want:
-                fail("left-module-counit", (k.label(x), h.label(a)), got, want)
-    for x in range(dim_k):
-        got = apply2(lact, k.basis(x), h.unit)
-        want = h.unit.scale(k._eps[x])
-        if got != want:
-            fail("left-action-on-unit", (k.label(x),), got, want)
+    def module_coalgebra(tags, act, target):
+        first = _earliest(coalgebra_map_failures(act, source, target))
+        if first is not None:
+            which, (p, lhs, rhs) = first
+            x, a = tensor_split(p, dim_h)
+            raise AxiomFails(tags[which], Witness((k.label(x), h.label(a)),
+                                                  str(lhs), str(rhs)))
 
-    for x in range(dim_k):
-        got = apply2(ract, k.basis(x), h.unit)
-        if got != k.basis(x):
-            fail("right-module-unit", (k.label(x),), got, k.basis(x))
-    for x in range(dim_k):
-        for a in range(dim_h):
-            xa = ra(x, a)
-            for b in range(dim_h):
-                lhs = apply2(ract, k.basis(x), h.mul_basis(a, b))
-                rhs = apply2(ract, xa, h.basis(b))
-                if lhs != rhs:
-                    fail("right-module-associativity",
-                         (k.label(x), h.label(a), h.label(b)), lhs, rhs)
-    for x in range(dim_k):
-        for a in range(dim_h):
-            lhs = k.comul(ra(x, a))
-            rhs = accumulate(k.hh, (
-                (field.mul(cx, ca), tensor_elem(k.hh, ra(x1, a1), ra(x2, a2)))
-                for cx, (x1, x2) in k.sweedler(x, 2)
-                for ca, (a1, a2) in h.sweedler(a, 2)))
-            if lhs != rhs:
-                fail("right-module-coalgebra", (k.label(x), h.label(a)), lhs, rhs)
-            got = k.counit_scalar(ra(x, a))
-            want = field.mul(k._eps[x], h._eps[a])
-            if got != want:
-                fail("right-module-counit", (k.label(x), h.label(a)), got, want)
-    for a in range(dim_h):
-        got = apply2(ract, k.unit, h.basis(a))
-        want = k.unit.scale(h._eps[a])
-        if got != want:
-            fail("right-action-on-unit", (h.label(a),), got, want)
+    sweep("left-module-unit", (h.space,),
+          lambda a: (apply2(lact, k.unit, h.basis(a)), h.basis(a)))
+    sweep("left-module-associativity", (k.space, k.space, h.space),
+          lambda x, y, a: (apply2(lact, k.mul_basis(x, y), h.basis(a)),
+                           apply2(lact, k.basis(x), la(y, a))))
+    module_coalgebra(("left-module-coalgebra", "left-module-counit"), lact,
+                     (h.comul, h.counit))
+    sweep("left-action-on-unit", (k.space,),
+          lambda x: (apply2(lact, k.basis(x), h.unit), h.unit.scale(k._eps[x])))
 
-    for x in range(dim_k):
-        legs_x = k.sweedler(x, 2)
-        for a in range(dim_h):
-            legs_a = h.sweedler(a, 2)
-            for b in range(dim_h):
-                lhs = apply2(lact, k.basis(x), h.mul_basis(a, b))
-                rhs = accumulate(h.space, (
-                    (field.mul(cx, ca),
-                     h.product(la(x1, a1), apply2(lact, ra(x2, a2), h.basis(b))))
-                    for cx, (x1, x2) in legs_x
-                    for ca, (a1, a2) in legs_a))
-                if lhs != rhs:
-                    fail("compatibility-left",
-                         (k.label(x), h.label(a), h.label(b)), lhs, rhs)
-    for x in range(dim_k):
-        for y in range(dim_k):
-            legs_y = k.sweedler(y, 2)
-            for a in range(dim_h):
-                legs_a = h.sweedler(a, 2)
-                lhs = apply2(ract, k.mul_basis(x, y), h.basis(a))
-                rhs = accumulate(k.space, (
-                    (field.mul(cy, ca),
-                     k.product(apply2(ract, k.basis(x), la(y1, a1)), ra(y2, a2)))
-                    for cy, (y1, y2) in legs_y
-                    for ca, (a1, a2) in legs_a))
-                if lhs != rhs:
-                    fail("compatibility-right",
-                         (k.label(x), k.label(y), h.label(a)), lhs, rhs)
+    sweep("right-module-unit", (k.space,),
+          lambda x: (apply2(ract, k.basis(x), h.unit), k.basis(x)))
+    sweep("right-module-associativity", (k.space, h.space, h.space),
+          lambda x, a, b: (apply2(ract, k.basis(x), h.mul_basis(a, b)),
+                           apply2(ract, ra(x, a), h.basis(b))))
+    module_coalgebra(("right-module-coalgebra", "right-module-counit"), ract,
+                     (k.comul, k.counit))
+    sweep("right-action-on-unit", (h.space,),
+          lambda a: (apply2(ract, k.unit, h.basis(a)), k.unit.scale(h._eps[a])))
+
+    def legs(x, a):
+        return ((cx * ca, x1, x2, a1, a2) for cx, (x1, x2) in k.sweedler(x, 2)
+                for ca, (a1, a2) in h.sweedler(a, 2))
+
+    sweep("compatibility-left", (k.space, h.space, h.space),
+          lambda x, a, b: (apply2(lact, k.basis(x), h.mul_basis(a, b)),
+                           accumulate(h.space, (
+                               (c, h.product(la(x1, a1),
+                                             apply2(lact, ra(x2, a2), h.basis(b))))
+                               for c, x1, x2, a1, a2 in legs(x, a)))))
+    sweep("compatibility-right", (k.space, k.space, h.space),
+          lambda x, y, a: (apply2(ract, k.mul_basis(x, y), h.basis(a)),
+                           accumulate(k.space, (
+                               (c, k.product(apply2(ract, k.basis(x), la(y1, a1)),
+                                             ra(y2, a2)))
+                               for c, y1, y2, a1, a2 in legs(y, a)))))
     return MatchedPair(h, k, lact, ract)
 
 
@@ -164,16 +120,7 @@ def matched_pair_from_rb(b: RotaBaxterOp) -> MatchedPair:
     h = b.carrier
     dim = h.dim
     hb = descend(b).hopf
-
-    lact_cols = []
-    for x in range(dim):
-        wings = [(c, b.map.columns[x1], h.antipode(b.map.columns[x2]))
-                 for c, (x1, x2) in h.sweedler(x, 2)]
-        for a in range(dim):
-            lact_cols.append(accumulate(h.space, (
-                (c, h.product_many([left, h.basis(a), right]))
-                for c, left, right in wings)))
-    lact = LinearOp(h.hh, h.space, lact_cols)
+    lact = rb_action_map(b)
 
     # S∘B∘lact, S∘lact and B∘lact as tables over the dim² action columns.
     # Each distinct left factor S(B(u1)) S(u2) is turned into its left
@@ -267,61 +214,27 @@ def ybe_from_rb(b: RotaBaxterOp) -> YbeMap:
                 for cy, (y1, y2) in h.sweedler(y, 2))))
     c = LinearOp(hh, hh, cols)
 
-    # coalgebra morphism for the middle-flip tensor coalgebra
-    hhhh = tensor_space(hh, hh)
-
-    def tensor_comul(elem: Element) -> Element:
-        out: dict = {}
-        for p, w in elem.coeffs.items():
-            x, y = tensor_split(p, dim)
-            for px, cx in h.comul.columns[x].coeffs.items():
-                x1, x2 = tensor_split(px, dim)
-                for py, cy in h.comul.columns[y].coeffs.items():
-                    y1, y2 = tensor_split(py, dim)
-                    key = tensor_index(tensor_index(x1, y1, dim),
-                                       tensor_index(x2, y2, dim), hh.dim)
-                    nv = field.add(out.get(key, field.zero),
-                                   field.mul(w, field.mul(cx, cy)))
-                    if nv == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = nv
-        return Element(hhhh, out, _canonical=True)
-
-    for p in range(hh.dim):
-        lhs = tensor_comul(c.columns[p])
-        x, y = tensor_split(p, dim)
-        rhs_terms = []
-        for px, cx in h.comul.columns[x].coeffs.items():
-            x1, x2 = tensor_split(px, dim)
-            for py, cy in h.comul.columns[y].coeffs.items():
-                y1, y2 = tensor_split(py, dim)
-                rhs_terms.append((field.mul(cx, cy),
-                                  tensor_elem(hhhh,
-                                              c.columns[tensor_index(x1, y1, dim)],
-                                              c.columns[tensor_index(x2, y2, dim)])))
-        if lhs != accumulate(hhhh, rhs_terms):
-            raise InternalTheoremViolation(
-                f"c is not a coalgebra morphism at basis pair "
-                f"({h.label(x)},{h.label(y)})")
+    coalgebra = tensor_coalgebra(h, h)
+    first = _earliest(coalgebra_map_failures(c, coalgebra, coalgebra))
+    if first is not None:
+        x, y = tensor_split(first[1][0], dim)
+        raise InternalTheoremViolation(
+            f"c is not a coalgebra morphism at basis pair "
+            f"({h.label(x)},{h.label(y)})")
 
     c_inv = invert(c)
 
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                start = {(i, j, k): field.one}
-                lhs = _apply_on_legs(c, start, 0, dim, field)
-                lhs = _apply_on_legs(c, lhs, 1, dim, field)
-                lhs = _apply_on_legs(c, lhs, 0, dim, field)
-                rhs = _apply_on_legs(c, start, 1, dim, field)
-                rhs = _apply_on_legs(c, rhs, 0, dim, field)
-                rhs = _apply_on_legs(c, rhs, 1, dim, field)
-                if lhs != rhs:
-                    raise BraidFails(
-                        "braid relation fails",
-                        Witness((h.label(i), h.label(j), h.label(k)),
-                                str(sorted(lhs.items())), str(sorted(rhs.items()))))
+    def braid(i, j, k):
+        lhs = rhs = {(i, j, k): field.one}
+        for pos in (0, 1, 0):
+            lhs = _apply_on_legs(c, lhs, pos, dim, field)
+        for pos in (1, 0, 1):
+            rhs = _apply_on_legs(c, rhs, pos, dim, field)
+        return sorted(lhs.items()), sorted(rhs.items())
+
+    w = first_witness((h.space, h.space, h.space), braid)
+    if w is not None:
+        raise BraidFails("braid relation fails", w)
     return YbeMap(h.space, c, c_inv)
 
 
@@ -345,20 +258,14 @@ def brace_from_matched_pair(m: MatchedPair, circle: HopfAlgebraData) -> HopfBrac
     def ra(x, a):
         return m.ract.columns[tensor_index(x, a, dim)]
 
-    for a in range(dim):
-        legs_a = circle.sweedler(a, 2)
-        for b in range(dim):
-            lhs = circle.mul_basis(a, b)
-            rhs = accumulate(circle.space, (
-                (field.mul(ca, cb),
-                 apply2(circle.mul, la(a1, b1), ra(a2, b2)))
-                for ca, (a1, a2) in legs_a
-                for cb, (b1, b2) in circle.sweedler(b, 2)))
-            if lhs != rhs:
-                raise HypothesisFails(
-                    "a∘b = (a1⇀b1)∘(a2↼b2)",
-                    Witness((circle.label(a), circle.label(b)),
-                            str(lhs), str(rhs)))
+    w = first_witness((circle.space, circle.space), lambda a, b: (
+        circle.mul_basis(a, b),
+        accumulate(circle.space, (
+            (field.mul(ca, cb), apply2(circle.mul, la(a1, b1), ra(a2, b2)))
+            for ca, (a1, a2) in circle.sweedler(a, 2)
+            for cb, (b1, b2) in circle.sweedler(b, 2)))))
+    if w is not None:
+        raise HypothesisFails("a∘b = (a1⇀b1)∘(a2↼b2)", w)
 
     t = circle.antipode
     dot_cols = []

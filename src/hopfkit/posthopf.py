@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 from .brace import HopfBrace, derived_action_map, verify_brace
 from .errors import ConstructionInvalid, IdentityFails
-from .hopf import (HopfAlgebraData, apply2, convolution_inverse, curry_action,
-                   end_algebra, require_cocommutative, uncurry_action,
-                   verify_hopf)
-from .linalg import LinearOp, accumulate, tensor_elem, tensor_index
-from .rb import RotaBaxterOp
+from .hopf import (HopfAlgebraData, _earliest, apply2, coalgebra_map_failures,
+                   convolution_inverse, curry_action, end_algebra,
+                   first_witness, require_cocommutative, tensor_coalgebra,
+                   uncurry_action, verify_hopf)
+from .linalg import LinearOp, accumulate, tensor_index, tensor_split
+from .rb import RotaBaxterOp, rb_action_map
 from .report import Witness
 
 
@@ -44,58 +45,35 @@ def verify_posthopf(h: HopfAlgebraData, tri: LinearOp) -> PostHopf:
     on all basis tuples, then solve for β."""
     require_cocommutative(h)
     dim = h.dim
-    field = h.field
+    first = _earliest(coalgebra_map_failures(tri, tensor_coalgebra(h, h),
+                                             (h.comul, h.counit)))
+    if first is not None:
+        which, (p, lhs, rhs) = first
+        x, y = tensor_split(p, dim)
+        raise IdentityFails(
+            ("coalgebra-morphism", "coalgebra-morphism-counit")[which],
+            Witness((h.label(x), h.label(y)), str(lhs),
+                    str(rhs) if which else "(x1▶y1)⊗(x2▶y2)"))
 
-    for x in range(dim):
-        for y in range(dim):
-            col = tri.columns[tensor_index(x, y, dim)]
-            lhs = h.comul(col)
-            rhs_terms = []
-            for cx, (x1, x2) in h.sweedler(x, 2):
-                for cy, (y1, y2) in h.sweedler(y, 2):
-                    rhs_terms.append((field.mul(cx, cy),
-                                      tensor_elem(h.hh,
-                                                  tri.columns[tensor_index(x1, y1, dim)],
-                                                  tri.columns[tensor_index(x2, y2, dim)])))
-            if lhs != accumulate(h.hh, rhs_terms):
-                raise IdentityFails("coalgebra-morphism",
-                                    Witness((h.label(x), h.label(y)),
-                                            str(lhs), "(x1▶y1)⊗(x2▶y2)"))
-            if h.counit_scalar(col) != field.mul(h._eps[x], h._eps[y]):
-                raise IdentityFails("coalgebra-morphism-counit",
-                                    Witness((h.label(x), h.label(y)),
-                                            str(h.counit_scalar(col)),
-                                            str(field.mul(h._eps[x], h._eps[y]))))
+    def tri_of(x, y):
+        return tri.columns[tensor_index(x, y, dim)]
 
-    for x in range(dim):
-        legs = h.sweedler(x, 2)
-        for y in range(dim):
-            for z in range(dim):
-                lhs = apply2(tri, h.basis(x), h.mul_basis(y, z))
-                rhs = accumulate(h.space, (
-                    (w, h.product(tri.columns[tensor_index(x1, y, dim)],
-                                  tri.columns[tensor_index(x2, z, dim)]))
-                    for w, (x1, x2) in legs))
-                if lhs != rhs:
-                    raise IdentityFails(
-                        "product-distributivity",
-                        Witness((h.label(x), h.label(y), h.label(z)),
-                                str(lhs), str(rhs)))
+    w = first_witness((h.space, h.space, h.space), lambda x, y, z: (
+        apply2(tri, h.basis(x), h.mul_basis(y, z)),
+        accumulate(h.space, ((c, h.product(tri_of(x1, y), tri_of(x2, z)))
+                             for c, (x1, x2) in h.sweedler(x, 2)))))
+    if w is not None:
+        raise IdentityFails("product-distributivity", w)
 
-    for x in range(dim):
-        legs = h.sweedler(x, 2)
-        for y in range(dim):
-            twisted = accumulate(h.space, (
-                (w, h.product(h.basis(x1), tri.columns[tensor_index(x2, y, dim)]))
-                for w, (x1, x2) in legs))
-            for z in range(dim):
-                lhs = apply2(tri, h.basis(x), tri.columns[tensor_index(y, z, dim)])
-                rhs = apply2(tri, twisted, h.basis(z))
-                if lhs != rhs:
-                    raise IdentityFails(
-                        "twisted-associativity",
-                        Witness((h.label(x), h.label(y), h.label(z)),
-                                str(lhs), str(rhs)))
+    # x_(1) (x_(2) ▶ y), once per pair
+    twisted = [accumulate(h.space, ((c, h.product(h.basis(x1), tri_of(x2, y)))
+                                    for c, (x1, x2) in h.sweedler(x, 2)))
+               for x in range(dim) for y in range(dim)]
+    w = first_witness((h.space, h.space, h.space), lambda x, y, z: (
+        apply2(tri, h.basis(x), tri_of(y, z)),
+        apply2(tri, twisted[x * dim + y], h.basis(z))))
+    if w is not None:
+        raise IdentityFails("twisted-associativity", w)
 
     e_space, e_mul, e_unit = end_algebra(h.space)
     alpha = curry_action(e_space, tri)
@@ -107,17 +85,7 @@ def verify_posthopf(h: HopfAlgebraData, tri: LinearOp) -> PostHopf:
 def posthopf_from_rb(b: RotaBaxterOp) -> PostHopf:
     """x ▶ y = B(x_(1)) y S(B(x_(2))); verified from scratch."""
     b.require_validated()
-    h = b.carrier
-    dim = h.dim
-    cols = []
-    for x in range(dim):
-        wings = [(c, b.map.columns[x1], h.antipode(b.map.columns[x2]))
-                 for c, (x1, x2) in h.sweedler(x, 2)]
-        for y in range(dim):
-            cols.append(accumulate(h.space, (
-                (c, h.product_many([left, h.basis(y), right]))
-                for c, left, right in wings)))
-    return verify_posthopf(h, LinearOp(h.hh, h.space, cols))
+    return verify_posthopf(b.carrier, rb_action_map(b))
 
 
 def subadjacent_hopf(p: PostHopf) -> HopfAlgebraData:

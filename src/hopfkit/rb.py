@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from .errors import (ConstructionInvalid, DimensionMismatch, HopfkitError,
                      InternalTheoremViolation, NotAutomorphism,
                      NotCoalgebraMap, RBIdentityFails)
-from .hopf import (HopfAlgebraData, check_bialgebra_automorphism,
-                   check_coalgebra_morphism, coalgebra_morphism_witness,
+from .hopf import (HopfAlgebraData, _multiplicative_witness,
+                   check_bialgebra_automorphism, check_coalgebra_morphism,
+                   coalgebra_morphism_witness, first_witness,
                    require_cocommutative, verify_hopf)
 from .linalg import Element, LinearOp, accumulate, invert, tensor_index
 from .report import AxiomReport, Witness
@@ -48,15 +49,11 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     if w is not None:
         raise NotCoalgebraMap("operator is not a coalgebra map", w)
     circ = _circle_mul(h, b)     # x ∘_B y = x_(1) B(x_(2)) y S(B(x_(3)))
-    for x in range(h.dim):
-        bx = b.columns[x]
-        for y in range(h.dim):
-            lhs = h.product(bx, b.columns[y])
-            rhs = b(circ.columns[tensor_index(x, y, h.dim)])
-            if lhs != rhs:
-                raise RBIdentityFails(
-                    "Rota-Baxter identity fails",
-                    Witness((h.label(x), h.label(y)), str(lhs), str(rhs)))
+    w = first_witness((h.space, h.space), lambda x, y: (
+        h.product(b.columns[x], b.columns[y]),
+        b(circ.columns[tensor_index(x, y, h.dim)])))
+    if w is not None:
+        raise RBIdentityFails("Rota-Baxter identity fails", w)
     return RotaBaxterOp(h, b, True)
 
 
@@ -130,6 +127,21 @@ def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
     return LinearOp(h.hh, h.space, cols)
 
 
+def rb_action_map(b: RotaBaxterOp) -> LinearOp:
+    """x ⇀ y = B(x_(1)) y S(B(x_(2))) as a map H ⊗ H -> H: the post-Hopf
+    product of B and the left action of its matched pair."""
+    h = b.carrier
+    cols = []
+    for x in range(h.dim):
+        wings = [(c, b.map.columns[x1], h.antipode(b.map.columns[x2]))
+                 for c, (x1, x2) in h.sweedler(x, 2)]
+        for y in range(h.dim):
+            cols.append(accumulate(h.space, (
+                (c, h.product_many([left, h.basis(y), right]))
+                for c, left, right in wings)))
+    return LinearOp(h.hh, h.space, cols)
+
+
 def descendent_antipode(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
     """T(g) = S(B(g_(1))) S(g_(2)) B(g_(3))."""
     cols = []
@@ -169,42 +181,33 @@ def descend(b: RotaBaxterOp) -> DescendentHopf:
             f"B is not Rota-Baxter on the descendent: {exc}") from exc
     if b.map(h.unit) != h.unit:
         raise InternalTheoremViolation("B does not fix the unit")
-    for g in range(h.dim):
-        for x in range(h.dim):
-            lhs = b.map(circle.mul_basis(g, x))
-            rhs = h.product(b.map.columns[g], b.map.columns[x])
-            if lhs != rhs:
-                raise InternalTheoremViolation(
-                    f"B is not multiplicative from the descendent at "
-                    f"({h.label(g)},{h.label(x)})")
+    w = _multiplicative_witness(b.map, circle, h)
+    if w is not None:
+        raise InternalTheoremViolation(
+            f"B is not multiplicative from the descendent at "
+            f"({w.at[0]},{w.at[1]})")
     return DescendentHopf(b, circle)
+
+
+def _antipode_inverse_witness(h: HopfAlgebraData, b: LinearOp,
+                              t: LinearOp) -> Witness | None:
+    return first_witness((h.space,), lambda x: (
+        accumulate(h.space, ((c, h.product(b.columns[x1], b(t.columns[x2])))
+                             for c, (x1, x2) in h.sweedler(x, 2))),
+        h.unit.scale(h._eps[x])))
 
 
 def check_descendent_antipode_inverse(d: DescendentHopf) -> bool:
     """B(x_(1)) B(T(x_(2))) = ε(x) 1 on every basis element."""
-    h = d.source.carrier
-    b = d.source.map
-    t = d.hopf.antipode
-    for x in range(h.dim):
-        lhs = accumulate(h.space, (
-            (c, h.product(b.columns[x1], b(t.columns[x2])))
-            for c, (x1, x2) in h.sweedler(x, 2)))
-        if lhs != h.unit.scale(h._eps[x]):
-            return False
-    return True
+    return _antipode_inverse_witness(d.source.carrier, d.source.map,
+                                     d.hopf.antipode) is None
 
 
 def central_image_witness(h: HopfAlgebraData, b: LinearOp) -> Witness | None:
     """First pair (h, x) with B(h) x != x B(h), for an arbitrary map."""
     h.require_validated()
-    for g in range(h.dim):
-        bg = b.columns[g]
-        for x in range(h.dim):
-            lhs = h.product(bg, h.basis(x))
-            rhs = h.product(h.basis(x), bg)
-            if lhs != rhs:
-                return Witness((h.label(g), h.label(x)), str(lhs), str(rhs))
-    return None
+    return first_witness((h.space, h.space), lambda g, x: (
+        h.product(b.columns[g], h.basis(x)), h.product(h.basis(x), b.columns[g])))
 
 
 def descendent_antipode_inverse_witness(h: HopfAlgebraData,
@@ -212,15 +215,7 @@ def descendent_antipode_inverse_witness(h: HopfAlgebraData,
     """First basis element violating B(x_(1)) B(T(x_(2))) = ε(x) 1, with T
     the descendent antipode formula (B need not be a verified operator)."""
     h.require_validated()
-    t = descendent_antipode(h, b)
-    for x in range(h.dim):
-        lhs = accumulate(h.space, (
-            (c, h.product(b.columns[x1], b(t.columns[x2])))
-            for c, (x1, x2) in h.sweedler(x, 2)))
-        want = h.unit.scale(h._eps[x])
-        if lhs != want:
-            return Witness((h.label(x),), str(lhs), str(want))
-    return None
+    return _antipode_inverse_witness(h, b, descendent_antipode(h, b))
 
 
 def check_central_image(b: RotaBaxterOp) -> bool:
@@ -248,49 +243,23 @@ def check_descendent_isos(b: RotaBaxterOp, phi: LinearOp) -> AxiomReport:
     report = AxiomReport()
 
     s = h.antipode
-    w = None
-    if not s.compose(s).is_identity():
-        w = Witness(("S∘S",), "S∘S", "id")
-    report.add("antipode-bijective", w)
-
-    w = None
-    for g in range(h.dim):
-        for x in range(h.dim):
-            lhs = s(d.hopf.mul_basis(g, x))
-            rhs = d_tilde.hopf.product(s.columns[g], s.columns[x])
-            if lhs != rhs:
-                w = Witness((h.label(g), h.label(x)), str(lhs), str(rhs))
-                break
-        if w:
-            break
-    report.add("antipode-multiplicative", w)
-
-    w = None
-    if not check_coalgebra_morphism(s, d.hopf, d_tilde.hopf):
-        w = Witness(("S",), "Δ∘S", "(S⊗S)∘Δ")
-    report.add("antipode-coalgebra-morphism", w)
-
-    w = None
+    report.add("antipode-bijective", None if s.compose(s).is_identity()
+               else Witness(("S∘S",), "S∘S", "id"))
+    report.add("antipode-multiplicative",
+               _multiplicative_witness(s, d.hopf, d_tilde.hopf))
+    report.add("antipode-coalgebra-morphism",
+               None if check_coalgebra_morphism(s, d.hopf, d_tilde.hopf)
+               else Witness(("S",), "Δ∘S", "(S⊗S)∘Δ"))
     try:
         invert(phi)
     except HopfkitError:
-        w = Witness(("phi",), "singular", "bijective")
-    report.add("conjugate-bijective", w)
-
-    w = None
-    for g in range(h.dim):
-        for x in range(h.dim):
-            lhs = phi(d.hopf.mul_basis(g, x))
-            rhs = d_conj.hopf.product(phi.columns[g], phi.columns[x])
-            if lhs != rhs:
-                w = Witness((h.label(g), h.label(x)), str(lhs), str(rhs))
-                break
-        if w:
-            break
-    report.add("conjugate-multiplicative", w)
-
-    w = None
-    if not check_coalgebra_morphism(phi, d.hopf, d_conj.hopf):
-        w = Witness(("phi",), "Δ∘phi", "(phi⊗phi)∘Δ")
-    report.add("conjugate-coalgebra-morphism", w)
+        report.add("conjugate-bijective",
+                   Witness(("phi",), "singular", "bijective"))
+    else:
+        report.add("conjugate-bijective", None)
+    report.add("conjugate-multiplicative",
+               _multiplicative_witness(phi, d.hopf, d_conj.hopf))
+    report.add("conjugate-coalgebra-morphism",
+               None if check_coalgebra_morphism(phi, d.hopf, d_conj.hopf)
+               else Witness(("phi",), "Δ∘phi", "(phi⊗phi)∘Δ"))
     return report

@@ -408,3 +408,31 @@ def test_factorization_declaration(tmp_path, capsys):
     path.write_text(doc)
     assert cli.main(["verify", str(path)]) == 0
     assert "PASS  F.factorization" in capsys.readouterr().out
+
+
+# Each entry replaces one field of the D3 factorization below with input
+# that the parser must refuse.
+BAD_FACTORIZATIONS = {
+    "unknown-m-label": {"m": ["e", "zz"]},
+    "list-as-label": {"l": [["e"]]},
+    "images-not-object": {"middle_rb": {"images": 5}},
+    "images-miss-l-label": {"middle_rb": {"images": {"e": "e", "r": "r"}}},
+    "image-outside-l": {"middle_rb": {"images": {"e": "e", "r": "r2",
+                                                 "r2": "s"}}},
+    "unknown-spec": {"middle_rb": "bogus"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FACTORIZATIONS))
+def test_bad_factorization_exits_two(tmp_path, capsys, case):
+    decl = {"kind": "factorization", "name": "F", "ambient": "H",
+            "h": ["e"], "l": ["e", "r", "r2"], "m": ["e", "s"],
+            "middle_rb": "unit-counit", **BAD_FACTORIZATIONS[case]}
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps({"version": 1, "declarations": [
+        {"kind": "hopf", "name": "H", "group_algebra": {"dihedral": 3}},
+        decl]}))
+    assert cli.main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

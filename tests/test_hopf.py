@@ -12,10 +12,11 @@ from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit.definitions import parse_file
 from hopfkit.errors import AxiomFails, UnvalidatedInput
-from hopfkit.hopf import (adjoint_action, check_module_bialgebra,
-                          curry_action, end_algebra, scalar_space,
-                          transport_hopf, trivial_action, uncurry_action,
-                          unit_counit_map)
+from hopfkit.hopf import (ModuleAction, adjoint_action, adjoint_map,
+                          check_module_bialgebra, coalgebra_morphism_witness,
+                          curry_action, end_algebra,
+                          scalar_space, transport_hopf, trivial_action,
+                          uncurry_action, unit_counit_map)
 from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ,
                             accumulate, tensor_elem, tensor_index,
                             tensor_space, tensor_split)
@@ -570,3 +571,172 @@ def test_verify_hopf_over_prime_field():
     h = hk.group_algebra(gr.dihedral(3), Field(7))
     assert h.validated
     assert hk.check_cocommutative(h)
+
+
+# -- references: the coalgebra-map and module sweeps as explicit loops ------------------
+
+def reference_coalgebra_morphism_witness(f, h, k):
+    """coalgebra_morphism_witness as one loop over e_i, Δ then ε at each,
+    the right side summed term by term over Δ_H(e_i)."""
+    for i in range(h.dim):
+        lhs = k.comul(f.columns[i])
+        rhs = accumulate(k.hh, (
+            (c, tensor_elem(k.hh, f.columns[tensor_split(p, h.dim)[0]],
+                            f.columns[tensor_split(p, h.dim)[1]]))
+            for p, c in h.comul.columns[i].coeffs.items()))
+        if lhs != rhs:
+            return Witness((h.label(i),), str(lhs), str(rhs))
+        if k.counit_scalar(f.columns[i]) != h._eps[i]:
+            return Witness((h.label(i),), str(k.counit_scalar(f.columns[i])),
+                           str(h._eps[i]))
+    return None
+
+
+def reference_module_bialgebra(action):
+    """check_module_bialgebra's report from one explicit loop per axiom,
+    in the same order."""
+    k, h = action.actor, action.carrier
+    report = AxiomReport()
+
+    def first(tuples, sides):
+        for at in tuples:
+            lhs, rhs = sides(*at)
+            if lhs != rhs:
+                return at, lhs, rhs
+        return None
+
+    def add(name, spaces, tuples, sides):
+        found = first(tuples, sides)
+        report.add(name, None if found is None else Witness(
+            tuple(s.labels[i] for s, i in zip(spaces, found[0])),
+            str(found[1]), str(found[2])))
+
+    kd, hd = range(k.dim), range(h.dim)
+    add("module-unit", (h.space,), [(i,) for i in hd],
+        lambda i: (action.of(k.unit, h.basis(i)), h.basis(i)))
+    add("module-associativity", (k.space, k.space, h.space),
+        [(a, b, i) for a in kd for b in kd for i in hd],
+        lambda a, b, i: (action.of(k.mul_basis(a, b), h.basis(i)),
+                         action.of(k.basis(a), action.basis(b, i))))
+    add("module-algebra-product", (k.space, h.space, h.space),
+        [(a, i, j) for a in kd for i in hd for j in hd],
+        lambda a, i, j: (
+            action.of(k.basis(a), h.mul_basis(i, j)),
+            accumulate(h.space, (
+                (c, h.product(action.basis(tensor_split(p, k.dim)[0], i),
+                              action.basis(tensor_split(p, k.dim)[1], j)))
+                for p, c in k.comul.columns[a].coeffs.items()))))
+    add("module-algebra-unit", (k.space,), [(a,) for a in kd],
+        lambda a: (action.of(k.basis(a), h.unit), h.unit.scale(k._eps[a])))
+
+    def comul_sides(a, i):
+        rhs_terms = []
+        for pk, ck in k.comul.columns[a].coeffs.items():
+            k1, k2 = tensor_split(pk, k.dim)
+            for ph, ch in h.comul.columns[i].coeffs.items():
+                h1, h2 = tensor_split(ph, h.dim)
+                rhs_terms.append((h.field.mul(ck, ch),
+                                  tensor_elem(h.hh, action.basis(k1, h1),
+                                              action.basis(k2, h2))))
+        return h.comul(action.basis(a, i)), accumulate(h.hh, rhs_terms)
+    pairs = [(a, i) for a in kd for i in hd]
+    add("module-coalgebra-comul", (k.space, h.space), pairs, comul_sides)
+    add("module-coalgebra-counit", (k.space, h.space), pairs,
+        lambda a, i: (h.counit_scalar(action.basis(a, i)),
+                      h.field.mul(k._eps[a], h._eps[i])))
+    return report
+
+
+def edited(op, col, row, offset):
+    """op with one entry moved by ``offset``, or with one column zeroed
+    when ``offset`` is None (Δ(0) = 0, so at a group-like basis vector
+    only ε can fail)."""
+    cols = list(op.columns)
+    col %= len(cols)
+    coeffs = {}
+    if offset is not None:
+        coeffs = dict(cols[col].coeffs)
+        r = row % op.codomain.dim
+        coeffs[r] = coeffs.get(r, 0) + offset
+    cols[col] = Element(op.codomain, coeffs)
+    return LinearOp(op.domain, op.codomain, cols)
+
+
+def sign_action_z2(field=QQ):
+    """Q[Z2] acting on itself with g as diag(1, -1): a module, but
+    g ⇀ g = -g breaks both Δ and ε at (g, g)."""
+    h = hk.group_algebra(gr.cyclic(2), field)
+    e, g = h.basis(0), h.basis(1)
+    return h, LinearOp(h.hh, h.space, [e, g, e, -g])
+
+
+EDITS = dict(col=st.integers(0, 80), row=st.integers(0, 80),
+             offset=st.one_of(st.none(), st.integers(1, 6),
+                              st.fractions(min_value=-2, max_value=2,
+                                           max_denominator=3).filter(bool)))
+SMALL = [fx.f1, z3, fx.f2, dense_z2, dense_z3]
+
+
+@ORACLE
+@given(field=st.sampled_from(FIELDS), data=st.data(),
+       base=st.sampled_from(["antipode", "unit-counit"]), **EDITS)
+def test_coalgebra_morphism_witness_matches_reference(field, data, base, col,
+                                                      row, offset):
+    h = data.draw(st.sampled_from(SMALL))(field)
+    f = edited(h.antipode if base == "antipode" else unit_counit_map(h),
+               col, row, offset)
+    assert (coalgebra_morphism_witness(f, h, h)
+            == reference_coalgebra_morphism_witness(f, h, h))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_coalgebra_morphism_witness_order_of_comul_and_counit(field):
+    h, act = sign_action_z2(field)
+    e, g = h.basis(0), h.basis(1)
+    # g -> -g: both identities fail at g, and the comultiplication wins
+    flip = LinearOp(h.space, h.space, [e, -g])
+    lhs, rhs = ("-1/1", "1/1") if field == QQ else ("6", "1")
+    assert str(coalgebra_morphism_witness(flip, h, h)) == \
+        f"at (g): lhs = {lhs}*(g,g), rhs = {rhs}*(g,g)"
+    # e -> 0 as well: the counit fails first, at e, where Δ(0) = 0 holds
+    zero = LinearOp(h.space, h.space, [h.space.zero(), -g])
+    assert str(coalgebra_morphism_witness(zero, h, h)) == \
+        "at (e): lhs = 0, rhs = 1"
+    for f in (flip, zero):
+        assert (coalgebra_morphism_witness(f, h, h)
+                == reference_coalgebra_morphism_witness(f, h, h))
+
+
+def assert_module_bialgebra_matches_reference(actor, carrier, act):
+    action = ModuleAction(actor, carrier, act)
+    assert str(check_module_bialgebra(action)) == \
+        str(reference_module_bialgebra(action))
+
+
+@ORACLE
+@given(field=st.sampled_from(FIELDS), data=st.data(), **EDITS)
+def test_module_bialgebra_matches_reference_on_edited_adjoint(field, data, col,
+                                                              row, offset):
+    h = data.draw(st.sampled_from(SMALL))(field)
+    assert_module_bialgebra_matches_reference(
+        h, h, edited(adjoint_map(h), col, row, offset))
+
+
+@ORACLE
+@given(**EDITS)
+def test_module_bialgebra_matches_reference_on_edited_inversion(col, row,
+                                                                offset):
+    base = inversion_action_z2_on_z3()
+    assert_module_bialgebra_matches_reference(
+        base.actor, base.carrier, edited(base.act, col, row, offset))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_module_bialgebra_sign_action(field):
+    h, act = sign_action_z2(field)
+    report = check_module_bialgebra(ModuleAction(h, h, act))
+    assert str(report) == str(reference_module_bialgebra(ModuleAction(h, h, act)))
+    assert [c.name for c in report.failures()] == [
+        "module-coalgebra-comul", "module-coalgebra-counit"]
+    assert str(report["module-coalgebra-counit"].witness) == \
+        f"at (g,g): lhs = {-1 if field == QQ else 6}, rhs = 1"

@@ -3,14 +3,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit.errors import AxiomFails
-from hopfkit.hopf import transport_hopf
+from hopfkit.hopf import (apply2, coalgebra_map_failures, tensor_coalgebra,
+                          transport_hopf)
 from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
-                            accumulate, invert, tensor_index, tensor_space)
+                            accumulate, invert, tensor_elem, tensor_index,
+                            tensor_space, tensor_split)
+from hopfkit.report import Witness
+
+ORACLE = settings(max_examples=20, deadline=None, database=None)
 
 
 def test_trivial_actions_form_matched_pair(f2):
@@ -209,3 +215,269 @@ def test_actions_match_term_by_term_reference(field, group, columns, op):
     lact, ract = reference_actions(b)
     assert list(m.lact.columns) == lact
     assert list(m.ract.columns) == ract
+
+
+# -- references: the matched-pair axioms and the ybe check as explicit loops ------------
+
+def reference_verify_matched_pair(h, k, lact, ract):
+    """verify_matched_pair with every axiom as an explicit loop; raises
+    AxiomFails at the first failure."""
+    dim_h, dim_k = h.dim, k.dim
+    field = h.field
+
+    def la(x: int, a: int) -> Element:
+        return lact.columns[tensor_index(x, a, dim_h)]
+
+    def ra(x: int, a: int) -> Element:
+        return ract.columns[tensor_index(x, a, dim_h)]
+
+    def fail(tag: str, at, lhs, rhs):
+        raise AxiomFails(tag, Witness(at, str(lhs), str(rhs)))
+
+    for a in range(dim_h):
+        got = apply2(lact, k.unit, h.basis(a))
+        if got != h.basis(a):
+            fail("left-module-unit", (h.label(a),), got, h.basis(a))
+    for x in range(dim_k):
+        for y in range(dim_k):
+            prod = k.mul_basis(x, y)
+            for a in range(dim_h):
+                lhs = apply2(lact, prod, h.basis(a))
+                rhs = apply2(lact, k.basis(x), la(y, a))
+                if lhs != rhs:
+                    fail("left-module-associativity",
+                         (k.label(x), k.label(y), h.label(a)), lhs, rhs)
+    for x in range(dim_k):
+        for a in range(dim_h):
+            lhs = h.comul(la(x, a))
+            rhs = accumulate(h.hh, (
+                (field.mul(cx, ca), tensor_elem(h.hh, la(x1, a1), la(x2, a2)))
+                for cx, (x1, x2) in k.sweedler(x, 2)
+                for ca, (a1, a2) in h.sweedler(a, 2)))
+            if lhs != rhs:
+                fail("left-module-coalgebra", (k.label(x), h.label(a)), lhs, rhs)
+            got = h.counit_scalar(la(x, a))
+            want = field.mul(k._eps[x], h._eps[a])
+            if got != want:
+                fail("left-module-counit", (k.label(x), h.label(a)), got, want)
+    for x in range(dim_k):
+        got = apply2(lact, k.basis(x), h.unit)
+        want = h.unit.scale(k._eps[x])
+        if got != want:
+            fail("left-action-on-unit", (k.label(x),), got, want)
+
+    for x in range(dim_k):
+        got = apply2(ract, k.basis(x), h.unit)
+        if got != k.basis(x):
+            fail("right-module-unit", (k.label(x),), got, k.basis(x))
+    for x in range(dim_k):
+        for a in range(dim_h):
+            xa = ra(x, a)
+            for b in range(dim_h):
+                lhs = apply2(ract, k.basis(x), h.mul_basis(a, b))
+                rhs = apply2(ract, xa, h.basis(b))
+                if lhs != rhs:
+                    fail("right-module-associativity",
+                         (k.label(x), h.label(a), h.label(b)), lhs, rhs)
+    for x in range(dim_k):
+        for a in range(dim_h):
+            lhs = k.comul(ra(x, a))
+            rhs = accumulate(k.hh, (
+                (field.mul(cx, ca), tensor_elem(k.hh, ra(x1, a1), ra(x2, a2)))
+                for cx, (x1, x2) in k.sweedler(x, 2)
+                for ca, (a1, a2) in h.sweedler(a, 2)))
+            if lhs != rhs:
+                fail("right-module-coalgebra", (k.label(x), h.label(a)), lhs, rhs)
+            got = k.counit_scalar(ra(x, a))
+            want = field.mul(k._eps[x], h._eps[a])
+            if got != want:
+                fail("right-module-counit", (k.label(x), h.label(a)), got, want)
+    for a in range(dim_h):
+        got = apply2(ract, k.unit, h.basis(a))
+        want = k.unit.scale(h._eps[a])
+        if got != want:
+            fail("right-action-on-unit", (h.label(a),), got, want)
+
+    for x in range(dim_k):
+        legs_x = k.sweedler(x, 2)
+        for a in range(dim_h):
+            legs_a = h.sweedler(a, 2)
+            for b in range(dim_h):
+                lhs = apply2(lact, k.basis(x), h.mul_basis(a, b))
+                rhs = accumulate(h.space, (
+                    (field.mul(cx, ca),
+                     h.product(la(x1, a1), apply2(lact, ra(x2, a2), h.basis(b))))
+                    for cx, (x1, x2) in legs_x
+                    for ca, (a1, a2) in legs_a))
+                if lhs != rhs:
+                    fail("compatibility-left",
+                         (k.label(x), h.label(a), h.label(b)), lhs, rhs)
+    for x in range(dim_k):
+        for y in range(dim_k):
+            legs_y = k.sweedler(y, 2)
+            for a in range(dim_h):
+                legs_a = h.sweedler(a, 2)
+                lhs = apply2(ract, k.mul_basis(x, y), h.basis(a))
+                rhs = accumulate(k.space, (
+                    (field.mul(cy, ca),
+                     k.product(apply2(ract, k.basis(x), la(y1, a1)), ra(y2, a2)))
+                    for cy, (y1, y2) in legs_y
+                    for ca, (a1, a2) in legs_a))
+                if lhs != rhs:
+                    fail("compatibility-right",
+                         (k.label(x), k.label(y), h.label(a)), lhs, rhs)
+
+
+def matched_outcome(verify, h, k, lact, ract):
+    try:
+        verify(h, k, lact, ract)
+    except AxiomFails as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+def reference_ybe_coalgebra_failure(c, h):
+    """The first basis pair (x, y) where the ybe check found
+    Δ(c(x⊗y)) != (c⊗c)Δ(x⊗y) for the middle-flip coproduct, or None."""
+    dim = h.dim
+    field = h.field
+    hh = tensor_space(h.space, h.space)
+    hhhh = tensor_space(hh, hh)
+
+    def tensor_comul(elem):
+        out = {}
+        for p, w in elem.coeffs.items():
+            x, y = tensor_split(p, dim)
+            for px, cx in h.comul.columns[x].coeffs.items():
+                x1, x2 = tensor_split(px, dim)
+                for py, cy in h.comul.columns[y].coeffs.items():
+                    y1, y2 = tensor_split(py, dim)
+                    key = tensor_index(tensor_index(x1, y1, dim),
+                                       tensor_index(x2, y2, dim), hh.dim)
+                    nv = field.add(out.get(key, field.zero),
+                                   field.mul(w, field.mul(cx, cy)))
+                    if nv == 0:
+                        out.pop(key, None)
+                    else:
+                        out[key] = nv
+        return Element(hhhh, out, _canonical=True)
+
+    for p in range(hh.dim):
+        lhs = tensor_comul(c.columns[p])
+        x, y = tensor_split(p, dim)
+        rhs_terms = []
+        for px, cx in h.comul.columns[x].coeffs.items():
+            x1, x2 = tensor_split(px, dim)
+            for py, cy in h.comul.columns[y].coeffs.items():
+                y1, y2 = tensor_split(py, dim)
+                rhs_terms.append((field.mul(cx, cy),
+                                  tensor_elem(hhhh,
+                                              c.columns[tensor_index(x1, y1, dim)],
+                                              c.columns[tensor_index(x2, y2, dim)])))
+        if lhs != accumulate(hhhh, rhs_terms):
+            return x, y
+    return None
+
+
+def edited(op, col, row, offset):
+    """op with one entry moved by ``offset``, or with one column zeroed
+    when ``offset`` is None."""
+    cols = list(op.columns)
+    col %= len(cols)
+    coeffs = {}
+    if offset is not None:
+        coeffs = dict(cols[col].coeffs)
+        r = row % op.codomain.dim
+        coeffs[r] = coeffs.get(r, 0) + offset
+    cols[col] = Element(op.codomain, coeffs)
+    return LinearOp(op.domain, op.codomain, cols)
+
+
+CARRIERS = {
+    "Z2-inv": lambda field: fx.b_inv(fx.f1(field)),
+    "Z3-eps": lambda field: fx.b_eps(hk.group_algebra(gr.cyclic(3), field)),
+    "S3-inv": lambda field: fx.b_inv(fx.f2(field)),
+    "dense-Z2-inv": lambda field: transported_op(gr.cyclic(2), field, DENSE_Z2,
+                                                 lambda h: h.antipode),
+}
+_PAIRS: dict = {}
+
+
+def rb_pair(name, field):
+    """(B, its matched pair), built once per carrier and field."""
+    if (name, field) not in _PAIRS:
+        b = CARRIERS[name](field)
+        _PAIRS[name, field] = b, hk.matched_pair_from_rb(b)
+    return _PAIRS[name, field]
+
+
+EDITS = dict(col=st.integers(0, 80), row=st.integers(0, 80),
+             offset=st.one_of(st.none(), st.integers(1, 6),
+                              st.fractions(min_value=-2, max_value=2,
+                                           max_denominator=3).filter(bool)))
+
+
+@ORACLE
+@given(field=st.sampled_from([QQ, Field(7)]),
+       name=st.sampled_from(sorted(CARRIERS)),
+       side=st.sampled_from(["lact", "ract"]), **EDITS)
+def test_verify_matched_pair_matches_reference_on_edits(field, name, side, col,
+                                                        row, offset):
+    _, m = rb_pair(name, field)
+    acts = {"lact": m.lact, "ract": m.ract}
+    acts[side] = edited(acts[side], col, row, offset)
+    args = (m.left, m.right, acts["lact"], acts["ract"])
+    assert (matched_outcome(hk.verify_matched_pair, *args)
+            == matched_outcome(reference_verify_matched_pair, *args))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+def test_verify_matched_pair_later_tags_match_reference(field):
+    """Inputs that reach the later tags, which one-entry edits never do:
+    the sign action of Q[Z2] on itself (g as diag(1, -1)) on either side,
+    the adjoint and right adjoint actions of S3 together, and Z2 acting on
+    Q[Z4] from the right by swapping g and g2 (a coalgebra map that is not
+    multiplicative)."""
+    z2 = hk.group_algebra(gr.cyclic(2), field)
+    e, g = z2.basis(0), z2.basis(1)
+    sign = LinearOp(z2.hh, z2.space, [e, g, e, -g])        # x ⇀ a
+    sign_r = LinearOp(z2.hh, z2.space, [e, e, g, -g])      # x ↼ a
+    triv_l = LinearOp(z2.hh, z2.space, [e, g, e, g])        # ε(x) a
+    triv_r = LinearOp(z2.hh, z2.space, [e, e, g, g])        # x ε(a)
+    s3 = fx.f2(field)
+    grp = gr.dihedral(3)
+
+    def conj(x, a):                                          # x a x^-1
+        return grp.table[grp.table[x][a]][grp.inverse[x]]
+    ad_l = LinearOp(s3.hh, s3.space, [s3.basis(conj(x, a)) for x in range(6)
+                                      for a in range(6)])
+    ad_r = LinearOp(s3.hh, s3.space, [s3.basis(conj(grp.inverse[a], x))
+                                      for x in range(6) for a in range(6)])
+    z4 = hk.group_algebra(gr.cyclic(4), field)
+    swap = [0, 2, 1, 3]
+    kh = tensor_space(z4.space, z2.space)
+    z4_l = LinearOp(kh, z2.space, [z2.basis(a) for x in range(4)
+                                   for a in range(2)])
+    z4_r = LinearOp(kh, z4.space, [z4.basis(swap[x] if a else x)
+                                   for x in range(4) for a in range(2)])
+    cases = {"left-module-coalgebra": (z2, z2, sign, triv_r),
+             "right-module-coalgebra": (z2, z2, triv_l, sign_r),
+             "compatibility-left": (s3, s3, ad_l, ad_r),
+             "compatibility-right": (z2, z4, z4_l, z4_r)}
+    for tag, args in cases.items():
+        got = matched_outcome(hk.verify_matched_pair, *args)
+        assert got == matched_outcome(reference_verify_matched_pair, *args)
+        assert got[0] == tag
+
+
+@ORACLE
+@given(field=st.sampled_from([QQ, Field(7)]),
+       name=st.sampled_from(["Z2-inv", "Z3-eps", "dense-Z2-inv"]), **EDITS)
+def test_ybe_coalgebra_check_matches_reference(field, name, col, row, offset):
+    b, _ = rb_pair(name, field)
+    h = b.carrier
+    c = edited(hk.ybe_from_rb(b).c, col, row, offset)
+    coalgebra = tensor_coalgebra(h, h)
+    comul, _ = coalgebra_map_failures(c, coalgebra, coalgebra)
+    assert (None if comul is None else tensor_split(comul[0], h.dim)) == \
+        reference_ybe_coalgebra_failure(c, h)

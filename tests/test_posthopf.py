@@ -1,12 +1,17 @@
 """Post-Hopf algebras, their subadjacent Hopf algebras, and round trips."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
-from hopfkit.errors import IdentityFails
-from hopfkit.linalg import LinearOp, tensor_index
+from hopfkit.errors import HopfkitError, IdentityFails
+from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
+                            accumulate, tensor_elem, tensor_index)
+from hopfkit.report import Witness
 
 
 def conjugation_tri(f2):
@@ -99,3 +104,92 @@ def test_posthopf_embedding_composition(f1, f2, b_inv_f2):
         emb = hk.embed_into_rb(br)
         assert emb.ambient.validated
         assert emb.rb.validated
+
+
+# -- reference: the coalgebra lines of verify_posthopf as an explicit loop ---------------
+
+def reference_posthopf_coalgebra(h, tri):
+    """(identity, witness) of the first failing coalgebra line, or None."""
+    dim = h.dim
+    field = h.field
+    for x in range(dim):
+        for y in range(dim):
+            col = tri.columns[tensor_index(x, y, dim)]
+            lhs = h.comul(col)
+            rhs_terms = []
+            for cx, (x1, x2) in h.sweedler(x, 2):
+                for cy, (y1, y2) in h.sweedler(y, 2):
+                    rhs_terms.append((field.mul(cx, cy),
+                                      tensor_elem(h.hh,
+                                                  tri.columns[tensor_index(x1, y1, dim)],
+                                                  tri.columns[tensor_index(x2, y2, dim)])))
+            if lhs != accumulate(h.hh, rhs_terms):
+                return "coalgebra-morphism", Witness(
+                    (h.label(x), h.label(y)), str(lhs), "(x1▶y1)⊗(x2▶y2)")
+            if h.counit_scalar(col) != field.mul(h._eps[x], h._eps[y]):
+                return "coalgebra-morphism-counit", Witness(
+                    (h.label(x), h.label(y)), str(h.counit_scalar(col)),
+                    str(field.mul(h._eps[x], h._eps[y])))
+    return None
+
+
+def posthopf_coalgebra_outcome(h, tri):
+    try:
+        hk.verify_posthopf(h, tri)
+    except IdentityFails as exc:
+        if exc.which.startswith("coalgebra-morphism"):
+            return exc.which, exc.witness
+    except HopfkitError:
+        pass
+    return None
+
+
+def edited(op, col, row, offset):
+    """op with one entry moved by ``offset``, or with one column zeroed
+    when ``offset`` is None."""
+    cols = list(op.columns)
+    col %= len(cols)
+    coeffs = {}
+    if offset is not None:
+        coeffs = dict(cols[col].coeffs)
+        r = row % op.codomain.dim
+        coeffs[r] = coeffs.get(r, 0) + offset
+    cols[col] = Element(op.codomain, coeffs)
+    return LinearOp(op.domain, op.codomain, cols)
+
+
+def dense_z2(field):
+    h = hk.group_algebra(gr.cyclic(2), field)
+    space = BasedSpace(("u", "v"), field)
+    return hk.transport_hopf(h, LinearOp(h.space, space, [
+        Element(space, {0: Fraction(1), 1: Fraction(-1, 3)}),
+        Element(space, {0: Fraction(1, 2), 1: Fraction(2)})]))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(field=st.sampled_from([QQ, Field(7)]),
+       carrier=st.sampled_from(["Z2", "S3", "dense-Z2"]),
+       op=st.sampled_from(["inv", "eps"]), col=st.integers(0, 40),
+       row=st.integers(0, 40),
+       offset=st.one_of(st.none(), st.integers(1, 6),
+                        st.fractions(min_value=-2, max_value=2,
+                                     max_denominator=3).filter(bool)))
+def test_posthopf_coalgebra_lines_match_reference(field, carrier, op, col, row,
+                                                  offset):
+    h = {"Z2": fx.f1, "S3": fx.f2, "dense-Z2": dense_z2}[carrier](field)
+    b = (fx.b_inv if op == "inv" else fx.b_eps)(h)
+    tri = edited(hk.posthopf_from_rb(b).tri, col, row, offset)
+    assert posthopf_coalgebra_outcome(h, tri) == \
+        reference_posthopf_coalgebra(h, tri)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+def test_posthopf_sign_product_fails_comultiplication_first(field):
+    # g ▶ g = -g breaks Δ and ε at (g, g); the comultiplication is reported
+    h = fx.f1(field)
+    e, g = h.basis(0), h.basis(1)
+    tri = LinearOp(h.hh, h.space, [e, g, e, -g])
+    got = posthopf_coalgebra_outcome(h, tri)
+    assert got == reference_posthopf_coalgebra(h, tri)
+    assert got[0] == "coalgebra-morphism"
+    assert got[1].at == ("g", "g")

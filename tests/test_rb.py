@@ -1,6 +1,7 @@
 """Rota-Baxter verification, transforms, and the descendent Hopf algebra."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
-from hopfkit.errors import NotAutomorphism, RBIdentityFails
+from hopfkit import rb as rb_mod
+from hopfkit.errors import HopfkitError, NotAutomorphism, RBIdentityFails
 from hopfkit.hopf import transport_hopf
-from hopfkit.linalg import BasedSpace, Element, LinearOp, accumulate, invert
-from hopfkit.report import Witness
+from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
+                            accumulate, invert)
+from hopfkit.report import AxiomReport, Witness
 
 
 def corpus_order_le_6():
@@ -236,3 +239,122 @@ def test_prime_field_rb(f2):
     b = fx.b_inv(h7)
     d = hk.descend(b)
     assert d.hopf.validated
+
+
+# -- reference: check_descendent_isos with explicit loops ------------------------------
+
+def reference_descendent_isos(b, phi):
+    """check_descendent_isos with both multiplicativity sweeps written out."""
+    b.require_validated()
+    h = b.carrier
+    d = rb_mod.descend(b)
+    d_tilde = rb_mod.descend(hk.rb_tilde(b))
+    d_conj = rb_mod.descend(hk.rb_conjugate(b, phi))
+    report = AxiomReport()
+
+    s = h.antipode
+    w = None
+    if not s.compose(s).is_identity():
+        w = Witness(("S∘S",), "S∘S", "id")
+    report.add("antipode-bijective", w)
+
+    w = None
+    for g in range(h.dim):
+        for x in range(h.dim):
+            lhs = s(d.hopf.mul_basis(g, x))
+            rhs = d_tilde.hopf.product(s.columns[g], s.columns[x])
+            if lhs != rhs:
+                w = Witness((h.label(g), h.label(x)), str(lhs), str(rhs))
+                break
+        if w:
+            break
+    report.add("antipode-multiplicative", w)
+
+    w = None
+    if not hk.check_coalgebra_morphism(s, d.hopf, d_tilde.hopf):
+        w = Witness(("S",), "Δ∘S", "(S⊗S)∘Δ")
+    report.add("antipode-coalgebra-morphism", w)
+
+    w = None
+    try:
+        invert(phi)
+    except HopfkitError:
+        w = Witness(("phi",), "singular", "bijective")
+    report.add("conjugate-bijective", w)
+
+    w = None
+    for g in range(h.dim):
+        for x in range(h.dim):
+            lhs = phi(d.hopf.mul_basis(g, x))
+            rhs = d_conj.hopf.product(phi.columns[g], phi.columns[x])
+            if lhs != rhs:
+                w = Witness((h.label(g), h.label(x)), str(lhs), str(rhs))
+                break
+        if w:
+            break
+    report.add("conjugate-multiplicative", w)
+
+    w = None
+    if not hk.check_coalgebra_morphism(phi, d.hopf, d_conj.hopf):
+        w = Witness(("phi",), "Δ∘phi", "(phi⊗phi)∘Δ")
+    report.add("conjugate-coalgebra-morphism", w)
+    return report
+
+
+def edited_descend(real, which, part, col, row, offset):
+    """``descend`` whose ``which``-th call (0: B, 1: B~, 2: B^phi) returns a
+    descendent with one entry of its product or coproduct moved; the
+    result is stamped validated so the morphism checks run on it."""
+    calls = []
+
+    def descend(b):
+        d = real(b)
+        calls.append(d)
+        if len(calls) - 1 != which % 3:
+            return d
+        h = d.hopf
+        maps = {"mul": h.mul, "comul": h.comul}
+        op = maps[part]
+        cols = list(op.columns)
+        coeffs = dict(cols[col % len(cols)].coeffs)
+        r = row % op.codomain.dim
+        coeffs[r] = coeffs.get(r, 0) + offset
+        cols[col % len(cols)] = Element(op.codomain, coeffs)
+        maps[part] = LinearOp(op.domain, op.codomain, cols)
+        moved = hk.hopf_from_structure(h.space, maps["mul"], h.unit,
+                                       maps["comul"], h.counit, h.antipode)
+        moved.validated = True
+        return rb_mod.DescendentHopf(d.source, moved)
+    return descend
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(field=st.sampled_from([QQ, Field(7)]), op=st.sampled_from(["inv", "eps"]),
+       which=st.integers(0, 2), part=st.sampled_from(["mul", "comul"]),
+       col=st.integers(0, 40), row=st.integers(0, 40),
+       offset=st.one_of(st.integers(1, 6),
+                        st.fractions(min_value=-2, max_value=2,
+                                     max_denominator=3).filter(bool)))
+def test_descendent_isos_match_reference_on_edited_descendents(
+        field, op, which, part, col, row, offset):
+    h = fx.f2(field)
+    b = (fx.b_inv if op == "inv" else fx.b_eps)(h)
+    phi = fx.phi_r(h)
+    with mock.patch.object(rb_mod, "descend", edited_descend(
+            rb_mod.descend, which, part, col, row, offset)):
+        got = str(hk.check_descendent_isos(b, phi))
+    with mock.patch.object(rb_mod, "descend", edited_descend(
+            rb_mod.descend, which, part, col, row, offset)):
+        want = str(reference_descendent_isos(b, phi))
+    assert got == want
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+def test_descendent_isos_match_reference_on_s3_corpus(field):
+    h = fx.f2(field)
+    phi = fx.phi_r(h)
+    for op in gr.enumerate_rb_group_ops(gr.dihedral(3)):
+        b = hk.verify_rb(h, LinearOp(h.space, h.space,
+                                     [h.basis(t) for t in op.table]))
+        assert str(hk.check_descendent_isos(b, phi)) == \
+            str(reference_descendent_isos(b, phi))
