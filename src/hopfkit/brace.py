@@ -16,9 +16,10 @@ from .errors import (CompatibilityFails, ConstructionInvalid,
                      NotExactFactorization, SingularMap)
 from .hopf import (HopfAlgebraData, ModuleAction, _multiplicative_witness,
                    adjoint_map, apply2, check_cocommutative,
-                   check_module_bialgebra, convolution_inverse, first_witness,
-                   opposite_hopf, require_cocommutative, sub_hopf_indices,
-                   tensor_coalgebra, verify_hopf)
+                   check_module_bialgebra, convolution, convolution_inverse,
+                   first_witness, opposite_hopf, require_cocommutative,
+                   sub_hopf_indices, tensor_coalgebra, twisted_product,
+                   verify_hopf)
 from .linalg import (BasedSpace, Element, LinearOp, accumulate, invert,
                      rank, tensor_elem, tensor_index, tensor_space,
                      tensor_split)
@@ -127,16 +128,8 @@ def flip_brace(h: HopfAlgebraData) -> HopfBrace:
 
 def derived_action_map(br: HopfBrace) -> LinearOp:
     """a ⇀ b = S(a_(1)) (a_(2) ∘ b) as a map H ⊗ H -> H."""
-    dot, circle = br.dot, br.circle
-    cols = []
-    for a in range(dot.dim):
-        legs = dot.sweedler(a, 2)
-        for b in range(dot.dim):
-            cols.append(accumulate(dot.space, (
-                (w, dot.product(dot.antipode.columns[a1],
-                                circle.mul_basis(a2, b)))
-                for w, (a1, a2) in legs)))
-    return LinearOp(dot.hh, dot.space, cols)
+    dot = br.dot
+    return twisted_product(dot.comul, dot.mul, br.circle.mul, f=dot.antipode)
 
 
 @dataclass
@@ -165,21 +158,16 @@ def derived_action(br: HopfBrace) -> BraceAction:
         raise InternalTheoremViolation(
             f"derived action is not a module bialgebra: {report.first_failure()}")
     dim = dot.dim
-    t = circle.antipode
     pairs = (dot.space, dot.space)
-    w = first_witness(pairs, lambda a, b: (
-        accumulate(dot.space, ((c, dot.product(dot.basis(a1),
-                                               act.columns[tensor_index(a2, b, dim)]))
-                               for c, (a1, a2) in dot.sweedler(a, 2))),
-        circle.mul_basis(a, b)))
+    rebuilt = twisted_product(dot.comul, dot.mul, act)
+    w = first_witness(pairs, lambda a, b: (rebuilt.columns[a * dim + b],
+                                           circle.mul_basis(a, b)))
     if w is not None:
         raise InternalTheoremViolation(
             f"reconstruction a∘b = a1(a2⇀b) fails at ({w.at[0]},{w.at[1]})")
-    w = first_witness(pairs, lambda a, b: (
-        accumulate(dot.space, ((c, apply2(circle.mul, dot.basis(a1),
-                                          apply2(act, t.columns[a2], dot.basis(b))))
-                               for c, (a1, a2) in dot.sweedler(a, 2))),
-        dot.mul_basis(a, b)))
+    rebuilt = twisted_product(dot.comul, circle.mul, act, g=circle.antipode)
+    w = first_witness(pairs, lambda a, b: (rebuilt.columns[a * dim + b],
+                                           dot.mul_basis(a, b)))
     if w is not None:
         raise InternalTheoremViolation(
             f"reconstruction ab = a1∘(T(a2)⇀b) fails at ({w.at[0]},{w.at[1]})")
@@ -432,18 +420,10 @@ def brace_from_op_action(h: HopfAlgebraData, act: LinearOp) -> HopfBrace:
     algebra satisfying a_(1) (a_(2) ⇀ b) ⇀ c = (b a) ⇀ c; the antipode is
     T(a) = S(a_(1)) ⇀ S(a_(2))."""
     require_cocommutative(h)
-    dim = h.dim
     # a ∘ b = a_(1) (a_(2) ⇀ b), also the left actor of the hypothesis
-    circle_cols = []
-    for a in range(dim):
-        legs = h.sweedler(a, 2)
-        for b in range(dim):
-            circle_cols.append(accumulate(h.space, (
-                (w, h.product(h.basis(a1), act.columns[tensor_index(a2, b, dim)]))
-                for w, (a1, a2) in legs)))
-
+    circle_mul = twisted_product(h.comul, h.mul, act)
     w = first_witness((h.space, h.space, h.space), lambda a, b, c: (
-        apply2(act, circle_cols[a * dim + b], h.basis(c)),
+        apply2(act, circle_mul.columns[a * h.dim + b], h.basis(c)),
         apply2(act, h.mul_basis(b, a), h.basis(c))))
     if w is not None:
         raise HypothesisFails("a1(a2⇀b)⇀c = (ba)⇀c", w)
@@ -454,15 +434,9 @@ def brace_from_op_action(h: HopfAlgebraData, act: LinearOp) -> HopfBrace:
         raise ConstructionInvalid("module-bialgebra",
                                   f"{fail.name}: {fail.witness}")
 
-    t_cols = []
     s = h.antipode
-    for a in range(dim):
-        t_cols.append(accumulate(h.space, (
-            (w, apply2(act, s.columns[a1], s.columns[a2]))
-            for w, (a1, a2) in h.sweedler(a, 2))))
-    circle = HopfAlgebraData(h.space, LinearOp(h.hh, h.space, circle_cols),
-                             h.unit, h.comul, h.counit,
-                             LinearOp(h.space, h.space, t_cols))
+    circle = HopfAlgebraData(h.space, circle_mul, h.unit, h.comul, h.counit,
+                             convolution(h.comul, s, s, act))
     report = verify_hopf(circle)
     if not report.passed:
         fail = report.first_failure()

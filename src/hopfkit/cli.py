@@ -442,14 +442,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.command == "verify":
-            report = build_report(defs, "verify")
-            text = render_report_json(report) if args.format == "json" \
-                else render_report_text(report)
-            _write(text, args.out)
-            return 0 if report["passed"] else 1
-        if args.command == "report":
-            report = build_report(defs, "report")
+        if args.command in ("verify", "report"):
+            report = build_report(defs, args.command)
             text = render_report_json(report) if args.format == "json" \
                 else render_report_text(report)
             _write(text, args.out)

@@ -21,7 +21,8 @@ from .errors import (ConstructionInvalid, DimensionMismatch, IdentityFails,
 from .hopf import (HopfAlgebraData, ModuleAction, apply2,
                    check_coalgebra_morphism, first_witness,
                    module_algebra_report, module_coalgebra_report,
-                   check_module_bialgebra, tensor_coalgebra, verify_hopf)
+                   check_module_bialgebra, tensor_coalgebra, twisted_product,
+                   verify_hopf)
 from .linalg import (Element, LinearOp, accumulate, invert, tensor_elem,
                      tensor_space, tensor_split)
 from .rb import RotaBaxterOp, verify_rb
@@ -60,12 +61,11 @@ def verify_relative_rb(k: HopfAlgebraData, h: HopfAlgebraData,
         raise ConstructionInvalid("module-bialgebra", f"{fail.name}: {fail.witness}")
     if not check_coalgebra_morphism(tau, k, h):
         raise NotCoalgebraMap("tau is not a coalgebra morphism")
+    # a ⊗ b -> a_(1) (τ(a_(2)) ⇀ b)
+    inner = twisted_product(k.comul, k.mul, action.act, g=tau)
     w = first_witness((k.space, k.space), lambda a, b: (
         h.product(tau.columns[a], tau.columns[b]),
-        tau(accumulate(k.space, (
-            (c, k.product(k.basis(a1),
-                          apply2(action.act, tau.columns[a2], k.basis(b))))
-            for c, (a1, a2) in k.sweedler(a, 2))))))
+        tau(inner.columns[a * k.dim + b])))
     if w is not None:
         raise IdentityFails("relative-rota-baxter", w)
     return RelativeRB(k, h, action, tau)
@@ -88,12 +88,10 @@ def verify_cocycle(h: HopfAlgebraData, a: HopfAlgebraData,
     if not check_coalgebra_morphism(pi, h, a):
         raise NotCoalgebraMap("pi is not a coalgebra morphism")
     pi_inv = invert(pi)
+    # x ⊗ u -> π(x_(1)) (x_(2) ⇀ u), read at u = π(y)
+    twisted = twisted_product(h.comul, a.mul, action.act, f=pi)
     w = first_witness((h.space, h.space), lambda x, y: (
-        pi(h.mul_basis(x, y)),
-        accumulate(a.space, (
-            (c, a.product(pi.columns[x1],
-                          apply2(action.act, h.basis(x2), pi.columns[y])))
-            for c, (x1, x2) in h.sweedler(x, 2)))))
+        pi(h.mul_basis(x, y)), apply2(twisted, h.basis(x), pi.columns[y])))
     if w is not None:
         raise IdentityFails("cocycle", w)
     return Cocycle(h, a, action, pi, pi_inv)

@@ -15,12 +15,12 @@ from .brace import HopfBrace, verify_brace
 from .errors import (ConstructionInvalid, DimensionMismatch, HypothesisFails,
                      NotExactFactorization, SingularMap)
 from .hopf import (HopfAlgebraData, ModuleAction, apply2,
-                   check_module_bialgebra, require_cocommutative, sub_hopf,
-                   sub_hopf_indices, tensor_hopf, verify_hopf)
-from .linalg import (BasedSpace, LinearOp, accumulate, invert,
-                     tensor_elem, tensor_index, tensor_space, tensor_split)
+                   check_module_bialgebra, convolution, first_witness,
+                   require_cocommutative, sub_hopf, sub_hopf_indices,
+                   tensor_hopf, verify_hopf)
+from .linalg import (BasedSpace, LinearOp, accumulate, invert, kron,
+                     tensor_elem, tensor_space, tensor_split)
 from .rb import RotaBaxterOp, circle_product_element, descend, verify_rb
-from .report import Witness
 
 
 @dataclass
@@ -46,16 +46,12 @@ def triple_factorization(g: HopfAlgebraData, h_labels, l_labels,
     if len(h_idx) * len(l_idx) * len(m_idx) != g.dim:
         raise NotExactFactorization(
             f"|H||L||M| = {len(h_idx) * len(l_idx) * len(m_idx)} != dim G = {g.dim}")
-    for l in l_idx:
-        for h in h_idx:
-            if g.mul_basis(l, h) != g.mul_basis(h, l):
-                raise HypothesisFails(
-                    "lh = hl",
-                    Witness((g.label(l), g.label(h)),
-                            str(g.mul_basis(l, h)), str(g.mul_basis(h, l))))
-    hs = BasedSpace(tuple(g.label(i) for i in h_idx), g.field)
-    ls = BasedSpace(tuple(g.label(i) for i in l_idx), g.field)
-    ms = BasedSpace(tuple(g.label(i) for i in m_idx), g.field)
+    hs, ls, ms = (BasedSpace(tuple(g.label(i) for i in idx), g.field)
+                  for idx in (h_idx, l_idx, m_idx))
+    w = first_witness((ls, hs), lambda l, h: (
+        g.mul_basis(l_idx[l], h_idx[h]), g.mul_basis(h_idx[h], l_idx[l])))
+    if w is not None:
+        raise HypothesisFails("lh = hl", w)
     hl = tensor_space(hs, ls)
     hlm = tensor_space(hl, ms)
     cols = []
@@ -84,15 +80,12 @@ def rb_from_triple_factorization(f: TripleFactorization,
     if not c.carrier.structure_equal(f.sub_l):
         raise DimensionMismatch("operator must live on the middle factor L")
     c_in_g = [f.incl_l(c.map.columns[i]) for i in range(len(f.l_idx))]
-    for mi in f.m_idx:
-        for li, cl in enumerate(c_in_g):
-            lhs = g.product(g.basis(mi), cl)
-            rhs = g.product(cl, g.basis(mi))
-            if lhs != rhs:
-                raise HypothesisFails(
-                    "mC(l) = C(l)m",
-                    Witness((g.label(mi), g.label(f.l_idx[li])),
-                            str(lhs), str(rhs)))
+    ms = BasedSpace(tuple(g.label(i) for i in f.m_idx), g.field)
+    w = first_witness((ms, f.sub_l.space), lambda m, l: (
+        g.product(g.basis(f.m_idx[m]), c_in_g[l]),
+        g.product(c_in_g[l], g.basis(f.m_idx[m]))))
+    if w is not None:
+        raise HypothesisFails("mC(l) = C(l)m", w)
     n_l, n_m = len(f.l_idx), len(f.m_idx)
     cols = []
     for x in range(g.dim):
@@ -117,25 +110,23 @@ def check_factorization_descendent_iso(f: TripleFactorization,
     tuples, identifying the descendent of B with H ⊗ L(C) ⊗ M-opposite."""
     g = f.ambient
     circle_c = descend(c).hopf
-    l_pos = {amb: i for i, amb in enumerate(f.l_idx)}
-    for ih in f.h_idx:
-        for il in f.l_idx:
-            for im in f.m_idx:
-                left = g.product_many([g.basis(ih), g.basis(il), g.basis(im)])
-                for jh in f.h_idx:
-                    for jl in f.l_idx:
-                        for jm in f.m_idx:
-                            right = g.product_many([g.basis(jh), g.basis(jl),
-                                                    g.basis(jm)])
-                            lhs = circle_product_element(g, b.map, left, right)
-                            circ = f.incl_l(
-                                circle_c.mul_basis(l_pos[il], l_pos[jl]))
-                            rhs = g.product_many([g.basis(ih), g.basis(jh),
-                                                  circ, g.basis(jm),
-                                                  g.basis(im)])
-                            if lhs != rhs:
-                                return False
-    return True
+    n_l, n_m = len(f.l_idx), len(f.m_idx)
+
+    def parts(p):
+        """Ambient h and m, and the position of l, of basis word p of H⊗L⊗M."""
+        hl, m = tensor_split(p, n_m)
+        h, l = tensor_split(hl, n_l)
+        return g.basis(f.h_idx[h]), l, g.basis(f.m_idx[m])
+
+    def sides(p, q):
+        (h, l, m), (h2, l2, m2) = parts(p), parts(q)
+        lhs = circle_product_element(
+            g, b.map, g.product_many([h, g.basis(f.l_idx[l]), m]),
+            g.product_many([h2, g.basis(f.l_idx[l2]), m2]))
+        circ = f.incl_l(circle_c.mul_basis(l, l2))
+        return lhs, g.product_many([h, h2, circ, m2, m])
+    hlm = f.factor.codomain
+    return first_witness((hlm, hlm), sides) is None
 
 
 # -- smash products -----------------------------------------------------------
@@ -173,17 +164,6 @@ def smash_product(h: HopfAlgebraData, k: HopfAlgebraData,
     plain = tensor_hopf(h, k)
     space = plain.space
     dim_k = k.dim
-    mul_cols = []
-    for p in range(space.dim):
-        i, j = tensor_split(p, dim_k)
-        legs = k.sweedler(j, 2)
-        for q in range(space.dim):
-            a, bb = tensor_split(q, dim_k)
-            mul_cols.append(accumulate(space, (
-                (w, tensor_elem(space,
-                                h.product(h.basis(i), action.basis(j1, a)),
-                                k.mul_basis(j2, bb)))
-                for w, (j1, j2) in legs)))
     anti_cols = []
     for p in range(space.dim):
         i, j = tensor_split(p, dim_k)
@@ -193,7 +173,7 @@ def smash_product(h: HopfAlgebraData, k: HopfAlgebraData,
                                    h.antipode.columns[i]),
                             k.antipode.columns[j2]))
             for w, (j1, j2) in k.sweedler(j, 2))))
-    smash = HopfAlgebraData(space, LinearOp(plain.mul.domain, space, mul_cols),
+    smash = HopfAlgebraData(space, _smash_mul(h, k, action.act, k.mul),
                             plain.unit, plain.comul, plain.counit,
                             LinearOp(space, space, anti_cols))
     rep = verify_hopf(smash)
@@ -202,6 +182,26 @@ def smash_product(h: HopfAlgebraData, k: HopfAlgebraData,
         raise ConstructionInvalid(f"smash:{fail.name}", str(fail.witness))
     brace = verify_brace(plain, smash)
     return SmashProduct(h, k, action, smash, plain, brace)
+
+
+def _smash_mul(h: HopfAlgebraData, k: HopfAlgebraData, act: LinearOp,
+               k_mul: LinearOp) -> LinearOp:
+    """(h#k)(h'#k') = h (k_(1) ▷ h') # k_(2) k' on H ⊗ K, for an action
+    act: K ⊗ H -> H and a product k_mul on K."""
+    space = tensor_space(h.space, k.space)
+    dim_h, dim_k = h.dim, k.dim
+    cols = []
+    for p in range(space.dim):
+        i, j = tensor_split(p, dim_k)
+        legs = k.sweedler(j, 2)
+        for q in range(space.dim):
+            a, bb = tensor_split(q, dim_k)
+            cols.append(accumulate(space, (
+                (w, tensor_elem(space,
+                                h.product(h.basis(i), act.columns[j1 * dim_h + a]),
+                                k_mul.columns[j2 * dim_k + bb]))
+                for w, (j1, j2) in legs)))
+    return LinearOp(tensor_space(space, space), space, cols)
 
 
 def rb_on_smash(sp: SmashProduct, c: RotaBaxterOp) -> RotaBaxterOp:
@@ -227,34 +227,10 @@ def check_smash_descendent_iso(sp: SmashProduct, c: RotaBaxterOp,
     module-bialgebra sweep over K(C), and
     (h#k) ∘_B (h'#k') = h (k_(1) ⊵ h') # (k_(2) ∘_C k') on all tuples."""
     h, k = sp.left, sp.right
-    space = sp.product.space
-    dim_k = k.dim
     circle_c = descend(c).hopf
-    twist_cols = []
-    for j in range(dim_k):
-        actors = [(w, k.product(k.basis(j1), c.map.columns[j2]))
-                  for w, (j1, j2) in k.sweedler(j, 2)]
-        for i in range(h.dim):
-            twist_cols.append(accumulate(h.space, (
-                (w, apply2(sp.action.act, actor, h.basis(i)))
-                for w, actor in actors)))
-    twist = LinearOp(tensor_space(k.space, h.space), h.space, twist_cols)
-    twisted_action = ModuleAction(circle_c, h, twist)
-    if not check_module_bialgebra(twisted_action).passed:
+    # k ⊗ h -> (k_(1) C(k_(2))) ▷ h
+    actor = convolution(k.comul, LinearOp.identity(k.space), c.map, k.mul)
+    twist = sp.action.act.compose(kron(actor, LinearOp.identity(h.space)))
+    if not check_module_bialgebra(ModuleAction(circle_c, h, twist)).passed:
         return False
-
-    db = descend(b).hopf
-    for p in range(space.dim):
-        i, j = tensor_split(p, dim_k)
-        legs = k.sweedler(j, 2)
-        for q in range(space.dim):
-            a, bb = tensor_split(q, dim_k)
-            want = accumulate(space, (
-                (w, tensor_elem(space,
-                                h.product(h.basis(i),
-                                          twist.columns[tensor_index(j1, a, h.dim)]),
-                                circle_c.mul_basis(j2, bb)))
-                for w, (j1, j2) in legs))
-            if db.mul_basis(p, q) != want:
-                return False
-    return True
+    return descend(b).hopf.mul == _smash_mul(h, k, twist, circle_c.mul)

@@ -162,23 +162,36 @@ def _check_size(n: int, what: str, path):
 
 
 def _group_from_spec(raw, path) -> gr.FiniteGroup:
+    if not isinstance(raw, dict):
+        raise DefinitionSyntaxError("group spec must be an object", path)
+    for key in ("cyclic", "dihedral", "symmetric"):
+        if key in raw and type(raw[key]) is not int:
+            raise DefinitionSyntaxError(
+                f"'{key}' must be an integer, got {raw[key]!r}", path)
     if "table" in raw:
         table = raw["table"]
         if not isinstance(table, list):
             raise DefinitionSyntaxError("table must be a list of rows", path)
         _check_size(len(table), "group order", path)
+        if not all(isinstance(r, list) for r in table) or \
+                {type(x) for r in table for x in r} - {int}:
+            raise DefinitionSyntaxError("table rows must be lists of integers",
+                                        path)
         labels = raw.get("labels") or [f"g{i}" for i in range(len(table))]
+        if not isinstance(labels, list) or \
+                not all(isinstance(lab, str) for lab in labels):
+            raise DefinitionSyntaxError("labels must be a list of strings", path)
         return gr.FiniteGroup(tuple(tuple(r) for r in table), tuple(labels))
     if "cyclic" in raw:
-        n = int(raw["cyclic"])
+        n = raw["cyclic"]
         _check_size(n, "group order", path)
         return gr.cyclic(n)
     if "dihedral" in raw:
-        n = int(raw["dihedral"])
+        n = raw["dihedral"]
         _check_size(2 * n, "group order", path)
         return gr.dihedral(n)
     if "symmetric" in raw:
-        return gr.symmetric(int(raw["symmetric"]))
+        return gr.symmetric(raw["symmetric"])
     if raw.get("quaternion"):
         return gr.quaternion_group()
     if "permutations" in raw:
@@ -338,8 +351,8 @@ def _build_map(name, raw, seen, field, path) -> Declaration:
             key = lab if isinstance(lab, str) else json.dumps(label_from_json(lab))
             if key not in images:
                 raise DimensionMismatch(f"missing image for {key!r} at {path}")
-            cols.append(codomain.basis(
-                codomain.index_of(label_from_json(images[key]))))
+            cols.append(codomain.basis(_label_index(codomain, images[key],
+                                                    path)))
         op = LinearOp(domain, codomain, cols)
     elif "matrix" in raw:
         cols = [dict() for _ in range(domain.dim)]
@@ -355,6 +368,14 @@ def _build_map(name, raw, seen, field, path) -> Declaration:
         raise DefinitionSyntaxError("unrecognized map body", path)
     return Declaration("map", name, raw, obj=op, on=on,
                        rota_baxter=bool(raw.get("rota_baxter")))
+
+
+def _label_index(space: BasedSpace, data, path) -> int:
+    try:
+        return space.index_of(label_from_json(data))
+    except KeyError:
+        raise DimensionMismatch(
+            f"image {data!r} is not a basis label at {path}") from None
 
 
 # -- actions ---------------------------------------------------------------------------
@@ -386,7 +407,8 @@ def _build_action(name, raw, seen, field, path) -> Declaration:
                 if not isinstance(lab, str) or lab not in perm:
                     raise DimensionMismatch(
                         f"group_action missing carrier label {lab!r} at {path}")
-                cols.append(carrier.basis(carrier.space.index_of(perm[lab])))
+                cols.append(carrier.basis(_label_index(carrier.space,
+                                                       perm[lab], path)))
     elif "matrix" in raw:
         cols_data = [dict() for _ in range(dom.dim)]
         for a, i, j, v in _entries(raw["matrix"], 4, f"{path}.matrix"):
@@ -444,6 +466,10 @@ def _build_factorization(name, raw, seen, field, path) -> Declaration:
                 raise DefinitionSyntaxError(
                     f"'{key}' label {lab!r} is not a basis label of the ambient",
                     path)
+        dup = [lab for i, lab in enumerate(raw[key]) if lab in raw[key][:i]]
+        if dup:
+            raise DefinitionSyntaxError(
+                f"'{key}' repeats the label {dup[0]!r}", path)
     spec = raw.get("middle_rb", "inversion")     # absent: no operator to build
     if isinstance(spec, dict) and "images" in spec:
         images = spec["images"]

@@ -476,7 +476,7 @@ def lift_to_group_algebra(b: RBGroupOp, field=None):
     from .errors import HopfkitError
 
     h = hopf.group_algebra(b.group, field)
-    op = _basis_permutation_map(h, b.table)
+    op = lift_map(h, b.table)
     try:
         return rb.verify_rb(h, op)
     except HopfkitError as exc:
@@ -486,10 +486,6 @@ def lift_to_group_algebra(b: RBGroupOp, field=None):
 
 def lift_map(h, table):
     """Linear lift of an arbitrary index map on a group algebra basis."""
-    return _basis_permutation_map(h, table)
-
-
-def _basis_permutation_map(h, table):
     from .linalg import LinearOp
     return LinearOp(h.space, h.space, [h.space.basis(j) for j in table])
 
@@ -504,7 +500,7 @@ def lift_automorphism(h, perm):
     from . import hopf
     from .errors import NotAutomorphism
 
-    op = _basis_permutation_map(h, perm)
+    op = lift_map(h, perm)
     if not hopf.check_bialgebra_automorphism(op, h):
         raise NotAutomorphism("permutation does not lift to a bialgebra automorphism")
     return op

@@ -7,7 +7,11 @@ failed sweeps report the lexicographically first failing tuple together
 with both evaluated sides.  Every element-level sweep in the package goes
 through :func:`first_witness`; every check that a map is a coalgebra map
 goes through :func:`coalgebra_map_failures`, and the middle-flip
-coalgebra of H ⊗ K is built once, by :func:`tensor_coalgebra`.  The
+coalgebra of H ⊗ K is built once, by :func:`tensor_coalgebra`.  Sweedler
+sums of maps are built by two kernels that take the coproduct as a
+``LinearOp`` (``h.comul`` or a middle-flip one): :func:`convolution`,
+x ↦ Σ m(f(x_(1)) ⊗ g(x_(2))), and :func:`twisted_product`,
+x ⊗ y ↦ Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)).  The
 :func:`verify_hopf` sweeps run on the int columns of
 :func:`~hopfkit.linalg.scaled_columns` and compare the two sides in ints
 (modulo p over F_p); only the first failing tuple is evaluated as
@@ -657,9 +661,8 @@ def check_hopf_isomorphism(f: LinearOp, h: HopfAlgebraData,
         return False
     if not check_coalgebra_morphism(f, h, k):
         return False
-    for i in range(h.dim):
-        if f(h.antipode.columns[i]) != k.antipode(f.columns[i]):
-            return False
+    if f.compose(h.antipode) != k.antipode.compose(f):
+        return False
     return _multiplicative_witness(f, h, k) is None
 
 
@@ -948,6 +951,48 @@ def unit_counit_map(h: HopfAlgebraData) -> LinearOp:
                     [h.unit.scale(h._eps[i]) for i in range(h.dim)])
 
 
+def convolution(comul: LinearOp, f: LinearOp, g: LinearOp,
+                m: LinearOp) -> LinearOp:
+    """The convolution x -> Σ m(f(x_(1)) ⊗ g(x_(2))) of f: C -> A and
+    g: C -> B through m: A ⊗ B -> D, over the coproduct ``comul`` of C."""
+    space = comul.domain
+    if (f.domain != space or g.domain != space
+            or m.domain.dim != f.codomain.dim * g.codomain.dim):
+        raise DimensionMismatch("convolution shapes do not match")
+    dim = space.dim
+    fc, gc = f.columns, g.columns
+    return LinearOp(space, m.codomain, [
+        accumulate(m.codomain, ((c, apply2(m, fc[p // dim], gc[p % dim]))
+                                for p, c in col.coeffs.items()))
+        for col in comul.columns])
+
+
+def twisted_product(comul: LinearOp, outer: LinearOp, inner: LinearOp,
+                    f: LinearOp | None = None,
+                    g: LinearOp | None = None) -> LinearOp:
+    """x ⊗ y -> Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)) as a map C ⊗ Y -> D,
+    over the coproduct ``comul`` of C, for an action-shaped
+    inner: G ⊗ Y -> Y.  An omitted f or g is the identity of C.  The
+    right factors inner(g(x_(2)) ⊗ e_y) are formed once per (x_(2), y)."""
+    space, target = comul.domain, inner.codomain
+    dim, dim_y = space.dim, target.dim
+    if inner.domain.dim != (dim if g is None else g.codomain.dim) * dim_y:
+        raise DimensionMismatch("twisted product shapes do not match")
+    fc = [space.basis(i) for i in range(dim)] if f is None else f.columns
+    right = inner.columns if g is None else [
+        apply2(inner, col, target.basis(j))
+        for col in g.columns for j in range(dim_y)]
+    out = outer.codomain
+    cols = []
+    for col in comul.columns:
+        legs = [(c, fc[p // dim], p % dim * dim_y)
+                for p, c in col.coeffs.items()]
+        for j in range(dim_y):
+            cols.append(accumulate(out, ((c, apply2(outer, left, right[r + j]))
+                                         for c, left, r in legs)))
+    return LinearOp(tensor_space(space, target), out, cols)
+
+
 # -- the endomorphism algebra ----------------------------------------------------
 
 def end_algebra(space: BasedSpace) -> tuple[BasedSpace, LinearOp, Element]:
@@ -970,25 +1015,6 @@ def end_algebra(space: BasedSpace) -> tuple[BasedSpace, LinearOp, Element]:
     unit = Element(e_space, {i * d + i: space.field.one for i in range(d)},
                    _canonical=True)
     return e_space, LinearOp(ee, e_space, cols), unit
-
-
-def op_to_end_element(e_space: BasedSpace, f: LinearOp) -> Element:
-    d = f.domain.dim
-    out = {}
-    for j, col in enumerate(f.columns):
-        for i, c in col.coeffs.items():
-            out[i * d + j] = c
-    return Element(e_space, out, _canonical=True)
-
-
-def end_element_to_op(space: BasedSpace, elem: Element) -> LinearOp:
-    d = space.dim
-    cols_data: list[dict] = [dict() for _ in range(d)]
-    for p, c in elem.coeffs.items():
-        i, j = divmod(p, d)
-        cols_data[j][i] = c
-    return LinearOp(space, space,
-                    [Element(space, data, _canonical=True) for data in cols_data])
 
 
 def curry_action(e_space: BasedSpace, act: LinearOp) -> LinearOp:

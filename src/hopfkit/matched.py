@@ -20,10 +20,10 @@ from .brace import HopfBrace, verify_brace
 from .errors import (AxiomFails, ConstructionInvalid, DimensionMismatch,
                      HypothesisFails, InternalTheoremViolation, BraidFails)
 from .hopf import (HopfAlgebraData, _earliest, apply2, coalgebra_map_failures,
-                   first_witness, require_cocommutative, tensor_coalgebra,
-                   verify_hopf)
-from .linalg import (Element, LinearOp, accumulate, invert, tensor_elem,
-                     tensor_index, tensor_space, tensor_split)
+                   convolution, first_witness, require_cocommutative,
+                   tensor_coalgebra, twisted_product, verify_hopf)
+from .linalg import (Element, LinearOp, accumulate, invert, tensor_index,
+                     tensor_space, tensor_split)
 from .rb import RotaBaxterOp, descend, rb_action_map
 from .report import Witness
 
@@ -89,22 +89,19 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
     sweep("right-action-on-unit", (h.space,),
           lambda a: (apply2(ract, k.unit, h.basis(a)), k.unit.scale(h._eps[a])))
 
-    def legs(x, a):
-        return ((cx * ca, x1, x2, a1, a2) for cx, (x1, x2) in k.sweedler(x, 2)
-                for ca, (a1, a2) in h.sweedler(a, 2))
-
+    # (x ⊗ a) ⊗ b -> (x_(1) ⇀ a_(1)) ((x_(2) ↼ a_(2)) ⇀ b)
+    rhs = twisted_product(source[0], h.mul, lact, f=lact, g=ract).columns
     sweep("compatibility-left", (k.space, h.space, h.space),
           lambda x, a, b: (apply2(lact, k.basis(x), h.mul_basis(a, b)),
-                           accumulate(h.space, (
-                               (c, h.product(la(x1, a1),
-                                             apply2(lact, ra(x2, a2), h.basis(b))))
-                               for c, x1, x2, a1, a2 in legs(x, a)))))
+                           rhs[(x * dim_h + a) * dim_h + b]))
     sweep("compatibility-right", (k.space, k.space, h.space),
           lambda x, y, a: (apply2(ract, k.mul_basis(x, y), h.basis(a)),
                            accumulate(k.space, (
-                               (c, k.product(apply2(ract, k.basis(x), la(y1, a1)),
-                                             ra(y2, a2)))
-                               for c, y1, y2, a1, a2 in legs(y, a)))))
+                               (cy * ca, k.product(apply2(ract, k.basis(x),
+                                                          la(y1, a1)),
+                                                   ra(y2, a2)))
+                               for cy, (y1, y2) in k.sweedler(y, 2)
+                               for ca, (a1, a2) in h.sweedler(a, 2)))))
     return MatchedPair(h, k, lact, ract)
 
 
@@ -196,25 +193,10 @@ def ybe_from_rb(b: RotaBaxterOp) -> YbeMap:
     h = b.carrier
     dim = h.dim
     field = h.field
-    hh = tensor_space(h.space, h.space)
-
-    def la(x, a):
-        return m.lact.columns[tensor_index(x, a, dim)]
-
-    def ra(x, a):
-        return m.ract.columns[tensor_index(x, a, dim)]
-
-    cols = []
-    for x in range(dim):
-        legs_x = h.sweedler(x, 2)
-        for y in range(dim):
-            cols.append(accumulate(hh, (
-                (field.mul(cx, cy), tensor_elem(hh, la(x1, y1), ra(x2, y2)))
-                for cx, (x1, x2) in legs_x
-                for cy, (y1, y2) in h.sweedler(y, 2))))
-    c = LinearOp(hh, hh, cols)
-
     coalgebra = tensor_coalgebra(h, h)
+    c = convolution(coalgebra[0], m.lact, m.ract,
+                    LinearOp.identity(coalgebra[0].domain))
+
     first = _earliest(coalgebra_map_failures(c, coalgebra, coalgebra))
     if first is not None:
         x, y = tensor_split(first[1][0], dim)
@@ -250,41 +232,21 @@ def brace_from_matched_pair(m: MatchedPair, circle: HopfAlgebraData) -> HopfBrac
         raise DimensionMismatch(
             "the matched pair must be the circle Hopf algebra with itself")
     dim = circle.dim
-    field = circle.field
-
-    def la(x, a):
-        return m.lact.columns[tensor_index(x, a, dim)]
-
-    def ra(x, a):
-        return m.ract.columns[tensor_index(x, a, dim)]
-
+    hypothesis = convolution(tensor_coalgebra(circle, circle)[0], m.lact,
+                             m.ract, circle.mul)
     w = first_witness((circle.space, circle.space), lambda a, b: (
-        circle.mul_basis(a, b),
-        accumulate(circle.space, (
-            (field.mul(ca, cb), apply2(circle.mul, la(a1, b1), ra(a2, b2)))
-            for ca, (a1, a2) in circle.sweedler(a, 2)
-            for cb, (b1, b2) in circle.sweedler(b, 2)))))
+        circle.mul_basis(a, b), hypothesis.columns[a * dim + b]))
     if w is not None:
         raise HypothesisFails("a∘b = (a1⇀b1)∘(a2↼b2)", w)
 
     t = circle.antipode
-    dot_cols = []
-    for a in range(dim):
-        legs = circle.sweedler(a, 2)
-        for b in range(dim):
-            dot_cols.append(accumulate(circle.space, (
-                (w, apply2(circle.mul, circle.basis(a1),
-                           apply2(m.lact, t.columns[a2], circle.basis(b))))
-                for w, (a1, a2) in legs)))
-    s_cols = []
-    for a in range(dim):
-        s_cols.append(accumulate(circle.space, (
-            (w, apply2(m.lact, circle.basis(a1), t.columns[a2]))
-            for w, (a1, a2) in circle.sweedler(a, 2))))
-
-    dot = HopfAlgebraData(circle.space, LinearOp(circle.hh, circle.space, dot_cols),
+    dot = HopfAlgebraData(circle.space,
+                          twisted_product(circle.comul, circle.mul, m.lact,
+                                          g=t),
                           circle.unit, circle.comul, circle.counit,
-                          LinearOp(circle.space, circle.space, s_cols))
+                          convolution(circle.comul,
+                                      LinearOp.identity(circle.space), t,
+                                      m.lact))
     report = verify_hopf(dot)
     if not report.passed:
         fail = report.first_failure()

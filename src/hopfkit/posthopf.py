@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from .brace import HopfBrace, derived_action_map, verify_brace
 from .errors import ConstructionInvalid, IdentityFails
 from .hopf import (HopfAlgebraData, _earliest, apply2, coalgebra_map_failures,
-                   convolution_inverse, curry_action, end_algebra,
-                   first_witness, require_cocommutative, tensor_coalgebra,
-                   uncurry_action, verify_hopf)
+                   convolution, convolution_inverse, curry_action,
+                   end_algebra, first_witness, require_cocommutative,
+                   tensor_coalgebra, twisted_product, uncurry_action,
+                   verify_hopf)
 from .linalg import LinearOp, accumulate, tensor_index, tensor_split
 from .rb import RotaBaxterOp, rb_action_map
 from .report import Witness
@@ -66,9 +67,7 @@ def verify_posthopf(h: HopfAlgebraData, tri: LinearOp) -> PostHopf:
         raise IdentityFails("product-distributivity", w)
 
     # x_(1) (x_(2) ▶ y), once per pair
-    twisted = [accumulate(h.space, ((c, h.product(h.basis(x1), tri_of(x2, y)))
-                                    for c, (x1, x2) in h.sweedler(x, 2)))
-               for x in range(dim) for y in range(dim)]
+    twisted = twisted_product(h.comul, h.mul, tri).columns
     w = first_witness((h.space, h.space, h.space), lambda x, y, z: (
         apply2(tri, h.basis(x), tri_of(y, z)),
         apply2(tri, twisted[x * dim + y], h.basis(z))))
@@ -92,22 +91,10 @@ def subadjacent_hopf(p: PostHopf) -> HopfAlgebraData:
     """The Hopf algebra (H, ∗_▶, Δ) with x ∗ y = x_(1) (x_(2) ▶ y) and
     antipode S_▶(x) = β_{x_(1)}(S(x_(2)))."""
     h = p.carrier
-    dim = h.dim
-    mul_cols = []
-    for x in range(dim):
-        legs = h.sweedler(x, 2)
-        for y in range(dim):
-            mul_cols.append(accumulate(h.space, (
-                (w, h.product(h.basis(x1),
-                              p.tri.columns[tensor_index(x2, y, dim)]))
-                for w, (x1, x2) in legs)))
-    anti_cols = []
-    for x in range(dim):
-        anti_cols.append(accumulate(h.space, (
-            (w, apply2(p.beta, h.basis(x1), h.antipode.columns[x2]))
-            for w, (x1, x2) in h.sweedler(x, 2))))
-    out = HopfAlgebraData(h.space, LinearOp(h.hh, h.space, mul_cols), h.unit,
-                          h.comul, h.counit, LinearOp(h.space, h.space, anti_cols))
+    out = HopfAlgebraData(h.space, twisted_product(h.comul, h.mul, p.tri),
+                          h.unit, h.comul, h.counit,
+                          convolution(h.comul, LinearOp.identity(h.space),
+                                      h.antipode, p.beta))
     report = verify_hopf(out)
     if not report.passed:
         fail = report.first_failure()

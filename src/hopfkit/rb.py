@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from .errors import (ConstructionInvalid, DimensionMismatch, HopfkitError,
                      InternalTheoremViolation, NotAutomorphism,
                      NotCoalgebraMap, RBIdentityFails)
-from .hopf import (HopfAlgebraData, _multiplicative_witness,
-                   check_bialgebra_automorphism, check_coalgebra_morphism,
-                   coalgebra_morphism_witness, first_witness,
-                   require_cocommutative, verify_hopf)
+from .hopf import (HopfAlgebraData, _multiplicative_witness, adjoint_map,
+                   apply2, check_bialgebra_automorphism,
+                   check_coalgebra_morphism, coalgebra_morphism_witness,
+                   convolution, first_witness, require_cocommutative,
+                   verify_hopf)
 from .linalg import Element, LinearOp, accumulate, invert, tensor_index
 from .report import AxiomReport, Witness
 
@@ -58,17 +59,13 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
 
 
 def rb_tilde(b: RotaBaxterOp) -> RotaBaxterOp:
-    """The companion operator B~(x) = S(x_(1)) B(S(x_(2)))."""
+    """The companion operator B~ = S ⋆ (B∘S), i.e.
+    B~(x) = S(x_(1)) B(S(x_(2)))."""
     b.require_validated()
     h = b.carrier
-    cols = []
-    for x in range(h.dim):
-        cols.append(accumulate(h.space, (
-            (c, h.product(h.antipode.columns[x1],
-                          b.map(h.antipode.columns[x2])))
-            for c, (x1, x2) in h.sweedler(x, 2))))
+    s = h.antipode
     try:
-        return verify_rb(h, LinearOp(h.space, h.space, cols))
+        return verify_rb(h, convolution(h.comul, s, b.map.compose(s), h.mul))
     except HopfkitError as exc:
         raise InternalTheoremViolation(
             f"companion operator failed verification: {exc}") from exc
@@ -129,28 +126,24 @@ def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
 
 def rb_action_map(b: RotaBaxterOp) -> LinearOp:
     """x ⇀ y = B(x_(1)) y S(B(x_(2))) as a map H ⊗ H -> H: the post-Hopf
-    product of B and the left action of its matched pair."""
+    product of B and the left action of its matched pair.
+
+    Built as the adjoint action after B ⊗ id, x ⊗ y -> B(x) ▷ y: a
+    verified B is a coalgebra map, so B(x)_(1) ⊗ B(x)_(2) =
+    B(x_(1)) ⊗ B(x_(2)) and both formulas agree."""
     h = b.carrier
-    cols = []
-    for x in range(h.dim):
-        wings = [(c, b.map.columns[x1], h.antipode(b.map.columns[x2]))
-                 for c, (x1, x2) in h.sweedler(x, 2)]
-        for y in range(h.dim):
-            cols.append(accumulate(h.space, (
-                (c, h.product_many([left, h.basis(y), right]))
-                for c, left, right in wings)))
-    return LinearOp(h.hh, h.space, cols)
+    ad = adjoint_map(h)
+    return LinearOp(h.hh, h.space, [apply2(ad, bx, h.basis(y))
+                                    for bx in b.map.columns
+                                    for y in range(h.dim)])
 
 
 def descendent_antipode(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
-    """T(g) = S(B(g_(1))) S(g_(2)) B(g_(3))."""
-    cols = []
-    for g in range(h.dim):
-        cols.append(accumulate(h.space, (
-            (c, h.product_many([h.antipode(b.columns[g1]),
-                                h.antipode.columns[g2], b.columns[g3]]))
-            for c, (g1, g2, g3) in h.sweedler(g, 3))))
-    return LinearOp(h.space, h.space, cols)
+    """T = ((S∘B) ⋆ S) ⋆ B, i.e. T(g) = S(B(g_(1))) S(g_(2)) B(g_(3)) with
+    the legs of (Δ⊗id)Δ, for any linear map B."""
+    s = h.antipode
+    return convolution(h.comul, convolution(h.comul, s.compose(b), s, h.mul),
+                       b, h.mul)
 
 
 @dataclass
@@ -191,10 +184,10 @@ def descend(b: RotaBaxterOp) -> DescendentHopf:
 
 def _antipode_inverse_witness(h: HopfAlgebraData, b: LinearOp,
                               t: LinearOp) -> Witness | None:
-    return first_witness((h.space,), lambda x: (
-        accumulate(h.space, ((c, h.product(b.columns[x1], b(t.columns[x2])))
-                             for c, (x1, x2) in h.sweedler(x, 2))),
-        h.unit.scale(h._eps[x])))
+    """First basis element where B ⋆ (B∘T) differs from ε·1."""
+    conv = convolution(h.comul, b, b.compose(t), h.mul)
+    return first_witness((h.space,), lambda x: (conv.columns[x],
+                                                h.unit.scale(h._eps[x])))
 
 
 def check_descendent_antipode_inverse(d: DescendentHopf) -> bool:

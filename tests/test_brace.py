@@ -1,6 +1,7 @@
 """Hopf braces: verification, derived action, embedding, symmetry suite."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,14 +9,19 @@ from hypothesis import given, settings, strategies as st
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
-from hopfkit.brace import rb_op_module_witness, rb_symmetric_sufficient_witness
+from hopfkit import brace as brace_mod
+from hopfkit.brace import (HopfBrace, derived_action_map, rb_op_module_witness,
+                           rb_symmetric_sufficient_witness)
 from hopfkit.errors import (CompatibilityFails, HopfAxiomFails,
-                            HypothesisFails, NotExactFactorization)
-from hopfkit.hopf import apply2, transport_hopf
+                            HypothesisFails, InternalTheoremViolation,
+                            NotExactFactorization)
+from hopfkit.hopf import apply2, first_witness, transport_hopf
 from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
                             accumulate, invert, tensor_index)
 from hopfkit.rb import descendent_antipode
-from hopfkit.report import Witness
+from hopfkit.report import AxiomReport, Witness
+
+from conftest import Built, edited
 
 ORACLE = settings(max_examples=10, deadline=None, database=None)
 
@@ -450,3 +456,139 @@ def test_adjoint_verdicts_match_reference_across_s3_corpus(f2):
         b = gr.lift_to_group_algebra(op).map
         assert rb_symmetric_sufficient_witness(f2, b) == reference_prop48(f2, b)
         assert rb_op_module_witness(f2, b) == reference_prop49(f2, b)
+
+
+# -- oracles: the Sweedler sums of brace as explicit loops ---------------------------
+
+def reference_derived_action_map(dot, circle):
+    """a ⇀ b = S(a_(1)) (a_(2) ∘ b), term by term."""
+    cols = []
+    for a in range(dot.dim):
+        legs = dot.sweedler(a, 2)
+        for b in range(dot.dim):
+            cols.append(accumulate(dot.space, (
+                (w, dot.product(dot.antipode.columns[a1],
+                                circle.mul_basis(a2, b)))
+                for w, (a1, a2) in legs)))
+    return LinearOp(dot.hh, dot.space, cols)
+
+
+def reference_left_twist(h, act):
+    """a_(1) (a_(2) ⇀ b) per basis pair: the first reconstruction of
+    derived_action and the circle product of brace_from_op_action."""
+    dim = h.dim
+    return [accumulate(h.space, ((c, h.product(h.basis(a1),
+                                               act.columns[tensor_index(a2, b, dim)]))
+                                 for c, (a1, a2) in h.sweedler(a, 2)))
+            for a in range(dim) for b in range(dim)]
+
+
+def reference_circle_twist(dot, circle, act):
+    """a_(1) ∘ (T(a_(2)) ⇀ b) per basis pair, with T the circle antipode."""
+    t = circle.antipode
+    return [accumulate(dot.space, ((c, apply2(circle.mul, dot.basis(a1),
+                                              apply2(act, t.columns[a2],
+                                                     dot.basis(b))))
+                                   for c, (a1, a2) in dot.sweedler(a, 2)))
+            for a in range(dot.dim) for b in range(dot.dim)]
+
+
+def reference_op_action_antipode(h, act):
+    """T(a) = S(a_(1)) ⇀ S(a_(2)), term by term."""
+    s = h.antipode
+    return LinearOp(h.space, h.space, [accumulate(h.space, (
+        (w, apply2(act, s.columns[a1], s.columns[a2]))
+        for w, (a1, a2) in h.sweedler(a, 2))) for a in range(h.dim)])
+
+
+def reference_reconstruction_failure(br, act):
+    """The message derived_action raises for the first failing
+    reconstruction identity, or None."""
+    dot, circle = br.dot, br.circle
+    for name, got, want in (
+            ("a∘b = a1(a2⇀b)", reference_left_twist(dot, act), circle.mul),
+            ("ab = a1∘(T(a2)⇀b)", reference_circle_twist(dot, circle, act),
+             dot.mul)):
+        for p, col in enumerate(got):
+            if col != want.columns[p]:
+                a, b = divmod(p, dot.dim)
+                return (f"reconstruction {name} fails at "
+                        f"({dot.label(a)},{dot.label(b)})")
+    return None
+
+
+_BRACES: dict = {}
+
+
+def kernel_brace(kernel_op, name, field):
+    if (name, field) not in _BRACES:
+        _BRACES[name, field] = hk.brace_from_rb(kernel_op(name, field))
+    return _BRACES[name, field]
+
+
+BRACE_NAMES = ["dense-Z2-inv", "dense-Z2-eps", "dense-Z3-inv", "mixed-S3-inv",
+               "mixed-S3-eps"]
+
+
+@ORACLE
+@given(field=st.sampled_from([QQ, Field(7)]), name=st.sampled_from(BRACE_NAMES),
+       part=st.sampled_from(["mul", "antipode", "act"]),
+       col=st.integers(0, 40), row=st.integers(0, 40), delta=DELTAS)
+def test_derived_action_sums_match_reference_on_edits(kernel_op, field, name,
+                                                      part, col, row, delta):
+    br = kernel_brace(kernel_op, name, field)
+    dot, circle = br.dot, br.circle
+    mul, t = circle.mul, circle.antipode
+    if part == "mul":
+        mul = edited(mul, col, row, delta)
+    elif part == "antipode":
+        t = edited(t, col, row, delta)
+    circle = hk.hopf_from_structure(dot.space, mul, dot.unit, dot.comul,
+                                    dot.counit, t)
+    edited_br = HopfBrace(dot, circle, True)
+    act = reference_derived_action_map(dot, circle)
+    assert derived_action_map(edited_br) == act
+    if part == "act":
+        act = edited(act, col, row, delta)
+    want = reference_reconstruction_failure(edited_br, act)
+    with mock.patch.object(brace_mod, "derived_action_map", lambda br: act), \
+            mock.patch.object(brace_mod, "check_module_bialgebra",
+                              lambda action: AxiomReport()):
+        try:
+            brace_mod.derived_action(edited_br)
+            got = None
+        except InternalTheoremViolation as exc:
+            got = str(exc)
+    assert got == want
+
+
+@ORACLE
+@given(field=st.sampled_from([QQ, Field(7)]), name=st.sampled_from(BRACE_NAMES),
+       col=st.integers(0, 40), row=st.integers(0, 40),
+       delta=st.one_of(st.none(), DELTAS))
+def test_brace_from_op_action_sums_match_reference(kernel_op, field, name, col,
+                                                   row, delta):
+    # the derived action of the flip brace, b ⇀ c = S(b_(1)) c b_(2), is an
+    # action of the opposite algebra; delta None keeps it unedited
+    h = kernel_op(name, field).carrier
+    act = reference_derived_action_map(h, hk.flip_brace(h).circle)
+    if delta is not None:
+        act = edited(act, col, row, delta)
+    circle = reference_left_twist(h, act)
+    want = first_witness((h.space, h.space, h.space), lambda a, b, c: (
+        apply2(act, circle[a * h.dim + b], h.basis(c)),
+        apply2(act, h.mul_basis(b, a), h.basis(c))))
+
+    def stop(built):
+        raise Built(built)
+    with mock.patch.object(brace_mod, "check_module_bialgebra",
+                           lambda action: AxiomReport()), \
+            mock.patch.object(brace_mod, "verify_hopf", stop):
+        with pytest.raises((HypothesisFails, Built)) as exc:
+            hk.brace_from_op_action(h, act)
+    if want is not None:
+        assert exc.value.witness == want
+    else:
+        built = exc.value.args[0]
+        assert list(built.mul.columns) == circle
+        assert built.antipode == reference_op_action_antipode(h, act)

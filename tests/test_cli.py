@@ -215,6 +215,40 @@ def test_malformed_permutations_exit_two(tmp_path, capsys, gens):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+Z2 = {"kind": "hopf", "name": "H", "group_algebra": {"cyclic": 2}}
+# Each case is read, not swept: it must exit 2 with "error: ..." instead of
+# raising out of cli.main (or, for a fractional order, being truncated).
+MALFORMED = {
+    "table-of-ints": [{"kind": "group", "name": "G", "group": {"table": [1, 2]}}],
+    "labels-not-list": [{"kind": "group", "name": "G",
+                         "group": {"table": [[0]], "labels": 5}}],
+    "table-of-strings": [{"kind": "group", "name": "G",
+                          "group": {"table": [["a"]]}}],
+    "cyclic-null": [{"kind": "group", "name": "G", "group": {"cyclic": None}}],
+    "dihedral-list": [{"kind": "group", "name": "G", "group": {"dihedral": [3]}}],
+    "symmetric-null": [{"kind": "group", "name": "G",
+                        "group": {"symmetric": None}}],
+    "cyclic-fraction": [{"kind": "group", "name": "G", "group": {"cyclic": 2.5}}],
+    "group-algebra-int": [{"kind": "hopf", "name": "H", "group_algebra": 5}],
+    "map-image-not-label": [Z2, {"kind": "map", "name": "B", "on": "H",
+                                 "images": {"e": 5, "g": "g"}}],
+    "action-image-not-label": [Z2, {"kind": "action", "name": "A", "actor": "H",
+                                    "carrier": "H", "group_action": {
+                                        "e": {"e": "e", "g": "g"},
+                                        "g": {"e": "x", "g": "e"}}}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_declarations_exit_two(tmp_path, capsys, case):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": 1, "declarations": MALFORMED[case]}))
+    assert cli.main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_check_prop49_identity_map_witness(tmp_path, capsys):
     doc = json.dumps({"version": 1, "declarations": [
         {"kind": "hopf", "name": "H", "group_algebra": {"dihedral": 3}},
@@ -420,6 +454,8 @@ BAD_FACTORIZATIONS = {
     "image-outside-l": {"middle_rb": {"images": {"e": "e", "r": "r2",
                                                  "r2": "s"}}},
     "unknown-spec": {"middle_rb": "bogus"},
+    # sizes 2·3·1 match D3, so only the repeat itself can refuse it
+    "repeated-h-label": {"h": ["e", "e"], "m": ["e"]},
 }
 
 

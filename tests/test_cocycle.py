@@ -1,12 +1,21 @@
 """Relative Rota-Baxter operators, bijective 1-cocycles, correspondences."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hopfkit as hk
+from hopfkit import cocycle as cocycle_mod
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
-from hopfkit.errors import SingularMap
-from hopfkit.hopf import ModuleAction, adjoint_action, unit_counit_map
+from hopfkit.errors import IdentityFails, SingularMap
+from hopfkit.hopf import (ModuleAction, adjoint_action, apply2, first_witness,
+                          unit_counit_map)
+from hopfkit.linalg import QQ, Field, LinearOp, accumulate, invert
+from hopfkit.report import AxiomReport
+
+from conftest import edited
 
 
 def test_plain_rb_is_relative_over_adjoint_action(f2, b_inv_f2):
@@ -94,3 +103,94 @@ def test_cocycle_rb_preserves_unit(f1):
     _, coc = hk.canonical_from_brace(br)
     built = hk.rb_hopf_from_cocycle(coc)
     assert built.rb.map(built.ambient.unit) == built.ambient.unit
+
+
+# -- oracles: the Sweedler sums of cocycle as explicit loops ---------------------------
+
+def reference_relative_rhs(k, action, tau):
+    """τ(a_(1) (τ(a_(2)) ⇀ b)) per basis pair, term by term."""
+    return [tau(accumulate(k.space, (
+        (c, k.product(k.basis(a1), apply2(action.act, tau.columns[a2],
+                                          k.basis(b))))
+        for c, (a1, a2) in k.sweedler(a, 2))))
+        for a in range(k.dim) for b in range(k.dim)]
+
+
+def reference_cocycle_rhs(h, a, action, pi):
+    """π(x_(1)) (x_(2) ⇀ π(y)) per basis pair, term by term."""
+    return [accumulate(a.space, (
+        (c, a.product(pi.columns[x1], apply2(action.act, h.basis(x2),
+                                             pi.columns[y])))
+        for c, (x1, x2) in h.sweedler(x, 2)))
+        for x in range(h.dim) for y in range(h.dim)]
+
+
+_CANONICAL: dict = {}
+
+
+def canonical_data(kernel_op, name, field):
+    """(dot, circle, derived action) of the brace of a kernel operator."""
+    if (name, field) not in _CANONICAL:
+        br = hk.brace_from_rb(kernel_op(name, field))
+        _CANONICAL[name, field] = (br.dot, br.circle,
+                                   hk.brace.derived_action_map(br))
+    return _CANONICAL[name, field]
+
+
+def identity_outcome(run):
+    """None when run() returns, the witness when it raises IdentityFails."""
+    try:
+        run()
+    except IdentityFails as exc:
+        return exc.witness
+    return None
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(field=st.sampled_from([QQ, Field(7)]),
+       name=st.sampled_from(["dense-Z2-inv", "dense-Z2-eps", "dense-Z3-inv",
+                             "mixed-S3-inv", "mixed-S3-eps"]),
+       part=st.sampled_from(["map", "act"]), col=st.integers(0, 80),
+       row=st.integers(0, 80),
+       offset=st.one_of(st.integers(1, 6),
+                        st.fractions(min_value=-2, max_value=2,
+                                     max_denominator=3).filter(bool)))
+def test_cocycle_sums_match_reference_on_edits(kernel_op, field, name, part,
+                                               col, row, offset):
+    # canonical_from_brace's pair, with the identity map or the derived
+    # action edited; the module and coalgebra preconditions are skipped so
+    # that the identity sweeps themselves run
+    dot, circle, act = canonical_data(kernel_op, name, field)
+    ident = LinearOp.identity(dot.space)
+    if part == "map":
+        ident = edited(ident, col, row, offset)
+    else:
+        act = edited(act, col, row, offset)
+    action = ModuleAction(circle, dot, act)
+    patches = [mock.patch.object(cocycle_mod, "check_module_bialgebra",
+                                 lambda action: AxiomReport()),
+               mock.patch.object(cocycle_mod, "module_algebra_report",
+                                 lambda action: AxiomReport()),
+               mock.patch.object(cocycle_mod, "check_coalgebra_morphism",
+                                 lambda f, h, k: True)]
+    for p in patches:
+        p.start()
+    try:
+        rhs = reference_relative_rhs(dot, action, ident)
+        assert identity_outcome(lambda: hk.verify_relative_rb(
+            dot, circle, action, ident)) == first_witness(
+                (dot.space, dot.space), lambda a, b: (
+                    circle.product(ident.columns[a], ident.columns[b]),
+                    rhs[a * dot.dim + b]))
+        try:
+            invert(ident)
+        except SingularMap:
+            return
+        rhs = reference_cocycle_rhs(circle, dot, action, ident)
+        assert identity_outcome(lambda: hk.verify_cocycle(
+            circle, dot, action, ident)) == first_witness(
+                (circle.space, circle.space), lambda x, y: (
+                    ident(circle.mul_basis(x, y)), rhs[x * dot.dim + y]))
+    finally:
+        for p in patches:
+            p.stop()

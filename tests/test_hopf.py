@@ -11,16 +11,18 @@ import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit.definitions import parse_file
-from hopfkit.errors import AxiomFails, UnvalidatedInput
-from hopfkit.hopf import (ModuleAction, adjoint_action, adjoint_map,
+from hopfkit.errors import AxiomFails, DimensionMismatch, UnvalidatedInput
+from hopfkit.hopf import (ModuleAction, adjoint_action, adjoint_map, apply2,
                           check_module_bialgebra, coalgebra_morphism_witness,
-                          curry_action, end_algebra,
+                          convolution, curry_action, end_algebra,
                           scalar_space, transport_hopf, trivial_action,
-                          uncurry_action, unit_counit_map)
+                          twisted_product, uncurry_action, unit_counit_map)
 from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ,
                             accumulate, tensor_elem, tensor_index,
                             tensor_space, tensor_split)
 from hopfkit.report import AxiomReport, Witness
+
+from conftest import KERNEL_OPS
 
 ORACLE = settings(max_examples=20, deadline=None, database=None)
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
@@ -740,3 +742,92 @@ def test_module_bialgebra_sign_action(field):
         "module-coalgebra-comul", "module-coalgebra-counit"]
     assert str(report["module-coalgebra-counit"].witness) == \
         f"at (g,g): lhs = {-1 if field == QQ else 6}, rhs = 1"
+
+
+# -- the Sweedler kernels against explicit loops ------------------------------------
+
+def reference_convolution(h, f, g, m):
+    """x -> Σ m(f(x_(1)) ⊗ g(x_(2))), summed term by term over h.sweedler."""
+    return LinearOp(h.space, m.codomain, [accumulate(m.codomain, (
+        (c, apply2(m, f.columns[x1], g.columns[x2]))
+        for c, (x1, x2) in h.sweedler(x, 2))) for x in range(h.dim)])
+
+
+def reference_twisted_product(h, outer, inner, f, g):
+    """x ⊗ y -> Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)), term by term."""
+    target = inner.codomain
+    cols = []
+    for x in range(h.dim):
+        for y in range(target.dim):
+            cols.append(accumulate(outer.codomain, (
+                (c, apply2(outer, f.columns[x1],
+                           apply2(inner, g.columns[x2], target.basis(y))))
+                for c, (x1, x2) in h.sweedler(x, 2))))
+    return LinearOp(tensor_space(h.space, target), outer.codomain, cols)
+
+
+# Sweedler's algebra is not cocommutative, so a kernel that swaps the two
+# legs of Δ differs from the reference there.
+KERNEL_CARRIERS = [sweedler_four_dim, dense_z2, dense_z3, fx.f2]
+
+
+@ORACLE
+@given(field=st.sampled_from(FIELDS), data=st.data(),
+       which=st.sampled_from(["f", "g", "m"]), **EDITS)
+def test_kernels_match_reference_on_edited_maps(field, data, which, col, row,
+                                                offset):
+    h = data.draw(st.sampled_from(KERNEL_CARRIERS))(field)
+    ident = LinearOp.identity(h.space)
+    maps = {"f": h.antipode, "g": ident, "m": h.mul}
+    maps[which] = edited(maps[which], col, row, offset)
+    f, g, m = maps["f"], maps["g"], maps["m"]
+    assert convolution(h.comul, f, g, m) == reference_convolution(h, f, g, m)
+    assert convolution(h.comul, g, f, m) == reference_convolution(h, g, f, m)
+    assert twisted_product(h.comul, h.mul, m, f=f, g=g) == \
+        reference_twisted_product(h, h.mul, m, f, g)
+    assert twisted_product(h.comul, m, h.mul, g=f) == \
+        reference_twisted_product(h, m, h.mul, ident, f)
+    assert twisted_product(h.comul, m, h.mul, f=f) == \
+        reference_twisted_product(h, m, h.mul, f, ident)
+
+
+def test_kernels_check_shapes(f1, f2):
+    with pytest.raises(DimensionMismatch):
+        convolution(f2.comul, f1.antipode, f2.antipode, f2.mul)
+    with pytest.raises(DimensionMismatch):
+        twisted_product(f2.comul, f2.mul, f2.mul, g=f1.antipode)
+
+
+def assert_two_sided_inverse(h, f, inv, m, unit):
+    """f ⋆ inv = inv ⋆ f = ε·1 through the convolution kernel."""
+    eps_one = LinearOp(h.space, unit.space,
+                       [unit.scale(h._eps[x]) for x in range(h.dim)])
+    assert convolution(h.comul, f, inv, m) == eps_one
+    assert convolution(h.comul, inv, f, m) == eps_one
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_convolution_inverse_two_sided_on_dense_carriers(field, kernel_op):
+    for h in (dense_z2(field), dense_z3(field), sweedler_four_dim(field)):
+        ident = LinearOp.identity(h.space)
+        inv = hk.convolution_inverse(h, ident)
+        assert inv == h.antipode
+        assert_two_sided_inverse(h, ident, inv, h.mul, h.unit)
+    for name in KERNEL_OPS:
+        b = kernel_op(name, field)
+        h = b.carrier
+        inv = hk.convolution_inverse(h, b.map)
+        # a coalgebra map B has the convolution inverse S∘B
+        assert inv == h.antipode.compose(b.map)
+        assert_two_sided_inverse(h, b.map, inv, h.mul, h.unit)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_convolution_inverse_two_sided_on_posthopf_alpha_beta(field, kernel_op):
+    for name in KERNEL_OPS:
+        b = kernel_op(name, field)
+        h = b.carrier
+        p = hk.posthopf_from_rb(b)
+        e_space, e_mul, e_unit = end_algebra(h.space)
+        assert_two_sided_inverse(h, curry_action(e_space, p.tri),
+                                 curry_action(e_space, p.beta), e_mul, e_unit)

@@ -1,6 +1,7 @@
 """Matched pairs, Yang-Baxter maps, and brace reconstruction."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +9,17 @@ from hypothesis import given, settings, strategies as st
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
-from hopfkit.errors import AxiomFails
-from hopfkit.hopf import (apply2, coalgebra_map_failures, tensor_coalgebra,
-                          transport_hopf)
+from hopfkit import matched as matched_mod
+from hopfkit.errors import AxiomFails, HypothesisFails
+from hopfkit.hopf import (apply2, coalgebra_map_failures, convolution,
+                          first_witness, tensor_coalgebra, transport_hopf,
+                          twisted_product)
 from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
                             accumulate, invert, tensor_elem, tensor_index,
                             tensor_space, tensor_split)
 from hopfkit.report import Witness
+
+from conftest import Built
 
 ORACLE = settings(max_examples=20, deadline=None, database=None)
 
@@ -481,3 +486,137 @@ def test_ybe_coalgebra_check_matches_reference(field, name, col, row, offset):
     comul, _ = coalgebra_map_failures(c, coalgebra, coalgebra)
     assert (None if comul is None else tensor_split(comul[0], h.dim)) == \
         reference_ybe_coalgebra_failure(c, h)
+
+
+# -- oracles: the Sweedler sums of matched as explicit loops -----------------------------
+
+def reference_compatibility_left(h, k, lact, ract):
+    """(x_(1) ⇀ a_(1)) ((x_(2) ↼ a_(2)) ⇀ b) per basis triple (x, a, b)."""
+    dim_h = h.dim
+    out = []
+    for x in range(k.dim):
+        for a in range(dim_h):
+            for b in range(dim_h):
+                out.append(accumulate(h.space, (
+                    (cx * ca, h.product(
+                        lact.columns[tensor_index(x1, a1, dim_h)],
+                        apply2(lact, ract.columns[tensor_index(x2, a2, dim_h)],
+                               h.basis(b))))
+                    for cx, (x1, x2) in k.sweedler(x, 2)
+                    for ca, (a1, a2) in h.sweedler(a, 2))))
+    return out
+
+
+def reference_ybe_c(h, lact, ract):
+    """c(x ⊗ y) = (x_(1) ⇀ y_(1)) ⊗ (x_(2) ↼ y_(2)), term by term."""
+    dim = h.dim
+    hh = tensor_space(h.space, h.space)
+    cols = []
+    for x in range(dim):
+        for y in range(dim):
+            cols.append(accumulate(hh, (
+                (h.field.mul(cx, cy),
+                 tensor_elem(hh, lact.columns[tensor_index(x1, y1, dim)],
+                             ract.columns[tensor_index(x2, y2, dim)]))
+                for cx, (x1, x2) in h.sweedler(x, 2)
+                for cy, (y1, y2) in h.sweedler(y, 2))))
+    return LinearOp(hh, hh, cols)
+
+
+def reference_matched_brace(circle, lact, ract):
+    """brace_from_matched_pair's three sums, term by term: the right side
+    (a_(1) ⇀ b_(1)) ∘ (a_(2) ↼ b_(2)) of its hypothesis and the dot
+    product a_(1) ∘ (T(a_(2)) ⇀ b), per basis pair, and the antipode
+    S(a) = a_(1) ⇀ T(a_(2))."""
+    dim = circle.dim
+    field = circle.field
+    t = circle.antipode
+
+    def la(x, a):
+        return lact.columns[tensor_index(x, a, dim)]
+
+    def ra(x, a):
+        return ract.columns[tensor_index(x, a, dim)]
+
+    pairs = [(a, b) for a in range(dim) for b in range(dim)]
+    hypothesis = [accumulate(circle.space, (
+        (field.mul(ca, cb), apply2(circle.mul, la(a1, b1), ra(a2, b2)))
+        for ca, (a1, a2) in circle.sweedler(a, 2)
+        for cb, (b1, b2) in circle.sweedler(b, 2))) for a, b in pairs]
+    dot = [accumulate(circle.space, (
+        (w, apply2(circle.mul, circle.basis(a1),
+                   apply2(lact, t.columns[a2], circle.basis(b))))
+        for w, (a1, a2) in circle.sweedler(a, 2))) for a, b in pairs]
+    s = LinearOp(circle.space, circle.space, [accumulate(circle.space, (
+        (w, apply2(lact, circle.basis(a1), t.columns[a2]))
+        for w, (a1, a2) in circle.sweedler(a, 2))) for a in range(dim)])
+    return hypothesis, dot, s
+
+
+MATCHED_NAMES = ["Z2-inv", "Z3-eps", "S3-inv", "dense-Z2-inv"]
+
+
+@ORACLE
+@given(field=st.sampled_from([QQ, Field(7)]), name=st.sampled_from(MATCHED_NAMES),
+       side=st.sampled_from(["lact", "ract"]), **EDITS)
+def test_matched_sums_match_reference_on_edited_actions(field, name, side, col,
+                                                        row, offset):
+    _, m = rb_pair(name, field)
+    h = m.left
+    acts = {"lact": m.lact, "ract": m.ract}
+    acts[side] = edited(acts[side], col, row, offset)
+    lact, ract = acts["lact"], acts["ract"]
+    # verify_matched_pair's compatibility-left and ybe_from_rb's c
+    assert list(twisted_product(tensor_coalgebra(h, h)[0], h.mul, lact,
+                                f=lact, g=ract).columns) == \
+        reference_compatibility_left(h, h, lact, ract)
+    coalgebra = tensor_coalgebra(h, h)
+    assert convolution(coalgebra[0], lact, ract,
+                       LinearOp.identity(coalgebra[0].domain)) == \
+        reference_ybe_c(h, lact, ract)
+
+
+@ORACLE
+@given(field=st.sampled_from([QQ, Field(7)]), name=st.sampled_from(MATCHED_NAMES),
+       part=st.sampled_from(["lact", "ract", "antipode"]), **EDITS)
+def test_brace_from_matched_pair_sums_match_reference(field, name, part, col,
+                                                      row, offset):
+    _, m = rb_pair(name, field)
+    maps = {"lact": m.lact, "ract": m.ract, "antipode": m.left.antipode}
+    maps[part] = edited(maps[part], col, row, offset)
+    c = m.left
+    circle = hk.hopf_from_structure(c.space, c.mul, c.unit, c.comul, c.counit,
+                                    maps["antipode"])
+    circle.validated = True
+    hypothesis, dot, s = reference_matched_brace(circle, maps["lact"],
+                                                 maps["ract"])
+    want = first_witness((circle.space, circle.space), lambda a, b: (
+        circle.mul_basis(a, b), hypothesis[a * circle.dim + b]))
+
+    def stop(built):
+        raise Built(built)
+    pair = matched_mod.MatchedPair(circle, circle, maps["lact"], maps["ract"])
+    with mock.patch.object(matched_mod, "verify_hopf", stop):
+        with pytest.raises((HypothesisFails, Built)) as exc:
+            hk.brace_from_matched_pair(pair, circle)
+    if want is not None:
+        assert exc.value.witness == want
+    else:
+        built = exc.value.args[0]
+        assert list(built.mul.columns) == dot
+        assert built.antipode == s
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+def test_ybe_and_matched_brace_match_reference(field, kernel_op):
+    for name in MATCHED_NAMES:
+        b, m = rb_pair(name, field)
+        assert hk.ybe_from_rb(b).c == reference_ybe_c(b.carrier, m.lact, m.ract)
+        _, dot, s = reference_matched_brace(m.left, m.lact, m.ract)
+        br = hk.brace_from_matched_pair(m, m.left)
+        assert list(br.dot.mul.columns) == dot
+        assert br.dot.antipode == s
+    for name in ("mixed-S3-inv", "mixed-S3-eps"):
+        b = kernel_op(name, field)
+        m = hk.matched_pair_from_rb(b)
+        assert hk.ybe_from_rb(b).c == reference_ybe_c(b.carrier, m.lact, m.ract)

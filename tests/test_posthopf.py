@@ -1,6 +1,7 @@
 """Post-Hopf algebras, their subadjacent Hopf algebras, and round trips."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
+from hopfkit import posthopf as posthopf_mod
 from hopfkit.errors import HopfkitError, IdentityFails
+from hopfkit.hopf import apply2, twisted_product
 from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
                             accumulate, tensor_elem, tensor_index)
-from hopfkit.report import Witness
+from hopfkit.posthopf import PostHopf
+from hopfkit.report import AxiomReport, Witness
 
 
 def conjugation_tri(f2):
@@ -193,3 +197,68 @@ def test_posthopf_sign_product_fails_comultiplication_first(field):
     assert got == reference_posthopf_coalgebra(h, tri)
     assert got[0] == "coalgebra-morphism"
     assert got[1].at == ("g", "g")
+
+
+# -- oracles: the Sweedler sums of posthopf as explicit loops --------------------------
+
+def reference_twisted(h, tri):
+    """x_(1) (x_(2) ▶ y) per basis pair, term by term."""
+    dim = h.dim
+    return [accumulate(h.space, ((c, h.product(h.basis(x1),
+                                               tri.columns[tensor_index(x2, y, dim)]))
+                                 for c, (x1, x2) in h.sweedler(x, 2)))
+            for x in range(dim) for y in range(dim)]
+
+
+def reference_subadjacent_antipode(h, beta):
+    """S_▶(x) = β_{x_(1)}(S(x_(2))), term by term."""
+    return LinearOp(h.space, h.space, [accumulate(h.space, (
+        (w, apply2(beta, h.basis(x1), h.antipode.columns[x2]))
+        for w, (x1, x2) in h.sweedler(x, 2))) for x in range(h.dim)])
+
+
+POSTHOPF_NAMES = ["dense-Z2-inv", "dense-Z2-eps", "dense-Z3-inv",
+                  "mixed-S3-inv", "mixed-S3-eps"]
+_POSTHOPF: dict = {}
+
+
+def kernel_posthopf(kernel_op, name, field):
+    if (name, field) not in _POSTHOPF:
+        _POSTHOPF[name, field] = hk.posthopf_from_rb(kernel_op(name, field))
+    return _POSTHOPF[name, field]
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(field=st.sampled_from([QQ, Field(7)]),
+       name=st.sampled_from(POSTHOPF_NAMES),
+       part=st.sampled_from(["tri", "beta"]), col=st.integers(0, 80),
+       row=st.integers(0, 80),
+       offset=st.one_of(st.none(), st.integers(1, 6),
+                        st.fractions(min_value=-2, max_value=2,
+                                     max_denominator=3).filter(bool)))
+def test_subadjacent_sums_match_reference_on_edits(kernel_op, field, name, part,
+                                                   col, row, offset):
+    p = kernel_posthopf(kernel_op, name, field)
+    h = p.carrier
+    tri, beta = p.tri, p.beta
+    if part == "tri":
+        tri = edited(tri, col, row, offset)
+    else:
+        beta = edited(beta, col, row, offset)
+    # verify_posthopf's twisted-associativity table is the same kernel call
+    assert list(twisted_product(h.comul, h.mul, tri).columns) == \
+        reference_twisted(h, tri)
+    with mock.patch.object(posthopf_mod, "verify_hopf",
+                           lambda out: AxiomReport()):
+        out = posthopf_mod.subadjacent_hopf(PostHopf(h, tri, beta))
+    assert list(out.mul.columns) == reference_twisted(h, tri)
+    assert out.antipode == reference_subadjacent_antipode(h, beta)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+def test_subadjacent_hopf_matches_reference(kernel_op, field):
+    for name in POSTHOPF_NAMES:
+        p = kernel_posthopf(kernel_op, name, field)
+        out = hk.subadjacent_hopf(p)
+        assert list(out.mul.columns) == reference_twisted(p.carrier, p.tri)
+        assert out.antipode == reference_subadjacent_antipode(p.carrier, p.beta)
