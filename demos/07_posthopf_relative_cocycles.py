@@ -15,7 +15,7 @@ H = fx.f2()
 b_inv = fx.b_inv(H)
 
 # x ▶ y = B(x_(1)) y S(B(x_(2))) is conjugation for the inversion operator;
-# β is found by one exact linear solve in Hom(H, End(H)).
+# β_x(y) = S_∗(x) ▶ y, with S_∗ the antipode of x ∗ y = x_(1)(x_(2) ▶ y).
 p = hk.posthopf_from_rb(b_inv)
 i_r, i_s = H.space.index_of("r"), H.space.index_of("s")
 print("r ▶ s =", p.tri.columns[tensor_index(i_r, i_s, 6)])

@@ -395,6 +395,8 @@ def _build_action(name, raw, seen, field, path) -> Declaration:
         return Declaration("action", name, raw, obj=adjoint_action(carrier))
     elif "group_action" in raw:
         table = raw["group_action"]
+        if not isinstance(table, dict):
+            raise DefinitionSyntaxError("'group_action' must be an object", path)
         cols = []
         for a in range(actor.dim):
             key = actor.space.labels[a]
@@ -402,6 +404,9 @@ def _build_action(name, raw, seen, field, path) -> Declaration:
                 raise DimensionMismatch(
                     f"group_action missing actor label {key!r} at {path}")
             perm = table[key]
+            if not isinstance(perm, dict):
+                raise DefinitionSyntaxError(
+                    f"group_action entry {key!r} must be an object", path)
             for i in range(carrier.dim):
                 lab = carrier.space.labels[i]
                 if not isinstance(lab, str) or lab not in perm:
@@ -412,8 +417,9 @@ def _build_action(name, raw, seen, field, path) -> Declaration:
     elif "matrix" in raw:
         cols_data = [dict() for _ in range(dom.dim)]
         for a, i, j, v in _entries(raw["matrix"], 4, f"{path}.matrix"):
-            if not (0 <= a < actor.dim and 0 <= i < carrier.dim
-                    and 0 <= j < carrier.dim):
+            if not (isinstance(a, int) and 0 <= a < actor.dim
+                    and isinstance(i, int) and 0 <= i < carrier.dim
+                    and isinstance(j, int) and 0 <= j < carrier.dim):
                 raise DimensionMismatch(f"action index out of range at {path}")
             cols_data[tensor_index(a, i, carrier.dim)][j] = \
                 _scalar(field, v, f"{path}.matrix")

@@ -112,7 +112,7 @@ class NotExactFactorization(HopfkitError):
 
 
 class NotConvolutionInvertible(HopfkitError):
-    """A map has no (unique) convolution inverse."""
+    """A map has no convolution inverse."""
 
 
 class ConstructionInvalid(HopfkitError):

@@ -873,9 +873,13 @@ def convolution_inverse(source: HopfAlgebraData, f: LinearOp,
     """Two-sided convolution inverse of ``f`` from the coalgebra of
     ``source`` into an algebra (by default ``source`` itself).
 
-    Solved as one exact linear system; raises ``NotConvolutionInvertible``
-    when no solution exists and ``NonUniqueSolution`` when the solution is
-    not unique.
+    Solves f ⋆ T = ε·1 as one exact linear system, one block of rows per
+    coalgebra basis vector, then confirms T ⋆ f = ε·1 with
+    :func:`convolution`.  In a finite-dimensional associative algebra a
+    one-sided inverse is the two-sided inverse, and it is unique; the
+    confirmation keeps the answer exact for any ``target_mul``.  Raises
+    ``NotConvolutionInvertible`` when the system has no solution or the
+    other side fails.
     """
     source.require_validated()
     if target_mul is None:
@@ -887,40 +891,29 @@ def convolution_inverse(source: HopfAlgebraData, f: LinearOp,
     dim_c, dim_a = source.dim, target.dim
     n_unknowns = dim_c * dim_a
     aug = n_unknowns
+    eps_one = tuple(target_unit.scale(source._eps[ci]) for ci in range(dim_c))
     rows: list[dict] = []
-
-    def add_equations(left_of_unknown: bool):
-        for ci in range(dim_c):
-            block = [dict() for _ in range(dim_a)]
-            rhs_vec = target_unit.scale(source._eps[ci])
-            for coeff, (c1, c2) in source.sweedler(ci, 2):
-                if left_of_unknown:
-                    fixed, unknown_col = f.columns[c1], c2
-                else:
-                    fixed, unknown_col = f.columns[c2], c1
-                for a in range(dim_a):
-                    if left_of_unknown:
-                        v = apply2(target_mul, fixed, target.basis(a))
+    for ci in range(dim_c):
+        block = [dict() for _ in range(dim_a)]
+        for coeff, (c1, c2) in source.sweedler(ci, 2):
+            fixed = f.columns[c1]
+            for a in range(dim_a):
+                v = apply2(target_mul, fixed, target.basis(a))
+                u = c2 * dim_a + a
+                for r, cr in v.coeffs.items():
+                    nv = field.add(block[r].get(u, field.zero),
+                                   field.mul(coeff, cr))
+                    if nv == 0:
+                        block[r].pop(u, None)
                     else:
-                        v = apply2(target_mul, target.basis(a), fixed)
-                    u = unknown_col * dim_a + a
-                    for r, cr in v.coeffs.items():
-                        nv = field.add(block[r].get(u, field.zero),
-                                       field.mul(coeff, cr))
-                        if nv == 0:
-                            block[r].pop(u, None)
-                        else:
-                            block[r][u] = nv
-            for r in range(dim_a):
-                row = block[r]
-                rv = rhs_vec.coefficient(r)
-                if rv != 0:
-                    row[aug] = rv
-                if row:
-                    rows.append(row)
-
-    add_equations(True)
-    add_equations(False)
+                        block[r][u] = nv
+        for r in range(dim_a):
+            row = block[r]
+            rv = eps_one[ci].coefficient(r)
+            if rv != 0:
+                row[aug] = rv
+            if row:
+                rows.append(row)
 
     from .linalg import _eliminate
     pivots = _eliminate(rows, n_unknowns, field)
@@ -928,10 +921,6 @@ def convolution_inverse(source: HopfAlgebraData, f: LinearOp,
     for r, row in enumerate(rows):
         if r not in pivot_rows and row.get(aug, 0) != 0:
             raise NotConvolutionInvertible("no convolution inverse exists")
-    nullity = n_unknowns - len(pivots)
-    if nullity > 0:
-        from .errors import NonUniqueSolution
-        raise NonUniqueSolution("convolution inverse is not unique", nullity)
     sol = {}
     for r, col in pivots:
         v = rows[r].get(aug, 0)
@@ -942,7 +931,10 @@ def convolution_inverse(source: HopfAlgebraData, f: LinearOp,
         coeffs = {a: sol[ci * dim_a + a] for a in range(dim_a)
                   if ci * dim_a + a in sol}
         cols.append(Element(target, coeffs, _canonical=True))
-    return LinearOp(source.space, target, cols)
+    inv = LinearOp(source.space, target, cols)
+    if convolution(source.comul, inv, f, target_mul).columns != eps_one:
+        raise NotConvolutionInvertible("no convolution inverse exists")
+    return inv
 
 
 def unit_counit_map(h: HopfAlgebraData) -> LinearOp:
@@ -991,58 +983,3 @@ def twisted_product(comul: LinearOp, outer: LinearOp, inner: LinearOp,
             cols.append(accumulate(out, ((c, apply2(outer, left, right[r + j]))
                                          for c, left, r in legs)))
     return LinearOp(tensor_space(space, target), out, cols)
-
-
-# -- the endomorphism algebra ----------------------------------------------------
-
-def end_algebra(space: BasedSpace) -> tuple[BasedSpace, LinearOp, Element]:
-    """End(V) as a based algebra with matrix-unit basis (row, col);
-    returns (space, composition product, identity element)."""
-    d = space.dim
-    labels = tuple((space.labels[i], space.labels[j])
-                   for i in range(d) for j in range(d))
-    e_space = BasedSpace(labels, space.field)
-    ee = tensor_space(e_space, e_space)
-    cols = []
-    for p in range(d * d):
-        i, j = divmod(p, d)
-        for q in range(d * d):
-            k, l = divmod(q, d)
-            if j == k:
-                cols.append(e_space.basis(i * d + l))
-            else:
-                cols.append(e_space.zero())
-    unit = Element(e_space, {i * d + i: space.field.one for i in range(d)},
-                   _canonical=True)
-    return e_space, LinearOp(ee, e_space, cols), unit
-
-
-def curry_action(e_space: BasedSpace, act: LinearOp) -> LinearOp:
-    """Turn a map H ⊗ H -> H into the map H -> End(H), x -> (y -> x▶y)."""
-    space = act.codomain
-    d = space.dim
-    cols = []
-    for x in range(d):
-        out = {}
-        for y in range(d):
-            col = act.columns[tensor_index(x, y, d)]
-            for i, c in col.coeffs.items():
-                out[i * d + y] = c
-        cols.append(Element(e_space, out, _canonical=True))
-    return LinearOp(space, e_space, cols)
-
-
-def uncurry_action(space: BasedSpace, alpha: LinearOp) -> LinearOp:
-    """Inverse of :func:`curry_action`."""
-    d = space.dim
-    hh = tensor_space(space, space)
-    cols = []
-    for x in range(d):
-        mats = alpha.columns[x]
-        per_y: list[dict] = [dict() for _ in range(d)]
-        for p, c in mats.coeffs.items():
-            i, y = divmod(p, d)
-            per_y[y][i] = c
-        for y in range(d):
-            cols.append(Element(space, per_y[y], _canonical=True))
-    return LinearOp(hh, space, cols)

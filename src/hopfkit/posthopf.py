@@ -7,9 +7,12 @@ satisfying
     x ▶ (y z)    = (x_(1) ▶ y)(x_(2) ▶ z)
     x ▶ (y ▶ z)  = (x_(1) (x_(2) ▶ y)) ▶ z
 
-whose left-multiplication map α: H -> End(H) is convolution-invertible;
-the inverse β is computed here by one exact linear solve and must be
-unique.
+whose left-multiplication map α: x -> (y -> x ▶ y) is
+convolution-invertible.  Twisted associativity makes α multiplicative
+for the subadjacent product x ∗ y = x_(1) (x_(2) ▶ y), so the inverse is
+β_x(y) = S_∗(x) ▶ y, where S_∗ is the convolution inverse of the identity
+from (H, Δ) into (H, ∗) (Li-Sheng-Tang).  β is accepted only after
+α ⋆ β = β ⋆ α = ε·id is checked exactly.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brace import HopfBrace, derived_action_map, verify_brace
-from .errors import ConstructionInvalid, IdentityFails
+from .errors import ConstructionInvalid, IdentityFails, NotConvolutionInvertible
 from .hopf import (HopfAlgebraData, _earliest, apply2, coalgebra_map_failures,
-                   convolution, convolution_inverse, curry_action,
-                   end_algebra, first_witness, require_cocommutative,
-                   tensor_coalgebra, twisted_product, uncurry_action,
+                   convolution, convolution_inverse, first_witness,
+                   require_cocommutative, tensor_coalgebra, twisted_product,
                    verify_hopf)
 from .linalg import LinearOp, accumulate, tensor_index, tensor_split
 from .rb import RotaBaxterOp, rb_action_map
@@ -43,7 +45,7 @@ class PostHopf:
 
 def verify_posthopf(h: HopfAlgebraData, tri: LinearOp) -> PostHopf:
     """Sweep both defining identities and the coalgebra-morphism property
-    on all basis tuples, then solve for β."""
+    on all basis tuples, then build β from the subadjacent antipode."""
     require_cocommutative(h)
     dim = h.dim
     first = _earliest(coalgebra_map_failures(tri, tensor_coalgebra(h, h),
@@ -66,18 +68,23 @@ def verify_posthopf(h: HopfAlgebraData, tri: LinearOp) -> PostHopf:
     if w is not None:
         raise IdentityFails("product-distributivity", w)
 
-    # x_(1) (x_(2) ▶ y), once per pair
-    twisted = twisted_product(h.comul, h.mul, tri).columns
+    # x ∗ y = x_(1) (x_(2) ▶ y), once per pair
+    star = twisted_product(h.comul, h.mul, tri)
     w = first_witness((h.space, h.space, h.space), lambda x, y, z: (
         apply2(tri, h.basis(x), tri_of(y, z)),
-        apply2(tri, twisted[x * dim + y], h.basis(z))))
+        apply2(tri, star.columns[x * dim + y], h.basis(z))))
     if w is not None:
         raise IdentityFails("twisted-associativity", w)
 
-    e_space, e_mul, e_unit = end_algebra(h.space)
-    alpha = curry_action(e_space, tri)
-    beta_curried = convolution_inverse(h, alpha, e_mul, e_unit)
-    beta = uncurry_action(h.space, beta_curried)
+    s_star = convolution_inverse(h, LinearOp.identity(h.space), star, h.unit)
+    beta = LinearOp(h.hh, h.space, [apply2(tri, s_star.columns[x], h.basis(y))
+                                    for x in range(dim) for y in range(dim)])
+    # α ⋆ β and β ⋆ α must both be x ⊗ y -> ε(x) y
+    eps_id = tuple(h.basis(y).scale(h._eps[x])
+                   for x in range(dim) for y in range(dim))
+    if (twisted_product(h.comul, tri, beta).columns != eps_id
+            or twisted_product(h.comul, beta, tri).columns != eps_id):
+        raise NotConvolutionInvertible("no convolution inverse exists")
     return PostHopf(h, tri, beta)
 
 

@@ -236,6 +236,14 @@ MALFORMED = {
                                     "carrier": "H", "group_action": {
                                         "e": {"e": "e", "g": "g"},
                                         "g": {"e": "x", "g": "e"}}}],
+    "action-table-int": [Z2, {"kind": "action", "name": "A", "actor": "H",
+                              "carrier": "H", "group_action": 5}],
+    "action-permutation-int": [Z2, {"kind": "action", "name": "A", "actor": "H",
+                                    "carrier": "H", "group_action": {
+                                        "e": 5, "g": {"e": "g", "g": "e"}}}],
+    "action-matrix-string-index": [Z2, {"kind": "action", "name": "A",
+                                        "actor": "H", "carrier": "H",
+                                        "matrix": [["a", 0, 0, "1"]]}],
 }
 
 

@@ -11,12 +11,12 @@ import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit.definitions import parse_file
-from hopfkit.errors import AxiomFails, DimensionMismatch, UnvalidatedInput
+from hopfkit.errors import (AxiomFails, DimensionMismatch,
+                            NotConvolutionInvertible, UnvalidatedInput)
 from hopfkit.hopf import (ModuleAction, adjoint_action, adjoint_map, apply2,
                           check_module_bialgebra, coalgebra_morphism_witness,
-                          convolution, curry_action, end_algebra,
-                          scalar_space, transport_hopf, trivial_action,
-                          twisted_product, uncurry_action, unit_counit_map)
+                          convolution, scalar_space, transport_hopf,
+                          trivial_action, twisted_product, unit_counit_map)
 from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ,
                             accumulate, tensor_elem, tensor_index,
                             tensor_space, tensor_split)
@@ -498,22 +498,23 @@ def test_convolution_inverse_of_id_is_antipode(f2):
     assert hk.convolution_inverse(f2, LinearOp.identity(f2.space)) == f2.antipode
 
 
-def test_convolution_inverse_operator_valued(f2):
-    # alpha_x(y) = x^{-1} y x; the inverse must be beta_x(y) = x y x^{-1}
-    g = gr.dihedral(3)
-    cols = []
-    for x in range(6):
-        for y in range(6):
-            cols.append(f2.space.basis(g.mul(g.mul(g.inv(x), y), x)))
-    tri = LinearOp(f2.hh, f2.space, cols)
-    e_space, e_mul, e_unit = end_algebra(f2.space)
-    alpha = curry_action(e_space, tri)
-    beta = hk.convolution_inverse(f2, alpha, e_mul, e_unit)
-    back = uncurry_action(f2.space, beta)
-    for x in range(6):
-        for y in range(6):
-            want = f2.space.basis(g.mul(g.mul(x, y), g.inv(x)))
-            assert back.columns[tensor_index(x, y, 6)] == want
+def test_convolution_inverse_of_zero_map_raises(f2):
+    with pytest.raises(NotConvolutionInvertible,
+                       match="^no convolution inverse exists$"):
+        hk.convolution_inverse(f2, LinearOp.zero(f2.space, f2.space))
+
+
+def test_convolution_inverse_confirms_the_other_side(f1):
+    # A non-associative product on span(u, v) with u·u = v·u = u,
+    # v·v = v, u·v = 0.  For f = (x -> v), f ⋆ T = ε·u has the unique
+    # solution T = (x -> u), but T ⋆ f = (x -> u·v) = 0.
+    space = BasedSpace(("u", "v"))
+    u, v = space.basis(0), space.basis(1)
+    m = LinearOp(tensor_space(space, space), space, [u, space.zero(), u, v])
+    f = LinearOp(f1.space, space, [v, v])
+    with pytest.raises(NotConvolutionInvertible,
+                       match="^no convolution inverse exists$"):
+        hk.convolution_inverse(f1, f, m, u)
 
 
 def test_antipode_recovery_across_corpus():
@@ -820,14 +821,3 @@ def test_convolution_inverse_two_sided_on_dense_carriers(field, kernel_op):
         # a coalgebra map B has the convolution inverse S∘B
         assert inv == h.antipode.compose(b.map)
         assert_two_sided_inverse(h, b.map, inv, h.mul, h.unit)
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_convolution_inverse_two_sided_on_posthopf_alpha_beta(field, kernel_op):
-    for name in KERNEL_OPS:
-        b = kernel_op(name, field)
-        h = b.carrier
-        p = hk.posthopf_from_rb(b)
-        e_space, e_mul, e_unit = end_algebra(h.space)
-        assert_two_sided_inverse(h, curry_action(e_space, p.tri),
-                                 curry_action(e_space, p.beta), e_mul, e_unit)

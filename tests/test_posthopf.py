@@ -10,10 +10,12 @@ import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit import posthopf as posthopf_mod
-from hopfkit.errors import HopfkitError, IdentityFails
-from hopfkit.hopf import apply2, twisted_product
+from hopfkit.errors import (HopfkitError, IdentityFails, NonUniqueSolution,
+                            NotConvolutionInvertible)
+from hopfkit.hopf import apply2, convolution, transport_hopf, twisted_product
 from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
-                            accumulate, tensor_elem, tensor_index)
+                            _eliminate, accumulate, invert, tensor_elem,
+                            tensor_index, tensor_space)
 from hopfkit.posthopf import PostHopf
 from hopfkit.report import AxiomReport, Witness
 
@@ -44,6 +46,19 @@ def test_trivial_posthopf_beta_equals_alpha(f2):
     tri = trivial_tri(f2)
     p = hk.verify_posthopf(f2, tri)
     assert p.beta == tri
+
+
+@pytest.mark.parametrize("h", [fx.f2(), hk.group_algebra(gr.cyclic(3))],
+                         ids=["F2", "Z3"])
+def test_degenerate_posthopf_is_not_invertible(h):
+    # x ▶ y = ε(x)ε(y)·1 passes every axiom, but α_x kills all of ker ε
+    tri = LinearOp(h.hh, h.space, [h.unit.scale(h._eps[x] * h._eps[y])
+                                   for x in range(h.dim) for y in range(h.dim)])
+    with pytest.raises(NotConvolutionInvertible,
+                       match="^no convolution inverse exists$"):
+        hk.verify_posthopf(h, tri)
+    assert beta_outcome(end_algebra_beta, h, tri) == \
+        (NotConvolutionInvertible, "no convolution inverse exists")
 
 
 def test_multiplication_is_not_posthopf(f2):
@@ -262,3 +277,185 @@ def test_subadjacent_hopf_matches_reference(kernel_op, field):
         out = hk.subadjacent_hopf(p)
         assert list(out.mul.columns) == reference_twisted(p.carrier, p.tri)
         assert out.antipode == reference_subadjacent_antipode(p.carrier, p.beta)
+
+
+# -- oracle: β as the convolution inverse of α: H -> End(H), two-sided -----------------
+
+def end_algebra(space):
+    """End(V) with matrix-unit basis (row, col), its composition product
+    and its identity."""
+    d = space.dim
+    e_space = BasedSpace(tuple((a, b) for a in space.labels for b in space.labels),
+                         space.field)
+    cols = [e_space.basis(i * d + l) if j == k else e_space.zero()
+            for i in range(d) for j in range(d) for k in range(d) for l in range(d)]
+    unit = Element(e_space, {i * d + i: 1 for i in range(d)})
+    return e_space, LinearOp(tensor_space(e_space, e_space), e_space, cols), unit
+
+
+def curry_action(e_space, act):
+    """x -> (y -> act(x ⊗ y)) as a map H -> End(H)."""
+    d = act.codomain.dim
+    return LinearOp(act.codomain, e_space, [Element(e_space, {
+        i * d + y: c for y in range(d)
+        for i, c in act.columns[tensor_index(x, y, d)].coeffs.items()})
+        for x in range(d)])
+
+
+def uncurry_action(space, alpha):
+    """Inverse of :func:`curry_action`."""
+    d = space.dim
+    cols = []
+    for x in range(d):
+        per_y = [dict() for _ in range(d)]
+        for p, c in alpha.columns[x].coeffs.items():
+            i, y = divmod(p, d)
+            per_y[y][i] = c
+        cols += [Element(space, coeffs) for coeffs in per_y]
+    return LinearOp(tensor_space(space, space), space, cols)
+
+
+def two_sided_convolution_inverse(h, f, m, unit):
+    """Solve f ⋆ T = T ⋆ f = ε·1 as one system with both sides' equations."""
+    field, target = h.field, f.codomain
+    dim_a = target.dim
+    aug = h.dim * dim_a
+    rows = []
+    for left in (True, False):
+        for ci in range(h.dim):
+            block = [dict() for _ in range(dim_a)]
+            for coeff, (c1, c2) in h.sweedler(ci, 2):
+                fixed, unknown = (f.columns[c1], c2) if left else (f.columns[c2], c1)
+                for a in range(dim_a):
+                    pair = (fixed, target.basis(a)) if left else (target.basis(a), fixed)
+                    for r, cr in apply2(m, *pair).coeffs.items():
+                        u = unknown * dim_a + a
+                        block[r][u] = field.add(block[r].get(u, field.zero),
+                                                field.mul(coeff, cr))
+            rhs = unit.scale(h._eps[ci])
+            for r, row in enumerate(block):
+                row = {u: c for u, c in row.items() if c != 0}
+                if rhs.coefficient(r) != 0:
+                    row[aug] = rhs.coefficient(r)
+                if row:
+                    rows.append(row)
+    pivots = _eliminate(rows, aug, field)
+    pivot_rows = {r for r, _ in pivots}
+    if any(r not in pivot_rows and row.get(aug, 0) != 0
+           for r, row in enumerate(rows)):
+        raise NotConvolutionInvertible("no convolution inverse exists")
+    if len(pivots) < aug:
+        raise NonUniqueSolution("convolution inverse is not unique",
+                                aug - len(pivots))
+    sol = {col: rows[r].get(aug, 0) for r, col in pivots}
+    return LinearOp(h.space, target, [
+        Element(target, {a: sol[ci * dim_a + a] for a in range(dim_a)})
+        for ci in range(h.dim)])
+
+
+def end_algebra_beta(h, tri):
+    e_space, e_mul, e_unit = end_algebra(h.space)
+    alpha = curry_action(e_space, tri)
+    return uncurry_action(h.space, two_sided_convolution_inverse(
+        h, alpha, e_mul, e_unit))
+
+
+def beta_outcome(build, h, tri):
+    try:
+        return build(h, tri)
+    except HopfkitError as exc:
+        return type(exc), str(exc)
+
+
+def subadjacent_beta(h, tri):
+    return hk.verify_posthopf(h, tri).beta
+
+
+def assert_same_beta(h, tri):
+    assert beta_outcome(subadjacent_beta, h, tri) == \
+        beta_outcome(end_algebra_beta, h, tri)
+
+
+# S3, D4, D6 and Q8
+ORACLE_GROUPS = (gr.dihedral(3), gr.dihedral(4), gr.dihedral(6),
+                 gr.quaternion_group())
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+def test_beta_matches_end_algebra_oracle(kernel_op, field):
+    for name in POSTHOPF_NAMES:
+        p = kernel_posthopf(kernel_op, name, field)
+        assert p.beta == end_algebra_beta(p.carrier, p.tri)
+    for g in ORACLE_GROUPS:
+        h = hk.group_algebra(g, field)
+        for b in (fx.b_inv(h), fx.b_eps(h)):
+            tri = posthopf_mod.rb_action_map(b)
+            assert_same_beta(h, tri)
+
+
+_RB_OPS: dict = {}
+
+
+def rb_group_ops(name):
+    if name not in _RB_OPS:
+        g = {"Z2": gr.cyclic(2), "Z3": gr.cyclic(3), "S3": gr.dihedral(3)}[name]
+        _RB_OPS[name] = list(gr.enumerate_rb_group_ops(g))
+    return _RB_OPS[name]
+
+
+def shear_bijection(h, perm, shears):
+    """p: H -> V, the shears e_j += c e_i (i != j) of the coordinates
+    followed by a relabelling: invertible over every field."""
+    d = h.dim
+    cols = [{k: 1} for k in range(d)]
+    for i, j, c in shears:
+        i, j = i % d, j % d
+        for col in cols:
+            if i != j and i in col:
+                col[j] = col.get(j, 0) + c * col[i]
+    order = [k for k in perm if k < d]
+    space = BasedSpace(tuple(f"w{k}" for k in range(d)), h.field)
+    return LinearOp(h.space, space, [
+        Element(space, {order[k]: c for k, c in col.items()}) for col in cols])
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(field=st.sampled_from([QQ, Field(7)]),
+       group=st.sampled_from(["Z2", "Z3", "S3"]), op=st.integers(0, 200),
+       perm=st.permutations(range(6)),
+       shears=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                 st.integers(-2, 2)), max_size=3))
+def test_beta_matches_end_algebra_oracle_on_transported_ops(field, group, op,
+                                                            perm, shears):
+    ops = rb_group_ops(group)
+    b = gr.lift_to_group_algebra(ops[op % len(ops)], field)
+    p = shear_bijection(b.carrier, perm, shears)
+    k = transport_hopf(b.carrier, p)
+    bk = hk.verify_rb(k, p.compose(b.map).compose(invert(p)))
+    assert_same_beta(k, posthopf_mod.rb_action_map(bk))
+
+
+def test_convolution_inverse_operator_valued(f2):
+    # alpha_x(y) = x^{-1} y x; the inverse must be beta_x(y) = x y x^{-1}
+    g = gr.dihedral(3)
+    tri = conjugation_tri(f2)
+    e_space, e_mul, e_unit = end_algebra(f2.space)
+    beta = hk.convolution_inverse(f2, curry_action(e_space, tri), e_mul, e_unit)
+    back = uncurry_action(f2.space, beta)
+    for x in range(6):
+        for y in range(6):
+            want = f2.space.basis(g.mul(g.mul(x, y), g.inv(x)))
+            assert back.columns[tensor_index(x, y, 6)] == want
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+def test_convolution_inverse_two_sided_on_posthopf_alpha_beta(field, kernel_op):
+    for name in POSTHOPF_NAMES:
+        p = kernel_posthopf(kernel_op, name, field)
+        h = p.carrier
+        e_space, e_mul, e_unit = end_algebra(h.space)
+        alpha, beta = curry_action(e_space, p.tri), curry_action(e_space, p.beta)
+        eps_one = LinearOp(h.space, e_space,
+                           [e_unit.scale(h._eps[x]) for x in range(h.dim)])
+        assert convolution(h.comul, alpha, beta, e_mul) == eps_one
+        assert convolution(h.comul, beta, alpha, e_mul) == eps_one
