@@ -32,9 +32,10 @@ from typing import TYPE_CHECKING
 from .errors import (ConstructionInvalid, DimensionMismatch,
                      InternalTheoremViolation, NotCocommutative,
                      NotConvolutionInvertible, UnvalidatedInput)
-from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, accumulate,
-                     flip_tensor, scaled_columns, tensor_elem, tensor_index,
-                     tensor_space, tensor_split, rank)
+from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, _sum_mod,
+                     _sum_ratio, accumulate, flip_tensor, scaled_columns,
+                     tensor_elem, tensor_index, tensor_space, tensor_split,
+                     rank)
 from .report import AxiomReport, Witness
 
 if TYPE_CHECKING:
@@ -48,13 +49,30 @@ def scalar_space(field: Field) -> BasedSpace:
 
 def apply2(op: LinearOp, x: Element, y: Element) -> Element:
     """Apply a map defined on a tensor-square domain to x ⊗ y without
-    materializing the tensor element.  The coefficient products are left
-    unreduced: ``accumulate`` reduces them modulo p over F_p."""
+    materializing the tensor element.
+
+    One basis vector on each side whose coefficients multiply to exactly 1
+    gives the map's own column object.  Any other product goes through the
+    summation loop of :func:`~hopfkit.linalg.accumulate`: over Q as the
+    int pair ``(cx.numerator * cy.numerator, cx.denominator *
+    cy.denominator)``, without building a ``Fraction``; over F_p as the
+    unreduced int ``cx * cy``, reduced modulo p with the sum."""
+    xc, yc = x.coeffs, y.coeffs
     dim_y = y.space.dim
-    return accumulate(op.codomain,
-                      ((cx * cy, op.columns[tensor_index(i, j, dim_y)])
-                       for i, cx in x.coeffs.items()
-                       for j, cy in y.coeffs.items()))
+    cols = op.columns
+    if len(xc) == 1 and len(yc) == 1:
+        for i, cx in xc.items():
+            for j, cy in yc.items():
+                if cx * cy == 1:
+                    return cols[i * dim_y + j]
+    if op.codomain.field.p:
+        return _sum_mod(op.codomain, ((cx * cy, cols[i * dim_y + j])
+                                      for i, cx in xc.items()
+                                      for j, cy in yc.items()))
+    return _sum_ratio(op.codomain,
+                      ((cx.numerator * cy.numerator,
+                        cx.denominator * cy.denominator, cols[i * dim_y + j])
+                       for i, cx in xc.items() for j, cy in yc.items()))
 
 
 @dataclass(eq=False)

@@ -12,19 +12,25 @@ terms.  Over Q it keeps an integer numerator and a denominator per output
 index, adds directly when the denominators agree and otherwise cross-
 multiplies through one ``gcd``, and reduces each output coefficient once
 at the end; over F_p it reduces ``acc + coeff * c`` modulo p.
+:func:`~hopfkit.hopf.apply2` feeds the same loops, over Q with int
+numerator and denominator products instead of ``Fraction`` pairs.
 :func:`scaled_columns` gives a map's columns as ints over one common
 denominator (1 over F_p), for sweeps that compare the two sides of an
 identity in ints only.
 
 Values are meant to be left unchanged once validated and shared, but this
 is a convention that is not enforced yet: ``Element.coeffs`` is a plain
-dict.  The solver uses sparse Gauss-Jordan elimination with exact pivots.
+dict.  Results may share storage with their inputs: ``LinearOp.__call__``
+on one basis vector with coefficient 1, and ``apply2`` on two one-term
+operands whose coefficients multiply to exactly 1, return a column of the
+map itself, so a result must not be changed in place.  The solver uses
+sparse Gauss-Jordan elimination with exact pivots.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Hashable, Iterable
@@ -139,16 +145,14 @@ class BasedSpace:
 
     labels: tuple[Label, ...]
     field: Field = QQ
+    dim: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.labels:
             raise DimensionMismatch("a based space needs at least one basis label")
         if len(set(self.labels)) != len(self.labels):
             raise DimensionMismatch("basis labels must be distinct")
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
+        object.__setattr__(self, "dim", len(self.labels))
 
     def index_of(self, label: Label) -> int:
         try:
@@ -253,26 +257,39 @@ def accumulate(space: BasedSpace, terms: Iterable[tuple[Scalar, Element]]) -> El
     brought to the least common denominator through one ``gcd``, and each
     sum is reduced once at the end (an int when it is integral).
     """
+    if space.field.p:
+        return _sum_mod(space, terms)
+    return _sum_ratio(space, ((c.numerator, c.denominator, elem)
+                              for c, elem in terms))
+
+
+def _sum_mod(space: BasedSpace, terms) -> Element:
+    """F_p summation of ``(coeff, element)`` terms; ``coeff`` may be any
+    int, it is reduced together with each product."""
     p = space.field.p
-    if p:
-        acc: dict = {}
-        get = acc.get
-        for coeff, elem in terms:
-            if coeff == 0:
-                continue
-            for i, c in elem.coeffs.items():
-                v = (get(i, 0) + coeff * c) % p
-                if v:
-                    acc[i] = v
-                else:
-                    acc.pop(i, None)
-        return Element(space, acc, _canonical=True)
-    num: dict = {}
-    den: dict = {}
+    acc: dict = {}
+    get = acc.get
     for coeff, elem in terms:
         if coeff == 0:
             continue
-        cn, cd = coeff.numerator, coeff.denominator
+        for i, c in elem.coeffs.items():
+            v = (get(i, 0) + coeff * c) % p
+            if v:
+                acc[i] = v
+            else:
+                acc.pop(i, None)
+    return Element(space, acc, _canonical=True)
+
+
+def _sum_ratio(space: BasedSpace, terms) -> Element:
+    """Q summation of ``(num, den, element)`` terms, each standing for
+    ``num/den * element`` with ``den > 0``; ``num/den`` need not be
+    reduced.  The numerator/denominator merge of :func:`accumulate`."""
+    num: dict = {}
+    den: dict = {}
+    for cn, cd, elem in terms:
+        if cn == 0:
+            continue
         for i, c in elem.coeffs.items():
             tn, td = cn * c.numerator, cd * c.denominator
             d = den.get(i)
@@ -326,8 +343,13 @@ class LinearOp:
     def __call__(self, elem: Element) -> Element:
         if elem.space != self.domain:
             raise DimensionMismatch("element not in the domain")
+        coeffs = elem.coeffs
+        if len(coeffs) == 1:
+            for i, c in coeffs.items():
+                if c == 1:
+                    return self.columns[i]
         return accumulate(self.codomain,
-                          ((c, self.columns[i]) for i, c in elem.coeffs.items()))
+                          ((c, self.columns[i]) for i, c in coeffs.items()))
 
     def compose(self, other: "LinearOp") -> "LinearOp":
         """Return self after other (``self ∘ other``)."""
@@ -385,7 +407,13 @@ def tensor_space(a: BasedSpace, b: BasedSpace) -> BasedSpace:
     this fixed order."""
     if a.field != b.field:
         raise FieldMismatch("tensor factors over different fields")
-    return BasedSpace(tuple(itertools.product(a.labels, b.labels)), a.field)
+    # Pairs of distinct labels are distinct: skip the constructor's check.
+    space = object.__new__(BasedSpace)
+    object.__setattr__(space, "labels",
+                       tuple(itertools.product(a.labels, b.labels)))
+    object.__setattr__(space, "field", a.field)
+    object.__setattr__(space, "dim", a.dim * b.dim)
+    return space
 
 
 def tensor_index(i: int, j: int, dim_b: int) -> int:

@@ -4,16 +4,18 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfkit.errors import NonUniqueSolution, NoSolution, SingularMap
+from hopfkit.errors import (DimensionMismatch, NonUniqueSolution, NoSolution,
+                            SingularMap)
+from hopfkit.hopf import apply2
 from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ,
                             accumulate, invert, kron, rank, scaled_columns,
                             solve, tensor_elem, tensor_space)
-from hopfkit.serialize import map_entries
+from hopfkit.serialize import element_entries, map_entries
 
 ORACLE = settings(max_examples=40, deadline=None, database=None)
 
@@ -464,3 +466,209 @@ def test_scaled_columns_over_prime_field_are_stored_ints():
     op = LinearOp(space, space, [Element(space, {0: 3, 1: Fraction(1, 2)}),
                                  Element(space, {1: -1})])
     assert scaled_columns(op) == (1, [((0, 3), (1, 4)), ((1, 6),)])
+
+
+# -- the element kernel against its generator form ----------------------------------
+
+def generator_accumulate(space, terms):
+    """``accumulate`` as written before ``apply2`` and ``LinearOp.__call__``
+    got their one-term shortcuts, copied as the oracle: every term's
+    coefficient multiplies every entry, and each sum is reduced at the end."""
+    p = space.field.p
+    if p:
+        acc: dict = {}
+        for coeff, elem in terms:
+            if coeff == 0:
+                continue
+            for i, c in elem.coeffs.items():
+                v = (acc.get(i, 0) + coeff * c) % p
+                if v:
+                    acc[i] = v
+                else:
+                    acc.pop(i, None)
+        return Element(space, acc, _canonical=True)
+    num: dict = {}
+    den: dict = {}
+    for coeff, elem in terms:
+        if coeff == 0:
+            continue
+        cn, cd = coeff.numerator, coeff.denominator
+        for i, c in elem.coeffs.items():
+            tn, td = cn * c.numerator, cd * c.denominator
+            d = den.get(i)
+            if d is None:
+                num[i], den[i] = tn, td
+            elif d == td:
+                num[i] += tn
+            else:
+                g = gcd(d, td)
+                num[i] = num[i] * (td // g) + tn * (d // g)
+                den[i] = d // g * td
+    return Element(space, {i: n // den[i] if n % den[i] == 0
+                           else Fraction(n, den[i])
+                           for i, n in num.items() if n}, _canonical=True)
+
+
+def generator_call(op, elem):
+    return generator_accumulate(op.codomain, ((c, op.columns[i])
+                                              for i, c in elem.coeffs.items()))
+
+
+def generator_apply2(op, x, y):
+    dim_y = y.space.dim
+    return generator_accumulate(op.codomain, (
+        (cx * cy, op.columns[i * dim_y + j])
+        for i, cx in x.coeffs.items() for j, cy in y.coeffs.items()))
+
+
+F7 = Field(7)
+# Units and non-units, -1, 1/2 and 2 (product 1), and Fraction(n, 1) entries.
+KERNEL_SCALARS = {
+    QQ: st.sampled_from([1, -1, 2, 3, -3, Fraction(1, 2), Fraction(-2, 3),
+                         Fraction(1), Fraction(-1), Fraction(4, 1),
+                         Fraction(3, 2)]),
+    F7: st.integers(1, 6),
+}
+KERNEL_KINDS = ("basis", "one-term", "zero", "multi")
+
+
+def draw_kernel_element(data, space):
+    """A canonical element of ``space``: a basis vector, one scaled basis
+    vector, zero, or two or more terms.  Entries are stored as drawn, so
+    Fraction(n, 1) stays a Fraction."""
+    scalars = KERNEL_SCALARS[space.field]
+    kind = data.draw(st.sampled_from(KERNEL_KINDS))
+    index = st.integers(0, space.dim - 1)
+    if kind == "basis":
+        coeffs = {data.draw(index): 1}
+    elif kind == "one-term":
+        coeffs = {data.draw(index): data.draw(scalars)}
+    elif kind == "zero":
+        coeffs = {}
+    else:
+        coeffs = data.draw(st.dictionaries(index, scalars, min_size=2,
+                                           max_size=space.dim))
+    return Element(space, coeffs, _canonical=True)
+
+
+def draw_kernel_op(data, domain, codomain):
+    return LinearOp(domain, codomain, [draw_kernel_element(data, codomain)
+                                       for _ in range(domain.dim)])
+
+
+def assert_same_element(got, want):
+    """Equal values, equal text and equal serialized bytes, canonical."""
+    assert got == want
+    assert str(got) == str(want)
+    assert json.dumps(element_entries(got)).encode() == \
+        json.dumps(element_entries(want)).encode()
+    assert all(c != 0 for c in got.coeffs.values())
+    if got.space.field.p:
+        assert all(type(c) is int and 0 < c < got.space.field.p
+                   for c in got.coeffs.values())
+
+
+def kernel_spaces(field):
+    x = BasedSpace(("x0", "x1", "x2"), field)
+    y = BasedSpace(("y0", "y1"), field)
+    z = BasedSpace(("z0", "z1", "z2"), field)
+    return x, y, z
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(field=st.sampled_from([QQ, F7]), data=st.data())
+def test_apply2_matches_generator_form(field, data):
+    x_space, y_space, z = kernel_spaces(field)
+    op = draw_kernel_op(data, tensor_space(x_space, y_space), z)
+    x = draw_kernel_element(data, x_space)
+    y = draw_kernel_element(data, y_space)
+    assert_same_element(apply2(op, x, y), generator_apply2(op, x, y))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(field=st.sampled_from([QQ, F7]), data=st.data())
+def test_linear_op_call_matches_generator_form(field, data):
+    x_space, _, z = kernel_spaces(field)
+    op = draw_kernel_op(data, x_space, z)
+    x = draw_kernel_element(data, x_space)
+    assert_same_element(op(x), generator_call(op, x))
+
+
+def one_term(space, i, c):
+    return Element(space, {i: c}, _canonical=True)
+
+
+def kernel_map(field):
+    """A map X ⊗ Y -> Z whose column 3, at x1 ⊗ y1, holds a Fraction(3, 1)
+    over Q; the other columns are basis vectors."""
+    x_space, y_space, z = kernel_spaces(field)
+    col = Element(z, {0: Fraction(3, 1), 2: -1} if field == QQ
+                  else {0: 3, 2: 6}, _canonical=True)
+    cols = [Element(z, {k % 3: 1}, _canonical=True) for k in range(6)]
+    cols[3] = col
+    return LinearOp(tensor_space(x_space, y_space), z, cols), x_space, y_space
+
+
+@pytest.mark.parametrize("cx, cy, same", [
+    (1, 1, True), (Fraction(1, 2), 2, True), (2, Fraction(1, 2), True),
+    (-1, -1, True), (Fraction(1), 1, True),
+    (2, 1, False), (-1, 1, False), (2, 3, False), (Fraction(1, 2), 1, False)])
+def test_apply2_one_term_shortcut_over_q(cx, cy, same):
+    op, x_space, y_space = kernel_map(QQ)
+    x, y = one_term(x_space, 1, cx), one_term(y_space, 1, cy)
+    got = apply2(op, x, y)
+    assert_same_element(got, generator_apply2(op, x, y))
+    assert (got is op.columns[3]) is same
+    # the shortcut keeps the column's Fraction(3, 1); the sum reduces it
+    v = got.coeffs[0]
+    assert type(v) is (Fraction if same or v.denominator != 1 else int)
+
+
+@pytest.mark.parametrize("cx, cy", [(2, 4), (4, 2), (3, 5), (6, 6), (2, 3),
+                                    (1, 6), (1, 1)])
+def test_apply2_one_term_products_reduced_over_f7(cx, cy):
+    op, x_space, y_space = kernel_map(F7)
+    x, y = one_term(x_space, 1, cx), one_term(y_space, 1, cy)
+    got = apply2(op, x, y)
+    assert_same_element(got, generator_apply2(op, x, y))
+    k = cx * cy % 7
+    assert got.coeffs == {0: 3 * k % 7, 2: 6 * k % 7}
+    # 2 · 4 is 1 in F_7 but 8 as an int, so it is summed, not shortcut
+    assert (got is op.columns[3]) is (cx * cy == 1)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_apply2_zero_and_multi_term_operands(field):
+    op, x_space, y_space = kernel_map(field)
+    for x, y in [(x_space.zero(), y_space.basis(1)),
+                 (x_space.basis(1), y_space.zero()),
+                 (Element(x_space, {0: 1, 1: 2}), y_space.basis(1)),
+                 (Element(x_space, {1: -1}), Element(y_space, {0: 1, 1: 1}))]:
+        assert_same_element(apply2(op, x, y), generator_apply2(op, x, y))
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_linear_op_call_one_term_shortcut(field):
+    op = kernel_map(field)[0]
+    space = op.domain
+    assert op(space.basis(3)) is op.columns[3]
+    for c in ([2, -1, Fraction(1, 2)] if field == QQ else [2, 6]):
+        got = op(one_term(space, 3, c))
+        assert got is not op.columns[3]
+        assert_same_element(got, generator_call(op, one_term(space, 3, c)))
+    assert op(space.zero()).is_zero()
+
+
+def test_based_space_dim_is_stored_and_tensor_labels_are_products():
+    a = BasedSpace(("x", "y"), F7)
+    b = BasedSpace(("u", "v", "w"), F7)
+    t = tensor_space(a, b)
+    plain = BasedSpace(tuple((la, lb) for la in a.labels for lb in b.labels),
+                       F7)
+    assert (a.dim, b.dim, t.dim) == (2, 3, 6)
+    assert t == plain and hash(t) == hash(plain) and repr(t) == repr(plain)
+    assert tensor_space(t, a).dim == 12
+    with pytest.raises(DimensionMismatch):
+        BasedSpace(("x", "x"))
+    with pytest.raises(DimensionMismatch):
+        BasedSpace(())
