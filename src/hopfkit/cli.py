@@ -421,7 +421,7 @@ def main(argv=None) -> int:
     p.add_argument("what", choices=("rb-group",))
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=None,
-                   help="bound on search nodes")
+                   help="bound on search nodes, at least 0")
     p = sub.add_parser("report", parents=[common],
                        help="full verification report with structure digests")
     p.add_argument("file")
@@ -432,6 +432,9 @@ def main(argv=None) -> int:
                           else field_from_json(args.field))
     except ValueError as exc:
         print(f"error: bad --field: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "search" and args.budget is not None and args.budget < 0:
+        print(f"error: bad --budget: {args.budget} is below 0", file=sys.stderr)
         return 2
 
     try:
@@ -470,8 +473,9 @@ def main(argv=None) -> int:
                 for name in sorted(found):
                     info = found[name]
                     lines.append(f"group {name}: {info['count']} operators")
+                    digits = [str(x) for x in range(info["order"])]
                     for table in info["operators"]:
-                        lines.append("  " + " ".join(str(x) for x in table))
+                        lines.append("  " + " ".join([digits[x] for x in table]))
                 _write("\n".join(lines) + "\n", args.out)
             return 0
     except DefinitionError as exc:

@@ -17,15 +17,32 @@ from .errors import (BudgetExceeded, DimensionMismatch, IdentityFails,
 from .report import Witness
 
 
+# Element indices of a group of at most this order fit in one byte each,
+# so rows of its Cayley table can serve as ``bytes.translate`` tables,
+# which have one entry per byte value.
+BYTE_VALUES = 256
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Finite group given by its Cayley table (entries are indices)."""
+    """Finite group given by its Cayley table (entries are indices).
+
+    A group of order at most 256 also carries two byte tables, built
+    once with the inverses and left out of equality, hash and repr:
+    ``byte_rows[x]`` is row x, i.e. y -> xy, padded to a 256-byte
+    ``bytes.translate`` table, and ``byte_cols[c]`` is column c, i.e.
+    the bytes of b -> bc over all b.  Larger groups have neither (None).
+    """
 
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     name: str = "G"
     identity: int = field(init=False, default=0)
     inverse: tuple[int, ...] = field(init=False, default=())
+    byte_rows: tuple[bytes, ...] | None = field(
+        init=False, default=None, compare=False, repr=False)
+    byte_cols: tuple[bytes, ...] | None = field(
+        init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.table)
@@ -67,6 +84,11 @@ class FiniteGroup:
                             f"table is not associative at ({a},{b},{c})")
         object.__setattr__(self, "identity", ident)
         object.__setattr__(self, "inverse", tuple(inv))
+        if n <= BYTE_VALUES:
+            object.__setattr__(self, "byte_rows", tuple(
+                bytes(row).ljust(BYTE_VALUES, b"\0") for row in rows))
+            object.__setattr__(self, "byte_cols", tuple(
+                bytes(col) for col in zip(*rows)))
 
     @property
     def order(self) -> int:
@@ -249,14 +271,32 @@ def _rb_group_witness(g: FiniteGroup, table, a: int, b: int) -> Witness | None:
 
 
 def verify_rb_group(g: FiniteGroup, table) -> RBGroupOp:
-    """Sweep the Rota-Baxter group identity over all pairs."""
+    """Check the Rota-Baxter group identity on every pair (a, b).
+
+    On a group of order at most 256 each row a is one comparison of byte
+    strings built by ``bytes.translate``: with B as bytes, B(a)B(b) over
+    all b is B read through row B(a), and B(a B(a) b B(a)^{-1}) is column
+    B(a)^{-1} read through row a B(a) and then through B.  Every pair is
+    still compared exactly.  Only a row whose bytes differ is scanned
+    pair by pair, so ``IdentityFails`` carries the lexicographically
+    first failing pair.  Larger groups have no byte tables, and every
+    row is scanned.
+    """
     table = tuple(table)
     n = g.order
     if len(table) != n or min(table) < 0 or max(table) >= n:
         raise DimensionMismatch("operator table must map indices to indices")
     tab, inv = g.table, g.inverse
+    rows, cols = g.byte_rows, g.byte_cols
+    if rows is not None:
+        b_bytes = bytes(table)
+        b_table = b_bytes.ljust(BYTE_VALUES, b"\0")
     for a in range(n):
         ba = table[a]
+        if rows is not None and (
+                b_bytes.translate(rows[ba])
+                == cols[inv[ba]].translate(rows[tab[a][ba]]).translate(b_table)):
+            continue
         row_aba, row_ba, inv_ba = tab[tab[a][ba]], tab[ba], inv[ba]
         for b in range(n):
             # B(a)B(b) against B(a B(a) b B(a)^{-1})
@@ -323,7 +363,9 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
     tree and its node count are those of a full re-scan.  ``budget``
     bounds the number of search nodes; exceeding it raises
     ``BudgetExceeded`` with the partial result list attached.  Every
-    operator found is re-checked by the full sweep of ``verify_rb_group``.
+    operator found is re-checked on every pair by ``verify_rb_group``:
+    one byte-string comparison per row up to order 256, a pair-by-pair
+    scan of every row above it.
     """
     n = g.order
     tab, inv = g.table, g.inverse

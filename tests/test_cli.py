@@ -412,6 +412,19 @@ def test_search_includes_group_algebra_backing_group(f2_file, capsys):
     assert "F2: 8 operators" in capsys.readouterr().out
 
 
+def test_negative_search_budget_exits_two(f2_file, capsys):
+    assert cli.main(["search", "rb-group", f2_file, "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad --budget: -1 is below 0\n"
+    assert captured.out == ""
+
+
+def test_zero_search_budget_is_exceeded_at_the_root(f2_file, capsys):
+    # the root node is the first search node, so budget 0 is exceeded at once
+    assert cli.main(["search", "rb-group", f2_file, "--budget", "0"]) == 1
+    assert capsys.readouterr().err == "FAIL  search budget 0 exceeded on D3\n"
+
+
 def test_field_flag_switches_to_prime_field(f2_file, capsys):
     assert cli.main(["verify", f2_file, "--field", "7"]) == 0
     assert "field: 7" in capsys.readouterr().out

@@ -285,6 +285,85 @@ def test_verify_rb_group_rejects_malformed_tables(s3):
             gr.verify_rb_group(s3, table)
 
 
+# -- the byte-row kernel of verify_rb_group at its size boundaries ---------------------
+# order 1; order 256, whose translate tables need no padding; order 272,
+# above the byte cap, where every row is scanned pair by pair
+
+BOUNDARY_GROUPS = {
+    "1": gr.trivial_group,
+    "Z256": lambda: gr.cyclic(256),
+    "Z16xZ17": lambda: gr.direct_product(gr.cyclic(16), gr.cyclic(17)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BOUNDARY_GROUPS))
+def boundary_group(request):
+    return BOUNDARY_GROUPS[request.param]()
+
+
+def test_byte_tables_are_the_cayley_rows_and_columns(boundary_group):
+    g = boundary_group
+    n = g.order
+    if n > 256:
+        assert g.byte_rows is None and g.byte_cols is None
+        return
+    assert len(g.byte_rows) == len(g.byte_cols) == n
+    for x in range(n):
+        assert g.byte_rows[x] == bytes(g.table[x]) + bytes(256 - n)
+        assert g.byte_cols[x] == bytes(g.table[b][x] for b in range(n))
+
+
+def test_byte_tables_leave_equality_hash_and_repr_alone(boundary_group):
+    g = boundary_group
+    compared = (g.table, g.labels, g.name, g.identity, g.inverse)
+    assert hash(g) == hash(compared)
+    assert repr(g) == ("FiniteGroup(table=%r, labels=%r, name=%r, identity=%r, "
+                       "inverse=%r)" % compared)
+    other = gr.FiniteGroup(g.table, g.labels, g.name)
+    object.__setattr__(other, "byte_rows", ())
+    object.__setattr__(other, "byte_cols", ())
+    assert other == g and hash(other) == hash(g)
+
+
+def test_standard_operators_pass_at_the_boundaries(boundary_group):
+    g = boundary_group
+    assert gr.rb_inverse_op(g).table == g.inverse
+    assert gr.rb_trivial_op(g).table == (g.identity,) * g.order
+
+
+def test_perturbed_operators_fail_at_the_first_pair_at_the_boundaries(
+        boundary_group):
+    g = boundary_group
+    n = g.order
+    if n == 1:  # the only map is the trivial operator
+        return
+    rng = random.Random(n)
+    for base in (g.inverse, (g.identity,) * n):
+        for _ in range(3):
+            table = list(base)
+            x = rng.randrange(n)
+            table[x] = (table[x] + rng.randrange(1, n)) % n
+            expected = first_rb_witness(g, table)
+            assert expected is not None
+            with pytest.raises(IdentityFails) as exc:
+                gr.verify_rb_group(g, table)
+            assert exc.value.witness == expected
+
+
+def test_translation_by_an_involution_fails_at_the_boundaries(boundary_group):
+    # B(b) = b u with u^2 = e on an abelian group: a B(a) b B(a)^{-1}
+    # equals B(a)B(b) = ab on every pair, so a row check that leaves out
+    # the final application of B would accept this map
+    g = boundary_group
+    if g.order == 1:
+        return
+    u = next(x for x in range(1, g.order) if g.mul(x, x) == g.identity)
+    table = [g.mul(b, u) for b in range(g.order)]
+    with pytest.raises(IdentityFails) as exc:
+        gr.verify_rb_group(g, table)
+    assert exc.value.witness == first_rb_witness(g, table)
+
+
 def test_skew_brace_from_inverse_operator_is_opposite(s3):
     sb = gr.skew_brace_from_rb_group(gr.rb_inverse_op(s3))
     for x in range(6):

@@ -17,6 +17,7 @@ from hopfkit.hopf import (apply2, coalgebra_map_failures, convolution,
 from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
                             accumulate, invert, tensor_elem, tensor_index,
                             tensor_space, tensor_split)
+from hopfkit.rb import rb_action_map
 from hopfkit.report import Witness
 
 from conftest import Built
@@ -620,3 +621,38 @@ def test_ybe_and_matched_brace_match_reference(field, kernel_op):
         b = kernel_op(name, field)
         m = hk.matched_pair_from_rb(b)
         assert hk.ybe_from_rb(b).c == reference_ybe_c(b.carrier, m.lact, m.ract)
+
+
+# -- oracle: the right action in Angiono-Galindo-Vendramin's form ----------------------
+
+def group_pick(group):
+    """The lift of the middle Rota-Baxter operator of ``group``'s sorted
+    enumeration."""
+    def make(field):
+        ops = gr.enumerate_rb_group_ops(group)
+        return gr.lift_to_group_algebra(ops[len(ops) // 2], field)
+    return make
+
+
+AGV_CARRIERS = {
+    "F1-inv": lambda field: fx.b_inv(fx.f1(field)),
+    "F2-inv": lambda field: fx.b_inv(fx.f2(field)),
+    "F2-eps": lambda field: fx.b_eps(fx.f2(field)),
+    "D4-pick": group_pick(gr.dihedral(4)),
+    "Q8-pick": group_pick(gr.quaternion_group()),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+@pytest.mark.parametrize("name", sorted(AGV_CARRIERS) + [
+    "dense-Z2-inv", "dense-Z2-eps", "mixed-S3-inv", "mixed-S3-eps"])
+def test_right_action_is_the_agv_convolution(field, name, kernel_op):
+    # x ↼ a = T(x_(1) ⇀ a_(1)) ∘ x_(2) ∘ a_(2) in the descendent H(B),
+    # with T its antipode (Angiono-Galindo-Vendramin)
+    b = (AGV_CARRIERS[name](field) if name in AGV_CARRIERS
+         else kernel_op(name, field))
+    h = b.carrier
+    hb = hk.descend(b).hopf
+    agv = convolution(tensor_coalgebra(h, h)[0],
+                      hb.antipode.compose(rb_action_map(b)), hb.mul, hb.mul)
+    assert hk.matched_pair_from_rb(b).ract == agv
