@@ -39,8 +39,9 @@ print("cocycle is id:", coc.pi.is_identity())
 print("π^{-1} is relative:", hk.invert_cocycle(coc).tau == coc.pi_inverse)
 print("τ^{-1} is a cocycle:", hk.invert_relative_rb(rel).pi == rel.tau)
 
-# A cocycle rebuilds the ambient Rota-Baxter Hopf algebra on A ⊗ A; the
-# result agrees bit-exactly with the generic brace embedding.
+# A cocycle gives a Rota-Baxter Hopf algebra on A ⊗ A: the embedding of
+# the brace a ∘ b = π(π^{-1}(a) π^{-1}(b)) that π induces on A.  For the
+# identity cocycle that brace is br itself, so the two agree bit-exactly.
 built = hk.rb_hopf_from_cocycle(coc)
 emb = hk.embed_into_rb(br)
 print("cocycle ambient = embedding ambient:",

@@ -362,11 +362,14 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
     re-scanning every assigned pair until nothing changes, so the search
     tree and its node count are those of a full re-scan.  ``budget``
     bounds the number of search nodes; exceeding it raises
-    ``BudgetExceeded`` with the partial result list attached.  Every
+    ``BudgetExceeded`` with the partial result list attached, and a
+    negative budget raises ``ValueError`` before the search.  Every
     operator found is re-checked on every pair by ``verify_rb_group``:
     one byte-string comparison per row up to order 256, a pair-by-pair
     scan of every row above it.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"search budget {budget} is below 0")
     n = g.order
     tab, inv = g.table, g.inverse
     found: list[tuple[int, ...]] = []

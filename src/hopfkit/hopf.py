@@ -691,6 +691,21 @@ def _multiplicative_witness(f: LinearOp, h: HopfAlgebraData,
         f(h.mul_basis(i, j)), k.product(f.columns[i], f.columns[j])))
 
 
+def _measuring_witness(k: HopfAlgebraData, h: HopfAlgebraData,
+                       act: LinearOp) -> Witness | None:
+    """First basis triple (a, i, j) with a ⇀ (e_i e_j) differing from
+    (a_(1) ⇀ e_i)(a_(2) ⇀ e_j), for act: K ⊗ H -> H."""
+    dim = h.dim
+    cols = act.columns
+
+    def sides(a, i, j):
+        return (apply2(act, k.basis(a), h.mul_basis(i, j)),
+                accumulate(h.space, (
+                    (c, h.product(cols[x1 * dim + i], cols[x2 * dim + j]))
+                    for c, (x1, x2) in k.sweedler(a, 2))))
+    return first_witness((k.space, h.space, h.space), sides)
+
+
 # -- module actions -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -739,14 +754,7 @@ def _module_axioms(action: ModuleAction, report: AxiomReport):
 
 def _module_algebra_axioms(action: ModuleAction, report: AxiomReport):
     k, h = action.actor, action.carrier
-
-    def product(a, i, j):
-        rhs = accumulate(h.space, (
-            (c, h.product(action.basis(x1, i), action.basis(x2, j)))
-            for c, (x1, x2) in k.sweedler(a, 2)))
-        return action.of(k.basis(a), h.mul_basis(i, j)), rhs
-    report.add("module-algebra-product",
-               first_witness((k.space, h.space, h.space), product))
+    report.add("module-algebra-product", _measuring_witness(k, h, action.act))
     report.add("module-algebra-unit", first_witness(
         (k.space,), lambda a: (action.of(k.basis(a), h.unit),
                                h.unit.scale(k._eps[a]))))

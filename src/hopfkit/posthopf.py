@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 from .brace import HopfBrace, derived_action_map, verify_brace
 from .errors import ConstructionInvalid, IdentityFails, NotConvolutionInvertible
-from .hopf import (HopfAlgebraData, _earliest, apply2, coalgebra_map_failures,
-                   convolution, convolution_inverse, first_witness,
-                   require_cocommutative, tensor_coalgebra, twisted_product,
-                   verify_hopf)
-from .linalg import LinearOp, accumulate, tensor_index, tensor_split
+from .hopf import (HopfAlgebraData, _earliest, _measuring_witness, apply2,
+                   coalgebra_map_failures, convolution, convolution_inverse,
+                   first_witness, require_cocommutative, tensor_coalgebra,
+                   twisted_product, verify_hopf)
+from .linalg import LinearOp, tensor_split
 from .rb import RotaBaxterOp, rb_action_map
 from .report import Witness
 
@@ -58,20 +58,14 @@ def verify_posthopf(h: HopfAlgebraData, tri: LinearOp) -> PostHopf:
             Witness((h.label(x), h.label(y)), str(lhs),
                     str(rhs) if which else "(x1▶y1)⊗(x2▶y2)"))
 
-    def tri_of(x, y):
-        return tri.columns[tensor_index(x, y, dim)]
-
-    w = first_witness((h.space, h.space, h.space), lambda x, y, z: (
-        apply2(tri, h.basis(x), h.mul_basis(y, z)),
-        accumulate(h.space, ((c, h.product(tri_of(x1, y), tri_of(x2, z)))
-                             for c, (x1, x2) in h.sweedler(x, 2)))))
+    w = _measuring_witness(h, h, tri)
     if w is not None:
         raise IdentityFails("product-distributivity", w)
 
     # x ∗ y = x_(1) (x_(2) ▶ y), once per pair
     star = twisted_product(h.comul, h.mul, tri)
     w = first_witness((h.space, h.space, h.space), lambda x, y, z: (
-        apply2(tri, h.basis(x), tri_of(y, z)),
+        apply2(tri, h.basis(x), tri.columns[y * dim + z]),
         apply2(tri, star.columns[x * dim + y], h.basis(z))))
     if w is not None:
         raise IdentityFails("twisted-associativity", w)

@@ -18,6 +18,8 @@ from hopfkit import groups as gr
 from hopfkit.errors import HypothesisFails
 from hopfkit.linalg import LinearOp, tensor_index, tensor_space
 
+from test_cocycle import assert_matches_paper_formulas, d3_twisted_cocycle
+
 
 @contextmanager
 def criterion(number: int, title: str):
@@ -170,7 +172,8 @@ def test_criterion_6_smash_and_factorization(f2):
 def test_criterion_7_relative_rb_and_cocycles(f2):
     with criterion(7, "identity relative operators and 1-cocycles verify for "
                       "every corpus brace with exact round trips; the "
-                      "cocycle-built ambient equals the brace embedding"):
+                      "cocycle-built ambient equals the brace embedding "
+                      "and the paper's π-formulas, also for π ≠ id"):
         for lift in order_le_6_lifts():
             br = hk.brace_from_rb(lift)
             rel, coc = hk.canonical_from_brace(br)
@@ -184,6 +187,8 @@ def test_criterion_7_relative_rb_and_cocycles(f2):
         emb = hk.embed_into_rb(br)
         assert built.ambient.structure_equal(emb.ambient)
         assert built.rb.map == emb.rb.map
+        assert_matches_paper_formulas(coc)
+        assert_matches_paper_formulas(d3_twisted_cocycle(None))
 
 
 def test_criterion_8_symmetry_suite(f2):

@@ -10,9 +10,11 @@ from hopfkit import cocycle as cocycle_mod
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit.errors import IdentityFails, SingularMap
-from hopfkit.hopf import (ModuleAction, adjoint_action, apply2, first_witness,
+from hopfkit.hopf import (HopfAlgebraData, ModuleAction, adjoint_action,
+                          apply2, first_witness, tensor_coalgebra,
                           unit_counit_map)
-from hopfkit.linalg import QQ, Field, LinearOp, accumulate, invert
+from hopfkit.linalg import (QQ, Field, LinearOp, accumulate, invert, kron,
+                            tensor_elem, tensor_space, tensor_split)
 from hopfkit.report import AxiomReport
 
 from conftest import edited
@@ -103,6 +105,132 @@ def test_cocycle_rb_preserves_unit(f1):
     _, coc = hk.canonical_from_brace(br)
     built = hk.rb_hopf_from_cocycle(coc)
     assert built.rb.map(built.ambient.unit) == built.ambient.unit
+
+
+# -- oracle: the paper's formulas for the cocycle's Rota-Baxter Hopf algebra ----------------
+
+def paper_cocycle_rb(c):
+    """(ambient, B) on A ⊗ A from the π-formulas, as explicit loops:
+
+        (x⊗y) * (z⊗t) = π(π^{-1}(x_(1)) π^{-1}(z))
+                         ⊗ y S(x_(2)) π(π^{-1}(x_(3)) π^{-1}(t))
+        S'(x⊗y)        = πSπ^{-1}(x_(1))
+                         ⊗ π(Sπ^{-1}(x_(2)) π^{-1}(x_(3) S(y)))
+        B(x⊗y)         = π(Sπ^{-1}(x) π^{-1}(y)) ⊗ 1
+
+    with the inner products and the inner S in H, the outer ones in A.
+    """
+    h, a = c.source, c.target
+    pi, pi_inv = c.pi, c.pi_inverse
+    dim = a.dim
+    aa = tensor_space(a.space, a.space)
+    s_h, s_a = h.antipode, a.antipode
+
+    def transported(u, v):
+        return pi(h.product(pi_inv(u), pi_inv(v)))
+
+    mul_cols = []
+    for p in range(aa.dim):
+        x, y = tensor_split(p, dim)
+        legs = a.sweedler(x, 3)
+        for q in range(aa.dim):
+            z, t = tensor_split(q, dim)
+            mul_cols.append(accumulate(aa, (
+                (w, tensor_elem(aa, transported(a.basis(x1), a.basis(z)),
+                                a.product_many([a.basis(y), s_a.columns[x2],
+                                                transported(a.basis(x3),
+                                                            a.basis(t))])))
+                for w, (x1, x2, x3) in legs)))
+
+    t_map = pi.compose(s_h).compose(pi_inv)
+    anti_cols = []
+    for p in range(aa.dim):
+        x, y = tensor_split(p, dim)
+        sy = s_a.columns[y]
+        anti_cols.append(accumulate(aa, (
+            (w, tensor_elem(aa, t_map.columns[x1],
+                            pi(h.product(s_h(pi_inv(a.basis(x2))),
+                                         pi_inv(a.product(a.basis(x3), sy))))))
+            for w, (x1, x2, x3) in a.sweedler(x, 3))))
+
+    b_cols = []
+    for p in range(aa.dim):
+        x, y = tensor_split(p, dim)
+        b_cols.append(tensor_elem(
+            aa, pi(h.product(s_h(pi_inv(a.basis(x))), pi_inv(a.basis(y)))),
+            a.unit))
+
+    comul, counit = tensor_coalgebra(a, a)
+    ambient = HopfAlgebraData(aa, LinearOp(comul.codomain, aa, mul_cols),
+                              tensor_elem(aa, a.unit, a.unit),
+                              comul, counit, LinearOp(aa, aa, anti_cols))
+    return ambient, LinearOp(aa, aa, b_cols)
+
+
+def assert_matches_paper_formulas(coc):
+    built = hk.rb_hopf_from_cocycle(coc)
+    ambient, b_map = paper_cocycle_rb(coc)
+    assert built.ambient.structure_equal(ambient)
+    assert built.rb.map == b_map
+    return built
+
+
+def twisted_cocycle(br, phi):
+    """φ as a bijective 1-cocycle H_circle -> H over the action
+    x ⊗ u -> φ(x ⇀ φ^{-1}(u)), for an automorphism φ of the dot algebra:
+    π = φ ∘ id is not the identity when φ is not."""
+    act = hk.brace.derived_action_map(br)
+    phi_inv = invert(phi)
+    twisted = phi.compose(act).compose(
+        kron(LinearOp.identity(br.circle.space), phi_inv))
+    return hk.verify_cocycle(br.circle, br.dot,
+                             ModuleAction(br.circle, br.dot, twisted), phi)
+
+
+def d3_lifts(field):
+    return [gr.lift_to_group_algebra(op, field)
+            for op in gr.enumerate_rb_group_ops(gr.dihedral(3))]
+
+
+def d3_twisted_cocycle(field):
+    """The φ-twisted cocycle of the first D3 lift whose circle product φ
+    does not preserve, φ the lift of conjugation by r: the brace that
+    π = φ induces on A is then not the lift's own."""
+    g = gr.dihedral(3)
+    for lift in d3_lifts(field):
+        br = hk.brace_from_rb(lift)
+        phi = gr.lift_automorphism(br.dot, gr.conjugation_automorphism(g, 1))
+        circle = br.circle.mul
+        if phi.compose(circle) != circle.compose(kron(phi, phi)):
+            return twisted_cocycle(br, phi)
+    raise AssertionError("conjugation by r preserves every D3 circle product")
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+def test_cocycle_rb_with_pi_not_identity_matches_paper_formulas(field):
+    coc = d3_twisted_cocycle(field)
+    assert not coc.pi.is_identity()
+    built = assert_matches_paper_formulas(coc)
+    # the embedding of the lift's own brace is a different ambient
+    own = hk.embed_into_rb(hk.verify_brace(coc.target, coc.source))
+    assert not own.ambient.structure_equal(built.ambient)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+def test_cocycle_rb_matches_paper_formulas_on_corpus(field):
+    braces = [hk.flip_brace(fx.f2(field))]
+    braces += [hk.brace_from_rb(b) for b in d3_lifts(field)]
+    for br in braces:
+        assert_matches_paper_formulas(hk.canonical_from_brace(br)[1])
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+@pytest.mark.parametrize("name", ["dense-Z2-inv", "dense-Z2-eps",
+                                  "mixed-S3-inv", "mixed-S3-eps"])
+def test_cocycle_rb_matches_paper_formulas_on_kernel_ops(kernel_op, name,
+                                                         field):
+    br = hk.brace_from_rb(kernel_op(name, field))
+    assert_matches_paper_formulas(hk.canonical_from_brace(br)[1])
 
 
 # -- oracles: the Sweedler sums of cocycle as explicit loops ---------------------------

@@ -424,6 +424,14 @@ def test_budget_exceeded_carries_partials(s3):
         gr.enumerate_rb_group_ops(s3, budget=2)
 
 
+def test_negative_budget_rejected_before_search(s3):
+    with pytest.raises(ValueError, match="search budget -1 is below 0"):
+        gr.enumerate_rb_group_ops(s3, budget=-1)
+    # zero is a budget: the root node already exceeds it
+    with pytest.raises(gr.BudgetExceeded, match="search budget 0 exceeded"):
+        gr.enumerate_rb_group_ops(s3, budget=0)
+
+
 ORACLE_GROUPS = {
     "D4": lambda: gr.dihedral(4),
     "Q8": gr.quaternion_group,
