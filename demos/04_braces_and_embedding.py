@@ -10,6 +10,7 @@ Rota-Baxter Hopf algebra on G ⊗ G.
 
 import hopfkit as hk
 from hopfkit import fixtures as fx
+from hopfkit.hopf import apply2
 
 H = fx.f2()
 b_inv = fx.b_inv(H)
@@ -37,6 +38,5 @@ print("psi(1) = unit:", emb.psi(H.unit) == emb.ambient.unit)
 # psi is a brace morphism onto its image:
 g, h = 1, 3   # r and s
 lhs = emb.psi(br.circle.mul_basis(g, h))
-rhs = hk.rb.circle_product_element(emb.ambient, emb.rb.map,
-                                   emb.psi.columns[g], emb.psi.columns[h])
+rhs = apply2(emb.rb.circle, emb.psi.columns[g], emb.psi.columns[h])
 print("psi(r ∘ s) = psi(r) ∘_B' psi(s):", lhs == rhs)

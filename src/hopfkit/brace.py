@@ -23,9 +23,8 @@ from .hopf import (HopfAlgebraData, ModuleAction, _multiplicative_witness,
 from .linalg import (BasedSpace, Element, LinearOp, accumulate, invert,
                      rank, tensor_elem, tensor_index, tensor_space,
                      tensor_split)
-from .rb import (RotaBaxterOp, circle_product_element, check_descendent_isos,
-                 descend, descendent_antipode, rb_conjugate, rb_tilde,
-                 verify_rb)
+from .rb import (RotaBaxterOp, check_descendent_isos, descend,
+                 descendent_antipode, rb_conjugate, rb_tilde, verify_rb)
 from .report import Witness
 
 
@@ -195,7 +194,8 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
         B'(x⊗y)       = T(x)∘y ⊗ 1
 
     All three stages (Hopf axioms of G', the Rota-Baxter identity of B',
-    the brace embedding identities of psi) are verified.
+    the brace embedding identities of psi) are verified.  psi is checked
+    against ∘_B' through the table that verify_rb built, ``rb.circle``.
     """
     br.require_validated()
     dot, circle = br.dot, br.circle
@@ -264,7 +264,7 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
             f"at ({w.at[0]},{w.at[1]})")
     w = first_witness((dot.space, dot.space), lambda g, x: (
         psi(circle.mul_basis(g, x)),
-        circle_product_element(ambient, b_map, psi.columns[g], psi.columns[x])))
+        apply2(rbop.circle, psi.columns[g], psi.columns[x])))
     if w is not None:
         raise ConstructionInvalid(
             "embedding", f"psi not multiplicative for the circle "

@@ -428,8 +428,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        field_override = (None if args.field is None
-                          else field_from_json(args.field))
+        spec = args.field
+        field_override = None if spec is None else field_from_json(
+            int(spec) if spec.isascii() and spec.isdigit() else spec)
     except ValueError as exc:
         print(f"error: bad --field: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from .hopf import (HopfAlgebraData, ModuleAction, apply2,
                    tensor_hopf, verify_hopf)
 from .linalg import (BasedSpace, LinearOp, accumulate, invert, kron,
                      tensor_elem, tensor_space, tensor_split)
-from .rb import RotaBaxterOp, circle_product_element, descend, verify_rb
+from .rb import RotaBaxterOp, descend, verify_rb
 
 
 @dataclass
@@ -120,9 +120,8 @@ def check_factorization_descendent_iso(f: TripleFactorization,
 
     def sides(p, q):
         (h, l, m), (h2, l2, m2) = parts(p), parts(q)
-        lhs = circle_product_element(
-            g, b.map, g.product_many([h, g.basis(f.l_idx[l]), m]),
-            g.product_many([h2, g.basis(f.l_idx[l2]), m2]))
+        lhs = apply2(b.circle, g.product_many([h, g.basis(f.l_idx[l]), m]),
+                     g.product_many([h2, g.basis(f.l_idx[l2]), m2]))
         circ = f.incl_l(circle_c.mul_basis(l, l2))
         return lhs, g.product_many([h, h2, circ, m2, m])
     hlm = f.factor.codomain

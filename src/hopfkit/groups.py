@@ -203,22 +203,11 @@ def quaternion_group() -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Direct product with pairs (a, b) indexed row-major."""
-    nh = h.order
-
-    def idx(a, b):
-        return a * nh + b
-
-    def mul(x, y):
-        a1, b1 = divmod(x, nh)
-        a2, b2 = divmod(y, nh)
-        return idx(g.mul(a1, a2), h.mul(b1, b2))
-
-    n = g.order * nh
-    table = tuple(tuple(mul(x, y) for y in range(n)) for x in range(n))
-    labels = tuple(f"({g.labels[a]},{h.labels[b]})"
-                   for a in range(g.order) for b in range(nh))
-    return FiniteGroup(table, labels, f"{g.name}x{h.name}")
+    """Direct product with pairs (a, b) indexed row-major: the semidirect
+    product under the trivial action."""
+    identity = tuple(range(g.order))
+    return semidirect_product(g, h, dict.fromkeys(range(h.order), identity),
+                              f"{g.name}x{h.name}")
 
 
 def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup,

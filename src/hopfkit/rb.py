@@ -13,6 +13,7 @@ inputs is reported as InternalTheoremViolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (ConstructionInvalid, DimensionMismatch, HopfkitError,
                      InternalTheoremViolation, NotAutomorphism,
@@ -22,17 +23,27 @@ from .hopf import (HopfAlgebraData, _multiplicative_witness, adjoint_map,
                    check_coalgebra_morphism, coalgebra_morphism_witness,
                    convolution, first_witness, require_cocommutative,
                    verify_hopf)
-from .linalg import Element, LinearOp, accumulate, invert, tensor_index
+from .linalg import LinearOp, accumulate, invert, tensor_index
 from .report import AxiomReport, Witness
 
 
 @dataclass
 class RotaBaxterOp:
-    """A validated Rota-Baxter operator; build through verify_rb."""
+    """A validated Rota-Baxter operator; build through verify_rb.
+
+    ``circle`` is the table of x ∘_B y on basis pairs.  It is built once,
+    on first use (verify_rb sweeps through it), and kept: the descendent
+    H(B) takes it as its multiplication, so it must not be changed in
+    place.  It is not a dataclass field, so equality and repr ignore it."""
 
     carrier: HopfAlgebraData
     map: LinearOp
     validated: bool = False
+
+    @cached_property
+    def circle(self) -> LinearOp:
+        """x ∘_B y = x_(1) B(x_(2)) y S(B(x_(3))) as a map H ⊗ H -> H."""
+        return _circle_mul(self.carrier, self.map)
 
     def require_validated(self):
         if not self.validated:
@@ -49,13 +60,15 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     w = coalgebra_morphism_witness(b, h, h)
     if w is not None:
         raise NotCoalgebraMap("operator is not a coalgebra map", w)
-    circ = _circle_mul(h, b)     # x ∘_B y = x_(1) B(x_(2)) y S(B(x_(3)))
+    op = RotaBaxterOp(h, b)
+    circ = op.circle
     w = first_witness((h.space, h.space), lambda x, y: (
         h.product(b.columns[x], b.columns[y]),
         b(circ.columns[tensor_index(x, y, h.dim)])))
     if w is not None:
         raise RBIdentityFails("Rota-Baxter identity fails", w)
-    return RotaBaxterOp(h, b, True)
+    op.validated = True
+    return op
 
 
 def rb_tilde(b: RotaBaxterOp) -> RotaBaxterOp:
@@ -87,18 +100,6 @@ def check_tilde_conjugate_commute(b: RotaBaxterOp, phi: LinearOp) -> bool:
 
 
 # -- the descendent Hopf algebra -------------------------------------------------
-
-def circle_product_element(h: HopfAlgebraData, b: LinearOp,
-                           x: Element, y: Element) -> Element:
-    """g ∘_B h = g_(1) B(g_(2)) h S(B(g_(3))) extended bilinearly."""
-    terms = []
-    for i, ci in x.coeffs.items():
-        for c, (g1, g2, g3) in h.sweedler(i, 3):
-            terms.append((h.field.mul(ci, c),
-                          h.product_many([h.basis(g1), b.columns[g2], y,
-                                          h.antipode(b.columns[g3])])))
-    return accumulate(h.space, terms)
-
 
 def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
     """g ∘_B x = g_(1) B(g_(2)) x S(B(g_(3))).  Coassociativity splits the
@@ -161,7 +162,7 @@ def descend(b: RotaBaxterOp) -> DescendentHopf:
     algebra-and-coalgebra morphism H(B) -> H."""
     b.require_validated()
     h = b.carrier
-    circle = HopfAlgebraData(h.space, _circle_mul(h, b.map), h.unit,
+    circle = HopfAlgebraData(h.space, b.circle, h.unit,
                              h.comul, h.counit, descendent_antipode(h, b.map))
     report = verify_hopf(circle)
     if not report.passed:
@@ -218,7 +219,7 @@ def check_central_image(b: RotaBaxterOp) -> bool:
     h = b.carrier
     if central_image_witness(h, b.map) is not None:
         return False
-    if _circle_mul(h, b.map) != h.mul:
+    if b.circle != h.mul:
         raise InternalTheoremViolation(
             "central image but the circle product differs from the original")
     return True

@@ -21,9 +21,13 @@ def field_to_json(field: Field):
 
 
 def field_from_json(data) -> Field:
+    """"rational", or a JSON integer p (not a bool) for F_p."""
     if data == "rational":
         return Field(0)
-    return Field(int(data))
+    if type(data) is not int:
+        raise ValueError('expected "rational" or an integer, got '
+                         + json.dumps(data))
+    return Field(data)
 
 
 def label_to_json(label):

@@ -1,7 +1,9 @@
 """Definition-file parsing, CLI commands, determinism, round trips."""
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from hopfkit import fixtures as fx
 from hopfkit.definitions import MAX_DECLARED_SIZE, parse_text
 from hopfkit.errors import (DefinitionSyntaxError, DimensionMismatch,
                             UnknownReference)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 F2_BINV = json.dumps({
     "version": 1,
@@ -140,6 +144,17 @@ def test_permutation_labels_unchanged_up_to_degree_ten():
         {"kind": "group", "name": "G", "group": {"permutations": [
             [1, 0, 2, 3, 4, 5, 6, 7, 8, 9]]}}]})
     assert parse_text(doc)["G"].obj.labels == ("0123456789", "1023456789")
+
+
+@pytest.mark.parametrize("spec", ["1e400", "7.5", "true", "[7]"])
+def test_bad_document_field_exits_two(tmp_path, spec, capsys):
+    path = tmp_path / "field.json"
+    path.write_text(F2_BINV.replace('"rational"', spec))
+    assert cli.main(["verify", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: bad field spec: ")
+    assert out.err.endswith(f"got {json.dumps(json.loads(spec))} at field\n")
 
 
 def test_parse_prime_field_override():
@@ -278,6 +293,25 @@ def test_check_conditions_on_b_inv(f2_file, condition, capsys):
         assert code == 1 and "FAIL" in out
     else:
         assert code == 0 and "PASS" in out
+
+
+DERIVE_DIGESTS = json.loads(
+    (ROOT / "tests" / "golden" / "derive_digests.json").read_text())
+
+
+@pytest.mark.parametrize("field", sorted(DERIVE_DIGESTS))
+@pytest.mark.parametrize("job", sorted(DERIVE_DIGESTS["rational"]))
+def test_derive_bytes_match_golden_digest(job, field, tmp_path):
+    # the derive runs of the CI step "Derive from the shipped fixtures"; each
+    # derived document must verify as well
+    what, fixture = job.split()
+    out = tmp_path / "derived.json"
+    flag = [] if field == "rational" else ["--field", field]
+    assert cli.main(["derive", what, str(ROOT / "docs" / "fixtures" / fixture),
+                     *flag, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        DERIVE_DIGESTS[field][job]
+    assert cli.main(["verify", str(out), "--out", str(tmp_path / "r")]) == 0
 
 
 def test_derive_ybe_digest_stable(f2_file, tmp_path):
@@ -430,7 +464,7 @@ def test_field_flag_switches_to_prime_field(f2_file, capsys):
     assert "field: 7" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("bad", ["6", "abc", str(2 ** 64 + 13)])
+@pytest.mark.parametrize("bad", ["6", "abc", str(2 ** 64 + 13), "7.5", "+7"])
 def test_bad_field_flag_exits_two(f2_file, bad, capsys):
     assert cli.main(["verify", f2_file, "--field", bad]) == 2
     assert capsys.readouterr().err.startswith("error: bad --field: ")

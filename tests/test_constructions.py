@@ -15,7 +15,7 @@ from hopfkit.hopf import ModuleAction, apply2, transport_hopf
 from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
                             accumulate, invert, kron, tensor_elem,
                             tensor_index, tensor_space, tensor_split)
-from hopfkit.rb import RotaBaxterOp, circle_product_element
+from hopfkit.rb import RotaBaxterOp
 from hopfkit.report import Witness
 
 from conftest import DENSE_Z2, Built, edited
@@ -223,6 +223,19 @@ def reference_middle_witness(f, c):
                 return Witness((g.label(mi), g.label(f.l_idx[li])),
                                str(lhs), str(rhs))
     return None
+
+
+def circle_product_element(h, b, x, y):
+    """The paper's x ∘_B y = x_(1) B(x_(2)) y S(B(x_(3))), extended
+    bilinearly, one three-leg Sweedler sum per call: the reference oracle
+    for the table ``RotaBaxterOp.circle``."""
+    terms = []
+    for i, ci in x.coeffs.items():
+        for c, (g1, g2, g3) in h.sweedler(i, 3):
+            terms.append((h.field.mul(ci, c),
+                          h.product_many([h.basis(g1), b.columns[g2], y,
+                                          h.antipode(b.columns[g3])])))
+    return accumulate(h.space, terms)
 
 
 def reference_factorization_descendent_iso(f, b, c):

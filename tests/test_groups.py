@@ -196,6 +196,29 @@ def test_direct_and_semidirect_products(s3):
     assert sd.order == 6 and not sd.is_abelian()
 
 
+def reference_direct_product(g, h):
+    """The direct product written out: (a1, b1)(a2, b2) = (a1 a2, b1 b2),
+    pairs indexed row-major."""
+    nh = h.order
+    n = g.order * nh
+    table = tuple(tuple(g.mul(x // nh, y // nh) * nh + h.mul(x % nh, y % nh)
+                        for y in range(n)) for x in range(n))
+    labels = tuple(f"({g.labels[a]},{h.labels[b]})"
+                   for a in range(g.order) for b in range(nh))
+    return gr.FiniteGroup(table, labels, f"{g.name}x{h.name}")
+
+
+@pytest.mark.parametrize("pair", [
+    (gr.cyclic(2), gr.cyclic(2)), (gr.cyclic(4), gr.cyclic(4)),
+    (gr.dihedral(3), gr.cyclic(2)), (gr.quaternion_group(), gr.symmetric(3)),
+    (gr.cyclic(16), gr.cyclic(17)), (gr.trivial_group(), gr.cyclic(3))],
+    ids=lambda p: f"{p[0].name}x{p[1].name}")
+def test_direct_product_matches_reference(pair):
+    got, want = gr.direct_product(*pair), reference_direct_product(*pair)
+    assert got == want      # table, labels, name, identity and inverse
+    assert (got.byte_rows, got.byte_cols) == (want.byte_rows, want.byte_cols)
+
+
 def test_bad_table_rejected():
     with pytest.raises(DimensionMismatch):
         gr.FiniteGroup(((0, 1), (0, 1)), ("e", "g"))  # not a Latin square

@@ -45,7 +45,9 @@ def constants(obj):
     if isinstance(obj, ModuleAction):
         return constants(obj.act)
     if isinstance(obj, hk.RotaBaxterOp):
-        return {"carrier": constants(obj.carrier), "B": constants(obj.map)}
+        # the circle table is shared: descend(b).hopf.mul is b.circle
+        return {"carrier": constants(obj.carrier), "B": constants(obj.map),
+                "circle": constants(obj.circle)}
     if isinstance(obj, hk.HopfBrace):
         return {"dot": constants(obj.dot), "circle": constants(obj.circle)}
     return None

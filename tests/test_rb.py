@@ -17,6 +17,7 @@ from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
 from hopfkit.report import AxiomReport, Witness
 
 from conftest import edited
+from test_constructions import circle_product_element
 
 
 def corpus_order_le_6():
@@ -452,3 +453,69 @@ def test_rb_action_map_is_adjoint_after_b_on_s3(field):
         b = hk.verify_rb(h, gr.lift_map(h, op.table))
         after_b = adjoint_map(h).compose(kron(b.map, LinearOp.identity(h.space)))
         assert rb_mod.rb_action_map(b) == after_b == reference_action_map(b)
+
+
+# -- the circle table, built once per operator ---------------------------------------
+
+def paper_circle_columns(b):
+    """Every basis pair through the paper's formula for ∘_B."""
+    h = b.carrier
+    return [circle_product_element(h, b.map, h.basis(x), h.basis(y))
+            for x in range(h.dim) for y in range(h.dim)]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+@pytest.mark.parametrize("carrier", [fx.f1, fx.f2], ids=["F1", "F2"])
+@pytest.mark.parametrize("make", [fx.b_inv, fx.b_eps], ids=["inv", "eps"])
+def test_circle_table_equals_paper_formula(carrier, make, field):
+    b = make(carrier(field))
+    assert list(b.circle.columns) == paper_circle_columns(b)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+@pytest.mark.parametrize("name", ["dense-Z2-inv", "dense-Z2-eps",
+                                  "mixed-S3-inv", "mixed-S3-eps"])
+def test_circle_table_equals_paper_formula_on_kernel_ops(kernel_op, name,
+                                                         field):
+    b = kernel_op(name, field)
+    assert list(b.circle.columns) == paper_circle_columns(b)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+def test_circle_table_equals_paper_formula_on_embedding_ambient(field):
+    rb = hk.embed_into_rb(hk.brace_from_rb(fx.b_inv(fx.f2(field)))).rb
+    assert rb.carrier.dim == 36
+    assert list(rb.circle.columns) == paper_circle_columns(rb)
+
+
+def test_circle_is_not_a_field(f2):
+    b = hk.verify_rb(f2, f2.antipode)
+    built = rb_mod.RotaBaxterOp(f2, f2.antipode, True)
+    assert "circle" not in repr(b)
+    assert b == built and repr(b) == repr(built)
+    assert "circle" not in vars(built)
+    assert built.circle == b.circle
+    assert built.circle is built.circle
+
+
+@pytest.mark.parametrize("carrier, make", [(fx.f1, fx.b_inv), (fx.f2, fx.b_inv),
+                                           (fx.f2, fx.b_eps)],
+                         ids=["F1-inv", "F2-inv", "F2-eps"])
+def test_one_circle_table_per_operator(monkeypatch, carrier, make):
+    built = []
+    circle_mul = rb_mod._circle_mul
+
+    def counting(h, m):
+        built.append((h, m))
+        return circle_mul(h, m)
+    monkeypatch.setattr(rb_mod, "_circle_mul", counting)
+    h = carrier()
+    b = make(h)
+    d = hk.descend(b)
+    hk.check_central_image(b)
+    # H(B) multiplies through B's own table; verify_rb on H(B) builds the
+    # table of B as an operator on H(B), the only other one
+    assert d.hopf.mul is b.circle
+    assert [(c is h, m is b.map) for c, m in built] == [(True, True),
+                                                        (False, True)]
+    assert built[1][0] is d.hopf
