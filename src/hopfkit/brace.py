@@ -17,9 +17,9 @@ from .errors import (CompatibilityFails, ConstructionInvalid,
 from .hopf import (HopfAlgebraData, ModuleAction, _multiplicative_witness,
                    adjoint_map, apply2, check_cocommutative,
                    check_module_bialgebra, convolution, convolution_inverse,
-                   first_witness, opposite_hopf, require_cocommutative,
-                   sub_hopf_indices, tensor_coalgebra, twisted_product,
-                   verify_hopf)
+                   first_witness, leg_table, opposite_hopf,
+                   require_cocommutative, sub_hopf_indices, tensor_coalgebra,
+                   twisted_product, verify_hopf)
 from .linalg import (BasedSpace, Element, LinearOp, accumulate, invert,
                      rank, tensor_elem, tensor_index, tensor_space,
                      tensor_split)
@@ -70,13 +70,15 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
     dim = dot.dim
     s = dot.antipode
     left = [[accumulate(dot.space, (
-                (w, dot.product(circle.mul_basis(x1, b), s.columns[x2]))
-                for w, (x1, x2) in dot.sweedler(x, 2)))
-             for b in range(dim)] for x in range(dim)]
+                (w, dot.product(circle.mul_basis(p // dim, b),
+                                s.columns[p % dim]))
+                for p, w in col.coeffs.items()))
+             for b in range(dim)] for col in dot.comul.columns]
     one = dot.field.one
     for a in range(dim):
         legs: dict = {}
-        for w, (x, y) in dot.sweedler(a, 2):
+        for p, w in dot.comul.columns[a].coeffs.items():
+            x, y = divmod(p, dim)
             legs.setdefault(x, []).append((w, y))
         right = [[(x, accumulate(dot.space, ((w, circle.mul_basis(y, c))
                                              for w, y in terms)))
@@ -210,15 +212,16 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
     mul_cols = []
     for p in range(g2.dim):
         x, y = tensor_split(p, dim)
-        legs = dot.sweedler(x, 2)
+        legs = dot.comul.columns[x].coeffs.items()
         for q in range(g2.dim):
             z, tt = tensor_split(q, dim)
             mul_cols.append(accumulate(g2, (
-                (w, tensor_elem(g2, circle.mul_basis(x1, z),
+                (w, tensor_elem(g2, circle.mul_basis(r // dim, z),
                                 dot.product(dot.basis(y),
-                                            act.columns[tensor_index(x2, tt, dim)])))
-                for w, (x1, x2) in legs)))
+                                            act.columns[r % dim * dim + tt])))
+                for r, w in legs)))
 
+    legs3 = leg_table(dot, 3)
     anti_cols = []
     for p in range(g2.dim):
         x, y = tensor_split(p, dim)
@@ -227,7 +230,7 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
             (w, tensor_elem(g2, t.columns[x1],
                             apply2(circle.mul, t.columns[x2],
                                    dot.product(dot.basis(x3), sy))))
-            for w, (x1, x2, x3) in dot.sweedler(x, 3))))
+            for w, (x1, x2, x3) in legs3[x])))
 
     comul, counit = tensor_coalgebra(dot, dot)
     ambient = HopfAlgebraData(g2, LinearOp(comul.codomain, g2, mul_cols),
@@ -313,15 +316,17 @@ def symmetric_sufficient_witness(br: HopfBrace) -> Witness | None:
     act = derived_action_map(br)
     dim = dot.dim
     t = circle.antipode
+    legs3 = leg_table(dot, 3)
 
     def sides(a, b, c):
-        legs_b = dot.sweedler(b, 2)
+        legs_b = [(w, divmod(p, dim))
+                  for p, w in dot.comul.columns[b].coeffs.items()]
         lhs = accumulate(dot.space, (
             (w, dot.product_many([dot.basis(a), dot.basis(b1),
                                   act.columns[tensor_index(b2, c, dim)]]))
             for w, (b1, b2) in legs_b))
         terms = []
-        for wa, (a1, a2, a3) in dot.sweedler(a, 3):
+        for wa, (a1, a2, a3) in legs3[a]:
             inner = apply2(act, t.columns[a3], dot.basis(c))
             for wb, (b1, b2) in legs_b:
                 outer = apply2(act, dot.mul_basis(a2, b2), inner)
@@ -350,10 +355,10 @@ def rb_symmetric_sufficient_witness(h: HopfAlgebraData,
     bm = [b(col) for col in h.mul.columns]
     bt = [b(col) for col in t.columns]
     actors: dict = {}      # (a2 b2, a3) -> B(a2 b2) B(T(a3))
-    for a in range(dim):
-        legs_a = h.sweedler(a, 3)
+    for a, legs_a in enumerate(leg_table(h, 3)):
         for bb in range(dim):
-            legs_b = h.sweedler(bb, 2)
+            legs_b = [(w, divmod(p, dim))
+                      for p, w in h.comul.columns[bb].coeffs.items()]
             # ▷ is linear in the actor: sum the actors of each outer
             # factor a b_(1) (lhs) and a_(1) b_(1) (rhs) before acting
             lhs_terms: dict = {}

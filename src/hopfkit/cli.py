@@ -24,7 +24,8 @@ from . import groups as gr
 from . import matched as matched_mod
 from . import posthopf as posthopf_mod
 from . import rb as rb_mod
-from .definitions import Declaration, DefinitionFile, parse_file
+from .definitions import (MAX_DERIVE_DIM, Declaration, DefinitionFile,
+                          parse_file)
 from .errors import (DefinitionError, DefinitionSyntaxError, DimensionMismatch,
                      FieldMismatch, HopfkitError, VerificationFailed)
 from .hopf import (check_cocommutative, coalgebra_morphism_witness,
@@ -39,6 +40,9 @@ CHECK_CONDITIONS = ("op-module", "symmetric", "prop44", "prop48", "prop49",
                     "central-image", "lemma218")
 DERIVE_TARGETS = ("circle", "tilde", "conjugate", "posthopf", "matched-pair",
                   "ybe", "embed", "smash", "cocycle-rb")
+# Targets building tables on H ⊗ H or a tensor ambient, capped in dimension.
+TENSOR_TARGETS = ("posthopf", "matched-pair", "ybe", "embed", "smash",
+                  "cocycle-rb")
 
 
 # -- building constructions from declarations -------------------------------------
@@ -214,112 +218,114 @@ def render_report_json(report: dict) -> str:
 
 # -- derive -------------------------------------------------------------------------
 
-def resolve_rb(defs: DefinitionFile, name: str | None) -> tuple[str, RotaBaxterOp]:
+def source_decl(defs: DefinitionFile, kind: str,
+                name: str | None) -> Declaration:
+    """The declaration of ``kind`` called ``name`` (the first one when None)
+    that a command reads, not yet built.  A brace may also come from a
+    Rota-Baxter operator, and an operator from a map on a carrier (when
+    unnamed, the first map flagged rota_baxter)."""
+    decl = defs[name] if name is not None else defs.first(kind)
+    if decl is not None and decl.kind == kind:
+        return decl
+    if kind == "brace":
+        return source_decl(defs, "rb", name)
+    if kind != "rb":
+        raise DefinitionError(f"no {kind} declaration found")
     if name is not None:
-        decl = defs[name]
-        if decl.kind == "rb":
-            return name, build_rb(defs, decl)
         if decl.kind == "map" and decl.on is not None:
-            return name, rb_from_map_decl(defs, decl)
+            return decl
         raise DefinitionError(f"'{name}' is not a Rota-Baxter declaration")
-    decl = defs.first("rb")
-    if decl is not None:
-        return decl.name, build_rb(defs, decl)
     for decl in defs.declarations:
         if decl.kind == "map" and decl.rota_baxter:
-            return decl.name, rb_from_map_decl(defs, decl)
+            return decl
     raise DefinitionError("no Rota-Baxter declaration found "
                           "(declare kind 'rb' or flag a map rota_baxter)")
 
 
-def resolve_brace(defs: DefinitionFile, name: str | None):
-    if name is not None:
-        decl = defs[name]
-        if decl.kind == "brace":
-            return name, build_brace(defs, decl)
-        _, rbop = resolve_rb(defs, name)
-        return name, brace_mod.brace_from_rb(rbop)
-    decl = defs.first("brace")
-    if decl is not None:
-        return decl.name, build_brace(defs, decl)
-    src, rbop = resolve_rb(defs, None)
-    return src, brace_mod.brace_from_rb(rbop)
+def rb_from_decl(defs: DefinitionFile, decl: Declaration) -> RotaBaxterOp:
+    return (build_rb if decl.kind == "rb" else rb_from_map_decl)(defs, decl)
+
+
+def brace_from_decl(defs: DefinitionFile, decl: Declaration):
+    if decl.kind == "brace":
+        return build_brace(defs, decl)
+    return brace_mod.brace_from_rb(rb_from_decl(defs, decl))
+
+
+def carrier_dim(defs: DefinitionFile, decl: Declaration) -> int:
+    """The dimension of the carrier a source declaration lives on, read
+    from the parsed declarations; dim_H·dim_K for a smash product."""
+    refs = decl.refs
+    if decl.kind == "map":
+        return defs[decl.on].obj.dim
+    if decl.kind == "smash":
+        return refs["left"].obj.dim * refs["right"].obj.dim
+    if "rb" in refs:
+        return carrier_dim(defs, refs["rb"])
+    return next(refs[key].obj.dim for key in ("hopf", "flip", "dot", "target")
+                if key in refs)
+
+
+def rb_decls(carrier: str, h, name: str, b: LinearOp) -> list[dict]:
+    """A carrier and a map on it flagged rota_baxter, as declarations."""
+    entry = map_to_decl(name, b, on=carrier)
+    entry["rota_baxter"] = True
+    return [hopf_to_decl(carrier, h), entry]
 
 
 def run_derive(defs: DefinitionFile, what: str, name: str | None,
                using: str | None) -> dict:
-    decls: list[dict] = []
+    if what not in DERIVE_TARGETS:
+        raise DefinitionError(f"unknown derive target '{what}'")
+    if what == "conjugate" and using is None:
+        raise DefinitionError("derive conjugate needs --using <automorphism>")
+    kinds = {"embed": "brace", "smash": "smash", "cocycle-rb": "cocycle"}
+    decl = source_decl(defs, kinds.get(what, "rb"), name)
+    if what in TENSOR_TARGETS:
+        dim = carrier_dim(defs, decl)
+        if dim > MAX_DERIVE_DIM:
+            raise DefinitionError(f"derive {what}: carrier dimension {dim} "
+                                  f"exceeds the limit of {MAX_DERIVE_DIM}")
+    src = decl.name
+    if what not in kinds:           # the target reads a Rota-Baxter operator
+        rbop = rb_from_decl(defs, decl)
     if what == "circle":
-        src, rbop = resolve_rb(defs, name)
-        d = rb_mod.descend(rbop)
-        decls.append(hopf_to_decl(f"{src}_circle", d.hopf))
+        decls = [hopf_to_decl(f"{src}_circle", rb_mod.descend(rbop).hopf)]
     elif what == "tilde":
-        src, rbop = resolve_rb(defs, name)
-        tilde = rb_mod.rb_tilde(rbop)
-        carrier = f"{src}_carrier"
-        decls.append(hopf_to_decl(carrier, rbop.carrier))
-        entry = map_to_decl(f"{src}_tilde", tilde.map, on=carrier)
-        entry["rota_baxter"] = True
-        decls.append(entry)
+        decls = rb_decls(f"{src}_carrier", rbop.carrier, f"{src}_tilde",
+                         rb_mod.rb_tilde(rbop).map)
     elif what == "conjugate":
-        if using is None:
-            raise DefinitionError("derive conjugate needs --using <automorphism>")
-        src, rbop = resolve_rb(defs, name)
         phi = defs[using]
         if phi.kind != "map":
             raise DefinitionError(f"--using '{using}' must name a map")
-        conj = rb_mod.rb_conjugate(rbop, phi.obj)
-        carrier = f"{src}_carrier"
-        decls.append(hopf_to_decl(carrier, rbop.carrier))
-        entry = map_to_decl(f"{src}_conjugate", conj.map, on=carrier)
-        entry["rota_baxter"] = True
-        decls.append(entry)
+        decls = rb_decls(f"{src}_carrier", rbop.carrier, f"{src}_conjugate",
+                         rb_mod.rb_conjugate(rbop, phi.obj).map)
     elif what == "posthopf":
-        src, rbop = resolve_rb(defs, name)
         p = posthopf_mod.posthopf_from_rb(rbop)
-        decls.append(hopf_to_decl(f"{src}_carrier", p.carrier))
-        decls.append(map_to_decl(f"{src}_tri", p.tri))
-        decls.append(map_to_decl(f"{src}_beta", p.beta))
+        decls = [hopf_to_decl(f"{src}_carrier", p.carrier),
+                 map_to_decl(f"{src}_tri", p.tri),
+                 map_to_decl(f"{src}_beta", p.beta)]
     elif what == "matched-pair":
-        src, rbop = resolve_rb(defs, name)
         m = matched_mod.matched_pair_from_rb(rbop)
-        decls.append(hopf_to_decl(f"{src}_circle", m.left))
-        decls.append(map_to_decl(f"{src}_lact", m.lact))
-        decls.append(map_to_decl(f"{src}_ract", m.ract))
+        decls = [hopf_to_decl(f"{src}_circle", m.left),
+                 map_to_decl(f"{src}_lact", m.lact),
+                 map_to_decl(f"{src}_ract", m.ract)]
     elif what == "ybe":
-        src, rbop = resolve_rb(defs, name)
         y = matched_mod.ybe_from_rb(rbop)
-        decls.append(map_to_decl(f"{src}_ybe_c", y.c))
-        decls.append(map_to_decl(f"{src}_ybe_c_inverse", y.c_inverse))
+        decls = [map_to_decl(f"{src}_ybe_c", y.c),
+                 map_to_decl(f"{src}_ybe_c_inverse", y.c_inverse)]
     elif what == "embed":
-        src, br = resolve_brace(defs, name)
-        emb = brace_mod.embed_into_rb(br)
-        ambient = f"{src}_ambient"
-        decls.append(hopf_to_decl(ambient, emb.ambient))
-        entry = map_to_decl(f"{src}_rb", emb.rb.map, on=ambient)
-        entry["rota_baxter"] = True
-        decls.append(entry)
-        decls.append(map_to_decl(f"{src}_psi", emb.psi))
+        emb = brace_mod.embed_into_rb(brace_from_decl(defs, decl))
+        decls = rb_decls(f"{src}_ambient", emb.ambient, f"{src}_rb",
+                         emb.rb.map) + [map_to_decl(f"{src}_psi", emb.psi)]
     elif what == "smash":
-        decl = defs[name] if name is not None else defs.first("smash")
-        if decl is None or decl.kind != "smash":
-            raise DefinitionError("no smash declaration found")
         sp = build_smash(defs, decl)
-        decls.append(hopf_to_decl(f"{decl.name}_smash", sp.product))
-        decls.append(hopf_to_decl(f"{decl.name}_tensor", sp.tensor))
-    elif what == "cocycle-rb":
-        decl = defs[name] if name is not None else defs.first("cocycle")
-        if decl is None or decl.kind != "cocycle":
-            raise DefinitionError("no cocycle declaration found")
-        coc = build_cocycle(defs, decl)
-        built = cocycle_mod.rb_hopf_from_cocycle(coc)
-        ambient = f"{decl.name}_ambient"
-        decls.append(hopf_to_decl(ambient, built.ambient))
-        entry = map_to_decl(f"{decl.name}_rb", built.rb.map, on=ambient)
-        entry["rota_baxter"] = True
-        decls.append(entry)
+        decls = [hopf_to_decl(f"{src}_smash", sp.product),
+                 hopf_to_decl(f"{src}_tensor", sp.tensor)]
     else:
-        raise DefinitionError(f"unknown derive target '{what}'")
+        built = cocycle_mod.rb_hopf_from_cocycle(build_cocycle(defs, decl))
+        decls = rb_decls(f"{src}_ambient", built.ambient, f"{src}_rb",
+                         built.rb.map)
     return document(defs.field, decls)
 
 
@@ -345,7 +351,7 @@ def resolve_hopf_and_map(defs: DefinitionFile, name: str | None):
 
 def run_check(defs: DefinitionFile, condition: str, name: str | None):
     if condition in ("op-module", "symmetric", "prop44"):
-        _, br = resolve_brace(defs, name)
+        br = brace_from_decl(defs, source_decl(defs, "brace", name))
         fn = {"op-module": brace_mod.op_module_witness,
               "symmetric": brace_mod.symmetric_witness,
               "prop44": brace_mod.symmetric_sufficient_witness}[condition]

@@ -168,10 +168,10 @@ def smash_product(h: HopfAlgebraData, k: HopfAlgebraData,
         i, j = tensor_split(p, dim_k)
         anti_cols.append(accumulate(space, (
             (w, tensor_elem(space,
-                            apply2(action.act, k.antipode.columns[j1],
+                            apply2(action.act, k.antipode.columns[q // dim_k],
                                    h.antipode.columns[i]),
-                            k.antipode.columns[j2]))
-            for w, (j1, j2) in k.sweedler(j, 2))))
+                            k.antipode.columns[q % dim_k]))
+            for q, w in k.comul.columns[j].coeffs.items())))
     smash = HopfAlgebraData(space, _smash_mul(h, k, action.act, k.mul),
                             plain.unit, plain.comul, plain.counit,
                             LinearOp(space, space, anti_cols))
@@ -192,14 +192,15 @@ def _smash_mul(h: HopfAlgebraData, k: HopfAlgebraData, act: LinearOp,
     cols = []
     for p in range(space.dim):
         i, j = tensor_split(p, dim_k)
-        legs = k.sweedler(j, 2)
+        legs = k.comul.columns[j].coeffs.items()
         for q in range(space.dim):
             a, bb = tensor_split(q, dim_k)
             cols.append(accumulate(space, (
                 (w, tensor_elem(space,
-                                h.product(h.basis(i), act.columns[j1 * dim_h + a]),
-                                k_mul.columns[j2 * dim_k + bb]))
-                for w, (j1, j2) in legs)))
+                                h.product(h.basis(i),
+                                          act.columns[r // dim_k * dim_h + a]),
+                                k_mul.columns[r % dim_k * dim_k + bb]))
+                for r, w in legs)))
     return LinearOp(tensor_space(space, space), space, cols)
 
 

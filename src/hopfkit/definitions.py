@@ -33,6 +33,10 @@ KINDS = ("group", "hopf", "map", "action", "rb", "brace", "smash",
 # permutation generators, which every closure step copies; no group is
 # lost, since a group of order n acts faithfully on n points.
 MAX_DECLARED_SIZE = 256
+# Largest carrier dimension (dim_H·dim_K for 'smash') of the derive targets
+# that build tables on H ⊗ H or a tensor ambient: the product table of the
+# 'embed' ambient has n^4 columns, 973 MB and 215 s at n = 32.
+MAX_DERIVE_DIM = 32
 
 
 @dataclass

@@ -17,16 +17,17 @@ x ⊗ y ↦ Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)).  The
 (modulo p over F_p); only the first failing tuple is evaluated as
 elements, to render its witness.
 
-Sweedler conventions: ``sweedler(i, n)`` expands the (n-1)-fold iterated
-comultiplication of the i-th basis vector as a list of (coefficient,
-index-tuple) terms, with iterates applied to the leftmost leg, i.e.
+Sweedler conventions: the coproduct is stored once, as the columns of
+``h.comul``.  A two-leg sum reads column x and splits each flat index p
+into the legs ``divmod(p, dim)``; longer sums take a per-call
+:func:`leg_table`, whose iterates split the leftmost leg, i.e.
 Δ²(x) = (Δ ⊗ id)Δ(x) = x_(1) ⊗ x_(2) ⊗ x_(3).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (ConstructionInvalid, DimensionMismatch,
@@ -90,7 +91,6 @@ class HopfAlgebraData:
     counit: LinearOp       # H -> k
     antipode: LinearOp     # H -> H
     validated: bool = False
-    _sweedler: dict = dc_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         hh = tensor_space(self.space, self.space)
@@ -143,50 +143,6 @@ class HopfAlgebraData:
             total = field.add(total, field.mul(c, self._eps[i]))
         return total
 
-    def sweedler(self, i: int, legs: int) -> list:
-        """Terms (coefficient, index tuple) of the iterated coproduct of
-        basis vector i with the given number of legs."""
-        cache = self._sweedler.setdefault(legs, {})
-        if i in cache:
-            return cache[i]
-        if legs == 1:
-            terms = [(self.field.one, (i,))]
-        else:
-            field = self.field
-            collected: dict = {}
-            for coeff, idxs in self.sweedler(i, legs - 1):
-                for pair_idx, c2 in self.comul.columns[idxs[0]].coeffs.items():
-                    a, b = tensor_split(pair_idx, self.dim)
-                    key = (a, b) + idxs[1:]
-                    v = field.add(collected.get(key, field.zero),
-                                  field.mul(coeff, c2))
-                    if v == 0:
-                        collected.pop(key, None)
-                    else:
-                        collected[key] = v
-            terms = [(c, k) for k, c in sorted(collected.items())]
-        cache[i] = terms
-        return terms
-
-    def tensor_square_product(self, u: Element, v: Element) -> Element:
-        """Componentwise product on H ⊗ H: (a⊗b)(c⊗d) = ac ⊗ bd, summed by
-        ``accumulate`` as the terms ``coeff * e_i ⊗ bd`` over e_i in ac."""
-        dim = self.dim
-        hh = self.hh
-
-        def terms():
-            for pu, cu in u.coeffs.items():
-                a, b = tensor_split(pu, dim)
-                for pv, cv in v.coeffs.items():
-                    c, d = tensor_split(pv, dim)
-                    w = cu * cv
-                    right = self.mul_basis(b, d).coeffs.items()
-                    for i, ci in self.mul_basis(a, c).coeffs.items():
-                        base = i * dim
-                        yield w * ci, Element(hh, {base + j: cj for j, cj in right},
-                                              _canonical=True)
-        return accumulate(hh, terms())
-
     def require_validated(self):
         if not self.validated:
             raise UnvalidatedInput("carrier was never stamped by verify_hopf")
@@ -197,6 +153,27 @@ class HopfAlgebraData:
                 and self.unit == other.unit and self.comul == other.comul
                 and self.counit == other.counit
                 and self.antipode == other.antipode)
+
+
+def leg_table(h: HopfAlgebraData, legs: int) -> list[list]:
+    """Entry i: the terms (coefficient, index tuple) of the iterated
+    coproduct of e_i with ``legs`` legs, collected and sorted by index
+    tuple.  Each pass splits the first leg through the Δ columns.  Callers
+    build the table once per call and drop it."""
+    dim, field = h.dim, h.field
+    table = [[(field.one, (i,))] for i in range(dim)]
+    for _ in range(legs - 1):
+        nxt = []
+        for terms in table:
+            collected: dict = {}
+            for coeff, idxs in terms:
+                for p, c in h.comul.columns[idxs[0]].coeffs.items():
+                    key = divmod(p, dim) + idxs[1:]
+                    collected[key] = field.add(collected.get(key, field.zero),
+                                               field.mul(coeff, c))
+            nxt.append([(c, k) for k, c in sorted(collected.items()) if c != 0])
+        table = nxt
+    return table
 
 
 def first_witness(spaces, sides) -> Witness | None:
@@ -383,9 +360,15 @@ def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
                                 key = base + y
                                 diff[key] = diff.get(key, 0) - wx * cy
                 if _nonzero(diff, p):
+                    # Δ(e_i)Δ(e_j) = Σ ac ⊗ bd over the legs a⊗b, c⊗d
+                    u = h.comul.columns[i].coeffs.items()
+                    v = h.comul.columns[j].coeffs.items()
                     w = _witness(h, (i, j), h.comul(h.mul_basis(i, j)),
-                                 h.tensor_square_product(h.comul.columns[i],
-                                                         h.comul.columns[j]))
+                                 accumulate(h.hh, (
+                                     (cu * cv, tensor_elem(
+                                         h.hh, h.mul_basis(pu // dim, pv // dim),
+                                         h.mul_basis(pu % dim, pv % dim)))
+                                     for pu, cu in u for pv, cv in v)))
                     break
                 eps_diff = (sum(c * eps[k] for k, c in prod) * de
                             - eps[i] * eps[j] * dm)
@@ -417,17 +400,11 @@ def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
                 for y, m in mul[a * dim + x]:
                     right[y] = right.get(y, 0) + cx * m
         if _nonzero(left, p) or _nonzero(right, p):
-            terms = [(c, *tensor_split(q, dim))
-                     for q, c in h.comul.columns[i].coeffs.items()]
-            if _nonzero(left, p):
-                side = accumulate(h.space, (
-                    (c, h.product(h.antipode(h.basis(a)), h.basis(b)))
-                    for c, a, b in terms))
-            else:
-                side = accumulate(h.space, (
-                    (c, h.product(h.basis(a), h.antipode(h.basis(b))))
-                    for c, a, b in terms))
-            w = _witness(h, (i,), side, h.unit.scale(h._eps[i]))
+            ident = LinearOp.identity(h.space)
+            f, g = ((h.antipode, ident) if _nonzero(left, p)
+                    else (ident, h.antipode))
+            w = _witness(h, (i,), convolution(h.comul, f, g, h.mul).columns[i],
+                         h.unit.scale(h._eps[i]))
             break
     report.add("antipode", w)
 
@@ -695,14 +672,15 @@ def _measuring_witness(k: HopfAlgebraData, h: HopfAlgebraData,
                        act: LinearOp) -> Witness | None:
     """First basis triple (a, i, j) with a ⇀ (e_i e_j) differing from
     (a_(1) ⇀ e_i)(a_(2) ⇀ e_j), for act: K ⊗ H -> H."""
-    dim = h.dim
+    dim, dim_k = h.dim, k.dim
     cols = act.columns
 
     def sides(a, i, j):
         return (apply2(act, k.basis(a), h.mul_basis(i, j)),
                 accumulate(h.space, (
-                    (c, h.product(cols[x1 * dim + i], cols[x2 * dim + j]))
-                    for c, (x1, x2) in k.sweedler(a, 2))))
+                    (c, h.product(cols[p // dim_k * dim + i],
+                                  cols[p % dim_k * dim + j]))
+                    for p, c in k.comul.columns[a].coeffs.items())))
     return first_witness((k.space, h.space, h.space), sides)
 
 
@@ -811,12 +789,12 @@ def adjoint_map(h: HopfAlgebraData) -> LinearOp:
     """g ⊳ x = g_(1) x S(g_(2)) as a map H ⊗ H -> H, without the module
     checks; evaluate it on elements with :func:`apply2`."""
     cols = []
-    for a in range(h.dim):
-        legs = h.sweedler(a, 2)
+    for col in h.comul.columns:
+        legs = [(c, *divmod(p, h.dim)) for p, c in col.coeffs.items()]
         for i in range(h.dim):
             cols.append(accumulate(h.space, (
                 (c, h.product(h.mul_basis(g1, i), h.antipode.columns[g2]))
-                for c, (g1, g2) in legs)))
+                for c, g1, g2 in legs)))
     return LinearOp(h.hh, h.space, cols)
 
 
@@ -921,11 +899,11 @@ def convolution_inverse(source: HopfAlgebraData, f: LinearOp,
     rows: list[dict] = []
     for ci in range(dim_c):
         block = [dict() for _ in range(dim_a)]
-        for coeff, (c1, c2) in source.sweedler(ci, 2):
-            fixed = f.columns[c1]
+        for p, coeff in source.comul.columns[ci].coeffs.items():
+            fixed = f.columns[p // dim_c]
             for a in range(dim_a):
                 v = apply2(target_mul, fixed, target.basis(a))
-                u = c2 * dim_a + a
+                u = p % dim_c * dim_a + a
                 for r, cr in v.coeffs.items():
                     nv = field.add(block[r].get(u, field.zero),
                                    field.mul(coeff, cr))

@@ -20,8 +20,9 @@ from .brace import HopfBrace, verify_brace
 from .errors import (AxiomFails, ConstructionInvalid, DimensionMismatch,
                      HypothesisFails, InternalTheoremViolation, BraidFails)
 from .hopf import (HopfAlgebraData, _earliest, apply2, coalgebra_map_failures,
-                   convolution, first_witness, require_cocommutative,
-                   tensor_coalgebra, twisted_product, verify_hopf)
+                   convolution, first_witness, leg_table,
+                   require_cocommutative, tensor_coalgebra, twisted_product,
+                   verify_hopf)
 from .linalg import (Element, LinearOp, accumulate, invert, tensor_index,
                      tensor_space, tensor_split)
 from .rb import RotaBaxterOp, descend, rb_action_map
@@ -47,7 +48,7 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
         raise DimensionMismatch("left action must map K⊗H to H")
     if ract.domain != kh or ract.codomain != k.space:
         raise DimensionMismatch("right action must map K⊗H to K")
-    dim_h = h.dim
+    dim_h, dim_k = h.dim, k.dim
     source = tensor_coalgebra(k, h)
 
     def la(x: int, a: int) -> Element:
@@ -97,11 +98,12 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
     sweep("compatibility-right", (k.space, k.space, h.space),
           lambda x, y, a: (apply2(ract, k.mul_basis(x, y), h.basis(a)),
                            accumulate(k.space, (
-                               (cy * ca, k.product(apply2(ract, k.basis(x),
-                                                          la(y1, a1)),
-                                                   ra(y2, a2)))
-                               for cy, (y1, y2) in k.sweedler(y, 2)
-                               for ca, (a1, a2) in h.sweedler(a, 2)))))
+                               (cy * ca, k.product(
+                                   apply2(ract, k.basis(x),
+                                          la(py // dim_k, pa // dim_h)),
+                                   ra(py % dim_k, pa % dim_h)))
+                               for py, cy in k.comul.columns[y].coeffs.items()
+                               for pa, ca in h.comul.columns[a].coeffs.items()))))
     return MatchedPair(h, k, lact, ract)
 
 
@@ -129,13 +131,13 @@ def matched_pair_from_rb(b: RotaBaxterOp) -> MatchedPair:
     bl = [b.map(u) for u in lcols]
     lefts: dict = {}
     rights: dict = {}
+    legs4 = leg_table(h, 4)
     ract_cols = []
-    for x in range(dim):
-        legs_x = h.sweedler(x, 5)
+    for legs_x in leg_table(h, 5):
         for a in range(dim):
             terms = []
             for cx, (x1, x2, x3, x4, x5) in legs_x:
-                for ca, (a1, a2, a3, a4) in h.sweedler(a, 4):
+                for ca, (a1, a2, a3, a4) in legs4[a]:
                     k1, k2 = x1 * dim + a1, x2 * dim + a2
                     left = lefts.get((k1, k2))
                     if left is None:

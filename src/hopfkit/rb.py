@@ -107,14 +107,16 @@ def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
     y_(1) B(y_(2)), and its right factors S(B(z)) are summed first."""
     dim = h.dim
     one = h.field.one
-    left = [accumulate(h.space, ((c, h.product(h.basis(y1), b.columns[y2]))
-                                 for c, (y1, y2) in h.sweedler(y, 2)))
-            for y in range(dim)]
+    left = [accumulate(h.space, ((c, h.product(h.basis(p // dim),
+                                               b.columns[p % dim]))
+                                 for p, c in col.coeffs.items()))
+            for col in h.comul.columns]
     sb = [h.antipode(col) for col in b.columns]
     cols = []
-    for g in range(dim):
+    for col in h.comul.columns:
         groups: dict = {}
-        for c, (y, z) in h.sweedler(g, 2):
+        for p, c in col.coeffs.items():
+            y, z = divmod(p, dim)
             groups.setdefault(y, []).append((c, sb[z]))
         wings = [(left[y], accumulate(h.space, terms))
                  for y, terms in groups.items()]

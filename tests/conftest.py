@@ -8,7 +8,8 @@ import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit.hopf import transport_hopf
-from hopfkit.linalg import BasedSpace, Element, LinearOp, invert
+from hopfkit.linalg import (BasedSpace, Element, LinearOp, accumulate, invert,
+                            tensor_split)
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +40,56 @@ def phi_r_f2(f2):
 @pytest.fixture(scope="session")
 def s3():
     return gr.dihedral(3)
+
+
+# -- Sweedler oracles that read the coproduct columns, not the code under test --
+
+def sweedler(h, i, legs):
+    """Terms (coefficient, index tuple) of the iterated coproduct of basis
+    vector i with the given number of legs, iterates on the leftmost leg,
+    collected and sorted by index tuple."""
+    if legs == 1:
+        return [(h.field.one, (i,))]
+    field = h.field
+    collected: dict = {}
+    for coeff, idxs in sweedler(h, i, legs - 1):
+        for pair_idx, c2 in h.comul.columns[idxs[0]].coeffs.items():
+            a, b = tensor_split(pair_idx, h.dim)
+            key = (a, b) + idxs[1:]
+            v = field.add(collected.get(key, field.zero), field.mul(coeff, c2))
+            if v == 0:
+                collected.pop(key, None)
+            else:
+                collected[key] = v
+    return [(c, k) for k, c in sorted(collected.items())]
+
+
+def tensor_square(h, u, v):
+    """Componentwise product on H ⊗ H: (a⊗b)(c⊗d) = ac ⊗ bd."""
+    dim = h.dim
+    terms = []
+    for pu, cu in u.coeffs.items():
+        a, b = tensor_split(pu, dim)
+        for pv, cv in v.coeffs.items():
+            c, d = tensor_split(pv, dim)
+            right = h.mul_basis(b, d).coeffs.items()
+            for i, ci in h.mul_basis(a, c).coeffs.items():
+                terms.append((cu * cv * ci, Element(
+                    h.hh, {i * dim + j: cj for j, cj in right}, _canonical=True)))
+    return accumulate(h.hh, terms)
+
+
+def circle_product_element(h, b, x, y):
+    """The paper's x ∘_B y = x_(1) B(x_(2)) y S(B(x_(3))), extended
+    bilinearly, one three-leg Sweedler sum per call: the reference oracle
+    for the table ``RotaBaxterOp.circle``."""
+    terms = []
+    for i, ci in x.coeffs.items():
+        for c, (g1, g2, g3) in sweedler(h, i, 3):
+            terms.append((h.field.mul(ci, c),
+                          h.product_many([h.basis(g1), b.columns[g2], y,
+                                          h.antipode(b.columns[g3])])))
+    return accumulate(h.space, terms)
 
 
 # -- carriers without a group-like basis, for the Sweedler-kernel oracles --------

@@ -21,7 +21,7 @@ from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
 from hopfkit.rb import descendent_antipode
 from hopfkit.report import AxiomReport, Witness
 
-from conftest import Built, edited
+from conftest import Built, edited, sweedler
 
 ORACLE = settings(max_examples=10, deadline=None, database=None)
 
@@ -139,7 +139,7 @@ def test_derived_action_rb_brace_closed_form(f2, b_inv_f2):
             want = hk.hopf.accumulate(f2.space, (
                 (c, f2.product_many([b.columns[a1], f2.basis(y),
                                      f2.antipode(b.columns[a2])]))
-                for c, (a1, a2) in f2.sweedler(a, 2)))
+                for c, (a1, a2) in sweedler(f2, a, 2)))
             assert act.basis(a, y) == want
 
 
@@ -289,7 +289,7 @@ def reference_compatibility_witness(dot, circle):
     dim = dot.dim
     s = dot.antipode
     for a in range(dim):
-        legs = dot.sweedler(a, 3)
+        legs = sweedler(dot, a, 3)
         for b in range(dim):
             for c in range(dim):
                 lhs = apply2(circle.mul, dot.basis(a), dot.mul_basis(b, c))
@@ -308,7 +308,7 @@ def adjoint_apply(h, u, x):
     """u ▷ x = u_(1) x S(u_(2)), expanded over the basis terms of u."""
     terms = []
     for i, ci in u.coeffs.items():
-        for c, (g1, g2) in h.sweedler(i, 2):
+        for c, (g1, g2) in sweedler(h, i, 2):
             terms.append((h.field.mul(ci, c),
                           h.product_many([h.basis(g1), x,
                                           h.antipode.columns[g2]])))
@@ -319,9 +319,9 @@ def reference_prop48(h, b):
     t = descendent_antipode(h, b)
     dim = h.dim
     for a in range(dim):
-        legs_a = h.sweedler(a, 3)
+        legs_a = sweedler(h, a, 3)
         for bb in range(dim):
-            legs_b = h.sweedler(bb, 2)
+            legs_b = sweedler(h, bb, 2)
             for c in range(dim):
                 lhs = accumulate(h.space, (
                     (w, h.product_many([h.basis(a), h.basis(b1),
@@ -464,7 +464,7 @@ def reference_derived_action_map(dot, circle):
     """a ⇀ b = S(a_(1)) (a_(2) ∘ b), term by term."""
     cols = []
     for a in range(dot.dim):
-        legs = dot.sweedler(a, 2)
+        legs = sweedler(dot, a, 2)
         for b in range(dot.dim):
             cols.append(accumulate(dot.space, (
                 (w, dot.product(dot.antipode.columns[a1],
@@ -479,7 +479,7 @@ def reference_left_twist(h, act):
     dim = h.dim
     return [accumulate(h.space, ((c, h.product(h.basis(a1),
                                                act.columns[tensor_index(a2, b, dim)]))
-                                 for c, (a1, a2) in h.sweedler(a, 2)))
+                                 for c, (a1, a2) in sweedler(h, a, 2)))
             for a in range(dim) for b in range(dim)]
 
 
@@ -489,7 +489,7 @@ def reference_circle_twist(dot, circle, act):
     return [accumulate(dot.space, ((c, apply2(circle.mul, dot.basis(a1),
                                               apply2(act, t.columns[a2],
                                                      dot.basis(b))))
-                                   for c, (a1, a2) in dot.sweedler(a, 2)))
+                                   for c, (a1, a2) in sweedler(dot, a, 2)))
             for a in range(dot.dim) for b in range(dot.dim)]
 
 
@@ -498,7 +498,7 @@ def reference_op_action_antipode(h, act):
     s = h.antipode
     return LinearOp(h.space, h.space, [accumulate(h.space, (
         (w, apply2(act, s.columns[a1], s.columns[a2]))
-        for w, (a1, a2) in h.sweedler(a, 2))) for a in range(h.dim)])
+        for w, (a1, a2) in sweedler(h, a, 2))) for a in range(h.dim)])
 
 
 def reference_reconstruction_failure(br, act):

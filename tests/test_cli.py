@@ -4,15 +4,18 @@ import hashlib
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import hopfkit as hk
 from hopfkit import cli
 from hopfkit import fixtures as fx
-from hopfkit.definitions import MAX_DECLARED_SIZE, parse_text
+from hopfkit.definitions import MAX_DECLARED_SIZE, MAX_DERIVE_DIM, parse_text
 from hopfkit.errors import (DefinitionSyntaxError, DimensionMismatch,
                             UnknownReference)
+
+from conftest import Built
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -218,6 +221,61 @@ def test_oversized_declarations_exit_two_before_allocating(tmp_path, capsys, cas
     assert cli.main(["verify", str(path)]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def derive_doc(order, left=11, right=3):
+    """A cyclic group algebra H of the given order with an operator, a brace,
+    a cocycle, and a smash product of cyclic L and R of orders left·right,
+    one source for every tensor-building derive target."""
+    return json.dumps({"version": 1, "declarations": [
+        {"kind": "hopf", "name": "H", "group_algebra": {"cyclic": order}},
+        {"kind": "map", "name": "B", "on": "H", "group_map": "inversion",
+         "rota_baxter": True},
+        {"kind": "map", "name": "pi", "on": "H", "identity": True},
+        {"kind": "action", "name": "T", "actor": "H", "carrier": "H",
+         "trivial": True},
+        {"kind": "cocycle", "name": "C", "source": "H", "target": "H",
+         "action": "T", "map": "pi"},
+        {"kind": "hopf", "name": "L", "group_algebra": {"cyclic": left}},
+        {"kind": "hopf", "name": "R", "group_algebra": {"cyclic": right}},
+        {"kind": "action", "name": "U", "actor": "R", "carrier": "L",
+         "trivial": True},
+        {"kind": "smash", "name": "S", "left": "L", "right": "R",
+         "action": "U"}]})
+
+
+@pytest.mark.parametrize("what", cli.TENSOR_TARGETS)
+def test_oversized_derive_targets_exit_two_before_building(tmp_path, capsys,
+                                                          what):
+    # a 33-element cyclic group (smash: 11 · 3): the embed ambient of a
+    # 33-dimensional carrier would have a 33^4-column product table
+    path = tmp_path / "big.json"
+    path.write_text(derive_doc(33))
+    start = time.perf_counter()
+    assert cli.main(["derive", what, str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: derive {what}: carrier dimension 33 "
+                            f"exceeds the limit of {MAX_DERIVE_DIM}\n")
+
+
+BUILDERS = {"posthopf": "hopfkit.posthopf.posthopf_from_rb",
+            "matched-pair": "hopfkit.matched.matched_pair_from_rb",
+            "ybe": "hopfkit.matched.ybe_from_rb",
+            "embed": "hopfkit.brace.embed_into_rb",
+            "smash": "hopfkit.constructions.smash_product",
+            "cocycle-rb": "hopfkit.cocycle.rb_hopf_from_cocycle"}
+
+
+@pytest.mark.parametrize("what", cli.TENSOR_TARGETS)
+def test_derive_targets_at_the_limit_reach_their_construction(tmp_path, what):
+    # dimension 32 (smash: 8 · 4) passes the limit and reaches the builder
+    path = tmp_path / "limit.json"
+    path.write_text(derive_doc(MAX_DERIVE_DIM, 8, 4))
+    with mock.patch(BUILDERS[what], side_effect=Built):
+        with pytest.raises(Built):
+            cli.main(["derive", what, str(path)])
 
 
 @pytest.mark.parametrize("gens", [[5], [[0, 1], 3], [[0.0, 1]], [[True, 0]],

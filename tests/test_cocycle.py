@@ -17,7 +17,7 @@ from hopfkit.linalg import (QQ, Field, LinearOp, accumulate, invert, kron,
                             tensor_elem, tensor_space, tensor_split)
 from hopfkit.report import AxiomReport
 
-from conftest import edited
+from conftest import edited, sweedler
 
 
 def test_plain_rb_is_relative_over_adjoint_action(f2, b_inv_f2):
@@ -132,7 +132,7 @@ def paper_cocycle_rb(c):
     mul_cols = []
     for p in range(aa.dim):
         x, y = tensor_split(p, dim)
-        legs = a.sweedler(x, 3)
+        legs = sweedler(a, x, 3)
         for q in range(aa.dim):
             z, t = tensor_split(q, dim)
             mul_cols.append(accumulate(aa, (
@@ -151,7 +151,7 @@ def paper_cocycle_rb(c):
             (w, tensor_elem(aa, t_map.columns[x1],
                             pi(h.product(s_h(pi_inv(a.basis(x2))),
                                          pi_inv(a.product(a.basis(x3), sy))))))
-            for w, (x1, x2, x3) in a.sweedler(x, 3))))
+            for w, (x1, x2, x3) in sweedler(a, x, 3))))
 
     b_cols = []
     for p in range(aa.dim):
@@ -240,7 +240,7 @@ def reference_relative_rhs(k, action, tau):
     return [tau(accumulate(k.space, (
         (c, k.product(k.basis(a1), apply2(action.act, tau.columns[a2],
                                           k.basis(b))))
-        for c, (a1, a2) in k.sweedler(a, 2))))
+        for c, (a1, a2) in sweedler(k, a, 2))))
         for a in range(k.dim) for b in range(k.dim)]
 
 
@@ -249,7 +249,7 @@ def reference_cocycle_rhs(h, a, action, pi):
     return [accumulate(a.space, (
         (c, a.product(pi.columns[x1], apply2(action.act, h.basis(x2),
                                              pi.columns[y])))
-        for c, (x1, x2) in h.sweedler(x, 2)))
+        for c, (x1, x2) in sweedler(h, x, 2)))
         for x in range(h.dim) for y in range(h.dim)]
 
 

@@ -18,7 +18,8 @@ from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
 from hopfkit.rb import RotaBaxterOp
 from hopfkit.report import Witness
 
-from conftest import DENSE_Z2, Built, edited
+from conftest import (DENSE_Z2, Built, circle_product_element, edited,
+                      sweedler)
 
 MIXED_Z3 = [{0: 1}, {1: 1, 2: 1}, {1: 1, 2: -1}]
 
@@ -169,7 +170,7 @@ def test_smash_ambient_multiplication_explicit_formula():
         ig, il = tensor_split(gl1, k.dim)
         ig2, il2 = tensor_split(gl2, k.dim)
         terms = []
-        for w, (k1, k2, k3) in k.sweedler(ik, 3):
+        for w, (k1, k2, k3) in sweedler(k, ik, 3):
             first = tensor_elem(space,
                                 h.product(h.basis(ih), act.basis(k1, ig)),
                                 k.mul_basis(k2, il))
@@ -223,19 +224,6 @@ def reference_middle_witness(f, c):
                 return Witness((g.label(mi), g.label(f.l_idx[li])),
                                str(lhs), str(rhs))
     return None
-
-
-def circle_product_element(h, b, x, y):
-    """The paper's x ∘_B y = x_(1) B(x_(2)) y S(B(x_(3))), extended
-    bilinearly, one three-leg Sweedler sum per call: the reference oracle
-    for the table ``RotaBaxterOp.circle``."""
-    terms = []
-    for i, ci in x.coeffs.items():
-        for c, (g1, g2, g3) in h.sweedler(i, 3):
-            terms.append((h.field.mul(ci, c),
-                          h.product_many([h.basis(g1), b.columns[g2], y,
-                                          h.antipode(b.columns[g3])])))
-    return accumulate(h.space, terms)
 
 
 def reference_factorization_descendent_iso(f, b, c):
@@ -314,7 +302,7 @@ def reference_smash_mul(h, k, act, k_mul):
     cols = []
     for p in range(space.dim):
         i, j = tensor_split(p, dim_k)
-        legs = k.sweedler(j, 2)
+        legs = sweedler(k, j, 2)
         for q in range(space.dim):
             a, bb = tensor_split(q, dim_k)
             cols.append(accumulate(space, (
@@ -331,7 +319,7 @@ def reference_twisted_action(h, k, act, c_map):
     cols = []
     for j in range(k.dim):
         actors = [(w, k.product(k.basis(j1), c_map.columns[j2]))
-                  for w, (j1, j2) in k.sweedler(j, 2)]
+                  for w, (j1, j2) in sweedler(k, j, 2)]
         for i in range(h.dim):
             cols.append(accumulate(h.space, (
                 (w, apply2(act, actor, h.basis(i))) for w, actor in actors)))

@@ -1,5 +1,6 @@
 """Hopf axiom verification, constructors, actions, convolution inverses."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -10,19 +11,21 @@ from hypothesis import given, settings, strategies as st
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
+from hopfkit import rb as rb_mod
 from hopfkit.definitions import parse_file
 from hopfkit.errors import (AxiomFails, DimensionMismatch,
                             NotConvolutionInvertible, UnvalidatedInput)
 from hopfkit.hopf import (ModuleAction, adjoint_action, adjoint_map, apply2,
                           check_module_bialgebra, coalgebra_morphism_witness,
-                          convolution, scalar_space, transport_hopf,
+                          convolution, leg_table, scalar_space, transport_hopf,
                           trivial_action, twisted_product, unit_counit_map)
 from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ,
                             accumulate, tensor_elem, tensor_index,
                             tensor_space, tensor_split)
 from hopfkit.report import AxiomReport, Witness
 
-from conftest import KERNEL_OPS
+from conftest import (KERNEL_OPS, circle_product_element, sweedler,
+                      tensor_square)
 
 ORACLE = settings(max_examples=20, deadline=None, database=None)
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
@@ -240,8 +243,7 @@ def reference_verify_hopf(h):
             for j in range(dim):
                 prod = h.mul_basis(i, j)
                 lhs = h.comul(prod)
-                rhs = h.tensor_square_product(h.comul.columns[i],
-                                              h.comul.columns[j])
+                rhs = tensor_square(h, h.comul.columns[i], h.comul.columns[j])
                 if lhs != rhs:
                     w = wit((i, j), lhs, rhs)
                     break
@@ -566,7 +568,7 @@ def test_random_element_identities(f2):
         assert f2.product(f2.product(x, y), z) == f2.product(x, f2.product(y, z))
         assert f2.product(f2.unit, x) == x
         lhs = f2.comul(f2.product(x, y))
-        assert lhs == f2.tensor_square_product(f2.comul(x), f2.comul(y))
+        assert lhs == tensor_square(f2, f2.comul(x), f2.comul(y))
 
 
 def test_verify_hopf_over_prime_field():
@@ -748,10 +750,10 @@ def test_module_bialgebra_sign_action(field):
 # -- the Sweedler kernels against explicit loops ------------------------------------
 
 def reference_convolution(h, f, g, m):
-    """x -> Σ m(f(x_(1)) ⊗ g(x_(2))), summed term by term over h.sweedler."""
+    """x -> Σ m(f(x_(1)) ⊗ g(x_(2))), summed term by term over the legs."""
     return LinearOp(h.space, m.codomain, [accumulate(m.codomain, (
         (c, apply2(m, f.columns[x1], g.columns[x2]))
-        for c, (x1, x2) in h.sweedler(x, 2))) for x in range(h.dim)])
+        for c, (x1, x2) in sweedler(h, x, 2))) for x in range(h.dim)])
 
 
 def reference_twisted_product(h, outer, inner, f, g):
@@ -763,7 +765,7 @@ def reference_twisted_product(h, outer, inner, f, g):
             cols.append(accumulate(outer.codomain, (
                 (c, apply2(outer, f.columns[x1],
                            apply2(inner, g.columns[x2], target.basis(y))))
-                for c, (x1, x2) in h.sweedler(x, 2))))
+                for c, (x1, x2) in sweedler(h, x, 2))))
     return LinearOp(tensor_space(h.space, target), outer.codomain, cols)
 
 
@@ -790,6 +792,46 @@ def test_kernels_match_reference_on_edited_maps(field, data, which, col, row,
         reference_twisted_product(h, m, h.mul, ident, f)
     assert twisted_product(h.comul, m, h.mul, f=f) == \
         reference_twisted_product(h, m, h.mul, f, ident)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_leg_table_equals_iterated_coproduct(field):
+    for h in (sweedler_four_dim(field), dense_z3(field), fx.f2(field)):
+        for legs in range(1, 6):
+            assert leg_table(h, legs) == [sweedler(h, i, legs)
+                                          for i in range(h.dim)]
+
+
+def reference_adjoint_map(h):
+    """g ⊳ x = g_(1) x S(g_(2)), term by term over the legs."""
+    return LinearOp(h.hh, h.space, [accumulate(h.space, (
+        (c, h.product_many([h.basis(g1), h.basis(x), h.antipode.columns[g2]]))
+        for c, (g1, g2) in sweedler(h, g, 2)))
+        for g in range(h.dim) for x in range(h.dim)])
+
+
+def reference_circle_mul(h, b):
+    return LinearOp(h.hh, h.space, [
+        circle_product_element(h, b, h.basis(x), h.basis(y))
+        for x in range(h.dim) for y in range(h.dim)])
+
+
+def test_constructions_read_the_legs_of_their_own_coproduct():
+    # A structure copied with another Δ must not see the legs of the
+    # original: every construction reads the Δ columns it is given.
+    h = fx.f2()
+    b = fx.b_inv(h).map
+    assert adjoint_map(h) == reference_adjoint_map(h)
+    assert rb_mod._circle_mul(h, b) == reference_circle_mul(h, b)
+    (e,) = h.unit.coeffs
+    other = LinearOp(h.space, h.hh, [   # Δ'(g) = g ⊗ 1 + 1 ⊗ g
+        Element(h.hh, {tensor_index(g, e, h.dim): 1}) +
+        Element(h.hh, {tensor_index(e, g, h.dim): 1}) for g in range(h.dim)])
+    k = dataclasses.replace(h, comul=other)
+    assert k.comul.columns[1] != h.comul.columns[1]
+    assert adjoint_map(k) == reference_adjoint_map(k)
+    assert rb_mod._circle_mul(k, b) == reference_circle_mul(k, b)
+    assert adjoint_map(k) != adjoint_map(h)
 
 
 def test_kernels_check_shapes(f1, f2):

@@ -20,7 +20,7 @@ from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
 from hopfkit.rb import rb_action_map
 from hopfkit.report import Witness
 
-from conftest import Built
+from conftest import Built, sweedler
 
 ORACLE = settings(max_examples=20, deadline=None, database=None)
 
@@ -169,7 +169,7 @@ def reference_actions(b):
     lact = []
     for x in range(dim):
         wings = [(c, b.map.columns[x1], h.antipode(b.map.columns[x2]))
-                 for c, (x1, x2) in h.sweedler(x, 2)]
+                 for c, (x1, x2) in sweedler(h, x, 2)]
         for a in range(dim):
             lact.append(accumulate(h.space, (
                 (c, h.product_many([left, h.basis(a), right]))
@@ -178,8 +178,8 @@ def reference_actions(b):
     for x in range(dim):
         for a in range(dim):
             terms = []
-            for cx, (x1, x2, x3, x4, x5) in h.sweedler(x, 5):
-                for ca, (a1, a2, a3, a4) in h.sweedler(a, 4):
+            for cx, (x1, x2, x3, x4, x5) in sweedler(h, x, 5):
+                for ca, (a1, a2, a3, a4) in sweedler(h, a, 4):
                     u1 = lact[tensor_index(x1, a1, dim)]
                     u2 = lact[tensor_index(x2, a2, dim)]
                     u3 = lact[tensor_index(x4, a3, dim)]
@@ -258,8 +258,8 @@ def reference_verify_matched_pair(h, k, lact, ract):
             lhs = h.comul(la(x, a))
             rhs = accumulate(h.hh, (
                 (field.mul(cx, ca), tensor_elem(h.hh, la(x1, a1), la(x2, a2)))
-                for cx, (x1, x2) in k.sweedler(x, 2)
-                for ca, (a1, a2) in h.sweedler(a, 2)))
+                for cx, (x1, x2) in sweedler(k, x, 2)
+                for ca, (a1, a2) in sweedler(h, a, 2)))
             if lhs != rhs:
                 fail("left-module-coalgebra", (k.label(x), h.label(a)), lhs, rhs)
             got = h.counit_scalar(la(x, a))
@@ -290,8 +290,8 @@ def reference_verify_matched_pair(h, k, lact, ract):
             lhs = k.comul(ra(x, a))
             rhs = accumulate(k.hh, (
                 (field.mul(cx, ca), tensor_elem(k.hh, ra(x1, a1), ra(x2, a2)))
-                for cx, (x1, x2) in k.sweedler(x, 2)
-                for ca, (a1, a2) in h.sweedler(a, 2)))
+                for cx, (x1, x2) in sweedler(k, x, 2)
+                for ca, (a1, a2) in sweedler(h, a, 2)))
             if lhs != rhs:
                 fail("right-module-coalgebra", (k.label(x), h.label(a)), lhs, rhs)
             got = k.counit_scalar(ra(x, a))
@@ -305,9 +305,9 @@ def reference_verify_matched_pair(h, k, lact, ract):
             fail("right-action-on-unit", (h.label(a),), got, want)
 
     for x in range(dim_k):
-        legs_x = k.sweedler(x, 2)
+        legs_x = sweedler(k, x, 2)
         for a in range(dim_h):
-            legs_a = h.sweedler(a, 2)
+            legs_a = sweedler(h, a, 2)
             for b in range(dim_h):
                 lhs = apply2(lact, k.basis(x), h.mul_basis(a, b))
                 rhs = accumulate(h.space, (
@@ -320,9 +320,9 @@ def reference_verify_matched_pair(h, k, lact, ract):
                          (k.label(x), h.label(a), h.label(b)), lhs, rhs)
     for x in range(dim_k):
         for y in range(dim_k):
-            legs_y = k.sweedler(y, 2)
+            legs_y = sweedler(k, y, 2)
             for a in range(dim_h):
-                legs_a = h.sweedler(a, 2)
+                legs_a = sweedler(h, a, 2)
                 lhs = apply2(ract, k.mul_basis(x, y), h.basis(a))
                 rhs = accumulate(k.space, (
                     (field.mul(cy, ca),
@@ -503,8 +503,8 @@ def reference_compatibility_left(h, k, lact, ract):
                         lact.columns[tensor_index(x1, a1, dim_h)],
                         apply2(lact, ract.columns[tensor_index(x2, a2, dim_h)],
                                h.basis(b))))
-                    for cx, (x1, x2) in k.sweedler(x, 2)
-                    for ca, (a1, a2) in h.sweedler(a, 2))))
+                    for cx, (x1, x2) in sweedler(k, x, 2)
+                    for ca, (a1, a2) in sweedler(h, a, 2))))
     return out
 
 
@@ -519,8 +519,8 @@ def reference_ybe_c(h, lact, ract):
                 (h.field.mul(cx, cy),
                  tensor_elem(hh, lact.columns[tensor_index(x1, y1, dim)],
                              ract.columns[tensor_index(x2, y2, dim)]))
-                for cx, (x1, x2) in h.sweedler(x, 2)
-                for cy, (y1, y2) in h.sweedler(y, 2))))
+                for cx, (x1, x2) in sweedler(h, x, 2)
+                for cy, (y1, y2) in sweedler(h, y, 2))))
     return LinearOp(hh, hh, cols)
 
 
@@ -542,15 +542,15 @@ def reference_matched_brace(circle, lact, ract):
     pairs = [(a, b) for a in range(dim) for b in range(dim)]
     hypothesis = [accumulate(circle.space, (
         (field.mul(ca, cb), apply2(circle.mul, la(a1, b1), ra(a2, b2)))
-        for ca, (a1, a2) in circle.sweedler(a, 2)
-        for cb, (b1, b2) in circle.sweedler(b, 2))) for a, b in pairs]
+        for ca, (a1, a2) in sweedler(circle, a, 2)
+        for cb, (b1, b2) in sweedler(circle, b, 2))) for a, b in pairs]
     dot = [accumulate(circle.space, (
         (w, apply2(circle.mul, circle.basis(a1),
                    apply2(lact, t.columns[a2], circle.basis(b))))
-        for w, (a1, a2) in circle.sweedler(a, 2))) for a, b in pairs]
+        for w, (a1, a2) in sweedler(circle, a, 2))) for a, b in pairs]
     s = LinearOp(circle.space, circle.space, [accumulate(circle.space, (
         (w, apply2(lact, circle.basis(a1), t.columns[a2]))
-        for w, (a1, a2) in circle.sweedler(a, 2))) for a in range(dim)])
+        for w, (a1, a2) in sweedler(circle, a, 2))) for a in range(dim)])
     return hypothesis, dot, s
 
 

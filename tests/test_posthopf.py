@@ -19,6 +19,8 @@ from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
 from hopfkit.posthopf import PostHopf
 from hopfkit.report import AxiomReport, Witness
 
+from conftest import sweedler
+
 
 def conjugation_tri(f2):
     g = gr.dihedral(3)
@@ -136,8 +138,8 @@ def reference_posthopf_coalgebra(h, tri):
             col = tri.columns[tensor_index(x, y, dim)]
             lhs = h.comul(col)
             rhs_terms = []
-            for cx, (x1, x2) in h.sweedler(x, 2):
-                for cy, (y1, y2) in h.sweedler(y, 2):
+            for cx, (x1, x2) in sweedler(h, x, 2):
+                for cy, (y1, y2) in sweedler(h, y, 2):
                     rhs_terms.append((field.mul(cx, cy),
                                       tensor_elem(h.hh,
                                                   tri.columns[tensor_index(x1, y1, dim)],
@@ -221,7 +223,7 @@ def reference_twisted(h, tri):
     dim = h.dim
     return [accumulate(h.space, ((c, h.product(h.basis(x1),
                                                tri.columns[tensor_index(x2, y, dim)]))
-                                 for c, (x1, x2) in h.sweedler(x, 2)))
+                                 for c, (x1, x2) in sweedler(h, x, 2)))
             for x in range(dim) for y in range(dim)]
 
 
@@ -229,7 +231,7 @@ def reference_subadjacent_antipode(h, beta):
     """S_▶(x) = β_{x_(1)}(S(x_(2))), term by term."""
     return LinearOp(h.space, h.space, [accumulate(h.space, (
         (w, apply2(beta, h.basis(x1), h.antipode.columns[x2]))
-        for w, (x1, x2) in h.sweedler(x, 2))) for x in range(h.dim)])
+        for w, (x1, x2) in sweedler(h, x, 2))) for x in range(h.dim)])
 
 
 POSTHOPF_NAMES = ["dense-Z2-inv", "dense-Z2-eps", "dense-Z3-inv",
@@ -324,7 +326,7 @@ def two_sided_convolution_inverse(h, f, m, unit):
     for left in (True, False):
         for ci in range(h.dim):
             block = [dict() for _ in range(dim_a)]
-            for coeff, (c1, c2) in h.sweedler(ci, 2):
+            for coeff, (c1, c2) in sweedler(h, ci, 2):
                 fixed, unknown = (f.columns[c1], c2) if left else (f.columns[c2], c1)
                 for a in range(dim_a):
                     pair = (fixed, target.basis(a)) if left else (target.basis(a), fixed)
