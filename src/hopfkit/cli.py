@@ -7,9 +7,11 @@
     hopfkit report  <file> [--format json|text] [--out path]
 
 Exit codes: 0 all checks pass, 1 a check failed (the report says which),
-2 input error.  Reports are deterministic: byte-identical across runs and
-thread counts for the same input (the --threads flag is accepted for
-interface compatibility; sweeps are pure and schedule-independent).
+2 input error, an --out path that cannot be written included.  Reports are
+deterministic: byte-identical across runs and thread counts for the same
+input (the --threads flag is accepted for interface compatibility; sweeps
+are pure and schedule-independent).  ``main(argv)`` may be called any
+number of times in one process; the parser is built once, at import.
 """
 
 from __future__ import annotations
@@ -391,7 +393,7 @@ def _write(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfkit",
         description="Exact verification engine for Rota-Baxter operators on "
@@ -431,8 +433,15 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", parents=[common],
                        help="full verification report with structure digests")
     p.add_argument("file")
+    return parser
 
-    args = parser.parse_args(argv)
+
+# parse_args leaves the parser as it was, so one instance serves every call.
+PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = PARSER.parse_args(argv)
     try:
         spec = args.field
         field_override = None if spec is None else field_from_json(
@@ -452,29 +461,26 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        code = 0
         if args.command in ("verify", "report"):
             report = build_report(defs, args.command)
             text = render_report_json(report) if args.format == "json" \
                 else render_report_text(report)
-            _write(text, args.out)
-            return 0 if report["passed"] else 1
-        if args.command == "derive":
+            code = 0 if report["passed"] else 1
+        elif args.command == "derive":
             doc = run_derive(defs, args.what, args.name, args.using)
-            _write(dump_document(doc), args.out)
-            return 0
-        if args.command == "check":
+            text = dump_document(doc)
+        elif args.command == "check":
             witness = run_check(defs, args.condition, args.name)
             if witness is None:
-                _write(f"PASS  {args.condition}\n", args.out)
-                return 0
-            _write(f"FAIL  {args.condition}  [{witness}]\n", args.out)
-            return 1
-        if args.command == "search":
+                text = f"PASS  {args.condition}\n"
+            else:
+                text, code = f"FAIL  {args.condition}  [{witness}]\n", 1
+        else:
             found = run_search(defs, args.budget)
             if args.format == "json":
                 import json
-                _write(json.dumps(found, sort_keys=True, indent=2) + "\n",
-                       args.out)
+                text = json.dumps(found, sort_keys=True, indent=2) + "\n"
             else:
                 lines = []
                 for name in sorted(found):
@@ -483,8 +489,7 @@ def main(argv=None) -> int:
                     digits = [str(x) for x in range(info["order"])]
                     for table in info["operators"]:
                         lines.append("  " + " ".join([digits[x] for x in table]))
-                _write("\n".join(lines) + "\n", args.out)
-            return 0
+                text = "\n".join(lines) + "\n"
     except DefinitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -494,7 +499,13 @@ def main(argv=None) -> int:
     except HopfkitError as exc:
         print(f"FAIL  {exc}", file=sys.stderr)
         return 1
-    return 2
+    try:
+        _write(text, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

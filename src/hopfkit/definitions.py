@@ -318,6 +318,8 @@ def _build_map(name, raw, seen, field, path) -> Declaration:
         if "domain" not in raw or "codomain" not in raw:
             raise DefinitionSyntaxError(
                 "map needs 'on' or explicit 'domain'/'codomain'", path)
+        if raw.get("rota_baxter"):
+            raise DefinitionSyntaxError("rota_baxter needs an 'on' carrier", path)
         domain = BasedSpace(tuple(label_from_json(x) for x in raw["domain"]),
                             field)
         codomain = BasedSpace(tuple(label_from_json(x) for x in raw["codomain"]),

@@ -1,5 +1,6 @@
 """Definition-file parsing, CLI commands, determinism, round trips."""
 
+import argparse
 import hashlib
 import json
 import time
@@ -317,6 +318,12 @@ MALFORMED = {
     "action-matrix-string-index": [Z2, {"kind": "action", "name": "A",
                                         "actor": "H", "carrier": "H",
                                         "matrix": [["a", 0, 0, "1"]]}],
+    # without a carrier there is no Hopf algebra to sweep the identity on
+    "rota-baxter-without-carrier": [Z2, {"kind": "map", "name": "B",
+                                         "domain": ["e", "g"],
+                                         "codomain": ["e", "g"],
+                                         "identity": True,
+                                         "rota_baxter": True}],
 }
 
 
@@ -526,6 +533,80 @@ def test_field_flag_switches_to_prime_field(f2_file, capsys):
 def test_bad_field_flag_exits_two(f2_file, bad, capsys):
     assert cli.main(["verify", f2_file, "--field", bad]) == 2
     assert capsys.readouterr().err.startswith("error: bad --field: ")
+
+
+# verify passes (exit 0) and check central-image fails (exit 1) on B_inv;
+# both exit 2 when the output cannot be written.
+@pytest.mark.parametrize("argv", [["verify"], ["check", "central-image"]])
+def test_unwritable_out_exits_two(f2_file, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x"
+    assert cli.main(argv + [f2_file, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {out}: "
+                            "No such file or directory\n")
+
+
+def run_main(argv, capsys):
+    """cli.main's exit code, stdout and stderr, argparse exits included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_is_reentrant(f2_file, tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "circle.json")
+    calls = [["derive", "nosuch", f2_file], ["--help"], ["derive", "--help"],
+             ["derive", "circle", f2_file, "--name", "B_inv", "--out", out],
+             ["verify", f2_file], ["check", "prop49", f2_file, "--field", "7"],
+             ["verify", f2_file]]
+    parsed = []
+    parse_args = cli.PARSER.parse_args
+
+    def recording(*args, **kwargs):
+        parsed.append(parse_args(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli.PARSER, "parse_args", recording)
+    shared = [run_main(argv, capsys) for argv in calls]
+    derived = Path(out).read_bytes()
+    monkeypatch.undo()
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "PARSER", cli._build_parser())
+        fresh.append(run_main(argv, capsys))
+    assert shared == fresh
+    # The first three calls exit inside parse_args; no value of an earlier
+    # call (--out, --name, --field) leaks into a later one.
+    assert [vars(ns) for ns in parsed] == [
+        vars(cli._build_parser().parse_args(argv)) for argv in calls[3:]]
+    assert parsed[-1].out is None and parsed[-1].field is None
+    assert Path(out).read_bytes() == derived
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0]
+    assert shared[4] == shared[6] and shared[4][1].startswith("field: rational")
+
+
+def test_main_builds_no_parser(f2_file, tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["verify", f2_file], ["report", f2_file, "--format", "json"],
+                 ["check", "prop49", f2_file, "--field", "7"],
+                 ["derive", "circle", f2_file, "--out",
+                  str(tmp_path / "c.json")],
+                 ["search", "rb-group", f2_file]):
+        assert cli.main(argv) == 0
+    assert built == []
+    cli._build_parser()
+    assert built                    # the counter sees a construction
 
 
 def test_cocycle_and_brace_declarations(tmp_path, capsys):
