@@ -18,7 +18,7 @@ from .hopf import (HopfAlgebraData, ModuleAction, _multiplicative_witness,
                    adjoint_map, apply2, check_cocommutative,
                    check_module_bialgebra, convolution, convolution_inverse,
                    first_witness, leg_table, opposite_hopf,
-                   require_cocommutative, sub_hopf_indices, tensor_coalgebra,
+                   require_cocommutative, smash_hopf, sub_hopf_indices,
                    twisted_product, verify_hopf)
 from .linalg import (BasedSpace, Element, LinearOp, accumulate, invert,
                      rank, tensor_elem, tensor_index, tensor_space,
@@ -189,10 +189,11 @@ class RbEmbedding:
 
 def embed_into_rb(br: HopfBrace) -> RbEmbedding:
     """Embed a cocommutative brace into a Rota-Baxter Hopf algebra on
-    G' = G ⊗ G with
+    G' = G ⊗ G, the smash product of (G, ∘) acting on (G, ·) by the
+    derived action ⇀ (built by :func:`~hopfkit.hopf.smash_hopf`):
 
         (x⊗y) * (z⊗t) = x_(1)∘z ⊗ y (x_(2) ⇀ t)
-        S'(x⊗y)       = T(x_(1)) ⊗ T(x_(2)) ∘ (x_(3) S(y))
+        S'(x⊗y)       = T(x_(1)) ⊗ (T(x_(2)) ⇀ S(y))
         B'(x⊗y)       = T(x)∘y ⊗ 1
 
     All three stages (Hopf axioms of G', the Rota-Baxter identity of B',
@@ -203,39 +204,8 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
     dot, circle = br.dot, br.circle
     if not check_cocommutative(dot):
         raise ConstructionInvalid("hopf", "brace carrier must be cocommutative")
-    act = derived_action_map(br)
-    dim = dot.dim
-    g2 = tensor_space(dot.space, dot.space)
-    t = circle.antipode
-    s = dot.antipode
-
-    mul_cols = []
-    for p in range(g2.dim):
-        x, y = tensor_split(p, dim)
-        legs = dot.comul.columns[x].coeffs.items()
-        for q in range(g2.dim):
-            z, tt = tensor_split(q, dim)
-            mul_cols.append(accumulate(g2, (
-                (w, tensor_elem(g2, circle.mul_basis(r // dim, z),
-                                dot.product(dot.basis(y),
-                                            act.columns[r % dim * dim + tt])))
-                for r, w in legs)))
-
-    legs3 = leg_table(dot, 3)
-    anti_cols = []
-    for p in range(g2.dim):
-        x, y = tensor_split(p, dim)
-        sy = s.columns[y]
-        anti_cols.append(accumulate(g2, (
-            (w, tensor_elem(g2, t.columns[x1],
-                            apply2(circle.mul, t.columns[x2],
-                                   dot.product(dot.basis(x3), sy))))
-            for w, (x1, x2, x3) in legs3[x])))
-
-    comul, counit = tensor_coalgebra(dot, dot)
-    ambient = HopfAlgebraData(g2, LinearOp(comul.codomain, g2, mul_cols),
-                              tensor_elem(g2, dot.unit, dot.unit),
-                              comul, counit, LinearOp(g2, g2, anti_cols))
+    ambient = smash_hopf(circle, dot, derived_action_map(br))
+    g2 = ambient.space
     report = verify_hopf(ambient)
     if not report.passed:
         fail = report.first_failure()
@@ -243,6 +213,8 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
     if not check_cocommutative(ambient):
         raise ConstructionInvalid("hopf", "ambient is not cocommutative")
 
+    dim = dot.dim
+    t = circle.antipode
     b_cols = []
     for p in range(g2.dim):
         x, y = tensor_split(p, dim)

@@ -4,7 +4,8 @@ Covers triple factorizations G = H·L·M (an operator
 B(hlm) = ε(h) C(l) S(m) built from a Rota-Baxter operator C on the
 middle factor), semidirect smash products H#K, and the operator
 B(h#k) = ε(h) C(k) on a smash product, each with the corresponding
-descendent isomorphism sweeps.
+descendent isomorphism sweeps.  Smash tables are built on K ⊗ H by
+:func:`~hopfkit.hopf.smash_hopf` and moved onto H ⊗ K.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from .errors import (ConstructionInvalid, DimensionMismatch, HypothesisFails,
                      NotExactFactorization, SingularMap)
 from .hopf import (HopfAlgebraData, ModuleAction, apply2,
                    check_module_bialgebra, convolution, first_witness,
-                   require_cocommutative, sub_hopf, sub_hopf_indices,
-                   tensor_hopf, verify_hopf)
-from .linalg import (BasedSpace, LinearOp, accumulate, invert, kron,
-                     tensor_elem, tensor_space, tensor_split)
+                   require_cocommutative, smash_hopf, sub_hopf,
+                   sub_hopf_indices, tensor_hopf, verify_hopf)
+from .linalg import (BasedSpace, LinearOp, accumulate, flip_tensor, invert,
+                     kron, tensor_elem, tensor_space, tensor_split)
 from .rb import RotaBaxterOp, descend, verify_rb
 
 
@@ -161,20 +162,10 @@ def smash_product(h: HopfAlgebraData, k: HopfAlgebraData,
         raise ConstructionInvalid("module-bialgebra", f"{fail.name}: {fail.witness}")
 
     plain = tensor_hopf(h, k)
-    space = plain.space
-    dim_k = k.dim
-    anti_cols = []
-    for p in range(space.dim):
-        i, j = tensor_split(p, dim_k)
-        anti_cols.append(accumulate(space, (
-            (w, tensor_elem(space,
-                            apply2(action.act, k.antipode.columns[q // dim_k],
-                                   h.antipode.columns[i]),
-                            k.antipode.columns[q % dim_k]))
-            for q, w in k.comul.columns[j].coeffs.items())))
-    smash = HopfAlgebraData(space, _smash_mul(h, k, action.act, k.mul),
+    k_h = smash_hopf(k, h, action.act)
+    smash = HopfAlgebraData(plain.space, _onto_hk(k_h.mul, plain, h.dim),
                             plain.unit, plain.comul, plain.counit,
-                            LinearOp(space, space, anti_cols))
+                            _onto_hk(k_h.antipode, plain, h.dim))
     rep = verify_hopf(smash)
     if not rep.passed:
         fail = rep.first_failure()
@@ -183,25 +174,19 @@ def smash_product(h: HopfAlgebraData, k: HopfAlgebraData,
     return SmashProduct(h, k, action, smash, plain, brace)
 
 
-def _smash_mul(h: HopfAlgebraData, k: HopfAlgebraData, act: LinearOp,
-               k_mul: LinearOp) -> LinearOp:
-    """(h#k)(h'#k') = h (k_(1) ▷ h') # k_(2) k' on H ⊗ K, for an action
-    act: K ⊗ H -> H and a product k_mul on K."""
-    space = tensor_space(h.space, k.space)
-    dim_h, dim_k = h.dim, k.dim
-    cols = []
-    for p in range(space.dim):
-        i, j = tensor_split(p, dim_k)
-        legs = k.comul.columns[j].coeffs.items()
-        for q in range(space.dim):
-            a, bb = tensor_split(q, dim_k)
-            cols.append(accumulate(space, (
-                (w, tensor_elem(space,
-                                h.product(h.basis(i),
-                                          act.columns[r // dim_k * dim_h + a]),
-                                k_mul.columns[r % dim_k * dim_k + bb]))
-                for r, w in legs)))
-    return LinearOp(tensor_space(space, space), space, cols)
+def _onto_hk(op: LinearOp, hk: HopfAlgebraData, dim_h: int) -> LinearOp:
+    """A product or an endomorphism of K ⊗ H moved onto ``hk.space``,
+    H ⊗ K, along k⊗h -> h⊗k: exact for :func:`smash_hopf`, since a
+    cocommutative K lets k_(1) and k_(2) trade places."""
+    kh, space = op.codomain, hk.space
+    dim_k = kh.dim // dim_h
+    order = [k * dim_h + h for h in range(dim_h) for k in range(dim_k)]
+    domain = space
+    if op.domain != kh:             # a product on (K⊗H) ⊗ (K⊗H)
+        order = [p * kh.dim + q for p in order for q in order]
+        domain = hk.hh
+    return LinearOp(domain, space, [flip_tensor(kh, space, op.columns[i], dim_h)
+                                    for i in order])
 
 
 def rb_on_smash(sp: SmashProduct, c: RotaBaxterOp) -> RotaBaxterOp:
@@ -233,4 +218,5 @@ def check_smash_descendent_iso(sp: SmashProduct, c: RotaBaxterOp,
     twist = sp.action.act.compose(kron(actor, LinearOp.identity(h.space)))
     if not check_module_bialgebra(ModuleAction(circle_c, h, twist)).passed:
         return False
-    return descend(b).hopf.mul == _smash_mul(h, k, twist, circle_c.mul)
+    return descend(b).hopf.mul == _onto_hk(
+        smash_hopf(circle_c, h, twist).mul, sp.product, h.dim)

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field as dc_field
 from . import groups as gr
 from .errors import (CyclicReference, DefinitionSyntaxError,
                      DimensionMismatch, UnknownReference)
-from .hopf import (HopfAlgebraData, ModuleAction, group_algebra,
-                   hopf_from_structure, scalar_space, unit_counit_map)
+from .hopf import (HopfAlgebraData, ModuleAction, adjoint_map, group_algebra,
+                   hopf_from_structure, scalar_space, trivial_map,
+                   unit_counit_map)
 from .linalg import (BasedSpace, Element, Field, LinearOp, tensor_index,
                      tensor_space)
 from .serialize import field_from_json, label_from_json
@@ -391,14 +392,12 @@ def _build_action(name, raw, seen, field, path) -> Declaration:
     carrier = _resolve(seen, raw.get("carrier"), ("hopf",), path, name).obj
     dom = tensor_space(actor.space, carrier.space)
     if raw.get("trivial"):
-        cols = [carrier.basis(i).scale(actor._eps[a])
-                for a in range(actor.dim) for i in range(carrier.dim)]
+        op = trivial_map(actor, carrier)
     elif raw.get("adjoint"):
         if actor.space != carrier.space:
             raise DimensionMismatch(f"adjoint action needs actor == carrier "
                                     f"at {path}")
-        from .hopf import adjoint_action
-        return Declaration("action", name, raw, obj=adjoint_action(carrier))
+        actor, op = carrier, adjoint_map(carrier)
     elif "group_action" in raw:
         table = raw["group_action"]
         if not isinstance(table, dict):
@@ -420,6 +419,7 @@ def _build_action(name, raw, seen, field, path) -> Declaration:
                         f"group_action missing carrier label {lab!r} at {path}")
                 cols.append(carrier.basis(_label_index(carrier.space,
                                                        perm[lab], path)))
+        op = LinearOp(dom, carrier.space, cols)
     elif "matrix" in raw:
         cols_data = [dict() for _ in range(dom.dim)]
         for a, i, j, v in _entries(raw["matrix"], 4, f"{path}.matrix"):
@@ -429,11 +429,12 @@ def _build_action(name, raw, seen, field, path) -> Declaration:
                 raise DimensionMismatch(f"action index out of range at {path}")
             cols_data[tensor_index(a, i, carrier.dim)][j] = \
                 _scalar(field, v, f"{path}.matrix")
-        cols = [Element(carrier.space, d) for d in cols_data]
+        op = LinearOp(dom, carrier.space,
+                      [Element(carrier.space, d) for d in cols_data])
     else:
         raise DefinitionSyntaxError("unrecognized action body", path)
-    act = ModuleAction(actor, carrier, LinearOp(dom, carrier.space, cols))
-    return Declaration("action", name, raw, obj=act)
+    return Declaration("action", name, raw,
+                       obj=ModuleAction(actor, carrier, op))
 
 
 # -- constructions (built lazily by commands) --------------------------------------------

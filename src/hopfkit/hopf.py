@@ -7,7 +7,9 @@ failed sweeps report the lexicographically first failing tuple together
 with both evaluated sides.  Every element-level sweep in the package goes
 through :func:`first_witness`; every check that a map is a coalgebra map
 goes through :func:`coalgebra_map_failures`, and the middle-flip
-coalgebra of H ⊗ K is built once, by :func:`tensor_coalgebra`.  Sweedler
+coalgebra of H ⊗ K is built once, by :func:`tensor_coalgebra`, and the
+product and antipode of every tensor ambient (tensor product, smash
+product, brace embedding) by :func:`smash_hopf`.  Sweedler
 sums of maps are built by two kernels that take the coproduct as a
 ``LinearOp`` (``h.comul`` or a middle-flip one): :func:`convolution`,
 x ↦ Σ m(f(x_(1)) ⊗ g(x_(2))), and :func:`twisted_product`,
@@ -19,9 +21,9 @@ elements, to render its witness.
 
 Sweedler conventions: the coproduct is stored once, as the columns of
 ``h.comul``.  A two-leg sum reads column x and splits each flat index p
-into the legs ``divmod(p, dim)``; longer sums take a per-call
-:func:`leg_table`, whose iterates split the leftmost leg, i.e.
-Δ²(x) = (Δ ⊗ id)Δ(x) = x_(1) ⊗ x_(2) ⊗ x_(3).
+into the legs ``divmod(p, dim)``; the longer sums of the symmetry suite
+and the matched pair take a per-call :func:`leg_table`, whose iterates
+split the leftmost leg, i.e. Δ²(x) = (Δ ⊗ id)Δ(x) = x_(1) ⊗ x_(2) ⊗ x_(3).
 """
 
 from __future__ import annotations
@@ -490,33 +492,52 @@ def tensor_coalgebra(h: HopfAlgebraData,
             LinearOp(space, one.space, counit_cols))
 
 
+def smash_hopf(actor: HopfAlgebraData, carrier: HopfAlgebraData,
+               act: LinearOp) -> HopfAlgebraData:
+    """The smash product on K ⊗ H, actor first, for an action
+    act: K ⊗ H -> H of the actor K on the carrier H, with the middle-flip
+    coalgebra of :func:`tensor_coalgebra` and the unit 1 ⊗ 1:
+
+        (k⊗h)(k'⊗h') = k_(1)k' ⊗ h(k_(2)▷h')
+        S(k⊗h)       = S_K(k_(1)) ⊗ (S_K(k_(2)) ▷ S_H(h))
+
+    Both sums read the two legs of k from ``actor.comul``.  The result is
+    unvalidated: callers run :func:`verify_hopf` on what they build."""
+    comul, counit = tensor_coalgebra(actor, carrier)
+    space = comul.domain
+    dim_k, dim_h = actor.dim, carrier.dim
+    s_k, s_h = actor.antipode.columns, carrier.antipode.columns
+    # h(k_(2)▷h') for every h and every flat index k_(2)⊗h' of act
+    right = [[carrier.product(e, col) for col in act.columns]
+             for e in carrier._basis]
+    mul_cols, anti_cols = [], []
+    for col in actor.comul.columns:
+        legs = [(c, *divmod(p, dim_k)) for p, c in col.coeffs.items()]
+        for h in range(dim_h):
+            row = right[h]
+            for k2 in range(dim_k):
+                for h2 in range(dim_h):
+                    mul_cols.append(accumulate(space, (
+                        (c, tensor_elem(space, actor.mul_basis(a, k2),
+                                        row[b * dim_h + h2]))
+                        for c, a, b in legs)))
+            anti_cols.append(accumulate(space, (
+                (c, tensor_elem(space, s_k[a], apply2(act, s_k[b], s_h[h])))
+                for c, a, b in legs)))
+    return HopfAlgebraData(space, LinearOp(comul.codomain, space, mul_cols),
+                           tensor_elem(space, actor.unit, carrier.unit),
+                           comul, counit, LinearOp(space, space, anti_cols))
+
+
 def tensor_hopf(h: HopfAlgebraData, k: HopfAlgebraData) -> HopfAlgebraData:
     """Tensor product Hopf algebra with componentwise multiplication and
-    the middle-flip tensor comultiplication."""
+    the middle-flip tensor comultiplication: the smash product of H acting
+    trivially on K."""
     require_cocommutative(h)
     require_cocommutative(k)
     if h.field != k.field:
         raise DimensionMismatch("tensor factors over different fields")
-    comul, counit = tensor_coalgebra(h, k)
-    space = comul.domain
-    dim_k = k.dim
-    dim = space.dim
-
-    mul_cols = []
-    for p in range(dim):
-        i, j = tensor_split(p, dim_k)
-        for q in range(dim):
-            a, b = tensor_split(q, dim_k)
-            mul_cols.append(tensor_elem(space, h.mul_basis(i, a), k.mul_basis(j, b)))
-    anti_cols = []
-    for p in range(dim):
-        i, j = tensor_split(p, dim_k)
-        anti_cols.append(tensor_elem(space, h.antipode.columns[i],
-                                     k.antipode.columns[j]))
-
-    out = HopfAlgebraData(space, LinearOp(comul.codomain, space, mul_cols),
-                          tensor_elem(space, h.unit, k.unit), comul, counit,
-                          LinearOp(space, space, anti_cols))
+    out = smash_hopf(h, k, trivial_map(h, k))
     report = verify_hopf(out)
     if not report.passed:
         fail = report.first_failure()
@@ -777,12 +798,15 @@ def module_coalgebra_report(action: ModuleAction) -> AxiomReport:
     return report
 
 
+def trivial_map(actor: HopfAlgebraData, carrier: HopfAlgebraData) -> LinearOp:
+    """k ⊳ h = ε(k) h as a map K ⊗ H -> H, without the module checks."""
+    return LinearOp(tensor_space(actor.space, carrier.space), carrier.space,
+                    [e.scale(eps) for eps in actor._eps for e in carrier._basis])
+
+
 def trivial_action(actor: HopfAlgebraData, carrier: HopfAlgebraData) -> ModuleAction:
     """k ⊳ h = ε(k) h."""
-    cols = [carrier.basis(i).scale(actor._eps[a])
-            for a in range(actor.dim) for i in range(carrier.dim)]
-    dom = tensor_space(actor.space, carrier.space)
-    return module_action(actor, carrier, LinearOp(dom, carrier.space, cols))
+    return module_action(actor, carrier, trivial_map(actor, carrier))
 
 
 def adjoint_map(h: HopfAlgebraData) -> LinearOp:

@@ -193,6 +193,86 @@ def test_verify_failing_map_exit_one(tmp_path, capsys):
     assert "FAIL  B.rota-baxter" in capsys.readouterr().out
 
 
+def failing_carrier_doc(body, g_squared):
+    """A two-dimensional carrier H with group-like e and g, ε = 1, S = id
+    and g·g = ``g_squared``·g, which fails the antipode axiom, and an action
+    of H on itself with the given body."""
+    return json.dumps({"version": 1, "declarations": [
+        {"kind": "hopf", "name": "H", "basis": ["e", "g"],
+         "mul": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"],
+                 [1, 1, 1, g_squared]],
+         "unit": [[0, "1"]],
+         "comul": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+         "counit": [[0, "1"], [1, "1"]],
+         "antipode": [[0, 0, "1"], [1, 1, "1"]]},
+        {"kind": "action", "name": "act", "actor": "H", "carrier": "H",
+         **body}]})
+
+
+@pytest.mark.parametrize("body, g_squared, compat, first_failure", [
+    ({"trivial": True}, "1", "PASS  H.bialgebra-compatibility",
+     "[at (g): lhs = 1/1*g, rhs = 1/1*e]"),
+    ({"adjoint": True}, "2",
+     "FAIL  H.bialgebra-compatibility  [at (g, g): lhs = 2/1*(g,g), "
+     "rhs = 4/1*(g,g)]",
+     "[at (g, g): lhs = 2/1*(g,g), rhs = 4/1*(g,g)]"),
+], ids=["trivial", "adjoint"])
+def test_action_on_failing_carrier_reports_every_check(tmp_path, capsys, body,
+                                                       g_squared, compat,
+                                                       first_failure):
+    # The action line fails with the carrier's first Hopf failure, as a
+    # rota-baxter line does; parsing the adjoint body sweeps nothing.
+    path = tmp_path / "bad_carrier.json"
+    path.write_text(failing_carrier_doc(body, g_squared))
+    assert cli.main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = [line for line in captured.out.splitlines()
+             if not line.startswith("digest")]
+    assert lines == [
+        "field: rational",
+        "PASS  H.associativity", "PASS  H.unit", "PASS  H.coassociativity",
+        "PASS  H.counit", compat,
+        f"FAIL  H.antipode  [at (g): lhs = {g_squared}/1*g, rhs = 1/1*e]",
+        "FAIL  H.cocommutative",
+        f"FAIL  act.module-bialgebra  {first_failure}",
+        "result: FAIL (8 checks)"]
+
+
+def swapped_smash_file(tmp_path):
+    """z3z2_smash.json with the Z2 generator swapping e and g of Z3: a
+    module coalgebra, but not a module algebra."""
+    doc = json.loads((ROOT / "docs" / "fixtures" / "z3z2_smash.json")
+                     .read_text())
+    doc["declarations"][2]["group_action"]["g"] = {"e": "g", "g": "e",
+                                                   "g2": "g2"}
+    path = tmp_path / "swapped_smash.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+SWAPPED_FAILURE = ("module-algebra-product: at (g,e,e): lhs = 1/1*g, "
+                   "rhs = 1/1*g2")
+
+
+def test_derive_smash_of_non_module_algebra_fails(tmp_path, capsys):
+    assert cli.main(["derive", "smash", swapped_smash_file(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("FAIL  construction invalid at stage "
+                            f"'module-bialgebra': {SWAPPED_FAILURE}\n")
+
+
+def test_verify_smash_of_non_module_algebra_fails(tmp_path, capsys):
+    assert cli.main(["verify", swapped_smash_file(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL  inv_act.module-bialgebra  [at (g, e, e): lhs = 1/1*g, " \
+        "rhs = 1/1*g2]" in lines
+    assert ("FAIL  G.smash  [at (): lhs = construction invalid at stage "
+            f"'module-bialgebra': {SWAPPED_FAILURE}, rhs = ]") in lines
+    assert lines[-1] == "result: FAIL (16 checks)"
+
+
 def test_parse_error_exit_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

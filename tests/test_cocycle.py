@@ -9,7 +9,7 @@ import hopfkit as hk
 from hopfkit import cocycle as cocycle_mod
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
-from hopfkit.errors import IdentityFails, SingularMap
+from hopfkit.errors import ConstructionInvalid, IdentityFails, SingularMap
 from hopfkit.hopf import (HopfAlgebraData, ModuleAction, adjoint_action,
                           apply2, first_witness, tensor_coalgebra,
                           unit_counit_map)
@@ -55,6 +55,42 @@ def test_invert_relative_rb_round_trip(f2):
     assert coc2.pi == rel.tau  # identity both ways
     rel2 = hk.invert_cocycle(coc2)
     assert rel2.tau == rel.tau
+
+
+def z3_swap_action():
+    """Z2 acting on Q[Z3] with g swapping e and g: a module coalgebra (it
+    permutes group-likes), but not a module algebra."""
+    h = hk.group_algebra(gr.cyclic(3))
+    k = hk.group_algebra(gr.cyclic(2))
+    cols = [h.space.basis(i) for i in (0, 1, 2, 1, 0, 2)]
+    return k, h, ModuleAction(k, h, LinearOp(tensor_space(k.space, h.space),
+                                             h.space, cols))
+
+
+def test_verify_cocycle_refuses_non_module_algebra():
+    k, h, act = z3_swap_action()
+    # π need not be a coalgebra map: the module-algebra stage comes first
+    pi = LinearOp(k.space, h.space, [h.space.basis(0), h.space.basis(1)])
+    with pytest.raises(ConstructionInvalid) as exc:
+        hk.verify_cocycle(k, h, act, pi)
+    assert exc.value.stage == "module-algebra"
+    assert str(exc.value) == (
+        "construction invalid at stage 'module-algebra': "
+        "module-algebra-product: at (g,e,e): lhs = 1/1*g, rhs = 1/1*g2")
+
+
+def test_invert_cocycle_refuses_non_module_coalgebra():
+    # g ▷ g = -g is an algebra automorphism of Q[Z2], not a coalgebra map
+    h = hk.group_algebra(gr.cyclic(2))
+    e, g = h.space.basis(0), h.space.basis(1)
+    sign = ModuleAction(h, h, LinearOp(h.hh, h.space, [e, g, e, -g]))
+    ident = LinearOp.identity(h.space)
+    with pytest.raises(ConstructionInvalid) as exc:
+        hk.invert_cocycle(cocycle_mod.Cocycle(h, h, sign, ident, ident))
+    assert exc.value.stage == "module-coalgebra"
+    assert str(exc.value) == (
+        "construction invalid at stage 'module-coalgebra': "
+        "module-coalgebra-comul: at (g,g): lhs = -1/1*(g,g), rhs = 1/1*(g,g)")
 
 
 def test_invert_relative_rb_singular_tau(f2):

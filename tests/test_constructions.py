@@ -1,5 +1,6 @@
 """Triple factorizations and smash products with their operators."""
 
+import dataclasses
 from types import SimpleNamespace
 from unittest import mock
 
@@ -10,8 +11,9 @@ import hopfkit as hk
 from hopfkit import constructions as constr_mod
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
-from hopfkit.errors import HypothesisFails, NotExactFactorization
-from hopfkit.hopf import ModuleAction, apply2, transport_hopf
+from hopfkit.errors import (ConstructionInvalid, HypothesisFails,
+                            NotExactFactorization)
+from hopfkit.hopf import ModuleAction, apply2, smash_hopf, transport_hopf
 from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
                             accumulate, invert, kron, tensor_elem,
                             tensor_index, tensor_space, tensor_split)
@@ -109,6 +111,20 @@ def test_smash_trivial_action_is_tensor():
     k = hk.group_algebra(gr.cyclic(2))
     sp = hk.smash_product(h, k, hk.trivial_action(k, h))
     assert sp.product.structure_equal(sp.tensor)
+
+
+def test_smash_refuses_non_module_bialgebra():
+    # Z2 swapping e and g of Z3 permutes group-likes but is no algebra map
+    h, k, _ = z3_z2_inversion_action()
+    cols = [h.space.basis(i) for i in (0, 1, 2, 1, 0, 2)]
+    act = ModuleAction(k, h, LinearOp(tensor_space(k.space, h.space),
+                                      h.space, cols))
+    with pytest.raises(ConstructionInvalid) as exc:
+        hk.smash_product(h, k, act)
+    assert exc.value.stage == "module-bialgebra"
+    assert str(exc.value) == (
+        "construction invalid at stage 'module-bialgebra': "
+        "module-algebra-product: at (g,e,e): lhs = 1/1*g, rhs = 1/1*g2")
 
 
 def test_rb_on_smash_b_eps():
@@ -401,7 +417,11 @@ def test_smash_sums_match_reference_on_edits(field, dense, part, col, row,
     maps = {"c": LinearOp.identity(k.space), "act": sp.action.act,
             "k_mul": k.mul}
     maps[part] = edited(maps[part], col, row, offset)
-    assert list(constr_mod._smash_mul(h, k, maps["act"], maps["k_mul"]).columns) \
+    # the builder's K ⊗ H product for an actor with the (edited) product,
+    # moved onto H ⊗ K
+    actor = dataclasses.replace(k, mul=maps["k_mul"])
+    mul = smash_hopf(actor, h, maps["act"]).mul
+    assert list(constr_mod._onto_hk(mul, sp.product, h.dim).columns) \
         == reference_smash_mul(h, k, maps["act"], maps["k_mul"])
 
     def stop(action):

@@ -457,6 +457,33 @@ def test_tensor_hopf_z2_z3_isomorphic_to_z6():
     assert hk.check_hopf_isomorphism(iso, t, z6)
 
 
+def reference_tensor_tables(h, k):
+    """The componentwise product and antipode of H ⊗ K, column by column."""
+    space = tensor_space(h.space, k.space)
+    mul = [tensor_elem(space, h.mul_basis(i, a), k.mul_basis(j, b))
+           for i in range(h.dim) for j in range(k.dim)
+           for a in range(h.dim) for b in range(k.dim)]
+    anti = [tensor_elem(space, h.antipode.columns[i], k.antipode.columns[j])
+            for i in range(h.dim) for j in range(k.dim)]
+    return mul, anti
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+@pytest.mark.parametrize("left, right", [
+    ("dense-Z2-inv", "dense-Z2-inv"), ("mixed-S3-inv", "dense-Z2-inv"),
+    ("dense-Z3-inv", None), (None, "mixed-S3-inv")])
+def test_tensor_hopf_matches_componentwise_reference(kernel_op, field, left,
+                                                     right):
+    # None stands for the group algebra Z2 in its group-like basis
+    h, k = (kernel_op(name, field).carrier if name
+            else hk.group_algebra(gr.cyclic(2), field)
+            for name in (left, right))
+    t = hk.tensor_hopf(h, k)
+    mul, anti = reference_tensor_tables(h, k)
+    assert list(t.mul.columns) == mul
+    assert list(t.antipode.columns) == anti
+
+
 def test_opposite_hopf_flips_multiplication(f2):
     op = hk.opposite_hopf(f2)
     i_r, i_s = f2.space.index_of("r"), f2.space.index_of("s")
