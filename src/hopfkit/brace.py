@@ -3,7 +3,8 @@ the derived action, the embedding into a Rota-Baxter Hopf algebra on
 G ⊗ G, and the symmetry condition suite.
 
 A Hopf brace is two Hopf structures (dot and circle) on one shared
-coalgebra satisfying a ∘ (bc) = (a_(1) ∘ b) S(a_(2)) (a_(3) ∘ c).
+coalgebra satisfying a ∘ (bc) = (a_(1) ∘ b) S(a_(2)) (a_(3) ∘ c);
+verify_brace sweeps it in ints on scaled columns.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from .errors import (CompatibilityFails, ConstructionInvalid,
                      HypothesisFails, InternalTheoremViolation,
                      NotExactFactorization, SingularMap)
 from .hopf import (HopfAlgebraData, ModuleAction, _multiplicative_witness,
-                   adjoint_map, apply2, check_cocommutative,
+                   _nonzero, _witness, adjoint_map, apply2, check_cocommutative,
                    check_module_bialgebra, convolution, convolution_inverse,
                    first_witness, leg_table, opposite_hopf,
                    require_cocommutative, smash_hopf, sub_hopf_indices,
                    twisted_product, verify_hopf)
-from .linalg import (BasedSpace, Element, LinearOp, accumulate, invert,
-                     rank, tensor_elem, tensor_index, tensor_space,
-                     tensor_split)
+from .linalg import (BasedSpace, Element, LinearOp, accumulate, int_product,
+                     invert, rank, scaled_columns, tensor_elem, tensor_index,
+                     tensor_space, tensor_split)
 from .rb import (RotaBaxterOp, check_descendent_isos, descend,
                  descendent_antipode, rb_conjugate, rb_tilde, verify_rb)
 from .report import Witness
@@ -67,33 +68,58 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
     # rhs = Σ (a_(1) ∘ b) S(a_(2)) (a_(3) ∘ c).  Coassociativity of the
     # verified coproduct splits the legs as Δ(x) ⊗ y over (x, y) in Δ(a),
     # so rhs = Σ_x left[x][b] (Σ_y w (y ∘ c)) with one product per x.
-    dim = dot.dim
-    s = dot.antipode
-    left = [[accumulate(dot.space, (
-                (w, dot.product(circle.mul_basis(p // dim, b),
-                                s.columns[p % dim]))
-                for p, w in col.coeffs.items()))
-             for b in range(dim)] for col in dot.comul.columns]
-    one = dot.field.one
+    # The sweep runs in ints: left[x][b] carries dc·dk·ds·dm, each right
+    # factor dc·dk, and the left side a ∘ (bc) dk·dm.
+    dim, p = dot.dim, dot.field.p
+    dm, mul = scaled_columns(dot.mul)
+    dk, circ = scaled_columns(circle.mul)
+    dc, comul = scaled_columns(dot.comul)
+    ds, anti = scaled_columns(dot.antipode)
+    left = []
+    for col in comul:
+        legs = [(*divmod(q, dim), w) for q, w in col]
+        row = []
+        for b in range(dim):
+            acc: dict = {}
+            for x1, x2, w in legs:
+                int_product(mul, dim, int_product(
+                    circ, dim, ((x1, w),), ((b, 1),)).items(), anti[x2], acc)
+            row.append(tuple(acc.items()))
+        left.append(row)
+    scale = dc * dc * dk * ds * dm
     for a in range(dim):
         legs: dict = {}
-        for p, w in dot.comul.columns[a].coeffs.items():
-            x, y = divmod(p, dim)
-            legs.setdefault(x, []).append((w, y))
-        right = [[(x, accumulate(dot.space, ((w, circle.mul_basis(y, c))
-                                             for w, y in terms)))
+        for q, w in comul[a]:
+            x, y = divmod(q, dim)
+            legs.setdefault(x, []).append((y, -w))
+        right = [[(left[x], tuple(int_product(circ, dim, terms,
+                                              ((c, 1),)).items()))
                   for x, terms in legs.items()] for c in range(dim)]
         for b in range(dim):
             for c in range(dim):
-                lhs = apply2(circle.mul, dot.basis(a), dot.mul_basis(b, c))
-                rhs = accumulate(dot.space, (
-                    (one, dot.product(left[x][b], r)) for x, r in right[c]))
-                if lhs != rhs:
+                diff = int_product(circ, dim, ((a, scale),), mul[b * dim + c])
+                for row, r in right[c]:
+                    int_product(mul, dim, row[b], r, diff)
+                if _nonzero(diff, p):
                     raise CompatibilityFails(
                         "brace compatibility fails",
-                        Witness((dot.label(a), dot.label(b), dot.label(c)),
-                                str(lhs), str(rhs)))
+                        _witness(dot, (a, b, c),
+                                 *_compatibility_sides(dot, circle, a, b, c)))
     return HopfBrace(dot, circle, True)
+
+
+def _compatibility_sides(dot: HopfAlgebraData, circle: HopfAlgebraData,
+                         a: int, b: int, c: int) -> tuple[Element, Element]:
+    """a ∘ (bc) and Σ (a_(1) ∘ b) S(a_(2)) (a_(3) ∘ c) at one basis triple,
+    as elements, over the legs of (Δ ⊗ id)Δ(a)."""
+    dim, s, legs = dot.dim, dot.antipode, dot.comul.columns
+    left = [accumulate(dot.space, ((w, dot.product(
+        circle.mul_basis(q // dim, b), s.columns[q % dim]))
+        for q, w in col.coeffs.items())) for col in legs]
+    return (apply2(circle.mul, dot.basis(a), dot.mul_basis(b, c)),
+            accumulate(dot.space, (
+                (w, dot.product(left[q // dim], circle.mul_basis(q % dim, c)))
+                for q, w in legs[a].coeffs.items())))
 
 
 def brace_from_rb(b: RotaBaxterOp, phi: LinearOp | None = None) -> HopfBrace:

@@ -17,6 +17,9 @@ number of times in one process; the parser is built once, at import.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
+import stat
 import sys
 
 from . import brace as brace_mod
@@ -401,6 +404,19 @@ def _write(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _unwritable(path: str) -> str | None:
+    """Why ``path`` cannot be opened for writing, as ``open`` would say it,
+    for the cases seen without touching the file: a path that is a
+    directory, and a parent that is missing or not a directory."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    try:
+        parent = os.stat(os.path.dirname(os.path.abspath(path)))
+    except OSError as exc:
+        return exc.strerror
+    return None if stat.S_ISDIR(parent.st_mode) else os.strerror(errno.ENOTDIR)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfkit",
@@ -461,6 +477,10 @@ def main(argv=None) -> int:
         print(f"error: bad --budget: {args.budget} is below 0", file=sys.stderr)
         return 2
 
+    reason = args.out and _unwritable(args.out)
+    if reason:
+        print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+        return 2
     try:
         defs = parse_file(args.file, field_override)
     except (DefinitionError, DimensionMismatch, FieldMismatch, ValueError,

@@ -13,10 +13,13 @@ product, brace embedding) by :func:`smash_hopf`.  Sweedler
 sums of maps are built by two kernels that take the coproduct as a
 ``LinearOp`` (``h.comul`` or a middle-flip one): :func:`convolution`,
 x ↦ Σ m(f(x_(1)) ⊗ g(x_(2))), and :func:`twisted_product`,
-x ⊗ y ↦ Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)).  The
-:func:`verify_hopf` sweeps run on the int columns of
-:func:`~hopfkit.linalg.scaled_columns` and compare the two sides in ints
-(modulo p over F_p); only the first failing tuple is evaluated as
+x ⊗ y ↦ Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)).  Four sweeps run on
+the int columns of :func:`~hopfkit.linalg.scaled_columns`, multiplied
+through :func:`~hopfkit.linalg.int_product`: those of :func:`verify_hopf`,
+the Δ side of :func:`coalgebra_map_failures`, the Rota-Baxter identity
+of ``rb.verify_rb`` (whose ∘_B table is built in ints too) and the
+compatibility of ``brace.verify_brace``.  They compare the two sides in
+ints (modulo p over F_p); only the first failing tuple is evaluated as
 elements, to render its witness.
 
 Sweedler conventions: the coproduct is stored once, as the columns of
@@ -36,9 +39,9 @@ from .errors import (ConstructionInvalid, DimensionMismatch,
                      InternalTheoremViolation, NotCocommutative,
                      NotConvolutionInvertible, UnvalidatedInput)
 from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, _sum_mod,
-                     _sum_ratio, accumulate, flip_tensor, scaled_columns,
-                     tensor_elem, tensor_index, tensor_space, tensor_split,
-                     rank)
+                     _sum_ratio, accumulate, flip_tensor, int_product,
+                     scaled_columns, tensor_elem, tensor_index, tensor_space,
+                     tensor_split, rank)
 from .report import AxiomReport, Witness
 
 if TYPE_CHECKING:
@@ -197,7 +200,7 @@ def _witness(h: HopfAlgebraData, at: tuple[int, ...], lhs, rhs) -> Witness:
 
 def _nonzero(diff: dict, p: int) -> bool:
     """Whether a scaled difference has a nonzero entry, modulo p over F_p."""
-    return any(v % p if p else v for v in diff.values())
+    return any(v % p for v in diff.values()) if p else any(diff.values())
 
 
 def _associativity_failure(dim: int, p: int,
@@ -276,13 +279,9 @@ def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
     # 1·e_i and e_i·1 carry du·dm.
     w = None
     for i in range(dim):
-        left = {i: -du * dm}
-        right = {i: -du * dm}
-        for a, u in unit:
-            for b, c in mul[a * dim + i]:
-                left[b] = left.get(b, 0) + u * c
-            for b, c in mul[i * dim + a]:
-                right[b] = right.get(b, 0) + u * c
+        e_i = ((i, 1),)
+        left = int_product(mul, dim, unit, e_i, {i: -du * dm})
+        right = int_product(mul, dim, e_i, unit, {i: -du * dm})
         if _nonzero(left, p) or _nonzero(right, p):
             e = h.basis(i)
             side = (h.product(h.unit, e) if _nonzero(left, p)
@@ -600,20 +599,34 @@ def coalgebra_map_failures(f: LinearOp, source: tuple[LinearOp, LinearOp],
     pairs.  Returns ``(comul, counit)``: the first failing basis index of
     each identity as ``(i, lhs, rhs)``, or None where it holds.  The
     counit sides are scalars.  Callers that report one failure take the
-    lower index, the comultiplication winning a tie."""
+    lower index, the comultiplication winning a tie.  The Δ sides are
+    compared in ints, Δ_t(f(e_i))·ds·df with (f⊗f)Δ_s(e_i)·dt for the
+    scales ds, dt and df of Δ_s, Δ_t and f; only a failing index is
+    evaluated as elements."""
     (s_comul, s_counit), (t_comul, t_counit) = source, target
     cols = f.columns
-    n = len(cols)
+    n, m = len(cols), f.codomain.dim
+    p = f.codomain.field.p
+    df, fc = scaled_columns(f)
+    ds, sc = scaled_columns(s_comul)
+    dt, tc = (ds, sc) if t_comul is s_comul else scaled_columns(t_comul)
+    lscale = ((0, ds * df),)
     square = t_comul.codomain
     comul = counit = None
     for i, col in enumerate(cols):
         if comul is None:
-            lhs = t_comul(col)
-            rhs = accumulate(square, (
-                (c, tensor_elem(square, cols[p // n], cols[p % n]))
-                for p, c in s_comul.columns[i].coeffs.items()))
-            if lhs != rhs:
-                comul = (i, lhs, rhs)
+            diff = int_product(tc, 1, fc[i], lscale)
+            for q, w in sc[i]:
+                a, b = divmod(q, n)
+                w *= -dt
+                for ka, ca in fc[a]:
+                    base, wa = ka * m, w * ca
+                    for kb, cb in fc[b]:
+                        diff[base + kb] = diff.get(base + kb, 0) + wa * cb
+            if _nonzero(diff, p):
+                comul = (i, t_comul(col), accumulate(square, (
+                    (c, tensor_elem(square, cols[q // n], cols[q % n]))
+                    for q, c in s_comul.columns[i].coeffs.items())))
         if counit is None:
             lhs = t_counit(col).coefficient(0)
             rhs = s_counit.columns[i].coefficient(0)

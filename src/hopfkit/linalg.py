@@ -15,8 +15,9 @@ at the end; over F_p it reduces ``acc + coeff * c`` modulo p.
 :func:`~hopfkit.hopf.apply2` feeds the same loops, over Q with int
 numerator and denominator products instead of ``Fraction`` pairs.
 :func:`scaled_columns` gives a map's columns as ints over one common
-denominator (1 over F_p), for sweeps that compare the two sides of an
-identity in ints only.
+denominator (1 over F_p), and :func:`int_product` multiplies such columns
+through a scaled product table, for sweeps that compare the two sides of
+an identity in ints only.
 
 Values are meant to be left unchanged once validated and shared, but this
 is a convention that is not enforced yet: ``Element.coeffs`` is a plain
@@ -385,9 +386,12 @@ def scaled_columns(op: LinearOp) -> tuple[int, list[tuple]]:
     Over Q ``den`` is the lcm of the op's denominators, so identities
     between products of columns can be compared in ints once each side is
     multiplied by the other side's scale.  Over F_p ``den`` is 1 and the
-    reduced ints are used as stored.
+    reduced ints are used as stored; so are the values over Q when every
+    one is an int (a ``Fraction(n, 1)`` left by mixed arithmetic becomes
+    the int n through the general path, with ``den`` 1).
     """
-    if op.codomain.field.p:
+    if op.codomain.field.p or all(type(c) is int for col in op.columns
+                                  for c in col.coeffs.values()):
         return 1, [tuple(col.coeffs.items()) for col in op.columns]
     den = 1
     for col in op.columns:
@@ -397,6 +401,28 @@ def scaled_columns(op: LinearOp) -> tuple[int, list[tuple]]:
                 den = den // gcd(den, d) * d
     return den, [tuple((i, c.numerator * (den // c.denominator))
                        for i, c in col.coeffs.items()) for col in op.columns]
+
+
+def int_product(table: list, dim: int, x, y, out: dict | None = None) -> dict:
+    """Add Σ x_a·y_b·table[a·dim + b] into the int dict ``out`` (a new one
+    when None) and return it.
+
+    ``table`` holds the :func:`scaled_columns` of a map on a tensor
+    product whose right factor has dimension ``dim``, usually a product;
+    x and y are ``(index, int)`` pairs, x read once and y once per term of
+    x.  The sum carries the scales of the table, x and y multiplied.  A
+    map f on one factor gives s·f(x) = f(x ⊗ s) with ``dim`` 1 and
+    ``y = ((0, s),)``.  Entries may be 0; the caller tests or reduces."""
+    if out is None:
+        out = {}
+    get = out.get
+    for a, cx in x:
+        base = a * dim
+        for b, cy in y:
+            w = cx * cy
+            for k, c in table[base + b]:
+                out[k] = get(k, 0) + w * c
+    return out
 
 
 # -- tensor products ---------------------------------------------------------

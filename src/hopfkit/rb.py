@@ -4,6 +4,8 @@ A Rota-Baxter operator is a coalgebra map B with
 
     B(x) B(y) = B( x_(1) B(x_(2)) y S(B(x_(3))) ).
 
+verify_rb sums both sides in ints on scaled columns, and the table of
+x ∘_B y is built in ints and made canonical elements once per column.
 Every transform here (the reflection B~, conjugation by an automorphism,
 the descendent Hopf algebra H(B)) re-verifies its advertised properties
 instead of trusting the underlying theorems; a failure on validated
@@ -18,12 +20,13 @@ from functools import cached_property
 from .errors import (ConstructionInvalid, DimensionMismatch, HopfkitError,
                      InternalTheoremViolation, NotAutomorphism,
                      NotCoalgebraMap, RBIdentityFails)
-from .hopf import (HopfAlgebraData, _multiplicative_witness, adjoint_map,
-                   apply2, check_bialgebra_automorphism,
+from .hopf import (HopfAlgebraData, _multiplicative_witness, _nonzero,
+                   _witness, adjoint_map, apply2, check_bialgebra_automorphism,
                    check_coalgebra_morphism, coalgebra_morphism_witness,
                    convolution, first_witness, require_cocommutative,
                    verify_hopf)
-from .linalg import LinearOp, accumulate, invert, tensor_index
+from .linalg import (Element, LinearOp, _rational, int_product, invert,
+                     scaled_columns)
 from .report import AxiomReport, Witness
 
 
@@ -61,12 +64,22 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     if w is not None:
         raise NotCoalgebraMap("operator is not a coalgebra map", w)
     op = RotaBaxterOp(h, b)
-    circ = op.circle
-    w = first_witness((h.space, h.space), lambda x, y: (
-        h.product(b.columns[x], b.columns[y]),
-        b(circ.columns[tensor_index(x, y, h.dim)])))
-    if w is not None:
-        raise RBIdentityFails("Rota-Baxter identity fails", w)
+    dim, p = h.dim, h.field.p
+    dm, mul = scaled_columns(h.mul)
+    db, bcols = scaled_columns(b)
+    dk, circ = scaled_columns(op.circle)
+    # B(x)B(y) carries db²·dm and B(x∘y) carries db·dk: the difference
+    # B(x)B(y)·dk − B(x∘y)·db·dm is summed in ints.
+    neg = ((0, -db * dm),)
+    for x in range(dim):
+        bx = [(k, c * dk) for k, c in bcols[x]]
+        for y in range(dim):
+            diff = int_product(mul, dim, bx, bcols[y])
+            int_product(bcols, 1, circ[x * dim + y], neg, diff)
+            if _nonzero(diff, p):
+                raise RBIdentityFails("Rota-Baxter identity fails", _witness(
+                    h, (x, y), h.product(b.columns[x], b.columns[y]),
+                    b(op.circle.columns[x * dim + y])))
     op.validated = True
     return op
 
@@ -104,26 +117,48 @@ def check_tilde_conjugate_commute(b: RotaBaxterOp, phi: LinearOp) -> bool:
 def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
     """g ∘_B x = g_(1) B(g_(2)) x S(B(g_(3))).  Coassociativity splits the
     legs as Δ(y) ⊗ z over (y, z) in Δ(g): each y gives one left factor
-    y_(1) B(y_(2)), and its right factors S(B(z)) are summed first."""
-    dim = h.dim
-    one = h.field.one
-    left = [accumulate(h.space, ((c, h.product(h.basis(p // dim),
-                                               b.columns[p % dim]))
-                                 for p, c in col.coeffs.items()))
-            for col in h.comul.columns]
-    sb = [h.antipode(col) for col in b.columns]
+    y_(1) B(y_(2)), and its right factors S(B(z)) are summed first.
+
+    The sums run in ints on :func:`scaled_columns`; each column becomes a
+    canonical element once, the carrier's own basis element when it is a
+    single basis vector with coefficient 1."""
+    dim, p = h.dim, h.field.p
+    dm, mul = scaled_columns(h.mul)
+    dc, comul = scaled_columns(h.comul)
+    db, bcols = scaled_columns(b)
+    ds, anti = scaled_columns(h.antipode)
+    # lx[y][x] = y_(1) B(y_(2)) e_x carries dc·db·dm² and a summed right
+    # factor dc·db·ds, so every column (dc·db·dm²)·(dc·db·ds)·dm.
+    lx = []
+    for col in comul:
+        yb: dict = {}
+        for q, c in col:
+            y1, y2 = divmod(q, dim)
+            int_product(mul, dim, ((y1, c),), bcols[y2], yb)
+        lx.append([tuple(int_product(mul, dim, yb.items(), ((x, 1),)).items())
+                   for x in range(dim)])
+    sb = [tuple(int_product(anti, 1, col, ((0, 1),)).items()) for col in bcols]
+    den = (dc * db * dm) ** 2 * ds * dm
     cols = []
-    for col in h.comul.columns:
+    for col in comul:
         groups: dict = {}
-        for p, c in col.coeffs.items():
-            y, z = divmod(p, dim)
-            groups.setdefault(y, []).append((c, sb[z]))
-        wings = [(left[y], accumulate(h.space, terms))
+        for q, c in col:
+            y, z = divmod(q, dim)
+            groups.setdefault(y, []).append((z, c))
+        wings = [(lx[y], tuple(int_product(sb, 1, terms, ((0, 1),)).items()))
                  for y, terms in groups.items()]
         for x in range(dim):
-            cols.append(accumulate(h.space, (
-                (one, h.product(h.product(lft, h.basis(x)), rgt))
-                for lft, rgt in wings)))
+            acc: dict = {}
+            for left, right in wings:
+                int_product(mul, dim, left[x], right, acc)
+            if p:
+                coeffs = {k: v % p for k, v in acc.items() if v % p}
+            else:
+                coeffs = {k: _rational(v, den) for k, v in acc.items() if v}
+            if len(coeffs) == 1 and 1 in coeffs.values():
+                cols.append(h.basis(*coeffs))
+            else:
+                cols.append(Element(h.space, coeffs, _canonical=True))
     return LinearOp(h.hh, h.space, cols)
 
 

@@ -7,9 +7,10 @@ import pytest
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
-from hopfkit.hopf import transport_hopf
+from hopfkit.hopf import apply2, transport_hopf
 from hopfkit.linalg import (BasedSpace, Element, LinearOp, accumulate, invert,
-                            tensor_split)
+                            tensor_elem, tensor_split)
+from hopfkit.report import Witness
 
 
 @pytest.fixture(scope="session")
@@ -90,6 +91,64 @@ def circle_product_element(h, b, x, y):
                           h.product_many([h.basis(g1), b.columns[g2], y,
                                           h.antipode(b.columns[g3])])))
     return accumulate(h.space, terms)
+
+
+# -- element-level oracles of the int sweeps in src ------------------------------
+
+def reference_coalgebra_morphism_witness(f, h, k):
+    """coalgebra_morphism_witness as one loop over e_i, Δ then ε at each,
+    the right side summed term by term over Δ_H(e_i)."""
+    for i in range(h.dim):
+        lhs = k.comul(f.columns[i])
+        rhs = accumulate(k.hh, (
+            (c, tensor_elem(k.hh, f.columns[tensor_split(p, h.dim)[0]],
+                            f.columns[tensor_split(p, h.dim)[1]]))
+            for p, c in h.comul.columns[i].coeffs.items()))
+        if lhs != rhs:
+            return Witness((h.label(i),), str(lhs), str(rhs))
+        if k.counit_scalar(f.columns[i]) != h._eps[i]:
+            return Witness((h.label(i),), str(k.counit_scalar(f.columns[i])),
+                           str(h._eps[i]))
+    return None
+
+
+def reference_rb_witness(h, b):
+    """First pair (x, y) with B(x) B(y) != B(x_(1) B(x_(2)) y S(B(x_(3)))),
+    the right side through the paper's formula for ∘_B."""
+    for x in range(h.dim):
+        for y in range(h.dim):
+            lhs = h.product(b.columns[x], b.columns[y])
+            rhs = b(circle_product_element(h, b, h.basis(x), h.basis(y)))
+            if lhs != rhs:
+                return Witness((h.label(x), h.label(y)), str(lhs), str(rhs))
+    return None
+
+
+def reference_circle_mul(h, b):
+    return LinearOp(h.hh, h.space, [
+        circle_product_element(h, b, h.basis(x), h.basis(y))
+        for x in range(h.dim) for y in range(h.dim)])
+
+
+def reference_compatibility_witness(dot, circle):
+    """First failing triple of a ∘ (bc) = (a_(1)∘b) S(a_(2)) (a_(3)∘c), the
+    right side summed term by term over the three-leg coproduct of a."""
+    dim = dot.dim
+    s = dot.antipode
+    for a in range(dim):
+        legs = sweedler(dot, a, 3)
+        for b in range(dim):
+            for c in range(dim):
+                lhs = apply2(circle.mul, dot.basis(a), dot.mul_basis(b, c))
+                rhs = accumulate(dot.space, (
+                    (w, dot.product_many([circle.mul_basis(a1, b),
+                                          s.columns[a2],
+                                          circle.mul_basis(a3, c)]))
+                    for w, (a1, a2, a3) in legs))
+                if lhs != rhs:
+                    return Witness((dot.label(a), dot.label(b), dot.label(c)),
+                                   str(lhs), str(rhs))
+    return None
 
 
 # -- carriers without a group-like basis, for the Sweedler-kernel oracles --------

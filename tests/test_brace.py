@@ -21,7 +21,8 @@ from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
 from hopfkit.rb import descendent_antipode
 from hopfkit.report import AxiomReport, Witness
 
-from conftest import Built, edited, sweedler
+from conftest import (Built, edited, reference_compatibility_witness,
+                      sweedler)
 
 ORACLE = settings(max_examples=10, deadline=None, database=None)
 
@@ -282,27 +283,6 @@ def test_factorization_wrong_sizes_rejected(f2):
 
 
 # -- oracles: the sweeps term by term ----------------------------------------------------
-
-def reference_compatibility_witness(dot, circle):
-    """First failing triple of a ∘ (bc) = (a_(1)∘b) S(a_(2)) (a_(3)∘c), the
-    right side summed term by term over the three-leg coproduct of a."""
-    dim = dot.dim
-    s = dot.antipode
-    for a in range(dim):
-        legs = sweedler(dot, a, 3)
-        for b in range(dim):
-            for c in range(dim):
-                lhs = apply2(circle.mul, dot.basis(a), dot.mul_basis(b, c))
-                rhs = accumulate(dot.space, (
-                    (w, dot.product_many([circle.mul_basis(a1, b),
-                                          s.columns[a2],
-                                          circle.mul_basis(a3, c)]))
-                    for w, (a1, a2, a3) in legs))
-                if lhs != rhs:
-                    return Witness((dot.label(a), dot.label(b), dot.label(c)),
-                                   str(lhs), str(rhs))
-    return None
-
 
 def adjoint_apply(h, u, x):
     """u ▷ x = u_(1) x S(u_(2)), expanded over the basis terms of u."""

@@ -627,6 +627,36 @@ def test_unwritable_out_exits_two(f2_file, tmp_path, capsys, argv):
                             "No such file or directory\n")
 
 
+@pytest.mark.parametrize("where, reason", [
+    ("missing/x", "No such file or directory"),
+    ("file/x", "Not a directory"),
+    ("", "Is a directory")], ids=["missing-parent", "file-parent", "directory"])
+def test_unwritable_out_exits_before_reading_the_input(f2_file, tmp_path, capsys,
+                                                      monkeypatch, where,
+                                                      reason):
+    (tmp_path / "file").write_text("kept")
+
+    def unread(*args):
+        raise AssertionError("the input was read")
+    monkeypatch.setattr(cli, "parse_file", unread)
+    out = tmp_path / where
+    assert cli.main(["verify", f2_file, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {reason}\n"
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_input_error_leaves_an_existing_out_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    out = tmp_path / "report.txt"
+    out.write_text("kept")
+    assert cli.main(["verify", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "kept"
+
+
 def run_main(argv, capsys):
     """cli.main's exit code, stdout and stderr, argparse exits included."""
     try:

@@ -24,7 +24,8 @@ from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ,
                             tensor_space, tensor_split)
 from hopfkit.report import AxiomReport, Witness
 
-from conftest import (KERNEL_OPS, circle_product_element, sweedler,
+from conftest import (KERNEL_OPS, reference_circle_mul,
+                      reference_coalgebra_morphism_witness, sweedler,
                       tensor_square)
 
 ORACLE = settings(max_examples=20, deadline=None, database=None)
@@ -607,23 +608,6 @@ def test_verify_hopf_over_prime_field():
 
 # -- references: the coalgebra-map and module sweeps as explicit loops ------------------
 
-def reference_coalgebra_morphism_witness(f, h, k):
-    """coalgebra_morphism_witness as one loop over e_i, Δ then ε at each,
-    the right side summed term by term over Δ_H(e_i)."""
-    for i in range(h.dim):
-        lhs = k.comul(f.columns[i])
-        rhs = accumulate(k.hh, (
-            (c, tensor_elem(k.hh, f.columns[tensor_split(p, h.dim)[0]],
-                            f.columns[tensor_split(p, h.dim)[1]]))
-            for p, c in h.comul.columns[i].coeffs.items()))
-        if lhs != rhs:
-            return Witness((h.label(i),), str(lhs), str(rhs))
-        if k.counit_scalar(f.columns[i]) != h._eps[i]:
-            return Witness((h.label(i),), str(k.counit_scalar(f.columns[i])),
-                           str(h._eps[i]))
-    return None
-
-
 def reference_module_bialgebra(action):
     """check_module_bialgebra's report from one explicit loop per axiom,
     in the same order."""
@@ -835,12 +819,6 @@ def reference_adjoint_map(h):
         (c, h.product_many([h.basis(g1), h.basis(x), h.antipode.columns[g2]]))
         for c, (g1, g2) in sweedler(h, g, 2)))
         for g in range(h.dim) for x in range(h.dim)])
-
-
-def reference_circle_mul(h, b):
-    return LinearOp(h.hh, h.space, [
-        circle_product_element(h, b, h.basis(x), h.basis(y))
-        for x in range(h.dim) for y in range(h.dim)])
 
 
 def test_constructions_read_the_legs_of_their_own_coproduct():

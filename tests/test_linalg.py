@@ -460,6 +460,37 @@ def test_scaled_columns_match_fraction_columns_over_q(data):
         assert {i: Fraction(n, den) for i, n in pairs} == col.coeffs
 
 
+def general_scaled_columns(op):
+    """scaled_columns by its general rule: every value over the lcm of all
+    denominators."""
+    den = lcm(1, *(c.denominator for col in op.columns
+                   for c in col.coeffs.values()))
+    return den, [tuple((i, c.numerator * (den // c.denominator))
+                       for i, c in col.coeffs.items()) for col in op.columns]
+
+
+# canonical elements may hold ints, Fractions and, after mixed arithmetic,
+# a Fraction(n, 1)
+SCALED_VALUE = st.one_of(st.integers(-9, 9), ACC_RATIONAL,
+                         st.integers(-9, 9).map(Fraction)).filter(bool)
+
+
+@ORACLE
+@given(data=st.data(), value=st.sampled_from(
+    [st.integers(-9, 9).filter(bool), st.integers(1, 9).map(Fraction),
+     SCALED_VALUE]))
+def test_scaled_columns_of_integral_columns_equal_the_general_path(data,
+                                                                   value):
+    space = BasedSpace(tuple(f"x{i}" for i in range(ACC_DIM)))
+    cols = [Element(space, data.draw(st.dictionaries(
+        st.integers(0, ACC_DIM - 1), value, max_size=ACC_DIM)),
+        _canonical=True) for _ in range(data.draw(st.integers(1, 4)))]
+    op = LinearOp(BasedSpace(tuple(range(len(cols)))), space, cols)
+    den, scaled = scaled_columns(op)
+    assert (den, scaled) == general_scaled_columns(op)
+    assert all(type(n) is int for pairs in scaled for _, n in pairs)
+
+
 def test_scaled_columns_over_prime_field_are_stored_ints():
     f7 = Field(7)
     space = BasedSpace(("x", "y"), f7)

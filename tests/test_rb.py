@@ -16,7 +16,8 @@ from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
                             accumulate, invert, kron)
 from hopfkit.report import AxiomReport, Witness
 
-from conftest import circle_product_element, edited, sweedler
+from conftest import (circle_product_element, edited, reference_rb_witness,
+                      sweedler)
 
 
 def corpus_order_le_6():
@@ -41,18 +42,6 @@ def test_identity_map_fails_with_witness(f2):
     assert w.at == ("r", "s")
     assert w.lhs == "1/1*rs"
     assert w.rhs == "1/1*s"
-
-
-def reference_rb_witness(h, b):
-    """First pair (x, y) with B(x) B(y) != B(x_(1) B(x_(2)) y S(B(x_(3)))),
-    the right side through the paper's formula for ∘_B."""
-    for x in range(h.dim):
-        for y in range(h.dim):
-            lhs = h.product(b.columns[x], b.columns[y])
-            rhs = b(circle_product_element(h, b, h.basis(x), h.basis(y)))
-            if lhs != rhs:
-                return Witness((h.label(x), h.label(y)), str(lhs), str(rhs))
-    return None
 
 
 @settings(max_examples=20, deadline=None, database=None)
