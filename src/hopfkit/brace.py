@@ -15,10 +15,11 @@ from .errors import (CompatibilityFails, ConstructionInvalid,
                      DimensionMismatch, HopfAxiomFails, HopfkitError,
                      HypothesisFails, InternalTheoremViolation,
                      NotExactFactorization, SingularMap)
-from .hopf import (HopfAlgebraData, ModuleAction, _multiplicative_witness,
-                   _nonzero, _witness, adjoint_map, apply2, check_cocommutative,
-                   check_module_bialgebra, convolution, convolution_inverse,
-                   first_witness, leg_table, opposite_hopf,
+from .hopf import (HopfAlgebraData, ModuleAction, _associativity_witness,
+                   _multiplicative_witness, adjoint_map,
+                   apply2, check_cocommutative, check_module_bialgebra,
+                   convolution, convolution_inverse, first_witness,
+                   int_witness, leg_table, opposite_hopf,
                    require_cocommutative, smash_hopf, sub_hopf_indices,
                    twisted_product, verify_hopf)
 from .linalg import (BasedSpace, Element, LinearOp, accumulate, int_product,
@@ -68,9 +69,9 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
     # rhs = Σ (a_(1) ∘ b) S(a_(2)) (a_(3) ∘ c).  Coassociativity of the
     # verified coproduct splits the legs as Δ(x) ⊗ y over (x, y) in Δ(a),
     # so rhs = Σ_x left[x][b] (Σ_y w (y ∘ c)) with one product per x.
-    # The sweep runs in ints: left[x][b] carries dc·dk·ds·dm, each right
-    # factor dc·dk, and the left side a ∘ (bc) dk·dm.
-    dim, p = dot.dim, dot.field.p
+    # left[x][b] carries dc·dk·ds·dm, each right factor dc·dk, so rhs
+    # (dc·dk·dm)²·ds, and the left side a ∘ (bc) dk·dm.
+    dim = dot.dim
     dm, mul = scaled_columns(dot.mul)
     dk, circ = scaled_columns(circle.mul)
     dc, comul = scaled_columns(dot.comul)
@@ -86,40 +87,26 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
                     circ, dim, ((x1, w),), ((b, 1),)).items(), anti[x2], acc)
             row.append(tuple(acc.items()))
         left.append(row)
-    scale = dc * dc * dk * ds * dm
+    rights = []
     for a in range(dim):
         legs: dict = {}
         for q, w in comul[a]:
             x, y = divmod(q, dim)
-            legs.setdefault(x, []).append((y, -w))
-        right = [[(left[x], tuple(int_product(circ, dim, terms,
-                                              ((c, 1),)).items()))
-                  for x, terms in legs.items()] for c in range(dim)]
-        for b in range(dim):
-            for c in range(dim):
-                diff = int_product(circ, dim, ((a, scale),), mul[b * dim + c])
-                for row, r in right[c]:
-                    int_product(mul, dim, row[b], r, diff)
-                if _nonzero(diff, p):
-                    raise CompatibilityFails(
-                        "brace compatibility fails",
-                        _witness(dot, (a, b, c),
-                                 *_compatibility_sides(dot, circle, a, b, c)))
+            legs.setdefault(x, []).append((y, w))
+        rights.append([[(left[x], tuple(int_product(circ, dim, terms,
+                                                    ((c, 1),)).items()))
+                        for x, terms in legs.items()] for c in range(dim)])
+
+    def sides(a, b, c):
+        rhs: dict = {}
+        for row, r in rights[a][c]:
+            int_product(mul, dim, row[b], r, rhs)
+        return int_product(circ, dim, ((a, 1),), mul[b * dim + c]), rhs
+    w = int_witness((dot.space, dot.space, dot.space), dot.space,
+                    (dk * dm, (dc * dk * dm) ** 2 * ds), sides)
+    if w is not None:
+        raise CompatibilityFails("brace compatibility fails", w)
     return HopfBrace(dot, circle, True)
-
-
-def _compatibility_sides(dot: HopfAlgebraData, circle: HopfAlgebraData,
-                         a: int, b: int, c: int) -> tuple[Element, Element]:
-    """a ∘ (bc) and Σ (a_(1) ∘ b) S(a_(2)) (a_(3) ∘ c) at one basis triple,
-    as elements, over the legs of (Δ ⊗ id)Δ(a)."""
-    dim, s, legs = dot.dim, dot.antipode, dot.comul.columns
-    left = [accumulate(dot.space, ((w, dot.product(
-        circle.mul_basis(q // dim, b), s.columns[q % dim]))
-        for q, w in col.coeffs.items())) for col in legs]
-    return (apply2(circle.mul, dot.basis(a), dot.mul_basis(b, c)),
-            accumulate(dot.space, (
-                (w, dot.product(left[q // dim], circle.mul_basis(q % dim, c)))
-                for q, w in legs[a].coeffs.items())))
 
 
 def brace_from_rb(b: RotaBaxterOp, phi: LinearOp | None = None) -> HopfBrace:
@@ -276,14 +263,13 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
 # -- symmetry suite ----------------------------------------------------------------
 
 def op_module_witness(br: HopfBrace) -> Witness | None:
-    """First failing triple of (b a) ⇀ c = a ⇀ (b ⇀ c), if any."""
+    """First failing triple of (b a) ⇀ c = a ⇀ (b ⇀ c), if any: module
+    associativity for the opposite dot product."""
     br.require_validated()
-    dot = br.dot
-    act = derived_action_map(br)
-    dim = dot.dim
-    return first_witness((dot.space, dot.space, dot.space), lambda a, b, c: (
-        apply2(act, dot.mul_basis(b, a), dot.basis(c)),
-        apply2(act, dot.basis(a), act.columns[tensor_index(b, c, dim)])))
+    dot, dim = br.dot, br.dot.dim
+    op_mul = LinearOp(dot.hh, dot.space, [dot.mul_basis(b, a) for a in range(dim)
+                                          for b in range(dim)])
+    return _associativity_witness(op_mul, derived_action_map(br))
 
 
 def check_op_module(br: HopfBrace) -> bool:
@@ -310,29 +296,33 @@ def check_symmetric(br: HopfBrace) -> bool:
 
 def symmetric_sufficient_witness(br: HopfBrace) -> Witness | None:
     br.require_validated()
-    dot, circle = br.dot, br.circle
-    act = derived_action_map(br)
-    dim = dot.dim
-    t = circle.antipode
-    legs3 = leg_table(dot, 3)
+    dot, dim = br.dot, br.dot.dim
+    da, acts = scaled_columns(derived_action_map(br))
+    dm, mul = scaled_columns(dot.mul)
+    dc, comul = scaled_columns(dot.comul)
+    dt, anti = scaled_columns(br.circle.antipode)
+    legs2 = [[(w, *divmod(q, dim)) for q, w in col] for col in comul]
+    legs3 = [[(w * w2, *divmod(q2, dim), z) for w, y, z in legs for q2, w2 in comul[y]]
+             for legs in legs2]
+    # T(a_(3)) ⇀ e_c, carrying dt·da, once per (a_(3), c)
+    inner = [tuple(int_product(acts, dim, col, ((c, 1),)).items())
+             for col in anti for c in range(dim)]
 
     def sides(a, b, c):
-        legs_b = [(w, divmod(p, dim))
-                  for p, w in dot.comul.columns[b].coeffs.items()]
-        lhs = accumulate(dot.space, (
-            (w, dot.product_many([dot.basis(a), dot.basis(b1),
-                                  act.columns[tensor_index(b2, c, dim)]]))
-            for w, (b1, b2) in legs_b))
-        terms = []
-        for wa, (a1, a2, a3) in legs3[a]:
-            inner = apply2(act, t.columns[a3], dot.basis(c))
-            for wb, (b1, b2) in legs_b:
-                outer = apply2(act, dot.mul_basis(a2, b2), inner)
-                terms.append((dot.field.mul(wa, wb),
-                              dot.product_many([dot.basis(a1),
-                                                dot.basis(b1), outer])))
-        return lhs, accumulate(dot.space, terms)
-    return first_witness((dot.space, dot.space, dot.space), sides)
+        lhs: dict = {}
+        for w, b1, b2 in legs2[b]:
+            int_product(mul, dim, [(i, w * v) for i, v in mul[a * dim + b1]],
+                        acts[b2 * dim + c], lhs)
+        rhs: dict = {}
+        for wa, a1, a2, a3 in legs3[a]:
+            t = inner[a3 * dim + c]
+            for wb, b1, b2 in legs2[b]:
+                outer = int_product(acts, dim, mul[a2 * dim + b2], t)
+                int_product(mul, dim, [(i, wa * wb * v) for i, v in mul[a1 * dim + b1]],
+                            outer.items(), rhs)
+        return lhs, rhs
+    scales = (dc * dm * dm * da, dc ** 3 * dm ** 3 * da * da * dt)
+    return int_witness((dot.space, dot.space, dot.space), dot.space, scales, sides)
 
 
 def check_symmetric_sufficient(br: HopfBrace) -> bool:
@@ -398,17 +388,30 @@ def check_rb_symmetric_sufficient(h: HopfAlgebraData, b: LinearOp) -> bool:
     return rb_symmetric_sufficient_witness(h, b) is None
 
 
+def _acted_witness(act: LinearOp, left: list, dl: int, right: list, dr: int):
+    """First basis triple (a, b, c) with left[a·dim + b] ⇀ e_c differing
+    from right[a·dim + b] ⇀ e_c, for act: H ⊗ H -> H and int columns
+    ``left`` and ``right`` over H that carry the scales dl and dr."""
+    space, dim = act.codomain, act.codomain.dim
+    da, acts = scaled_columns(act)
+    scales = (da * dl, da * dr)
+    return int_witness((space, space, space), space, scales, lambda a, b, c: (
+        int_product(acts, dim, left[a * dim + b], ((c, 1),)),
+        int_product(acts, dim, right[a * dim + b], ((c, 1),))))
+
+
 def rb_op_module_witness(h: HopfAlgebraData, b: LinearOp) -> Witness | None:
     h.require_validated()
-    ad = adjoint_map(h)
     dim = h.dim
-    # B(b a) and B(a) B(b), once per pair (a, b)
-    left = [b(h.mul_basis(bb, a)) for a in range(dim) for bb in range(dim)]
-    right = [h.product(b.columns[a], b.columns[bb])
-             for a in range(dim) for bb in range(dim)]
-    return first_witness((h.space, h.space, h.space), lambda a, bb, c: (
-        apply2(ad, left[a * dim + bb], h.basis(c)),
-        apply2(ad, right[a * dim + bb], h.basis(c))))
+    dm, mul = scaled_columns(h.mul)
+    db, bcols = scaled_columns(b)
+    # B(b a) and B(a) B(b), once per pair (a, b), carrying db·dm and dm·db²
+    pairs = [(a, bb) for a in range(dim) for bb in range(dim)]
+    left = [tuple(int_product(bcols, 1, mul[bb * dim + a], ((0, 1),)).items())
+            for a, bb in pairs]
+    right = [tuple(int_product(mul, dim, bcols[a], bcols[bb]).items())
+             for a, bb in pairs]
+    return _acted_witness(adjoint_map(h), left, db * dm, right, dm * db * db)
 
 
 def check_rb_op_module(h: HopfAlgebraData, b: LinearOp) -> bool:
@@ -425,9 +428,10 @@ def brace_from_op_action(h: HopfAlgebraData, act: LinearOp) -> HopfBrace:
     require_cocommutative(h)
     # a ∘ b = a_(1) (a_(2) ⇀ b), also the left actor of the hypothesis
     circle_mul = twisted_product(h.comul, h.mul, act)
-    w = first_witness((h.space, h.space, h.space), lambda a, b, c: (
-        apply2(act, circle_mul.columns[a * h.dim + b], h.basis(c)),
-        apply2(act, h.mul_basis(b, a), h.basis(c))))
+    dk, circ = scaled_columns(circle_mul)
+    dm, mul = scaled_columns(h.mul)
+    w = _acted_witness(act, circ, dk, [mul[b * h.dim + a] for a in range(h.dim)
+                                       for b in range(h.dim)], dm)
     if w is not None:
         raise HypothesisFails("a1(a2⇀b)⇀c = (ba)⇀c", w)
 

@@ -4,29 +4,28 @@ constructors, module actions and convolution inverses.
 Every carrier is finite-dimensional with exact scalars.  Identities are
 verified by sweeping all basis tuples, which suffices by multilinearity;
 failed sweeps report the lexicographically first failing tuple together
-with both evaluated sides.  Every element-level sweep in the package goes
-through :func:`first_witness`; every check that a map is a coalgebra map
-goes through :func:`coalgebra_map_failures`, and the middle-flip
-coalgebra of H ⊗ K is built once, by :func:`tensor_coalgebra`, and the
-product and antipode of every tensor ambient (tensor product, smash
-product, brace embedding) by :func:`smash_hopf`.  Sweedler
-sums of maps are built by two kernels that take the coproduct as a
-``LinearOp`` (``h.comul`` or a middle-flip one): :func:`convolution`,
+with both evaluated sides.  Every check that a map is a coalgebra map goes
+through :func:`coalgebra_map_failures`; the middle-flip coalgebra of
+H ⊗ K is built by :func:`tensor_coalgebra`, every tensor ambient by
+:func:`smash_hopf`, and Sweedler sums of maps by :func:`convolution`,
 x ↦ Σ m(f(x_(1)) ⊗ g(x_(2))), and :func:`twisted_product`,
-x ⊗ y ↦ Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)).  Four sweeps run on
-the int columns of :func:`~hopfkit.linalg.scaled_columns`, multiplied
-through :func:`~hopfkit.linalg.int_product`: those of :func:`verify_hopf`,
-the Δ side of :func:`coalgebra_map_failures`, the Rota-Baxter identity
-of ``rb.verify_rb`` (whose ∘_B table is built in ints too) and the
-compatibility of ``brace.verify_brace``.  They compare the two sides in
-ints (modulo p over F_p); only the first failing tuple is evaluated as
-elements, to render its witness.
+x ⊗ y ↦ Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)).
+
+The axiom sweeps run on the int columns of
+:func:`~hopfkit.linalg.scaled_columns`, multiplied through
+:func:`~hopfkit.linalg.int_product`, comparing lhs·s_r with rhs·s_l
+(modulo p over F_p) for the scales the sides carry: :func:`verify_hopf`,
+the Δ side of :func:`coalgebra_map_failures`, the module, measuring and
+multiplicativity sweeps here, ``verify_rb`` and its ∘_B table,
+``verify_brace``, the op-module, prop44 and prop49 sweeps of ``brace``,
+``verify_posthopf``, and ``verify_matched_pair`` with the braid sweep of
+``ybe_from_rb``.  :func:`int_witness` is their sweep primitive, and
+:func:`~hopfkit.linalg.scaled_element` renders a failing tuple from its
+int sums.  :func:`first_witness` compares columns built as elements.
 
 Sweedler conventions: the coproduct is stored once, as the columns of
-``h.comul``.  A two-leg sum reads column x and splits each flat index p
-into the legs ``divmod(p, dim)``; the longer sums of the symmetry suite
-and the matched pair take a per-call :func:`leg_table`, whose iterates
-split the leftmost leg, i.e. Δ²(x) = (Δ ⊗ id)Δ(x) = x_(1) ⊗ x_(2) ⊗ x_(3).
+``h.comul``, and a flat index p splits into the legs ``divmod(p, dim)``;
+longer sums split the leftmost leg, Δ²(x) = (Δ ⊗ id)Δ(x).
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ from .errors import (ConstructionInvalid, DimensionMismatch,
                      NotConvolutionInvertible, UnvalidatedInput)
 from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, _sum_mod,
                      _sum_ratio, accumulate, flip_tensor, int_product,
-                     scaled_columns, tensor_elem, tensor_index, tensor_space,
-                     tensor_split, rank)
+                     scaled_columns, scaled_element, tensor_elem, tensor_index,
+                     tensor_space, tensor_split, rank)
 from .report import AxiomReport, Witness
 
 if TYPE_CHECKING:
@@ -193,6 +192,33 @@ def first_witness(spaces, sides) -> Witness | None:
     return None
 
 
+def int_witness(spaces, target: BasedSpace, scales, sides) -> Witness | None:
+    """:func:`first_witness` on int sums: ``sides(*at)`` gives both sides
+    as int dicts over ``target`` carrying the scales ``(sl, sr)``; the
+    tuple fails when lhs·sr − rhs·sl is nonzero (modulo p over F_p)."""
+    p = target.field.p
+    sl, sr = scales
+    for at in itertools.product(*(range(s.dim) for s in spaces)):
+        lhs, rhs = sides(*at)
+        if sl == sr and lhs == rhs:     # the common case, compared in C
+            continue
+        diff = {k: v * sr for k, v in lhs.items()}
+        for k, v in rhs.items():
+            diff[k] = diff.get(k, 0) - v * sl
+        if _nonzero(diff, p):
+            return Witness(tuple(s.labels[i] for s, i in zip(spaces, at)),
+                           str(scaled_element(target, lhs.items(), sl)),
+                           str(scaled_element(target, rhs.items(), sr)))
+    return None
+
+
+def _scaled_unit(h: HopfAlgebraData) -> tuple[int, tuple]:
+    """The unit of h as a scale and ``(index, int)`` pairs."""
+    du, (unit,) = scaled_columns(LinearOp(scalar_space(h.field), h.space,
+                                          [h.unit]))
+    return du, unit
+
+
 def _witness(h: HopfAlgebraData, at: tuple[int, ...], lhs, rhs) -> Witness:
     labels = tuple(h.label(i) for i in at)
     return Witness(labels, str(lhs), str(rhs))
@@ -265,8 +291,7 @@ def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
     ds, anti = scaled_columns(h.antipode)
     de, eps_cols = scaled_columns(h.counit)
     eps = [col[0][1] if col else 0 for col in eps_cols]
-    du, (unit,) = scaled_columns(LinearOp(scalar_space(h.field), h.space,
-                                          [h.unit]))
+    du, unit = _scaled_unit(h)
 
     w = None
     at = _associativity_failure(dim, p, mul)
@@ -697,25 +722,66 @@ def check_hopf_isomorphism(f: LinearOp, h: HopfAlgebraData,
 
 def _multiplicative_witness(f: LinearOp, h: HopfAlgebraData,
                             k: HopfAlgebraData) -> Witness | None:
-    """First basis pair (i, j) with f(e_i e_j) != f(e_i) f(e_j)."""
-    return first_witness((h.space, h.space), lambda i, j: (
-        f(h.mul_basis(i, j)), k.product(f.columns[i], f.columns[j])))
+    """First basis pair (i, j) with f(e_i e_j) != f(e_i) f(e_j); the
+    sides carry df·dm and dn·df² for the scales of f, m_H and m_K."""
+    df, fc = scaled_columns(f)
+    dm, mul = scaled_columns(h.mul)
+    dn, kmul = scaled_columns(k.mul)
+    scales = (df * dm, dn * df * df)
+    return int_witness((h.space, h.space), k.space, scales, lambda i, j: (
+        int_product(fc, 1, mul[i * h.dim + j], ((0, 1),)),
+        int_product(kmul, k.dim, fc[i], fc[j])))
 
 
 def _measuring_witness(k: HopfAlgebraData, h: HopfAlgebraData,
                        act: LinearOp) -> Witness | None:
     """First basis triple (a, i, j) with a ⇀ (e_i e_j) differing from
-    (a_(1) ⇀ e_i)(a_(2) ⇀ e_j), for act: K ⊗ H -> H."""
+    (a_(1) ⇀ e_i)(a_(2) ⇀ e_j), for act: K ⊗ H -> H; the sides carry
+    da·dm and dc·da²·dm for the scales of act, m_H and Δ_K."""
     dim, dim_k = h.dim, k.dim
-    cols = act.columns
+    da, acts = scaled_columns(act)
+    dm, mul = scaled_columns(h.mul)
+    dc, comul = scaled_columns(k.comul)
+    legs = [[(c, *divmod(q, dim_k)) for q, c in col] for col in comul]
 
     def sides(a, i, j):
-        return (apply2(act, k.basis(a), h.mul_basis(i, j)),
-                accumulate(h.space, (
-                    (c, h.product(cols[p // dim_k * dim + i],
-                                  cols[p % dim_k * dim + j]))
-                    for p, c in k.comul.columns[a].coeffs.items())))
-    return first_witness((k.space, h.space, h.space), sides)
+        rhs: dict = {}
+        for c, a1, a2 in legs[a]:
+            int_product(mul, dim, [(x, c * v) for x, v in acts[a1 * dim + i]],
+                        acts[a2 * dim + j], rhs)
+        return int_product(acts, dim, ((a, 1),), mul[i * dim + j]), rhs
+    scales = (da * dm, dc * da * da * dm)
+    return int_witness((k.space, h.space, h.space), h.space, scales, sides)
+
+
+def _associativity_witness(mul: LinearOp, act: LinearOp) -> Witness | None:
+    """First (a, b, i) with (ab) ⇀ e_i != a ⇀ (b ⇀ e_i), for the product
+    mul: K ⊗ K -> K and act: K ⊗ H -> H; the sides carry dm·da and da²."""
+    dm, muls = scaled_columns(mul)
+    da, acts = scaled_columns(act)
+    actor, space = mul.codomain, act.codomain
+    dim, dim_k = space.dim, actor.dim
+    scales = (dm * da, da * da)
+    return int_witness((actor, actor, space), space, scales, lambda a, b, i: (
+        int_product(acts, dim, muls[a * dim_k + b], ((i, 1),)),
+        int_product(acts, dim, ((a, 1),), acts[b * dim + i])))
+
+
+def _unit_witnesses(k: HopfAlgebraData, h: HopfAlgebraData, act: LinearOp):
+    """The unit laws of act: K ⊗ H -> H as two witnesses: the first e_i
+    with 1 ⇀ e_i != e_i and the first e_a with e_a ⇀ 1 != ε(e_a) 1.  For
+    the scales du, dv of the units of K and H, da of act and de of ε_K,
+    their sides carry du·da and 1, da·dv and dv·de."""
+    da, acts = scaled_columns(act)
+    du, unit_k = _scaled_unit(k)
+    dv, unit_h = _scaled_unit(h)
+    de, eps = scaled_columns(k.counit)
+    dim = h.dim
+    return (int_witness((h.space,), h.space, (du * da, 1), lambda i: (
+                int_product(acts, dim, unit_k, ((i, 1),)), {i: 1})),
+            int_witness((k.space,), h.space, (da * dv, dv * de), lambda a: (
+                int_product(acts, dim, ((a, 1),), unit_h),
+                {i: u * n for _, n in eps[a] for i, u in unit_h})))
 
 
 # -- module actions -------------------------------------------------------------
@@ -755,21 +821,16 @@ def module_action(actor: HopfAlgebraData, carrier: HopfAlgebraData,
 
 
 def _module_axioms(action: ModuleAction, report: AxiomReport):
-    k, h = action.actor, action.carrier
-    report.add("module-unit", first_witness(
-        (h.space,), lambda i: (action.of(k.unit, h.basis(i)), h.basis(i))))
-    report.add("module-associativity", first_witness(
-        (k.space, k.space, h.space),
-        lambda a, b, i: (action.of(k.mul_basis(a, b), h.basis(i)),
-                         action.of(k.basis(a), action.basis(b, i)))))
+    report.add("module-unit", _unit_witnesses(action.actor, action.carrier,
+                                              action.act)[0])
+    report.add("module-associativity",
+               _associativity_witness(action.actor.mul, action.act))
 
 
 def _module_algebra_axioms(action: ModuleAction, report: AxiomReport):
     k, h = action.actor, action.carrier
     report.add("module-algebra-product", _measuring_witness(k, h, action.act))
-    report.add("module-algebra-unit", first_witness(
-        (k.space,), lambda a: (action.of(k.basis(a), h.unit),
-                               h.unit.scale(k._eps[a]))))
+    report.add("module-algebra-unit", _unit_witnesses(k, h, action.act)[1])
 
 
 def _module_coalgebra_axioms(action: ModuleAction, report: AxiomReport):

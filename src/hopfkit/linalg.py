@@ -17,7 +17,8 @@ numerator and denominator products instead of ``Fraction`` pairs.
 :func:`scaled_columns` gives a map's columns as ints over one common
 denominator (1 over F_p), and :func:`int_product` multiplies such columns
 through a scaled product table, for sweeps that compare the two sides of
-an identity in ints only.
+an identity in ints only; :func:`scaled_element` turns such an int sum
+over its scale back into a canonical element.
 
 Values are meant to be left unchanged once validated and shared, but this
 is a convention that is not enforced yet: ``Element.coeffs`` is a plain
@@ -401,6 +402,18 @@ def scaled_columns(op: LinearOp) -> tuple[int, list[tuple]]:
                 den = den // gcd(den, d) * d
     return den, [tuple((i, c.numerator * (den // c.denominator))
                        for i, c in col.coeffs.items()) for col in op.columns]
+
+
+def scaled_element(space: BasedSpace, terms, den: int) -> Element:
+    """The canonical element (1/den) Σ n e_i of ``(index, int)`` pairs that
+    carry the scale ``den``: over Q each n/den is reduced (an int when
+    integral), over F_p (``den`` 1) each n modulo p; zeros are dropped."""
+    p = space.field.p
+    if p:
+        coeffs = {i: n % p for i, n in terms if n % p}
+    else:
+        coeffs = {i: _rational(n, den) for i, n in terms if n}
+    return Element(space, coeffs, _canonical=True)
 
 
 def int_product(table: list, dim: int, x, y, out: dict | None = None) -> dict:

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from .brace import HopfBrace, verify_brace
 from .errors import (AxiomFails, ConstructionInvalid, DimensionMismatch,
                      HypothesisFails, InternalTheoremViolation, BraidFails)
-from .hopf import (HopfAlgebraData, _earliest, apply2, coalgebra_map_failures,
-                   convolution, first_witness, leg_table,
+from .hopf import (HopfAlgebraData, _associativity_witness, _earliest,
+                   _nonzero, _unit_witnesses, coalgebra_map_failures,
+                   convolution, first_witness, int_witness, leg_table,
                    require_cocommutative, tensor_coalgebra, twisted_product,
                    verify_hopf)
-from .linalg import (Element, LinearOp, accumulate, invert, tensor_index,
-                     tensor_space, tensor_split)
+from .linalg import (LinearOp, accumulate, int_product, invert,
+                     scaled_columns, tensor_index, tensor_space, tensor_split)
 from .rb import RotaBaxterOp, descend, rb_action_map
 from .report import Witness
 
@@ -51,14 +52,7 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
     dim_h, dim_k = h.dim, k.dim
     source = tensor_coalgebra(k, h)
 
-    def la(x: int, a: int) -> Element:
-        return lact.columns[tensor_index(x, a, dim_h)]
-
-    def ra(x: int, a: int) -> Element:
-        return ract.columns[tensor_index(x, a, dim_h)]
-
-    def sweep(tag: str, spaces, sides):
-        w = first_witness(spaces, sides)
+    def sweep(tag: str, w: Witness | None):
         if w is not None:
             raise AxiomFails(tag, w)
 
@@ -70,40 +64,57 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
             raise AxiomFails(tags[which], Witness((k.label(x), h.label(a)),
                                                   str(lhs), str(rhs)))
 
-    sweep("left-module-unit", (h.space,),
-          lambda a: (apply2(lact, k.unit, h.basis(a)), h.basis(a)))
-    sweep("left-module-associativity", (k.space, k.space, h.space),
-          lambda x, y, a: (apply2(lact, k.mul_basis(x, y), h.basis(a)),
-                           apply2(lact, k.basis(x), la(y, a))))
+    left_unit, left_on_unit = _unit_witnesses(k, h, lact)
+    sweep("left-module-unit", left_unit)
+    sweep("left-module-associativity", _associativity_witness(k.mul, lact))
     module_coalgebra(("left-module-coalgebra", "left-module-counit"), lact,
                      (h.comul, h.counit))
-    sweep("left-action-on-unit", (k.space,),
-          lambda x: (apply2(lact, k.basis(x), h.unit), h.unit.scale(k._eps[x])))
+    sweep("left-action-on-unit", left_on_unit)
 
-    sweep("right-module-unit", (k.space,),
-          lambda x: (apply2(ract, k.basis(x), h.unit), k.basis(x)))
-    sweep("right-module-associativity", (k.space, h.space, h.space),
-          lambda x, a, b: (apply2(ract, k.basis(x), h.mul_basis(a, b)),
-                           apply2(ract, ra(x, a), h.basis(b))))
+    # x ↼ a read as an action a ⊗ x -> x ↼ a of H on K, for the unit laws
+    flip = LinearOp(tensor_space(h.space, k.space), k.space, [
+        ract.columns[x * dim_h + a] for a in range(dim_h) for x in range(dim_k)])
+    right_unit, right_on_unit = _unit_witnesses(h, k, flip)
+    sweep("right-module-unit", right_unit)
+    # x ↼ (ab) and (x ↼ a) ↼ b carry dr·dm and dr²
+    dr, ra = scaled_columns(ract)
+    dm, mul_h = scaled_columns(h.mul)
+    sweep("right-module-associativity", int_witness(
+        (k.space, h.space, h.space), k.space, (dr * dm, dr * dr),
+        lambda x, a, b: (
+            int_product(ra, dim_h, ((x, 1),), mul_h[a * dim_h + b]),
+            int_product(ra, dim_h, ra[x * dim_h + a], ((b, 1),)))))
     module_coalgebra(("right-module-coalgebra", "right-module-counit"), ract,
                      (k.comul, k.counit))
-    sweep("right-action-on-unit", (h.space,),
-          lambda a: (apply2(ract, k.unit, h.basis(a)), k.unit.scale(h._eps[a])))
+    sweep("right-action-on-unit", right_on_unit)
 
-    # (x ⊗ a) ⊗ b -> (x_(1) ⇀ a_(1)) ((x_(2) ↼ a_(2)) ⇀ b)
-    rhs = twisted_product(source[0], h.mul, lact, f=lact, g=ract).columns
-    sweep("compatibility-left", (k.space, h.space, h.space),
-          lambda x, a, b: (apply2(lact, k.basis(x), h.mul_basis(a, b)),
-                           rhs[(x * dim_h + a) * dim_h + b]))
-    sweep("compatibility-right", (k.space, k.space, h.space),
-          lambda x, y, a: (apply2(ract, k.mul_basis(x, y), h.basis(a)),
-                           accumulate(k.space, (
-                               (cy * ca, k.product(
-                                   apply2(ract, k.basis(x),
-                                          la(py // dim_k, pa // dim_h)),
-                                   ra(py % dim_k, pa % dim_h)))
-                               for py, cy in k.comul.columns[y].coeffs.items()
-                               for pa, ca in h.comul.columns[a].coeffs.items()))))
+    # Both compatibilities sum c·m(left[u] ⊗ right[v]) over the terms c of the
+    # middle-flip Δ of K ⊗ H (scale ds) at s, u ⊗ v = (x_(1)⊗a_(1)) ⊗ (x_(2)⊗a_(2)).
+    ds, legs = scaled_columns(source[0])
+    dl, la = scaled_columns(lact)
+    dn, mul_k = scaled_columns(k.mul)
+
+    def twisted(s, m, dim, left, right):
+        out: dict = {}
+        for q, c in legs[s]:
+            u, v = divmod(q, dim_k * dim_h)
+            int_product(m, dim, [(i, c * w) for i, w in left[u]], right[v], out)
+        return out
+    # (x ↼ a) ⇀ b and x ↼ (y ⇀ a), carrying dr·dl, once per b or x
+    rl = [[tuple(int_product(la, dim_h, col, ((b, 1),)).items()) for col in ra]
+          for b in range(dim_h)]
+    xl = [[tuple(int_product(ra, dim_h, ((x, 1),), col).items()) for col in la]
+          for x in range(dim_k)]
+    sweep("compatibility-left", int_witness(
+        (k.space, h.space, h.space), h.space, (dl * dm, ds * dl * dr * dl * dm),
+        lambda x, a, b: (
+            int_product(la, dim_h, ((x, 1),), mul_h[a * dim_h + b]),
+            twisted(x * dim_h + a, mul_h, dim_h, la, rl[b]))))
+    sweep("compatibility-right", int_witness(
+        (k.space, k.space, h.space), k.space, (dr * dn, ds * dr * dl * dr * dn),
+        lambda x, y, a: (
+            int_product(ra, dim_h, mul_k[x * dim_k + y], ((a, 1),)),
+            twisted(y * dim_h + a, mul_k, dim_k, xl[x], ra))))
     return MatchedPair(h, k, lact, ract)
 
 
@@ -208,17 +219,27 @@ def ybe_from_rb(b: RotaBaxterOp) -> YbeMap:
 
     c_inv = invert(c)
 
-    def braid(i, j, k):
-        lhs = rhs = {(i, j, k): field.one}
-        for pos in (0, 1, 0):
-            lhs = _apply_on_legs(c, lhs, pos, dim, field)
-        for pos in (1, 0, 1):
-            rhs = _apply_on_legs(c, rhs, pos, dim, field)
-        return sorted(lhs.items()), sorted(rhs.items())
-
-    w = first_witness((h.space, h.space, h.space), braid)
-    if w is not None:
-        raise BraidFails("braid relation fails", w)
+    # c ⊗ id and id ⊗ c as int tables on H ⊗ H ⊗ H, flat index
+    # (i·dim + j)·dim + k; both sides of the braid relation carry dc³.
+    _, cols = scaled_columns(c)
+    sq, one = dim * dim, ((0, 1),)
+    c_id = [tuple((u * dim + k, w) for u, w in cols[ij])
+            for ij in range(sq) for k in range(dim)]
+    id_c = [tuple((i * sq + u, w) for u, w in cols[jk])
+            for i in range(dim) for jk in range(sq)]
+    for idx in range(sq * dim):
+        diff = int_product(c_id, 1, int_product(id_c, 1, c_id[idx], one).items(), one)
+        int_product(id_c, 1, int_product(c_id, 1, id_c[idx], one).items(),
+                    ((0, -1),), diff)
+        if _nonzero(diff, field.p):
+            at = lhs = rhs = {(idx // sq, idx // dim % dim, idx % dim): field.one}
+            for pos in (0, 1, 0):
+                lhs = _apply_on_legs(c, lhs, pos, dim, field)
+            for pos in (1, 0, 1):
+                rhs = _apply_on_legs(c, rhs, pos, dim, field)
+            raise BraidFails("braid relation fails", Witness(
+                tuple(h.label(i) for i in next(iter(at))),
+                str(sorted(lhs.items())), str(sorted(rhs.items()))))
     return YbeMap(h.space, c, c_inv)
 
 

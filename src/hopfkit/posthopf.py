@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 from .brace import HopfBrace, derived_action_map, verify_brace
 from .errors import ConstructionInvalid, IdentityFails, NotConvolutionInvertible
-from .hopf import (HopfAlgebraData, _earliest, _measuring_witness, apply2,
-                   coalgebra_map_failures, convolution, convolution_inverse,
-                   first_witness, require_cocommutative, tensor_coalgebra,
-                   twisted_product, verify_hopf)
+from .hopf import (HopfAlgebraData, _associativity_witness, _earliest,
+                   _measuring_witness, apply2, coalgebra_map_failures,
+                   convolution, convolution_inverse, require_cocommutative,
+                   tensor_coalgebra, twisted_product, verify_hopf)
 from .linalg import LinearOp, tensor_split
 from .rb import RotaBaxterOp, rb_action_map
 from .report import Witness
@@ -62,13 +62,13 @@ def verify_posthopf(h: HopfAlgebraData, tri: LinearOp) -> PostHopf:
     if w is not None:
         raise IdentityFails("product-distributivity", w)
 
-    # x ∗ y = x_(1) (x_(2) ▶ y), once per pair
+    # x ∗ y = x_(1) (x_(2) ▶ y), once per pair.  Twisted associativity
+    # says ▶ is an action of (H, ∗), with the sides of the module law swapped.
     star = twisted_product(h.comul, h.mul, tri)
-    w = first_witness((h.space, h.space, h.space), lambda x, y, z: (
-        apply2(tri, h.basis(x), tri.columns[y * dim + z]),
-        apply2(tri, star.columns[x * dim + y], h.basis(z))))
+    w = _associativity_witness(star, tri)
     if w is not None:
-        raise IdentityFails("twisted-associativity", w)
+        raise IdentityFails("twisted-associativity",
+                            Witness(w.at, w.rhs, w.lhs))
 
     s_star = convolution_inverse(h, LinearOp.identity(h.space), star, h.unit)
     beta = LinearOp(h.hh, h.space, [apply2(tri, s_star.columns[x], h.basis(y))

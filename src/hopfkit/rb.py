@@ -4,8 +4,9 @@ A Rota-Baxter operator is a coalgebra map B with
 
     B(x) B(y) = B( x_(1) B(x_(2)) y S(B(x_(3))) ).
 
-verify_rb sums both sides in ints on scaled columns, and the table of
-x ∘_B y is built in ints and made canonical elements once per column.
+verify_rb sweeps both sides in ints on the scaled columns from which
+the table of x ∘_B y is built, and makes that table canonical elements
+once per column.
 Every transform here (the reflection B~, conjugation by an automorphism,
 the descendent Hopf algebra H(B)) re-verifies its advertised properties
 instead of trusting the underlying theorems; a failure on validated
@@ -16,17 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .errors import (ConstructionInvalid, DimensionMismatch, HopfkitError,
                      InternalTheoremViolation, NotAutomorphism,
                      NotCoalgebraMap, RBIdentityFails)
-from .hopf import (HopfAlgebraData, _multiplicative_witness, _nonzero,
-                   _witness, adjoint_map, apply2, check_bialgebra_automorphism,
+from .hopf import (HopfAlgebraData, _multiplicative_witness, adjoint_map,
+                   apply2, check_bialgebra_automorphism,
                    check_coalgebra_morphism, coalgebra_morphism_witness,
-                   convolution, first_witness, require_cocommutative,
-                   verify_hopf)
-from .linalg import (Element, LinearOp, _rational, int_product, invert,
-                     scaled_columns)
+                   convolution, first_witness, int_witness,
+                   require_cocommutative, verify_hopf)
+from .linalg import (LinearOp, int_product, invert, scaled_columns,
+                     scaled_element)
 from .report import AxiomReport, Witness
 
 
@@ -46,7 +48,7 @@ class RotaBaxterOp:
     @cached_property
     def circle(self) -> LinearOp:
         """x ∘_B y = x_(1) B(x_(2)) y S(B(x_(3))) as a map H ⊗ H -> H."""
-        return _circle_mul(self.carrier, self.map)
+        return _circle_mul(self.carrier, self.map)[0]
 
     def require_validated(self):
         if not self.validated:
@@ -63,23 +65,15 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     w = coalgebra_morphism_witness(b, h, h)
     if w is not None:
         raise NotCoalgebraMap("operator is not a coalgebra map", w)
+    dim = h.dim
     op = RotaBaxterOp(h, b)
-    dim, p = h.dim, h.field.p
-    dm, mul = scaled_columns(h.mul)
-    db, bcols = scaled_columns(b)
-    dk, circ = scaled_columns(op.circle)
-    # B(x)B(y) carries db²·dm and B(x∘y) carries db·dk: the difference
-    # B(x)B(y)·dk − B(x∘y)·db·dm is summed in ints.
-    neg = ((0, -db * dm),)
-    for x in range(dim):
-        bx = [(k, c * dk) for k, c in bcols[x]]
-        for y in range(dim):
-            diff = int_product(mul, dim, bx, bcols[y])
-            int_product(bcols, 1, circ[x * dim + y], neg, diff)
-            if _nonzero(diff, p):
-                raise RBIdentityFails("Rota-Baxter identity fails", _witness(
-                    h, (x, y), h.product(b.columns[x], b.columns[y]),
-                    b(op.circle.columns[x * dim + y])))
+    op.circle, (dk, circ), (dm, mul), (db, bcols) = _circle_mul(h, b)
+    # B(x)B(y) carries db²·dm and B(x∘y) carries db·dk
+    w = int_witness((h.space, h.space), h.space, (db * db * dm, db * dk), lambda x, y: (
+        int_product(mul, dim, bcols[x], bcols[y]),
+        int_product(bcols, 1, circ[x * dim + y], ((0, 1),))))
+    if w is not None:
+        raise RBIdentityFails("Rota-Baxter identity fails", w)
     op.validated = True
     return op
 
@@ -114,18 +108,18 @@ def check_tilde_conjugate_commute(b: RotaBaxterOp, phi: LinearOp) -> bool:
 
 # -- the descendent Hopf algebra -------------------------------------------------
 
-def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
-    """g ∘_B x = g_(1) B(g_(2)) x S(B(g_(3))).  Coassociativity splits the
-    legs as Δ(y) ⊗ z over (y, z) in Δ(g): each y gives one left factor
-    y_(1) B(y_(2)), and its right factors S(B(z)) are summed first.
-
-    The sums run in ints on :func:`scaled_columns`; each column becomes a
-    canonical element once, the carrier's own basis element when it is a
-    single basis vector with coefficient 1."""
-    dim, p = h.dim, h.field.p
+def _circle_mul(h: HopfAlgebraData, b: LinearOp):
+    """g ∘_B x = g_(1) B(g_(2)) x S(B(g_(3))) as ``(map, (dk, circle),
+    (dm, mul), (db, B))``: the map H ⊗ H -> H with the int columns of
+    :func:`scaled_columns` it was built from and those of ∘_B, for
+    verify_rb.  Coassociativity splits the legs as Δ(y) ⊗ z over (y, z)
+    in Δ(g): each y gives one left factor y_(1) B(y_(2)), and its right
+    factors S(B(z)) are summed first.  Each column is made a canonical
+    element once (a basis element of the carrier when it is one)."""
     dm, mul = scaled_columns(h.mul)
-    dc, comul = scaled_columns(h.comul)
     db, bcols = scaled_columns(b)
+    dim, p = h.dim, h.field.p
+    dc, comul = scaled_columns(h.comul)
     ds, anti = scaled_columns(h.antipode)
     # lx[y][x] = y_(1) B(y_(2)) e_x carries dc·db·dm² and a summed right
     # factor dc·db·ds, so every column (dc·db·dm²)·(dc·db·ds)·dm.
@@ -138,8 +132,8 @@ def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
         lx.append([tuple(int_product(mul, dim, yb.items(), ((x, 1),)).items())
                    for x in range(dim)])
     sb = [tuple(int_product(anti, 1, col, ((0, 1),)).items()) for col in bcols]
-    den = (dc * db * dm) ** 2 * ds * dm
-    cols = []
+    den = 1 if p else (dc * db * dm) ** 2 * ds * dm
+    table = []
     for col in comul:
         groups: dict = {}
         for q, c in col:
@@ -151,15 +145,17 @@ def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
             acc: dict = {}
             for left, right in wings:
                 int_product(mul, dim, left[x], right, acc)
-            if p:
-                coeffs = {k: v % p for k, v in acc.items() if v % p}
-            else:
-                coeffs = {k: _rational(v, den) for k, v in acc.items() if v}
-            if len(coeffs) == 1 and 1 in coeffs.values():
-                cols.append(h.basis(*coeffs))
-            else:
-                cols.append(Element(h.space, coeffs, _canonical=True))
-    return LinearOp(h.hh, h.space, cols)
+            table.append(tuple((k, v % p) for k, v in acc.items() if v % p) if p
+                         else tuple((k, v) for k, v in acc.items() if v))
+    if den > 1:
+        # dividing every sum and the scale by their gcd leaves the lcm of
+        # the reduced denominators, the scale of scaled_columns
+        g = gcd(den, *(v for col in table for _, v in col))
+        den //= g
+        table = [tuple((k, v // g) for k, v in col) for col in table]
+    cols = [h.basis(col[0][0]) if len(col) == 1 and col[0][1] == den
+            else scaled_element(h.space, col, den) for col in table]
+    return LinearOp(h.hh, h.space, cols), (den, table), (dm, mul), (db, bcols)
 
 
 def rb_action_map(b: RotaBaxterOp) -> LinearOp:

@@ -7,10 +7,11 @@ import pytest
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
+from hopfkit.errors import AxiomFails
 from hopfkit.hopf import apply2, transport_hopf
 from hopfkit.linalg import (BasedSpace, Element, LinearOp, accumulate, invert,
-                            tensor_elem, tensor_split)
-from hopfkit.report import Witness
+                            tensor_elem, tensor_index, tensor_split)
+from hopfkit.report import AxiomReport, Witness
 
 
 @pytest.fixture(scope="session")
@@ -148,6 +149,331 @@ def reference_compatibility_witness(dot, circle):
                 if lhs != rhs:
                     return Witness((dot.label(a), dot.label(b), dot.label(c)),
                                    str(lhs), str(rhs))
+    return None
+
+
+# -- element-level oracles of the module, post-Hopf, matched and symmetry sweeps --
+
+def reference_module_bialgebra(action):
+    """check_module_bialgebra's report from one explicit loop per axiom,
+    in the same order."""
+    k, h = action.actor, action.carrier
+    report = AxiomReport()
+
+    def first(tuples, sides):
+        for at in tuples:
+            lhs, rhs = sides(*at)
+            if lhs != rhs:
+                return at, lhs, rhs
+        return None
+
+    def add(name, spaces, tuples, sides):
+        found = first(tuples, sides)
+        report.add(name, None if found is None else Witness(
+            tuple(s.labels[i] for s, i in zip(spaces, found[0])),
+            str(found[1]), str(found[2])))
+
+    kd, hd = range(k.dim), range(h.dim)
+    add("module-unit", (h.space,), [(i,) for i in hd],
+        lambda i: (action.of(k.unit, h.basis(i)), h.basis(i)))
+    add("module-associativity", (k.space, k.space, h.space),
+        [(a, b, i) for a in kd for b in kd for i in hd],
+        lambda a, b, i: (action.of(k.mul_basis(a, b), h.basis(i)),
+                         action.of(k.basis(a), action.basis(b, i))))
+    add("module-algebra-product", (k.space, h.space, h.space),
+        [(a, i, j) for a in kd for i in hd for j in hd],
+        lambda a, i, j: (
+            action.of(k.basis(a), h.mul_basis(i, j)),
+            accumulate(h.space, (
+                (c, h.product(action.basis(tensor_split(p, k.dim)[0], i),
+                              action.basis(tensor_split(p, k.dim)[1], j)))
+                for p, c in k.comul.columns[a].coeffs.items()))))
+    add("module-algebra-unit", (k.space,), [(a,) for a in kd],
+        lambda a: (action.of(k.basis(a), h.unit), h.unit.scale(k._eps[a])))
+
+    def comul_sides(a, i):
+        rhs_terms = []
+        for pk, ck in k.comul.columns[a].coeffs.items():
+            k1, k2 = tensor_split(pk, k.dim)
+            for ph, ch in h.comul.columns[i].coeffs.items():
+                h1, h2 = tensor_split(ph, h.dim)
+                rhs_terms.append((h.field.mul(ck, ch),
+                                  tensor_elem(h.hh, action.basis(k1, h1),
+                                              action.basis(k2, h2))))
+        return h.comul(action.basis(a, i)), accumulate(h.hh, rhs_terms)
+    pairs = [(a, i) for a in kd for i in hd]
+    add("module-coalgebra-comul", (k.space, h.space), pairs, comul_sides)
+    add("module-coalgebra-counit", (k.space, h.space), pairs,
+        lambda a, i: (h.counit_scalar(action.basis(a, i)),
+                      h.field.mul(k._eps[a], h._eps[i])))
+    return report
+
+
+def reference_measuring_witness(k, h, act):
+    """First (a, i, j) with a ⇀ (e_i e_j) != (a_(1) ⇀ e_i)(a_(2) ⇀ e_j),
+    the right side summed over the two-leg coproduct of a: the
+    module-algebra-product sweep and the post-Hopf distributivity."""
+    dim = h.dim
+    for a in range(k.dim):
+        legs = sweedler(k, a, 2)
+        for i in range(dim):
+            for j in range(dim):
+                lhs = apply2(act, k.basis(a), h.mul_basis(i, j))
+                rhs = accumulate(h.space, (
+                    (c, h.product(act.columns[a1 * dim + i],
+                                  act.columns[a2 * dim + j]))
+                    for c, (a1, a2) in legs))
+                if lhs != rhs:
+                    return Witness((k.label(a), h.label(i), h.label(j)),
+                                   str(lhs), str(rhs))
+    return None
+
+
+def reference_multiplicative_witness(f, h, k):
+    """First pair (i, j) with f(e_i e_j) != f(e_i) f(e_j)."""
+    for i in range(h.dim):
+        for j in range(h.dim):
+            lhs = f(h.mul_basis(i, j))
+            rhs = k.product(f.columns[i], f.columns[j])
+            if lhs != rhs:
+                return Witness((h.label(i), h.label(j)), str(lhs), str(rhs))
+    return None
+
+
+def reference_twisted_associativity_witness(h, tri):
+    """First (x, y, z) with x ▶ (y ▶ z) != (x ∗ y) ▶ z, where
+    x ∗ y = x_(1) (x_(2) ▶ y) is summed term by term."""
+    dim = h.dim
+    star = [accumulate(h.space, ((c, h.product(h.basis(x1),
+                                               tri.columns[x2 * dim + y]))
+                                 for c, (x1, x2) in sweedler(h, x, 2)))
+            for x in range(dim) for y in range(dim)]
+    for x in range(dim):
+        for y in range(dim):
+            for z in range(dim):
+                lhs = apply2(tri, h.basis(x), tri.columns[y * dim + z])
+                rhs = apply2(tri, star[x * dim + y], h.basis(z))
+                if lhs != rhs:
+                    return Witness((h.label(x), h.label(y), h.label(z)),
+                                   str(lhs), str(rhs))
+    return None
+
+
+def reference_op_module_witness(dot, act):
+    """First (a, b, c) with (b a) ⇀ c != a ⇀ (b ⇀ c)."""
+    dim = dot.dim
+    for a in range(dim):
+        for b in range(dim):
+            for c in range(dim):
+                lhs = apply2(act, dot.mul_basis(b, a), dot.basis(c))
+                rhs = apply2(act, dot.basis(a), act.columns[b * dim + c])
+                if lhs != rhs:
+                    return Witness((dot.label(a), dot.label(b), dot.label(c)),
+                                   str(lhs), str(rhs))
+    return None
+
+
+def reference_prop44(dot, t, act):
+    """First (a, b, c) with a b_(1) (b_(2) ⇀ c) differing from
+    a_(1) b_(1) ((a_(2) b_(2)) ⇀ (T(a_(3)) ⇀ c)), every product formed
+    inside each pair of Sweedler terms."""
+    dim, field = dot.dim, dot.field
+    for a in range(dim):
+        legs_a = sweedler(dot, a, 3)
+        for b in range(dim):
+            legs_b = sweedler(dot, b, 2)
+            for c in range(dim):
+                lhs = accumulate(dot.space, (
+                    (w, dot.product_many([dot.basis(a), dot.basis(b1),
+                                          act.columns[b2 * dim + c]]))
+                    for w, (b1, b2) in legs_b))
+                rhs = accumulate(dot.space, (
+                    (field.mul(wa, wb), dot.product_many([
+                        dot.basis(a1), dot.basis(b1),
+                        apply2(act, dot.mul_basis(a2, b2),
+                               apply2(act, t.columns[a3], dot.basis(c)))]))
+                    for wa, (a1, a2, a3) in legs_a for wb, (b1, b2) in legs_b))
+                if lhs != rhs:
+                    return Witness((dot.label(a), dot.label(b), dot.label(c)),
+                                   str(lhs), str(rhs))
+    return None
+
+
+def adjoint_apply(h, u, x):
+    """u ▷ x = u_(1) x S(u_(2)), expanded over the basis terms of u."""
+    terms = []
+    for i, ci in u.coeffs.items():
+        for c, (g1, g2) in sweedler(h, i, 2):
+            terms.append((h.field.mul(ci, c),
+                          h.product_many([h.basis(g1), x,
+                                          h.antipode.columns[g2]])))
+    return accumulate(h.space, terms)
+
+
+def reference_prop49(h, b):
+    dim = h.dim
+    for a in range(dim):
+        for bb in range(dim):
+            left_actor = b(h.mul_basis(bb, a))
+            right_actor = h.product(b.columns[a], b.columns[bb])
+            for c in range(dim):
+                lhs = adjoint_apply(h, left_actor, h.basis(c))
+                rhs = adjoint_apply(h, right_actor, h.basis(c))
+                if lhs != rhs:
+                    return Witness((h.label(a), h.label(bb), h.label(c)),
+                                   str(lhs), str(rhs))
+    return None
+
+
+def reference_braid_witness(c, h):
+    """First (i, j, k) where (c⊗id)(id⊗c)(c⊗id) and (id⊗c)(c⊗id)(id⊗c)
+    differ on e_i ⊗ e_j ⊗ e_k, each side a dict keyed by index triples
+    and summed with the field operations, rendered as sorted item lists."""
+    dim, field = h.dim, h.field
+
+    def on_legs(coeffs, first):
+        out: dict = {}
+        for (i, j, k), w in coeffs.items():
+            pair = i * dim + j if first else j * dim + k
+            for q, cv in c.columns[pair].coeffs.items():
+                u, v = divmod(q, dim)
+                key = (u, v, k) if first else (i, u, v)
+                nv = field.add(out.get(key, field.zero), field.mul(w, cv))
+                if nv == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = nv
+        return out
+
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                lhs = rhs = {(i, j, k): field.one}
+                for first in (True, False, True):
+                    lhs = on_legs(lhs, first)
+                for first in (False, True, False):
+                    rhs = on_legs(rhs, first)
+                if lhs != rhs:
+                    return Witness((h.label(i), h.label(j), h.label(k)),
+                                   str(sorted(lhs.items())),
+                                   str(sorted(rhs.items())))
+    return None
+
+
+def reference_verify_matched_pair(h, k, lact, ract):
+    """verify_matched_pair with every axiom as an explicit loop; raises
+    AxiomFails at the first failure."""
+    dim_h, dim_k = h.dim, k.dim
+    field = h.field
+
+    def la(x: int, a: int) -> Element:
+        return lact.columns[tensor_index(x, a, dim_h)]
+
+    def ra(x: int, a: int) -> Element:
+        return ract.columns[tensor_index(x, a, dim_h)]
+
+    def fail(tag: str, at, lhs, rhs):
+        raise AxiomFails(tag, Witness(at, str(lhs), str(rhs)))
+
+    for a in range(dim_h):
+        got = apply2(lact, k.unit, h.basis(a))
+        if got != h.basis(a):
+            fail("left-module-unit", (h.label(a),), got, h.basis(a))
+    for x in range(dim_k):
+        for y in range(dim_k):
+            prod = k.mul_basis(x, y)
+            for a in range(dim_h):
+                lhs = apply2(lact, prod, h.basis(a))
+                rhs = apply2(lact, k.basis(x), la(y, a))
+                if lhs != rhs:
+                    fail("left-module-associativity",
+                         (k.label(x), k.label(y), h.label(a)), lhs, rhs)
+    for x in range(dim_k):
+        for a in range(dim_h):
+            lhs = h.comul(la(x, a))
+            rhs = accumulate(h.hh, (
+                (field.mul(cx, ca), tensor_elem(h.hh, la(x1, a1), la(x2, a2)))
+                for cx, (x1, x2) in sweedler(k, x, 2)
+                for ca, (a1, a2) in sweedler(h, a, 2)))
+            if lhs != rhs:
+                fail("left-module-coalgebra", (k.label(x), h.label(a)), lhs, rhs)
+            got = h.counit_scalar(la(x, a))
+            want = field.mul(k._eps[x], h._eps[a])
+            if got != want:
+                fail("left-module-counit", (k.label(x), h.label(a)), got, want)
+    for x in range(dim_k):
+        got = apply2(lact, k.basis(x), h.unit)
+        want = h.unit.scale(k._eps[x])
+        if got != want:
+            fail("left-action-on-unit", (k.label(x),), got, want)
+
+    for x in range(dim_k):
+        got = apply2(ract, k.basis(x), h.unit)
+        if got != k.basis(x):
+            fail("right-module-unit", (k.label(x),), got, k.basis(x))
+    for x in range(dim_k):
+        for a in range(dim_h):
+            xa = ra(x, a)
+            for b in range(dim_h):
+                lhs = apply2(ract, k.basis(x), h.mul_basis(a, b))
+                rhs = apply2(ract, xa, h.basis(b))
+                if lhs != rhs:
+                    fail("right-module-associativity",
+                         (k.label(x), h.label(a), h.label(b)), lhs, rhs)
+    for x in range(dim_k):
+        for a in range(dim_h):
+            lhs = k.comul(ra(x, a))
+            rhs = accumulate(k.hh, (
+                (field.mul(cx, ca), tensor_elem(k.hh, ra(x1, a1), ra(x2, a2)))
+                for cx, (x1, x2) in sweedler(k, x, 2)
+                for ca, (a1, a2) in sweedler(h, a, 2)))
+            if lhs != rhs:
+                fail("right-module-coalgebra", (k.label(x), h.label(a)), lhs, rhs)
+            got = k.counit_scalar(ra(x, a))
+            want = field.mul(k._eps[x], h._eps[a])
+            if got != want:
+                fail("right-module-counit", (k.label(x), h.label(a)), got, want)
+    for a in range(dim_h):
+        got = apply2(ract, k.unit, h.basis(a))
+        want = k.unit.scale(h._eps[a])
+        if got != want:
+            fail("right-action-on-unit", (h.label(a),), got, want)
+
+    for x in range(dim_k):
+        legs_x = sweedler(k, x, 2)
+        for a in range(dim_h):
+            legs_a = sweedler(h, a, 2)
+            for b in range(dim_h):
+                lhs = apply2(lact, k.basis(x), h.mul_basis(a, b))
+                rhs = accumulate(h.space, (
+                    (field.mul(cx, ca),
+                     h.product(la(x1, a1), apply2(lact, ra(x2, a2), h.basis(b))))
+                    for cx, (x1, x2) in legs_x
+                    for ca, (a1, a2) in legs_a))
+                if lhs != rhs:
+                    fail("compatibility-left",
+                         (k.label(x), h.label(a), h.label(b)), lhs, rhs)
+    for x in range(dim_k):
+        for y in range(dim_k):
+            legs_y = sweedler(k, y, 2)
+            for a in range(dim_h):
+                legs_a = sweedler(h, a, 2)
+                lhs = apply2(ract, k.mul_basis(x, y), h.basis(a))
+                rhs = accumulate(k.space, (
+                    (field.mul(cy, ca),
+                     k.product(apply2(ract, k.basis(x), la(y1, a1)), ra(y2, a2)))
+                    for cy, (y1, y2) in legs_y
+                    for ca, (a1, a2) in legs_a))
+                if lhs != rhs:
+                    fail("compatibility-right",
+                         (k.label(x), k.label(y), h.label(a)), lhs, rhs)
+
+
+def matched_outcome(verify, h, k, lact, ract):
+    try:
+        verify(h, k, lact, ract)
+    except AxiomFails as exc:
+        return exc.axiom, exc.witness
     return None
 
 

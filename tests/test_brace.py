@@ -21,7 +21,8 @@ from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
 from hopfkit.rb import descendent_antipode
 from hopfkit.report import AxiomReport, Witness
 
-from conftest import (Built, edited, reference_compatibility_witness,
+from conftest import (Built, adjoint_apply, edited,
+                      reference_compatibility_witness, reference_prop49,
                       sweedler)
 
 ORACLE = settings(max_examples=10, deadline=None, database=None)
@@ -284,17 +285,6 @@ def test_factorization_wrong_sizes_rejected(f2):
 
 # -- oracles: the sweeps term by term ----------------------------------------------------
 
-def adjoint_apply(h, u, x):
-    """u ▷ x = u_(1) x S(u_(2)), expanded over the basis terms of u."""
-    terms = []
-    for i, ci in u.coeffs.items():
-        for c, (g1, g2) in sweedler(h, i, 2):
-            terms.append((h.field.mul(ci, c),
-                          h.product_many([h.basis(g1), x,
-                                          h.antipode.columns[g2]])))
-    return accumulate(h.space, terms)
-
-
 def reference_prop48(h, b):
     t = descendent_antipode(h, b)
     dim = h.dim
@@ -318,21 +308,6 @@ def reference_prop48(h, b):
                                                       adjoint_apply(h, actor,
                                                                     h.basis(c))])))
                 rhs = accumulate(h.space, terms)
-                if lhs != rhs:
-                    return Witness((h.label(a), h.label(bb), h.label(c)),
-                                   str(lhs), str(rhs))
-    return None
-
-
-def reference_prop49(h, b):
-    dim = h.dim
-    for a in range(dim):
-        for bb in range(dim):
-            left_actor = b(h.mul_basis(bb, a))
-            right_actor = h.product(b.columns[a], b.columns[bb])
-            for c in range(dim):
-                lhs = adjoint_apply(h, left_actor, h.basis(c))
-                rhs = adjoint_apply(h, right_actor, h.basis(c))
                 if lhs != rhs:
                     return Witness((h.label(a), h.label(bb), h.label(c)),
                                    str(lhs), str(rhs))

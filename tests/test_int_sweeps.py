@@ -1,6 +1,8 @@
-"""The int sweeps of ``RotaBaxterOp.circle``, ``verify_rb``,
-``verify_brace`` and ``coalgebra_map_failures`` against their
-element-level oracles in conftest.py.
+"""The int sweeps against their element-level oracles in conftest.py:
+``RotaBaxterOp.circle``, ``verify_rb``, ``verify_brace``,
+``coalgebra_map_failures``, the module and multiplicativity sweeps of
+``hopf``, the post-Hopf identities, the symmetry suite, the matched-pair
+axioms and the braid relation.
 
 Each test draws one-entry edits of B, of the dot or circle product, of Δ
 or of S, over Q and F_7, on group algebras and on the transported
@@ -8,7 +10,9 @@ or of S, over Q and F_7, on group algebras and on the transported
 dense Z3 over Q: 78, 78, 169 and 468); a fractional edit moves them
 further apart, so a dropped or swapped scale factor changes a verdict or a
 witness.  The sweeps must give the same verdict and the same witness
-string as the oracles.
+string as the oracles.  Mocks keep a sweep running past checks it does
+not read (cocommutativity of an edited Δ, the coalgebra-map check, the
+Hopf axioms of edited structures, the steps after the sweep).
 """
 
 import dataclasses
@@ -20,16 +24,29 @@ from hypothesis import given, settings, strategies as st
 import hopfkit as hk
 from hopfkit import brace as brace_mod
 from hopfkit import fixtures as fx
+from hopfkit import matched as matched_mod
+from hopfkit import posthopf as posthopf_mod
 from hopfkit import rb as rb_mod
-from hopfkit.errors import (CompatibilityFails, NotCoalgebraMap,
-                            RBIdentityFails)
-from hopfkit.hopf import adjoint_map, coalgebra_map_failures, tensor_coalgebra
-from hopfkit.linalg import QQ, Field, accumulate, tensor_elem
+from hopfkit.brace import HopfBrace
+from hopfkit.errors import (BraidFails, CompatibilityFails, IdentityFails,
+                            NotCoalgebraMap, RBIdentityFails)
+from hopfkit.hopf import (ModuleAction, _multiplicative_witness, adjoint_map,
+                          check_module_bialgebra, coalgebra_map_failures,
+                          convolution, tensor_coalgebra)
+from hopfkit.linalg import (QQ, Field, LinearOp, accumulate, scaled_columns,
+                            tensor_elem)
 from hopfkit.report import AxiomReport
 
-from conftest import (KERNEL_OPS, edited, reference_circle_mul,
+from conftest import (KERNEL_OPS, Built, edited, matched_outcome,
+                      reference_braid_witness, reference_circle_mul,
                       reference_coalgebra_morphism_witness,
-                      reference_compatibility_witness, reference_rb_witness)
+                      reference_compatibility_witness,
+                      reference_measuring_witness, reference_module_bialgebra,
+                      reference_multiplicative_witness,
+                      reference_op_module_witness, reference_prop44,
+                      reference_prop49, reference_rb_witness,
+                      reference_twisted_associativity_witness,
+                      reference_verify_matched_pair)
 
 ORACLE = settings(max_examples=60, deadline=None, database=None)
 FIELDS = [QQ, Field(7)]
@@ -95,7 +112,10 @@ def test_verify_rb_and_circle_match_oracles_on_edits(kernel_op, field, name,
         m = edited(m, col, row, offset)
     else:
         h = with_edit(h, which, col, row, offset)
-    assert rb_mod._circle_mul(h, m) == reference_circle_mul(h, m)
+    circle, scaled, _, _ = rb_mod._circle_mul(h, m)
+    assert circle == reference_circle_mul(h, m)
+    # the int columns handed to verify_rb are those scaled_columns reads
+    assert scaled == scaled_columns(circle)
     want, error = reference_coalgebra_morphism_witness(m, h, h), NotCoalgebraMap
     if want is None:
         want, error = reference_rb_witness(h, m), RBIdentityFails
@@ -157,4 +177,161 @@ def test_verify_brace_matches_oracle_on_edits(kernel_op, field, name, which,
         else:
             with pytest.raises(CompatibilityFails) as exc:
                 hk.verify_brace(dot, circle)
+            assert exc.value.witness == want
+
+
+@ORACLE
+@given(field=st.sampled_from(FIELDS), name=st.sampled_from(CARRIERS),
+       which=st.sampled_from(["act", "actor-mul", "carrier-mul", "actor-comul"]),
+       **EDIT)
+def test_module_sweeps_match_reference_on_edits(kernel_op, field, name, which,
+                                                col, row, offset):
+    # x ⇀ y = B(x_(1)) y S(B(x_(2))) is a module-bialgebra action of the
+    # descendent H(B) on H, whose product and scales differ from those of H
+    b, circle = operator(kernel_op, name, field)
+    actor, carrier, act = circle, b.carrier, rb_mod.rb_action_map(b)
+    if which == "act":
+        act = edited(act, col, row, offset)
+    elif which == "carrier-mul":
+        carrier = with_edit(carrier, "mul", col, row, offset)
+    else:
+        actor = with_edit(actor, which[6:], col, row, offset)
+    action = ModuleAction(actor, carrier, act)
+    assert str(check_module_bialgebra(action)) == \
+        str(reference_module_bialgebra(action))
+
+
+@ORACLE
+@given(field=st.sampled_from(FIELDS), name=st.sampled_from(CARRIERS),
+       which=st.sampled_from(["map", "source-mul", "target-mul"]), **EDIT)
+def test_multiplicative_witness_matches_reference_on_edits(kernel_op, field,
+                                                           name, which, col,
+                                                           row, offset):
+    # B: H(B) -> H is multiplicative; descend sweeps exactly this
+    b, circle = operator(kernel_op, name, field)
+    f, source, target = b.map, circle, b.carrier
+    if which == "map":
+        f = edited(f, col, row, offset)
+    elif which == "source-mul":
+        source = with_edit(source, "mul", col, row, offset)
+    else:
+        target = with_edit(target, "mul", col, row, offset)
+    assert _multiplicative_witness(f, source, target) == \
+        reference_multiplicative_witness(f, source, target)
+
+
+@ORACLE
+@given(field=st.sampled_from(FIELDS), name=st.sampled_from(CARRIERS),
+       which=st.sampled_from(["tri", "mul", "comul"]), **EDIT)
+def test_posthopf_sweeps_match_reference_on_edits(kernel_op, field, name,
+                                                  which, col, row, offset):
+    b, _ = operator(kernel_op, name, field)
+    h, tri = b.carrier, rb_mod.rb_action_map(b)
+    if which == "tri":
+        tri = edited(tri, col, row, offset)
+    else:
+        h = with_edit(h, which, col, row, offset)
+    want, tag = reference_measuring_witness(h, h, tri), "product-distributivity"
+    if want is None:
+        want = reference_twisted_associativity_witness(h, tri)
+        tag = "twisted-associativity"
+
+    def stop(*args):
+        raise Built(args)
+    with mock.patch.object(posthopf_mod, "require_cocommutative", lambda h: None), \
+            mock.patch.object(posthopf_mod, "coalgebra_map_failures",
+                              lambda *args: (None, None)), \
+            mock.patch.object(posthopf_mod, "convolution_inverse", stop):
+        with pytest.raises((IdentityFails, Built)) as exc:
+            hk.verify_posthopf(h, tri)
+    if want is None:
+        assert exc.type is Built
+    else:
+        assert (exc.value.which, exc.value.witness) == (tag, want)
+
+
+@ORACLE
+@given(field=st.sampled_from(FIELDS), name=st.sampled_from(CARRIERS),
+       which=st.sampled_from(["act", "map", "mul", "comul", "antipode"]),
+       **EDIT)
+def test_symmetry_suite_matches_reference_on_edits(kernel_op, field, name,
+                                                   which, col, row, offset):
+    # op-module and prop44 read the derived action, the dot product and Δ,
+    # and prop44 the circle antipode T; prop49 reads B and the dot structure
+    b, circle = operator(kernel_op, name, field)
+    dot, m = b.carrier, b.map
+    act = brace_mod.derived_action_map(HopfBrace(dot, circle, True))
+    if which == "act":
+        act = edited(act, col, row, offset)
+    elif which == "map":
+        m = edited(m, col, row, offset)
+    elif which == "antipode":
+        circle = with_edit(circle, which, col, row, offset)
+    else:
+        dot = with_edit(dot, which, col, row, offset)
+    br = HopfBrace(dot, circle, True)
+    with mock.patch.object(brace_mod, "derived_action_map", lambda br: act):
+        assert brace_mod.op_module_witness(br) == \
+            reference_op_module_witness(dot, act)
+        assert brace_mod.symmetric_sufficient_witness(br) == \
+            reference_prop44(dot, circle.antipode, act)
+    assert brace_mod.rb_op_module_witness(dot, m) == reference_prop49(dot, m)
+
+
+# matched_pair_from_rb takes 5 s on dense Q[Z3], so that carrier runs over
+# F_7 only in the matched-pair and braid sweeps
+MATCHED = [(field, name) for field in FIELDS for name in CARRIERS
+           if (field, name) != (QQ, "dense-Z3-inv")]
+_PAIRS: dict = {}
+
+
+def matched_pair(kernel_op, field, name):
+    """B, its matched pair and the map c of ybe_from_rb, built once."""
+    if (field, name) not in _PAIRS:
+        b, _ = operator(kernel_op, name, field)
+        m = hk.matched_pair_from_rb(b)
+        comul = tensor_coalgebra(b.carrier, b.carrier)[0]
+        c = convolution(comul, m.lact, m.ract, LinearOp.identity(comul.domain))
+        _PAIRS[field, name] = b, m, c
+    return _PAIRS[field, name]
+
+
+@ORACLE
+@given(pair=st.sampled_from(MATCHED),
+       which=st.sampled_from(["lact", "ract", "left-mul", "right-mul",
+                              "left-comul"]), **EDIT)
+def test_verify_matched_pair_matches_reference_on_kernel_carriers(
+        kernel_op, pair, which, col, row, offset):
+    _, m, _ = matched_pair(kernel_op, *pair)
+    args = {"h": m.left, "k": m.right, "lact": m.lact, "ract": m.ract}
+    if which in ("lact", "ract"):
+        args[which] = edited(args[which], col, row, offset)
+    else:
+        side, part = which.split("-")
+        key = "h" if side == "left" else "k"
+        args[key] = with_edit(args[key], part, col, row, offset)
+    args = (args["h"], args["k"], args["lact"], args["ract"])
+    with mock.patch.object(matched_mod, "require_cocommutative", lambda h: None):
+        assert matched_outcome(hk.verify_matched_pair, *args) == \
+            matched_outcome(reference_verify_matched_pair, *args)
+
+
+@ORACLE
+@given(pair=st.sampled_from(MATCHED), **EDIT)
+def test_braid_sweep_matches_reference_on_edits(kernel_op, pair, col, row,
+                                                offset):
+    b, m, c = matched_pair(kernel_op, *pair)
+    c = edited(c, col, row, offset)
+    want = reference_braid_witness(c, b.carrier)
+    # the edited c is taken as built: no coalgebra check, no inverse
+    with mock.patch.object(matched_mod, "matched_pair_from_rb", lambda b: m), \
+            mock.patch.object(matched_mod, "convolution", lambda *args: c), \
+            mock.patch.object(matched_mod, "coalgebra_map_failures",
+                              lambda *args: (None, None)), \
+            mock.patch.object(matched_mod, "invert", lambda c: c):
+        if want is None:
+            assert hk.ybe_from_rb(b).c is c
+        else:
+            with pytest.raises(BraidFails) as exc:
+                hk.ybe_from_rb(b)
             assert exc.value.witness == want

@@ -18,9 +18,9 @@ from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
                             accumulate, invert, tensor_elem, tensor_index,
                             tensor_space, tensor_split)
 from hopfkit.rb import rb_action_map
-from hopfkit.report import Witness
 
-from conftest import Built, sweedler
+from conftest import (Built, matched_outcome, reference_verify_matched_pair,
+                      sweedler)
 
 ORACLE = settings(max_examples=20, deadline=None, database=None)
 
@@ -225,123 +225,6 @@ def test_actions_match_term_by_term_reference(field, group, columns, op):
 
 # -- references: the matched-pair axioms and the ybe check as explicit loops ------------
 
-def reference_verify_matched_pair(h, k, lact, ract):
-    """verify_matched_pair with every axiom as an explicit loop; raises
-    AxiomFails at the first failure."""
-    dim_h, dim_k = h.dim, k.dim
-    field = h.field
-
-    def la(x: int, a: int) -> Element:
-        return lact.columns[tensor_index(x, a, dim_h)]
-
-    def ra(x: int, a: int) -> Element:
-        return ract.columns[tensor_index(x, a, dim_h)]
-
-    def fail(tag: str, at, lhs, rhs):
-        raise AxiomFails(tag, Witness(at, str(lhs), str(rhs)))
-
-    for a in range(dim_h):
-        got = apply2(lact, k.unit, h.basis(a))
-        if got != h.basis(a):
-            fail("left-module-unit", (h.label(a),), got, h.basis(a))
-    for x in range(dim_k):
-        for y in range(dim_k):
-            prod = k.mul_basis(x, y)
-            for a in range(dim_h):
-                lhs = apply2(lact, prod, h.basis(a))
-                rhs = apply2(lact, k.basis(x), la(y, a))
-                if lhs != rhs:
-                    fail("left-module-associativity",
-                         (k.label(x), k.label(y), h.label(a)), lhs, rhs)
-    for x in range(dim_k):
-        for a in range(dim_h):
-            lhs = h.comul(la(x, a))
-            rhs = accumulate(h.hh, (
-                (field.mul(cx, ca), tensor_elem(h.hh, la(x1, a1), la(x2, a2)))
-                for cx, (x1, x2) in sweedler(k, x, 2)
-                for ca, (a1, a2) in sweedler(h, a, 2)))
-            if lhs != rhs:
-                fail("left-module-coalgebra", (k.label(x), h.label(a)), lhs, rhs)
-            got = h.counit_scalar(la(x, a))
-            want = field.mul(k._eps[x], h._eps[a])
-            if got != want:
-                fail("left-module-counit", (k.label(x), h.label(a)), got, want)
-    for x in range(dim_k):
-        got = apply2(lact, k.basis(x), h.unit)
-        want = h.unit.scale(k._eps[x])
-        if got != want:
-            fail("left-action-on-unit", (k.label(x),), got, want)
-
-    for x in range(dim_k):
-        got = apply2(ract, k.basis(x), h.unit)
-        if got != k.basis(x):
-            fail("right-module-unit", (k.label(x),), got, k.basis(x))
-    for x in range(dim_k):
-        for a in range(dim_h):
-            xa = ra(x, a)
-            for b in range(dim_h):
-                lhs = apply2(ract, k.basis(x), h.mul_basis(a, b))
-                rhs = apply2(ract, xa, h.basis(b))
-                if lhs != rhs:
-                    fail("right-module-associativity",
-                         (k.label(x), h.label(a), h.label(b)), lhs, rhs)
-    for x in range(dim_k):
-        for a in range(dim_h):
-            lhs = k.comul(ra(x, a))
-            rhs = accumulate(k.hh, (
-                (field.mul(cx, ca), tensor_elem(k.hh, ra(x1, a1), ra(x2, a2)))
-                for cx, (x1, x2) in sweedler(k, x, 2)
-                for ca, (a1, a2) in sweedler(h, a, 2)))
-            if lhs != rhs:
-                fail("right-module-coalgebra", (k.label(x), h.label(a)), lhs, rhs)
-            got = k.counit_scalar(ra(x, a))
-            want = field.mul(k._eps[x], h._eps[a])
-            if got != want:
-                fail("right-module-counit", (k.label(x), h.label(a)), got, want)
-    for a in range(dim_h):
-        got = apply2(ract, k.unit, h.basis(a))
-        want = k.unit.scale(h._eps[a])
-        if got != want:
-            fail("right-action-on-unit", (h.label(a),), got, want)
-
-    for x in range(dim_k):
-        legs_x = sweedler(k, x, 2)
-        for a in range(dim_h):
-            legs_a = sweedler(h, a, 2)
-            for b in range(dim_h):
-                lhs = apply2(lact, k.basis(x), h.mul_basis(a, b))
-                rhs = accumulate(h.space, (
-                    (field.mul(cx, ca),
-                     h.product(la(x1, a1), apply2(lact, ra(x2, a2), h.basis(b))))
-                    for cx, (x1, x2) in legs_x
-                    for ca, (a1, a2) in legs_a))
-                if lhs != rhs:
-                    fail("compatibility-left",
-                         (k.label(x), h.label(a), h.label(b)), lhs, rhs)
-    for x in range(dim_k):
-        for y in range(dim_k):
-            legs_y = sweedler(k, y, 2)
-            for a in range(dim_h):
-                legs_a = sweedler(h, a, 2)
-                lhs = apply2(ract, k.mul_basis(x, y), h.basis(a))
-                rhs = accumulate(k.space, (
-                    (field.mul(cy, ca),
-                     k.product(apply2(ract, k.basis(x), la(y1, a1)), ra(y2, a2)))
-                    for cy, (y1, y2) in legs_y
-                    for ca, (a1, a2) in legs_a))
-                if lhs != rhs:
-                    fail("compatibility-right",
-                         (k.label(x), k.label(y), h.label(a)), lhs, rhs)
-
-
-def matched_outcome(verify, h, k, lact, ract):
-    try:
-        verify(h, k, lact, ract)
-    except AxiomFails as exc:
-        return exc.axiom, exc.witness
-    return None
-
-
 def reference_ybe_coalgebra_failure(c, h):
     """The first basis pair (x, y) where the ybe check found
     Δ(c(x⊗y)) != (c⊗c)Δ(x⊗y) for the middle-flip coproduct, or None."""
@@ -433,6 +316,51 @@ def test_verify_matched_pair_matches_reference_on_edits(field, name, side, col,
     acts = {"lact": m.lact, "ract": m.ract}
     acts[side] = edited(acts[side], col, row, offset)
     args = (m.left, m.right, acts["lact"], acts["ract"])
+    assert (matched_outcome(hk.verify_matched_pair, *args)
+            == matched_outcome(reference_verify_matched_pair, *args))
+
+
+def z3_z2_pair(field):
+    """Z3 ⋈ Z2 from the exact factorization S3 = Z3·Z2, as (H, K, ⇀, ↼):
+    for x in K = Z2 = {e, s} and a in H = Z3 = {e, r, r2} the product
+    x·a in S3 factors uniquely as (x ⇀ a)(x ↼ a)."""
+    s3 = fx.f2(field)
+    h, _ = hk.sub_hopf(s3, ["e", "r", "r2"])
+    k, _ = hk.sub_hopf(s3, ["e", "s"])
+    g, index = gr.dihedral(3), s3.space.index_of
+    split = {g.mul(index(a), index(x)): (h.space.index_of(a),
+                                         k.space.index_of(x))
+             for a in h.space.labels for x in k.space.labels}
+    pairs = [split[g.mul(index(x), index(a))]
+             for x in k.space.labels for a in h.space.labels]
+    kh = tensor_space(k.space, h.space)
+    return (h, k, LinearOp(kh, h.space, [h.basis(a) for a, _ in pairs]),
+            LinearOp(kh, k.space, [k.basis(x) for _, x in pairs]))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+def test_z3_z2_is_a_matched_pair(field):
+    h, k, lact, ract = z3_z2_pair(field)
+    assert (h.dim, k.dim) == (3, 2)
+    # s·r = r2·s: s ⇀ r = r2 and s ↼ r = s
+    assert str(lact.columns[1 * 3 + 1]) == str(h.basis(2))
+    assert str(ract.columns[1 * 3 + 1]) == str(k.basis(1))
+    m = hk.verify_matched_pair(h, k, lact, ract)
+    assert (m.left, m.right) == (h, k)
+    assert matched_outcome(reference_verify_matched_pair, h, k, lact,
+                           ract) is None
+
+
+@ORACLE
+@given(field=st.sampled_from([QQ, Field(7)]),
+       side=st.sampled_from(["lact", "ract"]), **EDITS)
+def test_z3_z2_edits_match_reference(field, side, col, row, offset):
+    # dim K = 2 and dim H = 3, so a swapped dimension in the index
+    # arithmetic of the sweeps reads the wrong column or runs out of range
+    h, k, lact, ract = z3_z2_pair(field)
+    acts = {"lact": lact, "ract": ract}
+    acts[side] = edited(acts[side], col, row, offset)
+    args = (h, k, acts["lact"], acts["ract"])
     assert (matched_outcome(hk.verify_matched_pair, *args)
             == matched_outcome(reference_verify_matched_pair, *args))
 
