@@ -494,6 +494,19 @@ KERNEL_OPS = {
 }
 
 
+def transported(name, field):
+    """The group algebra of ``KERNEL_OPS[name]`` over ``field`` (QQ or F_7)
+    moved to the basis w_k with the listed group-algebra coordinates, and
+    the operator of that entry moved along: ``(carrier, B)``, B not yet
+    verified as Rota-Baxter."""
+    group, columns, op = KERNEL_OPS[name]
+    h = hk.group_algebra(group, field)
+    space = BasedSpace(tuple(f"w{k}" for k in range(h.dim)), field)
+    p = invert(LinearOp(space, h.space,
+                        [Element(h.space, col) for col in columns]))
+    return transport_hopf(h, p), p.compose(op(h)).compose(invert(p))
+
+
 def edited(op, col, row, offset):
     """op with one entry moved by ``offset``, or with one column zeroed
     when ``offset`` is None."""
@@ -522,13 +535,6 @@ def kernel_op():
 
     def make(name, field):
         if (name, field) not in built:
-            group, columns, op = KERNEL_OPS[name]
-            h = hk.group_algebra(group, field)
-            space = BasedSpace(tuple(f"w{k}" for k in range(h.dim)), field)
-            p = invert(LinearOp(space, h.space,
-                                [Element(h.space, col) for col in columns]))
-            k = transport_hopf(h, p)
-            built[name, field] = hk.verify_rb(
-                k, p.compose(op(h)).compose(invert(p)))
+            built[name, field] = hk.verify_rb(*transported(name, field))
         return built[name, field]
     return make

@@ -26,7 +26,8 @@ from hopfkit.report import AxiomReport, Witness
 
 from conftest import (KERNEL_OPS, reference_circle_mul,
                       reference_coalgebra_morphism_witness,
-                      reference_module_bialgebra, sweedler, tensor_square)
+                      reference_module_bialgebra, sweedler, tensor_square,
+                      transported)
 
 ORACLE = settings(max_examples=20, deadline=None, database=None)
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
@@ -301,6 +302,19 @@ def dense_z3(field=QQ):
         Element(space, {0: Fraction(-1), 1: Fraction(1, 3), 2: Fraction(2)})]))
 
 
+def dense_z2_squared(field=QQ):
+    """dense Z2 ⊗ dense Z2: dimension 4, with 16-term Δ columns."""
+    return hk.tensor_hopf(dense_z2(field), dense_z2(field))
+
+
+def mixed_s3(field=QQ):
+    """Q[S3] with r2 and r2s mixed: one-term and two-term Δ columns."""
+    return transported("mixed-S3-inv", field)[0]
+
+
+MANY_TERM_LEGS = [dense_z2, dense_z3, dense_z2_squared, mixed_s3]
+
+
 def carriers(field):
     """The shipped fixtures, group algebras and dense transported carriers."""
     out = [fx.f1(field), fx.f2(field), sweedler_four_dim(field),
@@ -357,9 +371,41 @@ def perturbed(h, part, col, row, offset):
                                      max_denominator=3).filter(bool)))
 def test_verify_hopf_matches_reference_on_perturbations(field, data, part,
                                                         col, row, offset):
-    base = data.draw(st.sampled_from([fx.f1, z3, fx.f2, dense_z2, dense_z3]))
+    base = data.draw(st.sampled_from([fx.f1, z3, fx.f2, *MANY_TERM_LEGS]))
     h = perturbed(base(field), part, col, row, offset)
     assert_verify_matches_reference(h)
+
+
+def comul_edited_keeping_unit(h, col, row, offset):
+    """h with ``offset`` added at ``row`` of Δ(e_col) and, when the unit
+    1 = Σ u_k e_k has a term at col, the entry at ``row`` of Δ(e_k) for
+    the first other such k moved back by u_col·offset/u_k: Δ(1) = 1⊗1 still
+    holds, so the compatibility sweep goes on to the basis pairs."""
+    bad = perturbed(h, "comul", col, row, offset)
+    u = h.unit.coeffs
+    if col in u:
+        k = min(k for k in u if k != col)
+        bad = perturbed(bad, "comul", k, row, -Fraction(u[col]) * offset / u[k])
+    return bad
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("base", MANY_TERM_LEGS, ids=lambda f: f.__name__)
+def test_compatibility_sweep_matches_reference_on_comul_edits(field, base):
+    # An edit off the diagonal of H ⊗ H makes Δ non-cocommutative, so a
+    # sweep that read a leg pair c⊗d as d⊗c would give another witness.
+    h = base(field)
+    dim = h.dim
+    for col in range(dim):
+        if set(h.unit.coeffs) == {col}:
+            continue            # Δ(1) moves with Δ(e_col)
+        for row, offset in ((1, 1), (dim + 2, Fraction(-1, 2)),
+                            (2 * dim - 1, 3)):
+            bad = comul_edited_keeping_unit(h, col, row, offset)
+            assert_verify_matches_reference(bad)
+            line = str(hk.verify_hopf(bad)).splitlines()[4]
+            assert line.startswith("FAIL  bialgebra-compatibility  [at (")
+            assert not line.startswith("FAIL  bialgebra-compatibility  [at (1)")
 
 
 def z2_with(part, index, value):
