@@ -19,12 +19,12 @@ from .hopf import (HopfAlgebraData, ModuleAction, _associativity_witness,
                    _multiplicative_witness, adjoint_map,
                    apply2, check_cocommutative, check_module_bialgebra,
                    convolution, convolution_inverse, first_witness,
-                   int_witness, leg_table, opposite_hopf,
+                   int_witness, opposite_hopf,
                    require_cocommutative, smash_hopf, sub_hopf_indices,
                    twisted_product, verify_hopf)
 from .linalg import (BasedSpace, Element, LinearOp, accumulate, int_product,
-                     invert, rank, scaled_columns, tensor_elem, tensor_index,
-                     tensor_space, tensor_split)
+                     int_sum, invert, rank, scaled_columns, tensor_elem,
+                     tensor_index, tensor_space, tensor_split)
 from .rb import (RotaBaxterOp, check_descendent_isos, descend,
                  descendent_antipode, rb_conjugate, rb_tilde, verify_rb)
 from .report import Witness
@@ -76,34 +76,32 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
     dk, circ = scaled_columns(circle.mul)
     dc, comul = scaled_columns(dot.comul)
     ds, anti = scaled_columns(dot.antipode)
+    legs2 = [[(w, *divmod(q, dim)) for q, w in col] for col in comul]
     left = []
-    for col in comul:
-        legs = [(*divmod(q, dim), w) for q, w in col]
-        row = []
-        for b in range(dim):
-            acc: dict = {}
-            for x1, x2, w in legs:
-                int_product(mul, dim, int_product(
-                    circ, dim, ((x1, w),), ((b, 1),)).items(), anti[x2], acc)
-            row.append(tuple(acc.items()))
-        left.append(row)
+    for legs in legs2:
+        left.append([tuple(int_sum(mul, dim, (
+            (int_product(circ, dim, ((x1, w),), ((b, 1),)).items(), anti[x2])
+            for w, x1, x2 in legs)).items()) for b in range(dim)])
     rights = []
-    for a in range(dim):
+    for legs_a in legs2:
         legs: dict = {}
-        for q, w in comul[a]:
-            x, y = divmod(q, dim)
+        for w, x, y in legs_a:
             legs.setdefault(x, []).append((y, w))
         rights.append([[(left[x], tuple(int_product(circ, dim, terms,
                                                     ((c, 1),)).items()))
                         for x, terms in legs.items()] for c in range(dim)])
 
-    def sides(a, b, c):
-        rhs: dict = {}
-        for row, r in rights[a][c]:
-            int_product(mul, dim, row[b], r, rhs)
-        return int_product(circ, dim, ((a, 1),), mul[b * dim + c]), rhs
+    def rows(a, b):
+        rhs = []
+        for terms in rights[a]:
+            out: dict = {}
+            for row, r in terms:
+                int_product(mul, dim, row[b], r, out)
+            rhs.append(out)
+        return [int_product(circ, dim, ((a, 1),), col)
+                for col in mul[b * dim:(b + 1) * dim]], rhs
     w = int_witness((dot.space, dot.space, dot.space), dot.space,
-                    (dk * dm, (dc * dk * dm) ** 2 * ds), sides)
+                    (dk * dm, (dc * dk * dm) ** 2 * ds), rows)
     if w is not None:
         raise CompatibilityFails("brace compatibility fails", w)
     return HopfBrace(dot, circle, True)
@@ -267,9 +265,10 @@ def op_module_witness(br: HopfBrace) -> Witness | None:
     associativity for the opposite dot product."""
     br.require_validated()
     dot, dim = br.dot, br.dot.dim
-    op_mul = LinearOp(dot.hh, dot.space, [dot.mul_basis(b, a) for a in range(dim)
-                                          for b in range(dim)])
-    return _associativity_witness(op_mul, derived_action_map(br))
+    dm, mul = scaled_columns(dot.mul)
+    op_mul = [mul[b * dim + a] for a in range(dim) for b in range(dim)]
+    return _associativity_witness(dot.space, dot.space, (dm, op_mul),
+                                  scaled_columns(derived_action_map(br)))
 
 
 def check_op_module(br: HopfBrace) -> bool:
@@ -302,27 +301,27 @@ def symmetric_sufficient_witness(br: HopfBrace) -> Witness | None:
     dc, comul = scaled_columns(dot.comul)
     dt, anti = scaled_columns(br.circle.antipode)
     legs2 = [[(w, *divmod(q, dim)) for q, w in col] for col in comul]
-    legs3 = [[(w * w2, *divmod(q2, dim), z) for w, y, z in legs for q2, w2 in comul[y]]
+    legs3 = [[(w * w2, a1, a2, z) for w, y, z in legs for w2, a1, a2 in legs2[y]]
              for legs in legs2]
     # T(a_(3)) ⇀ e_c, carrying dt·da, once per (a_(3), c)
     inner = [tuple(int_product(acts, dim, col, ((c, 1),)).items())
              for col in anti for c in range(dim)]
 
-    def sides(a, b, c):
-        lhs: dict = {}
-        for w, b1, b2 in legs2[b]:
-            int_product(mul, dim, [(i, w * v) for i, v in mul[a * dim + b1]],
-                        acts[b2 * dim + c], lhs)
-        rhs: dict = {}
-        for wa, a1, a2, a3 in legs3[a]:
-            t = inner[a3 * dim + c]
-            for wb, b1, b2 in legs2[b]:
-                outer = int_product(acts, dim, mul[a2 * dim + b2], t)
-                int_product(mul, dim, [(i, wa * wb * v) for i, v in mul[a1 * dim + b1]],
-                            outer.items(), rhs)
-        return lhs, rhs
+    def rows(a, b):
+        # every factor but the last action, once per row: a b_(1) and
+        # a_(1) b_(1) times their leg weights, and the actor a_(2) b_(2)
+        lefts = [([(i, w * v) for i, v in mul[a * dim + b1]], b2 * dim)
+                 for w, b1, b2 in legs2[b]]
+        rights = [([(i, wa * wb * v) for i, v in mul[a1 * dim + b1]],
+                   mul[a2 * dim + b2], a3 * dim)
+                  for wa, a1, a2, a3 in legs3[a] for wb, b1, b2 in legs2[b]]
+        return ([int_sum(mul, dim, ((left, acts[base + c]) for left, base in lefts))
+                 for c in range(dim)],
+                [int_sum(mul, dim, (
+                    (left, int_product(acts, dim, actor, inner[base + c]).items())
+                    for left, actor, base in rights)) for c in range(dim)])
     scales = (dc * dm * dm * da, dc ** 3 * dm ** 3 * da * da * dt)
-    return int_witness((dot.space, dot.space, dot.space), dot.space, scales, sides)
+    return int_witness((dot.space, dot.space, dot.space), dot.space, scales, rows)
 
 
 def check_symmetric_sufficient(br: HopfBrace) -> bool:
@@ -336,46 +335,47 @@ def check_symmetric_sufficient(br: HopfBrace) -> bool:
 def rb_symmetric_sufficient_witness(h: HopfAlgebraData,
                                     b: LinearOp) -> Witness | None:
     h.require_validated()
-    t = descendent_antipode(h, b)
-    ad = adjoint_map(h)
     dim = h.dim
-    one = h.field.one
-    bm = [b(col) for col in h.mul.columns]
-    bt = [b(col) for col in t.columns]
-    actors: dict = {}      # (a2 b2, a3) -> B(a2 b2) B(T(a3))
-    for a, legs_a in enumerate(leg_table(h, 3)):
-        for bb in range(dim):
-            legs_b = [(w, divmod(p, dim))
-                      for p, w in h.comul.columns[bb].coeffs.items()]
-            # ▷ is linear in the actor: sum the actors of each outer
-            # factor a b_(1) (lhs) and a_(1) b_(1) (rhs) before acting
-            lhs_terms: dict = {}
-            for w, (b1, b2) in legs_b:
-                lhs_terms.setdefault((a, b1), []).append((w, b.columns[b2]))
-            rhs_terms: dict = {}
-            for wa, (a1, a2, a3) in legs_a:
-                for wb, (b1, b2) in legs_b:
-                    key = (a2 * dim + b2, a3)
-                    actor = actors.get(key)
-                    if actor is None:
-                        actor = actors[key] = h.product(bm[key[0]], bt[a3])
-                    rhs_terms.setdefault((a1, b1), []).append((wa * wb, actor))
-            lhs_actors = [(h.mul_basis(x, y), accumulate(h.space, terms))
-                          for (x, y), terms in lhs_terms.items()]
-            rhs_actors = [(h.mul_basis(x, y), accumulate(h.space, terms))
-                          for (x, y), terms in rhs_terms.items()]
-            for c in range(dim):
-                e_c = h.basis(c)
-                lhs = accumulate(h.space, (
-                    (one, h.product(outer, apply2(ad, u, e_c)))
-                    for outer, u in lhs_actors))
-                rhs = accumulate(h.space, (
-                    (one, h.product(outer, apply2(ad, u, e_c)))
-                    for outer, u in rhs_actors))
-                if lhs != rhs:
-                    return Witness((h.label(a), h.label(bb), h.label(c)),
-                                   str(lhs), str(rhs))
-    return None
+    dm, mul = scaled_columns(h.mul)
+    db, bcols = scaled_columns(b)
+    dt, tcols = scaled_columns(descendent_antipode(h, b))
+    dd, ad = scaled_columns(adjoint_map(h))
+    dc, comul = scaled_columns(h.comul)
+    legs2 = [[(w, *divmod(q, dim)) for q, w in col] for col in comul]
+    legs3 = [[(w * w2, a1, a2, z) for w, y, z in legs for w2, a1, a2 in legs2[y]]
+             for legs in legs2]
+    one = ((0, 1),)
+    bm = [tuple(int_product(bcols, 1, col, one).items()) for col in mul]
+    bt = [tuple(int_product(bcols, 1, col, one).items()) for col in tcols]
+    actors: dict = {}      # (a2 b2)·dim + a3 -> B(a2 b2) B(T(a3)), dm²·db²·dt
+
+    def acted(terms, c):
+        """Σ e_x e_y (u ▷ e_c) over the actor sums u of ``terms``."""
+        return int_sum(mul, dim, (
+            (mul[xy], int_product(ad, dim, u.items(), ((c, 1),)).items())
+            for xy, u in terms.items()))
+
+    def rows(a, bb):
+        # ▷ is linear in the actor: sum the actors of each outer factor
+        # a b_(1) (lhs, dc·db) and a_(1) b_(1) (rhs, dc³·dm²·db²·dt)
+        # before acting; the outer product and ▷ add dm² and dd
+        lhs_terms: dict = {}
+        for w, b1, b2 in legs2[bb]:
+            int_product(bcols, 1, ((b2, w),), one,
+                        lhs_terms.setdefault(a * dim + b1, {}))
+        rhs_terms: dict = {}
+        for wa, a1, a2, a3 in legs3[a]:
+            for wb, b1, b2 in legs2[bb]:
+                key = (a2 * dim + b2) * dim + a3
+                if key not in actors:
+                    actors[key] = tuple(int_product(
+                        mul, dim, bm[a2 * dim + b2], bt[a3]).items())
+                int_product(actors, 1, ((key, wa * wb),), one,
+                            rhs_terms.setdefault(a1 * dim + b1, {}))
+        return ([acted(lhs_terms, c) for c in range(dim)],
+                [acted(rhs_terms, c) for c in range(dim)])
+    scales = (dm * dm * dd * dc * db, dm ** 4 * dd * dc ** 3 * db * db * dt)
+    return int_witness((h.space, h.space, h.space), h.space, scales, rows)
 
 
 def check_rb_symmetric_sufficient(h: HopfAlgebraData, b: LinearOp) -> bool:
@@ -395,9 +395,9 @@ def _acted_witness(act: LinearOp, left: list, dl: int, right: list, dr: int):
     space, dim = act.codomain, act.codomain.dim
     da, acts = scaled_columns(act)
     scales = (da * dl, da * dr)
-    return int_witness((space, space, space), space, scales, lambda a, b, c: (
-        int_product(acts, dim, left[a * dim + b], ((c, 1),)),
-        int_product(acts, dim, right[a * dim + b], ((c, 1),))))
+    return int_witness((space, space, space), space, scales, lambda a, b: tuple(
+        [int_product(acts, dim, side[a * dim + b], ((c, 1),)) for c in range(dim)]
+        for side in (left, right)))
 
 
 def rb_op_module_witness(h: HopfAlgebraData, b: LinearOp) -> Witness | None:

@@ -11,17 +11,15 @@ H ⊗ K is built by :func:`tensor_coalgebra`, every tensor ambient by
 x ↦ Σ m(f(x_(1)) ⊗ g(x_(2))), and :func:`twisted_product`,
 x ⊗ y ↦ Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)).
 
-The axiom sweeps run on the int columns of
+One loop decides every identity: :func:`_first_failure` visits tuple
+prefixes in lexicographic order, takes both sides for a whole row of last
+indices as int dicts (over Q on the common-denominator columns of
 :func:`~hopfkit.linalg.scaled_columns`, multiplied through
-:func:`~hopfkit.linalg.int_product`, comparing lhs·s_r with rhs·s_l
-(modulo p over F_p) for the scales the sides carry: :func:`verify_hopf`,
-the Δ side of :func:`coalgebra_map_failures`, the module, measuring and
-multiplicativity sweeps here, ``verify_rb`` and its ∘_B table,
-``verify_brace``, the op-module, prop44 and prop49 sweeps of ``brace``,
-``verify_posthopf``, and ``verify_matched_pair`` with the braid sweep of
-``ybe_from_rb``.  :func:`int_witness` is their sweep primitive, and
-:func:`~hopfkit.linalg.scaled_element` renders a failing tuple from its
-int sums.  :func:`first_witness` compares columns built as elements.
+:func:`~hopfkit.linalg.int_product`), and returns the first failing tuple
+with its two sums.  Callers render the witness: :func:`int_witness`
+through :func:`~hopfkit.linalg.scaled_element`, :func:`first_witness` from
+sides built as elements, :func:`verify_hopf` and the braid sweep of
+``ybe_from_rb`` in their own words.
 
 Sweedler conventions: the coproduct is stored once, as the columns of
 ``h.comul``, and a flat index p splits into the legs ``divmod(p, dim)``;
@@ -38,7 +36,7 @@ from .errors import (ConstructionInvalid, DimensionMismatch,
                      InternalTheoremViolation, NotCocommutative,
                      NotConvolutionInvertible, UnvalidatedInput)
 from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, _sum_mod,
-                     _sum_ratio, accumulate, flip_tensor, int_product,
+                     _sum_ratio, accumulate, flip_tensor, int_product, int_sum,
                      scaled_columns, scaled_element, tensor_elem, tensor_index,
                      tensor_space, tensor_split, rank)
 from .report import AxiomReport, Witness
@@ -180,36 +178,61 @@ def leg_table(h: HopfAlgebraData, legs: int) -> list[list]:
     return table
 
 
+def _first_failure(dims, p: int, scales, rows):
+    """The one sweep loop: the lexicographically first index tuple ``at``,
+    each index below its entry of ``dims``, where two multilinear maps
+    differ, as ``(at, lhs, rhs)`` with both sums; None when they agree.
+
+    Tuple prefixes are visited in lexicographic order, and ``rows(*prefix)``
+    gives both sides for every last index at once, as two lists of int
+    dicts carrying the scales ``(sl, sr)``.  A tuple fails when
+    lhs·sr − rhs·sl is nonzero (modulo p over F_p).  With equal scales, equal
+    rows are passed whole, compared in C.  With no index the one tuple is
+    ``()``, and ``rows()`` gives rows of length one."""
+    sl, sr = scales
+    for prefix in itertools.product(*(range(d) for d in dims[:-1])):
+        lhs_row, rhs_row = rows(*prefix)
+        if sl == sr and lhs_row == rhs_row:
+            continue
+        for k, (lhs, rhs) in enumerate(zip(lhs_row, rhs_row)):
+            if sl == sr and lhs == rhs:
+                continue
+            diff = {key: v * sr for key, v in lhs.items()}
+            for key, v in rhs.items():
+                diff[key] = diff.get(key, 0) - v * sl
+            if any(v % p for v in diff.values()) if p else any(diff.values()):
+                return (*prefix, k)[:len(dims)], lhs, rhs
+    return None
+
+
+def _rendered(spaces, at, lhs, rhs) -> Witness:
+    """The witness at basis tuple ``at`` of ``spaces``, both sides as text."""
+    return Witness(tuple(s.labels[i] for s, i in zip(spaces, at)), str(lhs), str(rhs))
+
+
 def first_witness(spaces, sides) -> Witness | None:
     """The lexicographically first basis tuple ``at``, one index per based
-    space in ``spaces``, where ``lhs, rhs = sides(*at)`` differ, as a
-    Witness with both sides rendered; None when they agree everywhere."""
-    for at in itertools.product(*(range(s.dim) for s in spaces)):
-        lhs, rhs = sides(*at)
-        if lhs != rhs:
-            return Witness(tuple(s.labels[i] for s, i in zip(spaces, at)),
-                           str(lhs), str(rhs))
-    return None
+    space in ``spaces``, where the elements ``lhs, rhs = sides(*at)``
+    differ, as a Witness with both sides rendered; None when they agree
+    everywhere.  A renderer over the one sweep loop: :func:`_first_failure`
+    decides on their coefficient dicts, which are canonical, so they differ
+    exactly when the elements do."""
+    def rows(*prefix):
+        pairs = [sides(*prefix, k) for k in range(spaces[-1].dim)]
+        return [l.coeffs for l, _ in pairs], [r.coeffs for _, r in pairs]
+    found = _first_failure([s.dim for s in spaces], 0, (1, 1), rows)
+    return found and _rendered(spaces, found[0], *sides(*found[0]))
 
 
-def int_witness(spaces, target: BasedSpace, scales, sides) -> Witness | None:
-    """:func:`first_witness` on int sums: ``sides(*at)`` gives both sides
-    as int dicts over ``target`` carrying the scales ``(sl, sr)``; the
-    tuple fails when lhs·sr − rhs·sl is nonzero (modulo p over F_p)."""
-    p = target.field.p
-    sl, sr = scales
-    for at in itertools.product(*(range(s.dim) for s in spaces)):
-        lhs, rhs = sides(*at)
-        if sl == sr and lhs == rhs:     # the common case, compared in C
-            continue
-        diff = {k: v * sr for k, v in lhs.items()}
-        for k, v in rhs.items():
-            diff[k] = diff.get(k, 0) - v * sl
-        if _nonzero(diff, p):
-            return Witness(tuple(s.labels[i] for s, i in zip(spaces, at)),
-                           str(scaled_element(target, lhs.items(), sl)),
-                           str(scaled_element(target, rhs.items(), sr)))
-    return None
+def int_witness(spaces, target: BasedSpace, scales, rows) -> Witness | None:
+    """A renderer over the one sweep loop: :func:`_first_failure` decides,
+    over one index per based space in ``spaces``, on ``rows`` of int dicts
+    over ``target`` carrying the scales ``(sl, sr)``, and the two sums at
+    the failing tuple are rendered by :func:`~hopfkit.linalg.scaled_element`."""
+    found = _first_failure([s.dim for s in spaces], target.field.p, scales, rows)
+    return found and _rendered(spaces, found[0], *(
+        scaled_element(target, side.items(), s)
+        for side, s in zip(found[1:], scales)))
 
 
 def _scaled_unit(h: HopfAlgebraData) -> tuple[int, tuple]:
@@ -219,73 +242,24 @@ def _scaled_unit(h: HopfAlgebraData) -> tuple[int, tuple]:
     return du, unit
 
 
-def _witness(h: HopfAlgebraData, at: tuple[int, ...], lhs, rhs) -> Witness:
-    labels = tuple(h.label(i) for i in at)
-    return Witness(labels, str(lhs), str(rhs))
-
-
-def _nonzero(diff: dict, p: int) -> bool:
-    """Whether a scaled difference has a nonzero entry, modulo p over F_p."""
-    return any(v % p for v in diff.values()) if p else any(diff.values())
-
-
-def _associativity_failure(dim: int, p: int,
-                           mul: list) -> tuple[int, int, int] | None:
-    """The lexicographically first basis triple (i, j, k) with
-    (e_i e_j) e_k != e_i (e_j e_k), or None when the product is associative.
-
-    ``mul`` holds the scaled int columns of the product.  When every column
-    holds exactly one term with coefficient one, ``mul`` is an index table
-    ``tab`` and both sides are single basis vectors (with the same factor),
-    so comparing ``tab[tab[ij]k]`` with ``tab[i tab[jk]]`` as ints is exact.
-    Otherwise both sides, which carry the same scale, are summed into one
-    difference.
-    """
-    if all(len(col) == 1 and col[0][1] == 1 for col in mul):
-        tab = [col[0][0] for col in mul]
-        for i in range(dim):
-            row_i = tab[i * dim:(i + 1) * dim]
-            for j in range(dim):
-                ij = tab[i * dim + j] * dim
-                lhs = tab[ij:ij + dim]
-                rhs = [row_i[a] for a in tab[j * dim:(j + 1) * dim]]
-                if lhs != rhs:
-                    return i, j, next(k for k in range(dim) if lhs[k] != rhs[k])
-        return None
-    for i in range(dim):
-        row_i = mul[i * dim:(i + 1) * dim]
-        for j in range(dim):
-            left = mul[i * dim + j]
-            for k in range(dim):
-                diff: dict = {}
-                for a, c in left:
-                    for b, d in mul[a * dim + k]:
-                        diff[b] = diff.get(b, 0) + c * d
-                for a, c in mul[j * dim + k]:
-                    for b, d in row_i[a]:
-                        diff[b] = diff.get(b, 0) - c * d
-                if _nonzero(diff, p):
-                    return i, j, k
-    return None
-
-
 def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
     """Check every Hopf axiom on all basis tuples; stamp ``validated``.
 
     Report lines: associativity, unit, coassociativity, counit,
     bialgebra-compatibility (Δ and ε are algebra maps), antipode.
 
-    Every sweep runs on the int columns of :func:`scaled_columns`.  Per
-    basis tuple each comparison sums ``lhs·s_r − rhs·s_l`` into an int
-    dict, where ``s_l`` and ``s_r`` are the common denominators the two
-    sides carry, and tests it for zero (modulo p over F_p).  Tuples are
-    visited in lexicographic order; only the first failing one is
-    evaluated as elements, to render its witness with both sides (for the
-    one-element sweeps, the side that failed).
+    Every sweep runs on the int columns of :func:`scaled_columns`, and
+    :func:`_first_failure` decides each one, in lexicographic order: each
+    side is an int dict carrying the common denominator of its terms.
+    Associativity is the module associativity of m acting on H.  The left
+    and right unit, counit and antipode laws take a last index of their
+    own, so the left law wins a tie; ε multiplicative rides at key -1 of the
+    Δ-multiplicative sums, and Δ wins a tie.  Each caller renders its
+    witness; the one-element sweeps here render the side that failed.
 
     The compatibility sweep contracts one Δ leg pair at a time.  With B_i
     and D_j the right legs of Δe_i and Δe_j, P_i[b][c] = Σ_a Δe_i[a,b]·m(a,c)
-    is built once per i, U[b,d] = Σ_c Δe_j[c,d]·P_i[b][c] once per pair,
+    is built once per row i, U[b,d] = Σ_c Δe_j[c,d]·P_i[b][c] once per pair,
     and Δ(e_i)Δ(e_j) = Σ_{b,d} U[b,d] ⊗ m(b,d).  So a pair sums
     |B_i|·|Δe_j| entries of P_i and tensors |B_i|·|D_j| entries of U with
     a column of m, where the direct sum tensors |Δe_i|·|Δe_j| pairs of
@@ -303,71 +277,52 @@ def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
     eps = [col[0][1] if col else 0 for col in eps_cols]
     du, unit = _scaled_unit(h)
 
-    w = None
-    at = _associativity_failure(dim, p, mul)
-    if at is not None:
-        i, j, k = at
-        w = _witness(h, at, h.product(h.mul_basis(i, j), h.basis(k)),
-                     h.product(h.basis(i), h.mul_basis(j, k)))
-    report.add("associativity", w)
+    def sweep(name, scales, rows):
+        """A sweep over (e_i, law), rendered at e_i from its int sums."""
+        found = _first_failure((dim, 2), p, scales, rows)
+        report.add(name, found and _rendered((h.space,), found[0], *(
+            scaled_element(h.space, side.items(), s)
+            for side, s in zip(found[1:], scales))))
 
-    # 1·e_i and e_i·1 carry du·dm.
-    w = None
-    for i in range(dim):
-        e_i = ((i, 1),)
-        left = int_product(mul, dim, unit, e_i, {i: -du * dm})
-        right = int_product(mul, dim, e_i, unit, {i: -du * dm})
-        if _nonzero(left, p) or _nonzero(right, p):
-            e = h.basis(i)
-            side = (h.product(h.unit, e) if _nonzero(left, p)
-                    else h.product(e, h.unit))
-            w = _witness(h, (i,), side, e)
-            break
-    report.add("unit", w)
+    report.add("associativity",
+               _associativity_witness(h.space, h.space, (dm, mul), (dm, mul)))
+
+    # 1·e_i and e_i·1 carry du·dm, and so does e_i scaled by it.
+    sweep("unit", (du * dm, du * dm), lambda i: (
+        [int_product(mul, dim, unit, ((i, 1),)),
+         int_product(mul, dim, ((i, 1),), unit)], [{i: du * dm}] * 2))
 
     # Both iterated coproducts carry dc², indexed flat in H⊗H⊗H.
-    w = None
-    for i in range(dim):
-        diff: dict = {}
+    def coassociativity(i):
+        left, right = {}, {}
         for pair, c in comul[i]:
             a, b = divmod(pair, dim)
             for sub, c2 in comul[a]:
                 key = sub * dim + b
-                diff[key] = diff.get(key, 0) + c * c2
+                left[key] = left.get(key, 0) + c * c2
             base = a * dim * dim
             for sub, c2 in comul[b]:
                 key = base + sub
-                diff[key] = diff.get(key, 0) - c * c2
-        if _nonzero(diff, p):
-            w = _witness(h, (i,), "(Δ⊗id)Δ", "(id⊗Δ)Δ")
-            break
-    report.add("coassociativity", w)
+                right[key] = right.get(key, 0) + c * c2
+        return [left], [right]
+    found = _first_failure((dim, 1), p, (1, 1), coassociativity)
+    report.add("coassociativity",
+               found and _rendered((h.space,), found[0], "(Δ⊗id)Δ", "(id⊗Δ)Δ"))
 
-    # (ε⊗id)Δ(e_i) and (id⊗ε)Δ(e_i) carry dc·de.
-    w = None
-    for i in range(dim):
-        left = {i: -dc * de}
-        right = {i: -dc * de}
+    # (ε⊗id)Δ(e_i) and (id⊗ε)Δ(e_i) carry dc·de, and so does e_i scaled by it.
+    def counit(i):
+        left, right = {}, {}
         for pair, c in comul[i]:
             a, b = divmod(pair, dim)
             left[b] = left.get(b, 0) + c * eps[a]
             right[a] = right.get(a, 0) + c * eps[b]
-        if _nonzero(left, p) or _nonzero(right, p):
-            terms = [(c, *tensor_split(q, dim))
-                     for q, c in h.comul.columns[i].coeffs.items()]
-            if _nonzero(left, p):
-                side = accumulate(h.space, ((h.field.mul(c, h._eps[a]),
-                                             h.basis(b)) for c, a, b in terms))
-            else:
-                side = accumulate(h.space, ((h.field.mul(c, h._eps[b]),
-                                             h.basis(a)) for c, a, b in terms))
-            w = _witness(h, (i,), side, h.basis(i))
-            break
-    report.add("counit", w)
+        return [left, right], [{i: dc * de}] * 2
+    sweep("counit", (dc * de, dc * de), counit)
 
     # Δ(e_i e_j) carries dm·dc and Δ(e_i)Δ(e_j) carries dc²·dm², so the
-    # left side is scaled by dc·dm; ε(e_i e_j)·de is compared with
-    # ε(e_i)ε(e_j)·dm.
+    # left side is scaled by dc·dm; ε(e_i e_j)·de and ε(e_i)ε(e_j)·dm sit at
+    # key -1 of the two sides, so a pair fails when either identity does and
+    # Δ, when its part differs, wins the tie.
     w = None
     comul_unit = h.comul(h.unit)
     if comul_unit != tensor_elem(h.hh, h.unit, h.unit):
@@ -386,55 +341,54 @@ def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
                 by_right.setdefault(b, []).append((a, c))
             groups.append([(b, g, g[0][0] if g == [(g[0][0], 1)] else None)
                            for b, g in by_right.items()])
-        for i in range(dim):
+
+        def compatibility(i):
             # P_i[b][c] = Σ_a Δe_i[a,b]·m(a,c); a lone group reads a row of m.
             rows = [(b, mul[a * dim:(a + 1) * dim] if a is not None else
                      [tuple(int_product(mul, dim, g, ((c, 1),)).items())
                       for c in range(dim)]) for b, g, a in groups[i]]
+            lhs, rhs = [], []
             for j in range(dim):
                 prod = mul[i * dim + j]
-                diff: dict = {}
+                left = {-1: sum(c * eps[k] for k, c in prod) * de}
                 for k, c in prod:
                     c *= scale
                     for pair, c2 in comul[k]:
-                        diff[pair] = diff.get(pair, 0) + c * c2
+                        left[pair] = left.get(pair, 0) + c * c2
                 # Δ(e_i)Δ(e_j) = Σ_{b,d} U[b,d] ⊗ m(b,d), with
                 # U[b,d] = Σ_c Δe_j[c,d]·P_i[b][c] (an entry of P_i when lone)
+                right = {-1: eps[i] * eps[j] * dm}
                 for b, row in rows:
                     base_b = b * dim
                     for d, g, c in groups[j]:
                         u = (row[c] if c is not None else
                              int_product(row, 1, g, ((0, 1),)).items())
-                        right = mul[base_b + d]
+                        right_m = mul[base_b + d]
                         for x, ux in u:
                             base = x * dim
-                            for y, cy in right:
+                            for y, cy in right_m:
                                 key = base + y
-                                diff[key] = diff.get(key, 0) - ux * cy
-                if _nonzero(diff, p):
-                    lhs = int_product(comul, 1, prod, ((0, scale),))
-                    rhs = ((k, lhs.get(k, 0) - v) for k, v in diff.items())
-                    w = _witness(h, (i, j), h.comul(h.mul_basis(i, j)),
-                                 scaled_element(h.hh, rhs, scale * scale))
-                    break
-                eps_diff = (sum(c * eps[k] for k, c in prod) * de
-                            - eps[i] * eps[j] * dm)
-                if eps_diff % p if p else eps_diff:
-                    w = _witness(h, (i, j), h.counit_scalar(h.mul_basis(i, j)),
-                                 h.field.mul(h._eps[i], h._eps[j]))
-                    break
-            if w:
-                break
+                                right[key] = right.get(key, 0) + ux * cy
+                lhs.append(left)
+                rhs.append(right)
+            return lhs, rhs
+        found = _first_failure((dim, dim), p, (1, 1), compatibility)
+        if found is not None:
+            (i, j), *sides = found
+            left, right = (scaled_element(h.hh, ((k, v) for k, v in side.items()
+                                                 if k >= 0), scale * scale)
+                           for side in sides)
+            w = (_rendered((h.space, h.space), (i, j), left, right)
+                 if left != right else
+                 _rendered((h.space, h.space), (i, j), h.counit_scalar(
+                     h.mul_basis(i, j)), h.field.mul(h._eps[i], h._eps[j])))
     report.add("bialgebra-compatibility", w)
 
-    # S(e_a) e_b carries ds·dm, so each side carries dc·ds·dm; the target
-    # ε(e_i)1 carries de·du.
-    w = None
-    lscale = de * du
-    rscale = dc * ds * dm
-    for i in range(dim):
-        left = {k: -eps[i] * u * rscale for k, u in unit}
-        right = dict(left)
+    # S(e_a) e_b and e_a S(e_b) carry ds·dm, so each side carries dc·ds·dm
+    # and the target ε(e_i)1 de·du; each is scaled by the other's scale.
+    lscale, rscale = de * du, dc * ds * dm
+    def antipode(i):
+        left, right = {}, {}
         for pair, c in comul[i]:
             a, b = divmod(pair, dim)
             c *= lscale
@@ -446,14 +400,9 @@ def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
                 cx = c * sx
                 for y, m in mul[a * dim + x]:
                     right[y] = right.get(y, 0) + cx * m
-        if _nonzero(left, p) or _nonzero(right, p):
-            ident = LinearOp.identity(h.space)
-            f, g = ((h.antipode, ident) if _nonzero(left, p)
-                    else (ident, h.antipode))
-            w = _witness(h, (i,), convolution(h.comul, f, g, h.mul).columns[i],
-                         h.unit.scale(h._eps[i]))
-            break
-    report.add("antipode", w)
+        target = {k: eps[i] * u * rscale for k, u in unit}
+        return [left, right], [target, target]
+    sweep("antipode", (lscale * rscale, lscale * rscale), antipode)
 
     h.validated = report.passed
     return report
@@ -462,12 +411,10 @@ def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
 def check_cocommutative(h: HopfAlgebraData) -> bool:
     """True iff flip ∘ Δ = Δ on every basis element."""
     h.require_validated()
-    dim = h.dim
-    for i in range(dim):
-        col = h.comul.columns[i]
-        if flip_tensor(h.hh, h.hh, col, dim) != col:
-            return False
-    return True
+    cols = h.comul.columns
+    return _first_failure((h.dim,), 0, (1, 1), lambda: (
+        [flip_tensor(h.hh, h.hh, col, h.dim).coeffs for col in cols],
+        [col.coeffs for col in cols])) is None
 
 
 def require_cocommutative(h: HopfAlgebraData):
@@ -645,42 +592,43 @@ def coalgebra_map_failures(f: LinearOp, source: tuple[LinearOp, LinearOp],
     pairs.  Returns ``(comul, counit)``: the first failing basis index of
     each identity as ``(i, lhs, rhs)``, or None where it holds.  The
     counit sides are scalars.  Callers that report one failure take the
-    lower index, the comultiplication winning a tie.  The Δ sides are
-    compared in ints, Δ_t(f(e_i))·ds·df with (f⊗f)Δ_s(e_i)·dt for the
-    scales ds, dt and df of Δ_s, Δ_t and f; only a failing index is
-    evaluated as elements."""
+    lower index, the comultiplication winning a tie.  :func:`_first_failure`
+    decides both.  The Δ sides are compared in ints: Δ_t(f(e_i)) carries
+    dt·df and (f⊗f)Δ_s(e_i) ds·df², for the scales ds, dt and df of Δ_s,
+    Δ_t and f, and each is scaled by the other's scale; a failing index is
+    rendered from its int sums."""
     (s_comul, s_counit), (t_comul, t_counit) = source, target
     cols = f.columns
     n, m = len(cols), f.codomain.dim
-    p = f.codomain.field.p
     df, fc = scaled_columns(f)
     ds, sc = scaled_columns(s_comul)
     dt, tc = (ds, sc) if t_comul is s_comul else scaled_columns(t_comul)
-    lscale = ((0, ds * df),)
-    square = t_comul.codomain
-    comul = counit = None
-    for i, col in enumerate(cols):
-        if comul is None:
-            diff = int_product(tc, 1, fc[i], lscale)
-            for q, w in sc[i]:
+    scale = dt * ds * df * df
+
+    def comul_rows():
+        rhs = []
+        for col in sc:
+            out: dict = {}
+            for q, w in col:
                 a, b = divmod(q, n)
-                w *= -dt
+                w *= dt
                 for ka, ca in fc[a]:
                     base, wa = ka * m, w * ca
                     for kb, cb in fc[b]:
-                        diff[base + kb] = diff.get(base + kb, 0) + wa * cb
-            if _nonzero(diff, p):
-                comul = (i, t_comul(col), accumulate(square, (
-                    (c, tensor_elem(square, cols[q // n], cols[q % n]))
-                    for q, c in s_comul.columns[i].coeffs.items())))
-        if counit is None:
-            lhs = t_counit(col).coefficient(0)
-            rhs = s_counit.columns[i].coefficient(0)
-            if lhs != rhs:
-                counit = (i, lhs, rhs)
-        if comul and counit:
-            break
-    return comul, counit
+                        out[base + kb] = out.get(base + kb, 0) + wa * cb
+            rhs.append(out)
+        return [int_product(tc, 1, col, ((0, ds * df),)) for col in fc], rhs
+    comul = _first_failure((n,), f.codomain.field.p, (scale, scale), comul_rows)
+    if comul is not None:
+        (i,), lhs, rhs = comul
+        square = t_comul.codomain
+        comul = (i, scaled_element(square, lhs.items(), scale),
+                 scaled_element(square, rhs.items(), scale))
+    eps_t = [t_counit(col).coefficient(0) for col in cols]
+    eps_s = [col.coefficient(0) for col in s_counit.columns]
+    counit = _first_failure((n,), 0, (1, 1), lambda: (
+        [{0: v} for v in eps_t], [{0: v} for v in eps_s]))
+    return comul, counit and (counit[0][0], eps_t[counit[0][0]], eps_s[counit[0][0]])
 
 
 def _earliest(fails):
@@ -748,10 +696,11 @@ def _multiplicative_witness(f: LinearOp, h: HopfAlgebraData,
     df, fc = scaled_columns(f)
     dm, mul = scaled_columns(h.mul)
     dn, kmul = scaled_columns(k.mul)
+    dim = h.dim
     scales = (df * dm, dn * df * df)
-    return int_witness((h.space, h.space), k.space, scales, lambda i, j: (
-        int_product(fc, 1, mul[i * h.dim + j], ((0, 1),)),
-        int_product(kmul, k.dim, fc[i], fc[j])))
+    return int_witness((h.space, h.space), k.space, scales, lambda i: (
+        [int_product(fc, 1, col, ((0, 1),)) for col in mul[i * dim:(i + 1) * dim]],
+        [int_product(kmul, k.dim, fc[i], col) for col in fc]))
 
 
 def _measuring_witness(k: HopfAlgebraData, h: HopfAlgebraData,
@@ -765,27 +714,56 @@ def _measuring_witness(k: HopfAlgebraData, h: HopfAlgebraData,
     dc, comul = scaled_columns(k.comul)
     legs = [[(c, *divmod(q, dim_k)) for q, c in col] for col in comul]
 
-    def sides(a, i, j):
-        rhs: dict = {}
-        for c, a1, a2 in legs[a]:
-            int_product(mul, dim, [(x, c * v) for x, v in acts[a1 * dim + i]],
-                        acts[a2 * dim + j], rhs)
-        return int_product(acts, dim, ((a, 1),), mul[i * dim + j]), rhs
+    def rows(a, i):
+        # the left factors c·(a_(1) ⇀ e_i), once per row
+        lefts = [([(x, c * v) for x, v in acts[a1 * dim + i]], a2 * dim)
+                 for c, a1, a2 in legs[a]]
+        return ([int_product(acts, dim, ((a, 1),), col)
+                 for col in mul[i * dim:(i + 1) * dim]],
+                [int_sum(mul, dim, ((left, acts[base + j]) for left, base in lefts))
+                 for j in range(dim)])
     scales = (da * dm, dc * da * da * dm)
-    return int_witness((k.space, h.space, h.space), h.space, scales, sides)
+    return int_witness((k.space, h.space, h.space), h.space, scales, rows)
 
 
-def _associativity_witness(mul: LinearOp, act: LinearOp) -> Witness | None:
-    """First (a, b, i) with (ab) ⇀ e_i != a ⇀ (b ⇀ e_i), for the product
-    mul: K ⊗ K -> K and act: K ⊗ H -> H; the sides carry dm·da and da²."""
-    dm, muls = scaled_columns(mul)
-    da, acts = scaled_columns(act)
-    actor, space = mul.codomain, act.codomain
+def _associativity_witness(actor: BasedSpace, space: BasedSpace, mul,
+                           act) -> Witness | None:
+    """First (a, b, i) with (ab) ⇀ e_i != a ⇀ (b ⇀ e_i), for a product
+    K ⊗ K -> K on ``actor`` and an action K ⊗ H -> H on ``space``, each
+    given as its ``(scale, columns)`` from :func:`scaled_columns`; the
+    sides carry dm·da and da².  When every column of both maps is one
+    basis vector with coefficient one, the maps are index tables and both
+    sides single basis vectors, so a row (a, b) is compared as ints."""
+    (dm, muls), (da, acts) = mul, act
     dim, dim_k = space.dim, actor.dim
-    scales = (dm * da, da * da)
-    return int_witness((actor, actor, space), space, scales, lambda a, b, i: (
-        int_product(acts, dim, muls[a * dim_k + b], ((i, 1),)),
-        int_product(acts, dim, ((a, 1),), acts[b * dim + i])))
+    if all(len(col) == 1 and col[0][1] == 1
+           for col in (muls if acts is muls else (*muls, *acts))):
+        tm, ta = [col[0][0] for col in muls], [col[0][0] for col in acts]
+        for a in range(dim_k):
+            row_a = ta[a * dim:(a + 1) * dim]
+            for b in range(dim_k):
+                ab = tm[a * dim_k + b] * dim
+                lhs = ta[ab:ab + dim]
+                rhs = [row_a[x] for x in ta[b * dim:(b + 1) * dim]]
+                if lhs != rhs:
+                    i = next(i for i in range(dim) if lhs[i] != rhs[i])
+                    return _rendered((actor, actor, space), (a, b, i),
+                                     space.basis(lhs[i]), space.basis(rhs[i]))
+        return None
+
+    def rows(a, b):
+        left, row_a = muls[a * dim_k + b], acts[a * dim:(a + 1) * dim]
+        lhs, rhs = [{} for _ in range(dim)], [{} for _ in range(dim)]
+        for i in range(dim):
+            l, r = lhs[i], rhs[i]
+            for x, c in left:
+                for y, d in acts[x * dim + i]:
+                    l[y] = l.get(y, 0) + c * d
+            for x, c in acts[b * dim + i]:
+                for y, d in row_a[x]:
+                    r[y] = r.get(y, 0) + c * d
+        return lhs, rhs
+    return int_witness((actor, actor, space), space, (dm * da, da * da), rows)
 
 
 def _unit_witnesses(k: HopfAlgebraData, h: HopfAlgebraData, act: LinearOp):
@@ -798,11 +776,12 @@ def _unit_witnesses(k: HopfAlgebraData, h: HopfAlgebraData, act: LinearOp):
     dv, unit_h = _scaled_unit(h)
     de, eps = scaled_columns(k.counit)
     dim = h.dim
-    return (int_witness((h.space,), h.space, (du * da, 1), lambda i: (
-                int_product(acts, dim, unit_k, ((i, 1),)), {i: 1})),
-            int_witness((k.space,), h.space, (da * dv, dv * de), lambda a: (
-                int_product(acts, dim, ((a, 1),), unit_h),
-                {i: u * n for _, n in eps[a] for i, u in unit_h})))
+    return (int_witness((h.space,), h.space, (du * da, 1), lambda: (
+                [int_product(acts, dim, unit_k, ((i, 1),)) for i in range(dim)],
+                [{i: 1} for i in range(dim)])),
+            int_witness((k.space,), h.space, (da * dv, dv * de), lambda: (
+                [int_product(acts, dim, ((a, 1),), unit_h) for a in range(k.dim)],
+                [{i: u * n for _, n in col for i, u in unit_h} for col in eps])))
 
 
 # -- module actions -------------------------------------------------------------
@@ -846,8 +825,9 @@ def _module_axioms(action: ModuleAction, report: AxiomReport):
     e_a ⇀ 1 = ε(e_a) 1, swept with the first unit law."""
     unit, on_unit = _unit_witnesses(action.actor, action.carrier, action.act)
     report.add("module-unit", unit)
-    report.add("module-associativity",
-               _associativity_witness(action.actor.mul, action.act))
+    report.add("module-associativity", _associativity_witness(
+        action.actor.space, action.carrier.space,
+        scaled_columns(action.actor.mul), scaled_columns(action.act)))
     return on_unit
 
 

@@ -438,6 +438,15 @@ def int_product(table: list, dim: int, x, y, out: dict | None = None) -> dict:
     return out
 
 
+def int_sum(table: list, dim: int, pairs) -> dict:
+    """Σ x·y through ``table`` over the ``(x, y)`` pairs of
+    :func:`int_product`, summed into one new int dict."""
+    out: dict = {}
+    for x, y in pairs:
+        int_product(table, dim, x, y, out)
+    return out
+
+
 # -- tensor products ---------------------------------------------------------
 
 def tensor_space(a: BasedSpace, b: BasedSpace) -> BasedSpace:

@@ -20,11 +20,11 @@ from .brace import HopfBrace, verify_brace
 from .errors import (AxiomFails, ConstructionInvalid, DimensionMismatch,
                      HypothesisFails, InternalTheoremViolation, BraidFails)
 from .hopf import (HopfAlgebraData, _associativity_witness, _earliest,
-                   _nonzero, _unit_witnesses, coalgebra_map_failures,
+                   _first_failure, _unit_witnesses, coalgebra_map_failures,
                    convolution, first_witness, int_witness, leg_table,
                    require_cocommutative, tensor_coalgebra, twisted_product,
                    verify_hopf)
-from .linalg import (LinearOp, accumulate, int_product, invert,
+from .linalg import (LinearOp, accumulate, int_product, int_sum, invert,
                      scaled_columns, tensor_index, tensor_space, tensor_split)
 from .rb import RotaBaxterOp, descend, rb_action_map
 from .report import Witness
@@ -50,6 +50,7 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
     if ract.domain != kh or ract.codomain != k.space:
         raise DimensionMismatch("right action must map K⊗H to K")
     dim_h, dim_k = h.dim, k.dim
+    dim_kh = dim_k * dim_h
     source = tensor_coalgebra(k, h)
 
     def sweep(tag: str, w: Witness | None):
@@ -64,9 +65,12 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
             raise AxiomFails(tags[which], Witness((k.label(x), h.label(a)),
                                                   str(lhs), str(rhs)))
 
+    dl, la = scaled_columns(lact)
+    dn, mul_k = scaled_columns(k.mul)
     left_unit, left_on_unit = _unit_witnesses(k, h, lact)
     sweep("left-module-unit", left_unit)
-    sweep("left-module-associativity", _associativity_witness(k.mul, lact))
+    sweep("left-module-associativity",
+          _associativity_witness(k.space, h.space, (dn, mul_k), (dl, la)))
     module_coalgebra(("left-module-coalgebra", "left-module-counit"), lact,
                      (h.comul, h.counit))
     sweep("left-action-on-unit", left_on_unit)
@@ -81,9 +85,11 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
     dm, mul_h = scaled_columns(h.mul)
     sweep("right-module-associativity", int_witness(
         (k.space, h.space, h.space), k.space, (dr * dm, dr * dr),
-        lambda x, a, b: (
-            int_product(ra, dim_h, ((x, 1),), mul_h[a * dim_h + b]),
-            int_product(ra, dim_h, ra[x * dim_h + a], ((b, 1),)))))
+        lambda x, a: (
+            [int_product(ra, dim_h, ((x, 1),), col)
+             for col in mul_h[a * dim_h:(a + 1) * dim_h]],
+            [int_product(ra, dim_h, ra[x * dim_h + a], ((b, 1),))
+             for b in range(dim_h)])))
     module_coalgebra(("right-module-coalgebra", "right-module-counit"), ract,
                      (k.comul, k.counit))
     sweep("right-action-on-unit", right_on_unit)
@@ -91,15 +97,10 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
     # Both compatibilities sum c·m(left[u] ⊗ right[v]) over the terms c of the
     # middle-flip Δ of K ⊗ H (scale ds) at s, u ⊗ v = (x_(1)⊗a_(1)) ⊗ (x_(2)⊗a_(2)).
     ds, legs = scaled_columns(source[0])
-    dl, la = scaled_columns(lact)
-    dn, mul_k = scaled_columns(k.mul)
 
     def twisted(s, m, dim, left, right):
-        out: dict = {}
-        for q, c in legs[s]:
-            u, v = divmod(q, dim_k * dim_h)
-            int_product(m, dim, [(i, c * w) for i, w in left[u]], right[v], out)
-        return out
+        return int_sum(m, dim, (([(i, c * w) for i, w in left[q // dim_kh]],
+                                 right[q % dim_kh]) for q, c in legs[s]))
     # (x ↼ a) ⇀ b and x ↼ (y ⇀ a), carrying dr·dl, once per b or x
     rl = [[tuple(int_product(la, dim_h, col, ((b, 1),)).items()) for col in ra]
           for b in range(dim_h)]
@@ -107,14 +108,17 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
           for x in range(dim_k)]
     sweep("compatibility-left", int_witness(
         (k.space, h.space, h.space), h.space, (dl * dm, ds * dl * dr * dl * dm),
-        lambda x, a, b: (
-            int_product(la, dim_h, ((x, 1),), mul_h[a * dim_h + b]),
-            twisted(x * dim_h + a, mul_h, dim_h, la, rl[b]))))
+        lambda x, a: (
+            [int_product(la, dim_h, ((x, 1),), col)
+             for col in mul_h[a * dim_h:(a + 1) * dim_h]],
+            [twisted(x * dim_h + a, mul_h, dim_h, la, right) for right in rl])))
     sweep("compatibility-right", int_witness(
         (k.space, k.space, h.space), k.space, (dr * dn, ds * dr * dl * dr * dn),
-        lambda x, y, a: (
-            int_product(ra, dim_h, mul_k[x * dim_k + y], ((a, 1),)),
-            twisted(y * dim_h + a, mul_k, dim_k, xl[x], ra))))
+        lambda x, y: (
+            [int_product(ra, dim_h, mul_k[x * dim_k + y], ((a, 1),))
+             for a in range(dim_h)],
+            [twisted(y * dim_h + a, mul_k, dim_k, xl[x], ra)
+             for a in range(dim_h)])))
     return MatchedPair(h, k, lact, ract)
 
 
@@ -227,19 +231,22 @@ def ybe_from_rb(b: RotaBaxterOp) -> YbeMap:
             for ij in range(sq) for k in range(dim)]
     id_c = [tuple((i * sq + u, w) for u, w in cols[jk])
             for i in range(dim) for jk in range(sq)]
-    for idx in range(sq * dim):
-        diff = int_product(c_id, 1, int_product(id_c, 1, c_id[idx], one).items(), one)
-        int_product(id_c, 1, int_product(c_id, 1, id_c[idx], one).items(),
-                    ((0, -1),), diff)
-        if _nonzero(diff, field.p):
-            at = lhs = rhs = {(idx // sq, idx // dim % dim, idx % dim): field.one}
-            for pos in (0, 1, 0):
-                lhs = _apply_on_legs(c, lhs, pos, dim, field)
-            for pos in (1, 0, 1):
-                rhs = _apply_on_legs(c, rhs, pos, dim, field)
-            raise BraidFails("braid relation fails", Witness(
-                tuple(h.label(i) for i in next(iter(at))),
-                str(sorted(lhs.items())), str(sorted(rhs.items()))))
+
+    def rows(i, j):
+        # f g f on each e_i ⊗ e_j ⊗ e_k, for (f, g) = (c ⊗ id, id ⊗ c) and back
+        span = range((i * dim + j) * dim, (i * dim + j + 1) * dim)
+        return tuple([int_product(f, 1, int_product(g, 1, f[idx], one).items(), one)
+                      for idx in span] for f, g in ((c_id, id_c), (id_c, c_id)))
+    found = _first_failure((dim, dim, dim), field.p, (1, 1), rows)
+    if found is not None:
+        lhs = rhs = {found[0]: field.one}
+        for pos in (0, 1, 0):
+            lhs = _apply_on_legs(c, lhs, pos, dim, field)
+        for pos in (1, 0, 1):
+            rhs = _apply_on_legs(c, rhs, pos, dim, field)
+        raise BraidFails("braid relation fails", Witness(
+            tuple(h.label(i) for i in found[0]),
+            str(sorted(lhs.items())), str(sorted(rhs.items()))))
     return YbeMap(h.space, c, c_inv)
 
 

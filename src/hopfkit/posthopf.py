@@ -25,7 +25,7 @@ from .hopf import (HopfAlgebraData, _associativity_witness, _earliest,
                    _measuring_witness, apply2, coalgebra_map_failures,
                    convolution, convolution_inverse, require_cocommutative,
                    tensor_coalgebra, twisted_product, verify_hopf)
-from .linalg import LinearOp, tensor_split
+from .linalg import LinearOp, scaled_columns, tensor_split
 from .rb import RotaBaxterOp, rb_action_map
 from .report import Witness
 
@@ -65,7 +65,8 @@ def verify_posthopf(h: HopfAlgebraData, tri: LinearOp) -> PostHopf:
     # x ∗ y = x_(1) (x_(2) ▶ y), once per pair.  Twisted associativity
     # says ▶ is an action of (H, ∗), with the sides of the module law swapped.
     star = twisted_product(h.comul, h.mul, tri)
-    w = _associativity_witness(star, tri)
+    w = _associativity_witness(h.space, h.space, scaled_columns(star),
+                               scaled_columns(tri))
     if w is not None:
         raise IdentityFails("twisted-associativity",
                             Witness(w.at, w.rhs, w.lhs))

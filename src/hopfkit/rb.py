@@ -69,9 +69,9 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     op = RotaBaxterOp(h, b)
     op.circle, (dk, circ), (dm, mul), (db, bcols) = _circle_mul(h, b)
     # B(x)B(y) carries db²·dm and B(x∘y) carries db·dk
-    w = int_witness((h.space, h.space), h.space, (db * db * dm, db * dk), lambda x, y: (
-        int_product(mul, dim, bcols[x], bcols[y]),
-        int_product(bcols, 1, circ[x * dim + y], ((0, 1),))))
+    w = int_witness((h.space, h.space), h.space, (db * db * dm, db * dk), lambda x: (
+        [int_product(mul, dim, bcols[x], col) for col in bcols],
+        [int_product(bcols, 1, col, ((0, 1),)) for col in circ[x * dim:(x + 1) * dim]]))
     if w is not None:
         raise RBIdentityFails("Rota-Baxter identity fails", w)
     op.validated = True

@@ -11,6 +11,7 @@ from hopfkit.errors import AxiomFails
 from hopfkit.hopf import apply2, transport_hopf
 from hopfkit.linalg import (BasedSpace, Element, LinearOp, accumulate, invert,
                             tensor_elem, tensor_index, tensor_split)
+from hopfkit.rb import descendent_antipode
 from hopfkit.report import AxiomReport, Witness
 
 
@@ -308,6 +309,39 @@ def adjoint_apply(h, u, x):
                           h.product_many([h.basis(g1), x,
                                           h.antipode.columns[g2]])))
     return accumulate(h.space, terms)
+
+
+def reference_prop48(h, b):
+    """First (a, b, c) with a b_(1) (B(b_(2)) ▷ c) differing from
+    a_(1) b_(1) ((B(a_(2) b_(2)) B(T(a_(3)))) ▷ c), T the descendent
+    antipode of B, every product formed inside each pair of Sweedler
+    terms."""
+    t = descendent_antipode(h, b)
+    dim = h.dim
+    for a in range(dim):
+        legs_a = sweedler(h, a, 3)
+        for bb in range(dim):
+            legs_b = sweedler(h, bb, 2)
+            for c in range(dim):
+                lhs = accumulate(h.space, (
+                    (w, h.product_many([h.basis(a), h.basis(b1),
+                                        adjoint_apply(h, b.columns[b2],
+                                                      h.basis(c))]))
+                    for w, (b1, b2) in legs_b))
+                terms = []
+                for wa, (a1, a2, a3) in legs_a:
+                    bta = b(t.columns[a3])
+                    for wb, (b1, b2) in legs_b:
+                        actor = h.product(b(h.mul_basis(a2, b2)), bta)
+                        terms.append((h.field.mul(wa, wb),
+                                      h.product_many([h.basis(a1), h.basis(b1),
+                                                      adjoint_apply(h, actor,
+                                                                    h.basis(c))])))
+                rhs = accumulate(h.space, terms)
+                if lhs != rhs:
+                    return Witness((h.label(a), h.label(bb), h.label(c)),
+                                   str(lhs), str(rhs))
+    return None
 
 
 def reference_prop49(h, b):

@@ -18,12 +18,10 @@ from hopfkit.errors import (CompatibilityFails, HopfAxiomFails,
 from hopfkit.hopf import apply2, first_witness, transport_hopf
 from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
                             accumulate, invert, tensor_index)
-from hopfkit.rb import descendent_antipode
 from hopfkit.report import AxiomReport, Witness
 
-from conftest import (Built, adjoint_apply, edited,
-                      reference_compatibility_witness, reference_prop49,
-                      sweedler)
+from conftest import (Built, edited, reference_compatibility_witness,
+                      reference_prop48, reference_prop49, sweedler)
 
 ORACLE = settings(max_examples=10, deadline=None, database=None)
 
@@ -284,35 +282,6 @@ def test_factorization_wrong_sizes_rejected(f2):
 
 
 # -- oracles: the sweeps term by term ----------------------------------------------------
-
-def reference_prop48(h, b):
-    t = descendent_antipode(h, b)
-    dim = h.dim
-    for a in range(dim):
-        legs_a = sweedler(h, a, 3)
-        for bb in range(dim):
-            legs_b = sweedler(h, bb, 2)
-            for c in range(dim):
-                lhs = accumulate(h.space, (
-                    (w, h.product_many([h.basis(a), h.basis(b1),
-                                        adjoint_apply(h, b.columns[b2],
-                                                      h.basis(c))]))
-                    for w, (b1, b2) in legs_b))
-                terms = []
-                for wa, (a1, a2, a3) in legs_a:
-                    bta = b(t.columns[a3])
-                    for wb, (b1, b2) in legs_b:
-                        actor = h.product(b(h.mul_basis(a2, b2)), bta)
-                        terms.append((h.field.mul(wa, wb),
-                                      h.product_many([h.basis(a1), h.basis(b1),
-                                                      adjoint_apply(h, actor,
-                                                                    h.basis(c))])))
-                rhs = accumulate(h.space, terms)
-                if lhs != rhs:
-                    return Witness((h.label(a), h.label(bb), h.label(c)),
-                                   str(lhs), str(rhs))
-    return None
-
 
 def basis_change(h, columns):
     """The map sending the group basis to the basis whose k-th vector has

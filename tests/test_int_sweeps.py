@@ -2,7 +2,8 @@
 ``RotaBaxterOp.circle``, ``verify_rb``, ``verify_brace``,
 ``coalgebra_map_failures``, the module and multiplicativity sweeps of
 ``hopf``, the post-Hopf identities, the symmetry suite, the matched-pair
-axioms and the braid relation.
+axioms and the braid relation; and ``_first_failure``, the one loop that
+decides all of them, on hand-made rows.
 
 Each test draws one-entry edits of B, of the dot or circle product, of Δ
 or of S, over Q and F_7, on group algebras and on the transported
@@ -16,6 +17,7 @@ Hopf axioms of edited structures, the steps after the sweep).
 """
 
 import dataclasses
+import itertools
 from unittest import mock
 
 import pytest
@@ -30,7 +32,8 @@ from hopfkit import rb as rb_mod
 from hopfkit.brace import HopfBrace
 from hopfkit.errors import (BraidFails, CompatibilityFails, IdentityFails,
                             NotCoalgebraMap, RBIdentityFails)
-from hopfkit.hopf import (ModuleAction, _multiplicative_witness, adjoint_map,
+from hopfkit.hopf import (ModuleAction, _first_failure,
+                          _multiplicative_witness, adjoint_map,
                           check_module_bialgebra, coalgebra_map_failures,
                           convolution, tensor_coalgebra)
 from hopfkit.linalg import (QQ, Field, LinearOp, accumulate, scaled_columns,
@@ -44,7 +47,7 @@ from conftest import (KERNEL_OPS, Built, edited, matched_outcome,
                       reference_measuring_witness, reference_module_bialgebra,
                       reference_multiplicative_witness,
                       reference_op_module_witness, reference_prop44,
-                      reference_prop49, reference_rb_witness,
+                      reference_prop48, reference_prop49, reference_rb_witness,
                       reference_twisted_associativity_witness,
                       reference_verify_matched_pair)
 
@@ -257,7 +260,8 @@ def test_posthopf_sweeps_match_reference_on_edits(kernel_op, field, name,
 def test_symmetry_suite_matches_reference_on_edits(kernel_op, field, name,
                                                    which, col, row, offset):
     # op-module and prop44 read the derived action, the dot product and Δ,
-    # and prop44 the circle antipode T; prop49 reads B and the dot structure
+    # and prop44 the circle antipode T; prop48 and prop49 read B and the dot
+    # structure, and prop48 the descendent antipode of B
     b, circle = operator(kernel_op, name, field)
     dot, m = b.carrier, b.map
     act = brace_mod.derived_action_map(HopfBrace(dot, circle, True))
@@ -276,6 +280,8 @@ def test_symmetry_suite_matches_reference_on_edits(kernel_op, field, name,
         assert brace_mod.symmetric_sufficient_witness(br) == \
             reference_prop44(dot, circle.antipode, act)
     assert brace_mod.rb_op_module_witness(dot, m) == reference_prop49(dot, m)
+    assert brace_mod.rb_symmetric_sufficient_witness(dot, m) == \
+        reference_prop48(dot, m)
 
 
 # matched_pair_from_rb takes 5 s on dense Q[Z3], so that carrier runs over
@@ -335,3 +341,64 @@ def test_braid_sweep_matches_reference_on_edits(kernel_op, pair, col, row,
             with pytest.raises(BraidFails) as exc:
                 hk.ybe_from_rb(b)
             assert exc.value.witness == want
+
+
+# -- the one sweep loop, on hand-made rows ------------------------------------
+
+@ORACLE
+@given(dims=st.lists(st.integers(1, 3), max_size=3), data=st.data())
+def test_first_failure_is_the_lexicographically_first_failing_tuple(dims,
+                                                                    data):
+    # 0 to 3 indices; both sides are {0: 1}, except at the drawn tuples,
+    # where the left side is {0: 2}, and at the others drawn, where it is
+    # {0: 1, 1: 0}: unequal as dicts, equal as sums
+    tuples = list(itertools.product(*(range(d) for d in dims)))
+    failing = data.draw(st.sets(st.sampled_from(tuples)))
+    padded = data.draw(st.sets(st.sampled_from(tuples)))
+    visited = []
+
+    def rows(*prefix):
+        visited.append(prefix)
+        ats = [(*prefix, k) for k in range(dims[-1])] if dims else [()]
+        return ([{0: 2} if at in failing else {0: 1, 1: 0} if at in padded
+                 else {0: 1} for at in ats], [{0: 1} for _ in ats])
+    found = _first_failure(dims, 0, (1, 1), rows)
+    prefixes = list(itertools.product(*(range(d) for d in dims[:-1])))
+    if failing:
+        at = min(failing)
+        assert found == (at, {0: 2}, {0: 1})
+        # the sweep stops at the row of the failure
+        assert visited == [pre for pre in prefixes if pre <= at[:-1]]
+    else:
+        assert found is None
+        assert visited == prefixes
+
+
+def test_first_failure_reads_every_index_of_a_row():
+    # only the last index of the second row differs
+    assert _first_failure((2, 3), 0, (1, 1), lambda i: (
+        [{0: 1}, {0: 1}, {0: 1 + i}], [{0: 1}, {0: 1}, {0: 1}])) == \
+        ((1, 2), {0: 2}, {0: 1})
+    assert _first_failure((), 0, (1, 1), lambda: ([{0: 1}], [{0: 2}])) == \
+        ((), {0: 1}, {0: 2})
+
+
+def test_first_failure_scales_each_side_before_comparing():
+    # lhs/sl against rhs/sr: equal rows that differ once scaled (1/1 and
+    # 1/2), and unequal rows that agree once scaled (2/2 and 1/1)
+    assert _first_failure((2,), 0, (1, 2), lambda: (
+        [{}, {0: 1}], [{}, {0: 1}])) == ((1,), {0: 1}, {0: 1})
+    assert _first_failure((2,), 0, (2, 1), lambda: (
+        [{}, {0: 2}], [{}, {0: 1}])) is None
+
+
+def test_first_failure_reduces_the_difference_mod_p():
+    # 8 − 1 and 3·1 − 1·10 vanish in F_7 only; 9 − 1 vanishes in neither
+    assert _first_failure((1,), 7, (1, 1), lambda: ([{0: 8}], [{0: 1}])) is None
+    assert _first_failure((1,), 0, (1, 1), lambda: ([{0: 8}], [{0: 1}])) == \
+        ((0,), {0: 8}, {0: 1})
+    assert _first_failure((1,), 7, (10, 1), lambda: ([{1: 3}], [{1: 1}])) is None
+    assert _first_failure((1,), 0, (10, 1), lambda: ([{1: 3}], [{1: 1}])) == \
+        ((0,), {1: 3}, {1: 1})
+    assert _first_failure((1,), 7, (1, 1), lambda: ([{0: 9}], [{0: 1}])) == \
+        ((0,), {0: 9}, {0: 1})
