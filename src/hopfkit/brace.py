@@ -16,7 +16,7 @@ from .errors import (CompatibilityFails, ConstructionInvalid,
                      HypothesisFails, InternalTheoremViolation,
                      NotExactFactorization, SingularMap)
 from .hopf import (HopfAlgebraData, ModuleAction, _associativity_witness,
-                   _multiplicative_witness, adjoint_map,
+                   _multiplicative_witness, _require, _verified, adjoint_map,
                    apply2, check_cocommutative, check_module_bialgebra,
                    convolution, convolution_inverse, first_witness,
                    int_witness, opposite_hopf,
@@ -217,10 +217,7 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
         raise ConstructionInvalid("hopf", "brace carrier must be cocommutative")
     ambient = smash_hopf(circle, dot, derived_action_map(br))
     g2 = ambient.space
-    report = verify_hopf(ambient)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid("hopf", f"{fail.name}: {fail.witness}")
+    _require(verify_hopf(ambient), "hopf")
     if not check_cocommutative(ambient):
         raise ConstructionInvalid("hopf", "ambient is not cocommutative")
 
@@ -435,20 +432,13 @@ def brace_from_op_action(h: HopfAlgebraData, act: LinearOp) -> HopfBrace:
     if w is not None:
         raise HypothesisFails("a1(a2⇀b)⇀c = (ba)⇀c", w)
 
-    report = check_module_bialgebra(ModuleAction(opposite_hopf(h), h, act))
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid("module-bialgebra",
-                                  f"{fail.name}: {fail.witness}")
+    _require(check_module_bialgebra(ModuleAction(opposite_hopf(h), h, act)),
+             "module-bialgebra")
 
     s = h.antipode
     circle = HopfAlgebraData(h.space, circle_mul, h.unit, h.comul, h.counit,
                              convolution(h.comul, s, s, act))
-    report = verify_hopf(circle)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid(f"circle:{fail.name}", str(fail.witness))
-    brace = verify_brace(h, circle)
+    brace = verify_brace(h, _verified(circle, "circle"))
     if not check_op_module(brace) or not check_symmetric(brace):
         raise InternalTheoremViolation(
             "action brace is not an op-module (or not symmetric)")
@@ -500,11 +490,7 @@ def brace_from_exact_factorization(h: HopfAlgebraData, a_labels,
     except HopfkitError as exc:
         raise ConstructionInvalid("antipode", str(exc)) from exc
     circle = HopfAlgebraData(h.space, circle_mul, h.unit, h.comul, h.counit, t)
-    report = verify_hopf(circle)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid(f"circle:{fail.name}", str(fail.witness))
-    brace = verify_brace(h, circle)
+    brace = verify_brace(h, _verified(circle, "circle"))
     if not check_op_module(brace) or not check_symmetric(brace):
         raise InternalTheoremViolation(
             "factorization brace is not an op-module (or not symmetric)")

@@ -73,19 +73,21 @@ def check_action(action: ModuleAction):
         raise AxiomFails(fail.name, fail.witness)
 
 
-def build_rb(defs: DefinitionFile, decl: Declaration) -> RotaBaxterOp:
-    h = _ensure_validated(decl.refs["hopf"].obj)
-    return verify_rb(h, decl.refs["map"].obj)
+def hopf_and_map(defs: DefinitionFile, decl: Declaration):
+    """The validated carrier and the map of an ``rb`` declaration or of a
+    map declared ``on`` a carrier."""
+    if decl.kind == "rb":
+        return _ensure_validated(decl.refs["hopf"].obj), decl.refs["map"].obj
+    return _ensure_validated(defs[decl.on].obj), decl.obj
 
 
-def rb_from_map_decl(defs: DefinitionFile, decl: Declaration) -> RotaBaxterOp:
-    h = _ensure_validated(defs[decl.on].obj)
-    return verify_rb(h, decl.obj)
+def rb_from_decl(defs: DefinitionFile, decl: Declaration) -> RotaBaxterOp:
+    return verify_rb(*hopf_and_map(defs, decl))
 
 
 def build_brace(defs: DefinitionFile, decl: Declaration):
     if "rb" in decl.refs:
-        return brace_mod.brace_from_rb(build_rb(defs, decl.refs["rb"]))
+        return brace_mod.brace_from_rb(rb_from_decl(defs, decl.refs["rb"]))
     if "flip" in decl.refs:
         return brace_mod.flip_brace(_ensure_validated(decl.refs["flip"].obj))
     dot = _ensure_validated(decl.refs["dot"].obj)
@@ -170,7 +172,7 @@ def run_checks(defs: DefinitionFile) -> tuple[list[dict], dict]:
                 add(f"{decl.name}.coalgebra-morphism", w)
                 if decl.rota_baxter:
                     add_outcome(f"{decl.name}.rota-baxter",
-                                lambda d=decl: rb_from_map_decl(defs, d))
+                                lambda d=decl: rb_from_decl(defs, d))
             digests[decl.name] = digest(map_entries(decl.obj))
         elif decl.kind == "action":
             add_outcome(f"{decl.name}.module-bialgebra",
@@ -178,7 +180,7 @@ def run_checks(defs: DefinitionFile) -> tuple[list[dict], dict]:
             digests[decl.name] = digest(map_entries(decl.obj.act))
         elif decl.kind == "rb":
             add_outcome(f"{decl.name}.rota-baxter",
-                        lambda d=decl: build_rb(defs, d))
+                        lambda d=decl: rb_from_decl(defs, d))
         elif decl.kind == "brace":
             add_outcome(f"{decl.name}.brace",
                         lambda d=decl: build_brace(defs, d))
@@ -253,10 +255,6 @@ def source_decl(defs: DefinitionFile, kind: str,
             return decl
     raise DefinitionError("no Rota-Baxter declaration found "
                           "(declare kind 'rb' or flag a map rota_baxter)")
-
-
-def rb_from_decl(defs: DefinitionFile, decl: Declaration) -> RotaBaxterOp:
-    return (build_rb if decl.kind == "rb" else rb_from_map_decl)(defs, decl)
 
 
 def brace_from_decl(defs: DefinitionFile, decl: Declaration):
@@ -345,21 +343,17 @@ def run_derive(defs: DefinitionFile, what: str, name: str | None,
 # -- check ---------------------------------------------------------------------------
 
 def resolve_hopf_and_map(defs: DefinitionFile, name: str | None):
+    def pairs(decl):
+        return decl.kind == "rb" or decl.kind == "map" and decl.on is not None
     if name is not None:
         decl = defs[name]
-        if decl.kind == "rb":
-            h = _ensure_validated(decl.refs["hopf"].obj)
-            return h, decl.refs["map"].obj
-        if decl.kind == "map" and decl.on is not None:
-            return _ensure_validated(defs[decl.on].obj), decl.obj
-        raise DefinitionError(f"'{name}' does not name a (hopf, map) pair")
-    decl = defs.first("rb")
-    if decl is not None:
-        return _ensure_validated(decl.refs["hopf"].obj), decl.refs["map"].obj
-    for decl in defs.declarations:
-        if decl.kind == "map" and decl.on is not None:
-            return _ensure_validated(defs[decl.on].obj), decl.obj
-    raise DefinitionError("no map declaration found")
+        if not pairs(decl):
+            raise DefinitionError(f"'{name}' does not name a (hopf, map) pair")
+    else:
+        decl = defs.first("rb") or next(filter(pairs, defs.declarations), None)
+        if decl is None:
+            raise DefinitionError("no map declaration found")
+    return hopf_and_map(defs, decl)
 
 
 def run_check(defs: DefinitionFile, condition: str, name: str | None):

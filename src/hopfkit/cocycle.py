@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brace import HopfBrace, derived_action_map, embed_into_rb, verify_brace
-from .errors import (ConstructionInvalid, DimensionMismatch, IdentityFails,
-                     NotCoalgebraMap)
-from .hopf import (HopfAlgebraData, ModuleAction, apply2,
+from .errors import DimensionMismatch, IdentityFails, NotCoalgebraMap
+from .hopf import (HopfAlgebraData, ModuleAction, _require, apply2,
                    check_coalgebra_morphism, check_module_bialgebra,
                    first_witness, module_algebra_report,
                    module_coalgebra_report, twisted_product)
@@ -54,10 +53,7 @@ def verify_relative_rb(k: HopfAlgebraData, h: HopfAlgebraData,
         raise DimensionMismatch("action actor must be the target Hopf algebra")
     if action.carrier is not k and not action.carrier.structure_equal(k):
         raise DimensionMismatch("action carrier must be the source Hopf algebra")
-    report = check_module_bialgebra(action)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid("module-bialgebra", f"{fail.name}: {fail.witness}")
+    _require(check_module_bialgebra(action), "module-bialgebra")
     if not check_coalgebra_morphism(tau, k, h):
         raise NotCoalgebraMap("tau is not a coalgebra morphism")
     # a ⊗ b -> a_(1) (τ(a_(2)) ⇀ b)
@@ -80,10 +76,7 @@ def verify_cocycle(h: HopfAlgebraData, a: HopfAlgebraData,
         raise DimensionMismatch("action actor must be the source Hopf algebra")
     if action.carrier is not a and not action.carrier.structure_equal(a):
         raise DimensionMismatch("action carrier must be the target Hopf algebra")
-    report = module_algebra_report(action)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid("module-algebra", f"{fail.name}: {fail.witness}")
+    _require(module_algebra_report(action), "module-algebra")
     if not check_coalgebra_morphism(pi, h, a):
         raise NotCoalgebraMap("pi is not a coalgebra morphism")
     pi_inv = invert(pi)
@@ -99,10 +92,7 @@ def verify_cocycle(h: HopfAlgebraData, a: HopfAlgebraData,
 def invert_cocycle(c: Cocycle) -> RelativeRB:
     """π^{-1} as a relative Rota-Baxter operator; requires the action to
     be a module coalgebra as well."""
-    report = module_coalgebra_report(c.action)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid("module-coalgebra", f"{fail.name}: {fail.witness}")
+    _require(module_coalgebra_report(c.action), "module-coalgebra")
     return verify_relative_rb(c.target, c.source, c.action, c.pi_inverse)
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brace import HopfBrace, verify_brace
-from .errors import (ConstructionInvalid, DimensionMismatch, HypothesisFails,
+from .errors import (DimensionMismatch, HypothesisFails,
                      NotExactFactorization, SingularMap)
-from .hopf import (HopfAlgebraData, ModuleAction, apply2,
+from .hopf import (HopfAlgebraData, ModuleAction, _require, _verified, apply2,
                    check_module_bialgebra, convolution, first_witness,
                    require_cocommutative, smash_hopf, sub_hopf,
-                   sub_hopf_indices, tensor_hopf, verify_hopf)
+                   sub_hopf_indices, tensor_hopf)
 from .linalg import (BasedSpace, LinearOp, accumulate, flip_tensor, invert,
                      kron, tensor_elem, tensor_space, tensor_split)
 from .rb import RotaBaxterOp, descend, verify_rb
@@ -156,21 +156,14 @@ def smash_product(h: HopfAlgebraData, k: HopfAlgebraData,
         raise DimensionMismatch("the action actor must be the right factor K")
     if action.carrier is not h and not action.carrier.structure_equal(h):
         raise DimensionMismatch("the action carrier must be the left factor H")
-    report = check_module_bialgebra(action)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid("module-bialgebra", f"{fail.name}: {fail.witness}")
+    _require(check_module_bialgebra(action), "module-bialgebra")
 
     plain = tensor_hopf(h, k)
     k_h = smash_hopf(k, h, action.act)
     smash = HopfAlgebraData(plain.space, _onto_hk(k_h.mul, plain, h.dim),
                             plain.unit, plain.comul, plain.counit,
                             _onto_hk(k_h.antipode, plain, h.dim))
-    rep = verify_hopf(smash)
-    if not rep.passed:
-        fail = rep.first_failure()
-        raise ConstructionInvalid(f"smash:{fail.name}", str(fail.witness))
-    brace = verify_brace(plain, smash)
+    brace = verify_brace(plain, _verified(smash, "smash"))
     return SmashProduct(h, k, action, smash, plain, brace)
 
 

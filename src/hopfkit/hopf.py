@@ -21,6 +21,10 @@ through :func:`~hopfkit.linalg.scaled_element`, :func:`first_witness` from
 sides built as elements, :func:`verify_hopf` and the braid sweep of
 ``ybe_from_rb`` in their own words.
 
+Constructions raise ``ConstructionInvalid`` through two helpers only:
+:func:`_verified` for a Hopf algebra they built and :func:`_require` for
+a report on what they were given.
+
 Sweedler conventions: the coproduct is stored once, as the columns of
 ``h.comul``, and a flat index p splits into the legs ``divmod(p, dim)``;
 longer sums split the leftmost leg, Δ²(x) = (Δ ⊗ id)Δ(x).
@@ -33,12 +37,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (ConstructionInvalid, DimensionMismatch,
-                     InternalTheoremViolation, NotCocommutative,
+                     InternalTheoremViolation, NoSolution, NotCocommutative,
                      NotConvolutionInvertible, UnvalidatedInput)
-from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, _sum_mod,
-                     _sum_ratio, accumulate, flip_tensor, int_product, int_sum,
-                     scaled_columns, scaled_element, tensor_elem, tensor_index,
-                     tensor_space, tensor_split, rank)
+from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, _solve_rows,
+                     _sum_mod, _sum_ratio, accumulate, flip_tensor,
+                     int_product, int_sum, scaled_columns, scaled_element,
+                     tensor_elem, tensor_index, tensor_space, tensor_split,
+                     rank)
 from .report import AxiomReport, Witness
 
 if TYPE_CHECKING:
@@ -408,6 +413,24 @@ def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
     return report
 
 
+def _verified(h: HopfAlgebraData, stage: str) -> HopfAlgebraData:
+    """``h`` once :func:`verify_hopf` passes; otherwise
+    ``ConstructionInvalid`` at stage ``stage:axiom`` of the first failing
+    axiom, with its witness as the message."""
+    fail = verify_hopf(h).first_failure()
+    if fail is not None:
+        raise ConstructionInvalid(f"{stage}:{fail.name}", str(fail.witness))
+    return h
+
+
+def _require(report: AxiomReport, stage: str) -> None:
+    """Raise ``ConstructionInvalid`` at ``stage`` with the first failing
+    line of ``report`` as ``axiom: witness``."""
+    fail = report.first_failure()
+    if fail is not None:
+        raise ConstructionInvalid(stage, f"{fail.name}: {fail.witness}")
+
+
 def check_cocommutative(h: HopfAlgebraData) -> bool:
     """True iff flip ∘ Δ = Δ on every basis element."""
     h.require_validated()
@@ -529,12 +552,7 @@ def tensor_hopf(h: HopfAlgebraData, k: HopfAlgebraData) -> HopfAlgebraData:
     require_cocommutative(k)
     if h.field != k.field:
         raise DimensionMismatch("tensor factors over different fields")
-    out = smash_hopf(h, k, trivial_map(h, k))
-    report = verify_hopf(out)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid(f"tensor-hopf:{fail.name}", str(fail.witness))
-    return out
+    return _verified(smash_hopf(h, k, trivial_map(h, k)), "tensor-hopf")
 
 
 def transport_hopf(h: HopfAlgebraData, p: LinearOp) -> HopfAlgebraData:
@@ -561,11 +579,7 @@ def transport_hopf(h: HopfAlgebraData, p: LinearOp) -> HopfAlgebraData:
                           LinearOp(space, hh, comul_cols),
                           LinearOp(space, ssp, counit_cols),
                           p.compose(h.antipode).compose(p_inv))
-    report = verify_hopf(out)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid(f"transport:{fail.name}", str(fail.witness))
-    return out
+    return _verified(out, "transport")
 
 
 def opposite_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
@@ -576,11 +590,7 @@ def opposite_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
     mul_cols = [h.mul_basis(j, i) for i in range(dim) for j in range(dim)]
     out = HopfAlgebraData(h.space, LinearOp(h.hh, h.space, mul_cols), h.unit,
                           h.comul, h.counit, h.antipode)
-    report = verify_hopf(out)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid(f"opposite-hopf:{fail.name}", str(fail.witness))
-    return out
+    return _verified(out, "opposite-hopf")
 
 
 # -- morphism checks -----------------------------------------------------------
@@ -1022,17 +1032,10 @@ def convolution_inverse(source: HopfAlgebraData, f: LinearOp,
             if row:
                 rows.append(row)
 
-    from .linalg import _eliminate
-    pivots = _eliminate(rows, n_unknowns, field)
-    pivot_rows = {r for r, _ in pivots}
-    for r, row in enumerate(rows):
-        if r not in pivot_rows and row.get(aug, 0) != 0:
-            raise NotConvolutionInvertible("no convolution inverse exists")
-    sol = {}
-    for r, col in pivots:
-        v = rows[r].get(aug, 0)
-        if v != 0:
-            sol[col] = v
+    try:
+        sol, _ = _solve_rows(rows, n_unknowns, field)
+    except NoSolution:
+        raise NotConvolutionInvertible("no convolution inverse exists") from None
     cols = []
     for ci in range(dim_c):
         coeffs = {a: sol[ci * dim_a + a] for a in range(dim_a)

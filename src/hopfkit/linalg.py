@@ -579,6 +579,27 @@ def _eliminate(rows: list[dict], ncols: int, field: Field) -> list[tuple[int, in
     return [(pos, col) for pos, (_, col) in enumerate(order)]
 
 
+def _solve_rows(rows: list[dict], ncols: int,
+                field: Field) -> tuple[dict, int]:
+    """Solve sparse rows whose right-hand side sits in column ``ncols``.
+
+    Returns one solution, ``{column: value}`` with every free column at
+    zero, and the nullity.  Raises ``NoSolution`` when a row reduces to
+    0 = c with c nonzero.
+    """
+    pivots = _eliminate(rows, ncols, field)
+    pivot_rows = {r for r, _ in pivots}
+    for r, row in enumerate(rows):
+        if r not in pivot_rows and row.get(ncols, 0) != 0:
+            raise NoSolution("inconsistent linear system")
+    sol = {}
+    for r, col in pivots:
+        v = rows[r].get(ncols, 0)
+        if v != 0:
+            sol[col] = v
+    return sol, ncols - len(pivots)
+
+
 def solve(a: LinearOp, b: Element) -> Element:
     """Solve a(x) = b exactly.
 
@@ -594,19 +615,9 @@ def solve(a: LinearOp, b: Element) -> Element:
         rows[i][j] = c
     for i, c in b.coeffs.items():
         rows[i][aug] = c
-    pivots = _eliminate(rows, ncols, a.domain.field)
-    pivot_rows = {r for r, _ in pivots}
-    for r, row in enumerate(rows):
-        if r not in pivot_rows and row.get(aug, 0) != 0:
-            raise NoSolution("inconsistent linear system")
-    nullity = ncols - len(pivots)
+    coeffs, nullity = _solve_rows(rows, ncols, a.domain.field)
     if nullity > 0:
         raise NonUniqueSolution("underdetermined linear system", nullity)
-    coeffs = {}
-    for r, col in pivots:
-        v = rows[r].get(aug, 0)
-        if v != 0:
-            coeffs[col] = v
     return Element(a.domain, coeffs, _canonical=True)
 
 

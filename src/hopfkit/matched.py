@@ -17,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brace import HopfBrace, verify_brace
-from .errors import (AxiomFails, ConstructionInvalid, DimensionMismatch,
-                     HypothesisFails, InternalTheoremViolation, BraidFails)
+from .errors import (AxiomFails, DimensionMismatch, HypothesisFails,
+                     InternalTheoremViolation, BraidFails)
 from .hopf import (HopfAlgebraData, _associativity_witness, _earliest,
-                   _first_failure, _unit_witnesses, coalgebra_map_failures,
-                   convolution, first_witness, int_witness, leg_table,
-                   require_cocommutative, tensor_coalgebra, twisted_product,
-                   verify_hopf)
+                   _first_failure, _unit_witnesses, _verified,
+                   coalgebra_map_failures, convolution, first_witness,
+                   int_witness, leg_table, require_cocommutative,
+                   tensor_coalgebra, twisted_product)
 from .linalg import (LinearOp, accumulate, int_product, int_sum, invert,
                      scaled_columns, tensor_index, tensor_space, tensor_split)
 from .rb import RotaBaxterOp, descend, rb_action_map
@@ -277,8 +277,4 @@ def brace_from_matched_pair(m: MatchedPair, circle: HopfAlgebraData) -> HopfBrac
                           convolution(circle.comul,
                                       LinearOp.identity(circle.space), t,
                                       m.lact))
-    report = verify_hopf(dot)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid(f"dot:{fail.name}", str(fail.witness))
-    return verify_brace(dot, circle)
+    return verify_brace(_verified(dot, "dot"), circle)

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brace import HopfBrace, derived_action_map, verify_brace
-from .errors import ConstructionInvalid, IdentityFails, NotConvolutionInvertible
+from .errors import IdentityFails, NotConvolutionInvertible
 from .hopf import (HopfAlgebraData, _associativity_witness, _earliest,
-                   _measuring_witness, apply2, coalgebra_map_failures,
-                   convolution, convolution_inverse, require_cocommutative,
-                   tensor_coalgebra, twisted_product, verify_hopf)
+                   _measuring_witness, _verified, apply2,
+                   coalgebra_map_failures, convolution, convolution_inverse,
+                   require_cocommutative, tensor_coalgebra, twisted_product)
 from .linalg import LinearOp, scaled_columns, tensor_split
 from .rb import RotaBaxterOp, rb_action_map
 from .report import Witness
@@ -97,11 +97,7 @@ def subadjacent_hopf(p: PostHopf) -> HopfAlgebraData:
                           h.unit, h.comul, h.counit,
                           convolution(h.comul, LinearOp.identity(h.space),
                                       h.antipode, p.beta))
-    report = verify_hopf(out)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid(f"subadjacent:{fail.name}", str(fail.witness))
-    return out
+    return _verified(out, "subadjacent")
 
 
 def brace_from_posthopf(p: PostHopf) -> HopfBrace:

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import (ConstructionInvalid, DimensionMismatch, HopfkitError,
+from .errors import (DimensionMismatch, HopfkitError,
                      InternalTheoremViolation, NotAutomorphism,
                      NotCoalgebraMap, RBIdentityFails)
-from .hopf import (HopfAlgebraData, _multiplicative_witness, adjoint_map,
-                   apply2, check_bialgebra_automorphism,
+from .hopf import (HopfAlgebraData, _multiplicative_witness, _verified,
+                   adjoint_map, apply2, check_bialgebra_automorphism,
                    check_coalgebra_morphism, coalgebra_morphism_witness,
                    convolution, first_witness, int_witness,
-                   require_cocommutative, verify_hopf)
+                   require_cocommutative)
 from .linalg import (LinearOp, int_product, invert, scaled_columns,
                      scaled_element)
 from .report import AxiomReport, Witness
@@ -195,12 +195,9 @@ def descend(b: RotaBaxterOp) -> DescendentHopf:
     algebra-and-coalgebra morphism H(B) -> H."""
     b.require_validated()
     h = b.carrier
-    circle = HopfAlgebraData(h.space, b.circle, h.unit,
-                             h.comul, h.counit, descendent_antipode(h, b.map))
-    report = verify_hopf(circle)
-    if not report.passed:
-        fail = report.first_failure()
-        raise ConstructionInvalid(f"descendent:{fail.name}", str(fail.witness))
+    circle = _verified(HopfAlgebraData(h.space, b.circle, h.unit, h.comul,
+                                       h.counit, descendent_antipode(h, b.map)),
+                       "descendent")
     try:
         verify_rb(circle, b.map)
     except HopfkitError as exc:

@@ -503,11 +503,11 @@ def test_brace_from_op_action_sums_match_reference(kernel_op, field, name, col,
         apply2(act, circle[a * h.dim + b], h.basis(c)),
         apply2(act, h.mul_basis(b, a), h.basis(c))))
 
-    def stop(built):
+    def stop(built, stage):
         raise Built(built)
     with mock.patch.object(brace_mod, "check_module_bialgebra",
                            lambda action: AxiomReport()), \
-            mock.patch.object(brace_mod, "verify_hopf", stop):
+            mock.patch.object(brace_mod, "_verified", stop):
         with pytest.raises((HypothesisFails, Built)) as exc:
             hk.brace_from_op_action(h, act)
     if want is not None:

@@ -522,10 +522,10 @@ def test_brace_from_matched_pair_sums_match_reference(field, name, part, col,
     want = first_witness((circle.space, circle.space), lambda a, b: (
         circle.mul_basis(a, b), hypothesis[a * circle.dim + b]))
 
-    def stop(built):
+    def stop(built, stage):
         raise Built(built)
     pair = matched_mod.MatchedPair(circle, circle, maps["lact"], maps["ract"])
-    with mock.patch.object(matched_mod, "verify_hopf", stop):
+    with mock.patch.object(matched_mod, "_verified", stop):
         with pytest.raises((HypothesisFails, Built)) as exc:
             hk.brace_from_matched_pair(pair, circle)
     if want is not None:
