@@ -28,7 +28,8 @@ class FiniteGroup:
     """Finite group given by its Cayley table (entries are indices).
 
     A group of order at most 256 also carries two byte tables, built
-    once with the inverses and left out of equality, hash and repr:
+    once while the table is validated (its associativity check reads
+    them) and left out of equality, hash and repr:
     ``byte_rows[x]`` is row x, i.e. y -> xy, padded to a 256-byte
     ``bytes.translate`` table, and ``byte_cols[c]`` is column c, i.e.
     the bytes of b -> bc over all b.  Larger groups have neither (None).
@@ -69,11 +70,28 @@ class FiniteGroup:
             if len(found) != 1:
                 raise DimensionMismatch("inverses are not unique")
             inv.append(found[0])
-        # associativity row by row: (ab)c over all c is row ab, and
-        # a(bc) over all c is row a read at the entries of row b; rows
-        # are tuples so that they compare equal to itemgetter results
         rows = [tuple(row) for row in self.table]
-        if n > 1:  # itemgetter of one index returns a scalar
+        if n <= BYTE_VALUES:
+            # associativity a row at a time: (ab)c over all (b, c) is the
+            # rows ab joined, and a(bc) the whole table read through row a
+            row_bytes = [bytes(row) for row in rows]
+            byte_rows = tuple(row.ljust(BYTE_VALUES, b"\0") for row in row_bytes)
+            flat = b"".join(row_bytes)
+            for a, row_a in enumerate(rows):
+                lhs = b"".join([row_bytes[x] for x in row_a])
+                rhs = flat.translate(byte_rows[a])
+                if lhs != rhs:
+                    b, c = divmod(next(k for k in range(n * n)
+                                       if lhs[k] != rhs[k]), n)
+                    raise DimensionMismatch(
+                        f"table is not associative at ({a},{b},{c})")
+            object.__setattr__(self, "byte_rows", byte_rows)
+            object.__setattr__(self, "byte_cols", tuple(
+                bytes(col) for col in zip(*rows)))
+        else:
+            # (ab)c over all c is row ab, and a(bc) over all c is row a
+            # read at the entries of row b; rows are tuples so that they
+            # compare equal to itemgetter results
             getters = [itemgetter(*row) for row in rows]
             for a, row_a in enumerate(rows):
                 for b, get_b in enumerate(getters):
@@ -84,11 +102,6 @@ class FiniteGroup:
                             f"table is not associative at ({a},{b},{c})")
         object.__setattr__(self, "identity", ident)
         object.__setattr__(self, "inverse", tuple(inv))
-        if n <= BYTE_VALUES:
-            object.__setattr__(self, "byte_rows", tuple(
-                bytes(row).ljust(BYTE_VALUES, b"\0") for row in rows))
-            object.__setattr__(self, "byte_cols", tuple(
-                bytes(col) for col in zip(*rows)))
 
     @property
     def order(self) -> int:

@@ -21,6 +21,10 @@ through :func:`~hopfkit.linalg.scaled_element`, :func:`first_witness` from
 sides built as elements, :func:`verify_hopf` and the braid sweep of
 ``ybe_from_rb`` in their own words.
 
+A carrier that :func:`basis_group` recognizes as k[G] in its group-like
+basis passes :func:`verify_hopf` through the group layer, with no sweep;
+the sweeps decide every other carrier and every failure.
+
 Constructions raise ``ConstructionInvalid`` through two helpers only:
 :func:`_verified` for a Hopf algebra they built and :func:`_require` for
 a report on what they were given.
@@ -34,20 +38,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import (ConstructionInvalid, DimensionMismatch,
                      InternalTheoremViolation, NoSolution, NotCocommutative,
                      NotConvolutionInvertible, UnvalidatedInput)
+from .groups import FiniteGroup
 from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, _solve_rows,
                      _sum_mod, _sum_ratio, accumulate, flip_tensor,
                      int_product, int_sum, scaled_columns, scaled_element,
                      tensor_elem, tensor_index, tensor_space, tensor_split,
                      rank)
 from .report import AxiomReport, Witness
-
-if TYPE_CHECKING:
-    from .groups import FiniteGroup
 
 
 def scalar_space(field: Field) -> BasedSpace:
@@ -247,11 +248,87 @@ def _scaled_unit(h: HopfAlgebraData) -> tuple[int, tuple]:
     return du, unit
 
 
+def basis_indices(columns) -> list[int] | None:
+    """The index j of every column that is the basis vector e_j with
+    coefficient 1, in order; None as soon as one column is not."""
+    out = []
+    for col in columns:
+        if len(col.coeffs) != 1:
+            return None
+        (j, c), = col.coeffs.items()
+        if c != 1:
+            return None
+        out.append(j)
+    return out
+
+
+def grouplike_comul(h: HopfAlgebraData) -> bool:
+    """Whether Δe_i = e_i⊗e_i for every basis vector e_i."""
+    dim = h.dim
+    return all(col.coeffs == {i * dim + i: 1}
+               for i, col in enumerate(h.comul.columns))
+
+
+def basis_group(h: HopfAlgebraData) -> FiniteGroup | None:
+    """The group G when h is k[G] in its group-like basis, else None.
+
+    The basis must be group-like, Δe_i = e_i⊗e_i and ε(e_i) = 1, and every
+    product, the unit and every S(e_i) one basis vector with coefficient 1.
+    The product's index table must then pass the checks of
+    :class:`~hopfkit.groups.FiniteGroup` (Latin square, identity, unique
+    inverses, associativity), with the unit as its identity and S as its
+    inverse.  Nothing is stored on h: the tables are read on every call."""
+    dim = h.dim
+    if any(e != 1 for e in h._eps) or not grouplike_comul(h):
+        return None
+    mul = basis_indices(h.mul.columns)
+    unit = basis_indices((h.unit,))
+    anti = basis_indices(h.antipode.columns)
+    if mul is None or unit is None or anti is None:
+        return None
+    try:
+        group = FiniteGroup(tuple(tuple(mul[i * dim:(i + 1) * dim])
+                                  for i in range(dim)), h.space.labels)
+    except DimensionMismatch:
+        return None
+    if group.identity != unit[0] or list(group.inverse) != anti:
+        return None
+    return group
+
+
+HOPF_AXIOMS = ("associativity", "unit", "coassociativity", "counit",
+               "bialgebra-compatibility", "antipode")
+
+
 def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
     """Check every Hopf axiom on all basis tuples; stamp ``validated``.
 
     Report lines: associativity, unit, coassociativity, counit,
     bialgebra-compatibility (Δ and ε are algebra maps), antipode.
+
+    A carrier that :func:`basis_group` recognizes passes every line with
+    no sweep.  The group-likes of k[G] are exactly G, and a basis of
+    group-likes (Δe_i = e_i⊗e_i, ε(e_i) = 1) closed under products, with
+    the unit and S(e_i) in it, is a Hopf algebra exactly when its table is
+    a group with the unit as identity and S as inverse: associativity and
+    the unit law are those of the group, coassociativity and the counit
+    law hold on every group-like, Δ(gh) = gh⊗gh = Δ(g)Δ(h) and
+    ε(gh) = 1 = ε(g)ε(h), and S(g)g = g⁻¹g = 1 = ε(g)1 = gS(g).  This path
+    only accepts: when the recognizer declines, :func:`_sweep_hopf` runs,
+    so every witness is the sweep's.
+    """
+    if basis_group(h) is None:
+        return _sweep_hopf(h)
+    report = AxiomReport()
+    for name in HOPF_AXIOMS:
+        report.add(name, None)
+    h.validated = True
+    return report
+
+
+def _sweep_hopf(h: HopfAlgebraData) -> AxiomReport:
+    """Every Hopf axiom of :func:`verify_hopf` swept on all basis tuples;
+    stamps ``validated``.
 
     Every sweep runs on the int columns of :func:`scaled_columns`, and
     :func:`_first_failure` decides each one, in lexicographic order: each
@@ -448,7 +525,7 @@ def require_cocommutative(h: HopfAlgebraData):
 
 # -- constructors -------------------------------------------------------------
 
-def group_algebra(group: "FiniteGroup", field: Field | None = None) -> HopfAlgebraData:
+def group_algebra(group: FiniteGroup, field: Field | None = None) -> HopfAlgebraData:
     """Group algebra k[G]: Δ(g) = g⊗g, ε(g) = 1, S(g) = g^{-1}; validated."""
     field = field or QQ
     space = BasedSpace(tuple(group.labels), field)

@@ -6,7 +6,10 @@ A Rota-Baxter operator is a coalgebra map B with
 
 verify_rb sweeps both sides in ints on the scaled columns from which
 the table of x ∘_B y is built, and makes that table canonical elements
-once per column.
+once per column.  On a group algebra in its group-like basis it accepts
+a basis-to-basis map through the group identity of
+:func:`~hopfkit.groups.verify_rb_group` instead, and the sweep decides
+every failure.
 Every transform here (the reflection B~, conjugation by an automorphism,
 the descendent Hopf algebra H(B)) re-verifies its advertised properties
 instead of trusting the underlying theorems; a failure on validated
@@ -19,14 +22,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import (DimensionMismatch, HopfkitError,
+from .errors import (DimensionMismatch, HopfkitError, IdentityFails,
                      InternalTheoremViolation, NotAutomorphism,
                      NotCoalgebraMap, RBIdentityFails)
+from .groups import verify_rb_group
 from .hopf import (HopfAlgebraData, _multiplicative_witness, _verified,
-                   adjoint_map, apply2, check_bialgebra_automorphism,
-                   check_coalgebra_morphism, coalgebra_morphism_witness,
-                   convolution, first_witness, int_witness,
-                   require_cocommutative)
+                   adjoint_map, apply2, basis_group, basis_indices,
+                   check_bialgebra_automorphism, check_coalgebra_morphism,
+                   coalgebra_morphism_witness, convolution, first_witness,
+                   grouplike_comul, int_witness, require_cocommutative)
 from .linalg import (LinearOp, int_product, invert, scaled_columns,
                      scaled_element)
 from .report import AxiomReport, Witness
@@ -58,10 +62,37 @@ class RotaBaxterOp:
 
 def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     """Check the coalgebra-morphism property and the Rota-Baxter identity
-    on all basis pairs."""
+    on all basis pairs.
+
+    On a carrier k[G] that :func:`~hopfkit.hopf.basis_group` recognizes, a
+    map sending each basis vector to a basis vector is decided by
+    :func:`~hopfkit.groups.verify_rb_group`.  Such a map is a coalgebra
+    map, since Δ(B(g)) = B(g)⊗B(g) = (B⊗B)Δ(g) and ε(B(g)) = 1 = ε(g), and
+    as Δ(x) = x⊗x and S(B(x)) = B(x)⁻¹, x ∘_B y = x B(x) y B(x)⁻¹ on basis
+    vectors, so B(x)B(y) = B(x ∘_B y) is the group identity.  This path
+    only accepts; when the group check fails, or the carrier or the map has
+    another shape, :func:`_sweep_rb` decides, so every exception and
+    witness is the sweep's."""
     require_cocommutative(h)
     if b.domain != h.space or b.codomain != h.space:
         raise DimensionMismatch("operator must be an endomap of the carrier")
+    group = basis_group(h)
+    table = None if group is None else basis_indices(b.columns)
+    if table is not None:
+        try:
+            verify_rb_group(group, table)
+        except IdentityFails:
+            pass
+        else:
+            op = RotaBaxterOp(h, b, True)
+            op.circle = _circle_mul(h, b)[0]
+            return op
+    return _sweep_rb(h, b)
+
+
+def _sweep_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
+    """The coalgebra-map check and the Rota-Baxter identity of
+    :func:`verify_rb` swept on all basis pairs of the cocommutative h."""
     w = coalgebra_morphism_witness(b, h, h)
     if w is not None:
         raise NotCoalgebraMap("operator is not a coalgebra map", w)
@@ -115,10 +146,24 @@ def _circle_mul(h: HopfAlgebraData, b: LinearOp):
     verify_rb.  Coassociativity splits the legs as Δ(y) ⊗ z over (y, z)
     in Δ(g): each y gives one left factor y_(1) B(y_(2)), and its right
     factors S(B(z)) are summed first.  Each column is made a canonical
-    element once (a basis element of the carrier when it is one)."""
+    element once (a basis element of the carrier when it is one).
+
+    When Δ is group-like and the product, S and B are index tables (every
+    column one basis vector with coefficient 1), each sum has one term,
+    ((g B(g)) x) S(B(g)) in the order of the general sum, and the table is
+    read off the index tables."""
+    dim, p = h.dim, h.field.p
+    tb = basis_indices(b.columns)
+    ts = (basis_indices(h.antipode.columns)
+          if tb is not None and grouplike_comul(h) else None)
+    tm = None if ts is None else basis_indices(h.mul.columns)
+    if tm is not None:
+        table = [tm[tm[tm[g * dim + tb[g]] * dim + x] * dim + ts[tb[g]]]
+                 for g in range(dim) for x in range(dim)]
+        return (LinearOp(h.hh, h.space, [h.basis(k) for k in table]),
+                *((1, [((k, 1),) for k in t]) for t in (table, tm, tb)))
     dm, mul = scaled_columns(h.mul)
     db, bcols = scaled_columns(b)
-    dim, p = h.dim, h.field.p
     dc, comul = scaled_columns(h.comul)
     ds, anti = scaled_columns(h.antipode)
     # lx[y][x] = y_(1) B(y_(2)) e_x carries dc·db·dm² and a summed right

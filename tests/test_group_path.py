@@ -1,0 +1,240 @@
+"""The group layer as the accept-only path of verify_hopf and verify_rb.
+
+On a carrier that ``hopf.basis_group`` recognizes as k[G] in its
+group-like basis, verify_hopf passes every line with no sweep and
+verify_rb decides a basis-to-basis map with ``groups.verify_rb_group``.
+Every test here compares that path with the full sweeps, which stay
+callable as ``hopf._sweep_hopf`` and ``rb._sweep_rb``: the reports,
+exceptions and witnesses must be equal, and the recognizer must decline
+every table that is not a group with the unit as identity and S as
+inverse.
+"""
+
+import random
+
+import pytest
+
+import hopfkit as hk
+from hopfkit import groups as gr
+from hopfkit import hopf as hopf_mod
+from hopfkit import rb as rb_mod
+from hopfkit.errors import NotCoalgebraMap, RBIdentityFails, VerificationFailed
+from hopfkit.hopf import basis_group, scalar_space
+from hopfkit.linalg import QQ, Field, LinearOp, tensor_space
+
+from test_acceptance import order_le_8_groups
+from test_groups import LOOP5, first_associativity_failure
+from test_hopf import perturbed
+from test_rb import paper_circle_columns
+
+FIELDS = [QQ, Field(7)]
+ORDER_LE_8 = order_le_8_groups()
+GROUPS = ORDER_LE_8 + [gr.dihedral(6), gr.symmetric(4)]
+
+
+def grouplike_carrier(table, unit, anti, field=QQ, labels=None):
+    """The unvalidated carrier with basis e_0..e_{n-1}, Δe_i = e_i⊗e_i,
+    ε(e_i) = 1, e_i e_j = e_{table[i][j]}, unit e_unit and S(e_i) =
+    e_{anti[i]}."""
+    n = len(table)
+    space = hk.BasedSpace(tuple(labels or (f"x{i}" for i in range(n))), field)
+    hh = tensor_space(space, space)
+    ssp = scalar_space(field)
+    return hk.hopf_from_structure(
+        space,
+        LinearOp(hh, space, [space.basis(table[i][j])
+                             for i in range(n) for j in range(n)]),
+        space.basis(unit),
+        LinearOp(space, hh, [hh.basis(i * n + i) for i in range(n)]),
+        LinearOp(space, ssp, [ssp.basis(0)] * n),
+        LinearOp(space, space, [space.basis(anti[i]) for i in range(n)]))
+
+
+def assert_hopf_agrees(h):
+    """verify_hopf gives the full sweep's report, line by line."""
+    expected = hopf_mod._sweep_hopf(h)
+    h.validated = False
+    assert hk.verify_hopf(h).checks == expected.checks
+    assert h.validated == expected.passed
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except VerificationFailed as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+# -- verify_hopf --------------------------------------------------------------
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_group_algebras_take_the_group_path(field):
+    for g in GROUPS:
+        h = hk.group_algebra(g, field)
+        found = basis_group(h)
+        assert found is not None
+        assert (found.table, found.identity, found.inverse) == (
+            g.table, g.identity, g.inverse)
+        assert_hopf_agrees(h)
+        assert hk.verify_hopf(h).passed
+
+
+def test_group_path_runs_no_sweep(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran on a group algebra")
+    monkeypatch.setattr(hopf_mod, "_sweep_hopf", no_sweep)
+    monkeypatch.setattr(rb_mod, "_sweep_rb", no_sweep)
+    h = hk.group_algebra(gr.dihedral(4))
+    assert [c.name for c in hk.verify_hopf(h).checks] == list(
+        hopf_mod.HOPF_AXIOMS)
+    for op in gr.enumerate_rb_group_ops(gr.dihedral(4)):
+        assert hk.verify_rb(h, gr.lift_map(h, op.table)).validated
+
+
+def one_entry_edit(seed):
+    """A group-like carrier whose mul, unit or antipode index table has
+    one entry moved to another basis vector: a row that is no permutation,
+    a unit that is not the identity, or an S(e_i) that is not e_i⁻¹."""
+    rng = random.Random(seed)
+    g = rng.choice(GROUPS[1:])      # the trivial group has no other entry
+    n = g.order
+    table = [list(row) for row in g.table]
+    unit, anti = g.identity, list(g.inverse)
+    part = ("mul", "unit", "antipode")[seed % 3]
+    if part == "mul":
+        i, j = rng.randrange(n), rng.randrange(n)
+        table[i][j] = rng.choice([k for k in range(n) if k != table[i][j]])
+    elif part == "unit":
+        unit = rng.choice([k for k in range(n) if k != unit])
+    else:
+        i = rng.randrange(n)
+        anti[i] = rng.choice([k for k in range(n) if k != anti[i]])
+    return part, table, unit, anti, g.labels
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(24))
+def test_edited_index_tables_are_declined_with_the_sweep_witness(seed, field):
+    part, table, unit, anti, labels = one_entry_edit(seed)
+    h = grouplike_carrier(table, unit, anti, field, labels)
+    assert basis_group(h) is None
+    assert_hopf_agrees(h)
+    report = hk.verify_hopf(h)
+    assert not report.passed
+    expected = {"mul": "associativity", "unit": "unit",
+                "antipode": "antipode"}[part]
+    if part != "mul":           # a mul edit may first break another line
+        assert report.first_failure().name == expected
+
+
+def test_recognizer_checks_unit_and_inverse():
+    # S4 with the unit moved to e_1, and with S(e_1) moved to e_2: each
+    # table is still a group, so only the comparisons with the group's
+    # identity and inverse decline them
+    g = gr.symmetric(4)
+    moved_unit = grouplike_carrier(g.table, 1, g.inverse, QQ, g.labels)
+    anti = list(g.inverse)
+    anti[1] = 2
+    moved_inverse = grouplike_carrier(g.table, 0, anti, QQ, g.labels)
+    for h, axiom in ((moved_unit, "unit"), (moved_inverse, "antipode")):
+        assert basis_group(h) is None
+        report = hk.verify_hopf(h)
+        assert report.first_failure().name == axiom
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_loop_is_declined_and_reports_associativity(field):
+    # every element of LOOP5 is its own inverse, so S = id
+    labels = ("e", "a", "b", "c", "d")
+    h = grouplike_carrier(LOOP5, 0, range(5), field, labels)
+    assert basis_group(h) is None
+    assert_hopf_agrees(h)
+    a, b, c = first_associativity_failure(LOOP5)
+    report = hk.verify_hopf(h)
+    assert report.first_failure().name == "associativity"
+    w = report["associativity"].witness
+    one = "1/1" if field.p == 0 else "1"
+    assert w.at == (labels[a], labels[b], labels[c])
+    assert (w.lhs, w.rhs) == (f"{one}*{labels[LOOP5[LOOP5[a][b]][c]]}",
+                              f"{one}*{labels[LOOP5[a][LOOP5[b][c]]]}")
+
+
+def declined_shapes(field):
+    """Q[S3] (e, r, r2, s, rs, r2s) with 1 added to one structure
+    constant, off the group-like shape."""
+    h = hk.group_algebra(gr.dihedral(3), field)
+    n = h.dim
+    return {
+        "product-coefficient-2": perturbed(h, "mul", 1 * n + 2, 0, 1),
+        "unit-coefficient-2": perturbed(h, "unit", 0, 0, 1),
+        "antipode-coefficient-2": perturbed(h, "antipode", 3, 3, 1),
+        "counit-2": perturbed(h, "counit", 1, 0, 1),
+        "two-term-comul": perturbed(h, "comul", 1, 0, 1),
+        "two-term-product": perturbed(h, "mul", 1 * n + 1, 0, 1),
+    }
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("shape", sorted(declined_shapes(QQ)))
+def test_off_shape_carriers_are_declined(shape, field):
+    h = declined_shapes(field)[shape]
+    assert basis_group(h) is None
+    assert_hopf_agrees(h)
+    assert not hk.verify_hopf(h).passed
+
+
+# -- verify_rb ----------------------------------------------------------------
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_lifted_operators_match_the_paper_circle(field):
+    for g in ORDER_LE_8:
+        for op in gr.enumerate_rb_group_ops(g):
+            lift = gr.lift_to_group_algebra(op, field)
+            assert lift.validated
+            assert list(lift.circle.columns) == paper_circle_columns(lift)
+            swept = rb_mod._sweep_rb(lift.carrier, lift.map)
+            assert swept.validated and swept.circle == lift.circle
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(16))
+def test_basis_maps_give_the_sweep_verdict(seed, field):
+    rng = random.Random(seed)
+    g = rng.choice(GROUPS)
+    h = hk.group_algebra(g, field)
+    b = gr.lift_map(h, [g.identity] + [rng.randrange(g.order)
+                                       for _ in range(g.order - 1)])
+    expected = raised(rb_mod._sweep_rb, h, b)
+    assert raised(hk.verify_rb, h, b) == expected
+    if expected is not None:
+        assert expected[0] is RBIdentityFails
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_maps_off_the_basis_give_the_sweep_witness(field):
+    h = hk.group_algebra(gr.dihedral(3), field)
+    inverse = list(h.antipode.columns)
+    for col in (h.basis(0).scale(2), h.basis(0) + h.basis(3)):
+        b = LinearOp(h.space, h.space, [col] + inverse[1:])
+        expected = raised(rb_mod._sweep_rb, h, b)
+        assert expected is not None and expected[0] is NotCoalgebraMap
+        assert raised(hk.verify_rb, h, b) == expected
+
+
+# -- the paper's correspondence, from Cayley tables ----------------------------
+
+@pytest.mark.parametrize("group", [gr.dihedral(3), gr.dihedral(4),
+                                   gr.quaternion_group()], ids=str)
+def test_descendent_group_is_the_skew_brace_circle_group(group):
+    # H(B) of the lift of B is k[(G, ∘)] in the same basis: the group the
+    # recognizer reads off its table is the ∘ group of the skew brace of B
+    for op in gr.enumerate_rb_group_ops(group):
+        d = hk.descend(gr.lift_to_group_algebra(op))
+        found = basis_group(d.hopf)
+        assert found is not None
+        circle = gr.skew_brace_from_rb_group(op).circle
+        assert found.table == circle
+        assert found.identity == group.identity
+        assert all(circle[x][found.inverse[x]] == group.identity
+                   for x in range(group.order))

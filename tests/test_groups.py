@@ -248,6 +248,20 @@ def test_non_associative_table_names_first_triple(seed):
     assert str(exc.value) == "table is not associative at (%d,%d,%d)" % expected
 
 
+def test_non_associative_table_above_byte_range_names_first_triple():
+    # LOOP5 x Z52 has order 260, so it has no byte tables; the pair
+    # (x, y) at index 52x + y fails exactly where its LOOP5 part does, so
+    # the first failing triple is LOOP5's with every y = 0
+    n = 52
+    table = tuple(tuple(LOOP5[a // n][b // n] * n + (a + b) % n
+                        for b in range(5 * n)) for a in range(5 * n))
+    a, b, c = first_associativity_failure(LOOP5)
+    with pytest.raises(DimensionMismatch) as exc:
+        gr.FiniteGroup(table, tuple(map(str, range(5 * n))))
+    assert str(exc.value) == "table is not associative at (%d,%d,%d)" % (
+        a * n, b * n, c * n)
+
+
 def test_associativity_check_accepts_groups():
     assert gr.cyclic(1).inverse == (0,)
     assert gr.FiniteGroup([[0, 1], [1, 0]], ("e", "g")).inverse == (0, 1)
