@@ -18,9 +18,9 @@ from .errors import (DimensionMismatch, HypothesisFails,
 from .hopf import (HopfAlgebraData, ModuleAction, _require, _verified, apply2,
                    check_module_bialgebra, convolution, first_witness,
                    require_cocommutative, smash_hopf, sub_hopf,
-                   sub_hopf_indices, tensor_hopf)
+                   sub_hopf_indices, tensor_hopf, unit_counit_map)
 from .linalg import (BasedSpace, LinearOp, accumulate, flip_tensor, invert,
-                     kron, tensor_elem, tensor_space, tensor_split)
+                     kron, tensor_space, tensor_split)
 from .rb import RotaBaxterOp, descend, verify_rb
 
 
@@ -187,15 +187,7 @@ def rb_on_smash(sp: SmashProduct, c: RotaBaxterOp) -> RotaBaxterOp:
     c.require_validated()
     if not c.carrier.structure_equal(sp.right):
         raise DimensionMismatch("operator must live on the right factor K")
-    h, k = sp.left, sp.right
-    space = sp.product.space
-    dim_k = k.dim
-    cols = []
-    for p in range(space.dim):
-        i, j = tensor_split(p, dim_k)
-        cols.append(tensor_elem(space, h.unit,
-                                c.map.columns[j]).scale(h._eps[i]))
-    return verify_rb(sp.product, LinearOp(space, space, cols))
+    return verify_rb(sp.product, kron(unit_counit_map(sp.left), c.map))
 
 
 def check_smash_descendent_iso(sp: SmashProduct, c: RotaBaxterOp,

@@ -272,7 +272,7 @@ def _build_hopf(name, raw, seen, field, path) -> Declaration:
     hh = tensor_space(space, space)
 
     def check_idx(i, what):
-        if not isinstance(i, int) or not 0 <= i < dim:
+        if not (type(i) is int and 0 <= i < dim):
             raise DimensionMismatch(f"{what} index {i!r} out of range at {path}")
         return i
 
@@ -364,8 +364,8 @@ def _build_map(name, raw, seen, field, path) -> Declaration:
     elif "matrix" in raw:
         cols = [dict() for _ in range(domain.dim)]
         for r, c, v in _entries(raw["matrix"], 3, f"{path}.matrix"):
-            if not (isinstance(r, int) and 0 <= r < codomain.dim
-                    and isinstance(c, int) and 0 <= c < domain.dim):
+            if not (type(r) is int and 0 <= r < codomain.dim
+                    and type(c) is int and 0 <= c < domain.dim):
                 raise DimensionMismatch(f"matrix index ({r},{c}) out of range "
                                         f"at {path}")
             cols[c][r] = _scalar(field, v, f"{path}.matrix")
@@ -423,9 +423,9 @@ def _build_action(name, raw, seen, field, path) -> Declaration:
     elif "matrix" in raw:
         cols_data = [dict() for _ in range(dom.dim)]
         for a, i, j, v in _entries(raw["matrix"], 4, f"{path}.matrix"):
-            if not (isinstance(a, int) and 0 <= a < actor.dim
-                    and isinstance(i, int) and 0 <= i < carrier.dim
-                    and isinstance(j, int) and 0 <= j < carrier.dim):
+            if not (type(a) is int and 0 <= a < actor.dim
+                    and type(i) is int and 0 <= i < carrier.dim
+                    and type(j) is int and 0 <= j < carrier.dim):
                 raise DimensionMismatch(f"action index out of range at {path}")
             cols_data[tensor_index(a, i, carrier.dim)][j] = \
                 _scalar(field, v, f"{path}.matrix")

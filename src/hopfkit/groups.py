@@ -54,23 +54,17 @@ class FiniteGroup:
                 raise DimensionMismatch("Cayley table is not square over 0..n-1")
             if len(set(row)) != n:
                 raise DimensionMismatch("Cayley table rows must be permutations")
-        for j in range(n):
-            if len({self.table[i][j] for i in range(n)}) != n:
-                raise DimensionMismatch("Cayley table columns must be permutations")
-        ident = None
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
-                ident = e
-                break
+        rows = [tuple(row) for row in self.table]
+        cols = list(zip(*rows))
+        if any(len(set(col)) != n for col in cols):
+            raise DimensionMismatch("Cayley table columns must be permutations")
+        line = tuple(range(n))
+        ident = next((e for e in range(n) if rows[e] == line and cols[e] == line),
+                     None)
         if ident is None:
             raise DimensionMismatch("table has no identity element")
-        inv = []
-        for x in range(n):
-            found = [y for y in range(n) if self.table[x][y] == ident]
-            if len(found) != 1:
-                raise DimensionMismatch("inverses are not unique")
-            inv.append(found[0])
-        rows = [tuple(row) for row in self.table]
+        # each row is a permutation, so it holds the identity exactly once
+        inv = [row.index(ident) for row in rows]
         if n <= BYTE_VALUES:
             # associativity a row at a time: (ab)c over all (b, c) is the
             # rows ab joined, and a(bc) the whole table read through row a
@@ -86,8 +80,7 @@ class FiniteGroup:
                     raise DimensionMismatch(
                         f"table is not associative at ({a},{b},{c})")
             object.__setattr__(self, "byte_rows", byte_rows)
-            object.__setattr__(self, "byte_cols", tuple(
-                bytes(col) for col in zip(*rows)))
+            object.__setattr__(self, "byte_cols", tuple(bytes(col) for col in cols))
         else:
             # (ab)c over all c is row ab, and a(bc) over all c is row a
             # read at the entries of row b; rows are tuples so that they

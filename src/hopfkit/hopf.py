@@ -262,24 +262,22 @@ def basis_indices(columns) -> list[int] | None:
     return out
 
 
-def grouplike_comul(h: HopfAlgebraData) -> bool:
-    """Whether Δe_i = e_i⊗e_i for every basis vector e_i."""
-    dim = h.dim
-    return all(col.coeffs == {i * dim + i: 1}
-               for i, col in enumerate(h.comul.columns))
-
-
 def basis_group(h: HopfAlgebraData) -> FiniteGroup | None:
     """The group G when h is k[G] in its group-like basis, else None.
 
     The basis must be group-like, Δe_i = e_i⊗e_i and ε(e_i) = 1, and every
     product, the unit and every S(e_i) one basis vector with coefficient 1.
     The product's index table must then pass the checks of
-    :class:`~hopfkit.groups.FiniteGroup` (Latin square, identity, unique
-    inverses, associativity), with the unit as its identity and S as its
-    inverse.  Nothing is stored on h: the tables are read on every call."""
+    :class:`~hopfkit.groups.FiniteGroup` (Latin square, identity,
+    associativity), with the unit as its identity and S as its inverse.
+    This is the one group-like path: :func:`verify_hopf` accepts the
+    carrier on it, and :func:`~hopfkit.rb.verify_rb` decides a
+    basis-to-basis map on it and reads ∘_B off its table.  Nothing is
+    stored on h: the tables are read on every call."""
     dim = h.dim
-    if any(e != 1 for e in h._eps) or not grouplike_comul(h):
+    if any(e != 1 for e in h._eps) or any(
+            col.coeffs != {i * dim + i: 1}
+            for i, col in enumerate(h.comul.columns)):
         return None
     mul = basis_indices(h.mul.columns)
     unit = basis_indices((h.unit,))
@@ -345,9 +343,7 @@ def _sweep_hopf(h: HopfAlgebraData) -> AxiomReport:
     and Δ(e_i)Δ(e_j) = Σ_{b,d} U[b,d] ⊗ m(b,d).  So a pair sums
     |B_i|·|Δe_j| entries of P_i and tensors |B_i|·|D_j| entries of U with
     a column of m, where the direct sum tensors |Δe_i|·|Δe_j| pairs of
-    columns of m.  A leg group that is one term 1·e_a reads its row of m,
-    or its entry of P_i, as it stands, so group-like legs cost one product
-    lookup.
+    columns of m.
     """
     report = AxiomReport()
     dim = h.dim
@@ -413,22 +409,19 @@ def _sweep_hopf(h: HopfAlgebraData) -> AxiomReport:
         w = Witness(("1",), str(h.counit_scalar(h.unit)), str(h.field.one))
     else:
         scale = dc * dm
-        # Each Δe_k as its legs grouped by the right one: (b, [(a, c), ...],
-        # lone), lone being a when the group is the one term 1·e_a, else None.
+        # Each Δe_k as its legs grouped by the right one: (b, [(a, c), ...]).
         groups = []
         for col in comul:
             by_right: dict = {}
             for pair, c in col:
                 a, b = divmod(pair, dim)
                 by_right.setdefault(b, []).append((a, c))
-            groups.append([(b, g, g[0][0] if g == [(g[0][0], 1)] else None)
-                           for b, g in by_right.items()])
+            groups.append(list(by_right.items()))
 
         def compatibility(i):
-            # P_i[b][c] = Σ_a Δe_i[a,b]·m(a,c); a lone group reads a row of m.
-            rows = [(b, mul[a * dim:(a + 1) * dim] if a is not None else
-                     [tuple(int_product(mul, dim, g, ((c, 1),)).items())
-                      for c in range(dim)]) for b, g, a in groups[i]]
+            # P_i[b][c] = Σ_a Δe_i[a,b]·m(a,c)
+            rows = [(b, [tuple(int_product(mul, dim, g, ((c, 1),)).items())
+                         for c in range(dim)]) for b, g in groups[i]]
             lhs, rhs = [], []
             for j in range(dim):
                 prod = mul[i * dim + j]
@@ -438,13 +431,12 @@ def _sweep_hopf(h: HopfAlgebraData) -> AxiomReport:
                     for pair, c2 in comul[k]:
                         left[pair] = left.get(pair, 0) + c * c2
                 # Δ(e_i)Δ(e_j) = Σ_{b,d} U[b,d] ⊗ m(b,d), with
-                # U[b,d] = Σ_c Δe_j[c,d]·P_i[b][c] (an entry of P_i when lone)
+                # U[b,d] = Σ_c Δe_j[c,d]·P_i[b][c]
                 right = {-1: eps[i] * eps[j] * dm}
                 for b, row in rows:
                     base_b = b * dim
-                    for d, g, c in groups[j]:
-                        u = (row[c] if c is not None else
-                             int_product(row, 1, g, ((0, 1),)).items())
+                    for d, g in groups[j]:
+                        u = int_product(row, 1, g, ((0, 1),)).items()
                         right_m = mul[base_b + d]
                         for x, ux in u:
                             base = x * dim

@@ -8,8 +8,8 @@ verify_rb sweeps both sides in ints on the scaled columns from which
 the table of x ∘_B y is built, and makes that table canonical elements
 once per column.  On a group algebra in its group-like basis it accepts
 a basis-to-basis map through the group identity of
-:func:`~hopfkit.groups.verify_rb_group` instead, and the sweep decides
-every failure.
+:func:`~hopfkit.groups.verify_rb_group` instead, reads x ∘_B y off the
+group table, and the sweep decides every failure.
 Every transform here (the reflection B~, conjugation by an automorphism,
 the descendent Hopf algebra H(B)) re-verifies its advertised properties
 instead of trusting the underlying theorems; a failure on validated
@@ -30,7 +30,7 @@ from .hopf import (HopfAlgebraData, _multiplicative_witness, _verified,
                    adjoint_map, apply2, basis_group, basis_indices,
                    check_bialgebra_automorphism, check_coalgebra_morphism,
                    coalgebra_morphism_witness, convolution, first_witness,
-                   grouplike_comul, int_witness, require_cocommutative)
+                   int_witness, require_cocommutative)
 from .linalg import (LinearOp, int_product, invert, scaled_columns,
                      scaled_element)
 from .report import AxiomReport, Witness
@@ -69,10 +69,12 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     :func:`~hopfkit.groups.verify_rb_group`.  Such a map is a coalgebra
     map, since Δ(B(g)) = B(g)⊗B(g) = (B⊗B)Δ(g) and ε(B(g)) = 1 = ε(g), and
     as Δ(x) = x⊗x and S(B(x)) = B(x)⁻¹, x ∘_B y = x B(x) y B(x)⁻¹ on basis
-    vectors, so B(x)B(y) = B(x ∘_B y) is the group identity.  This path
-    only accepts; when the group check fails, or the carrier or the map has
-    another shape, :func:`_sweep_rb` decides, so every exception and
-    witness is the sweep's."""
+    vectors, so B(x)B(y) = B(x ∘_B y) is the group identity, and the table
+    of ∘_B is read off the group's as ((x B(x)) y) B(x)⁻¹, bracketed as the
+    sum of :func:`_circle_mul`.  This path only accepts; when the group
+    check fails, or the carrier or the map has another shape,
+    :func:`_sweep_rb` decides, so every exception and witness is the
+    sweep's."""
     require_cocommutative(h)
     if b.domain != h.space or b.codomain != h.space:
         raise DimensionMismatch("operator must be an endomap of the carrier")
@@ -84,8 +86,11 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
         except IdentityFails:
             pass
         else:
+            tab, inv = group.table, group.inverse
             op = RotaBaxterOp(h, b, True)
-            op.circle = _circle_mul(h, b)[0]
+            op.circle = LinearOp(h.hh, h.space, [
+                h.basis(tab[tab[tab[g][bg]][x]][inv[bg]])
+                for g, bg in enumerate(table) for x in range(h.dim)])
             return op
     return _sweep_rb(h, b)
 
@@ -143,25 +148,12 @@ def _circle_mul(h: HopfAlgebraData, b: LinearOp):
     """g ∘_B x = g_(1) B(g_(2)) x S(B(g_(3))) as ``(map, (dk, circle),
     (dm, mul), (db, B))``: the map H ⊗ H -> H with the int columns of
     :func:`scaled_columns` it was built from and those of ∘_B, for
-    verify_rb.  Coassociativity splits the legs as Δ(y) ⊗ z over (y, z)
+    :func:`_sweep_rb`.  (verify_rb's group path reads ∘_B off the group
+    table instead.)  Coassociativity splits the legs as Δ(y) ⊗ z over (y, z)
     in Δ(g): each y gives one left factor y_(1) B(y_(2)), and its right
     factors S(B(z)) are summed first.  Each column is made a canonical
-    element once (a basis element of the carrier when it is one).
-
-    When Δ is group-like and the product, S and B are index tables (every
-    column one basis vector with coefficient 1), each sum has one term,
-    ((g B(g)) x) S(B(g)) in the order of the general sum, and the table is
-    read off the index tables."""
+    element once (a basis element of the carrier when it is one)."""
     dim, p = h.dim, h.field.p
-    tb = basis_indices(b.columns)
-    ts = (basis_indices(h.antipode.columns)
-          if tb is not None and grouplike_comul(h) else None)
-    tm = None if ts is None else basis_indices(h.mul.columns)
-    if tm is not None:
-        table = [tm[tm[tm[g * dim + tb[g]] * dim + x] * dim + ts[tb[g]]]
-                 for g in range(dim) for x in range(dim)]
-        return (LinearOp(h.hh, h.space, [h.basis(k) for k in table]),
-                *((1, [((k, 1),) for k in t]) for t in (table, tm, tb)))
     dm, mul = scaled_columns(h.mul)
     db, bcols = scaled_columns(b)
     dc, comul = scaled_columns(h.comul)

@@ -11,8 +11,6 @@ the computed structure constants.
 import random
 from fractions import Fraction
 
-import pytest
-
 import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr

@@ -18,7 +18,7 @@ from hopfkit.errors import (CompatibilityFails, HopfAxiomFails,
 from hopfkit.hopf import apply2, first_witness, transport_hopf
 from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
                             accumulate, invert, tensor_index)
-from hopfkit.report import AxiomReport, Witness
+from hopfkit.report import AxiomReport
 
 from conftest import (Built, edited, reference_compatibility_witness,
                       reference_prop48, reference_prop49, sweedler)

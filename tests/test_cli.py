@@ -398,6 +398,22 @@ MALFORMED = {
     "action-matrix-string-index": [Z2, {"kind": "action", "name": "A",
                                         "actor": "H", "carrier": "H",
                                         "matrix": [["a", 0, 0, "1"]]}],
+    # JSON true and false are no basis indices: with them read as 1 and 0
+    # each of these three documents would verify
+    "hopf-bool-index": [{"kind": "hopf", "name": "H", "basis": ["e", "g"],
+                         "mul": [[0, 0, 0, "1"], [0, True, 1, "1"],
+                                 [1, 0, 1, "1"], [1, 1, 0, "1"]],
+                         "unit": [[0, "1"]],
+                         "comul": [[0, 0, 0, "1"], [True, 1, 1, "1"]],
+                         "counit": [[0, "1"], [1, "1"]],
+                         "antipode": [[0, 0, "1"], [1, 1, "1"]]}],
+    "map-matrix-bool-index": [Z2, {"kind": "map", "name": "B", "on": "H",
+                                   "matrix": [[0, 0, "1"], [True, True, "1"]]}],
+    "action-matrix-bool-index": [Z2, {"kind": "action", "name": "A",
+                                      "actor": "H", "carrier": "H",
+                                      "matrix": [[0, 0, 0, "1"], [0, 1, 1, "1"],
+                                                 [1, 0, 0, "1"],
+                                                 [True, True, True, "1"]]}],
     # without a carrier there is no Hopf algebra to sweep the identity on
     "rota-baxter-without-carrier": [Z2, {"kind": "map", "name": "B",
                                          "domain": ["e", "g"],

@@ -224,6 +224,26 @@ def test_bad_table_rejected():
         gr.FiniteGroup(((0, 1), (0, 1)), ("e", "g"))  # not a Latin square
 
 
+@pytest.mark.parametrize("table, labels, message", [
+    (((0, 1), (1, 0)), ("e",), "labels must match the table size"),
+    (((0, 1), (1,)), ("e", "g"), "Cayley table is not square over 0..n-1"),
+    (((0, 2), (1, 0)), ("e", "g"), "Cayley table is not square over 0..n-1"),
+    (((0, 0), (1, 0)), ("e", "g"), "Cayley table rows must be permutations"),
+    (((0, 1), (0, 1)), ("e", "g"), "Cayley table columns must be permutations"),
+    (((0, 2, 1), (2, 1, 0), (1, 0, 2)), ("a", "b", "c"),
+     "table has no identity element"),
+    # several faults: rows are read one at a time, each for its shape
+    # first, and all rows before any column
+    (((0, 0), (1, 2)), ("e", "g"), "Cayley table rows must be permutations"),
+    (((0, 1), (0, 0)), ("e", "g"), "Cayley table rows must be permutations"),
+], ids=["labels", "ragged", "out-of-range", "row-repeat", "column-repeat",
+        "no-identity", "row-before-range", "row-before-column"])
+def test_table_check_messages(table, labels, message):
+    with pytest.raises(DimensionMismatch) as exc:
+        gr.FiniteGroup(table, labels)
+    assert str(exc.value) == message
+
+
 # a loop of order 5: a Latin square with identity 0 and unique inverses
 # that is not associative
 LOOP5 = ((0, 1, 2, 3, 4),

@@ -17,7 +17,7 @@ from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
 from hopfkit.report import AxiomReport, Witness
 
 from conftest import (circle_product_element, edited, reference_rb_witness,
-                      sweedler)
+                      sweedler, transported)
 
 
 def corpus_order_le_6():
@@ -483,10 +483,12 @@ def test_circle_is_not_a_field(f2):
     assert built.circle is built.circle
 
 
-@pytest.mark.parametrize("carrier, make", [(fx.f1, fx.b_inv), (fx.f2, fx.b_inv),
-                                           (fx.f2, fx.b_eps)],
-                         ids=["F1-inv", "F2-inv", "F2-eps"])
-def test_one_circle_table_per_operator(monkeypatch, carrier, make):
+@pytest.mark.parametrize("make, sweeps", [
+    (lambda: fx.b_inv(fx.f1()), False), (lambda: fx.b_inv(fx.f2()), False),
+    (lambda: fx.b_eps(fx.f2()), False),
+    (lambda: hk.verify_rb(*transported("dense-Z3-inv", QQ)), True)],
+    ids=["F1-inv", "F2-inv", "F2-eps", "dense-Z3-inv"])
+def test_one_circle_table_per_operator(monkeypatch, make, sweeps):
     built = []
     circle_mul = rb_mod._circle_mul
 
@@ -494,13 +496,18 @@ def test_one_circle_table_per_operator(monkeypatch, carrier, make):
         built.append((h, m))
         return circle_mul(h, m)
     monkeypatch.setattr(rb_mod, "_circle_mul", counting)
-    h = carrier()
-    b = make(h)
+    b = make()
+    h = b.carrier
     d = hk.descend(b)
     hk.check_central_image(b)
-    # H(B) multiplies through B's own table; verify_rb on H(B) builds the
-    # table of B as an operator on H(B), the only other one
+    # H(B) multiplies through B's own table
     assert d.hopf.mul is b.circle
+    if not sweeps:
+        # the group path reads ∘_B off the group table, on H and on H(B)
+        assert built == []
+        return
+    # verify_rb on H(B) builds the table of B as an operator on H(B), the
+    # only other one
     assert [(c is h, m is b.map) for c, m in built] == [(True, True),
                                                         (False, True)]
     assert built[1][0] is d.hopf
