@@ -166,9 +166,20 @@ def _check_size(n: int, what: str, path):
             f"{what} {n} exceeds the limit of {MAX_DECLARED_SIZE}", path)
 
 
+GROUP_KINDS = ("table", "cyclic", "dihedral", "symmetric", "quaternion",
+               "permutations")
+
+
 def _group_from_spec(raw, path) -> gr.FiniteGroup:
     if not isinstance(raw, dict):
         raise DefinitionSyntaxError("group spec must be an object", path)
+    kinds = [key for key in GROUP_KINDS if key in raw]
+    if len(kinds) > 1:
+        raise DefinitionSyntaxError(
+            f"group spec names more than one kind: {', '.join(kinds)}", path)
+    if "quaternion" in raw and raw["quaternion"] is not True:
+        raise DefinitionSyntaxError(
+            f"'quaternion' must be true, got {raw['quaternion']!r}", path)
     for key in ("cyclic", "dihedral", "symmetric"):
         if key in raw and type(raw[key]) is not int:
             raise DefinitionSyntaxError(
@@ -182,7 +193,8 @@ def _group_from_spec(raw, path) -> gr.FiniteGroup:
                 {type(x) for r in table for x in r} - {int}:
             raise DefinitionSyntaxError("table rows must be lists of integers",
                                         path)
-        labels = raw.get("labels") or [f"g{i}" for i in range(len(table))]
+        labels = (raw["labels"] if "labels" in raw
+                  else [f"g{i}" for i in range(len(table))])
         if not isinstance(labels, list) or \
                 not all(isinstance(lab, str) for lab in labels):
             raise DefinitionSyntaxError("labels must be a list of strings", path)
@@ -197,7 +209,7 @@ def _group_from_spec(raw, path) -> gr.FiniteGroup:
         return gr.dihedral(n)
     if "symmetric" in raw:
         return gr.symmetric(raw["symmetric"])
-    if raw.get("quaternion"):
+    if "quaternion" in raw:
         return gr.quaternion_group()
     if "permutations" in raw:
         return _group_from_permutations(raw["permutations"], path)

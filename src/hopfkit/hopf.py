@@ -23,7 +23,8 @@ sides built as elements, :func:`verify_hopf` and the braid sweep of
 
 A carrier that :func:`basis_group` recognizes as k[G] in its group-like
 basis passes :func:`verify_hopf` through the group layer, with no sweep;
-the sweeps decide every other carrier and every failure.
+the sweeps decide every other carrier and every failure.  An accepted
+carrier is frozen and keeps its verdict, so it is verified once per object.
 
 Constructions raise ``ConstructionInvalid`` through two helpers only:
 :func:`_verified` for a Hopf algebra they built and :func:`_require` for
@@ -44,11 +45,11 @@ from .errors import (ConstructionInvalid, DimensionMismatch,
                      NotConvolutionInvertible, UnvalidatedInput)
 from .groups import FiniteGroup
 from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, _solve_rows,
-                     _sum_mod, _sum_ratio, accumulate, flip_tensor,
-                     int_product, int_sum, scaled_columns, scaled_element,
-                     tensor_elem, tensor_index, tensor_space, tensor_split,
-                     rank)
-from .report import AxiomReport, Witness
+                     _sum_mod, _sum_ratio, accumulate, flip_tensor, freeze,
+                     freeze_elements, int_product, int_sum, scaled_columns,
+                     scaled_element, tensor_elem, tensor_index, tensor_space,
+                     tensor_split, rank)
+from .report import AxiomReport, CheckResult, Witness
 
 
 def scalar_space(field: Field) -> BasedSpace:
@@ -84,12 +85,25 @@ def apply2(op: LinearOp, x: Element, y: Element) -> Element:
                        for i, cx in xc.items() for j, cy in yc.items()))
 
 
+# Set once, by __init__ and __post_init__; HopfAlgebraData refuses to rebind them.
+_FIXED = frozenset(("space", "mul", "unit", "comul", "counit", "antipode",
+                    "hh", "_basis", "_eps"))
+
+
 @dataclass(eq=False)
 class HopfAlgebraData:
     """A Hopf algebra as sparse structure constants.
 
+    The six structure fields, and ``hh``, ``_basis`` and ``_eps`` derived
+    from them, cannot be reassigned once set.  When :func:`verify_hopf`
+    accepts the value, it freezes its maps, unit and basis elements
+    (:func:`~hopfkit.linalg.freeze`) and keeps the passing report in
+    ``_report`` and the group of :func:`basis_group` in ``_group``, so the
+    value cannot change under its verdict.
+
     ``validated`` is stamped by :func:`verify_hopf`; consumers that state
-    a validated precondition refuse unvalidated data.
+    a validated precondition refuse unvalidated data.  It is a plain flag
+    that anyone may set, so no verdict is ever reused on it.
     """
 
     space: BasedSpace
@@ -113,9 +127,21 @@ class HopfAlgebraData:
         if self.unit.space != self.space:
             raise DimensionMismatch("unit must live in H")
         self.hh = hh
-        self._basis = [self.space.basis(i) for i in range(self.space.dim)]
-        self._eps = [self.counit.columns[i].coefficient(0)
-                     for i in range(self.space.dim)]
+        self._basis = tuple(self.space.basis(i) for i in range(self.space.dim))
+        self._eps = tuple(self.counit.columns[i].coefficient(0)
+                          for i in range(self.space.dim))
+        self._report = None
+        self._group = None
+
+    def __setattr__(self, name, value):
+        if name in _FIXED and name in self.__dict__:
+            raise AttributeError(f"cannot reassign {name!r} of a Hopf algebra")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if name in _FIXED:
+            raise AttributeError(f"cannot delete {name!r} of a Hopf algebra")
+        object.__delattr__(self, name)
 
     @property
     def dim(self) -> int:
@@ -272,8 +298,11 @@ def basis_group(h: HopfAlgebraData) -> FiniteGroup | None:
     associativity), with the unit as its identity and S as its inverse.
     This is the one group-like path: :func:`verify_hopf` accepts the
     carrier on it, and :func:`~hopfkit.rb.verify_rb` decides a
-    basis-to-basis map on it and reads ∘_B off its table.  Nothing is
-    stored on h: the tables are read on every call."""
+    basis-to-basis map on it and reads ∘_B off its table.  Once
+    :func:`verify_hopf` has accepted h, the group it found (or None) is
+    stored on the frozen h and returned without reading the tables."""
+    if h._report is not None:
+        return h._group
     dim = h.dim
     if any(e != 1 for e in h._eps) or any(
             col.coeffs != {i * dim + i: 1}
@@ -314,13 +343,31 @@ def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
     ε(gh) = 1 = ε(g)ε(h), and S(g)g = g⁻¹g = 1 = ε(g)1 = gS(g).  This path
     only accepts: when the recognizer declines, :func:`_sweep_hopf` runs,
     so every witness is the sweep's.
+
+    On acceptance h is frozen, and the passing report and the recognized
+    group are stored on it (see :class:`HopfAlgebraData`).  A later call
+    on the same object returns an equal new report without sweeping; a
+    copy made with ``dataclasses.replace`` has no stored report, so it is
+    swept like any new value.  A failing h is neither frozen nor stored.
     """
-    if basis_group(h) is None:
-        return _sweep_hopf(h)
+    if h._report is None:
+        group = basis_group(h)
+        report = _passing_report() if group is not None else _sweep_hopf(h)
+        if not report.passed:
+            return report
+        for op in (h.mul, h.comul, h.counit, h.antipode):
+            freeze(op)
+        freeze_elements((h.unit, *h._basis))
+        h._report, h._group = report, group
+    h.validated = True
+    return AxiomReport([CheckResult(c.name, c.passed, c.witness)
+                        for c in h._report.checks])
+
+
+def _passing_report() -> AxiomReport:
     report = AxiomReport()
     for name in HOPF_AXIOMS:
         report.add(name, None)
-    h.validated = True
     return report
 
 
@@ -518,22 +565,26 @@ def require_cocommutative(h: HopfAlgebraData):
 # -- constructors -------------------------------------------------------------
 
 def group_algebra(group: FiniteGroup, field: Field | None = None) -> HopfAlgebraData:
-    """Group algebra k[G]: Δ(g) = g⊗g, ε(g) = 1, S(g) = g^{-1}; validated."""
+    """Group algebra k[G]: Δ(g) = g⊗g, ε(g) = 1, S(g) = g^{-1}; validated.
+
+    The product, unit and antipode share one element per basis vector and
+    the counit one scalar, so accepting h freezes 3n + 1 elements, not
+    n² + 4n + 1."""
     field = field or QQ
     space = BasedSpace(tuple(group.labels), field)
     hh = tensor_space(space, space)
     n = group.order
-    mul_cols = [space.basis(group.table[i][j])
-                for i in range(n) for j in range(n)]
+    basis = [space.basis(i) for i in range(n)]
+    mul_cols = [basis[k] for row in group.table for k in row]
     comul_cols = [Element(hh, {tensor_index(i, i, n): field.one}, _canonical=True)
                   for i in range(n)]
-    counit_cols = [scalar_space(field).basis(0) for _ in range(n)]
-    anti_cols = [space.basis(group.inverse[i]) for i in range(n)]
+    one = scalar_space(field).basis(0)
+    anti_cols = [basis[k] for k in group.inverse]
     h = HopfAlgebraData(space,
                         LinearOp(hh, space, mul_cols),
-                        space.basis(group.identity),
+                        basis[group.identity],
                         LinearOp(space, hh, comul_cols),
-                        LinearOp(space, scalar_space(field), counit_cols),
+                        LinearOp(space, one.space, [one] * n),
                         LinearOp(space, space, anti_cols))
     report = verify_hopf(h)
     if not report.passed:

@@ -20,13 +20,18 @@ through a scaled product table, for sweeps that compare the two sides of
 an identity in ints only; :func:`scaled_element` turns such an int sum
 over its scale back into a canonical element.
 
-Values are meant to be left unchanged once validated and shared, but this
-is a convention that is not enforced yet: ``Element.coeffs`` is a plain
-dict.  Results may share storage with their inputs: ``LinearOp.__call__``
-on one basis vector with coefficient 1, and ``apply2`` on two one-term
-operands whose coefficients multiply to exactly 1, return a column of the
-map itself, so a result must not be changed in place.  The solver uses
-sparse Gauss-Jordan elimination with exact pivots.
+A ``LinearOp`` refuses attribute assignment, and its columns are a tuple.
+:func:`freeze` makes a map's columns read-only for good: each column
+``Element`` gets a ``MappingProxyType`` over its coefficients and refuses
+attribute assignment, and :func:`scaled_columns` keeps its table on the
+map from then on.  :func:`~hopfkit.hopf.verify_hopf` freezes the maps,
+unit and basis of every Hopf algebra it accepts.  An element that is not
+frozen has a plain dict of coefficients; no code changes one in place
+after construction, because results may share storage with their inputs:
+``LinearOp.__call__`` on one basis vector with coefficient 1, and
+``apply2`` on two one-term operands whose coefficients multiply to exactly
+1, return a column of the map itself.  The solver uses sparse Gauss-Jordan
+elimination with exact pivots.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 from typing import Callable, Hashable, Iterable
 
 from .errors import (DimensionMismatch, FieldMismatch, NoSolution,
@@ -250,6 +256,29 @@ class Element:
                           for i, c in self.items())
 
 
+class _FrozenElement(Element):
+    """An :class:`Element` made read-only by :func:`freeze_elements`: its
+    coefficients are a ``MappingProxyType`` and it refuses attribute
+    assignment and deletion."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r} of a frozen element")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a frozen element")
+
+
+def freeze_elements(elems: Iterable[Element]) -> None:
+    """Make each element read-only for good (see :class:`_FrozenElement`);
+    an element frozen before is left as it is."""
+    for e in elems:
+        if type(e) is Element:
+            e.coeffs = MappingProxyType(e.coeffs)
+            e.__class__ = _FrozenElement
+
+
 def accumulate(space: BasedSpace, terms: Iterable[tuple[Scalar, Element]]) -> Element:
     """Sum ``coeff * element`` terms into one canonical element.
 
@@ -310,9 +339,12 @@ def _sum_ratio(space: BasedSpace, terms) -> Element:
 
 class LinearOp:
     """Sparse linear map stored column-wise (one codomain element per
-    domain basis vector)."""
+    domain basis vector), as a tuple; it refuses attribute assignment.
 
-    __slots__ = ("domain", "codomain", "columns")
+    The slot ``_scaled`` is set only by :func:`freeze`: None until
+    :func:`scaled_columns` first reads the frozen columns, then its table."""
+
+    __slots__ = ("domain", "codomain", "columns", "_scaled")
 
     def __init__(self, domain: BasedSpace, codomain: BasedSpace,
                  columns: Iterable[Element]):
@@ -325,9 +357,16 @@ class LinearOp:
                 raise DimensionMismatch("column lives in the wrong codomain")
         if domain.field != codomain.field:
             raise FieldMismatch("domain and codomain over different fields")
-        self.domain = domain
-        self.codomain = codomain
-        self.columns = columns
+        setter = object.__setattr__
+        setter(self, "domain", domain)
+        setter(self, "codomain", codomain)
+        setter(self, "columns", columns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r} of a linear map")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a linear map")
 
     @classmethod
     def identity(cls, space: BasedSpace) -> "LinearOp":
@@ -380,6 +419,14 @@ class LinearOp:
                         for i, col in enumerate(self.columns)))
 
 
+def freeze(op: LinearOp) -> None:
+    """Freeze every column of ``op`` (:func:`freeze_elements`), so that
+    :func:`scaled_columns` may keep its table on ``op``."""
+    if not hasattr(op, "_scaled"):
+        freeze_elements(op.columns)
+        object.__setattr__(op, "_scaled", None)
+
+
 def scaled_columns(op: LinearOp) -> tuple[int, list[tuple]]:
     """Every column of ``op`` as a tuple of ``(index, int)`` pairs over one
     common denominator ``den``: column j is (1/den) Σ n e_i.
@@ -390,7 +437,21 @@ def scaled_columns(op: LinearOp) -> tuple[int, list[tuple]]:
     reduced ints are used as stored; so are the values over Q when every
     one is an int (a ``Fraction(n, 1)`` left by mixed arithmetic becomes
     the int n through the general path, with ``den`` 1).
+
+    On a frozen ``op`` (:func:`freeze`) the table is computed once and kept
+    on it; each call returns a new list of its columns.
     """
+    kept = getattr(op, "_scaled", None)
+    if kept is not None:
+        return kept[0], list(kept[1])
+    den, cols = _scaled_table(op)
+    if hasattr(op, "_scaled"):
+        object.__setattr__(op, "_scaled", (den, tuple(cols)))
+    return den, cols
+
+
+def _scaled_table(op: LinearOp) -> tuple[int, list[tuple]]:
+    """The table of :func:`scaled_columns`, computed from the columns."""
     if op.codomain.field.p or all(type(c) is int for col in op.columns
                                   for c in col.coeffs.values()):
         return 1, [tuple(col.coeffs.items()) for col in op.columns]

@@ -383,6 +383,18 @@ MALFORMED = {
     "symmetric-null": [{"kind": "group", "name": "G",
                         "group": {"symmetric": None}}],
     "cyclic-fraction": [{"kind": "group", "name": "G", "group": {"cyclic": 2.5}}],
+    # only JSON true names the quaternion group
+    "quaternion-int": [{"kind": "group", "name": "G", "group": {"quaternion": 1}}],
+    "quaternion-string": [{"kind": "group", "name": "G",
+                           "group": {"quaternion": "yes"}}],
+    # a spec names one kind; none of them wins over another
+    "two-kinds": [{"kind": "group", "name": "G",
+                   "group": {"cyclic": 3, "dihedral": 2}}],
+    # explicit labels are used as given, never replaced by generated ones
+    "labels-empty-string": [{"kind": "group", "name": "G", "group": {
+        "table": [[0, 1], [1, 0]], "labels": ""}}],
+    "labels-too-few": [{"kind": "group", "name": "G",
+                        "group": {"table": [[0]], "labels": []}}],
     "group-algebra-int": [{"kind": "hopf", "name": "H", "group_algebra": 5}],
     "map-image-not-label": [Z2, {"kind": "map", "name": "B", "on": "H",
                                  "images": {"e": 5, "g": "g"}}],
