@@ -25,8 +25,8 @@ from .hopf import (HopfAlgebraData, ModuleAction, _associativity_witness,
 from .linalg import (BasedSpace, Element, LinearOp, accumulate, int_product,
                      int_sum, invert, rank, scaled_columns, tensor_elem,
                      tensor_index, tensor_space, tensor_split)
-from .rb import (RotaBaxterOp, check_descendent_isos, descend,
-                 descendent_antipode, rb_conjugate, rb_tilde, verify_rb)
+from .rb import (RotaBaxterOp, _descendent_isos, descend,
+                 descendent_antipode, verify_rb)
 from .report import Witness
 
 
@@ -110,16 +110,15 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
 def brace_from_rb(b: RotaBaxterOp, phi: LinearOp | None = None) -> HopfBrace:
     """The brace (H, ·, ∘_B).  When an automorphism is supplied, the
     braces of the companion and conjugated operators are built as well and
-    the descendent isomorphisms are re-checked."""
-    d = descend(b)
-    brace = verify_brace(b.carrier, d.hopf)
-    if phi is not None:
-        verify_brace(b.carrier, descend(rb_tilde(b)).hopf)
-        verify_brace(b.carrier, descend(rb_conjugate(b, phi)).hopf)
-        report = check_descendent_isos(b, phi)
-        if not report.passed:
-            raise InternalTheoremViolation(
-                f"descendent isomorphisms failed: {report.first_failure()}")
+    the descendent isomorphisms are re-checked on the same three
+    descendents."""
+    if phi is None:
+        return verify_brace(b.carrier, descend(b).hopf)
+    ds, report = _descendent_isos(b, phi)
+    brace, *_ = [verify_brace(b.carrier, d.hopf) for d in ds]
+    if not report.passed:
+        raise InternalTheoremViolation(
+            f"descendent isomorphisms failed: {report.first_failure()}")
     return brace
 
 
@@ -209,7 +208,7 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
 
     All three stages (Hopf axioms of G', the Rota-Baxter identity of B',
     the brace embedding identities of psi) are verified.  psi is checked
-    against ∘_B' through the table that verify_rb built, ``rb.circle``.
+    against ∘_B' through the operator's own table, ``rb.circle``.
     """
     br.require_validated()
     dot, circle = br.dot, br.circle

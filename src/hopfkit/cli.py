@@ -54,12 +54,11 @@ TENSOR_TARGETS = ("posthopf", "matched-pair", "ybe", "embed", "smash",
 # -- building constructions from declarations -------------------------------------
 
 def _ensure_validated(h):
-    if not h.validated:
-        report = verify_hopf(h)
-        if not report.passed:
-            fail = report.first_failure()
-            raise VerificationFailed(f"Hopf axioms fail: {fail.name}",
-                                     fail.witness)
+    report = verify_hopf(h)
+    if not report.passed:
+        fail = report.first_failure()
+        raise VerificationFailed(f"Hopf axioms fail: {fail.name}",
+                                 fail.witness)
     return h
 
 

@@ -297,8 +297,8 @@ def basis_group(h: HopfAlgebraData) -> FiniteGroup | None:
     :class:`~hopfkit.groups.FiniteGroup` (Latin square, identity,
     associativity), with the unit as its identity and S as its inverse.
     This is the one group-like path: :func:`verify_hopf` accepts the
-    carrier on it, and :func:`~hopfkit.rb.verify_rb` decides a
-    basis-to-basis map on it and reads ∘_B off its table.  Once
+    carrier on it, :func:`~hopfkit.rb.verify_rb` a basis-to-basis map, and
+    :func:`~hopfkit.rb._circle_mul` reads ∘_B off its table.  Once
     :func:`verify_hopf` has accepted h, the group it found (or None) is
     stored on the frozen h and returned without reading the tables."""
     if h._report is not None:
@@ -732,7 +732,7 @@ def coalgebra_map_failures(f: LinearOp, source: tuple[LinearOp, LinearOp],
     n, m = len(cols), f.codomain.dim
     df, fc = scaled_columns(f)
     ds, sc = scaled_columns(s_comul)
-    dt, tc = (ds, sc) if t_comul is s_comul else scaled_columns(t_comul)
+    dt, tc = scaled_columns(t_comul)
     scale = dt * ds * df * df
 
     def comul_rows():

@@ -4,12 +4,11 @@ A Rota-Baxter operator is a coalgebra map B with
 
     B(x) B(y) = B( x_(1) B(x_(2)) y S(B(x_(3))) ).
 
-verify_rb sweeps both sides in ints on the scaled columns from which
-the table of x ∘_B y is built, and makes that table canonical elements
-once per column.  On a group algebra in its group-like basis it accepts
-a basis-to-basis map through the group identity of
-:func:`~hopfkit.groups.verify_rb_group` instead, reads x ∘_B y off the
-group table, and the sweep decides every failure.
+verify_rb sweeps both sides in ints on the scaled columns of m, B and
+∘_B.  On a group algebra in its group-like basis it accepts a
+basis-to-basis map through :func:`~hopfkit.groups.verify_rb_group` and
+builds no table; the sweep decides every failure.  The one builder of
+∘_B, :func:`_circle_mul`, runs on the first read of ``circle``.
 Every transform here (the reflection B~, conjugation by an automorphism,
 the descendent Hopf algebra H(B)) re-verifies its advertised properties
 instead of trusting the underlying theorems; a failure on validated
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
 from .errors import (DimensionMismatch, HopfkitError, IdentityFails,
                      InternalTheoremViolation, NotAutomorphism,
@@ -40,10 +38,10 @@ from .report import AxiomReport, Witness
 class RotaBaxterOp:
     """A validated Rota-Baxter operator; build through verify_rb.
 
-    ``circle`` is the table of x ∘_B y on basis pairs.  It is built once,
-    on first use (verify_rb sweeps through it), and kept: the descendent
-    H(B) takes it as its multiplication, so it must not be changed in
-    place.  It is not a dataclass field, so equality and repr ignore it."""
+    ``circle`` is the table of x ∘_B y on basis pairs, built once by
+    :func:`_circle_mul` on first read and kept: the descendent H(B) takes
+    it as its multiplication, so it must not be changed in place.  It is
+    not a dataclass field, so equality and repr ignore it."""
 
     carrier: HopfAlgebraData
     map: LinearOp
@@ -52,7 +50,7 @@ class RotaBaxterOp:
     @cached_property
     def circle(self) -> LinearOp:
         """x ∘_B y = x_(1) B(x_(2)) y S(B(x_(3))) as a map H ⊗ H -> H."""
-        return _circle_mul(self.carrier, self.map)[0]
+        return _circle_mul(self.carrier, self.map)
 
     def require_validated(self):
         if not self.validated:
@@ -68,13 +66,10 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     map sending each basis vector to a basis vector is decided by
     :func:`~hopfkit.groups.verify_rb_group`.  Such a map is a coalgebra
     map, since Δ(B(g)) = B(g)⊗B(g) = (B⊗B)Δ(g) and ε(B(g)) = 1 = ε(g), and
-    as Δ(x) = x⊗x and S(B(x)) = B(x)⁻¹, x ∘_B y = x B(x) y B(x)⁻¹ on basis
-    vectors, so B(x)B(y) = B(x ∘_B y) is the group identity, and the table
-    of ∘_B is read off the group's as ((x B(x)) y) B(x)⁻¹, bracketed as the
-    sum of :func:`_circle_mul`.  This path only accepts; when the group
-    check fails, or the carrier or the map has another shape,
-    :func:`_sweep_rb` decides, so every exception and witness is the
-    sweep's."""
+    x ∘_B y = x B(x) y B(x)⁻¹ (:func:`_circle_mul`), so B(x)B(y) =
+    B(x ∘_B y) is the group identity.  This path builds no table and only
+    accepts; otherwise :func:`_sweep_rb` decides, so every exception and
+    witness is the sweep's."""
     require_cocommutative(h)
     if b.domain != h.space or b.codomain != h.space:
         raise DimensionMismatch("operator must be an endomap of the carrier")
@@ -86,12 +81,7 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
         except IdentityFails:
             pass
         else:
-            tab, inv = group.table, group.inverse
-            op = RotaBaxterOp(h, b, True)
-            op.circle = LinearOp(h.hh, h.space, [
-                h.basis(tab[tab[tab[g][bg]][x]][inv[bg]])
-                for g, bg in enumerate(table) for x in range(h.dim)])
-            return op
+            return RotaBaxterOp(h, b, True)
     return _sweep_rb(h, b)
 
 
@@ -103,7 +93,9 @@ def _sweep_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
         raise NotCoalgebraMap("operator is not a coalgebra map", w)
     dim = h.dim
     op = RotaBaxterOp(h, b)
-    op.circle, (dk, circ), (dm, mul), (db, bcols) = _circle_mul(h, b)
+    dk, circ = scaled_columns(op.circle)
+    dm, mul = scaled_columns(h.mul)
+    db, bcols = scaled_columns(b)
     # B(x)B(y) carries db²·dm and B(x∘y) carries db·dk
     w = int_witness((h.space, h.space), h.space, (db * db * dm, db * dk), lambda x: (
         [int_product(mul, dim, bcols[x], col) for col in bcols],
@@ -144,16 +136,24 @@ def check_tilde_conjugate_commute(b: RotaBaxterOp, phi: LinearOp) -> bool:
 
 # -- the descendent Hopf algebra -------------------------------------------------
 
-def _circle_mul(h: HopfAlgebraData, b: LinearOp):
-    """g ∘_B x = g_(1) B(g_(2)) x S(B(g_(3))) as ``(map, (dk, circle),
-    (dm, mul), (db, B))``: the map H ⊗ H -> H with the int columns of
-    :func:`scaled_columns` it was built from and those of ∘_B, for
-    :func:`_sweep_rb`.  (verify_rb's group path reads ∘_B off the group
-    table instead.)  Coassociativity splits the legs as Δ(y) ⊗ z over (y, z)
-    in Δ(g): each y gives one left factor y_(1) B(y_(2)), and its right
-    factors S(B(z)) are summed first.  Each column is made a canonical
-    element once (a basis element of the carrier when it is one)."""
+def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
+    """g ∘_B x = g_(1) B(g_(2)) x S(B(g_(3))) as a map H ⊗ H -> H, for any
+    linear map B: the one builder of ∘_B.  On a carrier k[G] that
+    :func:`~hopfkit.hopf.basis_group` recognizes, with B sending basis
+    vectors to basis vectors, Δ(g) = g⊗g and S(B(g)) = B(g)⁻¹, so the
+    table is read off the group's as ((g B(g)) x) B(g)⁻¹, bracketed as the
+    sum below.  Otherwise it is summed in ints on :func:`scaled_columns`:
+    coassociativity splits the legs as Δ(y) ⊗ z over (y, z) in Δ(g), each
+    y gives one left factor y_(1) B(y_(2)), and its right factors S(B(z))
+    are summed first; :func:`scaled_element` makes each column."""
     dim, p = h.dim, h.field.p
+    group = basis_group(h)
+    table = None if group is None else basis_indices(b.columns)
+    if table is not None:
+        tab, inv = group.table, group.inverse
+        return LinearOp(h.hh, h.space, [
+            h.basis(tab[tab[tab[g][bg]][x]][inv[bg]])
+            for g, bg in enumerate(table) for x in range(dim)])
     dm, mul = scaled_columns(h.mul)
     db, bcols = scaled_columns(b)
     dc, comul = scaled_columns(h.comul)
@@ -170,7 +170,7 @@ def _circle_mul(h: HopfAlgebraData, b: LinearOp):
                    for x in range(dim)])
     sb = [tuple(int_product(anti, 1, col, ((0, 1),)).items()) for col in bcols]
     den = 1 if p else (dc * db * dm) ** 2 * ds * dm
-    table = []
+    cols = []
     for col in comul:
         groups: dict = {}
         for q, c in col:
@@ -182,17 +182,8 @@ def _circle_mul(h: HopfAlgebraData, b: LinearOp):
             acc: dict = {}
             for left, right in wings:
                 int_product(mul, dim, left[x], right, acc)
-            table.append(tuple((k, v % p) for k, v in acc.items() if v % p) if p
-                         else tuple((k, v) for k, v in acc.items() if v))
-    if den > 1:
-        # dividing every sum and the scale by their gcd leaves the lcm of
-        # the reduced denominators, the scale of scaled_columns
-        g = gcd(den, *(v for col in table for _, v in col))
-        den //= g
-        table = [tuple((k, v // g) for k, v in col) for col in table]
-    cols = [h.basis(col[0][0]) if len(col) == 1 and col[0][1] == den
-            else scaled_element(h.space, col, den) for col in table]
-    return LinearOp(h.hh, h.space, cols), (den, table), (dm, mul), (db, bcols)
+            cols.append(scaled_element(h.space, acc.items(), den))
+    return LinearOp(h.hh, h.space, cols)
 
 
 def rb_action_map(b: RotaBaxterOp) -> LinearOp:
@@ -296,11 +287,16 @@ def check_descendent_isos(b: RotaBaxterOp, phi: LinearOp) -> AxiomReport:
     """The antipode S: H(B) -> H(B~) and the automorphism phi:
     H(B) -> H(B^phi) are bijective bialgebra morphisms (both
     multiplicativity sweeps run over all basis pairs)."""
+    return _descendent_isos(b, phi)[1]
+
+
+def _descendent_isos(b: RotaBaxterOp, phi: LinearOp):
+    """The descendents H(B), H(B~) and H(B^phi), built once each in that
+    order, and :func:`check_descendent_isos` on them."""
     b.require_validated()
     h = b.carrier
-    d = descend(b)
-    d_tilde = descend(rb_tilde(b))
-    d_conj = descend(rb_conjugate(b, phi))
+    ds = d, d_tilde, d_conj = (descend(b), descend(rb_tilde(b)),
+                               descend(rb_conjugate(b, phi)))
     report = AxiomReport()
 
     s = h.antipode
@@ -323,4 +319,4 @@ def check_descendent_isos(b: RotaBaxterOp, phi: LinearOp) -> AxiomReport:
     report.add("conjugate-coalgebra-morphism",
                None if check_coalgebra_morphism(phi, d.hopf, d_conj.hopf)
                else Witness(("phi",), "Δ∘phi", "(phi⊗phi)∘Δ"))
-    return report
+    return ds, report

@@ -10,6 +10,7 @@ import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit import brace as brace_mod
+from hopfkit import rb as rb_mod
 from hopfkit.brace import (HopfBrace, derived_action_map, rb_op_module_witness,
                            rb_symmetric_sufficient_witness)
 from hopfkit.errors import (CompatibilityFails, HopfAxiomFails,
@@ -110,6 +111,23 @@ def test_brace_from_rb_abelian_trivial(f1):
 
 def test_brace_family_with_automorphism(b_inv_f2, phi_r_f2):
     hk.brace_from_rb(b_inv_f2, phi_r_f2)
+
+
+def test_brace_family_builds_each_descendent_once(monkeypatch, b_inv_f2,
+                                                  phi_r_f2):
+    # the isomorphism check reads the three descendents the braces were
+    # verified on, built in the order B, B~, B^phi
+    calls = []
+    for mod, name in [(rb_mod, "descend"), (brace_mod, "descend"),
+                      (rb_mod, "rb_tilde"), (rb_mod, "rb_conjugate")]:
+        def counting(*args, _name=name, _real=getattr(mod, name)):
+            calls.append((_name, args[0]))
+            return _real(*args)
+        monkeypatch.setattr(mod, name, counting)
+    hk.brace_from_rb(b_inv_f2, phi_r_f2)
+    assert [name for name, _ in calls] == [
+        "descend", "rb_tilde", "descend", "rb_conjugate", "descend"]
+    assert all(arg is b_inv_f2 for _, arg in calls[:2] + calls[3:4])
 
 
 # -- derived action ---------------------------------------------------------------------

@@ -18,10 +18,12 @@ import hopfkit as hk
 from hopfkit import groups as gr
 from hopfkit import hopf as hopf_mod
 from hopfkit import rb as rb_mod
-from hopfkit.errors import NotCoalgebraMap, RBIdentityFails, VerificationFailed
-from hopfkit.hopf import basis_group, scalar_space
+from hopfkit.errors import (IdentityFails, NotCoalgebraMap, RBIdentityFails,
+                            VerificationFailed)
+from hopfkit.hopf import basis_group, basis_indices, scalar_space
 from hopfkit.linalg import QQ, Field, LinearOp, tensor_space
 
+from conftest import reference_circle_mul, reference_rb_witness
 from test_acceptance import order_le_8_groups
 from test_groups import LOOP5, first_associativity_failure
 from test_hopf import perturbed
@@ -220,6 +222,33 @@ def test_maps_off_the_basis_give_the_sweep_witness(field):
         expected = raised(rb_mod._sweep_rb, h, b)
         assert expected is not None and expected[0] is NotCoalgebraMap
         assert raised(hk.verify_rb, h, b) == expected
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("group", [gr.dihedral(3), gr.dihedral(4),
+                                   gr.quaternion_group()], ids=str)
+def test_group_read_of_the_circle_on_basis_maps_that_fail(group, field):
+    # x ∘_B y = x B(x) y B(x)⁻¹ holds for every basis-to-basis B, so the
+    # group read must equal the paper's formula, and the sweep through it
+    # the reference witness, when the Rota-Baxter identity fails; on a
+    # nonabelian group a side or bracketing error in the read changes ∘_B
+    rng = random.Random(group.order)
+    h = hk.group_algebra(group, field)
+    failing = 0
+    for _ in range(12):
+        b = gr.lift_map(h, [rng.randrange(group.order)
+                            for _ in range(group.order)])
+        try:
+            gr.verify_rb_group(basis_group(h), basis_indices(b.columns))
+        except IdentityFails:
+            failing += 1
+        else:
+            continue
+        assert rb_mod._circle_mul(h, b) == reference_circle_mul(h, b)
+        with pytest.raises(RBIdentityFails) as exc:
+            rb_mod._sweep_rb(h, b)
+        assert exc.value.witness == reference_rb_witness(h, b)
+    assert failing >= 10
 
 
 # -- the paper's correspondence, from Cayley tables ----------------------------

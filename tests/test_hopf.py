@@ -818,7 +818,7 @@ def test_constructions_read_the_legs_of_their_own_coproduct():
     h = fx.f2()
     b = fx.b_inv(h).map
     assert adjoint_map(h) == reference_adjoint_map(h)
-    assert rb_mod._circle_mul(h, b)[0] == reference_circle_mul(h, b)
+    assert rb_mod._circle_mul(h, b) == reference_circle_mul(h, b)
     (e,) = h.unit.coeffs
     other = LinearOp(h.space, h.hh, [   # Δ'(g) = g ⊗ 1 + 1 ⊗ g
         Element(h.hh, {tensor_index(g, e, h.dim): 1}) +
@@ -826,7 +826,7 @@ def test_constructions_read_the_legs_of_their_own_coproduct():
     k = dataclasses.replace(h, comul=other)
     assert k.comul.columns[1] != h.comul.columns[1]
     assert adjoint_map(k) == reference_adjoint_map(k)
-    assert rb_mod._circle_mul(k, b)[0] == reference_circle_mul(k, b)
+    assert rb_mod._circle_mul(k, b) == reference_circle_mul(k, b)
     assert adjoint_map(k) != adjoint_map(h)
 
 

@@ -483,12 +483,9 @@ def test_circle_is_not_a_field(f2):
     assert built.circle is built.circle
 
 
-@pytest.mark.parametrize("make, sweeps", [
-    (lambda: fx.b_inv(fx.f1()), False), (lambda: fx.b_inv(fx.f2()), False),
-    (lambda: fx.b_eps(fx.f2()), False),
-    (lambda: hk.verify_rb(*transported("dense-Z3-inv", QQ)), True)],
-    ids=["F1-inv", "F2-inv", "F2-eps", "dense-Z3-inv"])
-def test_one_circle_table_per_operator(monkeypatch, make, sweeps):
+def counting_circle_mul(monkeypatch):
+    """Patch ``rb._circle_mul`` to record each ``(carrier, map)`` it is
+    called with; returns the list."""
     built = []
     circle_mul = rb_mod._circle_mul
 
@@ -496,18 +493,47 @@ def test_one_circle_table_per_operator(monkeypatch, make, sweeps):
         built.append((h, m))
         return circle_mul(h, m)
     monkeypatch.setattr(rb_mod, "_circle_mul", counting)
+    return built
+
+
+@pytest.mark.parametrize("make, sweeps", [
+    (lambda: fx.b_inv(fx.f1()), False), (lambda: fx.b_inv(fx.f2()), False),
+    (lambda: fx.b_eps(fx.f2()), False),
+    (lambda: hk.verify_rb(*transported("dense-Z3-inv", QQ)), True)],
+    ids=["F1-inv", "F2-inv", "F2-eps", "dense-Z3-inv"])
+def test_one_circle_table_per_operator(monkeypatch, make, sweeps):
+    built = counting_circle_mul(monkeypatch)
     b = make()
     h = b.carrier
     d = hk.descend(b)
     hk.check_central_image(b)
-    # H(B) multiplies through B's own table
+    # H(B) multiplies through B's own table, built once for B on H
     assert d.hopf.mul is b.circle
     if not sweeps:
-        # the group path reads ∘_B off the group table, on H and on H(B)
-        assert built == []
+        # H(B) is again a group algebra, so verify_rb on it builds nothing
+        assert [(c is h, m is b.map) for c, m in built] == [(True, True)]
         return
-    # verify_rb on H(B) builds the table of B as an operator on H(B), the
-    # only other one
+    # verify_rb on H(B) sweeps, so it builds the table of B as an operator
+    # on H(B), the only other one
     assert [(c is h, m is b.map) for c, m in built] == [(True, True),
                                                         (False, True)]
     assert built[1][0] is d.hopf
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+def test_group_path_builds_the_circle_on_first_read(monkeypatch, field):
+    built = counting_circle_mul(monkeypatch)
+    h = fx.f2(field)
+    ops = [fx.b_inv(fx.f1(field)), fx.b_inv(h), fx.b_eps(h)] + [
+        hk.verify_rb(h, gr.lift_map(h, op.table))
+        for op in gr.enumerate_rb_group_ops(gr.dihedral(3))]
+    # verify_rb accepted each on the group layer and built no table
+    assert built == [] and all(b.validated for b in ops)
+    for b in ops:
+        assert "circle" not in vars(b)
+        circle = b.circle
+        assert b.circle is circle
+        assert [(c is b.carrier, m is b.map) for c, m in built] == [
+            (True, True)]
+        assert list(circle.columns) == paper_circle_columns(b)
+        built.clear()
