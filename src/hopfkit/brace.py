@@ -22,9 +22,9 @@ from .hopf import (HopfAlgebraData, ModuleAction, _associativity_witness,
                    int_witness, opposite_hopf,
                    require_cocommutative, smash_hopf, sub_hopf_indices,
                    twisted_product, verify_hopf)
-from .linalg import (BasedSpace, Element, LinearOp, accumulate, int_product,
-                     int_sum, invert, rank, scaled_columns, tensor_elem,
-                     tensor_index, tensor_space, tensor_split)
+from .linalg import (BasedSpace, Element, LinearOp, int_product, int_sum,
+                     invert, kron, rank, scaled_columns, tensor_elem,
+                     tensor_index, tensor_space)
 from .rb import (RotaBaxterOp, _descendent_isos, descend,
                  descendent_antipode, verify_rb)
 from .report import Witness
@@ -220,22 +220,19 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
     if not check_cocommutative(ambient):
         raise ConstructionInvalid("hopf", "ambient is not cocommutative")
 
-    dim = dot.dim
-    t = circle.antipode
-    b_cols = []
-    for p in range(g2.dim):
-        x, y = tensor_split(p, dim)
-        b_cols.append(tensor_elem(g2, apply2(circle.mul, t.columns[x],
-                                             dot.basis(y)), dot.unit))
-    b_map = LinearOp(g2, g2, b_cols)
+    # B' = ι ∘ m_∘ ∘ (T ⊗ id), with ι(g) = g ⊗ 1
+    iota = LinearOp(dot.space, g2, [tensor_elem(g2, e, dot.unit)
+                                    for e in dot._basis])
+    b_map = iota.compose(circle.mul).compose(
+        kron(circle.antipode, LinearOp.identity(dot.space)))
     try:
         rbop = verify_rb(ambient, b_map)
     except HopfkitError as exc:
         raise ConstructionInvalid("rb", str(exc)) from exc
 
-    psi = LinearOp(dot.space, g2,
-                   [tensor_elem(g2, dot.unit, dot.basis(g)) for g in range(dim)])
-    if rank(psi) != dim:
+    psi = LinearOp(dot.space, g2, [tensor_elem(g2, dot.unit, e)
+                                   for e in dot._basis])
+    if rank(psi) != dot.dim:
         raise ConstructionInvalid("embedding", "psi is not injective")
     if psi(dot.unit) != ambient.unit:
         raise ConstructionInvalid("embedding", "psi does not preserve the unit")
@@ -465,24 +462,12 @@ def brace_from_exact_factorization(h: HopfAlgebraData, a_labels,
         raise NotExactFactorization(
             "multiplication map A⊗B -> H is not bijective") from exc
 
-    nb = len(b_idx)
-
-    def circle_col(x: int, y: int) -> Element:
-        terms = []
-        for p, cp in factor.columns[x].coeffs.items():
-            ia, ib = tensor_split(p, nb)
-            for q, cq in factor.columns[y].coeffs.items():
-                ja, jb = tensor_split(q, nb)
-                terms.append((h.field.mul(cp, cq),
-                              h.product_many([h.basis(a_idx[ia]),
-                                              h.basis(a_idx[ja]),
-                                              h.basis(b_idx[jb]),
-                                              h.basis(b_idx[ib])])))
-        return accumulate(h.space, terms)
-
-    circle_mul = LinearOp(h.hh, h.space,
-                          [circle_col(x, y) for x in range(h.dim)
-                           for y in range(h.dim)])
+    # the basis word a⊗b⊗a'⊗b' of (A⊗B)⊗(A⊗B) -> ((a a') b') b, read
+    # through factor on both sides
+    words = LinearOp(tensor_space(ab, ab), h.space, [
+        h.product(h.product(h.mul_basis(a, a2), h.basis(b2)), h.basis(b))
+        for a in a_idx for b in b_idx for a2 in a_idx for b2 in b_idx])
+    circle_mul = words.compose(kron(factor, factor))
     try:
         t = convolution_inverse(h, LinearOp.identity(h.space),
                                 circle_mul, h.unit)

@@ -22,7 +22,7 @@ from .hopf import (HopfAlgebraData, ModuleAction, _require, apply2,
                    check_coalgebra_morphism, check_module_bialgebra,
                    first_witness, module_algebra_report,
                    module_coalgebra_report, twisted_product)
-from .linalg import LinearOp, invert
+from .linalg import LinearOp, invert, kron
 from .rb import RotaBaxterOp
 
 
@@ -133,9 +133,8 @@ def rb_hopf_from_cocycle(c: Cocycle) -> CocycleRb:
     """
     h, a = c.source, c.target
     pi, pi_inv = c.pi, c.pi_inverse
-    circle_cols = [pi(h.product(pi_inv.columns[x], pi_inv.columns[y]))
-                   for x in range(a.dim) for y in range(a.dim)]
-    circle = HopfAlgebraData(a.space, LinearOp(a.hh, a.space, circle_cols),
+    circle = HopfAlgebraData(a.space,
+                             pi.compose(h.mul).compose(kron(pi_inv, pi_inv)),
                              a.unit, a.comul, a.counit,
                              pi.compose(h.antipode).compose(pi_inv))
     emb = embed_into_rb(verify_brace(a, circle))

@@ -19,8 +19,8 @@ from .hopf import (HopfAlgebraData, ModuleAction, _require, _verified, apply2,
                    check_module_bialgebra, convolution, first_witness,
                    require_cocommutative, smash_hopf, sub_hopf,
                    sub_hopf_indices, tensor_hopf, unit_counit_map)
-from .linalg import (BasedSpace, LinearOp, accumulate, flip_tensor, invert,
-                     kron, tensor_space, tensor_split)
+from .linalg import (BasedSpace, LinearOp, flip_tensor, invert, kron,
+                     tensor_space, tensor_split)
 from .rb import RotaBaxterOp, descend, verify_rb
 
 
@@ -80,28 +80,18 @@ def rb_from_triple_factorization(f: TripleFactorization,
     c.require_validated()
     if not c.carrier.structure_equal(f.sub_l):
         raise DimensionMismatch("operator must live on the middle factor L")
-    c_in_g = [f.incl_l(c.map.columns[i]) for i in range(len(f.l_idx))]
+    c_in_g = f.incl_l.compose(c.map).columns
     ms = BasedSpace(tuple(g.label(i) for i in f.m_idx), g.field)
     w = first_witness((ms, f.sub_l.space), lambda m, l: (
         g.product(g.basis(f.m_idx[m]), c_in_g[l]),
         g.product(c_in_g[l], g.basis(f.m_idx[m]))))
     if w is not None:
         raise HypothesisFails("mC(l) = C(l)m", w)
-    n_l, n_m = len(f.l_idx), len(f.m_idx)
-    cols = []
-    for x in range(g.dim):
-        terms = []
-        for p, w in f.factor.columns[x].coeffs.items():
-            hl_part, im = tensor_split(p, n_m)
-            ih, il = tensor_split(hl_part, n_l)
-            eps_h = g._eps[f.h_idx[ih]]
-            if eps_h == 0:
-                continue
-            terms.append((g.field.mul(w, eps_h),
-                          g.product(c_in_g[il],
-                                    g.antipode.columns[f.m_idx[im]])))
-        cols.append(accumulate(g.space, terms))
-    return verify_rb(g, LinearOp(g.space, g.space, cols))
+    # the basis word h⊗l⊗m of H⊗L⊗M -> ε(h) C(l) S(m), read through factor
+    words = LinearOp(f.factor.codomain, g.space, [
+        g.product(c_l, g.antipode.columns[m]).scale(g._eps[h])
+        for h in f.h_idx for c_l in c_in_g for m in f.m_idx])
+    return verify_rb(g, words.compose(f.factor))
 
 
 def check_factorization_descendent_iso(f: TripleFactorization,

@@ -138,6 +138,15 @@ def _scalar(field: Field, text, path):
         raise DefinitionSyntaxError(f"bad scalar {text!r}: {exc}", path) from None
 
 
+def _flag(raw, key, path) -> bool:
+    """A declaration flag: JSON true, or false the same as absent."""
+    value = raw.get(key, False)
+    if type(value) is not bool:
+        raise DefinitionSyntaxError(
+            f"'{key}' must be true or false, got {value!r}", path)
+    return value
+
+
 def _entries(raw, width, path):
     if not isinstance(raw, list):
         raise DefinitionSyntaxError("expected a list of entries", path)
@@ -321,6 +330,8 @@ def _build_hopf(name, raw, seen, field, path) -> Declaration:
 # -- linear maps ---------------------------------------------------------------------
 
 def _build_map(name, raw, seen, field, path) -> Declaration:
+    rota_baxter, identity, unit_counit = (
+        _flag(raw, key, path) for key in ("rota_baxter", "identity", "unit_counit"))
     on = raw.get("on")
     if on is not None:
         carrier_decl = _resolve(seen, on, ("hopf",), path, name)
@@ -331,18 +342,18 @@ def _build_map(name, raw, seen, field, path) -> Declaration:
         if "domain" not in raw or "codomain" not in raw:
             raise DefinitionSyntaxError(
                 "map needs 'on' or explicit 'domain'/'codomain'", path)
-        if raw.get("rota_baxter"):
+        if rota_baxter:
             raise DefinitionSyntaxError("rota_baxter needs an 'on' carrier", path)
         domain = BasedSpace(tuple(label_from_json(x) for x in raw["domain"]),
                             field)
         codomain = BasedSpace(tuple(label_from_json(x) for x in raw["codomain"]),
                               field)
 
-    if raw.get("identity"):
+    if identity:
         if domain != codomain:
             raise DimensionMismatch(f"identity map needs equal spaces at {path}")
         op = LinearOp.identity(domain)
-    elif raw.get("unit_counit"):
+    elif unit_counit:
         if carrier_decl is None:
             raise DefinitionSyntaxError("unit_counit needs an 'on' carrier", path)
         op = unit_counit_map(carrier_decl.obj)
@@ -386,7 +397,7 @@ def _build_map(name, raw, seen, field, path) -> Declaration:
     else:
         raise DefinitionSyntaxError("unrecognized map body", path)
     return Declaration("map", name, raw, obj=op, on=on,
-                       rota_baxter=bool(raw.get("rota_baxter")))
+                       rota_baxter=rota_baxter)
 
 
 def _label_index(space: BasedSpace, data, path) -> int:
@@ -400,12 +411,13 @@ def _label_index(space: BasedSpace, data, path) -> int:
 # -- actions ---------------------------------------------------------------------------
 
 def _build_action(name, raw, seen, field, path) -> Declaration:
+    trivial, adjoint = (_flag(raw, key, path) for key in ("trivial", "adjoint"))
     actor = _resolve(seen, raw.get("actor"), ("hopf",), path, name).obj
     carrier = _resolve(seen, raw.get("carrier"), ("hopf",), path, name).obj
     dom = tensor_space(actor.space, carrier.space)
-    if raw.get("trivial"):
+    if trivial:
         op = trivial_map(actor, carrier)
-    elif raw.get("adjoint"):
+    elif adjoint:
         if actor.space != carrier.space:
             raise DimensionMismatch(f"adjoint action needs actor == carrier "
                                     f"at {path}")

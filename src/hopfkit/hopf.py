@@ -11,6 +11,15 @@ H ⊗ K is built by :func:`tensor_coalgebra`, every tensor ambient by
 x ↦ Σ m(f(x_(1)) ⊗ g(x_(2))), and :func:`twisted_product`,
 x ⊗ y ↦ Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)).
 
+Derived maps are compositions of maps, through ``LinearOp.compose``,
+``kron`` and those two kernels: transport of structure, the smash antipode
+and, in the other modules, the cocycle circle, β of a post-Hopf algebra,
+the operators of a triple factorization and of the brace embedding, and
+the ∘ of an exact factorization.  Builders that still sum by hand:
+:func:`adjoint_map`, ``rb.rb_action_map``, the product of
+:func:`smash_hopf`, the linear system of :func:`convolution_inverse` and
+``matched.matched_pair_from_rb``.
+
 One loop decides every identity: :func:`_first_failure` visits tuple
 prefixes in lexicographic order, takes both sides for a whole row of last
 indices as int dicts (over Q on the common-denominator columns of
@@ -46,9 +55,9 @@ from .errors import (ConstructionInvalid, DimensionMismatch,
 from .groups import FiniteGroup
 from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, _solve_rows,
                      _sum_mod, _sum_ratio, accumulate, flip_tensor, freeze,
-                     freeze_elements, int_product, int_sum, scaled_columns,
-                     scaled_element, tensor_elem, tensor_index, tensor_space,
-                     tensor_split, rank)
+                     freeze_elements, int_product, int_sum, invert, kron,
+                     scaled_columns, scaled_element, tensor_elem, tensor_index,
+                     tensor_space, tensor_split, rank)
 from .report import AxiomReport, CheckResult, Witness
 
 
@@ -636,16 +645,17 @@ def smash_hopf(actor: HopfAlgebraData, carrier: HopfAlgebraData,
         (k⊗h)(k'⊗h') = k_(1)k' ⊗ h(k_(2)▷h')
         S(k⊗h)       = S_K(k_(1)) ⊗ (S_K(k_(2)) ▷ S_H(h))
 
-    Both sums read the two legs of k from ``actor.comul``.  The result is
-    unvalidated: callers run :func:`verify_hopf` on what they build."""
+    The product sums the two legs of k from ``actor.comul``; the antipode
+    is the :func:`twisted_product` of the identity of K ⊗ H and
+    act ∘ (id ⊗ S_H), with S_K on both legs.  The result is unvalidated:
+    callers run :func:`verify_hopf` on what they build."""
     comul, counit = tensor_coalgebra(actor, carrier)
     space = comul.domain
     dim_k, dim_h = actor.dim, carrier.dim
-    s_k, s_h = actor.antipode.columns, carrier.antipode.columns
     # h(k_(2)▷h') for every h and every flat index k_(2)⊗h' of act
     right = [[carrier.product(e, col) for col in act.columns]
              for e in carrier._basis]
-    mul_cols, anti_cols = [], []
+    mul_cols = []
     for col in actor.comul.columns:
         legs = [(c, *divmod(p, dim_k)) for p, c in col.coeffs.items()]
         for h in range(dim_h):
@@ -656,12 +666,13 @@ def smash_hopf(actor: HopfAlgebraData, carrier: HopfAlgebraData,
                         (c, tensor_elem(space, actor.mul_basis(a, k2),
                                         row[b * dim_h + h2]))
                         for c, a, b in legs)))
-            anti_cols.append(accumulate(space, (
-                (c, tensor_elem(space, s_k[a], apply2(act, s_k[b], s_h[h])))
-                for c, a, b in legs)))
+    anti = twisted_product(
+        actor.comul, LinearOp.identity(space),
+        act.compose(kron(LinearOp.identity(actor.space), carrier.antipode)),
+        f=actor.antipode, g=actor.antipode)
     return HopfAlgebraData(space, LinearOp(comul.codomain, space, mul_cols),
                            tensor_elem(space, actor.unit, carrier.unit),
-                           comul, counit, LinearOp(space, space, anti_cols))
+                           comul, counit, anti)
 
 
 def tensor_hopf(h: HopfAlgebraData, k: HopfAlgebraData) -> HopfAlgebraData:
@@ -678,26 +689,19 @@ def tensor_hopf(h: HopfAlgebraData, k: HopfAlgebraData) -> HopfAlgebraData:
 def transport_hopf(h: HopfAlgebraData, p: LinearOp) -> HopfAlgebraData:
     """Transport of structure along a linear bijection p: H -> V.
 
-    The result has the same axioms by construction but generally loses
-    the group-like basis, so its coproducts have many terms; it is
-    re-verified like every other constructor."""
+    Each structure map is composed with p and p⁻¹: p∘m∘(p⁻¹⊗p⁻¹),
+    (p⊗p)∘Δ∘p⁻¹, ε∘p⁻¹ and p∘S∘p⁻¹.  The result has the same axioms by
+    construction but generally loses the group-like basis, so its
+    coproducts have many terms; it is re-verified like every other
+    constructor."""
     h.require_validated()
     if p.domain != h.space:
         raise DimensionMismatch("transport map must start at the carrier")
-    from .linalg import invert, kron
     p_inv = invert(p)
-    space = p.codomain
-    hh = tensor_space(space, space)
-    pp = kron(p, p)
-    mul_cols = [p(h.product(p_inv.columns[i], p_inv.columns[j]))
-                for i in range(space.dim) for j in range(space.dim)]
-    comul_cols = [pp(h.comul(p_inv.columns[i])) for i in range(space.dim)]
-    ssp = scalar_space(h.field)
-    counit_cols = [ssp.basis(0).scale(h.counit_scalar(p_inv.columns[i]))
-                   for i in range(space.dim)]
-    out = HopfAlgebraData(space, LinearOp(hh, space, mul_cols), p(h.unit),
-                          LinearOp(space, hh, comul_cols),
-                          LinearOp(space, ssp, counit_cols),
+    out = HopfAlgebraData(p.codomain,
+                          p.compose(h.mul).compose(kron(p_inv, p_inv)),
+                          p(h.unit), kron(p, p).compose(h.comul).compose(p_inv),
+                          h.counit.compose(p_inv),
                           p.compose(h.antipode).compose(p_inv))
     return _verified(out, "transport")
 
@@ -861,25 +865,9 @@ def _associativity_witness(actor: BasedSpace, space: BasedSpace, mul,
     """First (a, b, i) with (ab) ⇀ e_i != a ⇀ (b ⇀ e_i), for a product
     K ⊗ K -> K on ``actor`` and an action K ⊗ H -> H on ``space``, each
     given as its ``(scale, columns)`` from :func:`scaled_columns`; the
-    sides carry dm·da and da².  When every column of both maps is one
-    basis vector with coefficient one, the maps are index tables and both
-    sides single basis vectors, so a row (a, b) is compared as ints."""
+    sides carry dm·da and da²."""
     (dm, muls), (da, acts) = mul, act
     dim, dim_k = space.dim, actor.dim
-    if all(len(col) == 1 and col[0][1] == 1
-           for col in (muls if acts is muls else (*muls, *acts))):
-        tm, ta = [col[0][0] for col in muls], [col[0][0] for col in acts]
-        for a in range(dim_k):
-            row_a = ta[a * dim:(a + 1) * dim]
-            for b in range(dim_k):
-                ab = tm[a * dim_k + b] * dim
-                lhs = ta[ab:ab + dim]
-                rhs = [row_a[x] for x in ta[b * dim:(b + 1) * dim]]
-                if lhs != rhs:
-                    i = next(i for i in range(dim) if lhs[i] != rhs[i])
-                    return _rendered((actor, actor, space), (a, b, i),
-                                     space.basis(lhs[i]), space.basis(rhs[i]))
-        return None
 
     def rows(a, b):
         left, row_a = muls[a * dim_k + b], acts[a * dim:(a + 1) * dim]

@@ -25,7 +25,7 @@ from .hopf import (HopfAlgebraData, _associativity_witness, _earliest,
                    _measuring_witness, _verified, apply2,
                    coalgebra_map_failures, convolution, convolution_inverse,
                    require_cocommutative, tensor_coalgebra, twisted_product)
-from .linalg import LinearOp, scaled_columns, tensor_split
+from .linalg import LinearOp, kron, scaled_columns, tensor_split
 from .rb import RotaBaxterOp, rb_action_map
 from .report import Witness
 
@@ -72,8 +72,7 @@ def verify_posthopf(h: HopfAlgebraData, tri: LinearOp) -> PostHopf:
                             Witness(w.at, w.rhs, w.lhs))
 
     s_star = convolution_inverse(h, LinearOp.identity(h.space), star, h.unit)
-    beta = LinearOp(h.hh, h.space, [apply2(tri, s_star.columns[x], h.basis(y))
-                                    for x in range(dim) for y in range(dim)])
+    beta = tri.compose(kron(s_star, LinearOp.identity(h.space)))
     # α ⋆ β and β ⋆ α must both be x ⊗ y -> ε(x) y
     eps_id = tuple(h.basis(y).scale(h._eps[x])
                    for x in range(dim) for y in range(dim))

@@ -8,9 +8,10 @@ import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit.errors import AxiomFails
-from hopfkit.hopf import apply2, transport_hopf
-from hopfkit.linalg import (BasedSpace, Element, LinearOp, accumulate, invert,
-                            tensor_elem, tensor_index, tensor_split)
+from hopfkit.hopf import apply2, scalar_space, transport_hopf
+from hopfkit.linalg import (QQ, BasedSpace, Element, LinearOp, accumulate,
+                            invert, kron, tensor_elem, tensor_index,
+                            tensor_space, tensor_split)
 from hopfkit.rb import descendent_antipode
 from hopfkit.report import AxiomReport, Witness
 
@@ -93,6 +94,136 @@ def circle_product_element(h, b, x, y):
                           h.product_many([h.basis(g1), b.columns[g2], y,
                                           h.antipode(b.columns[g3])])))
     return accumulate(h.space, terms)
+
+
+def sweedler_four_dim(field=QQ):
+    """A 4-dimensional non-cocommutative Hopf algebra: basis 1, g, x, gx
+    with g^2 = 1, x^2 = 0, xg = -gx, Δ(g) = g⊗g, Δ(x) = x⊗1 + g⊗x."""
+    sp = BasedSpace(("1", "g", "x", "gx"), field)
+    hh = tensor_space(sp, sp)
+    one = Fraction(1)
+
+    def e(*pairs):
+        return Element(sp, dict(pairs))
+
+    table = {
+        (0, 0): [(0, 1)], (0, 1): [(1, 1)], (0, 2): [(2, 1)], (0, 3): [(3, 1)],
+        (1, 0): [(1, 1)], (1, 1): [(0, 1)], (1, 2): [(3, 1)], (1, 3): [(2, 1)],
+        (2, 0): [(2, 1)], (2, 1): [(3, -1)], (2, 2): [], (2, 3): [],
+        (3, 0): [(3, 1)], (3, 1): [(2, -1)], (3, 2): [], (3, 3): [],
+    }
+    mul_cols = [e(*((i, Fraction(c)) for i, c in table[(a, b)]))
+                for a in range(4) for b in range(4)]
+    comul_cols = [
+        Element(hh, {tensor_index(0, 0, 4): one}),
+        Element(hh, {tensor_index(1, 1, 4): one}),
+        Element(hh, {tensor_index(2, 0, 4): one, tensor_index(1, 2, 4): one}),
+        Element(hh, {tensor_index(3, 1, 4): one, tensor_index(0, 3, 4): one}),
+    ]
+    ssp = scalar_space(field)
+    counit_cols = [ssp.basis(0), ssp.basis(0), ssp.zero(), ssp.zero()]
+    anti_cols = [e((0, one)), e((1, one)), e((3, Fraction(-1))), e((2, one))]
+    h = hk.hopf_from_structure(sp, LinearOp(hh, sp, mul_cols), sp.basis(0),
+                               LinearOp(sp, hh, comul_cols),
+                               LinearOp(sp, ssp, counit_cols),
+                               LinearOp(sp, sp, anti_cols))
+    assert hk.verify_hopf(h).passed
+    return h
+
+
+# -- the loops of the builders that compose maps now ----------------------------
+
+def reference_transport_tables(h, p):
+    """The product, coproduct and counit columns of ``transport_hopf(h, p)``
+    one basis vector at a time: p(p⁻¹(e_i) p⁻¹(e_j)), (p⊗p)(Δ(p⁻¹(e_i)))
+    and ε(p⁻¹(e_i))."""
+    p_inv = invert(p)
+    dim = p.codomain.dim
+    pp = kron(p, p)
+    ssp = scalar_space(h.field)
+    mul = [p(h.product(p_inv.columns[i], p_inv.columns[j]))
+           for i in range(dim) for j in range(dim)]
+    comul = [pp(h.comul(p_inv.columns[i])) for i in range(dim)]
+    counit = [ssp.basis(0).scale(h.counit_scalar(p_inv.columns[i]))
+              for i in range(dim)]
+    return mul, comul, counit
+
+
+def reference_cocycle_circle(h, pi, pi_inv):
+    """a ∘ b = π(π⁻¹(a) π⁻¹(b)) on every basis pair of the target of π."""
+    dim = pi.codomain.dim
+    return [pi(h.product(pi_inv.columns[x], pi_inv.columns[y]))
+            for x in range(dim) for y in range(dim)]
+
+
+def reference_beta(h, tri, s_star):
+    """β(x ⊗ y) = S_∗(x) ▶ y on every basis pair."""
+    return [apply2(tri, s_star.columns[x], h.basis(y))
+            for x in range(h.dim) for y in range(h.dim)]
+
+
+def reference_triple_rb_columns(f, c):
+    """B(hlm) = ε(h) C(l) S(m), summed term by term over the factor of
+    each basis vector of the ambient."""
+    g = f.ambient
+    c_in_g = [f.incl_l(c.map.columns[i]) for i in range(len(f.l_idx))]
+    n_l, n_m = len(f.l_idx), len(f.m_idx)
+    cols = []
+    for x in range(g.dim):
+        terms = []
+        for p, w in f.factor.columns[x].coeffs.items():
+            hl_part, im = tensor_split(p, n_m)
+            ih, il = tensor_split(hl_part, n_l)
+            eps_h = g._eps[f.h_idx[ih]]
+            if eps_h == 0:
+                continue
+            terms.append((g.field.mul(w, eps_h),
+                          g.product(c_in_g[il],
+                                    g.antipode.columns[f.m_idx[im]])))
+        cols.append(accumulate(g.space, terms))
+    return cols
+
+
+def reference_factorization_circle(h, a_idx, b_idx, factor):
+    """(a b) ∘ (a' b') = a a' b' b, bracketed from the left and summed term
+    by term over the factors of both basis vectors."""
+    nb = len(b_idx)
+    cols = []
+    for x in range(h.dim):
+        for y in range(h.dim):
+            terms = []
+            for p, cp in factor.columns[x].coeffs.items():
+                ia, ib = tensor_split(p, nb)
+                for q, cq in factor.columns[y].coeffs.items():
+                    ja, jb = tensor_split(q, nb)
+                    terms.append((h.field.mul(cp, cq), h.product_many([
+                        h.basis(a_idx[ia]), h.basis(a_idx[ja]),
+                        h.basis(b_idx[jb]), h.basis(b_idx[ib])])))
+            cols.append(accumulate(h.space, terms))
+    return cols
+
+
+def reference_smash_antipode(actor, carrier, act):
+    """S(k⊗h) = S_K(k_(1)) ⊗ (S_K(k_(2)) ▷ S_H(h)), term by term over the
+    legs of the actor's coproduct."""
+    space = tensor_space(actor.space, carrier.space)
+    s_k, s_h = actor.antipode.columns, carrier.antipode.columns
+    cols = []
+    for col in actor.comul.columns:
+        legs = [(c, *tensor_split(p, actor.dim)) for p, c in col.coeffs.items()]
+        for i in range(carrier.dim):
+            cols.append(accumulate(space, (
+                (c, tensor_elem(space, s_k[a], apply2(act, s_k[b], s_h[i])))
+                for c, a, b in legs)))
+    return cols
+
+
+def reference_embedding_operator(dot, circle):
+    """B'(x⊗y) = T(x)∘y ⊗ 1 on every basis pair of G ⊗ G."""
+    g2 = tensor_space(dot.space, dot.space)
+    return [tensor_elem(g2, apply2(circle.mul, circle.antipode.columns[x],
+                                   dot.basis(y)), dot.unit)
+            for x in range(dot.dim) for y in range(dot.dim)]
 
 
 # -- element-level oracles of the int sweeps in src ------------------------------

@@ -432,7 +432,40 @@ MALFORMED = {
                                          "codomain": ["e", "g"],
                                          "identity": True,
                                          "rota_baxter": True}],
+    # a flag is JSON true or false: read by truthiness, the string "false"
+    # would run the Rota-Baxter sweep and "no" would build the trivial action
+    "rota-baxter-string": [Z2, {"kind": "map", "name": "B", "on": "H",
+                                "identity": True, "rota_baxter": "false"}],
+    "identity-int": [Z2, {"kind": "map", "name": "B", "on": "H",
+                          "identity": 1}],
+    "unit-counit-string": [Z2, {"kind": "map", "name": "B", "on": "H",
+                                "unit_counit": "true"}],
+    "unit-counit-null-beside-identity": [Z2, {"kind": "map", "name": "B",
+                                              "on": "H", "identity": True,
+                                              "unit_counit": None}],
+    "trivial-string": [Z2, {"kind": "action", "name": "A", "actor": "H",
+                            "carrier": "H", "trivial": "no"}],
+    "adjoint-int": [Z2, {"kind": "action", "name": "A", "actor": "H",
+                         "carrier": "H", "adjoint": 1}],
 }
+
+
+def test_false_flags_read_as_absent(tmp_path, capsys):
+    flagged = [Z2, {"kind": "map", "name": "B", "on": "H", "identity": True,
+                    "unit_counit": False, "rota_baxter": False},
+               {"kind": "action", "name": "A", "actor": "H", "carrier": "H",
+                "trivial": False, "adjoint": True}]
+    bare = [Z2, {"kind": "map", "name": "B", "on": "H", "identity": True},
+            {"kind": "action", "name": "A", "actor": "H", "carrier": "H",
+             "adjoint": True}]
+    outs = []
+    for decls in (flagged, bare):
+        path = tmp_path / "flags.json"
+        path.write_text(json.dumps({"version": 1, "declarations": decls}))
+        assert cli.main(["verify", str(path)]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert "rota-baxter" not in outs[0].out
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

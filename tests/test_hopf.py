@@ -26,8 +26,8 @@ from hopfkit.report import AxiomReport, Witness
 
 from conftest import (KERNEL_OPS, reference_circle_mul,
                       reference_coalgebra_morphism_witness,
-                      reference_module_bialgebra, sweedler, tensor_square,
-                      transported)
+                      reference_module_bialgebra, sweedler, sweedler_four_dim,
+                      tensor_square, transported)
 
 ORACLE = settings(max_examples=20, deadline=None, database=None)
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
@@ -43,42 +43,6 @@ def inversion_action_z2_on_z3():
             cols.append(h.space.basis(i if j == 0 else (-i) % 3))
     act = LinearOp(tensor_space(k.space, h.space), h.space, cols)
     return hk.module_action(k, h, act)
-
-
-def sweedler_four_dim(field=QQ):
-    """A 4-dimensional non-cocommutative Hopf algebra: basis 1, g, x, gx
-    with g^2 = 1, x^2 = 0, xg = -gx, Δ(g) = g⊗g, Δ(x) = x⊗1 + g⊗x."""
-    sp = BasedSpace(("1", "g", "x", "gx"), field)
-    hh = tensor_space(sp, sp)
-    one = Fraction(1)
-
-    def e(*pairs):
-        return Element(sp, dict(pairs))
-
-    mul = {}
-    table = {
-        (0, 0): [(0, 1)], (0, 1): [(1, 1)], (0, 2): [(2, 1)], (0, 3): [(3, 1)],
-        (1, 0): [(1, 1)], (1, 1): [(0, 1)], (1, 2): [(3, 1)], (1, 3): [(2, 1)],
-        (2, 0): [(2, 1)], (2, 1): [(3, -1)], (2, 2): [], (2, 3): [],
-        (3, 0): [(3, 1)], (3, 1): [(2, -1)], (3, 2): [], (3, 3): [],
-    }
-    mul_cols = [e(*((i, Fraction(c)) for i, c in table[(a, b)]))
-                for a in range(4) for b in range(4)]
-    comul_cols = [
-        Element(hh, {tensor_index(0, 0, 4): one}),
-        Element(hh, {tensor_index(1, 1, 4): one}),
-        Element(hh, {tensor_index(2, 0, 4): one, tensor_index(1, 2, 4): one}),
-        Element(hh, {tensor_index(3, 1, 4): one, tensor_index(0, 3, 4): one}),
-    ]
-    ssp = scalar_space(field)
-    counit_cols = [ssp.basis(0), ssp.basis(0), ssp.zero(), ssp.zero()]
-    anti_cols = [e((0, one)), e((1, one)), e((3, Fraction(-1))), e((2, one))]
-    h = hk.hopf_from_structure(sp, LinearOp(hh, sp, mul_cols), sp.basis(0),
-                               LinearOp(sp, hh, comul_cols),
-                               LinearOp(sp, ssp, counit_cols),
-                               LinearOp(sp, sp, anti_cols))
-    assert hk.verify_hopf(h).passed
-    return h
 
 
 # -- verify_hopf ----------------------------------------------------------------
