@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 from .brace import HopfBrace, derived_action_map, embed_into_rb, verify_brace
 from .errors import DimensionMismatch, IdentityFails, NotCoalgebraMap
-from .hopf import (HopfAlgebraData, ModuleAction, _require, apply2,
+from .hopf import (HopfAlgebraData, ModuleAction, _carried, _require, apply2,
                    check_coalgebra_morphism, check_module_bialgebra,
                    first_witness, module_algebra_report,
                    module_coalgebra_report, twisted_product)
-from .linalg import LinearOp, invert, kron
+from .linalg import LinearOp, invert
 from .rb import RotaBaxterOp
 
 
@@ -128,14 +128,12 @@ def rb_hopf_from_cocycle(c: Cocycle) -> CocycleRb:
     """The Rota-Baxter Hopf algebra on A ⊗ A of a bijective 1-cocycle
     (A cocommutative): ``embed_into_rb`` of the brace (A, ·, ∘) with
     a ∘ b = π(π^{-1}(a) π^{-1}(b)) and antipode πSπ^{-1}, which
-    ``verify_brace`` checks first.  The paper's formulas for the same
-    ambient in terms of π are the reference oracle of tests/test_cocycle.py.
+    ``verify_brace`` checks first.  The structure of H is carried along π
+    (``hopf._carried``); a verified cocycle is a coalgebra isomorphism
+    with π(1) = 1, so the unit, Δ and ε carried are those of A.  The
+    paper's formulas for the same ambient in terms of π are the reference
+    oracle of tests/test_cocycle.py.
     """
-    h, a = c.source, c.target
-    pi, pi_inv = c.pi, c.pi_inverse
-    circle = HopfAlgebraData(a.space,
-                             pi.compose(h.mul).compose(kron(pi_inv, pi_inv)),
-                             a.unit, a.comul, a.counit,
-                             pi.compose(h.antipode).compose(pi_inv))
-    emb = embed_into_rb(verify_brace(a, circle))
+    circle = _carried(c.source, c.pi, c.pi_inverse)
+    emb = embed_into_rb(verify_brace(c.target, circle))
     return CocycleRb(emb.ambient, emb.rb)

@@ -4,8 +4,9 @@ Covers triple factorizations G = H·L·M (an operator
 B(hlm) = ε(h) C(l) S(m) built from a Rota-Baxter operator C on the
 middle factor), semidirect smash products H#K, and the operator
 B(h#k) = ε(h) C(k) on a smash product, each with the corresponding
-descendent isomorphism sweeps.  Smash tables are built on K ⊗ H by
-:func:`~hopfkit.hopf.smash_hopf` and moved onto H ⊗ K.
+descendent isomorphism checks.  Smash tables are built on K ⊗ H by
+:func:`~hopfkit.hopf.smash_hopf` and carried onto H ⊗ K by
+:func:`~hopfkit.hopf._carried` along the flip of the factors.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from dataclasses import dataclass
 from .brace import HopfBrace, verify_brace
 from .errors import (DimensionMismatch, HypothesisFails,
                      NotExactFactorization, SingularMap)
-from .hopf import (HopfAlgebraData, ModuleAction, _require, _verified, apply2,
-                   check_module_bialgebra, convolution, first_witness,
-                   require_cocommutative, smash_hopf, sub_hopf,
+from .hopf import (HopfAlgebraData, ModuleAction, _carried, _require,
+                   _verified, check_module_bialgebra, convolution,
+                   first_witness, require_cocommutative, smash_hopf, sub_hopf,
                    sub_hopf_indices, tensor_hopf, unit_counit_map)
-from .linalg import (BasedSpace, LinearOp, flip_tensor, invert, kron,
-                     tensor_space, tensor_split)
+from .linalg import BasedSpace, LinearOp, invert, kron, tensor_space
 from .rb import RotaBaxterOp, descend, verify_rb
 
 
@@ -47,21 +47,15 @@ def triple_factorization(g: HopfAlgebraData, h_labels, l_labels,
     if len(h_idx) * len(l_idx) * len(m_idx) != g.dim:
         raise NotExactFactorization(
             f"|H||L||M| = {len(h_idx) * len(l_idx) * len(m_idx)} != dim G = {g.dim}")
-    hs, ls, ms = (BasedSpace(tuple(g.label(i) for i in idx), g.field)
-                  for idx in (h_idx, l_idx, m_idx))
-    w = first_witness((ls, hs), lambda l, h: (
+    incl_h, incl_l, incl_m = (
+        LinearOp(BasedSpace(tuple(g.label(i) for i in idx), g.field), g.space,
+                 [g.basis(i) for i in idx]) for idx in (h_idx, l_idx, m_idx))
+    w = first_witness((incl_l.domain, incl_h.domain), lambda l, h: (
         g.mul_basis(l_idx[l], h_idx[h]), g.mul_basis(h_idx[h], l_idx[l])))
     if w is not None:
         raise HypothesisFails("lh = hl", w)
-    hl = tensor_space(hs, ls)
-    hlm = tensor_space(hl, ms)
-    cols = []
-    for i in h_idx:
-        for j in l_idx:
-            hl_part = g.mul_basis(i, j)
-            for k in m_idx:
-                cols.append(g.product(hl_part, g.basis(k)))
-    phi = LinearOp(hlm, g.space, cols)
+    # h ⊗ l ⊗ m -> (hl)m
+    phi = g.mul.compose(kron(g.mul.compose(kron(incl_h, incl_l)), incl_m))
     try:
         factor = invert(phi)
     except SingularMap as exc:
@@ -98,25 +92,20 @@ def check_factorization_descendent_iso(f: TripleFactorization,
                                        b: RotaBaxterOp,
                                        c: RotaBaxterOp) -> bool:
     """(hlm) ∘_B (h'l'm') = h h' (l ∘_C l') m' m over all part-basis
-    tuples, identifying the descendent of B with H ⊗ L(C) ⊗ M-opposite."""
+    tuples, identifying the descendent of B with H ⊗ L(C) ⊗ M-opposite.
+    The right side is a map on pairs of basis words of H⊗L⊗M, read on G
+    through ``factor``: since φ ⊗ φ is a bijection, ∘_B equals it there
+    exactly when the identity holds on every tuple."""
     g = f.ambient
     circle_c = descend(c).hopf
-    n_l, n_m = len(f.l_idx), len(f.m_idx)
-
-    def parts(p):
-        """Ambient h and m, and the position of l, of basis word p of H⊗L⊗M."""
-        hl, m = tensor_split(p, n_m)
-        h, l = tensor_split(hl, n_l)
-        return g.basis(f.h_idx[h]), l, g.basis(f.m_idx[m])
-
-    def sides(p, q):
-        (h, l, m), (h2, l2, m2) = parts(p), parts(q)
-        lhs = apply2(b.circle, g.product_many([h, g.basis(f.l_idx[l]), m]),
-                     g.product_many([h2, g.basis(f.l_idx[l2]), m2]))
-        circ = f.incl_l(circle_c.mul_basis(l, l2))
-        return lhs, g.product_many([h, h2, circ, m2, m])
+    # the basis words of (H⊗L)⊗M in order: ambient h and m, position of l
+    words = [(g.basis(h), l, g.basis(m)) for h in f.h_idx
+             for l in range(len(f.l_idx)) for m in f.m_idx]
     hlm = f.factor.codomain
-    return first_witness((hlm, hlm), sides) is None
+    rhs = LinearOp(tensor_space(hlm, hlm), g.space, [
+        g.product_many([h, h2, f.incl_l(circle_c.mul_basis(l, l2)), m2, m])
+        for h, l, m in words for h2, l2, m2 in words])
+    return b.circle == rhs.compose(kron(f.factor, f.factor))
 
 
 # -- smash products -----------------------------------------------------------
@@ -149,27 +138,21 @@ def smash_product(h: HopfAlgebraData, k: HopfAlgebraData,
     _require(check_module_bialgebra(action), "module-bialgebra")
 
     plain = tensor_hopf(h, k)
-    k_h = smash_hopf(k, h, action.act)
-    smash = HopfAlgebraData(plain.space, _onto_hk(k_h.mul, plain, h.dim),
-                            plain.unit, plain.comul, plain.counit,
-                            _onto_hk(k_h.antipode, plain, h.dim))
+    smash = _onto_hk(smash_hopf(k, h, action.act), plain.space, h.dim)
     brace = verify_brace(plain, _verified(smash, "smash"))
     return SmashProduct(h, k, action, smash, plain, brace)
 
 
-def _onto_hk(op: LinearOp, hk: HopfAlgebraData, dim_h: int) -> LinearOp:
-    """A product or an endomorphism of K ⊗ H moved onto ``hk.space``,
-    H ⊗ K, along k⊗h -> h⊗k: exact for :func:`smash_hopf`, since a
+def _onto_hk(kh: HopfAlgebraData, space: BasedSpace,
+             dim_h: int) -> HopfAlgebraData:
+    """A structure of :func:`smash_hopf` on K ⊗ H carried onto ``space``,
+    H ⊗ K, along the flip k⊗h -> h⊗k and its inverse: exact, since a
     cocommutative K lets k_(1) and k_(2) trade places."""
-    kh, space = op.codomain, hk.space
     dim_k = kh.dim // dim_h
-    order = [k * dim_h + h for h in range(dim_h) for k in range(dim_k)]
-    domain = space
-    if op.domain != kh:             # a product on (K⊗H) ⊗ (K⊗H)
-        order = [p * kh.dim + q for p in order for q in order]
-        domain = hk.hh
-    return LinearOp(domain, space, [flip_tensor(kh, space, op.columns[i], dim_h)
-                                    for i in order])
+    flip = LinearOp(kh.space, space, [space.basis(h * dim_k + k)
+                                      for k in range(dim_k)
+                                      for h in range(dim_h)])
+    return _carried(kh, flip, invert(flip))
 
 
 def rb_on_smash(sp: SmashProduct, c: RotaBaxterOp) -> RotaBaxterOp:
@@ -194,4 +177,4 @@ def check_smash_descendent_iso(sp: SmashProduct, c: RotaBaxterOp,
     if not check_module_bialgebra(ModuleAction(circle_c, h, twist)).passed:
         return False
     return descend(b).hopf.mul == _onto_hk(
-        smash_hopf(circle_c, h, twist).mul, sp.product, h.dim)
+        smash_hopf(circle_c, h, twist), sp.product.space, h.dim).mul

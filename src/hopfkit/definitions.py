@@ -272,6 +272,21 @@ def _build_group(name, raw, seen, field, path) -> Declaration:
 
 # -- Hopf algebras ------------------------------------------------------------------
 
+def _labels(data, what: str, path) -> tuple:
+    """The labels of a ``basis``, ``domain`` or ``codomain`` list, an array
+    read as a tensor label.  Anything but a list is refused, not read item
+    by item, and so is a JSON object at any depth: it cannot be hashed."""
+    if not isinstance(data, list):
+        raise DefinitionSyntaxError(f"{what} must be a list of labels", path)
+    labels = tuple(label_from_json(lab) for lab in data)
+    try:
+        hash(labels)
+    except TypeError:
+        raise DefinitionSyntaxError(
+            f"{what} holds a JSON object, which is no label", path) from None
+    return labels
+
+
 def _build_hopf(name, raw, seen, field, path) -> Declaration:
     if "group_algebra" in raw:
         src = raw["group_algebra"]
@@ -284,10 +299,8 @@ def _build_hopf(name, raw, seen, field, path) -> Declaration:
     for key in ("basis", "mul", "unit", "comul", "counit", "antipode"):
         if key not in raw:
             raise DefinitionSyntaxError(f"hopf declaration missing '{key}'", path)
-    if not isinstance(raw["basis"], list):
-        raise DefinitionSyntaxError("hopf 'basis' must be a list of labels", path)
-    _check_size(len(raw["basis"]), "basis length", path)
-    labels = tuple(label_from_json(lab) for lab in raw["basis"])
+    labels = _labels(raw["basis"], "hopf 'basis'", path)
+    _check_size(len(labels), "basis length", path)
     space = BasedSpace(labels, field)
     dim = space.dim
     hh = tensor_space(space, space)
@@ -344,10 +357,8 @@ def _build_map(name, raw, seen, field, path) -> Declaration:
                 "map needs 'on' or explicit 'domain'/'codomain'", path)
         if rota_baxter:
             raise DefinitionSyntaxError("rota_baxter needs an 'on' carrier", path)
-        domain = BasedSpace(tuple(label_from_json(x) for x in raw["domain"]),
-                            field)
-        codomain = BasedSpace(tuple(label_from_json(x) for x in raw["codomain"]),
-                              field)
+        domain, codomain = (BasedSpace(_labels(raw[key], f"'{key}'", path),
+                                       field) for key in ("domain", "codomain"))
 
     if identity:
         if domain != codomain:

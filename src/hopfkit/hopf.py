@@ -12,13 +12,16 @@ x ↦ Σ m(f(x_(1)) ⊗ g(x_(2))), and :func:`twisted_product`,
 x ⊗ y ↦ Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)).
 
 Derived maps are compositions of maps, through ``LinearOp.compose``,
-``kron`` and those two kernels: transport of structure, the smash antipode
-and, in the other modules, the cocycle circle, β of a post-Hopf algebra,
-the operators of a triple factorization and of the brace embedding, and
-the ∘ of an exact factorization.  Builders that still sum by hand:
-:func:`adjoint_map`, ``rb.rb_action_map``, the product of
-:func:`smash_hopf`, the linear system of :func:`convolution_inverse` and
-``matched.matched_pair_from_rb``.
+``kron`` and those two kernels: the smash antipode and, in the other
+modules, β of a post-Hopf algebra, the multiplication map and the
+operator of a triple factorization, the operator of the brace embedding,
+and the ∘ of an exact factorization.  A structure moved along maps is
+built by :func:`_carried`, p∘m∘(q⊗q) and its kin for p: H -> V and
+q: V -> H: transport of structure, :func:`sub_hopf`, the smash product
+read on H ⊗ K and the cocycle circle.  Builders that still sum by hand:
+:func:`adjoint_map`, ``rb.rb_action_map``, :func:`tensor_coalgebra`, the
+product of :func:`smash_hopf`, the linear system of
+:func:`convolution_inverse` and ``matched.matched_pair_from_rb``.
 
 One loop decides every identity: :func:`_first_failure` visits tuple
 prefixes in lexicographic order, takes both sides for a whole row of last
@@ -686,24 +689,31 @@ def tensor_hopf(h: HopfAlgebraData, k: HopfAlgebraData) -> HopfAlgebraData:
     return _verified(smash_hopf(h, k, trivial_map(h, k)), "tensor-hopf")
 
 
-def transport_hopf(h: HopfAlgebraData, p: LinearOp) -> HopfAlgebraData:
-    """Transport of structure along a linear bijection p: H -> V.
+def _carried(h: HopfAlgebraData, p: LinearOp, q: LinearOp) -> HopfAlgebraData:
+    """The structure of h carried along p: H -> V and read through
+    q: V -> H, unverified: p∘m∘(q⊗q), p(1), (p⊗p)∘Δ∘q, ε∘q and p∘S∘q.
 
-    Each structure map is composed with p and p⁻¹: p∘m∘(p⁻¹⊗p⁻¹),
-    (p⊗p)∘Δ∘p⁻¹, ε∘p⁻¹ and p∘S∘p⁻¹.  The result has the same axioms by
-    construction but generally loses the group-like basis, so its
+    It is a Hopf structure on V when p∘q = id_V and the image of q
+    contains 1 and is closed under m, Δ and S, since p is then inverse to
+    q on that image: for a bijection p and q = p⁻¹ (transport), the
+    projection onto a Hopf subalgebra and its inclusion (restriction), or
+    a flip of tensor factors and its inverse."""
+    return HopfAlgebraData(p.codomain, p.compose(h.mul.compose(kron(q, q))),
+                           p(h.unit), kron(p, p).compose(h.comul.compose(q)),
+                           h.counit.compose(q),
+                           p.compose(h.antipode.compose(q)))
+
+
+def transport_hopf(h: HopfAlgebraData, p: LinearOp) -> HopfAlgebraData:
+    """Transport of structure along a linear bijection p: H -> V, carried
+    by :func:`_carried` along p and p⁻¹.  The result has the same axioms
+    by construction but generally loses the group-like basis, so its
     coproducts have many terms; it is re-verified like every other
     constructor."""
     h.require_validated()
     if p.domain != h.space:
         raise DimensionMismatch("transport map must start at the carrier")
-    p_inv = invert(p)
-    out = HopfAlgebraData(p.codomain,
-                          p.compose(h.mul).compose(kron(p_inv, p_inv)),
-                          p(h.unit), kron(p, p).compose(h.comul).compose(p_inv),
-                          h.counit.compose(p_inv),
-                          p.compose(h.antipode).compose(p_inv))
-    return _verified(out, "transport")
+    return _verified(_carried(h, p, invert(p)), "transport")
 
 
 def opposite_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
@@ -1053,40 +1063,23 @@ def sub_hopf_indices(h: HopfAlgebraData, labels) -> list[int]:
 
 
 def sub_hopf(h: HopfAlgebraData, labels) -> tuple[HopfAlgebraData, LinearOp]:
-    """Restrict a validated Hopf algebra to a Hopf subalgebra; returns the
-    restricted structure together with its inclusion map."""
+    """Restrict a validated Hopf algebra to a Hopf subalgebra, carried by
+    :func:`_carried` along the projection onto the part and its inclusion;
+    returns the restricted structure together with the inclusion."""
     h.require_validated()
     idx = sub_hopf_indices(h, labels)
-    pos = {amb: i for i, amb in enumerate(idx)}
     space = BasedSpace(tuple(h.label(i) for i in idx), h.field)
-    hh = tensor_space(space, space)
-    n = len(idx)
-
-    def restrict(elem: Element) -> Element:
-        return Element(space, {pos[i]: c for i, c in elem.coeffs.items()},
-                       _canonical=True)
-
-    mul_cols = [restrict(h.mul_basis(i, j)) for i in idx for j in idx]
-    comul_cols = []
-    for i in idx:
-        out = {}
-        for p, c in h.comul.columns[i].coeffs.items():
-            a, b = tensor_split(p, h.dim)
-            out[tensor_index(pos[a], pos[b], n)] = c
-        comul_cols.append(Element(hh, out, _canonical=True))
-    ssp = scalar_space(h.field)
-    counit_cols = [ssp.basis(0).scale(h._eps[i]) for i in idx]
-    anti_cols = [restrict(h.antipode.columns[i]) for i in idx]
-    sub = HopfAlgebraData(space, LinearOp(hh, space, mul_cols),
-                          restrict(h.unit), LinearOp(space, hh, comul_cols),
-                          LinearOp(space, ssp, counit_cols),
-                          LinearOp(space, space, anti_cols))
+    pos = {amb: i for i, amb in enumerate(idx)}
+    projection = LinearOp(h.space, space, [
+        space.basis(pos[i]) if i in pos else space.zero()
+        for i in range(h.dim)])
+    inclusion = LinearOp(space, h.space, [h.basis(i) for i in idx])
+    sub = _carried(h, projection, inclusion)
     report = verify_hopf(sub)
     if not report.passed:
         raise InternalTheoremViolation(
             f"restriction of a validated Hopf algebra failed: "
             f"{report.first_failure()}")
-    inclusion = LinearOp(space, h.space, [h.basis(i) for i in idx])
     return sub, inclusion
 
 

@@ -353,7 +353,7 @@ class LinearOp:
             raise DimensionMismatch(
                 f"expected {domain.dim} columns, got {len(columns)}")
         for col in columns:
-            if col.space != codomain:
+            if col.space is not codomain and col.space != codomain:
                 raise DimensionMismatch("column lives in the wrong codomain")
         if domain.field != codomain.field:
             raise FieldMismatch("domain and codomain over different fields")
@@ -384,7 +384,10 @@ class LinearOp:
     def __call__(self, elem: Element) -> Element:
         if elem.space != self.domain:
             raise DimensionMismatch("element not in the domain")
-        coeffs = elem.coeffs
+        return self._image(elem.coeffs)
+
+    def _image(self, coeffs) -> Element:
+        """The image of the domain element with these coefficients."""
         if len(coeffs) == 1:
             for i, c in coeffs.items():
                 if c == 1:
@@ -393,11 +396,11 @@ class LinearOp:
                           ((c, self.columns[i]) for i, c in coeffs.items()))
 
     def compose(self, other: "LinearOp") -> "LinearOp":
-        """Return self after other (``self ∘ other``)."""
+        """Return self after other (``self ∘ other``), checked once."""
         if other.codomain != self.domain:
             raise DimensionMismatch("composition shapes do not match")
         return LinearOp(other.domain, self.codomain,
-                        [self(col) for col in other.columns])
+                        [self._image(col.coeffs) for col in other.columns])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LinearOp) and self.domain == other.domain

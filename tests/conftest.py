@@ -10,8 +10,8 @@ from hopfkit import groups as gr
 from hopfkit.errors import AxiomFails
 from hopfkit.hopf import apply2, scalar_space, transport_hopf
 from hopfkit.linalg import (QQ, BasedSpace, Element, LinearOp, accumulate,
-                            invert, kron, tensor_elem, tensor_index,
-                            tensor_space, tensor_split)
+                            flip_tensor, invert, kron, tensor_elem,
+                            tensor_index, tensor_space, tensor_split)
 from hopfkit.rb import descendent_antipode
 from hopfkit.report import AxiomReport, Witness
 
@@ -131,7 +131,7 @@ def sweedler_four_dim(field=QQ):
     return h
 
 
-# -- the loops of the builders that compose maps now ----------------------------
+# -- the loops of the builders that compose or carry maps now -------------------
 
 def reference_transport_tables(h, p):
     """The product, coproduct and counit columns of ``transport_hopf(h, p)``
@@ -154,6 +154,59 @@ def reference_cocycle_circle(h, pi, pi_inv):
     dim = pi.codomain.dim
     return [pi(h.product(pi_inv.columns[x], pi_inv.columns[y]))
             for x in range(dim) for y in range(dim)]
+
+
+def reference_restriction(h, idx):
+    """The tables of ``sub_hopf`` on the part with ambient indices ``idx``,
+    one part vector at a time: its products, Δ, S and the unit reindexed
+    onto the part, and ε read at it, as ``(mul, unit, comul, counit,
+    antipode)`` columns."""
+    pos = {amb: i for i, amb in enumerate(idx)}
+    space = BasedSpace(tuple(h.label(i) for i in idx), h.field)
+    hh = tensor_space(space, space)
+    n = len(idx)
+
+    def restrict(elem):
+        return Element(space, {pos[i]: c for i, c in elem.coeffs.items()})
+
+    mul = [restrict(h.mul_basis(i, j)) for i in idx for j in idx]
+    comul = []
+    for i in idx:
+        out = {}
+        for p, c in h.comul.columns[i].coeffs.items():
+            a, b = tensor_split(p, h.dim)
+            out[tensor_index(pos[a], pos[b], n)] = c
+        comul.append(Element(hh, out))
+    ssp = scalar_space(h.field)
+    counit = [ssp.basis(0).scale(h._eps[i]) for i in idx]
+    antipode = [restrict(h.antipode.columns[i]) for i in idx]
+    return mul, restrict(h.unit), comul, counit, antipode
+
+
+def reference_onto_hk(op, space, dim_h):
+    """A product or an endomorphism of K ⊗ H moved onto ``space``, H ⊗ K,
+    by reindexing its columns and flipping each along k⊗h -> h⊗k."""
+    kh = op.codomain
+    dim_k = kh.dim // dim_h
+    order = [k * dim_h + h for h in range(dim_h) for k in range(dim_k)]
+    domain = space
+    if op.domain != kh:             # a product on (K⊗H) ⊗ (K⊗H)
+        order = [p * kh.dim + q for p in order for q in order]
+        domain = tensor_space(space, space)
+    return LinearOp(domain, space, [flip_tensor(kh, space, op.columns[i], dim_h)
+                                    for i in order])
+
+
+def reference_phi(g, h_idx, l_idx, m_idx):
+    """The multiplication map H ⊗ L ⊗ M -> G of a triple factorization, one
+    basis word h⊗l⊗m at a time, as (hl)m."""
+    cols = []
+    for i in h_idx:
+        for j in l_idx:
+            hl_part = g.mul_basis(i, j)
+            for k in m_idx:
+                cols.append(g.product(hl_part, g.basis(k)))
+    return cols
 
 
 def reference_beta(h, tri, s_star):

@@ -370,6 +370,13 @@ def test_malformed_permutations_exit_two(tmp_path, capsys, gens):
 
 
 Z2 = {"kind": "hopf", "name": "H", "group_algebra": {"cyclic": 2}}
+# Q[Z2] written out, for the cases that replace its basis
+Z2_BY_HAND = {"kind": "hopf", "name": "H", "basis": ["e", "g"],
+              "mul": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"],
+                      [1, 1, 0, "1"]],
+              "unit": [[0, "1"]], "comul": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+              "counit": [[0, "1"], [1, "1"]],
+              "antipode": [[0, 0, "1"], [1, 1, "1"]]}
 # Each case is read, not swept: it must exit 2 with "error: ..." instead of
 # raising out of cli.main (or, for a fractional order, being truncated).
 MALFORMED = {
@@ -447,6 +454,19 @@ MALFORMED = {
                             "carrier": "H", "trivial": "no"}],
     "adjoint-int": [Z2, {"kind": "action", "name": "A", "actor": "H",
                          "carrier": "H", "adjoint": 1}],
+    # a label is compared and hashed, which a JSON object cannot be, at any
+    # depth of a tensor label; a label list given as a string would be read
+    # one character at a time
+    "basis-label-object": [dict(Z2_BY_HAND, basis=[{"a": 1}, "g"])],
+    "basis-label-object-in-array": [dict(Z2_BY_HAND,
+                                         basis=[["e", {"a": 1}], "g"])],
+    "domain-label-object": [{"kind": "map", "name": "B",
+                             "domain": [{"a": 1}], "codomain": ["e"],
+                             "matrix": []}],
+    "codomain-label-object": [{"kind": "map", "name": "B", "domain": ["e"],
+                               "codomain": [{"a": 1}], "matrix": []}],
+    "domain-string": [{"kind": "map", "name": "B", "domain": "ab",
+                       "codomain": ["a", "b"], "identity": True}],
 }
 
 

@@ -1,6 +1,7 @@
-"""Builders of derived maps that are compositions of maps: each against the
-loop it replaced, kept in conftest.py as a reference oracle, over Q and
-F_7, on the dense carriers of ``kernel_op`` and on edited inputs."""
+"""Builders of derived maps that are compositions of maps, and structures
+carried along maps: each against the loop it replaced, kept in conftest.py
+as a reference oracle, over Q and F_7, on the dense carriers of
+``kernel_op`` and on edited inputs."""
 
 import dataclasses
 from fractions import Fraction
@@ -14,19 +15,24 @@ from hopfkit import brace as brace_mod
 from hopfkit import cocycle as cocycle_mod
 from hopfkit import constructions as constr_mod
 from hopfkit import groups as gr
+from hopfkit import hopf as hopf_mod
+from hopfkit.brace import derived_action_map
 from hopfkit.cocycle import Cocycle
-from hopfkit.errors import ConstructionInvalid, NotExactFactorization
-from hopfkit.hopf import (adjoint_map, smash_hopf, transport_hopf,
-                          trivial_map, twisted_product)
+from hopfkit.errors import (ConstructionInvalid, HypothesisFails,
+                            NotExactFactorization)
+from hopfkit.hopf import (ModuleAction, adjoint_map, smash_hopf,
+                          tensor_coalgebra, transport_hopf, trivial_map,
+                          twisted_product)
 from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp, invert,
-                            tensor_space)
+                            kron, tensor_elem, tensor_space)
 from hopfkit.rb import RotaBaxterOp
 
 from conftest import (KERNEL_OPS, Built, edited, reference_beta,
                       reference_cocycle_circle, reference_embedding_operator,
-                      reference_factorization_circle, reference_smash_antipode,
-                      reference_transport_tables, reference_triple_rb_columns,
-                      sweedler_four_dim)
+                      reference_factorization_circle, reference_onto_hk,
+                      reference_phi, reference_restriction,
+                      reference_smash_antipode, reference_transport_tables,
+                      reference_triple_rb_columns, sweedler_four_dim)
 
 FIELDS = [QQ, Field(7)]
 ORACLE = settings(max_examples=25, deadline=None, database=None)
@@ -83,6 +89,28 @@ def test_cocycle_circle_is_the_loop(kernel_op, field, name):
     circle = exc.value.args[0]
     assert list(circle.mul.columns) == reference_cocycle_circle(h, pi, pi_inv)
     assert circle.antipode == pi.compose(h.antipode).compose(pi_inv)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", CARRIERS)
+def test_cocycle_circle_keeps_the_target_coalgebra(kernel_op, field, name):
+    # The canonical cocycle of a brace, moved along a dense bijection ψ of
+    # its target: π = ψ is a verified cocycle onto ψ(A), so the carried
+    # unit, Δ and ε are those of ψ(A).
+    br = hk.brace_from_rb(kernel_op(name, field))
+    psi = unitriangular(br.dot.space)
+    a = transport_hopf(br.dot, psi)
+    act = psi.compose(derived_action_map(br)).compose(
+        kron(LinearOp.identity(br.dot.space), invert(psi)))
+    c = hk.verify_cocycle(br.circle, a, ModuleAction(br.circle, a, act), psi)
+    with mock.patch.object(cocycle_mod, "verify_brace", raise_built):
+        with pytest.raises(Built) as exc:
+            hk.rb_hopf_from_cocycle(c)
+    circle = exc.value.args[0]
+    assert (circle.unit, circle.comul, circle.counit) == \
+        (a.unit, a.comul, a.counit)
+    assert list(circle.mul.columns) == \
+        reference_cocycle_circle(br.circle, psi, c.pi_inverse)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -156,6 +184,97 @@ def test_smash_antipode_is_the_loop_on_edits(kernel_op, field, which, part,
         reference_smash_antipode(actor, carrier, act)
 
 
+# -- structures carried along maps: restriction and the smash flip ----------------
+
+# Hopf subalgebras spanned by transported basis vectors: the whole dense Z2
+# and Z3, and k[Z2] inside S3 twice (e with s, e with rs)
+SUBALGEBRAS = [("dense-Z2-inv", ["w0", "w1"]),
+               ("dense-Z3-inv", ["w0", "w1", "w2"]),
+               ("mixed-S3-inv", ["w0", "w3"]), ("mixed-S3-inv", ["w0", "w4"])]
+
+
+def tables(h):
+    return (list(h.mul.columns), h.unit, list(h.comul.columns),
+            list(h.counit.columns), list(h.antipode.columns))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name, labels", SUBALGEBRAS)
+def test_sub_hopf_is_the_restriction(kernel_op, field, name, labels):
+    h = kernel_op(name, field).carrier
+    idx = [h.space.index_of(x) for x in labels]
+    sub, inclusion = hk.sub_hopf(h, labels)
+    assert tables(sub) == reference_restriction(h, idx)
+    assert list(inclusion.columns) == [h.basis(i) for i in idx]
+
+
+@ORACLE
+@given(field=st.sampled_from(FIELDS), labels=st.sampled_from(
+    [["w0", "w3"], ["w0", "w4"]]), part=st.sampled_from(
+    ["mul", "comul", "counit", "antipode"]), **EDITS)
+def test_sub_hopf_is_the_restriction_on_edits(kernel_op, field, labels, part,
+                                              col, row, offset):
+    # The entry edited lies in a column and a row of the part, so the part
+    # stays closed; the restriction is read off before it is verified.
+    h = kernel_op("mixed-S3-inv", field).carrier
+    idx = [h.space.index_of(x) for x in labels]
+    n, dim = len(idx), h.dim
+    i, j, a, b = (idx[x % n] for x in (col, col // n, row, row // n))
+    at = {"mul": (i * dim + j, a), "comul": (i, a * dim + b),
+          "counit": (i, 0), "antipode": (i, a)}[part]
+    h = dataclasses.replace(h, **{part: edited(getattr(h, part), *at,
+                                               offset)})
+    with mock.patch.object(hopf_mod, "verify_hopf", raise_built):
+        with pytest.raises(Built) as exc:
+            hk.sub_hopf(h, labels)
+    assert tables(exc.value.args[0]) == reference_restriction(h, idx)
+
+
+def check_onto_hk(actor, carrier, act):
+    """``_onto_hk`` of the K ⊗ H structure of ``smash_hopf`` against the
+    reindexing loop, with the middle-flip coalgebra and the unit of H ⊗ K."""
+    kh = smash_hopf(actor, carrier, act)
+    comul, counit = tensor_coalgebra(carrier, actor)
+    space = comul.domain
+    hk_ = constr_mod._onto_hk(kh, space, carrier.dim)
+    assert hk_.mul == reference_onto_hk(kh.mul, space, carrier.dim)
+    assert hk_.antipode == reference_onto_hk(kh.antipode, space, carrier.dim)
+    assert (hk_.comul, hk_.counit) == (comul, counit)
+    assert hk_.unit == tensor_elem(space, carrier.unit, actor.unit)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", CARRIERS)
+def test_onto_hk_is_the_reindexing(kernel_op, field, name):
+    h = kernel_op(name, field).carrier
+    other = kernel_op("dense-Z3-inv", field).carrier
+    for actor, carrier, act in ((h, h, adjoint_map(h)),
+                                (h, other, trivial_map(h, other)),
+                                (other, h, trivial_map(other, h))):
+        check_onto_hk(actor, carrier, act)
+
+
+@ORACLE
+@given(field=st.sampled_from(FIELDS),
+       which=st.sampled_from(["sweedler-adjoint", "sweedler-on-z3",
+                              "s3-adjoint"]),
+       part=st.sampled_from(["act", "actor-mul", "actor-antipode",
+                             "carrier-antipode", "actor-comul"]), **EDITS)
+def test_onto_hk_is_the_reindexing_on_edits(kernel_op, field, which, part,
+                                            col, row, offset):
+    actor, carrier, act = smash_inputs(which, field, kernel_op)
+    if part == "act":
+        act = edited(act, col, row, offset)
+    elif part == "carrier-antipode":
+        carrier = dataclasses.replace(
+            carrier, antipode=edited(carrier.antipode, col, row, offset))
+    else:
+        key = part.split("-")[1]
+        actor = dataclasses.replace(
+            actor, **{key: edited(getattr(actor, key), col, row, offset)})
+    check_onto_hk(actor, carrier, act)
+
+
 # -- the two factorization builders ------------------------------------------------
 
 TRIPLES = [
@@ -181,6 +300,35 @@ def test_triple_factorization_operator_is_the_loop(field, case):
     c = hk.verify_rb(f.sub_l, hk.unit_counit_map(f.sub_l))
     b = hk.rb_from_triple_factorization(f, c)
     assert list(b.map.columns) == reference_triple_rb_columns(f, c)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("case", range(len(TRIPLES)))
+def test_triple_factorization_phi_is_the_loop(field, case):
+    f = triple(case, field)
+    assert list(invert(f.factor).columns) == \
+        reference_phi(f.ambient, f.h_idx, f.l_idx, f.m_idx)
+
+
+@ORACLE
+@given(field=st.sampled_from(FIELDS), case=st.sampled_from(range(len(TRIPLES))),
+       **EDITS)
+def test_triple_factorization_phi_is_the_loop_on_edits(field, case, col, row,
+                                                       offset):
+    # An edited product is no longer associative, so φ must bracket each
+    # word as (hl)m; φ is read off before it is inverted.
+    group, *labels = TRIPLES[case]
+    g = hk.group_algebra(group, field)
+    g = dataclasses.replace(g, mul=edited(g.mul, col, row, offset))
+    with mock.patch.object(constr_mod, "invert", raise_built):
+        try:
+            hk.triple_factorization(g, *labels)
+        except (ConstructionInvalid, HypothesisFails):
+            assume(False)   # a part is not closed, or lh = hl fails
+        except Built as exc:
+            phi = exc.args[0]
+    idx = [sorted(g.space.index_of(x) for x in part) for part in labels]
+    assert list(phi.columns) == reference_phi(g, *idx)
 
 
 @ORACLE

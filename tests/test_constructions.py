@@ -420,8 +420,8 @@ def test_smash_sums_match_reference_on_edits(field, dense, part, col, row,
     # the builder's K ⊗ H product for an actor with the (edited) product,
     # moved onto H ⊗ K
     actor = dataclasses.replace(k, mul=maps["k_mul"])
-    mul = smash_hopf(actor, h, maps["act"]).mul
-    assert list(constr_mod._onto_hk(mul, sp.product, h.dim).columns) \
+    kh = smash_hopf(actor, h, maps["act"])
+    assert list(constr_mod._onto_hk(kh, sp.product.space, h.dim).mul.columns) \
         == reference_smash_mul(h, k, maps["act"], maps["k_mul"])
 
     def stop(action):
