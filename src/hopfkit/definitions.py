@@ -38,6 +38,12 @@ MAX_DECLARED_SIZE = 256
 # that build tables on H ⊗ H or a tensor ambient: the product table of the
 # 'embed' ambient has n^4 columns, 973 MB and 215 s at n = 32.
 MAX_DERIVE_DIM = 32
+# Deepest nesting of arrays and objects in a document.  Labels and error
+# messages read values recursively, so a label nested 500 arrays deep
+# would exhaust Python's recursion limit; shipped, derived and benchmark
+# documents nest at most 6 deep.
+MAX_NESTING = 64
+_TOO_DEEP = f"document nests arrays and objects more than {MAX_NESTING} deep"
 
 
 @dataclass
@@ -80,12 +86,30 @@ def parse_text(text: str, field_override: Field | None = None) -> DefinitionFile
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DefinitionSyntaxError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        # the reader recurses once per level and gives up far above
+        # MAX_NESTING
+        raise DefinitionSyntaxError(_TOO_DEEP) from None
     return parse_document(doc, field_override)
+
+
+def _check_nesting(doc: dict):
+    """Refuse a document nested more than MAX_NESTING deep, one level of
+    its arrays and objects at a time, without recursion."""
+    level, frontier = 1, [doc]
+    while frontier:
+        if level > MAX_NESTING:
+            raise DefinitionSyntaxError(_TOO_DEEP)
+        frontier = [y for x in frontier
+                    for y in (x.values() if type(x) is dict else x)
+                    if type(y) is list or type(y) is dict]
+        level += 1
 
 
 def parse_document(doc, field_override: Field | None = None) -> DefinitionFile:
     if not isinstance(doc, dict):
         raise DefinitionSyntaxError("document must be a JSON object")
+    _check_nesting(doc)
     if doc.get("version") != 1:
         raise DefinitionSyntaxError("unsupported or missing version (expected 1)",
                                     "version")

@@ -349,14 +349,25 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
 
     The identity forces B(e) = e.  Every partial assignment the search
     expands is closed under the identity: each pair (a, b) of assigned
-    elements fixes B(a B(a) b B(a)^{-1}) = B(a)B(b), so the search never
-    expands an inconsistent branch.  Closure is kept by worklist
-    propagation: assigning B(x) checks only the pairs that involve x or
-    an element deduced from it, against every assigned element, reading
-    the Cayley table directly.  This reaches the same closure as
-    re-scanning every assigned pair until nothing changes, so the search
-    tree and its node count are those of a full re-scan.  ``budget``
-    bounds the number of search nodes; exceeding it raises
+    elements fixes B(a∘b) = B(a)B(b), where a∘b = a B(a) b B(a)^{-1}, so
+    the search never expands an inconsistent branch.
+
+    Closure is checked against the generators of a node, the elements
+    the search has branched on: assigning B(x) checks every element d
+    assigned before against x, with B(d∘x) = B(d)B(x), then x and each
+    element deduced, in the order deduced, against every generator s,
+    with B(a∘s) = B(a)B(s).  So every assigned a has been checked
+    against every generator s, and every assigned element is reached
+    from e by right ∘-multiplication by generators.  That is enough:
+    once B(a∘w) = B(a)B(w), the Cayley table gives
+    (a∘w)∘s = a∘(w∘s), so B(a∘(w∘s)) = B(a)B(w)B(s) = B(a)B(w∘s), and
+    induction on w gives the identity on every pair of assigned
+    elements.  Each check is one the all-pairs closure also makes, so
+    both reach the same closure and the same conflicts, and the search
+    tree and its node count are those of re-scanning every assigned pair
+    until nothing changes.
+
+    ``budget`` bounds the number of search nodes; exceeding it raises
     ``BudgetExceeded`` with the partial result list attached, and a
     negative budget raises ``ValueError`` before the search.  Every
     operator found is re-checked on every pair by ``verify_rb_group``:
@@ -367,46 +378,48 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
         raise ValueError(f"search budget {budget} is below 0")
     n = g.order
     tab, inv = g.table, g.inverse
+    # cols[c][s] = s c, so a∘s is row a B(a) read at column B(a)^{-1}
+    cols = tuple(zip(*tab))
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def propagate(vals: list[int | None], dom: list[int], x: int, val: int):
+    def propagate(vals: list[int | None], dom: list[int],
+                  gens: list[tuple[int, int]], x: int, val: int):
         """Assign B(x) = val on a copy of a closed partial table and close
         it again; ``vals[y]`` is B(y) or None, ``dom`` lists the assigned
-        elements.  Returns the new (vals, dom), or None on conflict."""
+        elements and ``gens`` the pairs (s, B(s)) of the generators.
+        Returns the new (vals, dom, gens), or None on conflict."""
         vals = vals[:]
-        dom = dom[:]
         vals[x] = val
-        dom.append(x)
-        work = [x]
-        while work:
-            a = work.pop()
+        gens = gens + [(x, val)]
+        new = [x]
+        row_x = tab[x]
+        for d in dom:
+            # B(d∘x) = B(d)B(x)
+            bd = vals[d]
+            inner = tab[tab[d][bd]][row_x[inv[bd]]]
+            want = tab[bd][val]
+            cur = vals[inner]
+            if cur is None:
+                vals[inner] = want
+                new.append(inner)
+            elif cur != want:
+                return None
+        for a in new:
+            # B(a∘s) = B(a)B(s); deductions join ``new`` and are checked in turn
             ba = vals[a]
-            row_a, row_ba = tab[a], tab[ba]
-            row_aba, inv_ba = tab[row_a[ba]], inv[ba]
-            for b in dom:
-                bb = vals[b]
-                # pair (a, b)
-                inner = row_aba[tab[b][inv_ba]]
+            row_aba, col, row_ba = tab[tab[a][ba]], cols[inv[ba]], tab[ba]
+            for s, bs in gens:
+                inner = row_aba[col[s]]
                 cur = vals[inner]
                 if cur is None:
-                    vals[inner] = row_ba[bb]
-                    dom.append(inner)
-                    work.append(inner)
-                elif cur != row_ba[bb]:
+                    vals[inner] = row_ba[bs]
+                    new.append(inner)
+                elif cur != row_ba[bs]:
                     return None
-                # pair (b, a)
-                inner = tab[tab[b][bb]][row_a[inv[bb]]]
-                cur = vals[inner]
-                if cur is None:
-                    vals[inner] = tab[bb][ba]
-                    dom.append(inner)
-                    work.append(inner)
-                elif cur != tab[bb][ba]:
-                    return None
-        return vals, dom
+        return vals, dom + new, gens
 
-    def dfs(vals: list[int | None], dom: list[int]):
+    def dfs(vals: list[int | None], dom: list[int], gens: list[tuple[int, int]]):
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
@@ -418,13 +431,13 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
             return
         x = vals.index(None)
         for val in range(n):
-            result = propagate(vals, dom, x, val)
+            result = propagate(vals, dom, gens, x, val)
             if result is not None:
                 dfs(*result)
 
     root = [None] * n
     root[g.identity] = g.identity
-    dfs(root, [g.identity])
+    dfs(root, [g.identity], [])
     found.sort()
     return [verify_rb_group(g, t) for t in found]
 

@@ -12,7 +12,8 @@ import pytest
 import hopfkit as hk
 from hopfkit import cli
 from hopfkit import fixtures as fx
-from hopfkit.definitions import MAX_DECLARED_SIZE, MAX_DERIVE_DIM, parse_text
+from hopfkit.definitions import (MAX_DECLARED_SIZE, MAX_DERIVE_DIM, MAX_NESTING,
+                                parse_text)
 from hopfkit.errors import (DefinitionSyntaxError, DimensionMismatch,
                             UnknownReference)
 
@@ -377,8 +378,18 @@ Z2_BY_HAND = {"kind": "hopf", "name": "H", "basis": ["e", "g"],
               "unit": [[0, "1"]], "comul": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
               "counit": [[0, "1"], [1, "1"]],
               "antipode": [[0, 0, "1"], [1, 1, "1"]]}
+
+
+def nested(value, depth):
+    """``value`` inside ``depth`` arrays."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 # Each case is read, not swept: it must exit 2 with "error: ..." instead of
 # raising out of cli.main (or, for a fractional order, being truncated).
+# A string is the declarations' JSON text, for nesting json.dumps refuses.
 MALFORMED = {
     "table-of-ints": [{"kind": "group", "name": "G", "group": {"table": [1, 2]}}],
     "labels-not-list": [{"kind": "group", "name": "G",
@@ -467,6 +478,10 @@ MALFORMED = {
                                "codomain": [{"a": 1}], "matrix": []}],
     "domain-string": [{"kind": "map", "name": "B", "domain": "ab",
                        "codomain": ["a", "b"], "identity": True}],
+    # a document nests arrays and objects at most MAX_NESTING deep: labels
+    # and messages are read recursively, and so is the JSON text itself
+    "basis-label-500-deep": [dict(Z2_BY_HAND, basis=[nested("e", 500), "g"])],
+    "declarations-5000-deep": "[" * 5000 + "]" * 5000,
 }
 
 
@@ -491,11 +506,30 @@ def test_false_flags_read_as_absent(tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_declarations_exit_two(tmp_path, capsys, case):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 1, "declarations": MALFORMED[case]}))
+    decls = MALFORMED[case]
+    text = decls if isinstance(decls, str) else json.dumps(decls)
+    path.write_text('{"version": 1, "declarations": %s}' % text)
     assert cli.main(["verify", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_nesting_limit_is_max_nesting(tmp_path, capsys):
+    # the document, its declarations, the map and its label lists take
+    # four levels, so a label in MAX_NESTING - 4 arrays reaches the limit
+    for depth, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
+        label = nested("e", depth - 4)
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"version": 1, "declarations": [
+            {"kind": "map", "name": "B", "domain": [label],
+             "codomain": [label], "identity": True}]}))
+        assert cli.main(["verify", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else
+                       "error: document nests arrays and objects more than "
+                       f"{MAX_NESTING} deep\n")
 
 
 def test_check_prop49_identity_map_witness(tmp_path, capsys):

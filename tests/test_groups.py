@@ -146,6 +146,7 @@ def first_rb_witness(g, table):
 c2, c4 = gr.cyclic(2), gr.cyclic(4)
 z2_cubed = gr.direct_product(gr.direct_product(c2, c2), c2)
 z4_z4 = gr.direct_product(c4, c4)
+z2_fourth = gr.direct_product(z2_cubed, c2)
 
 
 # -- constructors -----------------------------------------------------------------
@@ -510,8 +511,17 @@ def test_enumeration_matches_full_rescan_reference(name):
         if shuffled:
             rng.shuffle(perm)
         h = relabel(g, perm)
-        expected, _ = reference_enumeration(h)
+        expected, nodes = reference_enumeration(h)
         assert [op.table for op in gr.enumerate_rb_group_ops(h)] == expected
+        # the search tree is the reference's: all of it fits a budget of
+        # its node count, and one node less trips with the same partials
+        assert [op.table for op in gr.enumerate_rb_group_ops(h, nodes)] == expected
+        with pytest.raises(gr.BudgetExceeded) as ref:
+            reference_enumeration(h, nodes - 1)
+        with pytest.raises(gr.BudgetExceeded) as got:
+            gr.enumerate_rb_group_ops(h, nodes - 1)
+        assert [op.table for op in got.value.partial] == \
+            [op.table for op in ref.value.partial]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -538,13 +548,12 @@ def test_budget_trips_where_full_rescan_reference_does(n):
 
 
 def shipped_abelian_groups():
-    """One shipped construction of each abelian group of order <= 16,
-    except Z2^4 (65536 operators)."""
+    """One shipped construction of each abelian group of order <= 16."""
     c = gr.cyclic
     d = gr.direct_product
     groups = [c(n) for n in range(1, 17)]
     groups += [gr.dihedral(2), d(c2, c4), z2_cubed, d(c(3), c(3)),
-               d(c2, c(6)), d(c2, c(8)), z4_z4, d(d(c2, c2), c4)]
+               d(c2, c(6)), d(c2, c(8)), z4_z4, d(d(c2, c2), c4), z2_fourth]
     return groups
 
 
@@ -557,6 +566,8 @@ def test_abelian_operators_are_the_endomorphisms(g):
         assert len(homs) == 512
     if g is z4_z4:
         assert len(homs) == 256
+    if g is z2_fourth:
+        assert len(homs) == 65536
 
 
 # -- lifting and cross-level consistency --------------------------------------------------
