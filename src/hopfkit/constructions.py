@@ -4,9 +4,10 @@ Covers triple factorizations G = H·L·M (an operator
 B(hlm) = ε(h) C(l) S(m) built from a Rota-Baxter operator C on the
 middle factor), semidirect smash products H#K, and the operator
 B(h#k) = ε(h) C(k) on a smash product, each with the corresponding
-descendent isomorphism checks.  Smash tables are built on K ⊗ H by
-:func:`~hopfkit.hopf.smash_hopf` and carried onto H ⊗ K by
-:func:`~hopfkit.hopf._carried` along the flip of the factors.
+descendent isomorphism checks.  Smash products and antipodes are built
+on K ⊗ H by :func:`~hopfkit.hopf.smash_hopf` and carried onto H ⊗ K
+along the flip of the factors; the coalgebra and the unit are those of
+:func:`~hopfkit.hopf.tensor_hopf`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .brace import HopfBrace, verify_brace
 from .errors import (DimensionMismatch, HypothesisFails,
                      NotExactFactorization, SingularMap)
-from .hopf import (HopfAlgebraData, ModuleAction, _carried, _require,
+from .hopf import (HopfAlgebraData, ModuleAction, _require,
                    _verified, check_module_bialgebra, convolution,
                    first_witness, require_cocommutative, smash_hopf, sub_hopf,
                    sub_hopf_indices, tensor_hopf, unit_counit_map)
@@ -138,21 +139,30 @@ def smash_product(h: HopfAlgebraData, k: HopfAlgebraData,
     _require(check_module_bialgebra(action), "module-bialgebra")
 
     plain = tensor_hopf(h, k)
-    smash = _onto_hk(smash_hopf(k, h, action.act), plain.space, h.dim)
+    kh = smash_hopf(k, h, action.act)
+    # the coalgebra and the unit are those of the tensor product
+    smash = HopfAlgebraData(plain.space, _onto_hk(kh.mul, plain.space, h.dim),
+                            plain.unit, plain.comul, plain.counit,
+                            _onto_hk(kh.antipode, plain.space, h.dim))
     brace = verify_brace(plain, _verified(smash, "smash"))
     return SmashProduct(h, k, action, smash, plain, brace)
 
 
-def _onto_hk(kh: HopfAlgebraData, space: BasedSpace,
-             dim_h: int) -> HopfAlgebraData:
-    """A structure of :func:`smash_hopf` on K ⊗ H carried onto ``space``,
-    H ⊗ K, along the flip k⊗h -> h⊗k and its inverse: exact, since a
-    cocommutative K lets k_(1) and k_(2) trade places."""
+def _onto_hk(op: LinearOp, space: BasedSpace, dim_h: int) -> LinearOp:
+    """The product or the antipode of a :func:`smash_hopf` structure on
+    K ⊗ H carried onto ``space``, H ⊗ K, as :func:`~hopfkit.hopf._carried`
+    carries them: p∘m∘(q⊗q) or p∘S∘q, for the flip p: k⊗h -> h⊗k and its
+    inverse, the flip q: h⊗k -> k⊗h.  Exact, since a cocommutative K lets
+    k_(1) and k_(2) trade places."""
+    kh = op.codomain
     dim_k = kh.dim // dim_h
-    flip = LinearOp(kh.space, space, [space.basis(h * dim_k + k)
-                                      for k in range(dim_k)
-                                      for h in range(dim_h)])
-    return _carried(kh, flip, invert(flip))
+    flip = LinearOp(kh, space, [space.basis(h * dim_k + k)
+                                for k in range(dim_k) for h in range(dim_h)])
+    back = LinearOp(space, kh, [kh.basis(k * dim_h + h)
+                                for h in range(dim_h) for k in range(dim_k)])
+    if op.domain != kh:
+        back = kron(back, back)
+    return flip.compose(op.compose(back))
 
 
 def rb_on_smash(sp: SmashProduct, c: RotaBaxterOp) -> RotaBaxterOp:
@@ -177,4 +187,4 @@ def check_smash_descendent_iso(sp: SmashProduct, c: RotaBaxterOp,
     if not check_module_bialgebra(ModuleAction(circle_c, h, twist)).passed:
         return False
     return descend(b).hopf.mul == _onto_hk(
-        smash_hopf(circle_c, h, twist), sp.product.space, h.dim).mul
+        smash_hopf(circle_c, h, twist).mul, sp.product.space, h.dim)

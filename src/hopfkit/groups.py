@@ -367,6 +367,19 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
     tree and its node count are those of re-scanning every assigned pair
     until nothing changes.
 
+    The check of the earlier elements d against x is the half of the
+    step that does not depend on the value v tried for B(x): the
+    positions d∘x and the factors B(d) are fixed before v is, so each
+    node computes them once and every v only writes B(d∘x) = B(d)v.
+    A clash among them ends the node before any v is tried.  With B(d)
+    fixed, d B(d) x B(d)^{-1} determines d by left cancellation, so two
+    d with one d∘x have different B(d), and B(d)v differs between them
+    for every v; d∘x = x with d ≠ e is such a clash with e∘x = x.  A
+    d∘x already assigned would leave one value, B(d)^{-1}B(d∘x), but a
+    closed table never has one: y -> d∘y is injective and maps the
+    assigned elements into themselves, hence onto them, so it sends the
+    unassigned x to an unassigned element.
+
     ``budget`` bounds the number of search nodes; exceeding it raises
     ``BudgetExceeded`` with the partial result list attached, and a
     negative budget raises ``ValueError`` before the search.  Every
@@ -383,28 +396,11 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def propagate(vals: list[int | None], dom: list[int],
-                  gens: list[tuple[int, int]], x: int, val: int):
-        """Assign B(x) = val on a copy of a closed partial table and close
-        it again; ``vals[y]`` is B(y) or None, ``dom`` lists the assigned
-        elements and ``gens`` the pairs (s, B(s)) of the generators.
-        Returns the new (vals, dom, gens), or None on conflict."""
-        vals = vals[:]
-        vals[x] = val
-        gens = gens + [(x, val)]
-        new = [x]
-        row_x = tab[x]
-        for d in dom:
-            # B(d∘x) = B(d)B(x)
-            bd = vals[d]
-            inner = tab[tab[d][bd]][row_x[inv[bd]]]
-            want = tab[bd][val]
-            cur = vals[inner]
-            if cur is None:
-                vals[inner] = want
-                new.append(inner)
-            elif cur != want:
-                return None
+    def close(vals: list[int | None], new: list[int],
+              gens: list[tuple[int, int]]) -> bool:
+        """Check each element of ``new`` against every generator, in place:
+        ``vals[y]`` is B(y) or None, ``gens`` lists the pairs (s, B(s)),
+        and deductions join ``vals`` and ``new``.  False on conflict."""
         for a in new:
             # B(a∘s) = B(a)B(s); deductions join ``new`` and are checked in turn
             ba = vals[a]
@@ -416,10 +412,12 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
                     vals[inner] = row_ba[bs]
                     new.append(inner)
                 elif cur != row_ba[bs]:
-                    return None
-        return vals, dom + new, gens
+                    return False
+        return True
 
     def dfs(vals: list[int | None], dom: list[int], gens: list[tuple[int, int]]):
+        """Expand a closed partial table: ``dom`` lists the assigned
+        elements and ``gens`` the pairs (s, B(s)) of the generators."""
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
@@ -430,10 +428,32 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
             found.append(tuple(vals))
             return
         x = vals.index(None)
-        for val in range(n):
-            result = propagate(vals, dom, gens, x, val)
-            if result is not None:
-                dfs(*result)
+        row_x = tab[x]
+        # d∘x -> B(d) for the unassigned d∘x; d = e gives x -> e
+        targets: dict[int, int] = {}
+        values = range(n)
+        for d in dom:
+            bd = vals[d]
+            inner = tab[tab[d][bd]][row_x[inv[bd]]]
+            cur = vals[inner]
+            if cur is not None:
+                v = tab[inv[bd]][cur]
+                if v not in values:
+                    return
+                values = (v,)
+            elif inner in targets:
+                return
+            else:
+                targets[inner] = bd
+        for val in values:
+            # B(d∘x) = B(d)B(x) at B(x) = val, then the generator pass
+            trial = vals[:]
+            for inner, bd in targets.items():
+                trial[inner] = tab[bd][val]
+            new = list(targets)
+            gens_x = gens + [(x, val)]
+            if close(trial, new, gens_x):
+                dfs(trial, dom + new, gens_x)
 
     root = [None] * n
     root[g.identity] = g.identity

@@ -17,8 +17,9 @@ modules, β of a post-Hopf algebra, the multiplication map and the
 operator of a triple factorization, the operator of the brace embedding,
 and the ∘ of an exact factorization.  A structure moved along maps is
 built by :func:`_carried`, p∘m∘(q⊗q) and its kin for p: H -> V and
-q: V -> H: transport of structure, :func:`sub_hopf`, the smash product
-read on H ⊗ K and the cocycle circle.  Builders that still sum by hand:
+q: V -> H: transport of structure, :func:`sub_hopf` and the cocycle
+circle; the smash product and antipode read on H ⊗ K are carried the
+same way, one map at a time.  Builders that still sum by hand:
 :func:`adjoint_map`, ``rb.rb_action_map``, :func:`tensor_coalgebra`, the
 product of :func:`smash_hopf`, the linear system of
 :func:`convolution_inverse` and ``matched.matched_pair_from_rb``.
@@ -695,9 +696,8 @@ def _carried(h: HopfAlgebraData, p: LinearOp, q: LinearOp) -> HopfAlgebraData:
 
     It is a Hopf structure on V when p∘q = id_V and the image of q
     contains 1 and is closed under m, Δ and S, since p is then inverse to
-    q on that image: for a bijection p and q = p⁻¹ (transport), the
-    projection onto a Hopf subalgebra and its inclusion (restriction), or
-    a flip of tensor factors and its inverse."""
+    q on that image: for a bijection p and q = p⁻¹ (transport), or the
+    projection onto a Hopf subalgebra and its inclusion (restriction)."""
     return HopfAlgebraData(p.codomain, p.compose(h.mul.compose(kron(q, q))),
                            p(h.unit), kron(p, p).compose(h.comul.compose(q)),
                            h.counit.compose(q),

@@ -23,8 +23,9 @@ from hopfkit.errors import (ConstructionInvalid, HypothesisFails,
 from hopfkit.hopf import (ModuleAction, adjoint_map, smash_hopf,
                           tensor_coalgebra, transport_hopf, trivial_map,
                           twisted_product)
-from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp, invert,
-                            kron, tensor_elem, tensor_space)
+from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
+                            flip_tensor, invert, kron, tensor_elem,
+                            tensor_space)
 from hopfkit.rb import RotaBaxterOp
 
 from conftest import (KERNEL_OPS, Built, edited, reference_beta,
@@ -231,16 +232,21 @@ def test_sub_hopf_is_the_restriction_on_edits(kernel_op, field, labels, part,
 
 
 def check_onto_hk(actor, carrier, act):
-    """``_onto_hk`` of the K ⊗ H structure of ``smash_hopf`` against the
-    reindexing loop, with the middle-flip coalgebra and the unit of H ⊗ K."""
+    """``_onto_hk`` of the K ⊗ H product and antipode of ``smash_hopf``
+    against the reindexing loop.  The K ⊗ H coalgebra and unit, carried
+    along the same flip, are the middle-flip coalgebra and the unit of
+    H ⊗ K, which ``smash_product`` takes from the tensor product."""
     kh = smash_hopf(actor, carrier, act)
     comul, counit = tensor_coalgebra(carrier, actor)
     space = comul.domain
-    hk_ = constr_mod._onto_hk(kh, space, carrier.dim)
-    assert hk_.mul == reference_onto_hk(kh.mul, space, carrier.dim)
-    assert hk_.antipode == reference_onto_hk(kh.antipode, space, carrier.dim)
-    assert (hk_.comul, hk_.counit) == (comul, counit)
-    assert hk_.unit == tensor_elem(space, carrier.unit, actor.unit)
+    for op in (kh.mul, kh.antipode):
+        assert constr_mod._onto_hk(op, space, carrier.dim) == \
+            reference_onto_hk(op, space, carrier.dim)
+    flip = LinearOp(kh.space, space, [flip_tensor(kh.space, space, e, carrier.dim)
+                                      for e in kh._basis])
+    carried = hopf_mod._carried(kh, flip, invert(flip))
+    assert (carried.comul, carried.counit) == (comul, counit)
+    assert carried.unit == tensor_elem(space, carrier.unit, actor.unit)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -403,6 +403,14 @@ def test_smash_sweeps_match_reference(field, dense):
     assert True in verdicts and False in verdicts
 
 
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+@pytest.mark.parametrize("dense", [False, True], ids=["group-like", "dense"])
+def test_smash_coalgebra_and_unit_are_the_tensor_products(field, dense):
+    sp = smash(field, dense)
+    assert (sp.product.comul, sp.product.counit, sp.product.unit) == \
+        (sp.tensor.comul, sp.tensor.counit, sp.tensor.unit)
+
+
 @settings(max_examples=20, deadline=None, database=None)
 @given(field=st.sampled_from([QQ, Field(7)]), dense=st.booleans(),
        part=st.sampled_from(["c", "act", "k_mul"]), col=st.integers(0, 40),
@@ -421,7 +429,7 @@ def test_smash_sums_match_reference_on_edits(field, dense, part, col, row,
     # moved onto H ⊗ K
     actor = dataclasses.replace(k, mul=maps["k_mul"])
     kh = smash_hopf(actor, h, maps["act"])
-    assert list(constr_mod._onto_hk(kh, sp.product.space, h.dim).mul.columns) \
+    assert list(constr_mod._onto_hk(kh.mul, sp.product.space, h.dim).columns) \
         == reference_smash_mul(h, k, maps["act"], maps["k_mul"])
 
     def stop(action):

@@ -499,6 +499,8 @@ ORACLE_GROUPS = {
     "S3xZ2": lambda: gr.direct_product(gr.dihedral(3), c2),
     "D8": lambda: gr.dihedral(8),
     "Z4xZ4": lambda: z4_z4,
+    "S4": lambda: gr.symmetric(4),
+    "S3xZ3": lambda: gr.direct_product(gr.dihedral(3), gr.cyclic(3)),
 }
 
 

@@ -92,8 +92,9 @@ def test_fixture_inputs_unchanged_by_every_target(path, field):
 # -- the kernel_op carriers, through the library ------------------------------------------
 
 # These run on the other carriers only.  On dense Z3 over Q, 'matched-pair'
-# and 'ybe' take 4-6 s each, in the five-leg loop of the right action, and
-# 'smash' 2-3 s; 'smash' takes 3-5 s on mixed S3.  Under cProfile,
+# and 'ybe' take about 2.0 s each, in the five-leg loop of the right action,
+# and 'smash' 0.9 s; 'smash' takes 1.7-1.8 s on mixed S3 over Q and F_7
+# (each target timed once, one process, 2 shared cores).  Under cProfile,
 # verify_brace on the ambient takes most of 'smash': its triple sweep, and
 # on dense Z3 also the Hopf checks of the ambients.
 SKIPPED = {"dense-Z3-inv": {"matched-pair", "ybe", "smash"},
