@@ -10,6 +10,7 @@ verify_brace sweeps it in ints on scaled columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (CompatibilityFails, ConstructionInvalid,
                      DimensionMismatch, HopfAxiomFails, HopfkitError,
@@ -51,7 +52,16 @@ class HopfBrace:
 
 def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
     """Verify both Hopf structures on the shared coalgebra and sweep the
-    compatibility identity over all basis triples."""
+    compatibility identity over all basis triples.
+
+    The middle slot b runs over the generators of the dot structure first
+    (:func:`~hopfkit.hopf.int_witness`).  It is closed under the dot
+    product by the associativity of (H, ·) and the coassociativity of the
+    shared coproduct: for b and b' in it,
+    a∘(bb'c) = (a_(1)∘b)S(a_(2))(a_(3)∘(b'c))
+    = (a_(1)∘b)S(a_(2))(a_(3)∘b')S(a_(4))(a_(5)∘c)
+    = (a_(1)∘(bb'))S(a_(2))(a_(3)∘c).  The tables of (x_(1)∘b)S(x_(2)) are
+    built for each b when its first row is swept."""
     if dot.space != circle.space:
         raise DimensionMismatch("brace structures must share one space")
     if dot.comul != circle.comul or dot.counit != circle.counit:
@@ -68,8 +78,8 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
 
     # rhs = Σ (a_(1) ∘ b) S(a_(2)) (a_(3) ∘ c).  Coassociativity of the
     # verified coproduct splits the legs as Δ(x) ⊗ y over (x, y) in Δ(a),
-    # so rhs = Σ_x left[x][b] (Σ_y w (y ∘ c)) with one product per x.
-    # left[x][b] carries dc·dk·ds·dm, each right factor dc·dk, so rhs
+    # so rhs = Σ_x left(b)[x] (Σ_y w (y ∘ c)) with one product per x.
+    # left(b)[x] carries dc·dk·ds·dm, each right factor dc·dk, so rhs
     # (dc·dk·dm)²·ds, and the left side a ∘ (bc) dk·dm.
     dim = dot.dim
     dm, mul = scaled_columns(dot.mul)
@@ -77,31 +87,33 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
     dc, comul = scaled_columns(dot.comul)
     ds, anti = scaled_columns(dot.antipode)
     legs2 = [[(w, *divmod(q, dim)) for q, w in col] for col in comul]
-    left = []
-    for legs in legs2:
-        left.append([tuple(int_sum(mul, dim, (
+
+    @cache
+    def left(b):
+        return [tuple(int_sum(mul, dim, (
             (int_product(circ, dim, ((x1, w),), ((b, 1),)).items(), anti[x2])
-            for w, x1, x2 in legs)).items()) for b in range(dim)])
+            for w, x1, x2 in legs)).items()) for legs in legs2]
     rights = []
     for legs_a in legs2:
         legs: dict = {}
         for w, x, y in legs_a:
             legs.setdefault(x, []).append((y, w))
-        rights.append([[(left[x], tuple(int_product(circ, dim, terms,
-                                                    ((c, 1),)).items()))
+        rights.append([[(x, tuple(int_product(circ, dim, terms,
+                                              ((c, 1),)).items()))
                         for x, terms in legs.items()] for c in range(dim)])
 
     def rows(a, b):
+        row = left(b)
         rhs = []
         for terms in rights[a]:
             out: dict = {}
-            for row, r in terms:
-                int_product(mul, dim, row[b], r, out)
+            for x, r in terms:
+                int_product(mul, dim, row[x], r, out)
             rhs.append(out)
         return [int_product(circ, dim, ((a, 1),), col)
                 for col in mul[b * dim:(b + 1) * dim]], rhs
     w = int_witness((dot.space, dot.space, dot.space), dot.space,
-                    (dk * dm, (dc * dk * dm) ** 2 * ds), rows)
+                    (dk * dm, (dc * dk * dm) ** 2 * ds), rows, closed=(1, dot))
     if w is not None:
         raise CompatibilityFails("brace compatibility fails", w)
     return HopfBrace(dot, circle, True)

@@ -5,7 +5,8 @@ B(hlm) = ε(h) C(l) S(m) built from a Rota-Baxter operator C on the
 middle factor), semidirect smash products H#K, and the operator
 B(h#k) = ε(h) C(k) on a smash product, each with the corresponding
 descendent isomorphism checks.  Smash products and antipodes are built
-on K ⊗ H by :func:`~hopfkit.hopf.smash_hopf` and carried onto H ⊗ K
+on K ⊗ H by :func:`~hopfkit.hopf.smash_hopf` (the product alone by
+:func:`~hopfkit.hopf.smash_mul`) and carried onto H ⊗ K
 along the flip of the factors; the coalgebra and the unit are those of
 :func:`~hopfkit.hopf.tensor_hopf`.
 """
@@ -19,8 +20,8 @@ from .errors import (DimensionMismatch, HypothesisFails,
                      NotExactFactorization, SingularMap)
 from .hopf import (HopfAlgebraData, ModuleAction, _require,
                    _verified, check_module_bialgebra, convolution,
-                   first_witness, require_cocommutative, smash_hopf, sub_hopf,
-                   sub_hopf_indices, tensor_hopf, unit_counit_map)
+                   first_witness, require_cocommutative, smash_hopf, smash_mul,
+                   sub_hopf, sub_hopf_indices, tensor_hopf, unit_counit_map)
 from .linalg import BasedSpace, LinearOp, invert, kron, tensor_space
 from .rb import RotaBaxterOp, descend, verify_rb
 
@@ -186,5 +187,7 @@ def check_smash_descendent_iso(sp: SmashProduct, c: RotaBaxterOp,
     twist = sp.action.act.compose(kron(actor, LinearOp.identity(h.space)))
     if not check_module_bialgebra(ModuleAction(circle_c, h, twist)).passed:
         return False
+    kh = tensor_space(circle_c.space, h.space)
     return descend(b).hopf.mul == _onto_hk(
-        smash_hopf(circle_c, h, twist).mul, sp.product.space, h.dim)
+        smash_mul(circle_c, h, twist, tensor_space(kh, kh)), sp.product.space,
+        h.dim)

@@ -23,16 +23,64 @@ from .report import Witness
 BYTE_VALUES = 256
 
 
+def _word_generators(rows, ident: int) -> list[int]:
+    """Elements picked greedily in index order, each one not yet reached,
+    until the right-multiplication words from ``ident``, ((e g₁) g₂)…,
+    reach every row of the Latin square ``rows``.  No associativity is
+    assumed; for a group they generate it, and none is the identity."""
+    n = len(rows)
+    reached = bytearray(n)
+    reached[ident] = 1
+    count, gens = 1, []
+    for g in range(n):
+        if count == n:
+            break
+        if reached[g]:
+            continue
+        gens.append(g)
+        stack = [x for x in range(n) if reached[x]]
+        while stack:
+            row = rows[stack.pop()]
+            for t in gens:
+                y = row[t]
+                if not reached[y]:
+                    reached[y] = 1
+                    count += 1
+                    stack.append(y)
+    return gens
+
+
+def _first_nonassociative(rows) -> tuple[int, int, int]:
+    """The lexicographically first (a, b, c) with (ab)c != a(bc), for a
+    table known to have one: rows (ab)· and a(b·) are compared whole."""
+    for a, row_a in enumerate(rows):
+        for b, row_b in enumerate(rows):
+            lhs = rows[row_a[b]]
+            rhs = tuple(map(row_a.__getitem__, row_b))
+            if lhs != rhs:
+                return a, b, next(c for c, (x, y) in enumerate(zip(lhs, rhs))
+                                  if x != y)
+    raise InternalTheoremViolation("Light's test failed on an associative table")
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """Finite group given by its Cayley table (entries are indices).
 
-    A group of order at most 256 also carries two byte tables, built
-    once while the table is validated (its associativity check reads
-    them) and left out of equality, hash and repr:
-    ``byte_rows[x]`` is row x, i.e. y -> xy, padded to a 256-byte
-    ``bytes.translate`` table, and ``byte_cols[c]`` is column c, i.e.
-    the bytes of b -> bc over all b.  Larger groups have neither (None).
+    The table is checked to be a Latin square with an identity, then
+    associative by Light's test over ``generators``: the elements that
+    :func:`_word_generators` picks greedily in index order, so that the
+    right-multiplication words from the identity cover the group.  Only
+    when that test fails is every triple compared, so the message names
+    the lexicographically first (a, b, c).  ``generators`` is a generating
+    set of the group (empty for the trivial group).
+
+    A group of order at most 256 also carries two byte tables for the
+    search kernel: ``byte_rows[x]`` is row x, i.e. y -> xy, padded to a
+    256-byte ``bytes.translate`` table, and ``byte_cols[c]`` is column c,
+    i.e. the bytes of b -> bc over all b.  Larger groups have neither
+    (None).  ``generators`` and the byte tables are left out of equality,
+    hash and repr.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -40,6 +88,8 @@ class FiniteGroup:
     name: str = "G"
     identity: int = field(init=False, default=0)
     inverse: tuple[int, ...] = field(init=False, default=())
+    generators: tuple[int, ...] = field(
+        init=False, default=(), compare=False, repr=False)
     byte_rows: tuple[bytes, ...] | None = field(
         init=False, default=None, compare=False, repr=False)
     byte_cols: tuple[bytes, ...] | None = field(
@@ -49,52 +99,42 @@ class FiniteGroup:
         n = len(self.table)
         if n == 0 or len(self.labels) != n:
             raise DimensionMismatch("labels must match the table size")
+        line = tuple(range(n))
+        every = set(line)
         for row in self.table:
-            if len(row) != n or any(not 0 <= x < n for x in row):
-                raise DimensionMismatch("Cayley table is not square over 0..n-1")
-            if len(set(row)) != n:
+            if len(row) != n or set(row) != every:
+                if len(row) != n or any(not 0 <= x < n for x in row):
+                    raise DimensionMismatch("Cayley table is not square over 0..n-1")
                 raise DimensionMismatch("Cayley table rows must be permutations")
         rows = [tuple(row) for row in self.table]
         cols = list(zip(*rows))
         if any(len(set(col)) != n for col in cols):
             raise DimensionMismatch("Cayley table columns must be permutations")
-        line = tuple(range(n))
         ident = next((e for e in range(n) if rows[e] == line and cols[e] == line),
                      None)
         if ident is None:
             raise DimensionMismatch("table has no identity element")
         # each row is a permutation, so it holds the identity exactly once
         inv = [row.index(ident) for row in rows]
+        gens = _word_generators(rows, ident)
+        # Light's test: (xg)y = x(gy) for every generator g.  The g that
+        # pass for all x, y are closed under products (for g and h,
+        # (x(gh))y = ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y)) and hold e,
+        # so they hold every right-multiplication word from e, which covers
+        # the table.  Row xg over y is (xg)y; row x read at row g is x(gy).
+        for g in gens:
+            read_g = itemgetter(*rows[g])
+            if any(read_g(row) != rows[row[g]] for row in rows):
+                raise DimensionMismatch(
+                    "table is not associative at (%d,%d,%d)"
+                    % _first_nonassociative(rows))
         if n <= BYTE_VALUES:
-            # associativity a row at a time: (ab)c over all (b, c) is the
-            # rows ab joined, and a(bc) the whole table read through row a
-            row_bytes = [bytes(row) for row in rows]
-            byte_rows = tuple(row.ljust(BYTE_VALUES, b"\0") for row in row_bytes)
-            flat = b"".join(row_bytes)
-            for a, row_a in enumerate(rows):
-                lhs = b"".join([row_bytes[x] for x in row_a])
-                rhs = flat.translate(byte_rows[a])
-                if lhs != rhs:
-                    b, c = divmod(next(k for k in range(n * n)
-                                       if lhs[k] != rhs[k]), n)
-                    raise DimensionMismatch(
-                        f"table is not associative at ({a},{b},{c})")
+            byte_rows = tuple(bytes(row).ljust(BYTE_VALUES, b"\0") for row in rows)
             object.__setattr__(self, "byte_rows", byte_rows)
             object.__setattr__(self, "byte_cols", tuple(bytes(col) for col in cols))
-        else:
-            # (ab)c over all c is row ab, and a(bc) over all c is row a
-            # read at the entries of row b; rows are tuples so that they
-            # compare equal to itemgetter results
-            getters = [itemgetter(*row) for row in rows]
-            for a, row_a in enumerate(rows):
-                for b, get_b in enumerate(getters):
-                    if get_b(row_a) != rows[row_a[b]]:
-                        c = next(c for c in range(n)
-                                 if rows[row_a[b]][c] != row_a[rows[b][c]])
-                        raise DimensionMismatch(
-                            f"table is not associative at ({a},{b},{c})")
         object.__setattr__(self, "identity", ident)
         object.__setattr__(self, "inverse", tuple(inv))
+        object.__setattr__(self, "generators", tuple(gens))
 
     @property
     def order(self) -> int:

@@ -20,8 +20,8 @@ built by :func:`_carried`, p∘m∘(q⊗q) and its kin for p: H -> V and
 q: V -> H: transport of structure, :func:`sub_hopf` and the cocycle
 circle; the smash product and antipode read on H ⊗ K are carried the
 same way, one map at a time.  Builders that still sum by hand:
-:func:`adjoint_map`, ``rb.rb_action_map``, :func:`tensor_coalgebra`, the
-product of :func:`smash_hopf`, the linear system of
+:func:`adjoint_map`, ``rb.rb_action_map``, :func:`tensor_coalgebra`,
+:func:`smash_mul`, the linear system of
 :func:`convolution_inverse` and ``matched.matched_pair_from_rb``.
 
 One loop decides every identity: :func:`_first_failure` visits tuple
@@ -33,6 +33,16 @@ with its two sums.  Callers render the witness: :func:`int_witness`
 through :func:`~hopfkit.linalg.scaled_element`, :func:`first_witness` from
 sides built as elements, :func:`verify_hopf` and the braid sweep of
 ``ybe_from_rb`` in their own words.
+
+Some identities are closed under products in one slot: when they hold
+there at each of a set of elements and every value of the other slots,
+they hold at their products.  :func:`int_witness` then sweeps that slot
+over :func:`_generators` of a verified carrier first, which proves the
+identity when it passes, and runs the full sweep when it fails, so every
+witness is the full sweep's.  The brace compatibility, the module laws,
+the measuring and multiplicativity sweeps, the matched-pair
+compatibilities and twisted associativity do so; each says which verified
+axioms its closure step uses.
 
 A carrier that :func:`basis_group` recognizes as k[G] in its group-like
 basis passes :func:`verify_hopf` through the group layer, with no sweep;
@@ -52,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (ConstructionInvalid, DimensionMismatch,
                      InternalTheoremViolation, NoSolution, NotCocommutative,
@@ -114,6 +125,8 @@ class HopfAlgebraData:
     ``_report`` and the group of :func:`basis_group` in ``_group``, so the
     value cannot change under its verdict.
 
+    ``_gens`` keeps the indices of :func:`_generators` once they are read.
+
     ``validated`` is stamped by :func:`verify_hopf`; consumers that state
     a validated precondition refuse unvalidated data.  It is a plain flag
     that anyone may set, so no verdict is ever reused on it.
@@ -145,6 +158,7 @@ class HopfAlgebraData:
                           for i in range(self.space.dim))
         self._report = None
         self._group = None
+        self._gens = None
 
     def __setattr__(self, name, value):
         if name in _FIXED and name in self.__dict__:
@@ -223,7 +237,7 @@ def leg_table(h: HopfAlgebraData, legs: int) -> list[list]:
     return table
 
 
-def _first_failure(dims, p: int, scales, rows):
+def _first_failure(dims, p: int, scales, rows, over=None):
     """The one sweep loop: the lexicographically first index tuple ``at``,
     each index below its entry of ``dims``, where two multilinear maps
     differ, as ``(at, lhs, rhs)`` with both sums; None when they agree.
@@ -233,9 +247,24 @@ def _first_failure(dims, p: int, scales, rows):
     dicts carrying the scales ``(sl, sr)``.  A tuple fails when
     lhs·sr − rhs·sl is nonzero (modulo p over F_p).  With equal scales, equal
     rows are passed whole, compared in C.  With no index the one tuple is
-    ``()``, and ``rows()`` gives rows of length one."""
+    ``()``, and ``rows()`` gives rows of length one.
+
+    ``over = (slot, T)`` sweeps index ``slot`` over the list T only.  For
+    the last slot, ``rows(*prefix, T)`` gives the rows at the indices of T,
+    in order.  Such a sweep proves an identity only through a closure
+    argument (see :func:`_generators`), and callers use it only to accept:
+    :func:`int_witness` runs the full sweep when it fails."""
+    ranges = [range(d) for d in dims]
+    if over is not None:
+        slot, ranges[slot] = over
+        if slot == len(dims) - 1:
+            full = rows
+
+            def rows(*prefix):
+                return full(*prefix, over[1])
+    lasts = ranges[-1] if ranges else (0,)
     sl, sr = scales
-    for prefix in itertools.product(*(range(d) for d in dims[:-1])):
+    for prefix in itertools.product(*ranges[:-1]):
         lhs_row, rhs_row = rows(*prefix)
         if sl == sr and lhs_row == rhs_row:
             continue
@@ -246,7 +275,7 @@ def _first_failure(dims, p: int, scales, rows):
             for key, v in rhs.items():
                 diff[key] = diff.get(key, 0) - v * sl
             if any(v % p for v in diff.values()) if p else any(diff.values()):
-                return (*prefix, k)[:len(dims)], lhs, rhs
+                return (*prefix, lasts[k])[:len(dims)], lhs, rhs
     return None
 
 
@@ -269,12 +298,27 @@ def first_witness(spaces, sides) -> Witness | None:
     return found and _rendered(spaces, found[0], *sides(*found[0]))
 
 
-def int_witness(spaces, target: BasedSpace, scales, rows) -> Witness | None:
+def int_witness(spaces, target: BasedSpace, scales, rows,
+                closed=None) -> Witness | None:
     """A renderer over the one sweep loop: :func:`_first_failure` decides,
     over one index per based space in ``spaces``, on ``rows`` of int dicts
     over ``target`` carrying the scales ``(sl, sr)``, and the two sums at
-    the failing tuple are rendered by :func:`~hopfkit.linalg.scaled_element`."""
-    found = _first_failure([s.dim for s in spaces], target.field.p, scales, rows)
+    the failing tuple are rendered by :func:`~hopfkit.linalg.scaled_element`.
+
+    ``closed = (slot, h)`` names a slot in which the identity is closed
+    under the product of h (the caller's docstring says why).  That slot is
+    swept first over :func:`_generators` of h alone, and the identity is
+    accepted when it holds there.  Otherwise, and when h has no
+    generators, the full sweep decides, so every witness is the full
+    sweep's lexicographically first tuple."""
+    dims, p = [s.dim for s in spaces], target.field.p
+    if closed is not None:
+        slot, h = closed
+        gens = _generators(h)
+        if gens is not None and _first_failure(dims, p, scales, rows,
+                                               (slot, gens)) is None:
+            return None
+    found = _first_failure(dims, p, scales, rows)
     return found and _rendered(spaces, found[0], *(
         scaled_element(target, side.items(), s)
         for side, s in zip(found[1:], scales)))
@@ -334,6 +378,91 @@ def basis_group(h: HopfAlgebraData) -> FiniteGroup | None:
     if group.identity != unit[0] or list(group.inverse) != anti:
         return None
     return group
+
+
+def _generators(h: HopfAlgebraData) -> list[int] | None:
+    """Basis indices T whose nonempty right-multiplication words
+    ((t₁t₂)t₃)… span H, for an h whose stored :func:`verify_hopf` report
+    passed; None for any other h, whose sweeps stay full.
+
+    On a carrier that :func:`basis_group` recognizes, T is the generating
+    set of G that :class:`~hopfkit.groups.FiniteGroup` picked greedily in
+    index order (the identity alone for the trivial group), so every t and
+    every word is group-like.  Otherwise T is picked by
+    :func:`_spanning_generators`.  T is read once and kept on h.
+
+    The closure argument: take an identity linear in one slot, and let S
+    be the elements of that slot at which it holds for every value of the
+    other slots.  S is a subspace.  If verified axioms show that S is
+    closed under the product of h, then S holds every word of T once it
+    holds T, and the words span H, so S = H: a sweep of that slot over T
+    proves the identity exactly.  Each caller names the axioms its closure
+    step uses."""
+    if h._report is None:
+        return None
+    if h._gens is None:
+        group = h._group
+        h._gens = (_spanning_generators(h) if group is None
+                   else list(group.generators) or [group.identity])
+    return h._gens
+
+
+def _spanning_generators(h: HopfAlgebraData) -> list[int]:
+    """Basis vectors in index order, each one skipped when it lies in the
+    exact span of the nonempty right-multiplication words of those picked
+    so far, until that span is H.
+
+    Words are int vectors, multiplied through the :func:`scaled_columns`
+    of the product, whose common scale does not change a span.  The span
+    is kept in echelon form without division, one row per pivot (its
+    lowest index), over Q divided by the gcd of its entries; it is closed
+    under right multiplication by every picked vector."""
+    dim, p = h.dim, h.field.p
+    _, mul = scaled_columns(h.mul)
+    pivots: dict = {}
+
+    def nonzero(row: dict) -> dict:
+        return ({k: v % p for k, v in row.items() if v % p} if p else
+                {k: v for k, v in row.items() if v})
+
+    def reduce(row: dict) -> dict:
+        # a pivot row holds no index below its pivot, so one pass in pivot
+        # order clears every pivot index: row·P[c] − row[c]·P
+        row = nonzero(row)
+        for c in sorted(pivots):
+            f = row.get(c)
+            if f:
+                piv = pivots[c]
+                pc = piv[c]
+                row = {k: v * pc for k, v in row.items()}
+                for k, v in piv.items():
+                    row[k] = row.get(k, 0) - f * v
+                row = nonzero(row)
+        if row and not p:
+            g = gcd(*row.values())
+            row = {k: v // g for k, v in row.items()}
+        return row
+
+    gens, words = [], 0
+    for i in range(dim):
+        if words == dim:
+            break
+        if not reduce({i: 1}):
+            continue
+        gens.append(i)
+        # the new vector, and every word so far times it
+        pending = [((i, 1),)] + [
+            tuple(int_product(mul, dim, piv.items(), ((i, 1),)).items())
+            for piv in pivots.values()]
+        while pending and words < dim:
+            row = reduce(dict(pending.pop()))
+            if row:
+                pivots[min(row)] = row
+                words += 1
+                pending.extend(tuple(int_product(mul, dim, row.items(),
+                                                 ((t, 1),)).items())
+                               for t in gens)
+    return gens
 
 
 HOPF_AXIOMS = ("associativity", "unit", "coassociativity", "counit",
@@ -649,12 +778,28 @@ def smash_hopf(actor: HopfAlgebraData, carrier: HopfAlgebraData,
         (k⊗h)(k'⊗h') = k_(1)k' ⊗ h(k_(2)▷h')
         S(k⊗h)       = S_K(k_(1)) ⊗ (S_K(k_(2)) ▷ S_H(h))
 
-    The product sums the two legs of k from ``actor.comul``; the antipode
-    is the :func:`twisted_product` of the identity of K ⊗ H and
-    act ∘ (id ⊗ S_H), with S_K on both legs.  The result is unvalidated:
-    callers run :func:`verify_hopf` on what they build."""
+    The product is :func:`smash_mul`; the antipode is the
+    :func:`twisted_product` of the identity of K ⊗ H and act ∘ (id ⊗ S_H),
+    with S_K on both legs.  The result is unvalidated: callers run
+    :func:`verify_hopf` on what they build."""
     comul, counit = tensor_coalgebra(actor, carrier)
     space = comul.domain
+    anti = twisted_product(
+        actor.comul, LinearOp.identity(space),
+        act.compose(kron(LinearOp.identity(actor.space), carrier.antipode)),
+        f=actor.antipode, g=actor.antipode)
+    return HopfAlgebraData(space, smash_mul(actor, carrier, act, comul.codomain),
+                           tensor_elem(space, actor.unit, carrier.unit),
+                           comul, counit, anti)
+
+
+def smash_mul(actor: HopfAlgebraData, carrier: HopfAlgebraData,
+              act: LinearOp, square: BasedSpace) -> LinearOp:
+    """The product (k⊗h)(k'⊗h') = k_(1)k' ⊗ h(k_(2)▷h') of
+    :func:`smash_hopf` alone, as a map from ``square``, the based space
+    (K⊗H) ⊗ (K⊗H) that the caller has built, to K⊗H.  It sums the two
+    legs of k from ``actor.comul``."""
+    space = tensor_space(actor.space, carrier.space)
     dim_k, dim_h = actor.dim, carrier.dim
     # h(k_(2)▷h') for every h and every flat index k_(2)⊗h' of act
     right = [[carrier.product(e, col) for col in act.columns]
@@ -670,13 +815,7 @@ def smash_hopf(actor: HopfAlgebraData, carrier: HopfAlgebraData,
                         (c, tensor_elem(space, actor.mul_basis(a, k2),
                                         row[b * dim_h + h2]))
                         for c, a, b in legs)))
-    anti = twisted_product(
-        actor.comul, LinearOp.identity(space),
-        act.compose(kron(LinearOp.identity(actor.space), carrier.antipode)),
-        f=actor.antipode, g=actor.antipode)
-    return HopfAlgebraData(space, LinearOp(comul.codomain, space, mul_cols),
-                           tensor_elem(space, actor.unit, carrier.unit),
-                           comul, counit, anti)
+    return LinearOp(square, space, mul_cols)
 
 
 def tensor_hopf(h: HopfAlgebraData, k: HopfAlgebraData) -> HopfAlgebraData:
@@ -836,7 +975,11 @@ def check_hopf_isomorphism(f: LinearOp, h: HopfAlgebraData,
 def _multiplicative_witness(f: LinearOp, h: HopfAlgebraData,
                             k: HopfAlgebraData) -> Witness | None:
     """First basis pair (i, j) with f(e_i e_j) != f(e_i) f(e_j); the
-    sides carry df·dm and dn·df² for the scales of f, m_H and m_K."""
+    sides carry df·dm and dn·df² for the scales of f, m_H and m_K.
+
+    When both h and k passed :func:`verify_hopf`, the first slot x runs
+    over :func:`_generators` of h first: by the associativity of H and of
+    K, f(xx'y) = f(x)f(x'y) = f(x)f(x')f(y) = f(xx')f(y) for x, x' in it."""
     df, fc = scaled_columns(f)
     dm, mul = scaled_columns(h.mul)
     dn, kmul = scaled_columns(k.mul)
@@ -844,14 +987,21 @@ def _multiplicative_witness(f: LinearOp, h: HopfAlgebraData,
     scales = (df * dm, dn * df * df)
     return int_witness((h.space, h.space), k.space, scales, lambda i: (
         [int_product(fc, 1, col, ((0, 1),)) for col in mul[i * dim:(i + 1) * dim]],
-        [int_product(kmul, k.dim, fc[i], col) for col in fc]))
+        [int_product(kmul, k.dim, fc[i], col) for col in fc]),
+        closed=None if k._report is None else (0, h))
 
 
 def _measuring_witness(k: HopfAlgebraData, h: HopfAlgebraData,
                        act: LinearOp) -> Witness | None:
     """First basis triple (a, i, j) with a ⇀ (e_i e_j) differing from
     (a_(1) ⇀ e_i)(a_(2) ⇀ e_j), for act: K ⊗ H -> H; the sides carry
-    da·dm and dc·da²·dm for the scales of act, m_H and Δ_K."""
+    da·dm and dc·da²·dm for the scales of act, m_H and Δ_K.
+
+    When both k and h passed :func:`verify_hopf`, the slot y of a ⇀ (yz)
+    runs over :func:`_generators` of h first: by the associativity of H
+    and the coassociativity of K, for y and y' in it,
+    a ⇀ (yy'z) = (a_(1) ⇀ y)(a_(2) ⇀ (y'z)) = (a_(1) ⇀ y)(a_(2) ⇀ y')(a_(3) ⇀ z)
+    = (a_(1) ⇀ (yy'))(a_(2) ⇀ z)."""
     dim, dim_k = h.dim, k.dim
     da, acts = scaled_columns(act)
     dm, mul = scaled_columns(h.mul)
@@ -867,23 +1017,28 @@ def _measuring_witness(k: HopfAlgebraData, h: HopfAlgebraData,
                 [int_sum(mul, dim, ((left, acts[base + j]) for left, base in lefts))
                  for j in range(dim)])
     scales = (da * dm, dc * da * da * dm)
-    return int_witness((k.space, h.space, h.space), h.space, scales, rows)
+    return int_witness((k.space, h.space, h.space), h.space, scales, rows,
+                       closed=None if k._report is None else (1, h))
 
 
 def _associativity_witness(actor: BasedSpace, space: BasedSpace, mul,
-                           act) -> Witness | None:
+                           act, closed=None) -> Witness | None:
     """First (a, b, i) with (ab) ⇀ e_i != a ⇀ (b ⇀ e_i), for a product
     K ⊗ K -> K on ``actor`` and an action K ⊗ H -> H on ``space``, each
     given as its ``(scale, columns)`` from :func:`scaled_columns`; the
-    sides carry dm·da and da²."""
+    sides carry dm·da and da².  ``closed`` goes to :func:`int_witness`.
+
+    For a verified associative K the slot b is closed under its product:
+    for b and b' in it, (a(bb')) ⇀ v = ((ab)b') ⇀ v = (ab) ⇀ (b' ⇀ v)
+    = a ⇀ (b ⇀ (b' ⇀ v)) = a ⇀ ((bb') ⇀ v), so the module laws pass
+    ``(1, K)``.  Post-Hopf twisted associativity passes its last slot."""
     (dm, muls), (da, acts) = mul, act
     dim, dim_k = space.dim, actor.dim
 
-    def rows(a, b):
+    def rows(a, b, lasts=range(dim)):
         left, row_a = muls[a * dim_k + b], acts[a * dim:(a + 1) * dim]
-        lhs, rhs = [{} for _ in range(dim)], [{} for _ in range(dim)]
-        for i in range(dim):
-            l, r = lhs[i], rhs[i]
+        lhs, rhs = [{} for _ in lasts], [{} for _ in lasts]
+        for l, r, i in zip(lhs, rhs, lasts):
             for x, c in left:
                 for y, d in acts[x * dim + i]:
                     l[y] = l.get(y, 0) + c * d
@@ -891,7 +1046,8 @@ def _associativity_witness(actor: BasedSpace, space: BasedSpace, mul,
                 for y, d in row_a[x]:
                     r[y] = r.get(y, 0) + c * d
         return lhs, rhs
-    return int_witness((actor, actor, space), space, (dm * da, da * da), rows)
+    return int_witness((actor, actor, space), space, (dm * da, da * da), rows,
+                       closed)
 
 
 def _unit_witnesses(k: HopfAlgebraData, h: HopfAlgebraData, act: LinearOp):
@@ -955,7 +1111,8 @@ def _module_axioms(action: ModuleAction, report: AxiomReport):
     report.add("module-unit", unit)
     report.add("module-associativity", _associativity_witness(
         action.actor.space, action.carrier.space,
-        scaled_columns(action.actor.mul), scaled_columns(action.act)))
+        scaled_columns(action.actor.mul), scaled_columns(action.act),
+        (1, action.actor)))
     return on_unit
 
 

@@ -15,6 +15,7 @@ the original dot product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .brace import HopfBrace, verify_brace
 from .errors import (AxiomFails, DimensionMismatch, HypothesisFails,
@@ -41,7 +42,32 @@ class MatchedPair:
 def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
                         lact: LinearOp, ract: LinearOp) -> MatchedPair:
     """Sweep every module-coalgebra and compatibility axiom; the first
-    failure raises AxiomFails with the axiom tag and witness."""
+    failure raises AxiomFails with the axiom tag and witness.
+
+    Four sweeps first run one slot over the generators of a carrier
+    (:func:`~hopfkit.hopf.int_witness`), each slot closed under products
+    by axioms already verified:
+
+    - the left law (xy) ⇀ a, slot y, by the associativity of K;
+    - the right law x ↼ (ab) = (x ↼ a) ↼ b, slot a, by the associativity
+      of H: x ↼ ((aa')b) = (x ↼ a) ↼ (a'b) = ((x ↼ a) ↼ a') ↼ b;
+    - compatibility-left, slot b, by the associativity of H, the
+      multiplicativity of Δ_H, the right law and ↼ being a coalgebra map
+      (all swept before it): for b, b' in it and group-like b, with
+      y = x_(2) ↼ a_(2),
+      x ⇀ (abb') = (x_(1) ⇀ a_(1)b)(((x_(2) ↼ a_(2)) ↼ b) ⇀ b')
+      = (x_(1) ⇀ a_(1))(y_(1) ⇀ b)((y_(2) ↼ b) ⇀ b')
+      = (x_(1) ⇀ a_(1))(y ⇀ bb');
+    - compatibility-right, slot x, the mirror case, by the associativity
+      of K, the multiplicativity of Δ_K, the left law and ⇀ being a
+      coalgebra map.
+
+    Both compatibility steps split a product, Δ(ab) = a_(1)b ⊗ a_(2)b,
+    which needs b (and x) group-like.  So they run over generators only on
+    carriers that :func:`~hopfkit.hopf.basis_group` recognizes, whose
+    generators and words are group-like; on any other carrier they sweep
+    every slot.  (x ↼ a) ⇀ b and x ↼ (y ⇀ a) are tabled for each b or x
+    when its first row is swept."""
     require_cocommutative(h)
     require_cocommutative(k)
     kh = tensor_space(k.space, h.space)
@@ -70,7 +96,8 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
     left_unit, left_on_unit = _unit_witnesses(k, h, lact)
     sweep("left-module-unit", left_unit)
     sweep("left-module-associativity",
-          _associativity_witness(k.space, h.space, (dn, mul_k), (dl, la)))
+          _associativity_witness(k.space, h.space, (dn, mul_k), (dl, la),
+                                 (1, k)))
     module_coalgebra(("left-module-coalgebra", "left-module-counit"), lact,
                      (h.comul, h.counit))
     sweep("left-action-on-unit", left_on_unit)
@@ -89,7 +116,7 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
             [int_product(ra, dim_h, ((x, 1),), col)
              for col in mul_h[a * dim_h:(a + 1) * dim_h]],
             [int_product(ra, dim_h, ra[x * dim_h + a], ((b, 1),))
-             for b in range(dim_h)])))
+             for b in range(dim_h)]), closed=(1, h)))
     module_coalgebra(("right-module-coalgebra", "right-module-counit"), ract,
                      (k.comul, k.counit))
     sweep("right-action-on-unit", right_on_unit)
@@ -102,23 +129,33 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
         return int_sum(m, dim, (([(i, c * w) for i, w in left[q // dim_kh]],
                                  right[q % dim_kh]) for q, c in legs[s]))
     # (x ↼ a) ⇀ b and x ↼ (y ⇀ a), carrying dr·dl, once per b or x
-    rl = [[tuple(int_product(la, dim_h, col, ((b, 1),)).items()) for col in ra]
-          for b in range(dim_h)]
-    xl = [[tuple(int_product(ra, dim_h, ((x, 1),), col).items()) for col in la]
-          for x in range(dim_k)]
+    @cache
+    def rl(b):
+        return [tuple(int_product(la, dim_h, col, ((b, 1),)).items())
+                for col in ra]
+
+    @cache
+    def xl(x):
+        return [tuple(int_product(ra, dim_h, ((x, 1),), col).items())
+                for col in la]
+
+    def left_rows(x, a, lasts=range(dim_h)):
+        return ([int_product(la, dim_h, ((x, 1),), mul_h[a * dim_h + b])
+                 for b in lasts],
+                [twisted(x * dim_h + a, mul_h, dim_h, la, rl(b))
+                 for b in lasts])
+    # a recognized group carrier has group-like generators
     sweep("compatibility-left", int_witness(
         (k.space, h.space, h.space), h.space, (dl * dm, ds * dl * dr * dl * dm),
-        lambda x, a: (
-            [int_product(la, dim_h, ((x, 1),), col)
-             for col in mul_h[a * dim_h:(a + 1) * dim_h]],
-            [twisted(x * dim_h + a, mul_h, dim_h, la, right) for right in rl])))
+        left_rows, closed=None if h._group is None else (2, h)))
     sweep("compatibility-right", int_witness(
         (k.space, k.space, h.space), k.space, (dr * dn, ds * dr * dl * dr * dn),
         lambda x, y: (
             [int_product(ra, dim_h, mul_k[x * dim_k + y], ((a, 1),))
              for a in range(dim_h)],
-            [twisted(y * dim_h + a, mul_k, dim_k, xl[x], ra)
-             for a in range(dim_h)])))
+            [twisted(y * dim_h + a, mul_k, dim_k, xl(x), ra)
+             for a in range(dim_h)]),
+        closed=None if k._group is None else (0, k)))
     return MatchedPair(h, k, lact, ract)
 
 

@@ -45,7 +45,17 @@ class PostHopf:
 
 def verify_posthopf(h: HopfAlgebraData, tri: LinearOp) -> PostHopf:
     """Sweep both defining identities and the coalgebra-morphism property
-    on all basis tuples, then build β from the subadjacent antipode."""
+    on all basis tuples, then build β from the subadjacent antipode.
+
+    Product-distributivity runs its slot y over the generators of H first
+    (see :func:`~hopfkit.hopf._measuring_witness`), and so does twisted
+    associativity its last slot z (:func:`~hopfkit.hopf.int_witness`).
+    The latter is closed under the product of H: product-distributivity,
+    ▶ being a coalgebra map and cocommutativity, all checked before it,
+    give Δ(x∗y) = (x_(1)∗y_(1)) ⊗ (x_(2)∗y_(2)), so for z and z' in it
+    x ▶ (y ▶ zz') = (x_(1) ▶ (y_(1) ▶ z))(x_(2) ▶ (y_(2) ▶ z'))
+    = ((x_(1)∗y_(1)) ▶ z)((x_(2)∗y_(2)) ▶ z') = (x∗y) ▶ zz'.  (H, ∗) is
+    never verified associative, so its first two slots stay full."""
     require_cocommutative(h)
     dim = h.dim
     first = _earliest(coalgebra_map_failures(tri, tensor_coalgebra(h, h),
@@ -66,7 +76,7 @@ def verify_posthopf(h: HopfAlgebraData, tri: LinearOp) -> PostHopf:
     # says ▶ is an action of (H, ∗), with the sides of the module law swapped.
     star = twisted_product(h.comul, h.mul, tri)
     w = _associativity_witness(h.space, h.space, scaled_columns(star),
-                               scaled_columns(tri))
+                               scaled_columns(tri), (2, h))
     if w is not None:
         raise IdentityFails("twisted-associativity",
                             Witness(w.at, w.rhs, w.lhs))

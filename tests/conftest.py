@@ -712,16 +712,23 @@ KERNEL_OPS = {
 }
 
 
-def transported(name, field):
+def transport_map(name, field):
     """The group algebra of ``KERNEL_OPS[name]`` over ``field`` (QQ or F_7)
-    moved to the basis w_k with the listed group-algebra coordinates, and
-    the operator of that entry moved along: ``(carrier, B)``, B not yet
-    verified as Rota-Baxter."""
-    group, columns, op = KERNEL_OPS[name]
+    and the bijection p from it onto the basis w_k with the listed
+    group-algebra coordinates: ``(h, p)``."""
+    group, columns, _ = KERNEL_OPS[name]
     h = hk.group_algebra(group, field)
     space = BasedSpace(tuple(f"w{k}" for k in range(h.dim)), field)
-    p = invert(LinearOp(space, h.space,
-                        [Element(h.space, col) for col in columns]))
+    return h, invert(LinearOp(space, h.space,
+                              [Element(h.space, col) for col in columns]))
+
+
+def transported(name, field):
+    """The group algebra of ``KERNEL_OPS[name]`` over ``field`` (QQ or F_7)
+    moved along :func:`transport_map`, and the operator of that entry moved
+    along: ``(carrier, B)``, B not yet verified as Rota-Baxter."""
+    h, p = transport_map(name, field)
+    op = KERNEL_OPS[name][2]
     return transport_hopf(h, p), p.compose(op(h)).compose(invert(p))
 
 

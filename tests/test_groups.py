@@ -269,6 +269,56 @@ def test_non_associative_table_names_first_triple(seed):
     assert str(exc.value) == "table is not associative at (%d,%d,%d)" % expected
 
 
+def reduced_latin_squares(n):
+    """Every n×n Latin square whose row 0 and column 0 read 0..n-1: the
+    loops of order n with identity 0 (56 of them for n = 5)."""
+    squares = []
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            squares.append(tuple(map(tuple, table)))
+            return
+        r, c = divmod(cell, n)
+        if table[r][c] is not None:
+            fill(cell + 1)
+            return
+        for v in range(n):
+            if v not in table[r] and all(row[c] != v for row in table):
+                table[r][c] = v
+                fill(cell + 1)
+                table[r][c] = None
+    fill(0)
+    return squares
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_light_test_agrees_with_the_triple_loop_on_relabelled_loops(seed):
+    # every loop of order 5, relabelled so that the identity may sit at any
+    # index: Light's test over the greedy generators accepts exactly the
+    # associative ones (the six tables of Z5), and a rejection names the
+    # first failing triple of the brute-force loop
+    rng = random.Random(seed)
+    loops = reduced_latin_squares(5)
+    assert len(loops) == 56
+    accepted = 0
+    for loop in loops:
+        perm = rng.sample(range(5), 5)
+        table = [[0] * 5 for _ in range(5)]
+        for a, b in product(range(5), repeat=2):
+            table[perm[a]][perm[b]] = perm[loop[a][b]]
+        table = tuple(map(tuple, table))
+        expected = first_associativity_failure(table)
+        if expected is None:
+            accepted += 1
+            assert gr.FiniteGroup(table, tuple("abcde")).identity == perm[0]
+            continue
+        with pytest.raises(DimensionMismatch) as exc:
+            gr.FiniteGroup(table, tuple("abcde"))
+        assert str(exc.value) == "table is not associative at (%d,%d,%d)" % expected
+    assert accepted == 6
+
+
 def test_non_associative_table_above_byte_range_names_first_triple():
     # LOOP5 x Z52 has order 260, so it has no byte tables; the pair
     # (x, y) at index 52x + y fails exactly where its LOOP5 part does, so

@@ -400,3 +400,21 @@ def test_first_failure_reduces_the_difference_mod_p():
         ((0,), {1: 3}, {1: 1})
     assert _first_failure((1,), 7, (1, 1), lambda: ([{0: 9}], [{0: 1}])) == \
         ((0,), {0: 9}, {0: 1})
+
+
+def test_first_failure_sweeps_one_slot_over_an_index_list():
+    # the middle slot over [2, 0], in that order; a failure is reported
+    # at its own indices
+    visited = []
+
+    def rows(i, j):
+        visited.append((i, j))
+        return [{0: 1}, {0: 1}], [{0: 1}, {0: 1 + (i == 1)}]
+    assert _first_failure((2, 3, 2), 0, (1, 1), rows, (1, [2, 0])) == \
+        ((1, 2, 1), {0: 1}, {0: 2})
+    assert visited == [(0, 2), (0, 0), (1, 2)]
+    # over the last slot, rows(*prefix, T) gives the rows at the indices of
+    # T, and position 1 of the row is index 2
+    assert _first_failure((2, 3), 0, (1, 1), lambda i, lasts: (
+        [{0: k} for k in lasts], [{0: 0} for _ in lasts]), (1, [0, 2])) == \
+        ((0, 2), {0: 2}, {0: 0})
