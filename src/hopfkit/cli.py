@@ -40,7 +40,8 @@ from .linalg import LinearOp
 from .rb import (RotaBaxterOp, central_image_witness,
                  descendent_antipode_inverse_witness, verify_rb)
 from .serialize import (digest, document, dump_document, field_from_json,
-                        field_to_json, hopf_to_decl, map_entries, map_to_decl)
+                        field_to_json, hopf_to_decl, map_entries, map_to_decl,
+                        render_json)
 
 CHECK_CONDITIONS = ("op-module", "symmetric", "prop44", "prop48", "prop49",
                     "central-image", "lemma218")
@@ -222,12 +223,6 @@ def render_report_text(report: dict) -> str:
     lines.append(f"result: {'PASS' if report['passed'] else 'FAIL'} "
                  f"({len(report['checks'])} checks)")
     return "\n".join(lines) + "\n"
-
-
-def render_report_json(report: dict) -> str:
-    import json
-    return json.dumps(report, sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
 
 
 # -- derive -------------------------------------------------------------------------
@@ -485,7 +480,7 @@ def main(argv=None) -> int:
         code = 0
         if args.command in ("verify", "report"):
             report = build_report(defs, args.command)
-            text = render_report_json(report) if args.format == "json" \
+            text = render_json(report) if args.format == "json" \
                 else render_report_text(report)
             code = 0 if report["passed"] else 1
         elif args.command == "derive":
@@ -500,8 +495,7 @@ def main(argv=None) -> int:
         else:
             found = run_search(defs, args.budget)
             if args.format == "json":
-                import json
-                text = json.dumps(found, sort_keys=True, indent=2) + "\n"
+                text = render_json(found)
             else:
                 lines = []
                 for name in sorted(found):

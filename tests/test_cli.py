@@ -701,6 +701,57 @@ def test_search_rb_group(tmp_path, capsys):
     assert "group S3: 8 operators" in out
 
 
+def test_search_json_writes_group_names_as_utf8(tmp_path, capsys):
+    # a non-ASCII name is written as it is, as in every other JSON output
+    doc = json.dumps({"version": 1, "declarations": [
+        {"kind": "group", "name": "Z₂", "group": {"cyclic": 2}},
+        {"kind": "group", "name": "Z3", "group": {"cyclic": 3}}]})
+    path = tmp_path / "grp.json"
+    path.write_text(doc)
+    out = tmp_path / "found.json"
+    assert cli.main(["search", "rb-group", str(path), "--format", "json",
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == """{
+  "Z3": {
+    "count": 3,
+    "operators": [
+      [
+        0,
+        0,
+        0
+      ],
+      [
+        0,
+        1,
+        2
+      ],
+      [
+        0,
+        2,
+        1
+      ]
+    ],
+    "order": 3
+  },
+  "Z₂": {
+    "count": 2,
+    "operators": [
+      [
+        0,
+        0
+      ],
+      [
+        0,
+        1
+      ]
+    ],
+    "order": 2
+  }
+}
+""".encode("utf-8")
+    assert capsys.readouterr().err == ""
+
+
 def test_search_includes_group_algebra_backing_group(f2_file, capsys):
     assert cli.main(["search", "rb-group", f2_file]) == 0
     assert "F2: 8 operators" in capsys.readouterr().out
