@@ -19,10 +19,12 @@ and the ∘ of an exact factorization.  A structure moved along maps is
 built by :func:`_carried`, p∘m∘(q⊗q) and its kin for p: H -> V and
 q: V -> H: transport of structure, :func:`sub_hopf` and the cocycle
 circle; the smash product and antipode read on H ⊗ K are carried the
-same way, one map at a time.  Builders that still sum by hand:
-:func:`adjoint_map`, ``rb.rb_action_map``, :func:`tensor_coalgebra`,
-:func:`smash_mul`, the linear system of
-:func:`convolution_inverse` and ``matched.matched_pair_from_rb``.
+same way, one map at a time.  Both kernels sum on int columns through
+:func:`_leg_sum`, and so do :func:`adjoint_map` and :func:`smash_mul`,
+with one :func:`~hopfkit.linalg.scaled_element` per output column.
+Builders that still sum by hand: ``rb.rb_action_map``,
+:func:`tensor_coalgebra`, the linear system of :func:`convolution_inverse`
+and ``matched.matched_pair_from_rb``.
 
 One loop decides every identity: :func:`_first_failure` visits tuple
 prefixes in lexicographic order, takes both sides for a whole row of last
@@ -69,7 +71,7 @@ from .errors import (ConstructionInvalid, DimensionMismatch,
                      NotConvolutionInvertible, UnvalidatedInput)
 from .groups import FiniteGroup
 from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, _solve_rows,
-                     _sum_mod, _sum_ratio, accumulate, flip_tensor, freeze,
+                     _sum_mod, _sum_ratio, flip_tensor, freeze,
                      freeze_elements, int_product, int_sum, invert, kron,
                      scaled_columns, scaled_element, tensor_elem, tensor_index,
                      tensor_space, tensor_split, rank)
@@ -798,24 +800,23 @@ def smash_mul(actor: HopfAlgebraData, carrier: HopfAlgebraData,
     """The product (k⊗h)(k'⊗h') = k_(1)k' ⊗ h(k_(2)▷h') of
     :func:`smash_hopf` alone, as a map from ``square``, the based space
     (K⊗H) ⊗ (K⊗H) that the caller has built, to K⊗H.  It sums the two
-    legs of k from ``actor.comul``."""
+    legs of k from ``actor.comul`` in ints by :func:`_leg_sum`, through the
+    identity table of K⊗H, which tensors the two factors."""
     space = tensor_space(actor.space, carrier.space)
     dim_k, dim_h = actor.dim, carrier.dim
-    # h(k_(2)▷h') for every h and every flat index k_(2)⊗h' of act
-    right = [[carrier.product(e, col) for col in act.columns]
-             for e in carrier._basis]
-    mul_cols = []
-    for col in actor.comul.columns:
-        legs = [(c, *divmod(p, dim_k)) for p, c in col.coeffs.items()]
-        for h in range(dim_h):
-            row = right[h]
-            for k2 in range(dim_k):
-                for h2 in range(dim_h):
-                    mul_cols.append(accumulate(space, (
-                        (c, tensor_elem(space, actor.mul_basis(a, k2),
-                                        row[b * dim_h + h2]))
-                        for c, a, b in legs)))
-    return LinearOp(square, space, mul_cols)
+    (dc, comul), (dk, kmul), (dh, hmul), (da, acts) = map(
+        scaled_columns, (actor.comul, actor.mul, carrier.mul, act))
+    tensor = [((i, 1),) for i in range(space.dim)]
+    # lefts[k'][k_(1)] = k_(1)k'; h(k_(2)▷h') for every h and every flat
+    # index k_(2)⊗h' of act, then rights[h][h'][k_(2)] = h(k_(2)▷h')
+    lefts = [kmul[k::dim_k] for k in range(dim_k)]
+    hact = [[tuple(int_product(hmul, dim_h, ((h, 1),), col).items())
+             for col in acts] for h in range(dim_h)]
+    rights = [[row[h2::dim_h] for h2 in range(dim_h)] for row in hact]
+    return LinearOp(square, space, [
+        scaled_element(space, _leg_sum(tensor, dim_h, col, dim_k, left,
+                                       right).items(), dc * dk * dh * da)
+        for col in comul for row in rights for left in lefts for right in row])
 
 
 def tensor_hopf(h: HopfAlgebraData, k: HopfAlgebraData) -> HopfAlgebraData:
@@ -1175,15 +1176,16 @@ def trivial_action(actor: HopfAlgebraData, carrier: HopfAlgebraData) -> ModuleAc
 
 def adjoint_map(h: HopfAlgebraData) -> LinearOp:
     """g ⊳ x = g_(1) x S(g_(2)) as a map H ⊗ H -> H, without the module
-    checks; evaluate it on elements with :func:`apply2`."""
-    cols = []
-    for col in h.comul.columns:
-        legs = [(c, *divmod(p, h.dim)) for p, c in col.coeffs.items()]
-        for i in range(h.dim):
-            cols.append(accumulate(h.space, (
-                (c, h.product(h.mul_basis(g1, i), h.antipode.columns[g2]))
-                for c, g1, g2 in legs)))
-    return LinearOp(h.hh, h.space, cols)
+    checks; evaluate it on elements with :func:`apply2`.  Each column is
+    summed in ints by :func:`_leg_sum`, bracketed (g_(1) x) S(g_(2))."""
+    dim = h.dim
+    (dc, comul), (dm, mul), (ds, anti) = map(
+        scaled_columns, (h.comul, h.mul, h.antipode))
+    lefts = [mul[x::dim] for x in range(dim)]
+    return LinearOp(h.hh, h.space, [
+        scaled_element(h.space, _leg_sum(mul, dim, col, dim, left,
+                                         anti).items(), dc * dm * ds * dm)
+        for col in comul for left in lefts])
 
 
 def adjoint_action(h: HopfAlgebraData) -> ModuleAction:
@@ -1311,20 +1313,34 @@ def unit_counit_map(h: HopfAlgebraData) -> LinearOp:
                     [h.unit.scale(h._eps[i]) for i in range(h.dim)])
 
 
+def _leg_sum(table: list, dim: int, col, split: int, left, right) -> dict:
+    """Σ c·table(left[q // split] ⊗ right[q % split]) over the ``(q, c)``
+    pairs of one :func:`scaled_columns` column of a coproduct, in ints
+    through :func:`int_product`: the sum carries the scales of the column,
+    the table and the two factors multiplied."""
+    out: dict = {}
+    for q, c in col:
+        x = left[q // split]
+        int_product(table, dim, x if c == 1 else [(i, c * w) for i, w in x],
+                    right[q % split], out)
+    return out
+
+
 def convolution(comul: LinearOp, f: LinearOp, g: LinearOp,
                 m: LinearOp) -> LinearOp:
     """The convolution x -> Σ m(f(x_(1)) ⊗ g(x_(2))) of f: C -> A and
-    g: C -> B through m: A ⊗ B -> D, over the coproduct ``comul`` of C."""
+    g: C -> B through m: A ⊗ B -> D, over the coproduct ``comul`` of C,
+    summed in ints by :func:`_leg_sum`."""
     space = comul.domain
     if (f.domain != space or g.domain != space
             or m.domain.dim != f.codomain.dim * g.codomain.dim):
         raise DimensionMismatch("convolution shapes do not match")
-    dim = space.dim
-    fc, gc = f.columns, g.columns
+    (dc, cm), (df, fc), (dg, gc), (dm, mc) = map(scaled_columns,
+                                                 (comul, f, g, m))
     return LinearOp(space, m.codomain, [
-        accumulate(m.codomain, ((c, apply2(m, fc[p // dim], gc[p % dim]))
-                                for p, c in col.coeffs.items()))
-        for col in comul.columns])
+        scaled_element(m.codomain, _leg_sum(mc, g.codomain.dim, col,
+                                            space.dim, fc, gc).items(),
+                       dc * df * dg * dm) for col in cm])
 
 
 def twisted_product(comul: LinearOp, outer: LinearOp, inner: LinearOp,
@@ -1333,21 +1349,27 @@ def twisted_product(comul: LinearOp, outer: LinearOp, inner: LinearOp,
     """x ⊗ y -> Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)) as a map C ⊗ Y -> D,
     over the coproduct ``comul`` of C, for an action-shaped
     inner: G ⊗ Y -> Y.  An omitted f or g is the identity of C.  The
-    right factors inner(g(x_(2)) ⊗ e_y) are formed once per (x_(2), y)."""
+    right factors inner(g(x_(2)) ⊗ e_y) are formed once per (x_(2), y), and
+    each column is summed in ints by :func:`_leg_sum`."""
     space, target = comul.domain, inner.codomain
     dim, dim_y = space.dim, target.dim
-    if inner.domain.dim != (dim if g is None else g.codomain.dim) * dim_y:
+    dim_f = dim if f is None else f.codomain.dim
+    dim_g = dim if g is None else g.codomain.dim
+    if (f is not None and f.domain != space
+            or g is not None and g.domain != space
+            or inner.domain.dim != dim_g * dim_y
+            or outer.domain.dim != dim_f * dim_y):
         raise DimensionMismatch("twisted product shapes do not match")
-    fc = [space.basis(i) for i in range(dim)] if f is None else f.columns
-    right = inner.columns if g is None else [
-        apply2(inner, col, target.basis(j))
-        for col in g.columns for j in range(dim_y)]
+    (dc, cm), (do, oc), (dr, right) = map(scaled_columns, (comul, outer, inner))
+    df, fc = (1, [((i, 1),) for i in range(dim)]) if f is None else \
+        scaled_columns(f)
+    if g is not None:
+        dg, gc = scaled_columns(g)
+        dr *= dg
+        right = [tuple(int_product(right, dim_y, col, ((j, 1),)).items())
+                 for col in gc for j in range(dim_y)]
+    rights = [right[j::dim_y] for j in range(dim_y)]
     out = outer.codomain
-    cols = []
-    for col in comul.columns:
-        legs = [(c, fc[p // dim], p % dim * dim_y)
-                for p, c in col.coeffs.items()]
-        for j in range(dim_y):
-            cols.append(accumulate(out, ((c, apply2(outer, left, right[r + j]))
-                                         for c, left, r in legs)))
-    return LinearOp(tensor_space(space, target), out, cols)
+    return LinearOp(tensor_space(space, target), out, [
+        scaled_element(out, _leg_sum(oc, dim_y, col, dim, fc, r).items(),
+                       dc * df * dr * do) for col in cm for r in rights])

@@ -474,7 +474,7 @@ def scaled_element(space: BasedSpace, terms, den: int) -> Element:
     integral), over F_p (``den`` 1) each n modulo p; zeros are dropped."""
     p = space.field.p
     if p:
-        coeffs = {i: n % p for i, n in terms if n % p}
+        coeffs = {i: r for i, n in terms if (r := n % p)}
     else:
         coeffs = {i: _rational(n, den) for i, n in terms if n}
     return Element(space, coeffs, _canonical=True)

@@ -21,11 +21,11 @@ from .brace import HopfBrace, verify_brace
 from .errors import (AxiomFails, DimensionMismatch, HypothesisFails,
                      InternalTheoremViolation, BraidFails)
 from .hopf import (HopfAlgebraData, _associativity_witness, _earliest,
-                   _first_failure, _unit_witnesses, _verified,
+                   _first_failure, _leg_sum, _unit_witnesses, _verified,
                    coalgebra_map_failures, convolution, first_witness,
                    int_witness, leg_table, require_cocommutative,
                    tensor_coalgebra, twisted_product)
-from .linalg import (LinearOp, accumulate, int_product, int_sum, invert,
+from .linalg import (LinearOp, accumulate, int_product, invert,
                      scaled_columns, tensor_index, tensor_space, tensor_split)
 from .rb import RotaBaxterOp, descend, rb_action_map
 from .report import Witness
@@ -125,9 +125,6 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
     # middle-flip Δ of K ⊗ H (scale ds) at s, u ⊗ v = (x_(1)⊗a_(1)) ⊗ (x_(2)⊗a_(2)).
     ds, legs = scaled_columns(source[0])
 
-    def twisted(s, m, dim, left, right):
-        return int_sum(m, dim, (([(i, c * w) for i, w in left[q // dim_kh]],
-                                 right[q % dim_kh]) for q, c in legs[s]))
     # (x ↼ a) ⇀ b and x ↼ (y ⇀ a), carrying dr·dl, once per b or x
     @cache
     def rl(b):
@@ -142,7 +139,7 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
     def left_rows(x, a, lasts=range(dim_h)):
         return ([int_product(la, dim_h, ((x, 1),), mul_h[a * dim_h + b])
                  for b in lasts],
-                [twisted(x * dim_h + a, mul_h, dim_h, la, rl(b))
+                [_leg_sum(mul_h, dim_h, legs[x * dim_h + a], dim_kh, la, rl(b))
                  for b in lasts])
     # a recognized group carrier has group-like generators
     sweep("compatibility-left", int_witness(
@@ -153,7 +150,7 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
         lambda x, y: (
             [int_product(ra, dim_h, mul_k[x * dim_k + y], ((a, 1),))
              for a in range(dim_h)],
-            [twisted(y * dim_h + a, mul_k, dim_k, xl(x), ra)
+            [_leg_sum(mul_k, dim_k, legs[y * dim_h + a], dim_kh, xl(x), ra)
              for a in range(dim_h)]),
         closed=None if k._group is None else (0, k)))
     return MatchedPair(h, k, lact, ract)

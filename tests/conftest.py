@@ -279,6 +279,61 @@ def reference_embedding_operator(dot, circle):
             for x in range(dot.dim) for y in range(dot.dim)]
 
 
+# -- element forms of the builders that sum on int columns ------------------------
+
+def reference_convolution(h, f, g, m):
+    """x -> Σ m(f(x_(1)) ⊗ g(x_(2))), summed term by term over the legs."""
+    return LinearOp(h.space, m.codomain, [accumulate(m.codomain, (
+        (c, apply2(m, f.columns[x1], g.columns[x2]))
+        for c, (x1, x2) in sweedler(h, x, 2))) for x in range(h.dim)])
+
+
+def reference_twisted_product(h, outer, inner, f, g):
+    """x ⊗ y -> Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)), term by term."""
+    target = inner.codomain
+    cols = []
+    for x in range(h.dim):
+        for y in range(target.dim):
+            cols.append(accumulate(outer.codomain, (
+                (c, apply2(outer, f.columns[x1],
+                           apply2(inner, g.columns[x2], target.basis(y))))
+                for c, (x1, x2) in sweedler(h, x, 2))))
+    return LinearOp(tensor_space(h.space, target), outer.codomain, cols)
+
+
+def reference_adjoint_map(h):
+    """g ⊳ x = (g_(1) x) S(g_(2)), summed as elements over the legs."""
+    cols = []
+    for col in h.comul.columns:
+        legs = [(c, *divmod(p, h.dim)) for p, c in col.coeffs.items()]
+        for i in range(h.dim):
+            cols.append(accumulate(h.space, (
+                (c, h.product(h.mul_basis(g1, i), h.antipode.columns[g2]))
+                for c, g1, g2 in legs)))
+    return LinearOp(h.hh, h.space, cols)
+
+
+def reference_smash_mul_kh(actor, carrier, act, square):
+    """(k⊗h)(k'⊗h') = k_(1)k' ⊗ h(k_(2)▷h') on K ⊗ H, summed as elements
+    over the legs of k."""
+    space = tensor_space(actor.space, carrier.space)
+    dim_k, dim_h = actor.dim, carrier.dim
+    right = [[carrier.product(e, col) for col in act.columns]
+             for e in carrier._basis]
+    mul_cols = []
+    for col in actor.comul.columns:
+        legs = [(c, *divmod(p, dim_k)) for p, c in col.coeffs.items()]
+        for h in range(dim_h):
+            row = right[h]
+            for k2 in range(dim_k):
+                for h2 in range(dim_h):
+                    mul_cols.append(accumulate(space, (
+                        (c, tensor_elem(space, actor.mul_basis(a, k2),
+                                        row[b * dim_h + h2]))
+                        for c, a, b in legs)))
+    return LinearOp(square, space, mul_cols)
+
+
 # -- element-level oracles of the int sweeps in src ------------------------------
 
 def reference_coalgebra_morphism_witness(f, h, k):

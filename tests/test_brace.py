@@ -154,7 +154,7 @@ def test_derived_action_rb_brace_closed_form(f2, b_inv_f2):
     b = b_inv_f2.map
     for a in range(6):
         for y in range(6):
-            want = hk.hopf.accumulate(f2.space, (
+            want = hk.linalg.accumulate(f2.space, (
                 (c, f2.product_many([b.columns[a1], f2.basis(y),
                                      f2.antipode(b.columns[a2])]))
                 for c, (a1, a2) in sweedler(f2, a, 2)))

@@ -175,8 +175,8 @@ def test_smash_ambient_multiplication_explicit_formula():
     emb = hk.embed_into_rb(sp.brace)
     space = sp.product.space
     g2 = emb.ambient.space
-    from hopfkit.hopf import accumulate, apply2
-    from hopfkit.linalg import tensor_elem, tensor_split
+    from hopfkit.hopf import apply2
+    from hopfkit.linalg import accumulate, tensor_elem, tensor_split
 
     def explicit(p, q):
         hk1, hk2 = tensor_split(p, space.dim)

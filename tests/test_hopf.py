@@ -15,18 +15,20 @@ from hopfkit import rb as rb_mod
 from hopfkit.definitions import parse_file
 from hopfkit.errors import (AxiomFails, DimensionMismatch,
                             NotConvolutionInvertible, UnvalidatedInput)
-from hopfkit.hopf import (ModuleAction, adjoint_action, adjoint_map, apply2,
+from hopfkit.hopf import (ModuleAction, adjoint_action, adjoint_map,
                           check_module_bialgebra, coalgebra_morphism_witness,
                           convolution, leg_table, scalar_space, transport_hopf,
-                          trivial_action, twisted_product, unit_counit_map)
+                          trivial_action, trivial_map, twisted_product,
+                          unit_counit_map)
 from hopfkit.linalg import (BasedSpace, Element, Field, LinearOp, QQ,
                             accumulate, tensor_elem, tensor_index,
                             tensor_space, tensor_split)
 from hopfkit.report import AxiomReport, Witness
 
-from conftest import (KERNEL_OPS, reference_circle_mul,
+from conftest import (KERNEL_OPS, reference_adjoint_map, reference_circle_mul,
                       reference_coalgebra_morphism_witness,
-                      reference_module_bialgebra, sweedler, sweedler_four_dim,
+                      reference_convolution, reference_module_bialgebra,
+                      reference_twisted_product, sweedler, sweedler_four_dim,
                       tensor_square, transported)
 
 ORACLE = settings(max_examples=20, deadline=None, database=None)
@@ -715,26 +717,6 @@ def test_module_bialgebra_sign_action(field):
 
 # -- the Sweedler kernels against explicit loops ------------------------------------
 
-def reference_convolution(h, f, g, m):
-    """x -> Σ m(f(x_(1)) ⊗ g(x_(2))), summed term by term over the legs."""
-    return LinearOp(h.space, m.codomain, [accumulate(m.codomain, (
-        (c, apply2(m, f.columns[x1], g.columns[x2]))
-        for c, (x1, x2) in sweedler(h, x, 2))) for x in range(h.dim)])
-
-
-def reference_twisted_product(h, outer, inner, f, g):
-    """x ⊗ y -> Σ outer(f(x_(1)) ⊗ inner(g(x_(2)) ⊗ y)), term by term."""
-    target = inner.codomain
-    cols = []
-    for x in range(h.dim):
-        for y in range(target.dim):
-            cols.append(accumulate(outer.codomain, (
-                (c, apply2(outer, f.columns[x1],
-                           apply2(inner, g.columns[x2], target.basis(y))))
-                for c, (x1, x2) in sweedler(h, x, 2))))
-    return LinearOp(tensor_space(h.space, target), outer.codomain, cols)
-
-
 # Sweedler's algebra is not cocommutative, so a kernel that swaps the two
 # legs of Δ differs from the reference there.
 KERNEL_CARRIERS = [sweedler_four_dim, dense_z2, dense_z3, fx.f2]
@@ -768,14 +750,6 @@ def test_leg_table_equals_iterated_coproduct(field):
                                           for i in range(h.dim)]
 
 
-def reference_adjoint_map(h):
-    """g ⊳ x = g_(1) x S(g_(2)), term by term over the legs."""
-    return LinearOp(h.hh, h.space, [accumulate(h.space, (
-        (c, h.product_many([h.basis(g1), h.basis(x), h.antipode.columns[g2]]))
-        for c, (g1, g2) in sweedler(h, g, 2)))
-        for g in range(h.dim) for x in range(h.dim)])
-
-
 def test_constructions_read_the_legs_of_their_own_coproduct():
     # A structure copied with another Δ must not see the legs of the
     # original: every construction reads the Δ columns it is given.
@@ -799,6 +773,22 @@ def test_kernels_check_shapes(f1, f2):
         convolution(f2.comul, f1.antipode, f2.antipode, f2.mul)
     with pytest.raises(DimensionMismatch):
         twisted_product(f2.comul, f2.mul, f2.mul, g=f1.antipode)
+
+
+def test_twisted_product_checks_outer_and_leg_domains():
+    # Q[Z3] with Q[Z2]: outer must start at F ⊗ Y, for F the codomain of f
+    # (else C) and Y that of inner, and f and g at the domain of comul
+    h, k = hk.group_algebra(gr.cyclic(3)), hk.group_algebra(gr.cyclic(2))
+    on_k = trivial_map(h, k)                    # H ⊗ K -> K
+    for outer, inner, legs in [
+            (h.mul, on_k, {}),                  # starts at H ⊗ H, not H ⊗ K
+            (trivial_map(k, k), on_k, {}),      # K ⊗ K: too few columns
+            (k.mul, on_k, {"f": k.antipode}),   # f starts at K
+            (on_k, k.mul, {"g": k.antipode})]:  # g starts at K
+        with pytest.raises(DimensionMismatch,
+                           match="twisted product shapes do not match"):
+            twisted_product(h.comul, outer, inner, **legs)
+    assert twisted_product(h.comul, on_k, on_k).domain == on_k.domain
 
 
 def assert_two_sided_inverse(h, f, inv, m, unit):

@@ -94,9 +94,11 @@ def test_fixture_inputs_unchanged_by_every_target(path, field):
 # These run on the other carriers only.  On dense Z3 over Q, 'matched-pair'
 # and 'ybe' take about 2.0 s each, in the five-leg loop of the right action
 # (0.28 s each over F_7; each target timed once, one process, 2 shared
-# cores).  'smash' runs everywhere: with the brace sweep over generators it
-# takes 0.45 s on dense Z3 and on mixed S3 over Q, most of it the
-# associativity sweeps of the two 36-dimensional ambients on mixed S3.
+# cores, re-timed with convolutions, twisted products, the smash product
+# and the adjoint map summed on int columns: 1.99 s and 0.28 s).  'smash'
+# runs everywhere: with the brace sweep over generators it takes 0.43-0.44 s
+# on dense Z3 and on mixed S3 over Q, most of it the associativity sweeps of
+# the two 36-dimensional ambients on mixed S3.
 SKIPPED = {"dense-Z3-inv": {"matched-pair", "ybe"}}
 
 
