@@ -4,7 +4,8 @@ G ⊗ G, and the symmetry condition suite.
 
 A Hopf brace is two Hopf structures (dot and circle) on one shared
 coalgebra satisfying a ∘ (bc) = (a_(1) ∘ b) S(a_(2)) (a_(3) ∘ c);
-verify_brace sweeps it in ints on scaled columns.
+verify_brace accepts it on two group tables, as the skew-brace identity,
+or sweeps it in ints on scaled columns.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from .errors import (CompatibilityFails, ConstructionInvalid,
                      HypothesisFails, InternalTheoremViolation,
                      NotExactFactorization, SingularMap)
 from .hopf import (HopfAlgebraData, ModuleAction, _associativity_witness,
-                   _multiplicative_witness, _require, _verified, adjoint_map,
-                   apply2, check_cocommutative, check_module_bialgebra,
-                   convolution, convolution_inverse, first_witness,
-                   int_witness, opposite_hopf,
+                   _generators, _multiplicative_witness, _require, _verified,
+                   adjoint_map, apply2, basis_group, check_cocommutative,
+                   check_module_bialgebra, convolution, convolution_inverse,
+                   first_witness, int_witness, opposite_hopf,
                    require_cocommutative, smash_hopf, sub_hopf_indices,
                    twisted_product, verify_hopf)
 from .linalg import (BasedSpace, Element, LinearOp, int_product, int_sum,
@@ -61,7 +62,13 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
     a∘(bb'c) = (a_(1)∘b)S(a_(2))(a_(3)∘(b'c))
     = (a_(1)∘b)S(a_(2))(a_(3)∘b')S(a_(4))(a_(5)∘c)
     = (a_(1)∘(bb'))S(a_(2))(a_(3)∘c).  The tables of (x_(1)∘b)S(x_(2)) are
-    built for each b when its first row is swept."""
+    built for each b when its first row is swept.
+
+    When :func:`~hopfkit.hopf.basis_group` recognizes both structures, on
+    basis triples this is the skew-brace identity a∘(bc) = ((a∘b)a⁻¹)(a∘c)
+    (Δ²(a) = a⊗a⊗a, S(a) = a⁻¹), checked first on the Cayley tables with b
+    over the dot group's generators, by the closure above.  It only
+    accepts: the int sweep decides every failure, witness and exception."""
     if dot.space != circle.space:
         raise DimensionMismatch("brace structures must share one space")
     if dot.comul != circle.comul or dot.counit != circle.counit:
@@ -75,6 +82,13 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
         if not report.passed:
             fail = report.first_failure()
             raise HopfAxiomFails(fail.name, fail.witness, structure=name)
+    group, circ_group = basis_group(dot), basis_group(circle)
+    if group is not None and circ_group is not None:
+        tab, inv, circ = group.table, group.inverse, circ_group.table
+        if all(circ[a][tab[b][c]] == tab[tab[circ[a][b]][inv[a]]][circ[a][c]]
+               for b in _generators(dot) for a in range(dot.dim)
+               for c in range(dot.dim)):
+            return HopfBrace(dot, circle, True)
 
     # rhs = Σ (a_(1) ∘ b) S(a_(2)) (a_(3) ∘ c).  Coassociativity of the
     # verified coproduct splits the legs as Δ(x) ⊗ y over (x, y) in Δ(a),

@@ -47,8 +47,9 @@ compatibilities and twisted associativity do so; each says which verified
 axioms its closure step uses.
 
 A carrier that :func:`basis_group` recognizes as k[G] in its group-like
-basis passes :func:`verify_hopf` through the group layer, with no sweep;
-the sweeps decide every other carrier and every failure.  An accepted
+basis passes :func:`verify_hopf` through the group layer, with no sweep,
+and :func:`group_algebra` accepts k[G] on the group it is given; the
+sweeps decide every other carrier and every failure.  An accepted
 carrier is frozen and keeps its verdict, so it is verified once per object.
 
 Constructions raise ``ConstructionInvalid`` through two helpers only:
@@ -122,14 +123,14 @@ class HopfAlgebraData:
 
     The six structure fields, and ``hh``, ``_basis`` and ``_eps`` derived
     from them, cannot be reassigned once set.  When :func:`verify_hopf`
-    accepts the value, it freezes its maps, unit and basis elements
-    (:func:`~hopfkit.linalg.freeze`) and keeps the passing report in
-    ``_report`` and the group of :func:`basis_group` in ``_group``, so the
-    value cannot change under its verdict.
+    or :func:`group_algebra` accepts the value, :func:`_accept` freezes its
+    maps, unit and basis elements (:func:`~hopfkit.linalg.freeze`) and
+    keeps the passing report in ``_report`` and the group of
+    :func:`basis_group` in ``_group``, so it cannot change under its verdict.
 
     ``_gens`` keeps the indices of :func:`_generators` once they are read.
 
-    ``validated`` is stamped by :func:`verify_hopf`; consumers that state
+    ``validated`` is stamped on acceptance; consumers that state
     a validated precondition refuse unvalidated data.  It is a plain flag
     that anyone may set, so no verdict is ever reused on it.
     """
@@ -499,13 +500,21 @@ def verify_hopf(h: HopfAlgebraData) -> AxiomReport:
         report = _passing_report() if group is not None else _sweep_hopf(h)
         if not report.passed:
             return report
-        for op in (h.mul, h.comul, h.counit, h.antipode):
-            freeze(op)
-        freeze_elements((h.unit, *h._basis))
-        h._report, h._group = report, group
+        _accept(h, report, group)
     h.validated = True
     return AxiomReport([CheckResult(c.name, c.passed, c.witness)
                         for c in h._report.checks])
+
+
+def _accept(h: HopfAlgebraData, report: AxiomReport,
+            group: FiniteGroup | None) -> None:
+    """Freeze the maps, unit and basis elements of h and store its passing
+    ``report`` with ``group``, the group :func:`basis_group` finds on h or
+    None: the acceptance of :func:`verify_hopf` and :func:`group_algebra`."""
+    for op in (h.mul, h.comul, h.counit, h.antipode):
+        freeze(op)
+    freeze_elements((h.unit, *h._basis))
+    h._report, h._group = report, group
 
 
 def _passing_report() -> AxiomReport:
@@ -692,8 +701,11 @@ def _require(report: AxiomReport, stage: str) -> None:
 
 
 def check_cocommutative(h: HopfAlgebraData) -> bool:
-    """True iff flip ∘ Δ = Δ on every basis element."""
+    """True iff flip ∘ Δ = Δ on every basis element.  A carrier with a
+    stored group is k[G] with Δe_i = e_i⊗e_i, so it is cocommutative."""
     h.require_validated()
+    if h._group is not None:
+        return True
     cols = h.comul.columns
     return _first_failure((h.dim,), 0, (1, 1), lambda: (
         [flip_tensor(h.hh, h.hh, col, h.dim).coeffs for col in cols],
@@ -711,9 +723,12 @@ def require_cocommutative(h: HopfAlgebraData):
 def group_algebra(group: FiniteGroup, field: Field | None = None) -> HopfAlgebraData:
     """Group algebra k[G]: Δ(g) = g⊗g, ε(g) = 1, S(g) = g^{-1}; validated.
 
-    The product, unit and antipode share one element per basis vector and
-    the counit one scalar, so accepting h freezes 3n + 1 elements, not
-    n² + 4n + 1."""
+    h is accepted (:func:`_accept`) on ``group`` with no sweep: its table
+    was checked by :class:`~hopfkit.groups.FiniteGroup` and the product,
+    unit and antipode are copied from it, so it is the group that
+    :func:`basis_group` would find.  The product, unit and antipode share
+    one element per basis vector and the counit one scalar, so accepting h
+    freezes 3n + 1 elements, not n² + 4n + 1."""
     field = field or QQ
     space = BasedSpace(tuple(group.labels), field)
     hh = tensor_space(space, space)
@@ -730,10 +745,8 @@ def group_algebra(group: FiniteGroup, field: Field | None = None) -> HopfAlgebra
                         LinearOp(space, hh, comul_cols),
                         LinearOp(space, one.space, [one] * n),
                         LinearOp(space, space, anti_cols))
-    report = verify_hopf(h)
-    if not report.passed:
-        raise InternalTheoremViolation(
-            f"group algebra of a valid group failed: {report.first_failure()}")
+    _accept(h, _passing_report(), group)
+    h.validated = True
     return h
 
 

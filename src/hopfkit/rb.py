@@ -7,8 +7,9 @@ A Rota-Baxter operator is a coalgebra map B with
 verify_rb sweeps both sides in ints on the scaled columns of m, B and
 ∘_B.  On a group algebra in its group-like basis it accepts a
 basis-to-basis map through :func:`~hopfkit.groups.verify_rb_group` and
-builds no table; the sweep decides every failure.  The one builder of
-∘_B, :func:`_circle_mul`, runs on the first read of ``circle``.
+builds no table; the sweep decides every failure.  ∘_B and T of such a
+map are read off the group.  The one builder of ∘_B,
+:func:`_circle_mul`, runs on the first read of ``circle``.
 Every transform here (the reflection B~, conjugation by an automorphism,
 the descendent Hopf algebra H(B)) re-verifies its advertised properties
 instead of trusting the underlying theorems; a failure on validated
@@ -202,7 +203,19 @@ def rb_action_map(b: RotaBaxterOp) -> LinearOp:
 
 def descendent_antipode(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
     """T = ((S∘B) ⋆ S) ⋆ B, i.e. T(g) = S(B(g_(1))) S(g_(2)) B(g_(3)) with
-    the legs of (Δ⊗id)Δ, for any linear map B."""
+    the legs of (Δ⊗id)Δ, for any linear map B.
+
+    On k[G] recognized by :func:`~hopfkit.hopf.basis_group`, with B
+    sending basis vectors to basis vectors, Δ²(g) = g⊗g⊗g and S(B(g)) =
+    B(g)⁻¹, so T(g) = (B(g)⁻¹g⁻¹)B(g) is read off the group's table,
+    bracketed as the convolutions: for a Rota-Baxter B the inverse of g in
+    (G, ∘_B), which the descendent's ``verify_hopf`` checks."""
+    group = basis_group(h)
+    table = None if group is None else basis_indices(b.columns)
+    if table is not None:
+        tab, inv = group.table, group.inverse
+        return LinearOp(h.space, h.space, [
+            h.basis(tab[tab[inv[bg]][inv[g]]][bg]) for g, bg in enumerate(table)])
     s = h.antipode
     return convolution(h.comul, convolution(h.comul, s.compose(b), s, h.mul),
                        b, h.mul)

@@ -1,29 +1,39 @@
-"""The group layer as the accept-only path of verify_hopf and verify_rb.
+"""The group layer as the accept-only path of verify_hopf, verify_rb and
+verify_brace, and the group reads of group_algebra and the descendent
+antipode.
 
 On a carrier that ``hopf.basis_group`` recognizes as k[G] in its
-group-like basis, verify_hopf passes every line with no sweep and
-verify_rb decides a basis-to-basis map with ``groups.verify_rb_group``.
-Every test here compares that path with the full sweeps, which stay
-callable as ``hopf._sweep_hopf`` and ``rb._sweep_rb``: the reports,
-exceptions and witnesses must be equal, and the recognizer must decline
-every table that is not a group with the unit as identity and S as
-inverse.
+group-like basis, verify_hopf passes every line with no sweep,
+verify_rb decides a basis-to-basis map with ``groups.verify_rb_group``,
+verify_brace accepts the skew-brace identity on two Cayley tables, and
+T(g) = (B(g)⁻¹g⁻¹)B(g) is read off the table; group_algebra accepts k[G]
+on the group it is given.  Every test here compares that path with the
+full sweeps and sums, which stay callable as ``hopf._sweep_hopf``,
+``rb._sweep_rb``, the int sweep of verify_brace with ``basis_group``
+patched out, and the element-form convolutions of ``tests/conftest.py``:
+the reports, maps, exceptions and witnesses must be equal, and the
+recognizer must decline every table that is not a group with the unit as
+identity and S as inverse.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 import hopfkit as hk
 from hopfkit import groups as gr
+from hopfkit import brace as brace_mod
 from hopfkit import hopf as hopf_mod
 from hopfkit import rb as rb_mod
-from hopfkit.errors import (IdentityFails, NotCoalgebraMap, RBIdentityFails,
+from hopfkit.errors import (CompatibilityFails, IdentityFails,
+                            NotCoalgebraMap, RBIdentityFails,
                             VerificationFailed)
 from hopfkit.hopf import basis_group, basis_indices, scalar_space
 from hopfkit.linalg import QQ, Field, LinearOp, tensor_space
 
-from conftest import reference_circle_mul, reference_rb_witness
+from conftest import (reference_circle_mul, reference_convolution_antipode,
+                      reference_rb_witness)
 from test_acceptance import order_le_8_groups
 from test_groups import LOOP5, first_associativity_failure
 from test_hopf import perturbed
@@ -82,16 +92,41 @@ def test_group_algebras_take_the_group_path(field):
         assert hk.verify_hopf(h).passed
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_group_algebra_stores_the_group_the_sweep_accepts(field):
+    # group_algebra accepts h on the group it was given; a replace copy
+    # has no stored verdict, so the full sweep and the recognizer decide it
+    for g in GROUPS:
+        h = hk.group_algebra(g, field)
+        assert h.validated and h._group is g
+        assert hk.verify_hopf(h).checks == hopf_mod._passing_report().checks
+        copy = dataclasses.replace(h)
+        assert copy._report is None
+        assert hopf_mod._sweep_hopf(copy).passed
+        found = basis_group(copy)
+        # the given group keeps its name; the recognized one is called "G"
+        assert found == dataclasses.replace(g, name=found.name)
+        assert found.generators == g.generators
+
+
 def test_group_path_runs_no_sweep(monkeypatch):
-    def no_sweep(*args):
+    def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran on a group algebra")
     monkeypatch.setattr(hopf_mod, "_sweep_hopf", no_sweep)
+    monkeypatch.setattr(hopf_mod, "flip_tensor", no_sweep)
     monkeypatch.setattr(rb_mod, "_sweep_rb", no_sweep)
+    monkeypatch.setattr(rb_mod, "convolution", no_sweep)
+    monkeypatch.setattr(brace_mod, "int_witness", no_sweep)
     h = hk.group_algebra(gr.dihedral(4))
     assert [c.name for c in hk.verify_hopf(h).checks] == list(
         hopf_mod.HOPF_AXIOMS)
+    assert hk.check_cocommutative(h)
     for op in gr.enumerate_rb_group_ops(gr.dihedral(4)):
-        assert hk.verify_rb(h, gr.lift_map(h, op.table)).validated
+        b = hk.verify_rb(h, gr.lift_map(h, op.table))
+        assert b.validated
+        assert hk.brace_from_rb(b).validated
+    assert hk.flip_brace(h).validated
+    assert hk.trivial_brace(h).validated
 
 
 def one_entry_edit(seed):
@@ -267,3 +302,131 @@ def test_descendent_group_is_the_skew_brace_circle_group(group):
         assert found.identity == group.identity
         assert all(circle[x][found.inverse[x]] == group.identity
                    for x in range(group.order))
+
+
+# -- the descendent antipode ---------------------------------------------------
+
+def drawn_basis_maps(h, g, rng, count):
+    """``count`` basis-to-basis maps of k[G] that fix the identity and are
+    no Rota-Baxter operator of G."""
+    out = []
+    while len(out) < count:
+        table = [rng.randrange(g.order) for _ in range(g.order)]
+        table[g.identity] = g.identity
+        try:
+            gr.verify_rb_group(g, table)
+        except IdentityFails:
+            out.append(gr.lift_map(h, table))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_group_read_of_the_antipode_is_the_convolution_form(field):
+    # every Rota-Baxter operator, and basis maps that are not one: the
+    # witnesses of prop48 and lemma218 take T of unverified maps
+    rng = random.Random(field.p)
+    for g in GROUPS:
+        h = hk.group_algebra(g, field)
+        ops = [gr.lift_map(h, op.table) for op in gr.enumerate_rb_group_ops(g)]
+        maps = ops + (drawn_basis_maps(h, g, rng, 6) if g.order > 2 else [])
+        for b in maps:
+            assert rb_mod.descendent_antipode(h, b) == \
+                reference_convolution_antipode(h, b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("group", [gr.dihedral(3), gr.dihedral(4),
+                                   gr.quaternion_group()], ids=str)
+def test_antipode_witnesses_match_the_convolution_path(group, field,
+                                                       monkeypatch):
+    h = hk.group_algebra(group, field)
+    rng = random.Random(group.order)
+    maps = [gr.lift_map(h, op.table)
+            for op in gr.enumerate_rb_group_ops(group)[:4]]
+    maps += drawn_basis_maps(h, group, rng, 4)
+
+    def witnesses():
+        return [(rb_mod.descendent_antipode_inverse_witness(h, b),
+                 brace_mod.rb_symmetric_sufficient_witness(h, b))
+                for b in maps]
+    expected = witnesses()
+    monkeypatch.setattr(rb_mod, "basis_group", lambda h: None)
+    assert witnesses() == expected
+    assert any(w is not None for pair in expected for w in pair)
+
+
+# -- verify_brace ----------------------------------------------------------------
+
+def brace_outcome(dot, circle):
+    try:
+        return hk.verify_brace(dot, circle).validated
+    except VerificationFailed as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def assert_brace_agrees(dot, circle, monkeypatch):
+    """verify_brace gives the int sweep's verdict, exception and witness;
+    returns it."""
+    got = brace_outcome(dot, circle)
+    with monkeypatch.context() as m:
+        m.setattr(brace_mod, "basis_group", lambda h: None)
+        assert brace_outcome(dot, circle) == got
+    return got
+
+
+def relabelled(table, x, y):
+    """The table moved along the swap of x and y: a group isomorphic to
+    ``table``, with the same identity when neither x nor y is it."""
+    sigma = list(range(len(table)))
+    sigma[x], sigma[y] = y, x
+    return [[sigma[table[sigma[a]][sigma[b]]] for b in range(len(table))]
+            for a in range(len(table))]
+
+
+def circle_carrier(dot, table):
+    """The group-like carrier on the basis of ``dot`` with product table
+    ``table`` and the unit of ``dot``."""
+    k = gr.FiniteGroup(tuple(map(tuple, table)), dot.space.labels)
+    return grouplike_carrier(table, k.identity, k.inverse, dot.field,
+                             dot.space.labels)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_brace_group_path_agrees_on_valid_braces(field, monkeypatch):
+    # the braces of every lifted operator, and the flip brace
+    for g in GROUPS:
+        h = hk.group_algebra(g, field)
+        circles = [hk.descend(gr.lift_to_group_algebra(op, field)).hopf
+                   for op in gr.enumerate_rb_group_ops(g)]
+        circles.append(hk.opposite_hopf(h))
+        for circle in circles:
+            assert basis_group(circle) is not None
+            assert assert_brace_agrees(h, circle, monkeypatch) is True
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_brace_group_path_agrees_on_relabelled_circle_tables(field,
+                                                              monkeypatch):
+    # the ∘ table of a lifted operator moved along a swap of two
+    # non-identity elements stays a group on the same coalgebra, so both
+    # structures are recognized; most such pairs are no brace
+    rng = random.Random(5)
+    failing = 0
+    for g in GROUPS:
+        if g.order < 3:
+            continue
+        h = hk.group_algebra(g, field)
+        ops = gr.enumerate_rb_group_ops(g)
+        others = [x for x in range(g.order) if x != g.identity]
+        pairs = [(x, y) for i, x in enumerate(others) for y in others[i + 1:]]
+        draws = 2 if g.order > 8 else 6
+        for _ in range(draws):
+            circle = gr.skew_brace_from_rb_group(rng.choice(ops)).circle
+            x, y = rng.choice(pairs)
+            k = circle_carrier(h, relabelled(circle, x, y))
+            assert basis_group(k) is not None
+            outcome = assert_brace_agrees(h, k, monkeypatch)
+            if outcome is not True:
+                assert outcome[0] is CompatibilityFails
+                failing += 1
+    assert failing >= 20
