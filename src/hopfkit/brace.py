@@ -18,12 +18,12 @@ from .errors import (CompatibilityFails, ConstructionInvalid,
                      HypothesisFails, InternalTheoremViolation,
                      NotExactFactorization, SingularMap)
 from .hopf import (HopfAlgebraData, ModuleAction, _associativity_witness,
-                   _generators, _multiplicative_witness, _require, _verified,
-                   adjoint_map, apply2, basis_group, check_cocommutative,
-                   check_module_bialgebra, convolution, convolution_inverse,
-                   first_witness, int_witness, opposite_hopf,
-                   require_cocommutative, smash_hopf, sub_hopf_indices,
-                   twisted_product, verify_hopf)
+                   _generators, _leg_sum, _multiplicative_witness, _require,
+                   _verified, adjoint_map, apply2, basis_group,
+                   check_cocommutative, check_module_bialgebra, convolution,
+                   convolution_inverse, first_witness, int_witness,
+                   opposite_hopf, require_cocommutative, smash_hopf,
+                   sub_hopf_indices, twisted_product, verify_hopf)
 from .linalg import (BasedSpace, Element, LinearOp, int_product, int_sum,
                      invert, kron, rank, scaled_columns, tensor_elem,
                      tensor_index, tensor_space)
@@ -62,7 +62,9 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
     a∘(bb'c) = (a_(1)∘b)S(a_(2))(a_(3)∘(b'c))
     = (a_(1)∘b)S(a_(2))(a_(3)∘b')S(a_(4))(a_(5)∘c)
     = (a_(1)∘(bb'))S(a_(2))(a_(3)∘c).  The tables of (x_(1)∘b)S(x_(2)) are
-    built for each b when its first row is swept.
+    built for each b when its first row is swept, one
+    :func:`~hopfkit.hopf._leg_sum` per column of Δ(x), its left legs read
+    from ``circ[b::dim]``, the column of y∘b at index y.
 
     When :func:`~hopfkit.hopf.basis_group` recognizes both structures, on
     basis triples this is the skew-brace identity a∘(bc) = ((a∘b)a⁻¹)(a∘c)
@@ -100,17 +102,16 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
     dk, circ = scaled_columns(circle.mul)
     dc, comul = scaled_columns(dot.comul)
     ds, anti = scaled_columns(dot.antipode)
-    legs2 = [[(w, *divmod(q, dim)) for q, w in col] for col in comul]
 
     @cache
     def left(b):
-        return [tuple(int_sum(mul, dim, (
-            (int_product(circ, dim, ((x1, w),), ((b, 1),)).items(), anti[x2])
-            for w, x1, x2 in legs)).items()) for legs in legs2]
+        return [tuple(_leg_sum(mul, dim, col, dim, circ[b::dim], anti).items())
+                for col in comul]
     rights = []
-    for legs_a in legs2:
+    for col in comul:
         legs: dict = {}
-        for w, x, y in legs_a:
+        for q, w in col:
+            x, y = divmod(q, dim)
             legs.setdefault(x, []).append((y, w))
         rights.append([[(x, tuple(int_product(circ, dim, terms,
                                               ((c, 1),)).items()))

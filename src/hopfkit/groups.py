@@ -414,11 +414,11 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
     A clash among them ends the node before any v is tried.  With B(d)
     fixed, d B(d) x B(d)^{-1} determines d by left cancellation, so two
     d with one d∘x have different B(d), and B(d)v differs between them
-    for every v; d∘x = x with d ≠ e is such a clash with e∘x = x.  A
-    d∘x already assigned would leave one value, B(d)^{-1}B(d∘x), but a
-    closed table never has one: y -> d∘y is injective and maps the
-    assigned elements into themselves, hence onto them, so it sends the
-    unassigned x to an unassigned element.
+    for every v; d∘x = x with d ≠ e is such a clash with e∘x = x.  No
+    d∘x is already assigned, so the step never has to test a v against
+    one, and every v is tried: in a closed table y -> d∘y is injective and
+    maps the assigned elements into themselves, hence onto them, so it
+    sends the unassigned x to an unassigned element.
 
     ``budget`` bounds the number of search nodes; exceeding it raises
     ``BudgetExceeded`` with the partial result list attached, and a
@@ -469,23 +469,15 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
             return
         x = vals.index(None)
         row_x = tab[x]
-        # d∘x -> B(d) for the unassigned d∘x; d = e gives x -> e
+        # d∘x -> B(d), no d∘x assigned yet (docstring); d = e gives x -> e
         targets: dict[int, int] = {}
-        values = range(n)
         for d in dom:
             bd = vals[d]
             inner = tab[tab[d][bd]][row_x[inv[bd]]]
-            cur = vals[inner]
-            if cur is not None:
-                v = tab[inv[bd]][cur]
-                if v not in values:
-                    return
-                values = (v,)
-            elif inner in targets:
+            if inner in targets:
                 return
-            else:
-                targets[inner] = bd
-        for val in values:
+            targets[inner] = bd
+        for val in range(n):
             # B(d∘x) = B(d)B(x) at B(x) = val, then the generator pass
             trial = vals[:]
             for inner, bd in targets.items():

@@ -5,7 +5,9 @@ Every carrier is finite-dimensional with exact scalars.  Identities are
 verified by sweeping all basis tuples, which suffices by multilinearity;
 failed sweeps report the lexicographically first failing tuple together
 with both evaluated sides.  Every check that a map is a coalgebra map goes
-through :func:`coalgebra_map_failures`; the middle-flip coalgebra of
+through :func:`coalgebra_map_failures`, whose failures
+:func:`_named_failures` labels, and every report of module laws is built
+by :func:`_module_report`; the middle-flip coalgebra of
 H ⊗ K is built by :func:`tensor_coalgebra`, every tensor ambient by
 :func:`smash_hopf`, and Sweedler sums of maps by :func:`convolution`,
 x ↦ Σ m(f(x_(1)) ⊗ g(x_(2))), and :func:`twisted_product`,
@@ -21,7 +23,10 @@ q: V -> H: transport of structure, :func:`sub_hopf` and the cocycle
 circle; the smash product and antipode read on H ⊗ K are carried the
 same way, one map at a time.  Both kernels sum on int columns through
 :func:`_leg_sum`, and so do :func:`adjoint_map` and :func:`smash_mul`,
-with one :func:`~hopfkit.linalg.scaled_element` per output column.
+with one :func:`~hopfkit.linalg.scaled_element` per output column.  So do
+three sweeps: the right side of :func:`_measuring_witness`,
+the (x_(1)∘b)S(x_(2)) tables of ``brace.verify_brace`` and the
+compatibilities of ``matched.verify_matched_pair``.
 Builders that still sum by hand: ``rb.rb_action_map``,
 :func:`tensor_coalgebra`, the linear system of :func:`convolution_inverse`
 and ``matched.matched_pair_from_rb``.
@@ -73,7 +78,7 @@ from .errors import (ConstructionInvalid, DimensionMismatch,
 from .groups import FiniteGroup
 from .linalg import (BasedSpace, Element, Field, LinearOp, QQ, _solve_rows,
                      _sum_mod, _sum_ratio, flip_tensor, freeze,
-                     freeze_elements, int_product, int_sum, invert, kron,
+                     freeze_elements, int_product, invert, kron,
                      scaled_columns, scaled_element, tensor_elem, tensor_index,
                      tensor_space, tensor_split, rank)
 from .report import AxiomReport, CheckResult, Witness
@@ -928,12 +933,16 @@ def coalgebra_map_failures(f: LinearOp, source: tuple[LinearOp, LinearOp],
     return comul, counit and (counit[0][0], eps_t[counit[0][0]], eps_s[counit[0][0]])
 
 
-def _earliest(fails):
-    """``(k, fail)`` for the failure of :func:`coalgebra_map_failures` at
-    the lower index, k = 0 for the comultiplication (which wins a tie) and
-    1 for the counit; None when both hold."""
-    found = [(k, fail) for k, fail in enumerate(fails) if fail]
-    return min(found, key=lambda kf: kf[1][0], default=None)
+def _named_failures(fails, spaces) -> list[tuple[int, Witness]]:
+    """The failures of :func:`coalgebra_map_failures` as ``(k, w)``, k = 0
+    for the comultiplication and 1 for the counit, each witness ``w``
+    labelled by :func:`_rendered` with one label per tensor factor of the
+    domain, the based spaces ``spaces`` (one or two, the flat index split
+    row-major).  The lower index comes first, the comultiplication winning
+    a tie, so a caller that reports one failure takes the first."""
+    found = sorted((fail[0], k) for k, fail in enumerate(fails) if fail)
+    return [(k, _rendered(spaces, divmod(p, spaces[1].dim) if len(spaces) == 2
+                          else (p,), *fails[k][1:])) for p, k in found]
 
 
 def coalgebra_morphism_witness(f: LinearOp, h: HopfAlgebraData,
@@ -941,12 +950,9 @@ def coalgebra_morphism_witness(f: LinearOp, h: HopfAlgebraData,
     """The first basis element e_i of H with Δ_K(f(e_i)) != (f⊗f)Δ_H(e_i)
     or ε_K(f(e_i)) != ε_H(e_i), with both sides, or None when f is a
     coalgebra map.  Neither structure needs to be validated."""
-    first = _earliest(coalgebra_map_failures(f, (h.comul, h.counit),
-                                             (k.comul, k.counit)))
-    if first is None:
-        return None
-    i, lhs, rhs = first[1]
-    return Witness((h.label(i),), str(lhs), str(rhs))
+    named = _named_failures(coalgebra_map_failures(
+        f, (h.comul, h.counit), (k.comul, k.counit)), (h.space,))
+    return named[0][1] if named else None
 
 
 def check_coalgebra_morphism(f: LinearOp, h: HopfAlgebraData,
@@ -1009,7 +1015,9 @@ def _measuring_witness(k: HopfAlgebraData, h: HopfAlgebraData,
                        act: LinearOp) -> Witness | None:
     """First basis triple (a, i, j) with a ⇀ (e_i e_j) differing from
     (a_(1) ⇀ e_i)(a_(2) ⇀ e_j), for act: K ⊗ H -> H; the sides carry
-    da·dm and dc·da²·dm for the scales of act, m_H and Δ_K.
+    da·dm and dc·da²·dm for the scales of act, m_H and Δ_K.  The right
+    side is one :func:`_leg_sum` over the column of Δ_K(a), its legs read
+    from ``on[i]``, the column of a' ⇀ e_i at index a', and ``on[j]``.
 
     When both k and h passed :func:`verify_hopf`, the slot y of a ⇀ (yz)
     runs over :func:`_generators` of h first: by the associativity of H
@@ -1020,15 +1028,12 @@ def _measuring_witness(k: HopfAlgebraData, h: HopfAlgebraData,
     da, acts = scaled_columns(act)
     dm, mul = scaled_columns(h.mul)
     dc, comul = scaled_columns(k.comul)
-    legs = [[(c, *divmod(q, dim_k)) for q, c in col] for col in comul]
+    on = [acts[i::dim] for i in range(dim)]
 
     def rows(a, i):
-        # the left factors c·(a_(1) ⇀ e_i), once per row
-        lefts = [([(x, c * v) for x, v in acts[a1 * dim + i]], a2 * dim)
-                 for c, a1, a2 in legs[a]]
         return ([int_product(acts, dim, ((a, 1),), col)
                  for col in mul[i * dim:(i + 1) * dim]],
-                [int_sum(mul, dim, ((left, acts[base + j]) for left, base in lefts))
+                [_leg_sum(mul, dim, comul[a], dim_k, on[i], on[j])
                  for j in range(dim)])
     scales = (da * dm, dc * da * da * dm)
     return int_witness((k.space, h.space, h.space), h.space, scales, rows,
@@ -1109,71 +1114,54 @@ def module_action(actor: HopfAlgebraData, carrier: HopfAlgebraData,
     """Build a ModuleAction, checking that the unit acts as the identity
     and the action is associative over the actor multiplication."""
     action = ModuleAction(actor, carrier, act)
-    report = AxiomReport()
-    _module_axioms(action, report)
-    fail = report.first_failure()
+    fail = _module_report(action).first_failure()
     if fail is not None:
         from .errors import AxiomFails
         raise AxiomFails(fail.name, fail.witness)
     return action
 
 
-def _module_axioms(action: ModuleAction, report: AxiomReport):
-    """Add the module-unit and -associativity lines; return the witness of
-    e_a ⇀ 1 = ε(e_a) 1, swept with the first unit law."""
-    unit, on_unit = _unit_witnesses(action.actor, action.carrier, action.act)
+def _module_report(action: ModuleAction, algebra: bool = False,
+                   coalgebra: bool = False) -> AxiomReport:
+    """The module laws of act: K ⊗ H -> H as report lines: module-unit
+    (1 ⇀ x = x) and module-associativity; with ``algebra`` the
+    module-algebra lines, a ⇀ (xy) = (a_(1) ⇀ x)(a_(2) ⇀ y) and
+    a ⇀ 1 = ε(a) 1; with ``coalgebra`` the module-coalgebra lines, act a
+    coalgebra map from the middle-flip coalgebra of K ⊗ H, each failure
+    named by :func:`_named_failures`.  Both unit laws are swept once,
+    together, by :func:`_unit_witnesses`."""
+    k, h, act = action.actor, action.carrier, action.act
+    report = AxiomReport()
+    unit, on_unit = _unit_witnesses(k, h, act)
     report.add("module-unit", unit)
     report.add("module-associativity", _associativity_witness(
-        action.actor.space, action.carrier.space,
-        scaled_columns(action.actor.mul), scaled_columns(action.act),
-        (1, action.actor)))
-    return on_unit
-
-
-def _module_algebra_axioms(action: ModuleAction, report: AxiomReport,
-                           on_unit: Witness | None):
-    k, h = action.actor, action.carrier
-    report.add("module-algebra-product", _measuring_witness(k, h, action.act))
-    report.add("module-algebra-unit", on_unit)
-
-
-def _module_coalgebra_axioms(action: ModuleAction, report: AxiomReport):
-    k, h = action.actor, action.carrier
-    fails = coalgebra_map_failures(action.act, tensor_coalgebra(k, h),
-                                   (h.comul, h.counit))
-    for name, fail in zip(("module-coalgebra-comul", "module-coalgebra-counit"),
-                          fails):
-        if fail:
-            a, i = tensor_split(fail[0], h.dim)
-            fail = Witness((k.label(a), h.label(i)), str(fail[1]), str(fail[2]))
-        report.add(name, fail)
+        k.space, h.space, scaled_columns(k.mul), scaled_columns(act), (1, k)))
+    if algebra:
+        report.add("module-algebra-product", _measuring_witness(k, h, act))
+        report.add("module-algebra-unit", on_unit)
+    if coalgebra:
+        named = dict(_named_failures(coalgebra_map_failures(
+            act, tensor_coalgebra(k, h), (h.comul, h.counit)), (k.space, h.space)))
+        report.add("module-coalgebra-comul", named.get(0))
+        report.add("module-coalgebra-counit", named.get(1))
+    return report
 
 
 def check_module_bialgebra(action: ModuleAction) -> AxiomReport:
     """Full left module-bialgebra axiom sweep for an action K ⊗ H -> H."""
     action.actor.require_validated()
     action.carrier.require_validated()
-    report = AxiomReport()
-    on_unit = _module_axioms(action, report)
-    _module_algebra_axioms(action, report, on_unit)
-    _module_coalgebra_axioms(action, report)
-    return report
+    return _module_report(action, algebra=True, coalgebra=True)
 
 
 def module_algebra_report(action: ModuleAction) -> AxiomReport:
     """Module axioms plus the module-algebra compatibilities only."""
-    report = AxiomReport()
-    on_unit = _module_axioms(action, report)
-    _module_algebra_axioms(action, report, on_unit)
-    return report
+    return _module_report(action, algebra=True)
 
 
 def module_coalgebra_report(action: ModuleAction) -> AxiomReport:
     """Module axioms plus the module-coalgebra compatibilities only."""
-    report = AxiomReport()
-    _module_axioms(action, report)
-    _module_coalgebra_axioms(action, report)
-    return report
+    return _module_report(action, coalgebra=True)
 
 
 def trivial_map(actor: HopfAlgebraData, carrier: HopfAlgebraData) -> LinearOp:

@@ -20,8 +20,8 @@ from functools import cache
 from .brace import HopfBrace, verify_brace
 from .errors import (AxiomFails, DimensionMismatch, HypothesisFails,
                      InternalTheoremViolation, BraidFails)
-from .hopf import (HopfAlgebraData, _associativity_witness, _earliest,
-                   _first_failure, _leg_sum, _unit_witnesses, _verified,
+from .hopf import (HopfAlgebraData, _associativity_witness, _first_failure,
+                   _leg_sum, _named_failures, _unit_witnesses, _verified,
                    coalgebra_map_failures, convolution, first_witness,
                    int_witness, leg_table, require_cocommutative,
                    tensor_coalgebra, twisted_product)
@@ -84,12 +84,11 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
             raise AxiomFails(tag, w)
 
     def module_coalgebra(tags, act, target):
-        first = _earliest(coalgebra_map_failures(act, source, target))
-        if first is not None:
-            which, (p, lhs, rhs) = first
-            x, a = tensor_split(p, dim_h)
-            raise AxiomFails(tags[which], Witness((k.label(x), h.label(a)),
-                                                  str(lhs), str(rhs)))
+        named = _named_failures(coalgebra_map_failures(act, source, target),
+                                (k.space, h.space))
+        if named:
+            which, w = named[0]
+            raise AxiomFails(tags[which], w)
 
     dl, la = scaled_columns(lact)
     dn, mul_k = scaled_columns(k.mul)
@@ -248,12 +247,12 @@ def ybe_from_rb(b: RotaBaxterOp) -> YbeMap:
     c = convolution(coalgebra[0], m.lact, m.ract,
                     LinearOp.identity(coalgebra[0].domain))
 
-    first = _earliest(coalgebra_map_failures(c, coalgebra, coalgebra))
-    if first is not None:
-        x, y = tensor_split(first[1][0], dim)
+    named = _named_failures(coalgebra_map_failures(c, coalgebra, coalgebra),
+                            (h.space, h.space))
+    if named:
         raise InternalTheoremViolation(
-            f"c is not a coalgebra morphism at basis pair "
-            f"({h.label(x)},{h.label(y)})")
+            "c is not a coalgebra morphism at basis pair ({},{})".format(
+                *named[0][1].at))
 
     c_inv = invert(c)
 

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 from .brace import HopfBrace, derived_action_map, verify_brace
 from .errors import IdentityFails, NotConvolutionInvertible
-from .hopf import (HopfAlgebraData, _associativity_witness, _earliest,
-                   _measuring_witness, _verified, apply2,
+from .hopf import (HopfAlgebraData, _associativity_witness,
+                   _measuring_witness, _named_failures, _verified, apply2,
                    coalgebra_map_failures, convolution, convolution_inverse,
                    require_cocommutative, tensor_coalgebra, twisted_product)
-from .linalg import LinearOp, kron, scaled_columns, tensor_split
+from .linalg import LinearOp, kron, scaled_columns
 from .rb import RotaBaxterOp, rb_action_map
 from .report import Witness
 
@@ -58,15 +58,13 @@ def verify_posthopf(h: HopfAlgebraData, tri: LinearOp) -> PostHopf:
     never verified associative, so its first two slots stay full."""
     require_cocommutative(h)
     dim = h.dim
-    first = _earliest(coalgebra_map_failures(tri, tensor_coalgebra(h, h),
-                                             (h.comul, h.counit)))
-    if first is not None:
-        which, (p, lhs, rhs) = first
-        x, y = tensor_split(p, dim)
+    named = _named_failures(coalgebra_map_failures(
+        tri, tensor_coalgebra(h, h), (h.comul, h.counit)), (h.space, h.space))
+    if named:
+        which, w = named[0]
         raise IdentityFails(
             ("coalgebra-morphism", "coalgebra-morphism-counit")[which],
-            Witness((h.label(x), h.label(y)), str(lhs),
-                    str(rhs) if which else "(x1▶y1)⊗(x2▶y2)"))
+            Witness(w.at, w.lhs, w.rhs if which else "(x1▶y1)⊗(x2▶y2)"))
 
     w = _measuring_witness(h, h, tri)
     if w is not None:

@@ -942,3 +942,107 @@ def test_bad_factorization_exits_two(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# -- definition paths through the entry point, over Q and F_7 ------------------
+
+FIELD_FLAGS = {"rational": [], "7": ["--field", "7"]}
+
+# A group declared alone and named by a group algebra, the symmetric and
+# quaternion specs, a map declared by the images of its basis (i -> j -> k
+# -> i, an automorphism of Q8) and the trivial group map.
+GROUP_DOC = {"version": 1, "declarations": [
+    {"kind": "group", "name": "S3", "group": {"symmetric": 3}},
+    {"kind": "hopf", "name": "kS3", "group_algebra": "S3"},
+    {"kind": "hopf", "name": "kQ8", "group_algebra": {"quaternion": True}},
+    {"kind": "map", "name": "T", "on": "kS3", "group_map": "trivial",
+     "rota_baxter": True},
+    {"kind": "map", "name": "R", "on": "kQ8",
+     "images": {"1": "1", "-1": "-1", "i": "j", "-i": "-j", "j": "k",
+                "-j": "-k", "k": "i", "-k": "-i"}}]}
+
+# the digest of the group S3, the same over every field, and of the map R
+S3_DIGEST = "297f5258b6dc5e2bbc0958a2e0d5ef919efb79c7b11b45ff9e34cbc3b39f3b2c"
+R_DIGESTS = {
+    "rational": "23a8b95e5b248e770e0685cbaf82d3594ee82fbe01382d6c00e3af3d59acc67f",
+    "7": "3ad7ac3a75056b82cbc9838d6b23e0be287058febf98605f24711fe97f27b646"}
+
+
+def write_doc(tmp_path, doc) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_FLAGS))
+def test_group_declarations_verify_and_search(tmp_path, capsys, field):
+    path = write_doc(tmp_path, GROUP_DOC)
+    code, out, err = run_main(["verify", path, *FIELD_FLAGS[field]], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == [f"field: {field}", "PASS  S3.group-axioms"]
+    for line in ("PASS  T.coalgebra-morphism", "PASS  T.rota-baxter",
+                 "PASS  R.coalgebra-morphism", f"digest  S3  {S3_DIGEST}",
+                 f"digest  R  {R_DIGESTS[field]}", "result: PASS (18 checks)"):
+        assert line in lines
+    # ROADMAP item 2 counts 8 operators on each of S3 and Q8
+    code, out, err = run_main(["search", "rb-group", path,
+                               *FIELD_FLAGS[field]], capsys)
+    assert (code, err) == (0, "")
+    assert [line for line in out.splitlines() if line.startswith("group")] == [
+        "group S3: 8 operators", "group kQ8: 8 operators",
+        "group kS3: 8 operators"]
+
+
+BRACE_DOC = {"version": 1, "declarations": [
+    {"kind": "hopf", "name": "H", "group_algebra": {"symmetric": 3}},
+    {"kind": "brace", "name": "Flip", "flip": "H"},
+    {"kind": "brace", "name": "Same", "dot": "H", "circle": "H"}]}
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_FLAGS))
+def test_flip_and_dot_circle_brace_declarations(tmp_path, capsys, field):
+    path = write_doc(tmp_path, BRACE_DOC)
+    flags = FIELD_FLAGS[field]
+    code, out, _ = run_main(["verify", path, *flags], capsys)
+    assert code == 0
+    assert "PASS  Flip.brace\nPASS  Same.brace\n" in out
+    assert run_main(["check", "symmetric", path, "--name", "Flip", *flags],
+                    capsys) == (0, "PASS  symmetric\n", "")
+    assert run_main(["check", "op-module", path, "--name", "Same", *flags],
+                    capsys) == (0, "PASS  op-module\n", "")
+
+
+# middle_rb given by name and by the images of L.  On D3 = ⟨r⟩⟨s⟩ the
+# inversion of L fails the hypothesis mC(l) = C(l)m at (m, l) = (s, r):
+# s r2 = rs but r2 s.  On the abelian Z6 = ⟨g2⟩⟨g3⟩ it holds.
+MIDDLE_RB = {
+    "D3-inversion": ({"dihedral": 3}, ["e", "r", "r2"], ["e", "s"],
+                     "inversion"),
+    "D3-images": ({"dihedral": 3}, ["e", "r", "r2"], ["e", "s"],
+                  {"images": {"e": "e", "r": "r2", "r2": "r"}}),
+    "Z6-inversion": ({"cyclic": 6}, ["e", "g2", "g4"], ["e", "g3"],
+                     "inversion"),
+    "Z6-images": ({"cyclic": 6}, ["e", "g2", "g4"], ["e", "g3"],
+                  {"images": {"e": "e", "g2": "g4", "g4": "g2"}}),
+}
+MIDDLE_RB_LINES = {
+    "rational": "FAIL  F.factorization  [at (s, r): lhs = 1/1*rs, rhs = 1/1*r2s]",
+    "7": "FAIL  F.factorization  [at (s, r): lhs = 1*rs, rhs = 1*r2s]"}
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_FLAGS))
+@pytest.mark.parametrize("case", sorted(MIDDLE_RB))
+def test_middle_rb_by_name_and_by_images(tmp_path, capsys, case, field):
+    group, l, m, spec = MIDDLE_RB[case]
+    path = write_doc(tmp_path, {"version": 1, "declarations": [
+        {"kind": "hopf", "name": "H", "group_algebra": group},
+        {"kind": "factorization", "name": "F", "ambient": "H",
+         "h": ["e"], "l": l, "m": m, "middle_rb": spec}]})
+    code, out, _ = run_main(["verify", path, *FIELD_FLAGS[field]], capsys)
+    if case.startswith("D3"):
+        assert code == 1
+        assert MIDDLE_RB_LINES[field] in out.splitlines()
+    else:
+        assert code == 0
+        assert "PASS  F.factorization" in out.splitlines()

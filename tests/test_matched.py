@@ -10,7 +10,8 @@ import hopfkit as hk
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit import matched as matched_mod
-from hopfkit.errors import AxiomFails, HypothesisFails
+from hopfkit.errors import (AxiomFails, HypothesisFails,
+                            InternalTheoremViolation)
 from hopfkit.hopf import (apply2, coalgebra_map_failures, convolution,
                           first_witness, tensor_coalgebra, transport_hopf,
                           twisted_product)
@@ -415,6 +416,25 @@ def test_ybe_coalgebra_check_matches_reference(field, name, col, row, offset):
     comul, _ = coalgebra_map_failures(c, coalgebra, coalgebra)
     assert (None if comul is None else tensor_split(comul[0], h.dim)) == \
         reference_ybe_coalgebra_failure(c, h)
+
+
+# Failures of coalgebra_map_failures as (index, lhs, rhs), per identity, on
+# H ⊗ H for H = Q[D3], labels e, r, r2, s, rs, r2s: index 9 is (r, s) and 20
+# is (s, r2).  The lower index is named, whichever identity fails there.
+@pytest.mark.parametrize("fails, pair", [
+    (((9, "lhs", "rhs"), None), "(r,s)"),
+    ((None, (20, 1, 0)), "(s,r2)"),
+    (((20, "lhs", "rhs"), (9, 1, 0)), "(r,s)"),
+])
+def test_ybe_coalgebra_failure_names_its_basis_pair(b_inv_f2, fails, pair):
+    # the matched pair is built first, so only the check of c sees the patch
+    m = hk.matched_pair_from_rb(b_inv_f2)
+    with mock.patch.object(matched_mod, "matched_pair_from_rb", lambda b: m), \
+            mock.patch.object(matched_mod, "coalgebra_map_failures",
+                              lambda *args: fails):
+        with pytest.raises(InternalTheoremViolation) as exc:
+            hk.ybe_from_rb(b_inv_f2)
+    assert str(exc.value) == f"c is not a coalgebra morphism at basis pair {pair}"
 
 
 # -- oracles: the Sweedler sums of matched as explicit loops -----------------------------
