@@ -6,6 +6,13 @@ A Hopf brace is two Hopf structures (dot and circle) on one shared
 coalgebra satisfying a ∘ (bc) = (a_(1) ∘ b) S(a_(2)) (a_(3) ∘ c);
 verify_brace accepts it on two group tables, as the skew-brace identity,
 or sweeps it in ints on scaled columns.
+
+The symmetry suite reads group carriers off their Cayley tables as well:
+op-module and prop44 compare rows of a ⇀ c = a⁻¹(a∘c) when both structures
+of the brace are recognized group algebras, and prop48 and prop49 rows of
+u ▷ c = u c u⁻¹ when the map sends basis vectors to basis vectors.  Each
+read is exact on group-likes but only accepts; on a failure the int sweep
+runs, so every witness is the sweep's.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from .hopf import (HopfAlgebraData, ModuleAction, _associativity_witness,
 from .linalg import (BasedSpace, Element, LinearOp, int_product, int_sum,
                      invert, kron, rank, scaled_columns, tensor_elem,
                      tensor_index, tensor_space)
-from .rb import (RotaBaxterOp, _descendent_isos, descend,
-                 descendent_antipode, verify_rb)
+from .rb import (RotaBaxterOp, _antipode_indices, _descendent_isos,
+                 _group_map, descend, descendent_antipode, verify_rb)
 from .report import Witness
 
 
@@ -280,11 +287,43 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
 
 # -- symmetry suite ----------------------------------------------------------------
 
+def _action_rows(br: HopfBrace):
+    """``(G, K, act)`` when :func:`~hopfkit.hopf.basis_group` recognizes
+    the dot structure of br as k[G] and the circle as k[K], else None;
+    ``act[a][c]`` is the index of a ⇀ c = S(a)(a∘c) = a⁻¹(a∘c), the
+    column of :func:`derived_action_map` at (a, c), since Δ(a) = a⊗a."""
+    group, circ_group = basis_group(br.dot), basis_group(br.circle)
+    if group is None or circ_group is None:
+        return None
+    tab, inv = group.table, group.inverse
+    return group, circ_group, [[tab[inv[a]][x] for x in row]
+                               for a, row in enumerate(circ_group.table)]
+
+
+def _conjugation_rows(group) -> list[list[int]]:
+    """``rows[u][c]``, the index of u ▷ c = u_(1) c S(u_(2)) = u c u⁻¹ on
+    the Cayley table of ``group``: the adjoint action on group-likes."""
+    tab, inv = group.table, group.inverse
+    return [[tab[x][inv[u]] for x in row] for u, row in enumerate(tab)]
+
+
 def op_module_witness(br: HopfBrace) -> Witness | None:
     """First failing triple of (b a) ⇀ c = a ⇀ (b ⇀ c), if any: module
-    associativity for the opposite dot product."""
+    associativity for the opposite dot product.
+
+    When :func:`_action_rows` reads ⇀ off two Cayley tables, every side is
+    a basis vector, so the identity holds exactly when the index rows of
+    (ba) ⇀ c and a ⇀ (b ⇀ c) over c agree for every (a, b).  That read
+    only accepts; the int sweep decides every failure and its witness."""
     br.require_validated()
     dot, dim = br.dot, br.dot.dim
+    read = _action_rows(br)
+    if read is not None:
+        group, _, act = read
+        tab = group.table
+        if all(act[tab[b][a]] == [row[x] for x in act[b]]
+               for a, row in enumerate(act) for b in range(dim)):
+            return None
     dm, mul = scaled_columns(dot.mul)
     op_mul = [mul[b * dim + a] for a in range(dim) for b in range(dim)]
     return _associativity_witness(dot.space, dot.space, (dm, op_mul),
@@ -313,16 +352,42 @@ def check_symmetric(br: HopfBrace) -> bool:
     return symmetric_witness(br) is None
 
 
+def _sweedler_legs(comul: list, dim: int):
+    """The legs of Δ and of Δ² = (Δ⊗id)Δ, read from the
+    :func:`scaled_columns` of a coproduct: ``legs2[a]`` holds ``(w, a1,
+    a2)`` and ``legs3[a]`` holds ``(w, a1, a2, a3)``, one per term, with
+    the weight w of the term in ints."""
+    legs2 = [[(w, *divmod(q, dim)) for q, w in col] for col in comul]
+    legs3 = [[(w * w2, a1, a2, z) for w, y, z in legs for w2, a1, a2 in legs2[y]]
+             for legs in legs2]
+    return legs2, legs3
+
+
 def symmetric_sufficient_witness(br: HopfBrace) -> Witness | None:
+    """First basis triple (a, b, c) failing Proposition 4.4's sufficient
+    condition for symmetry, a b_(1) (b_(2) ⇀ c) = a_(1) b_(1)
+    ((a_(2) b_(2)) ⇀ (T(a_(3)) ⇀ c)), with T the circle antipode.
+
+    On group-likes it reads a b (b ⇀ c) = a b ((ab) ⇀ (T(a) ⇀ c)), T(a)
+    the inverse of a in (G, ∘).  Left multiplication by ab is a bijection
+    of the basis, so this holds exactly when b ⇀ c = (ab) ⇀ (T(a) ⇀ c).
+    When :func:`_action_rows` reads ⇀ off two Cayley tables, that identity
+    is checked on whole rows over c; the read only accepts, and the int
+    sweep decides every failure and its witness."""
     br.require_validated()
     dot, dim = br.dot, br.dot.dim
+    read = _action_rows(br)
+    if read is not None:
+        group, circ_group, act = read
+        tab, tinv = group.table, circ_group.inverse
+        if all(act[b] == [act[tab[a][b]][x] for x in act[tinv[a]]]
+               for a in range(dim) for b in range(dim)):
+            return None
     da, acts = scaled_columns(derived_action_map(br))
     dm, mul = scaled_columns(dot.mul)
     dc, comul = scaled_columns(dot.comul)
     dt, anti = scaled_columns(br.circle.antipode)
-    legs2 = [[(w, *divmod(q, dim)) for q, w in col] for col in comul]
-    legs3 = [[(w * w2, a1, a2, z) for w, y, z in legs for w2, a1, a2 in legs2[y]]
-             for legs in legs2]
+    legs2, legs3 = _sweedler_legs(comul, dim)
     # T(a_(3)) ⇀ e_c, carrying dt·da, once per (a_(3), c)
     inner = [tuple(int_product(acts, dim, col, ((c, 1),)).items())
              for col in anti for c in range(dim)]
@@ -354,16 +419,34 @@ def check_symmetric_sufficient(br: HopfBrace) -> bool:
 
 def rb_symmetric_sufficient_witness(h: HopfAlgebraData,
                                     b: LinearOp) -> Witness | None:
+    """First basis triple (a, b, c) failing Proposition 4.8's form of the
+    symmetry condition for a map B, a b_(1) (B(b_(2)) ▷ c) = a_(1) b_(1)
+    ((B(a_(2) b_(2)) B(T(a_(3)))) ▷ c), with T the descendent antipode of
+    B and ▷ the adjoint action; a b that is no endomap of h is refused.
+
+    When :func:`~hopfkit.rb._group_map` finds h = k[G] and B sending basis
+    vectors to basis vectors, it reads a b (B(b) ▷ c) = a b ((B(ab)
+    B(T(a))) ▷ c) with u ▷ c = u c u⁻¹ and T(a) = (B(a)⁻¹a⁻¹)B(a).  Left
+    multiplication by ab is a bijection of the basis, so this holds
+    exactly when B(b) ▷ c = (B(ab)B(T(a))) ▷ c, checked on whole rows over
+    c.  The read only accepts; the int sweep decides every failure and its
+    witness."""
     h.require_validated()
     dim = h.dim
+    read = _group_map(h, b)
+    if read is not None:
+        group, table = read
+        tab, conj = group.table, _conjugation_rows(group)
+        bt = [table[t] for t in _antipode_indices(group, table)]
+        if all(conj[table[bb]] == conj[tab[table[tab[a][bb]]][bt[a]]]
+               for a in range(dim) for bb in range(dim)):
+            return None
     dm, mul = scaled_columns(h.mul)
     db, bcols = scaled_columns(b)
     dt, tcols = scaled_columns(descendent_antipode(h, b))
     dd, ad = scaled_columns(adjoint_map(h))
     dc, comul = scaled_columns(h.comul)
-    legs2 = [[(w, *divmod(q, dim)) for q, w in col] for col in comul]
-    legs3 = [[(w * w2, a1, a2, z) for w, y, z in legs for w2, a1, a2 in legs2[y]]
-             for legs in legs2]
+    legs2, legs3 = _sweedler_legs(comul, dim)
     one = ((0, 1),)
     bm = [tuple(int_product(bcols, 1, col, one).items()) for col in mul]
     bt = [tuple(int_product(bcols, 1, col, one).items()) for col in tcols]
@@ -421,8 +504,25 @@ def _acted_witness(act: LinearOp, left: list, dl: int, right: list, dr: int):
 
 
 def rb_op_module_witness(h: HopfAlgebraData, b: LinearOp) -> Witness | None:
+    """First basis triple (a, b, c) failing Proposition 4.9's condition
+    B(b a) ▷ c = (B(a) B(b)) ▷ c, with ▷ the adjoint action; a b that is
+    no endomap of h is refused.
+
+    When :func:`~hopfkit.rb._group_map` finds h = k[G] and B sending basis
+    vectors to basis vectors, both actors are group-likes and u ▷ c =
+    u c u⁻¹, so every side is a basis vector and the identity holds
+    exactly when the rows of B(ba) ▷ c and (B(a)B(b)) ▷ c over c agree for
+    every (a, b).  The read only accepts; the int sweep decides every
+    failure and its witness."""
     h.require_validated()
     dim = h.dim
+    read = _group_map(h, b)
+    if read is not None:
+        group, table = read
+        tab, conj = group.table, _conjugation_rows(group)
+        if all(conj[table[tab[bb][a]]] == conj[tab[table[a]][table[bb]]]
+               for a in range(dim) for bb in range(dim)):
+            return None
     dm, mul = scaled_columns(h.mul)
     db, bcols = scaled_columns(b)
     # B(b a) and B(a) B(b), once per pair (a, b), carrying db·dm and dm·db²

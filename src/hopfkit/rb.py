@@ -24,7 +24,7 @@ from functools import cached_property
 from .errors import (DimensionMismatch, HopfkitError, IdentityFails,
                      InternalTheoremViolation, NotAutomorphism,
                      NotCoalgebraMap, RBIdentityFails)
-from .groups import verify_rb_group
+from .groups import FiniteGroup, verify_rb_group
 from .hopf import (HopfAlgebraData, _multiplicative_witness, _verified,
                    adjoint_map, apply2, basis_group, basis_indices,
                    check_bialgebra_automorphism, check_coalgebra_morphism,
@@ -72,18 +72,33 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     accepts; otherwise :func:`_sweep_rb` decides, so every exception and
     witness is the sweep's."""
     require_cocommutative(h)
-    if b.domain != h.space or b.codomain != h.space:
-        raise DimensionMismatch("operator must be an endomap of the carrier")
-    group = basis_group(h)
-    table = None if group is None else basis_indices(b.columns)
-    if table is not None:
+    read = _group_map(h, b)
+    if read is not None:
         try:
-            verify_rb_group(group, table)
+            verify_rb_group(*read)
         except IdentityFails:
             pass
         else:
             return RotaBaxterOp(h, b, True)
     return _sweep_rb(h, b)
+
+
+def _require_endomap(h: HopfAlgebraData, b: LinearOp) -> None:
+    """Refuse a b that does not map the space of h to itself."""
+    if b.domain != h.space or b.codomain != h.space:
+        raise DimensionMismatch("operator must be an endomap of the carrier")
+
+
+def _group_map(h: HopfAlgebraData, b: LinearOp):
+    """``(G, t)`` when :func:`~hopfkit.hopf.basis_group` recognizes h as
+    k[G] and B(e_i) = e_{t[i]} for every i, else None, after refusing a b
+    that is not an endomap of h: the one group read of a map, shared by
+    :func:`verify_rb`, :func:`_circle_mul`, :func:`descendent_antipode`
+    and the two ``(h, b)`` checks of :mod:`~hopfkit.brace`."""
+    _require_endomap(h, b)
+    group = basis_group(h)
+    table = None if group is None else basis_indices(b.columns)
+    return None if table is None else (group, table)
 
 
 def _sweep_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
@@ -148,9 +163,9 @@ def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
     y gives one left factor y_(1) B(y_(2)), and its right factors S(B(z))
     are summed first; :func:`scaled_element` makes each column."""
     dim, p = h.dim, h.field.p
-    group = basis_group(h)
-    table = None if group is None else basis_indices(b.columns)
-    if table is not None:
+    read = _group_map(h, b)
+    if read is not None:
+        group, table = read
         tab, inv = group.table, group.inverse
         return LinearOp(h.hh, h.space, [
             h.basis(tab[tab[tab[g][bg]][x]][inv[bg]])
@@ -209,16 +224,22 @@ def descendent_antipode(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
     sending basis vectors to basis vectors, Δ²(g) = g⊗g⊗g and S(B(g)) =
     B(g)⁻¹, so T(g) = (B(g)⁻¹g⁻¹)B(g) is read off the group's table,
     bracketed as the convolutions: for a Rota-Baxter B the inverse of g in
-    (G, ∘_B), which the descendent's ``verify_hopf`` checks."""
-    group = basis_group(h)
-    table = None if group is None else basis_indices(b.columns)
-    if table is not None:
-        tab, inv = group.table, group.inverse
-        return LinearOp(h.space, h.space, [
-            h.basis(tab[tab[inv[bg]][inv[g]]][bg]) for g, bg in enumerate(table)])
+    (G, ∘_B), which the descendent's ``verify_hopf`` checks.  A b that is
+    not an endomap of h is refused by :func:`_group_map`."""
+    read = _group_map(h, b)
+    if read is not None:
+        return LinearOp(h.space, h.space,
+                        [h.basis(t) for t in _antipode_indices(*read)])
     s = h.antipode
     return convolution(h.comul, convolution(h.comul, s.compose(b), s, h.mul),
                        b, h.mul)
+
+
+def _antipode_indices(group: FiniteGroup, table) -> list[int]:
+    """T(g) = (B(g)⁻¹g⁻¹)B(g) on the Cayley table of ``group``, one index
+    per g, for the basis map B(e_g) = e_{table[g]}."""
+    tab, inv = group.table, group.inverse
+    return [tab[tab[inv[bg]][inv[g]]][bg] for g, bg in enumerate(table)]
 
 
 @dataclass
@@ -269,8 +290,9 @@ def check_descendent_antipode_inverse(d: DescendentHopf) -> bool:
 
 
 def central_image_witness(h: HopfAlgebraData, b: LinearOp) -> Witness | None:
-    """First pair (h, x) with B(h) x != x B(h), for an arbitrary map."""
+    """First pair (h, x) with B(h) x != x B(h), for an arbitrary endomap."""
     h.require_validated()
+    _require_endomap(h, b)
     return first_witness((h.space, h.space), lambda g, x: (
         h.product(b.columns[g], h.basis(x)), h.product(h.basis(x), b.columns[g])))
 
@@ -278,7 +300,8 @@ def central_image_witness(h: HopfAlgebraData, b: LinearOp) -> Witness | None:
 def descendent_antipode_inverse_witness(h: HopfAlgebraData,
                                         b: LinearOp) -> Witness | None:
     """First basis element violating B(x_(1)) B(T(x_(2))) = ε(x) 1, with T
-    the descendent antipode formula (B need not be a verified operator)."""
+    the descendent antipode formula (B need not be a verified operator,
+    but :func:`descendent_antipode` refuses one that is no endomap)."""
     h.require_validated()
     return _antipode_inverse_witness(h, b, descendent_antipode(h, b))
 

@@ -825,3 +825,34 @@ def kernel_op():
             built[name, field] = hk.verify_rb(*transported(name, field))
         return built[name, field]
     return make
+
+
+# -- the fast paths of src/hopfkit ---------------------------------------------------
+
+# Every function of src/hopfkit that calls basis_group, _generators or
+# basis_indices, or reads a stored ``._group``, each with the test that
+# runs its callers with that read turned off (``basis_group`` or
+# ``_generators`` patched to None, a copy with no stored group, or the full
+# sweep called directly) and compares the results.  tests/test_fast_paths.py
+# fails when a site is missing here or an entry names no site or no test.
+FAST_PATHS = {
+    "hopf.basis_group": "tests/test_group_path.py::"
+                        "test_group_algebra_stores_the_group_the_sweep_accepts",
+    "hopf.verify_hopf": "tests/test_group_path.py::"
+                        "test_edited_index_tables_are_declined_with_the_sweep_witness",
+    "hopf.check_cocommutative": "tests/test_group_path.py::"
+                                "test_cocommutative_read_agrees_with_the_flip_sweep",
+    "hopf._generators": "tests/test_generator_sweeps.py::"
+                        "test_module_sweeps_over_generators_match_full_sweep",
+    "hopf.int_witness": "tests/test_generator_sweeps.py::"
+                        "test_brace_sweep_over_generators_matches_full_sweep",
+    "matched.verify_matched_pair":
+        "tests/test_generator_sweeps.py::"
+        "test_matched_pair_compatibilities_over_generators_match_full_sweep",
+    "rb._group_map": "tests/test_group_path.py::"
+                     "test_basis_maps_give_the_sweep_verdict",
+    "brace.verify_brace": "tests/test_group_path.py::"
+                          "test_brace_group_path_agrees_on_relabelled_circle_tables",
+    "brace._action_rows": "tests/test_group_path.py::"
+                          "test_suite_reads_agree_on_every_operator",
+}

@@ -13,9 +13,9 @@ from hopfkit import brace as brace_mod
 from hopfkit import rb as rb_mod
 from hopfkit.brace import (HopfBrace, derived_action_map, rb_op_module_witness,
                            rb_symmetric_sufficient_witness)
-from hopfkit.errors import (CompatibilityFails, HopfAxiomFails,
-                            HypothesisFails, InternalTheoremViolation,
-                            NotExactFactorization)
+from hopfkit.errors import (CompatibilityFails, DimensionMismatch,
+                            HopfAxiomFails, HypothesisFails,
+                            InternalTheoremViolation, NotExactFactorization)
 from hopfkit.hopf import apply2, first_witness, transport_hopf
 from hopfkit.linalg import (QQ, BasedSpace, Element, Field, LinearOp,
                             accumulate, invert, tensor_index)
@@ -398,6 +398,35 @@ def test_adjoint_verdicts_match_reference_across_s3_corpus(f2):
         b = gr.lift_to_group_algebra(op).map
         assert rb_symmetric_sufficient_witness(f2, b) == reference_prop48(f2, b)
         assert rb_op_module_witness(f2, b) == reference_prop49(f2, b)
+
+
+# -- the (h, b) checks refuse a b that is no endomap of h ---------------------------
+
+MAP_CHECKS = {"prop48": rb_symmetric_sufficient_witness,
+              "prop49": rb_op_module_witness,
+              "central-image": rb_mod.central_image_witness,
+              "lemma218": rb_mod.descendent_antipode_inverse_witness}
+
+
+@pytest.mark.parametrize("check", sorted(MAP_CHECKS))
+def test_map_checks_refuse_a_basis_map_into_another_carrier(check):
+    # every e_g of Q[S3] to the unit of Q[Z6]: six basis columns, which
+    # every condition would pass if read on the indices of S3
+    h = hk.group_algebra(gr.dihedral(3))
+    z6 = hk.group_algebra(gr.cyclic(6))
+    b = LinearOp(h.space, z6.space, [z6.unit] * h.dim)
+    with pytest.raises(DimensionMismatch, match="endomap of the carrier"):
+        MAP_CHECKS[check](h, b)
+
+
+@pytest.mark.parametrize("check", sorted(MAP_CHECKS))
+def test_map_checks_refuse_a_map_with_two_columns(check):
+    # Q[Z2] -> Q[S3], e -> s and g -> r: too few columns to index by S3
+    h = hk.group_algebra(gr.dihedral(3))
+    z2 = hk.group_algebra(gr.cyclic(2))
+    b = LinearOp(z2.space, h.space, [h.basis(3), h.basis(1)])
+    with pytest.raises(DimensionMismatch, match="endomap of the carrier"):
+        MAP_CHECKS[check](h, b)
 
 
 # -- oracles: the Sweedler sums of brace as explicit loops ---------------------------

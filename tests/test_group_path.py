@@ -1,22 +1,25 @@
-"""The group layer as the accept-only path of verify_hopf, verify_rb and
-verify_brace, and the group reads of group_algebra and the descendent
-antipode.
+"""The group layer as the accept-only path of verify_hopf, verify_rb,
+verify_brace and the symmetry suite, and the group reads of group_algebra,
+check_cocommutative and the descendent antipode.
 
 On a carrier that ``hopf.basis_group`` recognizes as k[G] in its
 group-like basis, verify_hopf passes every line with no sweep,
 verify_rb decides a basis-to-basis map with ``groups.verify_rb_group``,
 verify_brace accepts the skew-brace identity on two Cayley tables, and
 T(g) = (B(g)⁻¹g⁻¹)B(g) is read off the table; group_algebra accepts k[G]
-on the group it is given.  Every test here compares that path with the
-full sweeps and sums, which stay callable as ``hopf._sweep_hopf``,
-``rb._sweep_rb``, the int sweep of verify_brace with ``basis_group``
-patched out, and the element-form convolutions of ``tests/conftest.py``:
-the reports, maps, exceptions and witnesses must be equal, and the
-recognizer must decline every table that is not a group with the unit as
-identity and S as inverse.
+on the group it is given.  op-module and prop44 accept on rows of
+a ⇀ c = a⁻¹(a∘c), and prop48 and prop49 on rows of u ▷ c = u c u⁻¹.
+Every test here compares that path with the full sweeps and sums, which
+stay callable as ``hopf._sweep_hopf``, ``rb._sweep_rb``, the int sweeps
+of verify_brace and the suite with ``basis_group`` patched out, and the
+element-form convolutions of ``tests/conftest.py``: the reports, maps,
+exceptions and witnesses must be equal, each suite read must accept every
+case that passes, and the recognizer must decline every table that is not
+a group with the unit as identity and S as inverse.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -127,6 +130,20 @@ def test_group_path_runs_no_sweep(monkeypatch):
         assert hk.brace_from_rb(b).validated
     assert hk.flip_brace(h).validated
     assert hk.trivial_brace(h).validated
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_cocommutative_read_agrees_with_the_flip_sweep(field, monkeypatch):
+    # a copy accepted with basis_group patched out stores no group, so
+    # check_cocommutative sweeps the flipped coproduct
+    for g in GROUPS:
+        h = hk.group_algebra(g, field)
+        copy = dataclasses.replace(h)
+        with monkeypatch.context() as m:
+            m.setattr(hopf_mod, "basis_group", lambda h: None)
+            assert hk.verify_hopf(copy).passed
+        assert h._group is g and copy._group is None
+        assert hk.check_cocommutative(h) == hk.check_cocommutative(copy)
 
 
 def one_entry_edit(seed):
@@ -430,3 +447,113 @@ def test_brace_group_path_agrees_on_relabelled_circle_tables(field,
                 assert outcome[0] is CompatibilityFails
                 failing += 1
     assert failing >= 20
+
+
+# -- the symmetry suite: op-module, prop44, prop48 and prop49 -------------------
+
+SUITE_GROUPS = ORDER_LE_8 + [gr.dihedral(6)]
+
+
+def suite_outcomes(checks, monkeypatch, reads=True):
+    """The witness of each check, called with no argument, and whether its
+    int sweep ran; with ``reads`` off, ``basis_group`` is None in ``brace``
+    and ``rb``, where the reads of the suite take it."""
+    ran = []
+
+    def counted(sweep):
+        def run(*args, **kwargs):
+            ran.append(1)
+            return sweep(*args, **kwargs)
+        return run
+    with monkeypatch.context() as m:
+        for name in ("int_witness", "_associativity_witness"):
+            m.setattr(brace_mod, name, counted(getattr(brace_mod, name)))
+        if not reads:
+            for mod in (brace_mod, rb_mod):
+                m.setattr(mod, "basis_group", lambda h: None)
+        out = []
+        for check in checks:
+            ran.clear()
+            out.append((check(), bool(ran)))
+        return out
+
+
+def assert_suite_agrees(checks, monkeypatch):
+    """Each check gives the sweep's verdict and witness, and its read
+    accepts every case that passes: it is exact, so the sweep runs only
+    on a failure.  Returns the witnesses."""
+    got = suite_outcomes(checks, monkeypatch)
+    swept = suite_outcomes(checks, monkeypatch, reads=False)
+    assert [w for w, _ in got] == [w for w, _ in swept]
+    assert all(ran for _, ran in swept)
+    assert [ran for _, ran in got] == [w is not None for w, _ in got]
+    return [w for w, _ in got]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("group", SUITE_GROUPS, ids=str)
+def test_suite_reads_agree_on_every_operator(group, field, monkeypatch):
+    # the four checks on the lift of every Rota-Baxter operator and on its
+    # brace; on D6 and the nonabelian groups of order 6 and 8 some fail
+    h = hk.group_algebra(group, field)
+    for op in gr.enumerate_rb_group_ops(group):
+        b = gr.lift_map(h, op.table)
+        br = hk.brace_from_rb(hk.verify_rb(h, b))
+        assert_suite_agrees([
+            lambda: brace_mod.op_module_witness(br),
+            lambda: brace_mod.symmetric_sufficient_witness(br),
+            lambda: brace_mod.rb_symmetric_sufficient_witness(h, b),
+            lambda: brace_mod.rb_op_module_witness(h, b)], monkeypatch)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("group", [g for g in SUITE_GROUPS if g.order > 2],
+                         ids=str)
+def test_suite_reads_agree_on_basis_maps_that_are_no_operator(group, field,
+                                                               monkeypatch):
+    # prop48 and prop49 take any map: seeded basis maps that fix e and are
+    # no Rota-Baxter operator, and the inner automorphisms, which are
+    # multiplicative, so B(ab) = B(a)B(b) while B(ba) ▷ c may differ
+    h = hk.group_algebra(group, field)
+    rng = random.Random(group.order + field.p)
+    maps = drawn_basis_maps(h, group, rng, 6) + [
+        gr.lift_map(h, gr.conjugation_automorphism(group, x))
+        for x in range(group.order)]
+    for b in maps:
+        assert_suite_agrees([
+            lambda: brace_mod.rb_symmetric_sufficient_witness(h, b),
+            lambda: brace_mod.rb_op_module_witness(h, b)], monkeypatch)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_suite_reads_agree_on_every_basis_permutation_of_s3(field,
+                                                            monkeypatch):
+    # the 120 permutations of the basis of Q[S3] that fix e: five of them
+    # fail prop48 but pass it with B(T(a)) read as B(a⁻¹)
+    g = gr.dihedral(3)
+    h = hk.group_algebra(g, field)
+    passed = 0
+    for perm in itertools.permutations(range(1, g.order)):
+        b = gr.lift_map(h, (g.identity, *perm))
+        passed += assert_suite_agrees([
+            lambda: brace_mod.rb_symmetric_sufficient_witness(h, b),
+            lambda: brace_mod.rb_op_module_witness(h, b)],
+            monkeypatch).count(None)
+    assert passed > 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_suite_read_tables_are_the_swept_maps(field):
+    # the ⇀ and ▷ rows that the reads compare are the columns of the
+    # derived action and of the adjoint action that the sweeps read
+    for g in SUITE_GROUPS:
+        h = hk.group_algebra(g, field)
+        n = g.order
+        conj = brace_mod._conjugation_rows(g)
+        assert [h.basis(conj[u][c]) for u in range(n) for c in range(n)] == \
+            list(hopf_mod.adjoint_map(h).columns)
+        for op in gr.enumerate_rb_group_ops(g)[:8]:
+            br = hk.brace_from_rb(gr.lift_to_group_algebra(op, field))
+            act = brace_mod._action_rows(br)[2]
+            assert [h.basis(act[a][c]) for a in range(n) for c in range(n)] \
+                == list(brace_mod.derived_action_map(br).columns)
