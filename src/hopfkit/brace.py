@@ -68,10 +68,13 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
     shared coproduct: for b and b' in it,
     a∘(bb'c) = (a_(1)∘b)S(a_(2))(a_(3)∘(b'c))
     = (a_(1)∘b)S(a_(2))(a_(3)∘b')S(a_(4))(a_(5)∘c)
-    = (a_(1)∘(bb'))S(a_(2))(a_(3)∘c).  The tables of (x_(1)∘b)S(x_(2)) are
-    built for each b when its first row is swept, one
-    :func:`~hopfkit.hopf._leg_sum` per column of Δ(x), its left legs read
-    from ``circ[b::dim]``, the column of y∘b at index y.
+    = (a_(1)∘(bb'))S(a_(2))(a_(3)∘c).  Both sums of the right side go
+    through :func:`~hopfkit.hopf._leg_sum`, which groups a coproduct column
+    by its left leg.  The table of (x_(1)∘b)S(x_(2)) is built for each b
+    when its first row is swept, one sum per column of Δ(x), its left legs
+    read from ``circ[b::dim]``, the column of y∘b at index y.  The right
+    side at (a, b, c) is then one sum over the column of Δ(a), with that
+    table as its left legs and ``circ[c::dim]`` as its right legs.
 
     When :func:`~hopfkit.hopf.basis_group` recognizes both structures, on
     basis triples this is the skew-brace identity a∘(bc) = ((a∘b)a⁻¹)(a∘c)
@@ -101,8 +104,9 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
 
     # rhs = Σ (a_(1) ∘ b) S(a_(2)) (a_(3) ∘ c).  Coassociativity of the
     # verified coproduct splits the legs as Δ(x) ⊗ y over (x, y) in Δ(a),
-    # so rhs = Σ_x left(b)[x] (Σ_y w (y ∘ c)) with one product per x.
-    # left(b)[x] carries dc·dk·ds·dm, each right factor dc·dk, so rhs
+    # so rhs is one _leg_sum over the column of Δ(a), its left legs
+    # left(b)[x] = (x_(1) ∘ b) S(x_(2)) and its right legs y ∘ c.
+    # left(b)[x] carries dc·dk·ds·dm, each right factor dk, so rhs
     # (dc·dk·dm)²·ds, and the left side a ∘ (bc) dk·dm.
     dim = dot.dim
     dm, mul = scaled_columns(dot.mul)
@@ -114,26 +118,12 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
     def left(b):
         return [tuple(_leg_sum(mul, dim, col, dim, circ[b::dim], anti).items())
                 for col in comul]
-    rights = []
-    for col in comul:
-        legs: dict = {}
-        for q, w in col:
-            x, y = divmod(q, dim)
-            legs.setdefault(x, []).append((y, w))
-        rights.append([[(x, tuple(int_product(circ, dim, terms,
-                                              ((c, 1),)).items()))
-                        for x, terms in legs.items()] for c in range(dim)])
 
     def rows(a, b):
-        row = left(b)
-        rhs = []
-        for terms in rights[a]:
-            out: dict = {}
-            for x, r in terms:
-                int_product(mul, dim, row[x], r, out)
-            rhs.append(out)
-        return [int_product(circ, dim, ((a, 1),), col)
-                for col in mul[b * dim:(b + 1) * dim]], rhs
+        return ([int_product(circ, dim, ((a, 1),), col)
+                 for col in mul[b * dim:(b + 1) * dim]],
+                [_leg_sum(mul, dim, comul[a], dim, left(b), circ[c::dim])
+                 for c in range(dim)])
     w = int_witness((dot.space, dot.space, dot.space), dot.space,
                     (dk * dm, (dc * dk * dm) ** 2 * ds), rows, closed=(1, dot))
     if w is not None:

@@ -73,12 +73,16 @@ def check_action(action: ModuleAction):
         raise AxiomFails(fail.name, fail.witness)
 
 
+def carrier_decl(defs: DefinitionFile, decl: Declaration) -> Declaration:
+    """The carrier of an ``rb`` declaration or of a map declared ``on`` one."""
+    return decl.refs["hopf"] if decl.kind == "rb" else defs[decl.on]
+
+
 def hopf_and_map(defs: DefinitionFile, decl: Declaration):
     """The validated carrier and the map of an ``rb`` declaration or of a
     map declared ``on`` a carrier."""
-    if decl.kind == "rb":
-        return _ensure_validated(decl.refs["hopf"].obj), decl.refs["map"].obj
-    return _ensure_validated(defs[decl.on].obj), decl.obj
+    m = decl.refs["map"] if decl.kind == "rb" else decl
+    return _ensure_validated(carrier_decl(defs, decl).obj), m.obj
 
 
 def rb_from_decl(defs: DefinitionFile, decl: Declaration) -> RotaBaxterOp:
@@ -236,14 +240,17 @@ def source_decl(defs: DefinitionFile, kind: str,
     decl = defs[name] if name is not None else defs.first(kind)
     if decl is not None and decl.kind == kind:
         return decl
+    if name is not None:
+        if kind in ("brace", "rb") and (decl.kind == "rb" or decl.kind == "map"
+                                        and decl.on is not None):
+            return decl
+        kinds = {"brace": "brace or Rota-Baxter", "rb": "Rota-Baxter"}
+        raise DefinitionError(f"'{name}' is not a {kinds.get(kind, kind)} "
+                              "declaration")
     if kind == "brace":
-        return source_decl(defs, "rb", name)
+        return source_decl(defs, "rb", None)
     if kind != "rb":
         raise DefinitionError(f"no {kind} declaration found")
-    if name is not None:
-        if decl.kind == "map" and decl.on is not None:
-            return decl
-        raise DefinitionError(f"'{name}' is not a Rota-Baxter declaration")
     for decl in defs.declarations:
         if decl.kind == "map" and decl.rota_baxter:
             return decl
@@ -292,6 +299,14 @@ def run_derive(defs: DefinitionFile, what: str, name: str | None,
             raise DefinitionError(f"derive {what}: carrier dimension {dim} "
                                   f"exceeds the limit of {MAX_DERIVE_DIM}")
     src = decl.name
+    if what == "conjugate":
+        phi = defs[using]
+        if phi.kind != "map":
+            raise DefinitionError(f"--using '{using}' must name a map")
+        space = carrier_decl(defs, decl).obj.space
+        if phi.obj.domain != space or phi.obj.codomain != space:
+            raise DefinitionError(f"--using '{using}' does not map the carrier "
+                                  f"of '{src}' to itself")
     if what not in kinds:           # the target reads a Rota-Baxter operator
         rbop = rb_from_decl(defs, decl)
     if what == "circle":
@@ -300,9 +315,6 @@ def run_derive(defs: DefinitionFile, what: str, name: str | None,
         decls = rb_decls(f"{src}_carrier", rbop.carrier, f"{src}_tilde",
                          rb_mod.rb_tilde(rbop).map)
     elif what == "conjugate":
-        phi = defs[using]
-        if phi.kind != "map":
-            raise DefinitionError(f"--using '{using}' must name a map")
         decls = rb_decls(f"{src}_carrier", rbop.carrier, f"{src}_conjugate",
                          rb_mod.rb_conjugate(rbop, phi.obj).map)
     elif what == "posthopf":

@@ -22,11 +22,13 @@ built by :func:`_carried`, p∘m∘(q⊗q) and its kin for p: H -> V and
 q: V -> H: transport of structure, :func:`sub_hopf` and the cocycle
 circle; the smash product and antipode read on H ⊗ K are carried the
 same way, one map at a time.  Both kernels sum on int columns through
-:func:`_leg_sum`, and so do :func:`adjoint_map` and :func:`smash_mul`,
-with one :func:`~hopfkit.linalg.scaled_element` per output column.  So do
-three sweeps: the right side of :func:`_measuring_witness`,
-the (x_(1)∘b)S(x_(2)) tables of ``brace.verify_brace`` and the
-compatibilities of ``matched.verify_matched_pair``.
+:func:`_leg_sum`, which groups each coproduct column by its left leg, and
+so do :func:`adjoint_map`, :func:`smash_mul` and ``rb._circle_mul`` (two
+passes, y_(1)B(y_(2)) and then ((…)x)S(B(z))), with one
+:func:`~hopfkit.linalg.scaled_element` per output column.  So do three
+sweeps: the right side of :func:`_measuring_witness`, both sums of the
+right side of ``brace.verify_brace`` and the compatibilities of
+``matched.verify_matched_pair``.
 Builders that still sum by hand: ``rb.rb_action_map``,
 :func:`tensor_coalgebra`, the linear system of :func:`convolution_inverse`
 and ``matched.matched_pair_from_rb``.
@@ -1318,12 +1320,29 @@ def _leg_sum(table: list, dim: int, col, split: int, left, right) -> dict:
     """Σ c·table(left[q // split] ⊗ right[q % split]) over the ``(q, c)``
     pairs of one :func:`scaled_columns` column of a coproduct, in ints
     through :func:`int_product`: the sum carries the scales of the column,
-    the table and the two factors multiplied."""
-    out: dict = {}
-    for q, c in col:
+    the table and the two factors multiplied.
+
+    The terms are grouped by their left leg x = q // split: each group sums
+    its right factors Σ c·right[q % split] first, then calls
+    :func:`int_product` once for left[x] against that sum.  This regrouping
+    needs only bilinearity of the table, so the bracket and the order of
+    the legs stay those of the formula; the ints are exact, so the sum is
+    the per-term sum.  A one-term column, every column of a group algebra,
+    keeps the direct path, c folded into the left factor, with no dict for
+    the group."""
+    if len(col) == 1:
+        (q, c), = col
         x = left[q // split]
-        int_product(table, dim, x if c == 1 else [(i, c * w) for i, w in x],
-                    right[q % split], out)
+        return int_product(table, dim, x if c == 1 else [(i, c * w) for i, w in x],
+                           right[q % split])
+    groups: dict = {}
+    for q, c in col:
+        acc = groups.setdefault(q // split, {})
+        for j, w in right[q % split]:
+            acc[j] = acc.get(j, 0) + c * w
+    out: dict = {}
+    for x, acc in groups.items():
+        int_product(table, dim, left[x], acc.items(), out)
     return out
 
 

@@ -25,8 +25,8 @@ from .errors import (DimensionMismatch, HopfkitError, IdentityFails,
                      InternalTheoremViolation, NotAutomorphism,
                      NotCoalgebraMap, RBIdentityFails)
 from .groups import FiniteGroup, verify_rb_group
-from .hopf import (HopfAlgebraData, _multiplicative_witness, _verified,
-                   adjoint_map, apply2, basis_group, basis_indices,
+from .hopf import (HopfAlgebraData, _leg_sum, _multiplicative_witness,
+                   _verified, adjoint_map, apply2, basis_group, basis_indices,
                    check_bialgebra_automorphism, check_coalgebra_morphism,
                    coalgebra_morphism_witness, convolution, first_witness,
                    int_witness, require_cocommutative)
@@ -158,10 +158,12 @@ def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
     :func:`~hopfkit.hopf.basis_group` recognizes, with B sending basis
     vectors to basis vectors, Δ(g) = g⊗g and S(B(g)) = B(g)⁻¹, so the
     table is read off the group's as ((g B(g)) x) B(g)⁻¹, bracketed as the
-    sum below.  Otherwise it is summed in ints on :func:`scaled_columns`:
-    coassociativity splits the legs as Δ(y) ⊗ z over (y, z) in Δ(g), each
-    y gives one left factor y_(1) B(y_(2)), and its right factors S(B(z))
-    are summed first; :func:`scaled_element` makes each column."""
+    sum below.  Otherwise it is summed in ints on :func:`scaled_columns` by
+    two passes of :func:`~hopfkit.hopf._leg_sum`: coassociativity splits
+    the legs as Δ(y) ⊗ z over (y, z) in Δ(g), so the first pass builds
+    y_(1) B(y_(2)) over the column of Δ(y), and the second sums
+    ((y_(1) B(y_(2))) x) S(B(z)) over the column of Δ(g), which groups the
+    terms by y; :func:`scaled_element` makes each column."""
     dim, p = h.dim, h.field.p
     read = _group_map(h, b)
     if read is not None:
@@ -174,32 +176,18 @@ def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
     db, bcols = scaled_columns(b)
     dc, comul = scaled_columns(h.comul)
     ds, anti = scaled_columns(h.antipode)
-    # lx[y][x] = y_(1) B(y_(2)) e_x carries dc·db·dm² and a summed right
-    # factor dc·db·ds, so every column (dc·db·dm²)·(dc·db·ds)·dm.
-    lx = []
-    for col in comul:
-        yb: dict = {}
-        for q, c in col:
-            y1, y2 = divmod(q, dim)
-            int_product(mul, dim, ((y1, c),), bcols[y2], yb)
-        lx.append([tuple(int_product(mul, dim, yb.items(), ((x, 1),)).items())
-                   for x in range(dim)])
+    # lefts[x][y] = (y_(1) B(y_(2))) e_x carries dc·db·dm² and S(B(z))
+    # db·ds, so every column (dc·db·dm²)·(db·ds)·dc·dm.
+    basis = [((i, 1),) for i in range(dim)]
+    yb = [tuple(_leg_sum(mul, dim, col, dim, basis, bcols).items())
+          for col in comul]
+    lefts = [[tuple(int_product(mul, dim, y, ((x, 1),)).items()) for y in yb]
+             for x in range(dim)]
     sb = [tuple(int_product(anti, 1, col, ((0, 1),)).items()) for col in bcols]
     den = 1 if p else (dc * db * dm) ** 2 * ds * dm
-    cols = []
-    for col in comul:
-        groups: dict = {}
-        for q, c in col:
-            y, z = divmod(q, dim)
-            groups.setdefault(y, []).append((z, c))
-        wings = [(lx[y], tuple(int_product(sb, 1, terms, ((0, 1),)).items()))
-                 for y, terms in groups.items()]
-        for x in range(dim):
-            acc: dict = {}
-            for left, right in wings:
-                int_product(mul, dim, left[x], right, acc)
-            cols.append(scaled_element(h.space, acc.items(), den))
-    return LinearOp(h.hh, h.space, cols)
+    return LinearOp(h.hh, h.space, [
+        scaled_element(h.space, _leg_sum(mul, dim, col, dim, left, sb).items(),
+                       den) for col in comul for left in lefts])
 
 
 def rb_action_map(b: RotaBaxterOp) -> LinearOp:

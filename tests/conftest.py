@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 import hopfkit as hk
+from hopfkit import brace as brace_mod
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
+from hopfkit import hopf as hopf_mod
+from hopfkit import rb as rb_mod
 from hopfkit.errors import AxiomFails
 from hopfkit.hopf import apply2, scalar_space, transport_hopf
 from hopfkit.linalg import (QQ, BasedSpace, Element, LinearOp, accumulate,
@@ -856,3 +859,43 @@ FAST_PATHS = {
     "brace._action_rows": "tests/test_group_path.py::"
                           "test_suite_reads_agree_on_every_operator",
 }
+
+
+# -- the switch that turns every fast path off ---------------------------------------
+
+def _accept_swept(h, report, group, accept=hopf_mod._accept):
+    """``hopf._accept`` storing no group: a carrier that ``group_algebra``
+    hands over with its group and no sweep is swept first."""
+    if group is not None:
+        report = hopf_mod._sweep_hopf(h)
+        assert report.passed
+    accept(h, report, None)
+
+
+def _declined(*args):
+    return None
+
+
+# Every name a fast path reads, as (module, name, replacement).  With all of
+# them patched no group is recognized or stored, no map is read as a basis
+# map and no slot is swept over generators, so every identity is decided by
+# its full sweep.  tests/test_fast_paths.py checks that each module importing
+# a read of READS has it patched here.
+FAST_PATHS_OFF = (
+    (hopf_mod, "basis_group", _declined),
+    (rb_mod, "basis_group", _declined),
+    (brace_mod, "basis_group", _declined),
+    (rb_mod, "basis_indices", _declined),
+    (hopf_mod, "_generators", _declined),
+    (brace_mod, "_generators", _declined),
+    (hopf_mod, "_accept", _accept_swept),
+)
+
+
+@pytest.fixture
+def fast_paths_off(monkeypatch):
+    """Every fast path of :data:`FAST_PATHS_OFF` turned off for one test.
+    Carriers built before it, such as the session fixtures, keep what they
+    stored; build the values under test inside the test."""
+    for module, name, value in FAST_PATHS_OFF:
+        monkeypatch.setattr(module, name, value)

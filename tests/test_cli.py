@@ -624,6 +624,45 @@ def test_derive_conjugate_requires_using(f2_file, capsys):
     assert cli.main(["derive", "conjugate", f2_file]) == 2
 
 
+@pytest.mark.parametrize("decls", [
+    [{"kind": "map", "name": "M", "domain": ["a", "b"], "codomain": ["a", "b"],
+      "identity": True}],
+    [{"kind": "hopf", "name": "K", "group_algebra": {"cyclic": 2}},
+     {"kind": "map", "name": "M", "on": "K", "identity": True}]],
+    ids=["domain-codomain", "on-another-carrier"])
+def test_derive_conjugate_refuses_a_map_off_the_carrier(decls, tmp_path,
+                                                        capsys):
+    # an input error, found before the operator is built
+    doc = json.loads(F2_BINV)
+    doc["declarations"] += decls
+    path = tmp_path / "conj.json"
+    path.write_text(json.dumps(doc))
+    with mock.patch.object(cli, "rb_from_decl", side_effect=Built):
+        assert cli.main(["derive", "conjugate", str(path), "--using", "M"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --using 'M' does not map the carrier of 'B_inv' to "
+            "itself\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["derive", "smash", "z3z2_smash.json", "--name", "H"],
+     "'H' is not a smash declaration"),
+    (["derive", "cocycle-rb", "s3_flip_cocycle.json", "--name", "pi"],
+     "'pi' is not a cocycle declaration"),
+    (["derive", "embed", "f2_s3_binv.json", "--name", "F2"],
+     "'F2' is not a brace or Rota-Baxter declaration"),
+    *[(["check", c, "f2_s3_binv.json", "--name", "F2"],
+       "'F2' is not a brace or Rota-Baxter declaration")
+      for c in ("op-module", "symmetric", "prop44")],
+    (["derive", "circle", "f2_s3_binv.json", "--name", "F2"],
+     "'F2' is not a Rota-Baxter declaration")])
+def test_name_of_the_wrong_kind_is_named(argv, message, capsys):
+    *head, fixture, flag, name = argv
+    path = str(ROOT / "docs" / "fixtures" / fixture)
+    assert cli.main([*head, path, flag, name]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_derive_posthopf_round_trip(f2_file, tmp_path, f2, b_inv_f2):
     out = tmp_path / "post.json"
     assert cli.main(["derive", "posthopf", f2_file, "--out", str(out)]) == 0

@@ -4,13 +4,15 @@ A fast path reads the group behind a carrier (``basis_group``, a stored
 ``._group``), the generators of a verified product (``_generators``) or
 the index table of a basis map (``basis_indices``).  Each such function
 must be listed in ``tests/conftest.py`` with the test that turns its read
-off and compares, so a new fast path cannot land without one.
+off and compares, so a new fast path cannot land without one.  Every module
+that imports one of those reads must have it patched by the switch of
+``FAST_PATHS_OFF``, so a new read cannot escape ``fast_paths_off``.
 """
 
 import ast
 import pathlib
 
-from conftest import FAST_PATHS
+from conftest import FAST_PATHS, FAST_PATHS_OFF
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 READS = {"basis_group", "_generators", "basis_indices"}
@@ -55,6 +57,23 @@ def test_every_fast_path_is_listed():
     assert sorted(FAST_PATHS.keys() - found) == [], "listed, but no read"
 
 
+def imported_reads(tree, module):
+    """``(module, name)`` for every name of ``READS`` imported by ``tree``."""
+    return {(module, alias.asname or alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+            if alias.name in READS}
+
+
+def test_every_imported_read_is_switched_off():
+    imported = set()
+    for path in sorted((ROOT / "src" / "hopfkit").glob("*.py")):
+        imported |= imported_reads(ast.parse(path.read_text(encoding="utf-8")),
+                                   path.stem)
+    switched = {(module.__name__.rsplit(".", 1)[-1], name)
+                for module, name, _ in FAST_PATHS_OFF}
+    assert imported and sorted(imported - switched) == []
+
+
 def test_every_listed_path_names_a_test():
     for site, test_id in FAST_PATHS.items():
         file, name = test_id.split("::")
@@ -82,3 +101,7 @@ class C:
 '''
     assert sorted(sites(ast.parse(source), "m.")) == [
         "m.C.loads", "m.calls", "m.nested"]
+    imports = ast.parse("from .hopf import basis_group as bg, apply2\n"
+                        "from .hopf import (_generators,\n    first_witness)\n")
+    assert sorted(imported_reads(imports, "m")) == [("m", "_generators"),
+                                                    ("m", "bg")]

@@ -7,7 +7,8 @@ coefficient and with the same scalar type (an int when integral, else a
 reduced ``Fraction``), over Q and F_7: on the ``kernel_op`` carriers, on
 the smash ambients of the dense ones, and on drawn dense maps.  The derive
 documents of the dense carriers, whose columns have scales above 1, are
-pinned by sha256.
+pinned by sha256.  Their kernel ``_leg_sum``, which groups a coproduct
+column by its left leg, must equal the per-term sum on drawn int columns.
 """
 
 import dataclasses
@@ -198,3 +199,58 @@ def test_dense_derive_bytes_match_golden_digest(kernel_op, name, field):
                 golden[f"{what} {name}"], what
             ran.append(f"{what} {name}")
     assert sorted(ran) == sorted(j for j in golden if j.endswith(name))
+
+
+# -- the grouped Sweedler kernel ------------------------------------------------------
+
+INTS = st.integers(-3, 3)
+
+
+@st.composite
+def leg_sums(draw):
+    """Arguments of ``_leg_sum``: a table on an na ⊗ dim product, ``split``
+    right legs (split != dim), left legs and a column whose flat indices
+    repeat left legs, with weights that may be 0 or other than 1."""
+    na, dim, nout, nleft = (draw(st.integers(1, 3)) for _ in range(4))
+    split = draw(st.integers(1, 4).filter(lambda s: s != dim))
+
+    def cols(n, size):
+        return [tuple(draw(st.dictionaries(st.integers(0, size - 1), INTS,
+                                           max_size=3)).items())
+                for _ in range(n)]
+    table = cols(na * dim, nout)
+    col = draw(st.lists(st.tuples(st.integers(0, nleft * split - 1), INTS),
+                        max_size=6, unique_by=lambda t: t[0]))
+    return table, dim, col, split, cols(nleft, na), cols(split, dim)
+
+
+def per_term_leg_sum(table, dim, col, split, left, right):
+    """Σ c·table(left[q // split] ⊗ right[q % split]), one term at a time."""
+    out: dict = {}
+    for q, c in col:
+        for a, x in left[q // split]:
+            for b, y in right[q % split]:
+                for k, t in table[a * dim + b]:
+                    out[k] = out.get(k, 0) + c * x * y * t
+    return out
+
+
+def nonzero(d):
+    return {k: v for k, v in d.items() if v}
+
+
+def on_column(col):
+    """A fixed table, legs and split (3, against dim 2) around ``col``."""
+    table = [((0, 2),), ((0, 1), (1, 5)), ((1, 1),), ((0, -1), (1, 2))]
+    return (table, 2, col, 3, [((0, 1), (1, 2)), ((1, 3),)],
+            [((1, 1),), ((0, 3),), ((0, 1), (1, -1))])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(args=leg_sums())
+@example(args=on_column(((4, -2),)))
+@example(args=on_column(((0, 2), (1, 3), (2, 1), (4, -1))))
+@example(args=on_column(()))
+def test_leg_sum_is_the_per_term_sum(args):
+    assert nonzero(hopf_mod._leg_sum(*args)) == \
+        nonzero(per_term_leg_sum(*args))
