@@ -6,6 +6,9 @@
     hopfkit search  rb-group <file> [--budget N]
     hopfkit report  <file> [--format json|text] [--out path]
 
+``--using M`` names the automorphism of ``derive conjugate``; every other
+target refuses it as an input error.
+
 Exit codes: 0 all checks pass, 1 a check failed (the report says which),
 2 input error, an --out path that cannot be written included.  Reports are
 deterministic: byte-identical across runs and thread counts for the same
@@ -291,6 +294,9 @@ def run_derive(defs: DefinitionFile, what: str, name: str | None,
         raise DefinitionError(f"unknown derive target '{what}'")
     if what == "conjugate" and using is None:
         raise DefinitionError("derive conjugate needs --using <automorphism>")
+    if what != "conjugate" and using is not None:
+        raise DefinitionError(f"--using applies only to derive conjugate, "
+                              f"not to derive {what}")
     kinds = {"embed": "brace", "smash": "smash", "cocycle-rb": "cocycle"}
     decl = source_decl(defs, kinds.get(what, "rb"), name)
     if what in TENSOR_TARGETS:
@@ -442,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--name", default=None, help="source declaration")
     p.add_argument("--using", default=None,
-                   help="auxiliary map (automorphism for 'conjugate')")
+                   help="automorphism for 'conjugate' (refused by other targets)")
     p = sub.add_parser("check", parents=[common],
                        help="sweep one named condition")
     p.add_argument("condition", choices=CHECK_CONDITIONS)

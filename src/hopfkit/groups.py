@@ -305,22 +305,21 @@ def _rb_group_witness(g: FiniteGroup, table, a: int, b: int) -> Witness | None:
                    g.labels[lhs], g.labels[rhs])
 
 
-def verify_rb_group(g: FiniteGroup, table) -> RBGroupOp:
-    """Check the Rota-Baxter group identity on every pair (a, b).
+def rb_group_failure(g: FiniteGroup, table) -> tuple[int, int] | None:
+    """The lexicographically first pair (a, b) with B(a)B(b) !=
+    B(a B(a) b B(a)^{-1}) for the index table B on ``g``, or None when the
+    Rota-Baxter group identity holds on every pair: the one row scan behind
+    :func:`verify_rb_group` and the group path of
+    :func:`~hopfkit.rb.verify_rb`, which render the pair their own way.
 
     On a group of order at most 256 each row a is one comparison of byte
     strings built by ``bytes.translate``: with B as bytes, B(a)B(b) over
     all b is B read through row B(a), and B(a B(a) b B(a)^{-1}) is column
     B(a)^{-1} read through row a B(a) and then through B.  Every pair is
-    still compared exactly.  Only a row whose bytes differ is scanned
-    pair by pair, so ``IdentityFails`` carries the lexicographically
-    first failing pair.  Larger groups have no byte tables, and every
-    row is scanned.
+    still compared exactly.  Only a row whose bytes differ is scanned pair
+    by pair.  Larger groups have no byte tables, and every row is scanned.
     """
-    table = tuple(table)
     n = g.order
-    if len(table) != n or min(table) < 0 or max(table) >= n:
-        raise DimensionMismatch("operator table must map indices to indices")
     tab, inv = g.table, g.inverse
     rows, cols = g.byte_rows, g.byte_cols
     if rows is not None:
@@ -336,8 +335,22 @@ def verify_rb_group(g: FiniteGroup, table) -> RBGroupOp:
         for b in range(n):
             # B(a)B(b) against B(a B(a) b B(a)^{-1})
             if row_ba[table[b]] != table[row_aba[tab[b][inv_ba]]]:
-                raise IdentityFails("rota-baxter-group",
-                                    _rb_group_witness(g, table, a, b))
+                return a, b
+    return None
+
+
+def verify_rb_group(g: FiniteGroup, table) -> RBGroupOp:
+    """Check the Rota-Baxter group identity on every pair (a, b) by
+    :func:`rb_group_failure`, so ``IdentityFails`` carries the
+    lexicographically first failing pair, in group labels."""
+    table = tuple(table)
+    n = g.order
+    if len(table) != n or min(table) < 0 or max(table) >= n:
+        raise DimensionMismatch("operator table must map indices to indices")
+    pair = rb_group_failure(g, table)
+    if pair is not None:
+        raise IdentityFails("rota-baxter-group",
+                            _rb_group_witness(g, table, *pair))
     return RBGroupOp(g, table)
 
 
@@ -423,9 +436,10 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
     ``budget`` bounds the number of search nodes; exceeding it raises
     ``BudgetExceeded`` with the partial result list attached, and a
     negative budget raises ``ValueError`` before the search.  Every
-    operator found is re-checked on every pair by ``verify_rb_group``:
-    one byte-string comparison per row up to order 256, a pair-by-pair
-    scan of every row above it.
+    operator found is re-checked on every pair by
+    :func:`rb_group_failure`: one byte-string comparison per row up to
+    order 256, a pair-by-pair scan of every row above it.  A table that
+    fails would be a fault of the search (``InternalTheoremViolation``).
     """
     if budget is not None and budget < 0:
         raise ValueError(f"search budget {budget} is below 0")
@@ -491,7 +505,10 @@ def enumerate_rb_group_ops(g: FiniteGroup, budget: int | None = None) -> list[RB
     root[g.identity] = g.identity
     dfs(root, [g.identity], [])
     found.sort()
-    return [verify_rb_group(g, t) for t in found]
+    for t in found:
+        if rb_group_failure(g, t) is not None:
+            raise InternalTheoremViolation(f"search found a non-operator {t}")
+    return [RBGroupOp(g, t) for t in found]
 
 
 def ybe_set_map(b: RBGroupOp) -> dict[tuple[int, int], tuple[int, int]]:

@@ -6,7 +6,9 @@ verified by sweeping all basis tuples, which suffices by multilinearity;
 failed sweeps report the lexicographically first failing tuple together
 with both evaluated sides.  Every check that a map is a coalgebra map goes
 through :func:`coalgebra_map_failures`, whose failures
-:func:`_named_failures` labels, and every report of module laws is built
+:func:`_named_failures` labels, except a basis map between two group
+carriers, which :func:`coalgebra_morphism_witness` accepts with no
+sweep; every report of module laws is built
 by :func:`_module_report`; the middle-flip coalgebra of
 H ⊗ K is built by :func:`tensor_coalgebra`, every tensor ambient by
 :func:`smash_hopf`, and Sweedler sums of maps by :func:`convolution`,
@@ -364,8 +366,9 @@ def basis_group(h: HopfAlgebraData) -> FiniteGroup | None:
     :class:`~hopfkit.groups.FiniteGroup` (Latin square, identity,
     associativity), with the unit as its identity and S as its inverse.
     This is the one group-like path: :func:`verify_hopf` accepts the
-    carrier on it, :func:`~hopfkit.rb.verify_rb` a basis-to-basis map, and
-    :func:`~hopfkit.rb._circle_mul` reads ∘_B off its table.  Once
+    carrier on it, :func:`~hopfkit.rb.verify_rb` decides a basis-to-basis
+    map, :func:`coalgebra_morphism_witness` reads one as a coalgebra map,
+    and :func:`~hopfkit.rb._circle_mul` reads ∘_B off its table.  Once
     :func:`verify_hopf` has accepted h, the group it found (or None) is
     stored on the frozen h and returned without reading the tables."""
     if h._report is not None:
@@ -951,7 +954,18 @@ def coalgebra_morphism_witness(f: LinearOp, h: HopfAlgebraData,
                                k: HopfAlgebraData) -> Witness | None:
     """The first basis element e_i of H with Δ_K(f(e_i)) != (f⊗f)Δ_H(e_i)
     or ε_K(f(e_i)) != ε_H(e_i), with both sides, or None when f is a
-    coalgebra map.  Neither structure needs to be validated."""
+    coalgebra map.  Neither structure needs to be validated.
+
+    A map from h.space to k.space that sends each basis vector to a basis
+    vector (:func:`basis_indices`) is read as a coalgebra map with no
+    sweep when :func:`basis_group` recognizes h and k: their bases are
+    group-like, so Δ_K(f(g)) = f(g)⊗f(g) = (f⊗f)Δ_H(g) and ε_K(f(g)) = 1 =
+    ε_H(g).  The columns are tested first, so a dense f is declined at its
+    first column."""
+    if (basis_indices(f.columns) is not None and f.domain == h.space
+            and f.codomain == k.space and basis_group(h) is not None
+            and basis_group(k) is not None):
+        return None
     named = _named_failures(coalgebra_map_failures(
         f, (h.comul, h.counit), (k.comul, k.counit)), (h.space,))
     return named[0][1] if named else None

@@ -5,9 +5,10 @@ A Rota-Baxter operator is a coalgebra map B with
     B(x) B(y) = B( x_(1) B(x_(2)) y S(B(x_(3))) ).
 
 verify_rb sweeps both sides in ints on the scaled columns of m, B and
-∘_B.  On a group algebra in its group-like basis it accepts a
-basis-to-basis map through :func:`~hopfkit.groups.verify_rb_group` and
-builds no table; the sweep decides every failure.  ∘_B and T of such a
+∘_B.  On a group algebra in its group-like basis it decides a
+basis-to-basis map by the row scan of
+:func:`~hopfkit.groups.rb_group_failure` and builds no table, accepting
+it or raising the sweep's witness.  ∘_B and T of such a
 map are read off the group.  The one builder of ∘_B,
 :func:`_circle_mul`, runs on the first read of ``circle``.
 Every transform here (the reflection B~, conjugation by an automorphism,
@@ -21,15 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (DimensionMismatch, HopfkitError, IdentityFails,
-                     InternalTheoremViolation, NotAutomorphism,
-                     NotCoalgebraMap, RBIdentityFails)
-from .groups import FiniteGroup, verify_rb_group
+from .errors import (DimensionMismatch, HopfkitError, InternalTheoremViolation,
+                     NotAutomorphism, NotCoalgebraMap, RBIdentityFails)
+from .groups import FiniteGroup, rb_group_failure
 from .hopf import (HopfAlgebraData, _leg_sum, _multiplicative_witness,
-                   _verified, adjoint_map, apply2, basis_group, basis_indices,
-                   check_bialgebra_automorphism, check_coalgebra_morphism,
-                   coalgebra_morphism_witness, convolution, first_witness,
-                   int_witness, require_cocommutative)
+                   _rendered, _verified, adjoint_map, apply2, basis_group,
+                   basis_indices, check_bialgebra_automorphism,
+                   check_coalgebra_morphism, coalgebra_morphism_witness,
+                   convolution, first_witness, int_witness,
+                   require_cocommutative)
 from .linalg import (LinearOp, int_product, invert, scaled_columns,
                      scaled_element)
 from .report import AxiomReport, Witness
@@ -65,22 +66,28 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
 
     On a carrier k[G] that :func:`~hopfkit.hopf.basis_group` recognizes, a
     map sending each basis vector to a basis vector is decided by
-    :func:`~hopfkit.groups.verify_rb_group`.  Such a map is a coalgebra
+    :func:`~hopfkit.groups.rb_group_failure`.  Such a map is a coalgebra
     map, since Δ(B(g)) = B(g)⊗B(g) = (B⊗B)Δ(g) and ε(B(g)) = 1 = ε(g), and
     x ∘_B y = x B(x) y B(x)⁻¹ (:func:`_circle_mul`), so B(x)B(y) =
-    B(x ∘_B y) is the group identity.  This path builds no table and only
-    accepts; otherwise :func:`_sweep_rb` decides, so every exception and
-    witness is the sweep's."""
+    B(x ∘_B y) is the group identity.  This path builds no table.  Its
+    failure is the sweep's witness: :func:`_sweep_rb` finds no coalgebra
+    failure on such a map and scans (x, y) in the row scan's (a, b) order,
+    so the first failing pair is rendered with the two basis vectors
+    B(a)B(b) and B(a ∘_B b) as its sides.  Otherwise :func:`_sweep_rb`
+    decides."""
     require_cocommutative(h)
     read = _group_map(h, b)
-    if read is not None:
-        try:
-            verify_rb_group(*read)
-        except IdentityFails:
-            pass
-        else:
-            return RotaBaxterOp(h, b, True)
-    return _sweep_rb(h, b)
+    if read is None:
+        return _sweep_rb(h, b)
+    group, table = read
+    pair = rb_group_failure(group, table)
+    if pair is None:
+        return RotaBaxterOp(h, b, True)
+    x, y = pair
+    tab, bx = group.table, table[x]
+    raise RBIdentityFails("Rota-Baxter identity fails", _rendered(
+        (h.space, h.space), pair, h.basis(tab[bx][table[y]]),
+        h.basis(table[tab[tab[tab[x][bx]][y]][group.inverse[bx]]])))
 
 
 def _require_endomap(h: HopfAlgebraData, b: LinearOp) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from itertools import chain
+from itertools import chain, product
 
 from .hopf import HopfAlgebraData
 from .linalg import BasedSpace, Element, Field, LinearOp
@@ -62,40 +62,32 @@ def space_to_json(space: BasedSpace) -> list:
 
 
 def element_entries(elem: Element) -> list:
-    field = elem.space.field
-    return [[i, field.render(c)] for i, c in elem.items()]
+    render = elem.space.field.render
+    return [[i, render(c)] for i, c in sorted(elem.coeffs.items())]
 
 
 def map_entries(op: LinearOp) -> list:
     """Sparse matrix as [row, col, scalar] triples, column-major sorted."""
-    field = op.domain.field
-    out = []
-    for j, col in enumerate(op.columns):
-        for i, c in col.items():
-            out.append([i, j, field.render(c)])
-    return out
+    render = op.domain.field.render
+    return [[i, j, render(c)] for j, col in enumerate(op.columns)
+            for i, c in sorted(col.coeffs.items())]
 
 
 def mul_entries(h: HopfAlgebraData) -> list:
     """[i, j, k, scalar]: the coefficient of e_k in e_i · e_j."""
-    out = []
-    dim = h.dim
-    for p, col in enumerate(h.mul.columns):
-        i, j = divmod(p, dim)
-        for k, c in col.items():
-            out.append([i, j, k, h.field.render(c)])
-    return out
+    render = h.field.render
+    return [[i, j, k, render(c)]
+            for (i, j), col in zip(product(range(h.dim), repeat=2),
+                                   h.mul.columns)
+            for k, c in sorted(col.coeffs.items())]
 
 
 def comul_entries(h: HopfAlgebraData) -> list:
     """[i, j, k, scalar]: the coefficient of e_j ⊗ e_k in Δ(e_i)."""
-    out = []
-    dim = h.dim
-    for i, col in enumerate(h.comul.columns):
-        for p, c in col.items():
-            j, k = divmod(p, dim)
-            out.append([i, j, k, h.field.render(c)])
-    return out
+    render, dim = h.field.render, h.dim
+    return [[i, *divmod(p, dim), render(c)]
+            for i, col in enumerate(h.comul.columns)
+            for p, c in sorted(col.coeffs.items())]
 
 
 def hopf_to_decl(name: str, h: HopfAlgebraData) -> dict:

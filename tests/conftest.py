@@ -845,6 +845,8 @@ FAST_PATHS = {
                         "test_edited_index_tables_are_declined_with_the_sweep_witness",
     "hopf.check_cocommutative": "tests/test_group_path.py::"
                                 "test_cocommutative_read_agrees_with_the_flip_sweep",
+    "hopf.coalgebra_morphism_witness":
+        "tests/test_group_path.py::test_coalgebra_read_agrees_with_the_sweep",
     "hopf._generators": "tests/test_generator_sweeps.py::"
                         "test_module_sweeps_over_generators_match_full_sweep",
     "hopf.int_witness": "tests/test_generator_sweeps.py::"

@@ -624,6 +624,18 @@ def test_derive_conjugate_requires_using(f2_file, capsys):
     assert cli.main(["derive", "conjugate", f2_file]) == 2
 
 
+@pytest.mark.parametrize("using", ["nosuch", "B_inv"],
+                         ids=["unknown-name", "map-name"])
+@pytest.mark.parametrize("what", ["circle", "embed"])
+def test_derive_refuses_using_off_conjugate(what, using, capsys):
+    # only conjugate reads --using; any other target would ignore it
+    fixture = str(ROOT / "docs" / "fixtures" / "f2_s3_binv.json")
+    assert cli.main(["derive", what, fixture, "--using", using]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --using applies only to derive conjugate, not to derive "
+            f"{what}\n")
+
+
 @pytest.mark.parametrize("decls", [
     [{"kind": "map", "name": "M", "domain": ["a", "b"], "codomain": ["a", "b"],
       "identity": True}],

@@ -115,3 +115,31 @@ def test_ci_d4_embed_digests(fast_paths_off, flag, digest, tmp_path, capsys):
     assert cli.main(["derive", "embed", str(path), *flag]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         digest
+
+
+def test_ci_int_sweep_rota_baxter_lines(fast_paths_off, tmp_path, capsys):
+    # the rb and s3 documents of the step "Witness lines of the int sweeps
+    # through the real entry point", whose failing maps the group path of
+    # verify_rb rejects when it is on
+    z3 = {"kind": "hopf", "name": "H", "group_algebra": {"cyclic": 3}}
+    s3 = {"kind": "hopf", "name": "H", "group_algebra": {"dihedral": 3}}
+    docs = {
+        "rb": [z3, {"kind": "map", "name": "B", "on": "H", "rota_baxter": True,
+                    "images": {"e": "e", "g": "g", "g2": "e"}}],
+        "s3": [s3, {"kind": "map", "name": "B", "on": "H", "rota_baxter": True,
+                    "images": {"e": "e", "r": "s", "r2": "rs", "s": "e",
+                               "rs": "r", "r2s": "r2"}}]}
+    got = []
+    for flag in ([], ["--field", "7"]):
+        for doc, decls in docs.items():
+            path = tmp_path / f"{doc}.json"
+            path.write_text(json.dumps({"version": 1, "declarations": decls}))
+            assert cli.main(["verify", str(path), *flag]) == 1
+            out, err = capsys.readouterr()
+            assert err == ""
+            got += [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert got == [
+        "FAIL  B.rota-baxter  [at (g, g): lhs = 1/1*g2, rhs = 1/1*e]",
+        "FAIL  B.rota-baxter  [at (r, r2): lhs = 1/1*r2, rhs = 1/1*rs]",
+        "FAIL  B.rota-baxter  [at (g, g): lhs = 1*g2, rhs = 1*e]",
+        "FAIL  B.rota-baxter  [at (r, r2): lhs = 1*r2, rhs = 1*rs]"]

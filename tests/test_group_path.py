@@ -1,13 +1,16 @@
-"""The group layer as the accept-only path of verify_hopf, verify_rb,
-verify_brace and the symmetry suite, and the group reads of group_algebra,
+"""The group layer as the accept-only path of verify_hopf, verify_brace
+and the symmetry suite, the deciding path of verify_rb and of the
+coalgebra-map check, and the group reads of group_algebra,
 check_cocommutative and the descendent antipode.
 
 On a carrier that ``hopf.basis_group`` recognizes as k[G] in its
 group-like basis, verify_hopf passes every line with no sweep,
-verify_rb decides a basis-to-basis map with ``groups.verify_rb_group``,
-verify_brace accepts the skew-brace identity on two Cayley tables, and
-T(g) = (B(g)⁻¹g⁻¹)B(g) is read off the table; group_algebra accepts k[G]
-on the group it is given.  op-module and prop44 accept on rows of
+verify_rb decides a basis-to-basis map by the row scan of
+``groups.rb_group_failure``, coalgebra_morphism_witness reads a basis map
+between two such carriers as a coalgebra map, verify_brace accepts the
+skew-brace identity on two Cayley tables, and T(g) = (B(g)⁻¹g⁻¹)B(g)
+is read off the table; group_algebra accepts k[G] on the group it is
+given.  op-module and prop44 accept on rows of
 a ⇀ c = a⁻¹(a∘c), and prop48 and prop49 on rows of u ▷ c = u c u⁻¹.
 Every test here compares that path with the full sweeps and sums, which
 stay callable as ``hopf._sweep_hopf``, ``rb._sweep_rb``, the int sweeps
@@ -45,6 +48,7 @@ from test_rb import paper_circle_columns
 FIELDS = [QQ, Field(7)]
 ORDER_LE_8 = order_le_8_groups()
 GROUPS = ORDER_LE_8 + [gr.dihedral(6), gr.symmetric(4)]
+Z2_Z2 = gr.direct_product(gr.cyclic(2), gr.cyclic(2))
 
 
 def grouplike_carrier(table, unit, anti, field=QQ, labels=None):
@@ -252,17 +256,29 @@ def test_lifted_operators_match_the_paper_circle(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("seed", [*range(16), "every"])
 def test_basis_maps_give_the_sweep_verdict(seed, field):
-    rng = random.Random(seed)
-    g = rng.choice(GROUPS)
-    h = hk.group_algebra(g, field)
-    b = gr.lift_map(h, [g.identity] + [rng.randrange(g.order)
-                                       for _ in range(g.order - 1)])
-    expected = raised(rb_mod._sweep_rb, h, b)
-    assert raised(hk.verify_rb, h, b) == expected
-    if expected is not None:
-        assert expected[0] is RBIdentityFails
+    # a seed draws one map with B(e) = e on one group; "every" takes every
+    # such map on Z2×Z2 (End(G) passes, the rest fail) and on S3 (8 of
+    # 7776 pass), where swapped sides, the pair read as (b, a) or group
+    # labels in place of element text would change a rejection
+    if seed == "every":
+        cases = [(g, [(g.identity, *rest) for rest in itertools.product(
+            range(g.order), repeat=g.order - 1)])
+            for g in (Z2_Z2, gr.dihedral(3))]
+    else:
+        rng = random.Random(seed)
+        g = rng.choice(GROUPS)
+        cases = [(g, [[g.identity] + [rng.randrange(g.order)
+                                      for _ in range(g.order - 1)]])]
+    for g, tables in cases:
+        h = hk.group_algebra(g, field)
+        for table in tables:
+            b = gr.lift_map(h, table)
+            expected = raised(rb_mod._sweep_rb, h, b)
+            assert raised(hk.verify_rb, h, b) == expected
+            if expected is not None:
+                assert expected[0] is RBIdentityFails
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -274,6 +290,48 @@ def test_maps_off_the_basis_give_the_sweep_witness(field):
         expected = raised(rb_mod._sweep_rb, h, b)
         assert expected is not None and expected[0] is NotCoalgebraMap
         assert raised(hk.verify_rb, h, b) == expected
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("group", [Z2_Z2, gr.dihedral(3), gr.dihedral(4),
+                                   gr.quaternion_group()], ids=str)
+def test_coalgebra_read_agrees_with_the_sweep(group, field, monkeypatch):
+    # every basis map on Z2×Z2 and 512 drawn ones elsewhere, each also with
+    # one column scaled by 2 and with one column plus another: the read
+    # accepts the first, and must decline the other two, which are no
+    # coalgebra maps, so that the sweep gives its witness
+    n = group.order
+    h = hk.group_algebra(group, field)
+    rng = random.Random(n)
+    tables = (itertools.product(range(n), repeat=n) if n == 4 else
+              [[rng.randrange(n) for _ in range(n)] for _ in range(512)])
+    maps = []
+    for table in tables:
+        cols = [h.basis(j) for j in table]
+        i, k = rng.sample(range(n), 2)
+        for col in (cols[i], cols[i].scale(2), cols[i] + cols[k]):
+            maps.append(LinearOp(h.space, h.space,
+                                 [*cols[:i], col, *cols[i + 1:]]))
+    read = [hopf_mod.coalgebra_morphism_witness(f, h, h) for f in maps]
+    monkeypatch.setattr(hopf_mod, "basis_group", lambda h: None)
+    assert read == [hopf_mod.coalgebra_morphism_witness(f, h, h) for f in maps]
+    assert read[0::3] == [None] * (len(maps) // 3)
+    assert None not in read[1::3] + read[2::3]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("shape", sorted(declined_shapes(QQ)))
+def test_coalgebra_read_needs_both_carriers_group_like(shape, field,
+                                                       monkeypatch):
+    # a basis map between Q[S3] and one of its off-shape edits, both ways
+    h, k = hk.group_algebra(gr.dihedral(3), field), declined_shapes(field)[shape]
+    pairs = [(gr.lift_map(h, table), a, b) for table in itertools.islice(
+        itertools.permutations(range(6)), 0, None, 60)
+        for a, b in ((h, k), (k, h))]
+    read = [hopf_mod.coalgebra_morphism_witness(*pair) for pair in pairs]
+    monkeypatch.setattr(hopf_mod, "basis_group", lambda h: None)
+    assert read == [hopf_mod.coalgebra_morphism_witness(*pair)
+                    for pair in pairs]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

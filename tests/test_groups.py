@@ -7,7 +7,8 @@ import pytest
 
 import hopfkit as hk
 from hopfkit import groups as gr
-from hopfkit.errors import DimensionMismatch, IdentityFails
+from hopfkit.errors import (DimensionMismatch, IdentityFails,
+                            InternalTheoremViolation)
 
 
 def all_rb_ops_brute_force(g):
@@ -530,6 +531,15 @@ def test_enumeration_s3_contains_standard_ops(s3):
 def test_budget_exceeded_carries_partials(s3):
     with pytest.raises(gr.BudgetExceeded):
         gr.enumerate_rb_group_ops(s3, budget=2)
+
+
+def test_search_rechecks_every_operator_it_finds(s3, monkeypatch):
+    # a table that the row scan rejects is a fault of the search
+    monkeypatch.setattr(gr, "rb_group_failure",
+                        lambda g, t: (0, 1) if t == s3.inverse else None)
+    with pytest.raises(InternalTheoremViolation,
+                       match=r"search found a non-operator \(0, 2, 1, 3, 4, 5\)"):
+        gr.enumerate_rb_group_ops(s3)
 
 
 def test_negative_budget_rejected_before_search(s3):
