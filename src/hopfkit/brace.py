@@ -9,10 +9,13 @@ or sweeps it in ints on scaled columns.
 
 The symmetry suite reads group carriers off their Cayley tables as well:
 op-module and prop44 compare rows of a ⇀ c = a⁻¹(a∘c) when both structures
-of the brace are recognized group algebras, and prop48 and prop49 rows of
-u ▷ c = u c u⁻¹ when the map sends basis vectors to basis vectors.  Each
-read is exact on group-likes but only accepts; on a failure the int sweep
-runs, so every witness is the sweep's.
+of the brace were accepted as group algebras, and prop48 and prop49 rows of
+u ▷ c = u c u⁻¹ (:func:`~hopfkit.groups.conjugation_automorphism`) when the
+map sends basis vectors to basis vectors.  Every read takes the group that
+acceptance stored on the carrier (see
+:class:`~hopfkit.hopf.HopfAlgebraData`); a carrier with none is swept.
+Each read is exact on group-likes but only accepts; on a failure the int
+sweep runs, so every witness is the sweep's.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ from .errors import (CompatibilityFails, ConstructionInvalid,
                      DimensionMismatch, HopfAxiomFails, HopfkitError,
                      HypothesisFails, InternalTheoremViolation,
                      NotExactFactorization, SingularMap)
+from .groups import conjugation_automorphism
 from .hopf import (HopfAlgebraData, ModuleAction, _associativity_witness,
-                   _generators, _leg_sum, _multiplicative_witness, _require,
-                   _verified, adjoint_map, apply2, basis_group,
-                   check_cocommutative, check_module_bialgebra, convolution,
-                   convolution_inverse, first_witness, int_witness,
-                   opposite_hopf, require_cocommutative, smash_hopf,
-                   sub_hopf_indices, twisted_product, verify_hopf)
+                   _leg_sum, _multiplicative_witness, _require, _verified,
+                   adjoint_map, apply2, check_cocommutative,
+                   check_module_bialgebra, convolution, convolution_inverse,
+                   first_witness, int_witness, opposite_hopf,
+                   require_cocommutative, smash_hopf, sub_hopf_indices,
+                   twisted_product, verify_hopf)
 from .linalg import (BasedSpace, Element, LinearOp, int_product, int_sum,
                      invert, kron, rank, scaled_columns, tensor_elem,
                      tensor_index, tensor_space)
@@ -76,11 +80,13 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
     side at (a, b, c) is then one sum over the column of Δ(a), with that
     table as its left legs and ``circ[c::dim]`` as its right legs.
 
-    When :func:`~hopfkit.hopf.basis_group` recognizes both structures, on
-    basis triples this is the skew-brace identity a∘(bc) = ((a∘b)a⁻¹)(a∘c)
+    When both structures were accepted with a stored group, on basis
+    triples this is the skew-brace identity a∘(bc) = ((a∘b)a⁻¹)(a∘c)
     (Δ²(a) = a⊗a⊗a, S(a) = a⁻¹), checked first on the Cayley tables with b
-    over the dot group's generators, by the closure above.  It only
-    accepts: the int sweep decides every failure, witness and exception."""
+    over ``generators`` of the dot group.  By the closure above that proves
+    it, since b = 1 holds at once (a∘1 = a, the units being shared).  It
+    only accepts: the int sweep decides every failure, witness and
+    exception."""
     if dot.space != circle.space:
         raise DimensionMismatch("brace structures must share one space")
     if dot.comul != circle.comul or dot.counit != circle.counit:
@@ -94,11 +100,11 @@ def verify_brace(dot: HopfAlgebraData, circle: HopfAlgebraData) -> HopfBrace:
         if not report.passed:
             fail = report.first_failure()
             raise HopfAxiomFails(fail.name, fail.witness, structure=name)
-    group, circ_group = basis_group(dot), basis_group(circle)
+    group, circ_group = dot._group, circle._group
     if group is not None and circ_group is not None:
         tab, inv, circ = group.table, group.inverse, circ_group.table
         if all(circ[a][tab[b][c]] == tab[tab[circ[a][b]][inv[a]]][circ[a][c]]
-               for b in _generators(dot) for a in range(dot.dim)
+               for b in group.generators for a in range(dot.dim)
                for c in range(dot.dim)):
             return HopfBrace(dot, circle, True)
 
@@ -278,23 +284,16 @@ def embed_into_rb(br: HopfBrace) -> RbEmbedding:
 # -- symmetry suite ----------------------------------------------------------------
 
 def _action_rows(br: HopfBrace):
-    """``(G, K, act)`` when :func:`~hopfkit.hopf.basis_group` recognizes
-    the dot structure of br as k[G] and the circle as k[K], else None;
+    """``(G, K, act)`` when the dot structure of br was accepted as k[G]
+    and the circle as k[K], with G and K stored on them, else None;
     ``act[a][c]`` is the index of a ⇀ c = S(a)(a∘c) = a⁻¹(a∘c), the
     column of :func:`derived_action_map` at (a, c), since Δ(a) = a⊗a."""
-    group, circ_group = basis_group(br.dot), basis_group(br.circle)
+    group, circ_group = br.dot._group, br.circle._group
     if group is None or circ_group is None:
         return None
     tab, inv = group.table, group.inverse
     return group, circ_group, [[tab[inv[a]][x] for x in row]
                                for a, row in enumerate(circ_group.table)]
-
-
-def _conjugation_rows(group) -> list[list[int]]:
-    """``rows[u][c]``, the index of u ▷ c = u_(1) c S(u_(2)) = u c u⁻¹ on
-    the Cayley table of ``group``: the adjoint action on group-likes."""
-    tab, inv = group.table, group.inverse
-    return [[tab[x][inv[u]] for x in row] for u, row in enumerate(tab)]
 
 
 def op_module_witness(br: HopfBrace) -> Witness | None:
@@ -419,14 +418,16 @@ def rb_symmetric_sufficient_witness(h: HopfAlgebraData,
     B(T(a))) ▷ c) with u ▷ c = u c u⁻¹ and T(a) = (B(a)⁻¹a⁻¹)B(a).  Left
     multiplication by ab is a bijection of the basis, so this holds
     exactly when B(b) ▷ c = (B(ab)B(T(a))) ▷ c, checked on whole rows over
-    c.  The read only accepts; the int sweep decides every failure and its
-    witness."""
+    c, with u ▷ c = u_(1) c S(u_(2)) read as the row u of
+    :func:`~hopfkit.groups.conjugation_automorphism`.  The read only
+    accepts; the int sweep decides every failure and its witness."""
     h.require_validated()
     dim = h.dim
     read = _group_map(h, b)
     if read is not None:
         group, table = read
-        tab, conj = group.table, _conjugation_rows(group)
+        tab = group.table
+        conj = [conjugation_automorphism(group, u) for u in range(dim)]
         bt = [table[t] for t in _antipode_indices(group, table)]
         if all(conj[table[bb]] == conj[tab[table[tab[a][bb]]][bt[a]]]
                for a in range(dim) for bb in range(dim)):
@@ -509,7 +510,8 @@ def rb_op_module_witness(h: HopfAlgebraData, b: LinearOp) -> Witness | None:
     read = _group_map(h, b)
     if read is not None:
         group, table = read
-        tab, conj = group.table, _conjugation_rows(group)
+        tab = group.table
+        conj = [conjugation_automorphism(group, u) for u in range(dim)]
         if all(conj[table[tab[bb][a]]] == conj[tab[table[a]][table[bb]]]
                for a in range(dim) for bb in range(dim)):
             return None

@@ -42,6 +42,7 @@ from .hopf import (ModuleAction, check_cocommutative, check_module_bialgebra,
 from .linalg import LinearOp
 from .rb import (RotaBaxterOp, central_image_witness,
                  descendent_antipode_inverse_witness, verify_rb)
+from .report import AxiomReport, CheckResult, Witness
 from .serialize import (digest, document, dump_document, field_from_json,
                         field_to_json, hopf_to_decl, map_entries, map_to_decl,
                         render_json)
@@ -135,18 +136,17 @@ def build_cocycle(defs: DefinitionFile, decl: Declaration):
 
 # -- the verification report -------------------------------------------------------
 
-def run_checks(defs: DefinitionFile) -> tuple[list[dict], dict]:
-    """One entry per check, in declaration order, plus structure digests."""
-    checks: list[dict] = []
+def run_checks(defs: DefinitionFile) -> tuple[AxiomReport, dict]:
+    """One check per report line, in declaration order, plus structure
+    digests.  A construction that raises fails its line: a verification
+    failure with its own witness, any other error with its message as a
+    witness at no basis tuple."""
+    checks = AxiomReport()
     digests: dict[str, str] = {}
 
     def add(name: str, witness, passed=None):
-        entry = {"name": name, "passed": witness is None if passed is None
-                 else passed}
-        if witness is not None:
-            entry["witness"] = witness.as_dict() if hasattr(witness, "as_dict") \
-                else {"at": [], "lhs": str(witness), "rhs": ""}
-        checks.append(entry)
+        checks.checks.append(CheckResult(
+            name, witness is None if passed is None else passed, witness))
 
     def add_outcome(name: str, fn):
         try:
@@ -155,7 +155,7 @@ def run_checks(defs: DefinitionFile) -> tuple[list[dict], dict]:
         except VerificationFailed as exc:
             add(name, exc.witness, passed=False)
         except HopfkitError as exc:
-            add(name, exc, passed=False)
+            add(name, Witness((), str(exc), ""))
 
     for decl in defs.declarations:
         if decl.kind == "group":
@@ -210,9 +210,10 @@ def run_checks(defs: DefinitionFile) -> tuple[list[dict], dict]:
 
 def build_report(defs: DefinitionFile, command: str) -> dict:
     checks, digests = run_checks(defs)
+    lines = checks.as_dict()
     return {"version": 1, "field": field_to_json(defs.field),
-            "command": command, "checks": checks, "digests": digests,
-            "passed": all(c["passed"] for c in checks)}
+            "command": command, "checks": lines["checks"], "digests": digests,
+            "passed": lines["passed"]}
 
 
 def render_report_text(report: dict) -> str:
@@ -388,7 +389,9 @@ def run_check(defs: DefinitionFile, condition: str, name: str | None):
 def run_search(defs: DefinitionFile, budget: int | None) -> dict:
     out: dict = {}
     for decl in defs.declarations:
-        group = decl.obj if decl.kind == "group" else decl.group
+        # a group, or the group stored on a carrier that group_algebra built
+        group = (decl.obj if decl.kind == "group" else
+                 decl.obj._group if decl.kind == "hopf" else None)
         if group is None:
             continue
         ops = gr.enumerate_rb_group_ops(group, budget)

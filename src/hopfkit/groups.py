@@ -613,7 +613,10 @@ def lift_map(h, table):
 
 
 def conjugation_automorphism(g: FiniteGroup, by: int) -> tuple[int, ...]:
-    return tuple(g.conj(by, x) for x in range(g.order))
+    """The index of by·x·by⁻¹ for every x, read off the Cayley table: row
+    ``by`` holds by·x, and each entry's row at by⁻¹ the product with it."""
+    tab, inv = g.table, g.inverse[by]
+    return tuple([tab[y][inv] for y in tab[by]])
 
 
 def lift_automorphism(h, perm):

@@ -6,8 +6,8 @@ verified by sweeping all basis tuples, which suffices by multilinearity;
 failed sweeps report the lexicographically first failing tuple together
 with both evaluated sides.  Every check that a map is a coalgebra map goes
 through :func:`coalgebra_map_failures`, whose failures
-:func:`_named_failures` labels, except a basis map between two group
-carriers, which :func:`coalgebra_morphism_witness` accepts with no
+:func:`_named_failures` labels, except a basis map between two accepted
+group carriers, which :func:`coalgebra_morphism_witness` accepts with no
 sweep; every report of module laws is built
 by :func:`_module_report`; the middle-flip coalgebra of
 H ⊗ K is built by :func:`tensor_coalgebra`, every tensor ambient by
@@ -60,6 +60,10 @@ basis passes :func:`verify_hopf` through the group layer, with no sweep,
 and :func:`group_algebra` accepts k[G] on the group it is given; the
 sweeps decide every other carrier and every failure.  An accepted
 carrier is frozen and keeps its verdict, so it is verified once per object.
+Acceptance is the one place that decides whether a carrier is k[G]: only
+:func:`verify_hopf` calls the recognizer, and every group read, here and
+in the other modules, uses the group that :func:`_accept` stored, so a
+carrier that was never accepted takes the sweeps.
 
 Constructions raise ``ConstructionInvalid`` through two helpers only:
 :func:`_verified` for a Hopf algebra they built and :func:`_require` for
@@ -135,7 +139,10 @@ class HopfAlgebraData:
     or :func:`group_algebra` accepts the value, :func:`_accept` freezes its
     maps, unit and basis elements (:func:`~hopfkit.linalg.freeze`) and
     keeps the passing report in ``_report`` and the group of
-    :func:`basis_group` in ``_group``, so it cannot change under its verdict.
+    :func:`basis_group` (or the one :func:`group_algebra` was given) in
+    ``_group``, so it cannot change under its verdict.  ``_group`` is the
+    one group that every group read takes; a value that was never
+    accepted, such as a ``dataclasses.replace`` copy, has none.
 
     ``_gens`` keeps the indices of :func:`_generators` once they are read.
 
@@ -365,14 +372,11 @@ def basis_group(h: HopfAlgebraData) -> FiniteGroup | None:
     The product's index table must then pass the checks of
     :class:`~hopfkit.groups.FiniteGroup` (Latin square, identity,
     associativity), with the unit as its identity and S as its inverse.
-    This is the one group-like path: :func:`verify_hopf` accepts the
-    carrier on it, :func:`~hopfkit.rb.verify_rb` decides a basis-to-basis
-    map, :func:`coalgebra_morphism_witness` reads one as a coalgebra map,
-    and :func:`~hopfkit.rb._circle_mul` reads ∘_B off its table.  Once
-    :func:`verify_hopf` has accepted h, the group it found (or None) is
-    stored on the frozen h and returned without reading the tables."""
-    if h._report is not None:
-        return h._group
+    The tables are read on every call.  Only :func:`verify_hopf` calls it,
+    and :func:`_accept` stores the group it finds on the accepted h; the
+    group reads (:func:`coalgebra_morphism_witness`, ``rb._group_map``,
+    ``brace.verify_brace``, the suite's ``brace._action_rows``) take that
+    stored group."""
     dim = h.dim
     if any(e != 1 for e in h._eps) or any(
             col.coeffs != {i * dim + i: 1}
@@ -398,7 +402,7 @@ def _generators(h: HopfAlgebraData) -> list[int] | None:
     ((t₁t₂)t₃)… span H, for an h whose stored :func:`verify_hopf` report
     passed; None for any other h, whose sweeps stay full.
 
-    On a carrier that :func:`basis_group` recognizes, T is the generating
+    On a carrier with a stored group G, T is the generating
     set of G that :class:`~hopfkit.groups.FiniteGroup` picked greedily in
     index order (the identity alone for the trivial group), so every t and
     every word is group-like.  Otherwise T is picked by
@@ -520,7 +524,9 @@ def _accept(h: HopfAlgebraData, report: AxiomReport,
             group: FiniteGroup | None) -> None:
     """Freeze the maps, unit and basis elements of h and store its passing
     ``report`` with ``group``, the group :func:`basis_group` finds on h or
-    None: the acceptance of :func:`verify_hopf` and :func:`group_algebra`."""
+    None: the acceptance of :func:`verify_hopf` and :func:`group_algebra`,
+    and the one place a group is stored.  Storing None here turns every
+    group read off."""
     for op in (h.mul, h.comul, h.counit, h.antipode):
         freeze(op)
     freeze_elements((h.unit, *h._basis))
@@ -954,17 +960,17 @@ def coalgebra_morphism_witness(f: LinearOp, h: HopfAlgebraData,
                                k: HopfAlgebraData) -> Witness | None:
     """The first basis element e_i of H with Δ_K(f(e_i)) != (f⊗f)Δ_H(e_i)
     or ε_K(f(e_i)) != ε_H(e_i), with both sides, or None when f is a
-    coalgebra map.  Neither structure needs to be validated.
+    coalgebra map.  Neither structure needs to be validated for the sweep.
 
     A map from h.space to k.space that sends each basis vector to a basis
     vector (:func:`basis_indices`) is read as a coalgebra map with no
-    sweep when :func:`basis_group` recognizes h and k: their bases are
-    group-like, so Δ_K(f(g)) = f(g)⊗f(g) = (f⊗f)Δ_H(g) and ε_K(f(g)) = 1 =
-    ε_H(g).  The columns are tested first, so a dense f is declined at its
-    first column."""
+    sweep when both carriers were accepted with a stored group: their
+    bases are group-like, so Δ_K(f(g)) = f(g)⊗f(g) = (f⊗f)Δ_H(g) and
+    ε_K(f(g)) = 1 = ε_H(g).  Any other pair is swept.  The columns are
+    tested first, so a dense f is declined at its first column."""
     if (basis_indices(f.columns) is not None and f.domain == h.space
-            and f.codomain == k.space and basis_group(h) is not None
-            and basis_group(k) is not None):
+            and f.codomain == k.space and h._group is not None
+            and k._group is not None):
         return None
     named = _named_failures(coalgebra_map_failures(
         f, (h.comul, h.counit), (k.comul, k.counit)), (h.space,))

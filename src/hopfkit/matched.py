@@ -64,10 +64,10 @@ def verify_matched_pair(h: HopfAlgebraData, k: HopfAlgebraData,
 
     Both compatibility steps split a product, Δ(ab) = a_(1)b ⊗ a_(2)b,
     which needs b (and x) group-like.  So they run over generators only on
-    carriers that :func:`~hopfkit.hopf.basis_group` recognizes, whose
-    generators and words are group-like; on any other carrier they sweep
-    every slot.  (x ↼ a) ⇀ b and x ↼ (y ⇀ a) are tabled for each b or x
-    when its first row is swept."""
+    carriers accepted with a stored group, whose generators and words are
+    group-like; on any other carrier they sweep every slot.  (x ↼ a) ⇀ b
+    and x ↼ (y ⇀ a) are tabled for each b or x when its first row is
+    swept."""
     require_cocommutative(h)
     require_cocommutative(k)
     kh = tensor_space(k.space, h.space)

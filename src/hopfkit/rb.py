@@ -5,11 +5,12 @@ A Rota-Baxter operator is a coalgebra map B with
     B(x) B(y) = B( x_(1) B(x_(2)) y S(B(x_(3))) ).
 
 verify_rb sweeps both sides in ints on the scaled columns of m, B and
-∘_B.  On a group algebra in its group-like basis it decides a
-basis-to-basis map by the row scan of
-:func:`~hopfkit.groups.rb_group_failure` and builds no table, accepting
-it or raising the sweep's witness.  ∘_B and T of such a
-map are read off the group.  The one builder of ∘_B,
+∘_B.  On a group algebra accepted with a stored group (see
+:class:`~hopfkit.hopf.HopfAlgebraData`) it decides a basis-to-basis map
+by the row scan of :func:`~hopfkit.groups.rb_group_failure` and builds
+no table, accepting it or raising the sweep's witness.  ∘_B and T of such
+a map are read off that group; :func:`_group_map` is the one read, and a
+carrier with no stored group takes the sweeps.  The one builder of ∘_B,
 :func:`_circle_mul`, runs on the first read of ``circle``.
 Every transform here (the reflection B~, conjugation by an automorphism,
 the descendent Hopf algebra H(B)) re-verifies its advertised properties
@@ -26,11 +27,10 @@ from .errors import (DimensionMismatch, HopfkitError, InternalTheoremViolation,
                      NotAutomorphism, NotCoalgebraMap, RBIdentityFails)
 from .groups import FiniteGroup, rb_group_failure
 from .hopf import (HopfAlgebraData, _leg_sum, _multiplicative_witness,
-                   _rendered, _verified, adjoint_map, apply2, basis_group,
-                   basis_indices, check_bialgebra_automorphism,
-                   check_coalgebra_morphism, coalgebra_morphism_witness,
-                   convolution, first_witness, int_witness,
-                   require_cocommutative)
+                   _rendered, _verified, adjoint_map, apply2, basis_indices,
+                   check_bialgebra_automorphism, check_coalgebra_morphism,
+                   coalgebra_morphism_witness, convolution, first_witness,
+                   int_witness, require_cocommutative)
 from .linalg import (LinearOp, int_product, invert, scaled_columns,
                      scaled_element)
 from .report import AxiomReport, Witness
@@ -64,7 +64,7 @@ def verify_rb(h: HopfAlgebraData, b: LinearOp) -> RotaBaxterOp:
     """Check the coalgebra-morphism property and the Rota-Baxter identity
     on all basis pairs.
 
-    On a carrier k[G] that :func:`~hopfkit.hopf.basis_group` recognizes, a
+    On a carrier k[G] with a stored group (:func:`_group_map`), a
     map sending each basis vector to a basis vector is decided by
     :func:`~hopfkit.groups.rb_group_failure`.  Such a map is a coalgebra
     map, since Δ(B(g)) = B(g)⊗B(g) = (B⊗B)Δ(g) and ε(B(g)) = 1 = ε(g), and
@@ -97,13 +97,13 @@ def _require_endomap(h: HopfAlgebraData, b: LinearOp) -> None:
 
 
 def _group_map(h: HopfAlgebraData, b: LinearOp):
-    """``(G, t)`` when :func:`~hopfkit.hopf.basis_group` recognizes h as
-    k[G] and B(e_i) = e_{t[i]} for every i, else None, after refusing a b
-    that is not an endomap of h: the one group read of a map, shared by
+    """``(G, t)`` when h was accepted as k[G], with G stored on it, and
+    B(e_i) = e_{t[i]} for every i, else None, after refusing a b that is
+    not an endomap of h: the one group read of a map, shared by
     :func:`verify_rb`, :func:`_circle_mul`, :func:`descendent_antipode`
     and the two ``(h, b)`` checks of :mod:`~hopfkit.brace`."""
     _require_endomap(h, b)
-    group = basis_group(h)
+    group = h._group
     table = None if group is None else basis_indices(b.columns)
     return None if table is None else (group, table)
 
@@ -161,8 +161,8 @@ def check_tilde_conjugate_commute(b: RotaBaxterOp, phi: LinearOp) -> bool:
 
 def _circle_mul(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
     """g ∘_B x = g_(1) B(g_(2)) x S(B(g_(3))) as a map H ⊗ H -> H, for any
-    linear map B: the one builder of ∘_B.  On a carrier k[G] that
-    :func:`~hopfkit.hopf.basis_group` recognizes, with B sending basis
+    linear map B: the one builder of ∘_B.  On a carrier k[G] with a
+    stored group (:func:`_group_map`), with B sending basis
     vectors to basis vectors, Δ(g) = g⊗g and S(B(g)) = B(g)⁻¹, so the
     table is read off the group's as ((g B(g)) x) B(g)⁻¹, bracketed as the
     sum below.  Otherwise it is summed in ints on :func:`scaled_columns` by
@@ -215,7 +215,7 @@ def descendent_antipode(h: HopfAlgebraData, b: LinearOp) -> LinearOp:
     """T = ((S∘B) ⋆ S) ⋆ B, i.e. T(g) = S(B(g_(1))) S(g_(2)) B(g_(3)) with
     the legs of (Δ⊗id)Δ, for any linear map B.
 
-    On k[G] recognized by :func:`~hopfkit.hopf.basis_group`, with B
+    On k[G] with a stored group (:func:`_group_map`), with B
     sending basis vectors to basis vectors, Δ²(g) = g⊗g⊗g and S(B(g)) =
     B(g)⁻¹, so T(g) = (B(g)⁻¹g⁻¹)B(g) is read off the group's table,
     bracketed as the convolutions: for a Rota-Baxter B the inverse of g in

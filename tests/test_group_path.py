@@ -12,22 +12,27 @@ skew-brace identity on two Cayley tables, and T(g) = (B(g)⁻¹g⁻¹)B(g)
 is read off the table; group_algebra accepts k[G] on the group it is
 given.  op-module and prop44 accept on rows of
 a ⇀ c = a⁻¹(a∘c), and prop48 and prop49 on rows of u ▷ c = u c u⁻¹.
-Every test here compares that path with the full sweeps and sums, which
-stay callable as ``hopf._sweep_hopf``, ``rb._sweep_rb``, the int sweeps
-of verify_brace and the suite with ``basis_group`` patched out, and the
-element-form convolutions of ``tests/conftest.py``: the reports, maps,
-exceptions and witnesses must be equal, each suite read must accept every
-case that passes, and the recognizer must decline every table that is not
-a group with the unit as identity and S as inverse.
+Every group read takes the group that acceptance stored on the carrier,
+so a copy accepted with no stored group (``without_group`` of
+``tests/conftest.py``) turns the reads off.  Every test here compares that
+path with the full sweeps and sums, which stay callable as
+``hopf._sweep_hopf``, ``rb._sweep_rb``, the int sweeps of verify_brace and
+the suite on such copies, and the element-form convolutions of
+``tests/conftest.py``: the reports, maps, exceptions and witnesses must be
+equal, each suite read must accept every case that passes, and the
+recognizer must decline every table that is not a group with the unit as
+identity and S as inverse.
 """
 
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
 
 import hopfkit as hk
+from hopfkit import cli
 from hopfkit import groups as gr
 from hopfkit import brace as brace_mod
 from hopfkit import hopf as hopf_mod
@@ -35,11 +40,12 @@ from hopfkit import rb as rb_mod
 from hopfkit.errors import (CompatibilityFails, IdentityFails,
                             NotCoalgebraMap, RBIdentityFails,
                             VerificationFailed)
+from hopfkit.definitions import parse_text
 from hopfkit.hopf import basis_group, basis_indices, scalar_space
 from hopfkit.linalg import QQ, Field, LinearOp, tensor_space
 
 from conftest import (reference_circle_mul, reference_convolution_antipode,
-                      reference_rb_witness)
+                      reference_rb_witness, without_group)
 from test_acceptance import order_le_8_groups
 from test_groups import LOOP5, first_associativity_failure
 from test_hopf import perturbed
@@ -137,15 +143,13 @@ def test_group_path_runs_no_sweep(monkeypatch):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_cocommutative_read_agrees_with_the_flip_sweep(field, monkeypatch):
-    # a copy accepted with basis_group patched out stores no group, so
-    # check_cocommutative sweeps the flipped coproduct
+def test_cocommutative_read_agrees_with_the_flip_sweep(field):
+    # a copy accepted with no stored group, so check_cocommutative sweeps
+    # the flipped coproduct
     for g in GROUPS:
         h = hk.group_algebra(g, field)
-        copy = dataclasses.replace(h)
-        with monkeypatch.context() as m:
-            m.setattr(hopf_mod, "basis_group", lambda h: None)
-            assert hk.verify_hopf(copy).passed
+        copy = without_group(h)
+        assert hk.verify_hopf(copy).passed
         assert h._group is g and copy._group is None
         assert hk.check_cocommutative(h) == hk.check_cocommutative(copy)
 
@@ -295,7 +299,7 @@ def test_maps_off_the_basis_give_the_sweep_witness(field):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("group", [Z2_Z2, gr.dihedral(3), gr.dihedral(4),
                                    gr.quaternion_group()], ids=str)
-def test_coalgebra_read_agrees_with_the_sweep(group, field, monkeypatch):
+def test_coalgebra_read_agrees_with_the_sweep(group, field):
     # every basis map on Z2×Z2 and 512 drawn ones elsewhere, each also with
     # one column scaled by 2 and with one column plus another: the read
     # accepts the first, and must decline the other two, which are no
@@ -313,25 +317,25 @@ def test_coalgebra_read_agrees_with_the_sweep(group, field, monkeypatch):
             maps.append(LinearOp(h.space, h.space,
                                  [*cols[:i], col, *cols[i + 1:]]))
     read = [hopf_mod.coalgebra_morphism_witness(f, h, h) for f in maps]
-    monkeypatch.setattr(hopf_mod, "basis_group", lambda h: None)
-    assert read == [hopf_mod.coalgebra_morphism_witness(f, h, h) for f in maps]
+    swept = without_group(h)
+    assert read == [hopf_mod.coalgebra_morphism_witness(f, swept, swept)
+                    for f in maps]
     assert read[0::3] == [None] * (len(maps) // 3)
     assert None not in read[1::3] + read[2::3]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("shape", sorted(declined_shapes(QQ)))
-def test_coalgebra_read_needs_both_carriers_group_like(shape, field,
-                                                       monkeypatch):
+def test_coalgebra_read_needs_both_carriers_group_like(shape, field):
     # a basis map between Q[S3] and one of its off-shape edits, both ways
     h, k = hk.group_algebra(gr.dihedral(3), field), declined_shapes(field)[shape]
-    pairs = [(gr.lift_map(h, table), a, b) for table in itertools.islice(
-        itertools.permutations(range(6)), 0, None, 60)
-        for a, b in ((h, k), (k, h))]
-    read = [hopf_mod.coalgebra_morphism_witness(*pair) for pair in pairs]
-    monkeypatch.setattr(hopf_mod, "basis_group", lambda h: None)
-    assert read == [hopf_mod.coalgebra_morphism_witness(*pair)
-                    for pair in pairs]
+    maps = [gr.lift_map(h, table) for table in itertools.islice(
+        itertools.permutations(range(6)), 0, None, 60)]
+
+    def read(h):
+        return [hopf_mod.coalgebra_morphism_witness(f, a, b)
+                for f in maps for a, b in ((h, k), (k, h))]
+    assert read(h) == read(without_group(h))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -359,6 +363,69 @@ def test_group_read_of_the_circle_on_basis_maps_that_fail(group, field):
             rb_mod._sweep_rb(h, b)
         assert exc.value.witness == reference_rb_witness(h, b)
     assert failing >= 10
+
+
+# -- reads on a copy that was never accepted ------------------------------------
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("group", [gr.dihedral(3), gr.quaternion_group()],
+                         ids=str)
+def test_group_reads_decline_on_a_replace_copy(group, field):
+    # a dataclasses.replace copy of an accepted k[G] has no stored report
+    # and so no group: every read declines on it and the sweeps decide,
+    # with the verdict, exception and witness of the accepted original
+    h = hk.group_algebra(group, field)
+    copy = dataclasses.replace(h)
+    assert copy.validated and copy._report is None and copy._group is None
+    assert hopf_mod._generators(copy) is None
+    assert hk.check_cocommutative(copy) is hk.check_cocommutative(h) is True
+    rng = random.Random(group.order)
+    ops = [gr.lift_map(h, op.table)
+           for op in gr.enumerate_rb_group_ops(group)[:3]]
+    for b in ops + drawn_basis_maps(h, group, rng, 3):
+        assert rb_mod._group_map(copy, b) is None
+        assert rb_mod._group_map(h, b) is not None
+        assert hopf_mod.coalgebra_morphism_witness(b, copy, copy) is None
+        assert raised(hk.verify_rb, copy, b) == raised(hk.verify_rb, h, b)
+        assert rb_mod._circle_mul(copy, b) == rb_mod._circle_mul(h, b)
+        assert rb_mod.descendent_antipode(copy, b) == \
+            rb_mod.descendent_antipode(h, b)
+        for check in (brace_mod.rb_symmetric_sufficient_witness,
+                      brace_mod.rb_op_module_witness):
+            assert check(copy, b) == check(h, b)
+    moved = h.basis(0) + h.basis(1)
+    off = LinearOp(h.space, h.space, [moved, *h.antipode.columns[1:]])
+    assert hopf_mod.coalgebra_morphism_witness(off, copy, copy) == \
+        hopf_mod.coalgebra_morphism_witness(off, h, h) is not None
+    for b in ops:
+        br = hk.brace_from_rb(hk.verify_rb(h, b))
+        twin = dataclasses.replace(br, dot=dataclasses.replace(br.dot),
+                                   circle=dataclasses.replace(br.circle))
+        assert brace_mod._action_rows(twin) is None
+        for check in (brace_mod.op_module_witness,
+                      brace_mod.symmetric_sufficient_witness):
+            assert check(twin) == check(br)
+        # verify_brace accepts its two structures itself, and acceptance is
+        # where a copy is recognized as a group algebra again
+        assert brace_outcome(twin.dot, twin.circle) is True
+        assert twin.dot._group.table == br.dot._group.table
+        assert twin.circle._group.table == br.circle._group.table
+
+
+def test_search_reads_the_group_stored_on_a_group_algebra():
+    # search takes the group that group_algebra stored on a carrier: the
+    # very group a named declaration built; a carrier with none is skipped
+    defs = parse_text(json.dumps({"version": 1, "declarations": [
+        {"kind": "group", "name": "G", "group": {"dihedral": 3}},
+        {"kind": "hopf", "name": "H", "group_algebra": "G"},
+        {"kind": "hopf", "name": "K", "group_algebra": {"dihedral": 3}}]}))
+    assert defs["H"].obj._group is defs["G"].obj
+    found = cli.run_search(defs, None)
+    assert sorted(found) == ["G", "H", "K"]
+    assert found["G"] == found["H"] == found["K"]
+    assert found["G"]["count"] == 8
+    defs["H"].obj = without_group(defs["H"].obj)
+    assert sorted(cli.run_search(defs, None)) == ["G", "K"]
 
 
 # -- the paper's correspondence, from Cayley tables ----------------------------
@@ -412,21 +479,19 @@ def test_group_read_of_the_antipode_is_the_convolution_form(field):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("group", [gr.dihedral(3), gr.dihedral(4),
                                    gr.quaternion_group()], ids=str)
-def test_antipode_witnesses_match_the_convolution_path(group, field,
-                                                       monkeypatch):
+def test_antipode_witnesses_match_the_convolution_path(group, field):
     h = hk.group_algebra(group, field)
     rng = random.Random(group.order)
     maps = [gr.lift_map(h, op.table)
             for op in gr.enumerate_rb_group_ops(group)[:4]]
     maps += drawn_basis_maps(h, group, rng, 4)
 
-    def witnesses():
+    def witnesses(h):
         return [(rb_mod.descendent_antipode_inverse_witness(h, b),
                  brace_mod.rb_symmetric_sufficient_witness(h, b))
                 for b in maps]
-    expected = witnesses()
-    monkeypatch.setattr(rb_mod, "basis_group", lambda h: None)
-    assert witnesses() == expected
+    expected = witnesses(h)
+    assert witnesses(without_group(h)) == expected
     assert any(w is not None for pair in expected for w in pair)
 
 
@@ -439,13 +504,12 @@ def brace_outcome(dot, circle):
         return type(exc), str(exc), exc.witness
 
 
-def assert_brace_agrees(dot, circle, monkeypatch):
-    """verify_brace gives the int sweep's verdict, exception and witness;
+def assert_brace_agrees(dot, circle):
+    """verify_brace gives the int sweep's verdict, exception and witness,
+    which it gives on copies of dot and circle with no stored group;
     returns it."""
     got = brace_outcome(dot, circle)
-    with monkeypatch.context() as m:
-        m.setattr(brace_mod, "basis_group", lambda h: None)
-        assert brace_outcome(dot, circle) == got
+    assert brace_outcome(without_group(dot), without_group(circle)) == got
     return got
 
 
@@ -467,7 +531,7 @@ def circle_carrier(dot, table):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_brace_group_path_agrees_on_valid_braces(field, monkeypatch):
+def test_brace_group_path_agrees_on_valid_braces(field):
     # the braces of every lifted operator, and the flip brace
     for g in GROUPS:
         h = hk.group_algebra(g, field)
@@ -476,12 +540,11 @@ def test_brace_group_path_agrees_on_valid_braces(field, monkeypatch):
         circles.append(hk.opposite_hopf(h))
         for circle in circles:
             assert basis_group(circle) is not None
-            assert assert_brace_agrees(h, circle, monkeypatch) is True
+            assert assert_brace_agrees(h, circle) is True
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_brace_group_path_agrees_on_relabelled_circle_tables(field,
-                                                              monkeypatch):
+def test_brace_group_path_agrees_on_relabelled_circle_tables(field):
     # the ∘ table of a lifted operator moved along a swap of two
     # non-identity elements stays a group on the same coalgebra, so both
     # structures are recognized; most such pairs are no brace
@@ -500,7 +563,7 @@ def test_brace_group_path_agrees_on_relabelled_circle_tables(field,
             x, y = rng.choice(pairs)
             k = circle_carrier(h, relabelled(circle, x, y))
             assert basis_group(k) is not None
-            outcome = assert_brace_agrees(h, k, monkeypatch)
+            outcome = assert_brace_agrees(h, k)
             if outcome is not True:
                 assert outcome[0] is CompatibilityFails
                 failing += 1
@@ -512,10 +575,9 @@ def test_brace_group_path_agrees_on_relabelled_circle_tables(field,
 SUITE_GROUPS = ORDER_LE_8 + [gr.dihedral(6)]
 
 
-def suite_outcomes(checks, monkeypatch, reads=True):
-    """The witness of each check, called with no argument, and whether its
-    int sweep ran; with ``reads`` off, ``basis_group`` is None in ``brace``
-    and ``rb``, where the reads of the suite take it."""
+def suite_outcomes(checks, h, br, monkeypatch):
+    """The witness of each check, called as ``check(h, br)``, and whether
+    its int sweep ran."""
     ran = []
 
     def counted(sweep):
@@ -526,22 +588,22 @@ def suite_outcomes(checks, monkeypatch, reads=True):
     with monkeypatch.context() as m:
         for name in ("int_witness", "_associativity_witness"):
             m.setattr(brace_mod, name, counted(getattr(brace_mod, name)))
-        if not reads:
-            for mod in (brace_mod, rb_mod):
-                m.setattr(mod, "basis_group", lambda h: None)
         out = []
         for check in checks:
             ran.clear()
-            out.append((check(), bool(ran)))
+            out.append((check(h, br), bool(ran)))
         return out
 
 
-def assert_suite_agrees(checks, monkeypatch):
-    """Each check gives the sweep's verdict and witness, and its read
-    accepts every case that passes: it is exact, so the sweep runs only
-    on a failure.  Returns the witnesses."""
-    got = suite_outcomes(checks, monkeypatch)
-    swept = suite_outcomes(checks, monkeypatch, reads=False)
+def assert_suite_agrees(checks, h, br, monkeypatch):
+    """Each check gives the sweep's verdict and witness, which it gives on
+    copies of h and of the structures of br with no stored group, and its
+    read accepts every case that passes: it is exact, so the sweep runs
+    only on a failure.  Returns the witnesses."""
+    got = suite_outcomes(checks, h, br, monkeypatch)
+    swept = suite_outcomes(checks, without_group(h), br and dataclasses.replace(
+        br, dot=without_group(br.dot), circle=without_group(br.circle)),
+        monkeypatch)
     assert [w for w, _ in got] == [w for w, _ in swept]
     assert all(ran for _, ran in swept)
     assert [ran for _, ran in got] == [w is not None for w, _ in got]
@@ -558,10 +620,11 @@ def test_suite_reads_agree_on_every_operator(group, field, monkeypatch):
         b = gr.lift_map(h, op.table)
         br = hk.brace_from_rb(hk.verify_rb(h, b))
         assert_suite_agrees([
-            lambda: brace_mod.op_module_witness(br),
-            lambda: brace_mod.symmetric_sufficient_witness(br),
-            lambda: brace_mod.rb_symmetric_sufficient_witness(h, b),
-            lambda: brace_mod.rb_op_module_witness(h, b)], monkeypatch)
+            lambda h, br: brace_mod.op_module_witness(br),
+            lambda h, br: brace_mod.symmetric_sufficient_witness(br),
+            lambda h, br: brace_mod.rb_symmetric_sufficient_witness(h, b),
+            lambda h, br: brace_mod.rb_op_module_witness(h, b)],
+            h, br, monkeypatch)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -579,8 +642,9 @@ def test_suite_reads_agree_on_basis_maps_that_are_no_operator(group, field,
         for x in range(group.order)]
     for b in maps:
         assert_suite_agrees([
-            lambda: brace_mod.rb_symmetric_sufficient_witness(h, b),
-            lambda: brace_mod.rb_op_module_witness(h, b)], monkeypatch)
+            lambda h, br: brace_mod.rb_symmetric_sufficient_witness(h, b),
+            lambda h, br: brace_mod.rb_op_module_witness(h, b)],
+            h, None, monkeypatch)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -594,9 +658,9 @@ def test_suite_reads_agree_on_every_basis_permutation_of_s3(field,
     for perm in itertools.permutations(range(1, g.order)):
         b = gr.lift_map(h, (g.identity, *perm))
         passed += assert_suite_agrees([
-            lambda: brace_mod.rb_symmetric_sufficient_witness(h, b),
-            lambda: brace_mod.rb_op_module_witness(h, b)],
-            monkeypatch).count(None)
+            lambda h, br: brace_mod.rb_symmetric_sufficient_witness(h, b),
+            lambda h, br: brace_mod.rb_op_module_witness(h, b)],
+            h, None, monkeypatch).count(None)
     assert passed > 0
 
 
@@ -607,7 +671,7 @@ def test_suite_read_tables_are_the_swept_maps(field):
     for g in SUITE_GROUPS:
         h = hk.group_algebra(g, field)
         n = g.order
-        conj = brace_mod._conjugation_rows(g)
+        conj = [gr.conjugation_automorphism(g, u) for u in range(n)]
         assert [h.basis(conj[u][c]) for u in range(n) for c in range(n)] == \
             list(hopf_mod.adjoint_map(h).columns)
         for op in gr.enumerate_rb_group_ops(g)[:8]:

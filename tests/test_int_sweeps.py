@@ -276,7 +276,7 @@ def test_symmetry_suite_matches_reference_on_edits(kernel_op, field, name,
     # derived_action_map; the group read of ⇀ comes from the Cayley
     # tables, which the patch does not change, so it is turned off here
     with mock.patch.object(brace_mod, "derived_action_map", lambda br: act), \
-            mock.patch.object(brace_mod, "basis_group", lambda h: None):
+            mock.patch.object(brace_mod, "_action_rows", lambda br: None):
         assert brace_mod.op_module_witness(br) == \
             reference_op_module_witness(dot, act)
         assert brace_mod.symmetric_sufficient_witness(br) == \
